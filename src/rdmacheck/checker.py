@@ -176,12 +176,19 @@ def outcomes(progs, libs: Sequence[Library], cfg: NodeConfig, bounds: Bounds,
 
     With ``outputs_only`` the search stops at the first witness per plain
     execution (final memory, which varies with the modification order, is
-    then not meaningful and left empty).
+    then not meaningful and left empty), and a plain execution whose output
+    tuple is already in the set is skipped unchecked: an outcome is then
+    the output tuple alone, so accepting that execution could add nothing.
+    Every tuple not yet found still has all its executions checked, so the
+    set is the same.  A full enumeration, whose outcomes carry final
+    memory, checks every plain execution.
     """
     fn = merged_outputs(libs, outctx, cfg)
     interp = interpret_conc(progs, bounds.loop_bound, fn, bounds.max_events)
     found = set()
-    for vals, plain in sorted(interp.results, key=repr):
+    for vals, plain in interp.results:
+        if outputs_only and Outcome(vals) in found:
+            continue
         for acc in enumerate_consistent(plain, libs, cfg):
             if outputs_only:
                 found.add(Outcome(vals))

@@ -737,15 +737,26 @@ def validate_abstraction(impl: Implementation, g: PlainExecution,
 
 @dataclass
 class SoundnessReport:
+    """Outcome inclusion of a compiled program in its specification.
+
+    ``inconclusive`` is set when the compiled side is bound-limited and has
+    no outcome at all: inclusion would then hold vacuously, so ``included``
+    is False without any counterexample.
+    """
+
     included: bool
     counterexamples: list
     spec_outcomes: frozenset
     impl_outcomes: frozenset
     spec_truncated: bool
     impl_truncated: bool
+    inconclusive: bool = False
 
     def summary(self) -> str:
-        verdict = "included" if self.included else "NOT included"
+        if self.inconclusive:
+            verdict = "inconclusive"
+        else:
+            verdict = "included" if self.included else "NOT included"
         extra = ""
         if self.spec_truncated or self.impl_truncated:
             extra = " (bound-limited)"
@@ -801,7 +812,10 @@ def check_soundness(progs: ConcurrentProgram,
     spec_set = frozenset(o.outputs for o in spec.outcomes)
     impl_set = frozenset(o.outputs for o in comp.outcomes)
     missing = sorted(impl_set - spec_set, key=repr)
-    return SoundnessReport(included=not missing, counterexamples=missing,
+    inconclusive = not impl_set and comp.truncated
+    return SoundnessReport(included=not missing and not inconclusive,
+                           counterexamples=missing,
                            spec_outcomes=spec_set, impl_outcomes=impl_set,
                            spec_truncated=spec.truncated,
-                           impl_truncated=comp.truncated)
+                           impl_truncated=comp.truncated,
+                           inconclusive=inconclusive)

@@ -23,6 +23,20 @@ class Event:
     args: tuple
     output: Value
 
+    # Events and subevents are hashed millions of times as set members and
+    # dict keys, so each computes its hash once; equality is the generated
+    # field-wise one.  Pickling rebuilds through the constructor, because
+    # string hashes differ between processes.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.tid, self.eid, self.method, self.args, self.output)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Event, (self.tid, self.eid, self.method, self.args, self.output)
+
     def __repr__(self):
         a = ",".join(fmt_value(v) for v in self.args)
         return f"e{self.tid}.{self.eid}:{self.method}({a})={fmt_value(self.output)}"
@@ -102,6 +116,15 @@ class Stamp:
 class SubEvent:
     event: Event
     stamp: Stamp
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.event, self.stamp)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return SubEvent, (self.event, self.stamp)
 
     def __repr__(self):
         return f"<{self.event!r},{self.stamp!r}>"

@@ -18,9 +18,9 @@ the result:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .events import Event, InvalidInput, PlainExecution, par_compose, seq_compose
+from .events import Event, InvalidInput, PlainExecution, seq_compose
 from .values import Value
 
 
@@ -118,7 +118,7 @@ def uniform_outputs(domain: Iterable[Value]) -> OutputsFn:
 
 
 class InterpResult(NamedTuple):
-    results: frozenset
+    results: AbstractSet   # a set view that iterates in a fixed order
     truncated: bool
 
 
@@ -177,14 +177,16 @@ def _loop(body, tid, st, ctx, prefix, done):
 def interpret_seq(p: Program, tid: int, loop_bound: int,
                   value_domain: Iterable[Value] | OutputsFn,
                   max_events: int = 10_000) -> InterpResult:
-    """All bounded unfoldings of ``p`` on thread ``tid``.
+    """All bounded unfoldings of ``p`` on thread ``tid``, in the order the
+    interpreter generates them.
 
     ``value_domain`` is either a finite value collection (every method
     call's output ranges over it) or an :data:`OutputsFn`.
     """
     outputs = value_domain if callable(value_domain) else uniform_outputs(value_domain)
     ctx = _Ctx(loop_bound, outputs, max_events)
-    results = frozenset((o, g) for o, g, _ in _interp(p, tid, ThreadState(), ctx))
+    results = dict.fromkeys(
+        (o, g) for o, g, _ in _interp(p, tid, ThreadState(), ctx)).keys()
     return InterpResult(results, ctx.truncated)
 
 
@@ -195,24 +197,39 @@ def interpret_conc(progs: ConcurrentProgram, loop_bound: int,
 
     Keeps only unfoldings where every thread terminates with break depth 0;
     the result pairs the tuple of thread outputs with the combined plain
-    execution.
+    execution.  Products whose events exceed ``max_events`` are dropped and
+    mark the result bound-limited.
+
+    The results come in a fixed order: the products of the per-thread
+    unfoldings in lexicographic order, thread 1 outermost, each thread's
+    unfoldings in the order the interpreter generates them.  Threads have
+    distinct ids, so the parts of a product are disjoint by construction
+    and are united once, without re-validation, when the product is whole.
     """
-    per_thread: list[list[tuple[Value, PlainExecution]]] = []
+    per_thread: list[list[tuple[Value, PlainExecution, int]]] = []
     truncated = False
     for i, p in enumerate(progs):
         r = interpret_seq(p, i + 1, loop_bound, value_domain, max_events)
         truncated |= r.truncated
-        per_thread.append([(o.value, g) for o, g in r.results if o.brk == 0])
+        per_thread.append([(o.value, g, len(g.events))
+                           for o, g in r.results if o.brk == 0])
 
-    combos: list[tuple[tuple, PlainExecution]] = [((), PlainExecution.empty())]
+    # (values, plain executions, event count) of each partial product; a
+    # thread's unfoldings are filtered once per remaining event budget.
+    combos: list[tuple[tuple, tuple, int]] = [((), (), 0)]
     for choices in per_thread:
+        fits: dict[int, list] = {}
         nxt = []
-        for vals, g in combos:
-            for v, gt in choices:
-                gg = par_compose(g, gt)
-                if len(gg.events) > max_events:
-                    truncated = True
-                    continue
-                nxt.append((vals + (v,), gg))
+        for vals, gs, n in combos:
+            budget = max_events - n
+            fit = fits.get(budget)
+            if fit is None:
+                fit = fits[budget] = [c for c in choices if c[2] <= budget]
+                truncated |= len(fit) < len(choices)
+            nxt.extend((vals + (v,), gs + (g,), n + m) for v, g, m in fit)
         combos = nxt
-    return InterpResult(frozenset(combos), truncated)
+    results = dict.fromkeys(
+        (vals, PlainExecution(frozenset().union(*(g.events for g in gs)),
+                              frozenset().union(*(g.po for g in gs))))
+        for vals, gs, _n in combos)
+    return InterpResult(results.keys(), truncated)

@@ -253,11 +253,3 @@ def reads_before(rf: Mapping[SubEvent, SubEvent | None], mo: Rel,
             if src is None or (src, w) in mo:
                 pairs.append((r, w))
     return Rel(pairs)
-
-
-def po_pairs(plain: PlainExecution) -> frozenset:
-    return plain.po
-
-
-def lift_po(plain: PlainExecution, a: SubEvent, b: SubEvent) -> bool:
-    return (a.event, b.event) in plain.po

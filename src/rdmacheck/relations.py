@@ -46,14 +46,6 @@ class Rel:
     def __sub__(self, other: "Rel") -> "Rel":
         return Rel(self.pairs - other.pairs)
 
-    @property
-    def dom(self) -> set:
-        return {a for a, _ in self.pairs}
-
-    @property
-    def ran(self) -> set:
-        return {b for _, b in self.pairs}
-
     def inverse(self) -> "Rel":
         return Rel((b, a) for a, b in self.pairs)
 
@@ -88,14 +80,8 @@ class Rel:
             out.update((src, n) for n in seen)
         return Rel(out)
 
-    def reflexive_transitive_closure(self, carrier: Iterable[Hashable]) -> "Rel":
-        return Rel(self.transitive_closure().pairs | {(x, x) for x in carrier})
-
     def is_irreflexive(self) -> bool:
         return all(a != b for a, b in self.pairs)
-
-    def acyclic(self) -> bool:
-        return self.transitive_closure().is_irreflexive()
 
 
 def identity(carrier: Iterable[Hashable]) -> Rel:
@@ -109,45 +95,83 @@ def acyclic_closure(r: Rel) -> tuple[Rel, bool]:
 
 
 class IncrementalOrder:
-    """Grow-only transitive relation with O(edges) insertion and cycle veto.
+    """Grow-only transitive relation with a cycle veto, over bitset rows.
 
     Used by the witness search: so edges accumulate across libraries, and
     any addition that would close a cycle with the fixed ppo base must fail
     fast.  `add_edges` returns False (and rolls back nothing: copy before
     speculative use) when a cycle would appear.
+
+    Items are numbered on first sight; row i is an int whose bit j is set
+    when item j follows item i.  The base is closed once by bitset
+    Warshall, O(n^2) row ORs for n items.  Adding an edge a -> b ORs b's
+    row (plus b) into a and every row that has a's bit, one bit test per
+    row.  Copies share the numbering, which only grows, and own their rows;
+    a row or bit past the end of a copy's rows is empty.
     """
 
-    __slots__ = ("succ",)
+    __slots__ = ("index", "items", "rows")
 
     def __init__(self, base: Rel | None = None):
-        self.succ: dict = {}
+        self.index: dict = {}
+        self.items: list = []
+        self.rows: list[int] = []
         if base is not None:
-            for a, b in base.transitive_closure():
-                self.succ.setdefault(a, set()).add(b)
+            for a, b in base:
+                i, j = self._id(a), self._id(b)
+                self.rows[i] |= 1 << j
+            rows = self.rows
+            for k in range(len(rows)):
+                rk, bit = rows[k], 1 << k
+                if rk:
+                    for i, ri in enumerate(rows):
+                        if ri & bit:
+                            rows[i] = ri | rk
+
+    def _id(self, item) -> int:
+        i = self.index.get(item)
+        if i is None:
+            i = self.index[item] = len(self.items)
+            self.items.append(item)
+        rows = self.rows
+        if len(rows) < len(self.items):
+            rows.extend([0] * (len(self.items) - len(rows)))
+        return i
 
     def copy(self) -> "IncrementalOrder":
-        c = IncrementalOrder()
-        c.succ = {k: set(v) for k, v in self.succ.items()}
+        c = IncrementalOrder.__new__(IncrementalOrder)
+        c.index, c.items, c.rows = self.index, self.items, list(self.rows)
         return c
 
     def __contains__(self, pair: Pair) -> bool:
-        a, b = pair
-        return b in self.succ.get(a, ())
+        i, j = self.index.get(pair[0]), self.index.get(pair[1])
+        return (i is not None and j is not None and i < len(self.rows)
+                and self.rows[i] >> j & 1 == 1)
 
     def add_edges(self, edges: Iterable[Pair]) -> bool:
+        rows = self.rows
         for a, b in edges:
-            if a == b or a in self.succ.get(b, ()):
+            i, j = self._id(a), self._id(b)
+            if i == j or rows[j] >> i & 1:
                 return False
-            if b in self.succ.get(a, ()):
+            if rows[i] >> j & 1:
                 continue
-            preds = [p for p, ss in self.succ.items() if a in ss]
-            after = self.succ.get(b, set()) | {b}
-            self.succ.setdefault(a, set()).update(after)
-            for p in preds:
-                self.succ[p].update(after)
-            if a in self.succ.get(a, ()):
+            after = rows[j] | 1 << j
+            bit = 1 << i
+            rows[i] |= after
+            for k, r in enumerate(rows):
+                if r & bit:
+                    rows[k] = r | after
+            if rows[i] & bit:
                 return False
         return True
 
     def to_rel(self) -> Rel:
-        return Rel((a, b) for a, ss in self.succ.items() for b in ss)
+        items = self.items
+        pairs = []
+        for i, r in enumerate(self.rows):
+            while r:
+                low = r & -r
+                pairs.append((items[i], items[low.bit_length() - 1]))
+                r ^= low
+        return Rel(pairs)

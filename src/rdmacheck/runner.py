@@ -171,7 +171,7 @@ def _dump_first_witness(built: BuiltTest, libs, bounds: Bounds,
     fn = merged_outputs(libs, ctx, built.cfg)
     interp = interpret_conc(built.programs, bounds.loop_bound, fn,
                             bounds.max_events)
-    for vals, plain in sorted(interp.results, key=repr):
+    for vals, plain in interp.results:
         for acc in enumerate_consistent(plain, libs, built.cfg):
             return dump_execution(plain, acc["stmp"], acc["so"], acc["hb"],
                                   acc["witnesses"], outputs=vals)

@@ -158,3 +158,15 @@ class TestInterpretConc:
         p = seq(*[Call("m", ()) for _ in range(5)])
         r = interpret_conc([p], 4, frozenset({0}), max_events=3)
         assert r.results == frozenset() and r.truncated
+
+    def test_max_events_cap_across_threads(self):
+        # each thread fits alone; only their product exceeds the cap
+        p = seq(Call("m", ()), Call("m", ()))
+        r = interpret_conc([p, p], 4, frozenset({0}), max_events=3)
+        assert r.results == frozenset() and r.truncated
+        r = interpret_conc([p, p], 4, frozenset({0}), max_events=4)
+        assert len(r.results) == 1 and not r.truncated
+
+    def test_products_in_lexicographic_order(self):
+        r = interpret_conc([Call("m", ()), Call("m", ())], 4, (0, 1))
+        assert [vals for vals, _g in r.results] == [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -69,3 +69,25 @@ def test_incremental_order_detects_cycles():
         assert ok == want
         if ok:
             assert inc.to_rel().pairs == frozenset(naive_closure(edges))
+    # a closed acyclic base, then edges added to a copy, over items first
+    # seen in the base, in the edges, or in neither
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        items = [("s", k) for k in range(n)]
+        base = {(items[a], items[b]) for a, b in
+                (sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 8)))}
+        edges = [(rng.choice(items), rng.choice(items))
+                 for _ in range(rng.randint(1, 6))]
+        inc = IncrementalOrder(Rel(base))
+        closed = frozenset(naive_closure(base))
+        assert inc.to_rel().pairs == closed
+        c = inc.copy()
+        ok = c.add_edges(edges)
+        want = naive_closure(base | set(edges))
+        assert ok == all(a != b for a, b in want)
+        if ok:
+            assert c.to_rel().pairs == frozenset(want)
+            assert all((a, b) in c for a, b in want)
+        assert inc.to_rel().pairs == closed
+        assert all(((a, b) in inc) == ((a, b) in closed)
+                   for a in items for b in items)
