@@ -9,11 +9,11 @@ executions, enumerated from the bounded plain semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .config import NodeConfig
-from .events import Event, Execution, InvalidInput, PlainExecution, SubEvent
+from .events import Event, Execution, InvalidInput, PlainExecution
 from .lang import OutputsFn, interpret_conc
 from .libraries.base import Library, OutputCtx, Witness, check_consistent
 from .relations import IncrementalOrder, Rel
@@ -82,12 +82,6 @@ def stamp_events(plain: PlainExecution, libs: Sequence[Library], cfg: NodeConfig
     return stmp, per_lib
 
 
-def _restrict(plain: PlainExecution, events: list[Event]) -> PlainExecution:
-    s = frozenset(events)
-    return PlainExecution(s, frozenset((a, b) for a, b in plain.po
-                                       if a in s and b in s))
-
-
 def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
                          cfg: NodeConfig) -> Iterator[dict]:
     """All accepted (witness-per-library, so, hb) combinations.
@@ -98,7 +92,7 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
     stmp, per_lib = stamp_events(plain, libs, cfg)
     ppo = derive_ppo(plain, stmp)
     base = IncrementalOrder(ppo)
-    slices = [(lib, _restrict(plain, per_lib[lib.name])) for lib in libs]
+    slices = [(lib, plain.restrict(per_lib[lib.name])) for lib in libs]
 
     def rec(i: int, order: IncrementalOrder, chosen: list):
         if i == len(slices):
@@ -124,14 +118,21 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
 
 def lambda_consistent(exec_: Execution, libs: Sequence[Library],
                       cfg: NodeConfig) -> tuple[bool, dict]:
-    """Validate a full execution: so must decompose per library, hb must be
-    the irreflexive closure of ppo ∪ so, and every library slice must pass
-    its oracle with exactly its share of so."""
+    """Validate a full execution: its stamping must be the libraries',
+    so must decompose per library, hb must be the irreflexive closure of
+    ppo ∪ so, and every library slice must pass its oracle with exactly
+    its share of so.
+
+    This is the paper's whole-execution check; ``enumerate_consistent``
+    searches for what it validates, and the tests hold the two together.
+    """
     stmp, per_lib = stamp_events(exec_.plain, libs, cfg)
+    if dict(exec_.stmp) != stmp:
+        return False, {}
     ppo = derive_ppo(exec_.plain, stmp)
     so = Rel(exec_.so)
     hb = (ppo | so).transitive_closure()
-    if not hb.is_irreflexive():
+    if Rel(exec_.hb) != hb or not hb.is_irreflexive():
         return False, {}
 
     mm = method_map(libs)
@@ -143,21 +144,13 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
 
     witnesses = {}
     for lib in libs:
-        sl = _restrict(exec_.plain, per_lib[lib.name])
-        w = check_consistent(lib, _slice_exec(exec_, sl, stmp, so), cfg)
+        w = check_consistent(lib, exec_.restrict(per_lib[lib.name]), cfg)
         if w is None:
             return False, {}
         if not lib.post_check(w, hb):
             return False, {}
         witnesses[lib.name] = w
     return True, witnesses
-
-
-def _slice_exec(exec_: Execution, sl: PlainExecution, stmp, so: Rel) -> Execution:
-    sub = frozenset(SubEvent(e, a) for e in sl.events for a in stmp[e])
-    keep = frozenset((a, b) for a, b in so if a in sub and b in sub)
-    hb = frozenset((a, b) for a, b in exec_.hb if a in sub and b in sub)
-    return Execution(sl, {e: stmp[e] for e in sl.events}, keep, hb)
 
 
 def final_memory(witnesses: Mapping[str, Witness], libs: Sequence[Library],

@@ -11,25 +11,34 @@ import json
 import sys
 from pathlib import Path
 
-from .runner import (BOUND_LIMITED, ERROR, FAIL, PASS, CorpusSummary,
-                     TestReport, run_corpus, run_file, write_json_report)
+from .runner import (BOUND_LIMITED, ERROR, FAIL, PASS, TestReport,
+                     run_corpus, run_file, write_json_report)
 
 
-def _parse_variants(pairs):
-    variants = {}
-    for p in pairs or ():
-        if "=" not in p:
-            raise SystemExit(f"--variant expects lib=choice, got {p!r}")
-        lib, choice = p.split("=", 1)
-        ok = {"bal": ("weak", "transitive"), "rbl": ("strict", "weak")}
-        if lib not in ok or choice not in ok[lib]:
-            raise SystemExit(f"--variant {p!r} not recognised")
-        variants[lib] = choice
-    return variants
+_VARIANTS = {"bal": ("weak", "transitive"), "rbl": ("strict", "weak")}
+
+
+def _variant(p: str) -> tuple[str, str]:
+    lib, eq, choice = p.partition("=")
+    if not eq:
+        raise argparse.ArgumentTypeError(f"expects lib=choice, got {p!r}")
+    if choice not in _VARIANTS.get(lib, ()):
+        raise argparse.ArgumentTypeError(f"{p!r} not recognised")
+    return lib, choice
+
+
+def _at_least_one(s: str) -> int:
+    try:
+        n = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {s!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _overrides(args) -> dict:
-    o: dict = {"variants": _parse_variants(args.variant)}
+    o: dict = {"variants": dict(args.variant or ())}
     if args.loop_bound is not None:
         o["loop_bound"] = args.loop_bound
     if args.max_events is not None:
@@ -59,11 +68,12 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--loop-bound", type=int, default=None,
+    common.add_argument("--loop-bound", type=_at_least_one, default=None,
                         help="max loop unrollings per loop (default 4)")
-    common.add_argument("--max-events", type=int, default=None,
+    common.add_argument("--max-events", type=_at_least_one, default=None,
                         help="hard cap on events per execution (default 14)")
-    common.add_argument("--variant", action="append", metavar="LIB=CHOICE",
+    common.add_argument("--variant", action="append", type=_variant,
+                        metavar="LIB=CHOICE",
                         help="bal=weak|transitive or rbl=strict|weak")
     common.add_argument("--json", type=Path, default=None,
                         help="write a machine-readable report here")
@@ -81,7 +91,7 @@ def main(argv=None) -> int:
     c2.add_argument("directory", type=Path)
     c2.add_argument("--filter", action="append", default=[],
                     help="only run tests whose name contains this substring")
-    c2.add_argument("--jobs", type=int, default=1,
+    c2.add_argument("--jobs", type=_at_least_one, default=1,
                     help="parallel worker processes")
 
     args = ap.parse_args(argv)

@@ -7,7 +7,8 @@ shared variables over the wait-based RDMA model, the barrier and the ring
 buffer over shared variables, mixed-size cells over the wait-based model,
 and the wait-based model over the poll-based one.  Invalid calls (wrong
 role, wrong size, non-participant) compile to an infinite loop, which has
-no terminating unfolding and hence no outcome.
+no terminating unfolding and hence no outcome.  ``check_well_defined``
+checks an implementation's bodies over an argument grid.
 
 The soundness harness enumerates the outcome sets of a client against the
 source-library specification and of its compilation against the target
@@ -16,19 +17,16 @@ libraries, and reports inclusion of the latter in the former.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .checker import Bounds, Outcome, OutcomeResult, merged_outputs, outcomes
+from .checker import Bounds, outcomes
 from .config import NodeConfig
-from .events import Event, InvalidInput, PlainExecution, seq_compose
-from .lang import (Break, Call, ConcurrentProgram, LetF, Loop, Output,
-                   Program, ThreadState, Val, _Ctx, _interp, interpret_seq,
-                   let, seq)
+from .events import InvalidInput
+from .lang import (Break, Call, ConcurrentProgram, LetF, Loop, Program, Val,
+                   interpret_seq, let, seq)
 from .libraries import OutputCtx, make_library
-from .relations import Rel
-from .values import BOT, UNIT, hash_tuple, is_reserved_loc
+from .values import BOT, UNIT, hash_tuple
 
 DEAD = Loop(Val(UNIT))
 
@@ -549,186 +547,6 @@ def check_well_defined(impl: Implementation, cfg: NodeConfig,
                         problems.append(f"{impl.name}.{m}{args} on t{t}: "
                                         f"empty successful unfolding")
     return problems
-
-
-# ---------------------------------------------------------------------------
-# Abstraction construction (paired interpretation)
-
-
-@dataclass
-class AbstractionMap:
-    """Surjection from concrete events onto abstract events, with the
-    recorded per-abstract-event implementation runs for re-validation."""
-
-    f: dict
-    runs: dict  # abstract Event -> (start ThreadState, method, args, output, sub-execution)
-
-
-_ABS_BASE = 9_000_000
-
-
-def _paired(p: Program, impl: Implementation, tid: int, st: ThreadState,
-            abs_eid: int, ctx: _Ctx) -> Iterator[tuple]:
-    """Mirror of the plain interpreter producing (output, concrete graph,
-    abstract graph, f, runs, state, next abstract id) tuples.
-
-    The concrete components are generated by interpreting implementation
-    bodies from the same thread state the inlined program would reach, so
-    the concrete projection equals the plain semantics of the compiled
-    program, event identifiers included.
-    """
-    methods = impl.source_methods()
-    empty = PlainExecution.empty()
-    if isinstance(p, (Val, Break)):
-        out = Output(p.value, 0) if isinstance(p, Val) else Output(p.value, p.depth)
-        yield out, empty, empty, {}, {}, st, abs_eid
-        return
-    if isinstance(p, Call):
-        if p.method not in methods:
-            for out, st2 in ctx.outputs(p.method, p.args, tid, st):
-                e = Event(tid, st2.eid, p.method, p.args, out)
-                g = PlainExecution.single(e)
-                yield (Output(out, 0), g, g, {e: e}, {},
-                       replace(st2, eid=st2.eid + 1), abs_eid)
-            return
-        body = impl.mapping(tid, p.method, p.args)
-        for out, g, st2 in _interp(body, tid, st, ctx):
-            if out.brk != 0:
-                continue  # well-definedness forbids this; skip defensively
-            if not g.events:
-                continue
-            e_abs = Event(tid, _ABS_BASE + abs_eid, p.method, p.args, out.value)
-            f = {e: e_abs for e in g.events}
-            runs = {e_abs: (st, p.method, p.args, out.value, g)}
-            yield out, g, PlainExecution.single(e_abs), f, runs, st2, abs_eid + 1
-        return
-    if isinstance(p, LetF):
-        for o1, g1, a1, f1, r1, st1, ab1 in _paired(p.prog, impl, tid, st, abs_eid, ctx):
-            if o1.brk != 0:
-                yield o1, g1, a1, f1, r1, st1, ab1
-                continue
-            for o2, g2, a2, f2, r2, st2, ab2 in _paired(p.cont(o1.value), impl,
-                                                        tid, st1, ab1, ctx):
-                g = seq_compose(g1, g2)
-                if len(g.events) > ctx.max_events:
-                    ctx.truncated = True
-                    continue
-                yield (o2, g, seq_compose(a1, a2), {**f1, **f2}, {**r1, **r2},
-                       st2, ab2)
-        return
-    if isinstance(p, Loop):
-        yield from _paired_loop(p.body, impl, tid, st, abs_eid, ctx,
-                                empty, empty, {}, {}, 0)
-        return
-    raise InvalidInput(f"not a program: {p!r}")
-
-
-def _paired_loop(body, impl, tid, st, abs_eid, ctx, pg, pa, pf, pr, done):
-    if done >= ctx.loop_bound:
-        ctx.truncated = True
-        return
-    for o, g, a, f, r, st2, ab2 in _paired(body, impl, tid, st, abs_eid, ctx):
-        cg, ca = seq_compose(pg, g), seq_compose(pa, a)
-        if len(cg.events) > ctx.max_events:
-            ctx.truncated = True
-            continue
-        ff, rr = {**pf, **f}, {**pr, **r}
-        if o.brk > 0:
-            yield Output(o.value, o.brk - 1), cg, ca, ff, rr, st2, ab2
-        else:
-            yield from _paired_loop(body, impl, tid, st2, ab2, ctx,
-                                    cg, ca, ff, rr, done + 1)
-
-
-def build_abstraction(progs: ConcurrentProgram, impl: Implementation,
-                      concrete: tuple, cfg: NodeConfig, bounds: Bounds,
-                      outctx: OutputCtx, validate: bool = True):
-    """Find the abstract execution and mapping for one concrete unfolding.
-
-    ``concrete`` is a (value tuple, plain execution) member of the compiled
-    program's plain semantics.  Returns ((values, abstract execution), map).
-    Raises InvalidInput when the concrete unfolding is not found, and
-    AssertionError when (with ``validate``) a constructed map violates an
-    abstraction clause — which would indicate a compiler bug.
-    """
-    vals, g_conc = concrete
-    target_libs = [make_library(n) for n in impl.targets]
-    fn = merged_outputs(target_libs, outctx, cfg)
-    ctx = _Ctx(bounds.loop_bound, fn, bounds.max_events)
-
-    from .events import par_compose
-    per_thread = []
-    for i, p in enumerate(progs):
-        tid = i + 1
-        want_events = frozenset(e for e in g_conc.events if e.tid == tid)
-        matches = []
-        for o, g, a, f, r, _st, _ab in _paired(p, impl, tid, ThreadState(), 0, ctx):
-            if o.brk == 0 and o.value == vals[i] and g.events == want_events \
-                    and g.po == frozenset((x, y) for x, y in g_conc.po
-                                          if x.tid == tid and y.tid == tid):
-                matches.append((g, a, f, r))
-        if not matches:
-            raise InvalidInput(f"concrete unfolding not reproduced on thread {tid}")
-        per_thread.append(matches[0])
-
-    g_abs = PlainExecution.empty()
-    f: dict = {}
-    runs: dict = {}
-    for g, a, ff, rr in per_thread:
-        g_abs = par_compose(g_abs, a)
-        f.update(ff)
-        runs.update(rr)
-    amap = AbstractionMap(f=f, runs=runs)
-
-    if validate:
-        validate_abstraction(impl, g_conc, g_abs, amap)
-    return (vals, g_abs), amap
-
-
-def validate_abstraction(impl: Implementation, g: PlainExecution,
-                         g_abs: PlainExecution, amap: AbstractionMap) -> None:
-    """Assert the abstraction clauses on a constructed map."""
-    f = amap.f
-    methods = impl.source_methods()
-    assert set(f) == set(g.events), "map not total on concrete events"
-    assert {f[e] for e in g.events} == set(g_abs.events), "map not surjective"
-    assert not any(e.method in methods for e in g.events), \
-        "concrete execution contains source-library calls"
-    for e in g.events:
-        if f[e].method not in methods:
-            assert f[e] == e, "non-source event not mapped to itself"
-    for a, b in g.po:
-        fa, fb = f[a], f[b]
-        assert fa == fb or (fa, fb) in g_abs.po, "program order not preserved"
-    inv: dict = {}
-    for e in g.events:
-        inv.setdefault(f[e], set()).add(e)
-    for a, b in g_abs.po:
-        for ea in inv.get(a, ()):
-            for eb in inv.get(b, ()):
-                assert (ea, eb) in g.po, "abstract order not reflected"
-    for e_abs, (st, m, args, out, sub) in amap.runs.items():
-        assert inv[e_abs] == set(sub.events), "preimage mismatch"
-        ctx = _Ctx(10, lambda *a: (), 10_000)
-        # membership re-check: replay the implementation body from the
-        # recorded state with outputs pinned to the observed events.
-        observed = {(e.eid, e.method, e.args): e.output for e in sub.events}
-
-        def replay_outputs(method, a, tid, state):
-            key = (state.eid, method, a)
-            if key in observed:
-                v = observed[key]
-                st2 = state
-                if method in ("tso_get", "tso_put"):
-                    _, st2 = state.next_fresh(tid)
-                return ((v, st2),)
-            return ()
-
-        ctx.outputs = replay_outputs
-        ok = any(o.brk == 0 and o.value == out and gg.events == sub.events
-                 for o, gg, _ in _interp(impl.mapping(e_abs.tid, m, args),
-                                         e_abs.tid, st, ctx))
-        assert ok, "implementation run does not reproduce the preimage"
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,12 @@ class PlainExecution:
     def tids(self) -> set[int]:
         return {e.tid for e in self.events}
 
+    def restrict(self, events: Iterable[Event]) -> "PlainExecution":
+        """The sub-execution on ``events``, program order restricted to it."""
+        s = frozenset(events)
+        return PlainExecution(s, frozenset((a, b) for a, b in self.po
+                                           if a in s and b in s))
+
     def validate(self) -> None:
         """Check the plain-execution invariants; raises InvalidInput."""
         ids = {(e.tid, e.eid) for e in self.events}
@@ -153,13 +159,9 @@ class Execution:
     def subevents(self) -> frozenset[SubEvent]:
         return subevents(self.plain.events, self.stmp)
 
-    def restrict(self, events: frozenset[Event]) -> "Execution":
-        sub = subevents(events, {e: self.stmp[e] for e in events})
+    def restrict(self, events: Iterable[Event]) -> "Execution":
+        plain = self.plain.restrict(events)
+        stmp = {e: self.stmp[e] for e in plain.events}
+        sub = subevents(plain.events, stmp)
         keep = lambda r: frozenset((a, b) for a, b in r if a in sub and b in sub)
-        return Execution(
-            PlainExecution(events, frozenset((a, b) for a, b in self.plain.po
-                                             if a in events and b in events)),
-            {e: self.stmp[e] for e in events},
-            keep(self.so),
-            keep(self.hb),
-        )
+        return Execution(plain, stmp, keep(self.so), keep(self.hb))

@@ -36,10 +36,6 @@ class BarrierLib(Library):
             raise ValueError(f"unknown barrier variant {variant!r}")
         self.variant = variant
 
-    def loc(self, e: Event, cfg: NodeConfig | None = None) -> frozenset:
-        self._require(e)
-        return frozenset({e.args[0]})
-
     def stamping(self, e: Event, cfg: NodeConfig) -> frozenset:
         self._require(e)
         if self.variant == TRANSITIVE:

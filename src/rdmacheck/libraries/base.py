@@ -1,9 +1,10 @@
 """Library interface and shared witness-search machinery.
 
-A library is a method set, a location function, a stamping rule, and a
-consistency oracle.  Oracles are implemented as witness generators: given
-the library's slice of a plain execution they yield every witness (rf, mo,
-... choices) together with the synchronisation order the witness induces.
+A library is a method set, a stamping rule, an output space per method,
+and a consistency oracle.  Oracles are implemented as witness generators:
+given the library's slice of a plain execution they yield every witness
+(rf, mo, ... choices) together with the synchronisation order the witness
+induces.
 The checker combines per-library synchronisation orders into the global
 happens-before and backtracks across libraries.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..config import NodeConfig
-from ..events import Event, InvalidInput, PlainExecution, Stamp, SubEvent
+from ..events import Event, InvalidInput, PlainExecution, SubEvent
 from ..lang import ThreadState
 from ..relations import Rel
 from ..values import Value
@@ -63,12 +64,6 @@ class Library:
 
     name: str = ""
     methods: frozenset = frozenset()
-
-    def loc(self, e: Event, cfg: NodeConfig | None = None) -> frozenset:
-        raise NotImplementedError
-
-    def subevent_loc(self, s: SubEvent) -> frozenset:
-        return self.loc(s.event)
 
     def stamping(self, e: Event, cfg: NodeConfig) -> frozenset:
         raise NotImplementedError

@@ -2,42 +2,45 @@
 
 Methods: msw_write(x, payload), msw_tryread(x) returning a payload or bot,
 msw_get(x,y,d), msw_put(x,y,d), msw_wait(d).  Consistency is the
-wait-based predicate over tuple values with two changes: events must agree
-with the declared per-location size, and a failed msw_tryread is excluded
-from reads entirely — it may fail without justification, its stamp is a
-wait stamp.  A successful read therefore returns a written payload or the
-all-zero payload.
+wait-based predicate of ``RdmaLib`` over tuple values with two changes:
+events must agree with the declared per-location size, and a failed
+msw_tryread is excluded from reads entirely — it may fail without
+justification, its stamp is a wait stamp.  A successful read therefore
+returns a written payload or the all-zero payload.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ..config import NodeConfig
-from ..events import Event, PlainExecution, SubEvent
-from ..relations import Rel
-from ..stamps import ACR, ACW, AWT, nLR, nLW, nRR, nRW
-from ..values import BOT, UNIT, zero_tuple
-from .base import Library, OutputCtx, Witness
-from .rdma_core import rdma_witnesses
-from .rdma_wait import _WaitAdapter
+from ..events import Event, PlainExecution
+from ..stamps import AWT
+from ..values import BOT, zero_tuple
+from .base import OutputCtx
+from .rdma_core import RdmaLib
 
 MSW_WRITE, MSW_TRYREAD = "msw_write", "msw_tryread"
 MSW_GET, MSW_PUT, MSW_WAIT = "msw_get", "msw_put", "msw_wait"
 
 
-class _MswAdapter(_WaitAdapter):
+class MixedSizeLib(RdmaLib):
     name = "msw"
+    roles = {"write": MSW_WRITE, "read": MSW_TRYREAD, "get": MSW_GET,
+             "put": MSW_PUT, "wait": MSW_WAIT}
+    methods = frozenset(roles.values())
 
-    def fixed_read(self, s: SubEvent):
-        if s.event.method == MSW_TRYREAD and s.stamp.kind == "aCR":
-            return True, s.event.output
-        return False, None
+    def stamping(self, e: Event, cfg: NodeConfig) -> frozenset:
+        if e.method == MSW_TRYREAD and e.output is BOT:
+            return frozenset({AWT})
+        return super().stamping(e, cfg)
 
-    def fixed_write(self, s: SubEvent):
-        if s.event.method == MSW_WRITE:
-            return True, s.event.args[1]
-        return False, None
+    def outputs(self, method, args, tid, state, ctx: OutputCtx, cfg):
+        if method == MSW_TRYREAD:
+            size = cfg.size[args[0]]
+            pool = {t for t in ctx.tuple_pool(args[0]) if len(t) == size}
+            pool.add(zero_tuple(size))
+            outs = [BOT] + sorted(pool, key=repr)
+            return ((v, state) for v in outs)
+        return super().outputs(method, args, tid, state, ctx, cfg)
 
     def extra_valid(self, plain: PlainExecution, cfg: NodeConfig) -> bool:
         for e in plain.events:
@@ -56,64 +59,3 @@ class _MswAdapter(_WaitAdapter):
         if (loc, None) in cfg.init:
             return cfg.init[(loc, None)]
         return zero_tuple(cfg.size[loc])
-
-
-class MixedSizeLib(Library):
-    name = "msw"
-    methods = frozenset({MSW_WRITE, MSW_TRYREAD, MSW_GET, MSW_PUT, MSW_WAIT})
-
-    _roles = {"write": MSW_WRITE, "read": MSW_TRYREAD, "get": MSW_GET,
-              "put": MSW_PUT, "wait": MSW_WAIT}
-
-    def __init__(self):
-        self._adapter = _MswAdapter(self._roles)
-
-    def loc(self, e: Event, cfg: NodeConfig | None = None) -> frozenset:
-        self._require(e)
-        if e.method in (MSW_WRITE, MSW_TRYREAD):
-            return frozenset({e.args[0]})
-        if e.method in (MSW_GET, MSW_PUT):
-            return frozenset({e.args[0], e.args[1]})
-        return frozenset()
-
-    def subevent_loc(self, s: SubEvent) -> frozenset:
-        loc = self._adapter.subevent_loc(s)
-        return frozenset() if loc is None else frozenset({loc})
-
-    def stamping(self, e: Event, cfg: NodeConfig) -> frozenset:
-        self._require(e)
-        if e.method == MSW_WRITE:
-            return frozenset({ACW})
-        if e.method == MSW_TRYREAD:
-            return frozenset({AWT if e.output is BOT else ACR})
-        if e.method == MSW_WAIT:
-            return frozenset({AWT})
-        if e.method == MSW_GET:
-            n = cfg.node_of_loc(e.args[1])
-            return frozenset({nRR(n), nLW(n)})
-        n = cfg.node_of_loc(e.args[0])
-        return frozenset({nLR(n), nRW(n)})
-
-    def outputs(self, method, args, tid, state, ctx: OutputCtx, cfg):
-        if method == MSW_TRYREAD:
-            size = cfg.size[args[0]]
-            pool = {t for t in ctx.tuple_pool(args[0]) if len(t) == size}
-            pool.add(zero_tuple(size))
-            outs = [BOT] + sorted(pool, key=repr)
-            return ((v, state) for v in outs)
-        return ((UNIT, state),)
-
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
-        for e in plain.events:
-            self._require(e)
-        return rdma_witnesses(self._adapter, plain, stmp, cfg)
-
-    def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
-        out = {}
-        mo = w.rels["mo"]
-        for loc, group in w.meta["by_loc"].items():
-            if not group:
-                continue
-            top = next(s for s in group if not any((s, t) in mo for t in group))
-            out[(loc, cfg.node_of_loc(loc))] = w.vW[top]
-        return out

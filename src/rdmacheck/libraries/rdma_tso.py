@@ -7,39 +7,48 @@ bookkeeping set_add/set_remove/set_isempty.
 
 A poll blocks for the oldest not-yet-polled NIC write toward the node and
 is the only cross-benefit synchronisation: only polls of *get* local
-writes certify completion to other threads.
-
-Each per-node NIC channel is treated as a location of its own (carried by
-puts, gets, and polls toward that node), so splitting an execution along
-disjoint locations keeps every poll with the operations it may poll; the
-underlying formulation leaves polls location-free and is consequently not
-decomposable, which is the published motivation for the wait-based model.
+writes certify completion to other threads.  Everything else is the
+wait-based model of ``RdmaLib``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from ..config import NodeConfig
 from ..events import Event, PlainExecution, SubEvent
 from ..relations import Rel
-from ..stamps import ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW
-from ..values import UNIT
-from .base import Library, OutputCtx, Witness
-from .rdma_core import RdmaAdapter, rdma_witnesses
-from .rdma_wait import _WaitAdapter
+from ..stamps import AMF, AWT
+from .base import OutputCtx
+from .rdma_core import RdmaLib
 
 TSO_WRITE, TSO_READ, TSO_CAS, TSO_MFENCE = "tso_write", "tso_read", "tso_cas", "tso_mfence"
 TSO_GET, TSO_PUT, POLL, TSO_RFENCE = "tso_get", "tso_put", "poll", "tso_rfence"
 SET_ADD, SET_REMOVE, SET_ISEMPTY = "set_add", "set_remove", "set_isempty"
 
 
-def chan(n: int) -> str:
-    return f"__chan{n}"
-
-
-class _TsoAdapter(_WaitAdapter):
+class RdmaTsoLib(RdmaLib):
     name = "tso"
+    roles = {"write": TSO_WRITE, "read": TSO_READ, "cas": TSO_CAS,
+             "mfence": TSO_MFENCE, "rfence": TSO_RFENCE, "get": TSO_GET,
+             "put": TSO_PUT}
+    methods = frozenset(roles.values()) | {POLL, SET_ADD, SET_REMOVE, SET_ISEMPTY}
+
+    def stamping(self, e: Event, cfg: NodeConfig) -> frozenset:
+        if e.method == POLL:
+            return frozenset({AWT})
+        if e.method in (SET_ADD, SET_REMOVE, SET_ISEMPTY):
+            return frozenset({AMF})
+        return super().stamping(e, cfg)
+
+    def outputs(self, method, args, tid, state, ctx: OutputCtx, cfg):
+        if method in (TSO_GET, TSO_PUT):
+            node = cfg.node_of_loc(args[1] if method == TSO_GET else args[0])
+            ident, st = state.next_fresh(tid)
+            return ((ident, st.record_issue(ident, node)),)
+        if method == POLL:
+            return ((v, state) for v, n in state.issued if n == args[0])
+        if method == SET_ISEMPTY:
+            return ((True, state), (False, state))
+        return super().outputs(method, args, tid, state, ctx, cfg)
 
     def polls_from(self, plain: PlainExecution, stmp):
         ops: dict = {}
@@ -101,88 +110,3 @@ class _TsoAdapter(_WaitAdapter):
                            for e2 in plain.events):
                     return False
         return True
-
-
-class RdmaTsoLib(Library):
-    name = "tso"
-    methods = frozenset({TSO_WRITE, TSO_READ, TSO_CAS, TSO_MFENCE, TSO_GET,
-                         TSO_PUT, POLL, TSO_RFENCE, SET_ADD, SET_REMOVE,
-                         SET_ISEMPTY})
-
-    _roles = {"write": TSO_WRITE, "read": TSO_READ, "cas": TSO_CAS,
-              "get": TSO_GET, "put": TSO_PUT}
-
-    def __init__(self):
-        self._adapter = _TsoAdapter(self._roles)
-
-    def loc(self, e: Event, cfg: NodeConfig | None = None) -> frozenset:
-        self._require(e)
-        if e.method in (TSO_WRITE, TSO_READ, TSO_CAS):
-            return frozenset({e.args[0]})
-        if e.method in (TSO_GET, TSO_PUT):
-            remote = e.args[1] if e.method == TSO_GET else e.args[0]
-            locs = {e.args[0], e.args[1]}
-            if cfg is not None:
-                locs.add(chan(cfg.node_of_loc(remote)))
-            return frozenset(locs)
-        if e.method == POLL:
-            return frozenset({chan(e.args[0])})
-        if e.method in (SET_ADD, SET_REMOVE, SET_ISEMPTY):
-            return frozenset({e.args[0]})
-        return frozenset()
-
-    def subevent_loc(self, s: SubEvent) -> frozenset:
-        loc = self._adapter.subevent_loc(s)
-        return frozenset() if loc is None else frozenset({loc})
-
-    def stamping(self, e: Event, cfg: NodeConfig) -> frozenset:
-        self._require(e)
-        if e.method == TSO_WRITE:
-            return frozenset({ACW})
-        if e.method == TSO_READ:
-            return frozenset({ACR})
-        if e.method == TSO_MFENCE:
-            return frozenset({AMF})
-        if e.method == POLL:
-            return frozenset({AWT})
-        if e.method in (SET_ADD, SET_REMOVE, SET_ISEMPTY):
-            return frozenset({AMF})
-        if e.method == TSO_RFENCE:
-            return frozenset({nF(e.args[0])})
-        if e.method == TSO_CAS:
-            if e.output == e.args[1]:
-                return frozenset({ACAS})
-            return frozenset({AMF, ACR})
-        if e.method == TSO_GET:
-            n = cfg.node_of_loc(e.args[1])
-            return frozenset({nRR(n), nLW(n)})
-        n = cfg.node_of_loc(e.args[0])
-        return frozenset({nLR(n), nRW(n)})
-
-    def outputs(self, method, args, tid, state, ctx: OutputCtx, cfg):
-        if method in (TSO_READ, TSO_CAS):
-            return ((v, state) for v in sorted(ctx.domain(args[0]), key=repr))
-        if method in (TSO_GET, TSO_PUT):
-            node = cfg.node_of_loc(args[1] if method == TSO_GET else args[0])
-            ident, st = state.next_fresh(tid)
-            return ((ident, st.record_issue(ident, node)),)
-        if method == POLL:
-            return ((v, state) for v, n in state.issued if n == args[0])
-        if method == SET_ISEMPTY:
-            return ((True, state), (False, state))
-        return ((UNIT, state),)
-
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
-        for e in plain.events:
-            self._require(e)
-        return rdma_witnesses(self._adapter, plain, stmp, cfg)
-
-    def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
-        out = {}
-        mo = w.rels["mo"]
-        for loc, group in w.meta["by_loc"].items():
-            if not group:
-                continue
-            top = next(s for s in group if not any((s, t) in mo for t in group))
-            out[(loc, cfg.node_of_loc(loc))] = w.vW[top]
-        return out

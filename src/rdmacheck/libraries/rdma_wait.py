@@ -5,169 +5,20 @@ read of y into local x), put(x,y,d) (local read of y into remote x),
 wait(d), rfence(n).  Every location lives on one node; local arguments
 must be on the caller's node.  A wait synchronises with the *local write*
 part of earlier gets with the same work identifier (so waiting for a put
-does not certify its remote write).
+does not certify its remote write).  The model itself is ``RdmaLib``;
+this library only names its methods.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from ..config import NodeConfig
-from ..events import Event, PlainExecution, SubEvent
-from ..relations import Rel
-from ..stamps import ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW
-from ..values import UNIT
-from .base import Library, OutputCtx, Witness
-from .rdma_core import RdmaAdapter, rdma_witnesses
+from .rdma_core import RdmaLib
 
 WRITE, READ, CAS, MFENCE = "write", "read", "cas", "mfence"
 GET, PUT, WAIT, RFENCE = "get", "put", "wait", "rfence"
 
 
-class _WaitAdapter(RdmaAdapter):
+class RdmaWaitLib(RdmaLib):
     name = "rl"
-
-    def __init__(self, methods: dict):
-        # method-role table: maps this library's method names onto the
-        # engine roles; reused verbatim by the mixed-size variant.
-        self.m = methods
-
-    def respects_nodes(self, plain: PlainExecution, cfg: NodeConfig) -> bool:
-        for e in plain.events:
-            t = cfg.node_of_thread(e.tid)
-            if e.method in (self.m.get("write"), self.m.get("read"), self.m.get("cas")):
-                if cfg.node_of_loc(e.args[0]) != t:
-                    return False
-            elif e.method == self.m.get("get"):
-                if cfg.node_of_loc(e.args[0]) != t:
-                    return False
-            elif e.method == self.m.get("put"):
-                if cfg.node_of_loc(e.args[1]) != t:
-                    return False
-        return True
-
-    def subevent_loc(self, s: SubEvent) -> str | None:
-        e, k = s.event, s.stamp.kind
-        if e.method == self.m.get("get"):
-            return e.args[1] if k == "nRR" else e.args[0]
-        if e.method == self.m.get("put"):
-            return e.args[1] if k == "nLR" else e.args[0]
-        if e.method in (self.m.get("write"), self.m.get("read"), self.m.get("cas")):
-            return e.args[0]
-        return None
-
-    def fixed_read(self, s: SubEvent):
-        e = s.event
-        if e.method == self.m.get("read") or e.method == self.m.get("cas"):
-            if s.stamp.kind in ("aCR", "aCAS"):
-                return True, e.output
-        return False, None
-
-    def fixed_write(self, s: SubEvent):
-        e = s.event
-        if e.method == self.m.get("write"):
-            return True, e.args[1]
-        if e.method == self.m.get("cas") and s.stamp.kind == "aCAS":
-            return True, e.args[2]
-        return False, None
-
-    def internal_eqs(self, e: Event, stamps):
-        if e.method == self.m.get("put"):
-            (a,) = [a for a in stamps if a.kind == "nLR"]
-            (b,) = [a for a in stamps if a.kind == "nRW"]
-            return [(SubEvent(e, a), SubEvent(e, b))]
-        if e.method == self.m.get("get"):
-            (a,) = [a for a in stamps if a.kind == "nRR"]
-            (b,) = [a for a in stamps if a.kind == "nLW"]
-            return [(SubEvent(e, a), SubEvent(e, b))]
-        return []
-
-    def iso(self, e: Event, stamps):
-        kinds = {a.kind: a for a in stamps}
-        if e.method == self.m.get("put"):
-            return [(SubEvent(e, kinds["nLR"]), SubEvent(e, kinds["nRW"]))]
-        if e.method == self.m.get("get"):
-            return [(SubEvent(e, kinds["nRR"]), SubEvent(e, kinds["nLW"]))]
-        if e.method == self.m.get("cas") and "aMF" in kinds:
-            return [(SubEvent(e, kinds["aMF"]), SubEvent(e, kinds["aCR"]))]
-        return []
-
-    def polls_from(self, plain: PlainExecution, stmp):
-        pfg, pfp = [], []
-        for e1, e2 in plain.po:
-            if e2.method != self.m.get("wait"):
-                continue
-            d = e2.args[0]
-            if e1.method == self.m.get("get") and e1.args[2] == d:
-                (a,) = [a for a in stmp[e1] if a.kind == "nLW"]
-                pfg.append((SubEvent(e1, a), SubEvent(e2, AWT)))
-            elif e1.method == self.m.get("put") and e1.args[2] == d:
-                (a,) = [a for a in stmp[e1] if a.kind == "nRW"]
-                pfp.append((SubEvent(e1, a), SubEvent(e2, AWT)))
-        pfg, pfp = Rel(pfg), Rel(pfp)
-        return pfg, pfg | pfp, {"pfg": pfg, "pfp": pfp}
-
-
-class RdmaWaitLib(Library):
-    name = "rl"
-    methods = frozenset({WRITE, READ, CAS, MFENCE, GET, PUT, WAIT, RFENCE})
-
-    _roles = {"write": WRITE, "read": READ, "cas": CAS, "get": GET,
-              "put": PUT, "wait": WAIT}
-
-    def __init__(self):
-        self._adapter = _WaitAdapter(self._roles)
-
-    def loc(self, e: Event, cfg: NodeConfig | None = None) -> frozenset:
-        self._require(e)
-        if e.method in (WRITE, READ, CAS):
-            return frozenset({e.args[0]})
-        if e.method in (GET, PUT):
-            return frozenset({e.args[0], e.args[1]})
-        return frozenset()
-
-    def subevent_loc(self, s: SubEvent) -> frozenset:
-        loc = self._adapter.subevent_loc(s)
-        return frozenset() if loc is None else frozenset({loc})
-
-    def stamping(self, e: Event, cfg: NodeConfig) -> frozenset:
-        self._require(e)
-        if e.method == WRITE:
-            return frozenset({ACW})
-        if e.method == READ:
-            return frozenset({ACR})
-        if e.method == MFENCE:
-            return frozenset({AMF})
-        if e.method == WAIT:
-            return frozenset({AWT})
-        if e.method == RFENCE:
-            return frozenset({nF(e.args[0])})
-        if e.method == CAS:
-            if e.output == e.args[1]:
-                return frozenset({ACAS})
-            return frozenset({AMF, ACR})
-        if e.method == GET:
-            n = cfg.node_of_loc(e.args[1])
-            return frozenset({nRR(n), nLW(n)})
-        n = cfg.node_of_loc(e.args[0])
-        return frozenset({nLR(n), nRW(n)})
-
-    def outputs(self, method, args, tid, state, ctx: OutputCtx, cfg):
-        if method in (READ, CAS):
-            return ((v, state) for v in sorted(ctx.domain(args[0]), key=repr))
-        return ((UNIT, state),)
-
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
-        for e in plain.events:
-            self._require(e)
-        return rdma_witnesses(self._adapter, plain, stmp, cfg)
-
-    def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
-        out = {}
-        mo = w.rels["mo"]
-        for loc, group in w.meta["by_loc"].items():
-            if not group:
-                continue
-            top = next(s for s in group if not any((s, t) in mo for t in group))
-            out[(loc, cfg.node_of_loc(loc))] = w.vW[top]
-        return out
+    roles = {"write": WRITE, "read": READ, "cas": CAS, "mfence": MFENCE,
+             "rfence": RFENCE, "get": GET, "put": PUT, "wait": WAIT}
+    methods = frozenset(roles.values())

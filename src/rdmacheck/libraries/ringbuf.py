@@ -39,10 +39,6 @@ class RingBufferLib(Library):
             raise ValueError(f"unknown ring buffer mode {mode!r}")
         self.mode = mode
 
-    def loc(self, e: Event, cfg: NodeConfig | None = None) -> frozenset:
-        self._require(e)
-        return frozenset({e.args[0]})
-
     def stamping(self, e: Event, cfg: NodeConfig) -> frozenset:
         self._require(e)
         if e.method == SUBMIT:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..config import NodeConfig
-from ..events import Event, InvalidInput, PlainExecution, SubEvent
+from ..events import Event, PlainExecution, SubEvent
 from ..relations import Rel
 from ..stamps import ACR, ACW, AWT, GF, derive_ppo, nLR, nRW
 from ..values import UNIT
@@ -25,12 +25,6 @@ WRITE, READ, BCAST, WAIT, GFENCE = "sv_write", "sv_read", "sv_bcast", "sv_wait",
 class SharedVarLib(Library):
     name = "sv"
     methods = frozenset({WRITE, READ, BCAST, WAIT, GFENCE})
-
-    def loc(self, e: Event, cfg: NodeConfig | None = None) -> frozenset:
-        self._require(e)
-        if e.method in (WRITE, READ, BCAST):
-            return frozenset({e.args[0]})
-        return frozenset()
 
     def stamping(self, e: Event, cfg: NodeConfig) -> frozenset:
         self._require(e)

@@ -518,18 +518,19 @@ def print_litmus(test: LitmusTest) -> str:
     return "\n".join(out) + "\n"
 
 
-def _print_arg(a) -> str:
-    if isinstance(a, RegRef):
-        return a.name
-    if isinstance(a, tuple):
-        return " ".join(a)   # node set
-    if isinstance(a, str):
-        return a
-    return fmt_value(a)
-
-
 def _print_instr(ins: Instr) -> str:
-    parts = [ins.op] + [_print_arg(a) for a in ins.args if a is not None]
+    parts = [ins.op]
+    for kind, a in zip(_INSTRS[ins.op][0], ins.args):
+        if a is None:
+            continue        # an absent optional work identifier
+        if kind == "nodeset":
+            parts.extend(a)
+        elif isinstance(a, RegRef):
+            parts.append(a.name)
+        elif isinstance(a, str):
+            parts.append(a)  # location, work identifier or node name
+        else:
+            parts.append(fmt_value(a))
     s = " ".join(parts)
     return f"{ins.dest} = {s}" if ins.dest else s
 

@@ -1,0 +1,85 @@
+"""The litmus printer against the parser, and the CLI's exit codes."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from rdmacheck.cli import main
+from rdmacheck.litmus import parse_litmus, print_litmus
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+LITMUS = sorted(CORPUS.glob("*.litmus")) + [ROOT / "perfbench/inputs/msw_put_tryread.litmus"]
+
+
+@pytest.mark.parametrize("path", LITMUS, ids=[p.stem for p in LITMUS])
+def test_print_then_parse_is_identity(path):
+    t = parse_litmus(path.read_text(), name=path.stem)
+    assert parse_litmus(print_litmus(t), name=path.stem) == t
+
+
+ONE_THREAD = """name {name}
+nodes n1
+libs rl
+loc x @ n1
+thread t1 @ n1 {{
+  write x 1
+  a = read x
+}}
+{asserts}
+"""
+
+
+def exit_code(argv) -> int:
+    try:
+        return main([str(a) for a in argv])
+    except SystemExit as e:  # argparse reports usage errors this way
+        return e.code
+
+
+def litmus_file(tmp_path: Path, name: str, asserts: str) -> Path:
+    p = tmp_path / f"{name}.litmus"
+    p.write_text(ONE_THREAD.format(name=name, asserts=asserts))
+    return p
+
+
+def test_exit_0_on_a_passing_file():
+    assert exit_code(["check", CORPUS / "fig2a_wait.litmus"]) == 0
+
+
+def test_exit_1_on_a_false_assertion(tmp_path, capsys):
+    p = litmus_file(tmp_path, "own_write", "assert forbidden a = 1")
+    assert exit_code(["check", p]) == 1
+    assert "forbidden outcome found" in capsys.readouterr().out
+
+
+def test_exit_2_on_a_parse_error(tmp_path):
+    p = tmp_path / "bad.litmus"
+    p.write_text("name bad\nnodes n1\nlibs rl\nthread t1 @ n1 {\n  frobnicate x\n}\n")
+    assert exit_code(["check", p]) == 2
+
+
+def test_exit_2_on_a_missing_file(tmp_path):
+    assert exit_code(["check", tmp_path / "absent.litmus"]) == 2
+    assert exit_code(["corpus", tmp_path / "absent"]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--variant", "bal"], ["--variant", "bal=nope"], ["--variant", "xyz=weak"],
+    ["--loop-bound", "-1"], ["--loop-bound", "0"], ["--max-events", "0"],
+    ["--loop-bound", "two"],
+])
+def test_exit_2_on_a_bad_option(flags):
+    assert exit_code(["check", CORPUS / "fig2a_wait.litmus", *flags]) == 2
+
+
+def test_exit_2_on_no_workers():
+    assert exit_code(["corpus", CORPUS, "--jobs", "0"]) == 2
+
+
+def test_exit_3_when_the_event_cap_hides_a_forbidden_outcome(tmp_path):
+    p = litmus_file(tmp_path, "capped", "assert forbidden a = 0")
+    assert exit_code(["check", p]) == 0
+    assert exit_code(["check", p, "--max-events", "1"]) == 3
