@@ -11,18 +11,16 @@ import json
 import sys
 from pathlib import Path
 
+from .libraries import VARIANTS
 from .runner import (BOUND_LIMITED, ERROR, FAIL, PASS, TestReport,
                      run_corpus, run_file, write_json_report)
-
-
-_VARIANTS = {"bal": ("weak", "transitive"), "rbl": ("strict", "weak")}
 
 
 def _variant(p: str) -> tuple[str, str]:
     lib, eq, choice = p.partition("=")
     if not eq:
         raise argparse.ArgumentTypeError(f"expects lib=choice, got {p!r}")
-    if choice not in _VARIANTS.get(lib, ()):
+    if choice not in VARIANTS.get(lib, ()):
         raise argparse.ArgumentTypeError(f"{p!r} not recognised")
     return lib, choice
 
@@ -95,6 +93,9 @@ def main(argv=None) -> int:
                     help="parallel worker processes")
 
     args = ap.parse_args(argv)
+    if args.json and not args.json.parent.is_dir():
+        print(f"no such directory for --json: {args.json.parent}", file=sys.stderr)
+        return 2
 
     if args.cmd == "check":
         if not args.file.is_file():

@@ -2,14 +2,19 @@
 
 An event is a (thread, id, label) triple where the label is the method
 name, the input values, and the output value.  A plain execution is a
-finite event set with a per-thread total program order.  A full execution
-adds a stamping (event -> non-empty stamp set), a synchronisation order
-and a happens-before order over the induced subevents.
+finite event set with a per-thread total program order.  The interpreter
+numbers each thread's events in program order, so program order is
+(thread, event id) order: ``po_before`` is its one definition, and a plain
+execution stores only its events.  A full execution adds a stamping
+(event -> non-empty stamp set), a synchronisation order and a
+happens-before order over the induced subevents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, groupby
 from typing import Iterable, Mapping
 
 from .values import Value, fmt_value
@@ -46,65 +51,57 @@ class InvalidInput(ValueError):
     """Raised when an operation's precondition is violated."""
 
 
+def po_before(a: Event, b: Event) -> bool:
+    """Program order: ``a`` is an earlier event of the same thread."""
+    return a.tid == b.tid and a.eid < b.eid
+
+
 @dataclass(frozen=True)
 class PlainExecution:
+    """A finite event set.  Its program order ``po`` is derived, not stored:
+    the interpreter numbers each thread's events in program order, so po is
+    the (tid, eid) order of ``po_before``."""
+
     events: frozenset[Event]
-    po: frozenset[tuple[Event, Event]]
 
     @staticmethod
     def empty() -> "PlainExecution":
-        return PlainExecution(frozenset(), frozenset())
+        return PlainExecution(frozenset())
 
     @staticmethod
     def single(e: Event) -> "PlainExecution":
-        return PlainExecution(frozenset([e]), frozenset())
+        return PlainExecution(frozenset([e]))
+
+    @cached_property
+    def po(self) -> frozenset[tuple[Event, Event]]:
+        """Every (a, b) pair with ``po_before(a, b)``: each thread's events
+        in eid order, taken two at a time."""
+        evs = sorted(self.events, key=lambda e: (e.tid, e.eid))
+        return frozenset(p for _tid, thread in groupby(evs, key=lambda e: e.tid)
+                         for p in combinations(thread, 2))
 
     def thread_events(self, tid: int) -> list[Event]:
-        """Events of one thread, in program order (eids are po-increasing)."""
+        """Events of one thread, in program order."""
         return sorted((e for e in self.events if e.tid == tid), key=lambda e: e.eid)
 
-    def tids(self) -> set[int]:
-        return {e.tid for e in self.events}
-
     def restrict(self, events: Iterable[Event]) -> "PlainExecution":
-        """The sub-execution on ``events``, program order restricted to it."""
+        """The sub-execution on ``events``, a subset of this one's.  On all
+        of them it is this execution, so a single library's slice shares
+        its derived po instead of building it again."""
         s = frozenset(events)
-        return PlainExecution(s, frozenset((a, b) for a, b in self.po
-                                           if a in s and b in s))
+        return self if s == self.events else PlainExecution(s)
 
     def validate(self) -> None:
-        """Check the plain-execution invariants; raises InvalidInput."""
-        ids = {(e.tid, e.eid) for e in self.events}
-        if len(ids) != len(self.events):
+        """Check the plain-execution invariant; raises InvalidInput."""
+        if len({(e.tid, e.eid) for e in self.events}) != len(self.events):
             raise InvalidInput("duplicate (tid, eid) pair")
-        for a, b in self.po:
-            if a not in self.events or b not in self.events:
-                raise InvalidInput("po edge outside event set")
-            if a.tid != b.tid:
-                raise InvalidInput("po relates events of different threads")
-        for t in self.tids():
-            evs = self.thread_events(t)
-            for i, a in enumerate(evs):
-                for b in evs[i + 1:]:
-                    if (a, b) not in self.po or (b, a) in self.po:
-                        raise InvalidInput(f"po is not a total order on thread {t}")
 
 
 def seq_compose(g1: PlainExecution, g2: PlainExecution) -> PlainExecution:
-    """Order every event of g1 before every event of g2."""
+    """g1 then g2: their disjoint union, as g2's events are numbered after g1's."""
     if g1.events & g2.events:
         raise InvalidInput("sequential composition of overlapping event sets")
-    cross = frozenset((a, b) for a in g1.events for b in g2.events)
-    return PlainExecution(g1.events | g2.events, g1.po | g2.po | cross)
-
-
-def par_compose(g1: PlainExecution, g2: PlainExecution) -> PlainExecution:
-    """Union of two executions with disjoint threads; no cross edges."""
-    if g1.events & g2.events:
-        raise InvalidInput("parallel composition of overlapping event sets")
-    if g1.tids() & g2.tids():
-        raise InvalidInput("parallel composition with a shared thread id")
-    return PlainExecution(g1.events | g2.events, g1.po | g2.po)
+    return PlainExecution(g1.events | g2.events)
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,6 @@ def interpret_conc(progs: ConcurrentProgram, loop_bound: int,
             nxt.extend((vals + (v,), gs + (g,), n + m) for v, g, m in fit)
         combos = nxt
     results = dict.fromkeys(
-        (vals, PlainExecution(frozenset().union(*(g.events for g in gs)),
-                              frozenset().union(*(g.po for g in gs))))
+        (vals, PlainExecution(frozenset().union(*(g.events for g in gs))))
         for vals, gs, _n in combos)
     return InterpResult(results.keys(), truncated)

@@ -215,22 +215,26 @@ def choose_rf(reads: Sequence[SubEvent],
 
 
 def enumerate_mo(groups: Sequence[Sequence[SubEvent]],
-                 forbidden: Rel | None = None) -> Iterator[Rel]:
+                 before: Callable[[SubEvent, SubEvent], bool]) -> Iterator[Rel]:
     """Total orders per write group, as one relation per combination.
 
-    ``forbidden`` pairs (a, b) rule out any order placing a before b — the
-    callers pass known hb edges (b, a) inverted to prune early.
+    Each group's orders are its linear extensions under ``before`` (a, b:
+    a must precede b), built write by write: the next write is one that no
+    remaining write must precede.  Taking the candidates in group order
+    gives the orders in the lexicographic order of positions.
     """
-    per_group: list[list[list[tuple]]] = []
-    for g in groups:
-        orders = []
-        for perm in itertools.permutations(g):
-            pairs = [(perm[i], perm[j]) for i in range(len(perm))
-                     for j in range(i + 1, len(perm))]
-            if forbidden and any(p in forbidden for p in pairs):
-                continue
-            orders.append(pairs)
-        per_group.append(orders)
+    def extensions(rest: tuple, prefix: tuple) -> Iterator[tuple]:
+        if not rest:
+            yield prefix
+            return
+        for k, w in enumerate(rest):
+            others = rest[:k] + rest[k + 1:]
+            if not any(before(r, w) for r in others):
+                yield from extensions(others, prefix + (w,))
+
+    per_group = [[[(o[i], o[j]) for i in range(len(o)) for j in range(i + 1, len(o))]
+                  for o in extensions(tuple(g), ())]
+                 for g in groups]
     for combo in itertools.product(*per_group):
         yield Rel(p for pairs in combo for p in pairs)
 

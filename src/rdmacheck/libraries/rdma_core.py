@@ -23,7 +23,8 @@ from typing import Iterator
 from ..config import NodeConfig
 from ..events import Event, PlainExecution, SubEvent
 from ..relations import Rel
-from ..stamps import ACAS, ACR, ACW, AMF, AWT, derive_ppo, nF, nLR, nLW, nRR, nRW
+from ..stamps import (ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW,
+                      ppo_before, stamp_order)
 from ..values import UNIT
 from .base import (Library, OutputCtx, Witness, choose_rf, enumerate_mo,
                    reads_before, rslot, wslot)
@@ -170,20 +171,18 @@ class RdmaLib(Library):
             elif "aMF" in kinds:
                 iso_pairs.append((kinds["aMF"], kinds["aCR"]))
         iso = Rel(iso_pairs)
-        ppo = derive_ppo(plain, stmp)
-
         # ib orders starts: it extends ppo with CPU-write -> CPU-read/wait
         # program order and NIC-write -> same-node NIC-fence program order.
-        ippo_extra = []
+        ippo_pairs = []
         for e1, e2 in plain.po:
             for a1 in stmp[e1]:
                 for a2 in stmp[e2]:
-                    if a1.kind == "aCW" and a2.kind in ("aCR", "aWT"):
-                        ippo_extra.append((SubEvent(e1, a1), SubEvent(e2, a2)))
-                    elif (a1.kind in ("nRW", "nLW") and a2.kind == "nF"
-                          and a1.node == a2.node):
-                        ippo_extra.append((SubEvent(e1, a1), SubEvent(e2, a2)))
-        ippo = ppo | Rel(ippo_extra)
+                    if (stamp_order(a1, a2)
+                            or a1.kind == "aCW" and a2.kind in ("aCR", "aWT")
+                            or (a1.kind in ("nRW", "nLW") and a2.kind == "nF"
+                                and a1.node == a2.node)):
+                        ippo_pairs.append((SubEvent(e1, a1), SubEvent(e2, a2)))
+        ippo = Rel(ippo_pairs)
 
         inst = {s for s in sevents if s.stamp.kind not in ("aCW", "nLW", "nRW")}
 
@@ -200,9 +199,9 @@ class RdmaLib(Library):
                     nfo_pairs.append((s1, s2))
         forced_nfo, free_nfo = [], []
         for s1, s2 in nfo_pairs:
-            if (s1, s2) in ppo:
+            if ppo_before(s1, s2):
                 forced_nfo.append((s1, s2))
-            elif (s2, s1) in ppo:
+            elif ppo_before(s2, s1):
                 forced_nfo.append((s2, s1))
             else:
                 free_nfo.append((s1, s2))
@@ -221,15 +220,13 @@ class RdmaLib(Library):
         def init_of(r: SubEvent):
             return self.init_of(loc_of(r), cfg)
 
-        mo_forbidden = ppo.inverse()
-
         for rfmap, slots in choose_rf(reads, candidates, fixed, eqs, init_of):
             rf = Rel((w, r) for r, w in rfmap.items() if w is not None)
             rf_int = rf.filter(lambda w, r: w.stamp.kind == "aCW"
                                and r.stamp.kind == "aCR"
                                and (w.event, r.event) in plain.po)
             groups = [by_loc[k] for k in sorted(by_loc, key=repr)]
-            for mo in enumerate_mo(groups, forbidden=mo_forbidden):
+            for mo in enumerate_mo(groups, ppo_before):
                 rb = reads_before(rfmap, mo, reads, candidates)
                 fr_int = rb.filter(lambda r, w: r.stamp.kind == "aCR"
                                    and w.stamp.kind == "aCW"

@@ -14,7 +14,7 @@ from typing import Iterator
 from ..config import NodeConfig
 from ..events import Event, PlainExecution, SubEvent
 from ..relations import Rel
-from ..stamps import ACR, ACW, AWT, GF, derive_ppo, nLR, nRW
+from ..stamps import ACR, ACW, AWT, GF, nLR, nRW, ppo_before
 from ..values import UNIT
 from .base import (Library, OutputCtx, Witness, choose_rf, enumerate_mo,
                    reads_before, rslot, wslot)
@@ -101,13 +101,11 @@ class SharedVarLib(Library):
                  for a in stmp[e1] if a.kind == "nLR")
         iso = Rel((SubEvent(e, nLR(n)), SubEvent(e, nRW(n)))
                   for e in events if e.method == BCAST for n in e.args[2])
-        ppo = derive_ppo(plain, stmp)
-        mo_forbidden = ppo.inverse()
 
         for rfmap, slots in choose_rf(reads, candidates, fixed, eqs, init_of):
             rf = Rel((w, r) for r, w in rfmap.items() if w is not None)
             groups = [by_place.get(p, []) for p in sorted(by_place, key=repr)]
-            for mo in enumerate_mo(groups, forbidden=mo_forbidden):
+            for mo in enumerate_mo(groups, ppo_before):
                 rb = reads_before(rfmap, mo, reads,
                                   lambda r: by_place.get(place[r], ()))
                 # CPU reads may not read past a program-order-later CPU write.

@@ -53,6 +53,7 @@ from .checker import Bounds
 from .compilers import ClientProfile
 from .config import NodeConfig
 from .lang import Call, LetF, Program, Val
+from .libraries import LIBRARIES, VARIANTS
 from .values import BOT, Value, fmt_value, is_reserved_loc
 
 
@@ -132,6 +133,12 @@ def _parse_value(tok: str, line: int) -> Value:
 def _is_value_tok(tok: str) -> bool:
     return (tok in ("true", "false", "bot", "()") or tok.startswith("(")
             or _VALUE_RE.match(tok) is not None)
+
+
+def _positive(tok: str, what: str, line: int) -> int:
+    if not (tok.isascii() and tok.isdigit()) or int(tok) < 1:
+        raise LitmusError(f"{what} must be an integer of at least 1, got {tok!r}", line)
+    return int(tok)
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*$")
@@ -257,16 +264,19 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
         toks = _tokens(raw)
         head = toks[0]
         if head == "name":
+            if len(toks) != 2:
+                raise LitmusError("expected: name <name>", ln)
             tname = toks[1]
         elif head == "nodes":
             nodes = [_check_name(t, "node", ln) for t in toks[1:]]
         elif head == "libs":
             for t in toks[1:]:
-                if "=" in t:
-                    lib, var = t.split("=", 1)
-                    libs.append((lib, var))
-                else:
-                    libs.append((t, None))
+                lib, eq, var = t.partition("=")
+                if lib not in LIBRARIES:
+                    raise LitmusError(f"unknown library {lib!r}", ln)
+                if eq and var not in VARIANTS.get(lib, ()):
+                    raise LitmusError(f"unknown variant {t!r}", ln)
+                libs.append((lib, var if eq else None))
         elif head == "loc":
             if len(toks) != 4 or toks[2] != "@":
                 raise LitmusError("expected: loc <x> @ <node>", ln)
@@ -283,7 +293,9 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
                 raise LitmusError("expected: ring <x> : writer <t> readers <t...> cap <n>", ln)
             rings[m.group(1)] = (m.group(2), tuple(m.group(3).split()), int(m.group(4)))
         elif head == "msize":
-            msizes[_check_name(toks[1], "location", ln)] = int(toks[2])
+            if len(toks) != 3:
+                raise LitmusError("expected: msize <x> <size>", ln)
+            msizes[_check_name(toks[1], "location", ln)] = _positive(toks[2], "size", ln)
         elif head == "init":
             m = re.match(r"init\s+(\w+)\s*(?:@\s*(\w+))?\s*=\s*(.+)$", raw)
             if not m:
@@ -310,9 +322,13 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
         elif head == "assert":
             assertions.append(_parse_assert(raw, ln))
         elif head == "bounds":
-            kw = dict(t.split("=", 1) for t in toks[1:])
-            bounds = Bounds(loop_bound=int(kw.get("loop", bounds.loop_bound)),
-                            max_events=int(kw.get("events", bounds.max_events)))
+            kw = {"loop": bounds.loop_bound, "events": bounds.max_events}
+            for t in toks[1:]:
+                key, eq, val = t.partition("=")
+                if not eq or key not in kw:
+                    raise LitmusError("expected: bounds loop=<n> events=<n>", ln)
+                kw[key] = _positive(val, key, ln)
+            bounds = Bounds(loop_bound=kw["loop"], max_events=kw["events"])
         else:
             raise LitmusError(f"unknown directive {head!r}", ln)
 
@@ -459,6 +475,8 @@ def _validate(test: LitmusTest) -> None:
                                                     "setisempty"):
                     if a not in declared:
                         raise LitmusError(f"undeclared location {a!r}", ins.line)
+                    if lib == "msw" and a not in test.msizes:
+                        raise LitmusError(f"msw location {a!r} has no msize", ins.line)
                 if kind == "node" or kind == "nodeset":
                     for nn in (a if isinstance(a, tuple) else (a,)):
                         if nn not in test.nodes:

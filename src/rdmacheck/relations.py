@@ -1,4 +1,4 @@
-"""Small finite-relation algebra: closure, composition, restriction.
+"""Small finite-relation algebra: set operations, filters, closures.
 
 Everything the consistency oracles need over subevent pairs; carrier sets
 are whatever hashable items appear in the pairs.
@@ -40,24 +40,8 @@ class Rel:
     def __or__(self, other: "Rel") -> "Rel":
         return Rel(self.pairs | other.pairs)
 
-    def __and__(self, other: "Rel") -> "Rel":
-        return Rel(self.pairs & other.pairs)
-
     def __sub__(self, other: "Rel") -> "Rel":
         return Rel(self.pairs - other.pairs)
-
-    def inverse(self) -> "Rel":
-        return Rel((b, a) for a, b in self.pairs)
-
-    def compose(self, other: "Rel") -> "Rel":
-        by_src: dict = {}
-        for a, b in other.pairs:
-            by_src.setdefault(a, []).append(b)
-        return Rel((a, c) for a, b in self.pairs for c in by_src.get(b, ()))
-
-    def restrict(self, carrier: Iterable[Hashable]) -> "Rel":
-        s = set(carrier)
-        return Rel((a, b) for a, b in self.pairs if a in s and b in s)
 
     def filter(self, pred: Callable[[Hashable, Hashable], bool]) -> "Rel":
         return Rel((a, b) for a, b in self.pairs if pred(a, b))
@@ -82,16 +66,6 @@ class Rel:
 
     def is_irreflexive(self) -> bool:
         return all(a != b for a, b in self.pairs)
-
-
-def identity(carrier: Iterable[Hashable]) -> Rel:
-    return Rel((x, x) for x in carrier)
-
-
-def acyclic_closure(r: Rel) -> tuple[Rel, bool]:
-    """Transitive closure plus an irreflexivity verdict."""
-    c = r.transitive_closure()
-    return c, c.is_irreflexive()
 
 
 class IncrementalOrder:

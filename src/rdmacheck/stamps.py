@@ -11,7 +11,7 @@ stamps carry the same node index.
 
 from __future__ import annotations
 
-from .events import PlainExecution, Stamp, Stamping, SubEvent
+from .events import PlainExecution, Stamp, Stamping, SubEvent, po_before
 from .relations import Rel
 
 # Singleton kinds.
@@ -76,6 +76,11 @@ def stamp_order(a: Stamp, b: Stamp) -> bool:
     if cell == "N":
         return False
     return a.node == b.node
+
+
+def ppo_before(s1: SubEvent, s2: SubEvent) -> bool:
+    """Preserved program order: po between the events, kept by the stamps."""
+    return po_before(s1.event, s2.event) and stamp_order(s1.stamp, s2.stamp)
 
 
 def render_table() -> str:

@@ -14,7 +14,8 @@ CFG = cfg2(barrier={"z": frozenset({1, 2})})
 
 def witnesses_of(events, po, cfg, variant="weak"):
     lib = BarrierLib(variant)
-    plain = PlainExecution(frozenset(events), frozenset(po))
+    plain = PlainExecution(frozenset(events))
+    assert plain.po == frozenset(po)
     stmp = {e: lib.stamping(e, cfg) for e in events}
     return list(lib.witnesses(plain, stmp, cfg))
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from rdmacheck.cli import main
-from rdmacheck.litmus import parse_litmus, print_litmus
+from rdmacheck.litmus import LitmusError, parse_litmus, print_litmus
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -83,3 +83,32 @@ def test_exit_3_when_the_event_cap_hides_a_forbidden_outcome(tmp_path):
     p = litmus_file(tmp_path, "capped", "assert forbidden a = 0")
     assert exit_code(["check", p]) == 0
     assert exit_code(["check", p, "--max-events", "1"]) == 3
+
+
+@pytest.mark.parametrize("bad", [
+    "name", "msize x abc", "bounds loop=x", "bounds loop=0", "libs foo",
+    "libs bal=bogus",
+])
+def test_exit_2_with_the_line_of_a_bad_directive(tmp_path, capsys, bad):
+    text = ONE_THREAD.format(name="bad", asserts="assert allowed a = 1") + bad + "\n"
+    p = tmp_path / "bad.litmus"
+    p.write_text(text)
+    assert exit_code(["check", p]) == 2
+    assert f"parse error: line {len(text.splitlines())}:" in capsys.readouterr().out
+
+
+def test_msw_location_without_msize_is_a_parse_error():
+    text = ("name unsized\nnodes n1\nlibs msw\nloc x @ n1\n"
+            "thread t1 @ n1 {\n  a = tryread x\n}\n")
+    with pytest.raises(LitmusError) as e:
+        parse_litmus(text)
+    assert e.value.line == 6 and "msize" in str(e.value)
+    parse_litmus(text.replace("loc x @ n1\n", "loc x @ n1\nmsize x 2\n"))
+
+
+@pytest.mark.parametrize("cmd", ["check", "corpus"])
+def test_exit_2_before_running_when_the_json_directory_is_missing(tmp_path, capsys, cmd):
+    target = CORPUS / "fig2a_wait.litmus" if cmd == "check" else CORPUS
+    assert exit_code([cmd, target, "--json", tmp_path / "absent" / "r.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--json" in err

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from rdmacheck.events import Event, InvalidInput, PlainExecution, par_compose, seq_compose
+from rdmacheck.events import Event, InvalidInput, PlainExecution, seq_compose
 from rdmacheck.lang import (Break, Call, LetF, Loop, Output, Val, interpret_conc,
                             interpret_seq, let, seq)
 
@@ -16,7 +16,9 @@ def ev(tid, eid, m="m", args=(), out=0):
 
 
 def plain(events, po=()):
-    return PlainExecution(frozenset(events), frozenset(po))
+    g = PlainExecution(frozenset(events))
+    assert g.po == frozenset(po)
+    return g
 
 
 class TestSeqCompose:
@@ -39,27 +41,6 @@ class TestSeqCompose:
         e = ev(1, 0)
         with pytest.raises(InvalidInput):
             seq_compose(plain([e]), plain([e]))
-
-
-class TestParCompose:
-    def test_empty(self):
-        assert par_compose(plain([]), plain([])) == plain([])
-
-    def test_no_cross_edges(self):
-        e1, e2 = ev(1, 0), ev(2, 0)
-        g = par_compose(plain([e1]), plain([e2]))
-        assert g.events == {e1, e2} and g.po == frozenset()
-
-    def test_two_chains_stay_disjoint(self):
-        a1, a2 = ev(1, 0), ev(1, 1)
-        b1, b2 = ev(2, 0), ev(2, 1)
-        g = par_compose(plain([a1, a2], [(a1, a2)]), plain([b1, b2], [(b1, b2)]))
-        assert g.po == {(a1, a2), (b1, b2)}
-        g.validate()
-
-    def test_shared_thread_rejected(self):
-        with pytest.raises(InvalidInput):
-            par_compose(plain([ev(1, 0)]), plain([ev(1, 1)]))
 
 
 DOM = frozenset({0, 1, 7})

@@ -15,7 +15,8 @@ CFG = cfg2({"x": 1, "y": 2}, size={"x": 2, "y": 2})
 
 
 def witnesses_of(events, po, cfg=CFG):
-    plain = PlainExecution(frozenset(events), frozenset(po))
+    plain = PlainExecution(frozenset(events))
+    assert plain.po == frozenset(po)
     stmp = {e: msw.stamping(e, cfg) for e in events}
     return list(msw.witnesses(plain, stmp, cfg))
 

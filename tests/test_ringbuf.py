@@ -15,7 +15,8 @@ CFG = cfg2(wthd={"x": 1}, rthd={"x": frozenset({2})}, capacity={"x": 4})
 
 def witnesses_of(events, po, cfg=CFG, mode="strict"):
     lib = RingBufferLib(mode)
-    plain = PlainExecution(frozenset(events), frozenset(po))
+    plain = PlainExecution(frozenset(events))
+    assert plain.po == frozenset(po)
     stmp = {e: lib.stamping(e, cfg) for e in events}
     return list(lib.witnesses(plain, stmp, cfg))
 

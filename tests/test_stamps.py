@@ -61,10 +61,16 @@ def test_table_covers_all_kind_pairs():
     assert len(TABLE) == len(KINDS) ** 2
 
 
+def plain_of(events, po):
+    plain = PlainExecution(frozenset(events))
+    assert plain.po == frozenset(po)
+    return plain
+
+
 def _bcast_gf_setup():
     e_br = Event(1, 0, "sv_bcast", ("x", "d", frozenset({2})), ())
     e_gf = Event(1, 1, "sv_gf", (frozenset({2}),), ())
-    plain = PlainExecution(frozenset({e_br, e_gf}), frozenset({(e_br, e_gf)}))
+    plain = plain_of({e_br, e_gf}, {(e_br, e_gf)})
     stmp = {e_br: frozenset({nLR(2), nRW(2)}), e_gf: frozenset({GF(2)})}
     return e_br, e_gf, plain, stmp
 
@@ -81,7 +87,7 @@ class TestDerivePpo:
     def test_cpu_write_read_unordered(self):
         w = Event(1, 0, "write", ("x", 1), ())
         r = Event(1, 1, "read", ("y",), 0)
-        plain = PlainExecution(frozenset({w, r}), frozenset({(w, r)}))
+        plain = plain_of({w, r}, {(w, r)})
         ppo = derive_ppo(plain, {w: frozenset({ACW}), r: frozenset({ACR})})
         assert ppo.pairs == frozenset()
 

@@ -39,7 +39,8 @@ class TestStamping:
 
 
 def witnesses_of(events, po, cfg):
-    plain = PlainExecution(frozenset(events), frozenset(po))
+    plain = PlainExecution(frozenset(events))
+    assert plain.po == frozenset(po)
     stmp = {e: sv.stamping(e, cfg) for e in events}
     return list(sv.witnesses(plain, stmp, cfg))
 
