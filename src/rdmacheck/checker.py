@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .config import NodeConfig
+from .config import ClientProfile, NodeConfig
 from .events import Event, Execution, InvalidInput, PlainExecution
 from .lang import OutputsFn, interpret_conc
-from .libraries.base import Library, OutputCtx, Witness, check_consistent
+from .libraries.base import Library, Witness, check_consistent
 from .relations import IncrementalOrder, Rel
 from .stamps import derive_ppo
 
@@ -56,7 +56,8 @@ def method_map(libs: Sequence[Library]) -> dict[str, Library]:
     return out
 
 
-def merged_outputs(libs: Sequence[Library], ctx: OutputCtx, cfg: NodeConfig) -> OutputsFn:
+def merged_outputs(libs: Sequence[Library], profile: ClientProfile,
+                   cfg: NodeConfig) -> OutputsFn:
     mm = method_map(libs)
 
     def fn(method, args, tid, state):
@@ -64,7 +65,7 @@ def merged_outputs(libs: Sequence[Library], ctx: OutputCtx, cfg: NodeConfig) -> 
             lib = mm[method]
         except KeyError:
             raise InvalidInput(f"unknown method {method}")
-        return lib.outputs(method, args, tid, state, ctx, cfg)
+        return lib.outputs(method, args, tid, state, profile, cfg)
 
     return fn
 
@@ -164,7 +165,7 @@ def final_memory(witnesses: Mapping[str, Witness], libs: Sequence[Library],
 
 
 def outcomes(progs, libs: Sequence[Library], cfg: NodeConfig, bounds: Bounds,
-             outctx: OutputCtx, outputs_only: bool = False) -> OutcomeResult:
+             profile: ClientProfile, outputs_only: bool = False) -> OutcomeResult:
     """Outcome set of a concurrent program under the installed libraries.
 
     With ``outputs_only`` the search stops at the first witness per plain
@@ -176,7 +177,7 @@ def outcomes(progs, libs: Sequence[Library], cfg: NodeConfig, bounds: Bounds,
     set is the same.  A full enumeration, whose outcomes carry final
     memory, checks every plain execution.
     """
-    fn = merged_outputs(libs, outctx, cfg)
+    fn = merged_outputs(libs, profile, cfg)
     interp = interpret_conc(progs, bounds.loop_bound, fn, bounds.max_events)
     found = set()
     for vals, plain in interp.results:

@@ -1,103 +1,100 @@
-"""Implementation mappings between library layers and the inclusion harness.
+"""Implementation stages between library layers, and the inclusion harness.
 
-An implementation maps each method call of a source library to a program
-over target libraries; applying it to a client program substitutes calls
-homomorphically.  The builtin implementations are the five standard ones:
-shared variables over the wait-based RDMA model, the barrier and the ring
-buffer over shared variables, mixed-size cells over the wait-based model,
-and the wait-based model over the poll-based one.  Invalid calls (wrong
-role, wrong size, non-participant) compile to an infinite loop, which has
-no terminating unfolding and hence no outcome.  ``check_well_defined``
-checks an implementation's bodies over an argument grid.
+An implementation is one stateless stage of a tower.  It maps each call of
+a source library to a program over target libraries; applying it to a
+client substitutes calls homomorphically.  Its two functions:
 
-The soundness harness enumerates the outcome sets of a client against the
-source-library specification and of its compilation against the target
-libraries, and reports inclusion of the latter in the former.
+* ``mapping(cfg, profile, tid, method, args)`` is the body of one source
+  call.  It learns of the program being compiled only through ``cfg`` and
+  ``profile``, the stage's input: the client's for the first stage of a
+  chain, the previous stage's output after that.
+* ``extend(cfg, profile)`` returns the config and profile of the compiled
+  program.  It must add every location the stage introduces to
+  ``profile.locs`` (and to ``cfg.loc_node`` when a target library places
+  it on a node), their ``profile.domains`` where it bounds them, and the
+  work identifiers its bodies use to ``profile.wids``.
+
+The builtin stages: shared variables over the wait-based RDMA model, the
+barrier and the ring buffer over shared variables, mixed-size cells over
+the wait-based model, and the wait-based model over the poll-based one.
+Invalid calls (wrong role, wrong size, non-participant) compile to an
+infinite loop, which has no terminating unfolding and hence no outcome.
+``check_well_defined`` checks a stage's bodies over an argument grid.  The
+soundness harness reports inclusion of a compiled client's outcomes in
+those of its specification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from .checker import Bounds, outcomes
-from .config import NodeConfig
+from .config import ClientProfile, NodeConfig
 from .events import InvalidInput
 from .lang import (Break, Call, ConcurrentProgram, LetF, Loop, Program, Val,
                    interpret_seq, let, seq)
-from .libraries import OutputCtx, make_library
+from .libraries import make_library
 from .values import BOT, UNIT, hash_tuple
 
 DEAD = Loop(Val(UNIT))
 
 
 @dataclass(frozen=True)
-class ClientProfile:
-    """Static facts about a straight-line client, used to size domains.
-
-    ``scalars``: base scalar domain ({0}, literals, initial values);
-    ``locs``: every location the client names; ``counts``: static call
-    counts keyed (tid, method, loc); ``tuples``: payload pools per
-    location; ``wids``: work identifiers used per thread.
-    """
-
-    scalars: frozenset = frozenset({0})
-    locs: frozenset = frozenset()
-    counts: Mapping = field(default_factory=dict)
-    tuples: Mapping = field(default_factory=dict)
-    wids: Mapping = field(default_factory=dict)
-
-    def count(self, tid: int, method: str, loc: str) -> int:
-        return self.counts.get((tid, method, loc), 0)
-
-
-@dataclass(frozen=True)
 class Implementation:
+    """One tower stage from ``source`` calls to ``targets`` programs, under
+    the contract of the module docstring.  Every location it introduces
+    starts with one of ``reserved_prefixes``."""
+
     name: str
     source: str
     targets: tuple
-    mapping: Callable[[int, str, tuple], Program]
+    mapping: Callable[[NodeConfig, ClientProfile, int, str, tuple], Program]
+    extend: Callable[[NodeConfig, ClientProfile], tuple]
     reserved_prefixes: tuple = ()
-    extend_config: Callable[[NodeConfig, ClientProfile], NodeConfig] = \
-        lambda cfg, prof: cfg
-    loc_domains: Callable[[NodeConfig, ClientProfile], dict] = \
-        lambda cfg, prof: {}
-    tuple_pools: Callable[[NodeConfig, ClientProfile], dict] = \
-        lambda cfg, prof: {}
-    extra_wids: Callable[[NodeConfig, ClientProfile], Mapping] = \
-        lambda cfg, prof: {}
 
     def source_methods(self) -> frozenset:
         return make_library(self.source).methods
 
-    def reserves(self, loc: str) -> bool:
-        return any(loc.startswith(p) for p in self.reserved_prefixes)
-
-
-def _subst(impl: Implementation, tid: int, p: Program) -> Program:
-    methods = impl.source_methods()
-    if isinstance(p, (Val, Break)):
-        return p
-    if isinstance(p, Call):
-        if p.method in methods:
-            return impl.mapping(tid, p.method, p.args)
-        return p
-    if isinstance(p, LetF):
-        return LetF(_subst(impl, tid, p.prog),
-                    lambda v, f=p.cont: _subst(impl, tid, f(v)))
-    if isinstance(p, Loop):
-        return Loop(_subst(impl, tid, p.body))
-    raise InvalidInput(f"not a program: {p!r}")
-
 
 def apply_impl(impl: Implementation, progs: ConcurrentProgram,
-               client_locs: frozenset = frozenset()) -> list[Program]:
-    """Homomorphic substitution of source-library calls, thread-indexed."""
-    clash = {x for x in client_locs if impl.reserves(x)}
+               cfg: NodeConfig, profile: ClientProfile) -> list[Program]:
+    """Homomorphic substitution of source-library calls, thread-indexed,
+    with the stage reading ``cfg`` and ``profile``."""
+    clash = {x for x in profile.locs if x.startswith(impl.reserved_prefixes)}
     if clash:
         raise InvalidInput(f"client locations collide with the "
                            f"implementation namespace: {sorted(clash)}")
-    return [_subst(impl, t + 1, p) for t, p in enumerate(progs)]
+    methods = impl.source_methods()
+
+    def subst(tid: int, p: Program) -> Program:
+        if isinstance(p, (Val, Break)):
+            return p
+        if isinstance(p, Call):
+            if p.method in methods:
+                return impl.mapping(cfg, profile, tid, p.method, p.args)
+            return p
+        if isinstance(p, LetF):
+            return LetF(subst(tid, p.prog),
+                        lambda v, f=p.cont: subst(tid, f(v)))
+        if isinstance(p, Loop):
+            return Loop(subst(tid, p.body))
+        raise InvalidInput(f"not a program: {p!r}")
+
+    return [subst(t + 1, p) for t, p in enumerate(progs)]
+
+
+def _extended(cfg: NodeConfig, profile: ClientProfile, loc_node: Mapping,
+              domains: Mapping, wids=()):
+    """(cfg, profile) with the locations a stage introduces, those in
+    ``loc_node`` placed on nodes and those in ``domains`` with bounded
+    values, and with ``wids`` added to every thread's work identifiers."""
+    cfg = replace(cfg, loc_node={**cfg.loc_node, **loc_node})
+    wids = {t: profile.wids.get(t, frozenset()) | frozenset(wids)
+            for t in cfg.thread_node}
+    return cfg, replace(profile, locs=profile.locs.union(loc_node, domains),
+                        domains={**profile.domains, **domains},
+                        wids={**profile.wids, **wids})
 
 
 # ---------------------------------------------------------------------------
@@ -115,52 +112,50 @@ def _sv_dummy(n: int) -> str:
 _SV_D0 = "__d0"
 
 
-def impl_sv(cfg: NodeConfig, profile: ClientProfile) -> Implementation:
+def _sv_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
+                args: tuple) -> Program:
     """Shared variables over the wait-based model: one replica per node,
     broadcast as a put per target, global fence as get-all + wait."""
+    node = cfg.node_of_thread(t)
+    if m == "sv_write":
+        x, v = args
+        return Call("write", (_sv_repl(x, node), v))
+    if m == "sv_read":
+        return Call("read", (_sv_repl(args[0], node),))
+    if m == "sv_wait":
+        return Call("wait", (args[0],))
+    if m == "sv_bcast":
+        x, d, ns = args
+        puts = [Call("put", (_sv_repl(x, n), _sv_repl(x, node), d))
+                for n in sorted(ns)]
+        return seq(*puts) if puts else DEAD
+    if m == "sv_gf":
+        (ns,) = args
+        gets = [Call("get", (_sv_dummy(node), _sv_dummy(n), _SV_D0))
+                for n in sorted(ns)]
+        if not gets:
+            return DEAD
+        return seq(*gets, Call("wait", (_SV_D0,)))
+    raise InvalidInput(m)
 
-    def mapping(t: int, m: str, args: tuple) -> Program:
-        node = cfg.node_of_thread(t)
-        if m == "sv_write":
-            x, v = args
-            return Call("write", (_sv_repl(x, node), v))
-        if m == "sv_read":
-            return Call("read", (_sv_repl(args[0], node),))
-        if m == "sv_wait":
-            return Call("wait", (args[0],))
-        if m == "sv_bcast":
-            x, d, ns = args
-            puts = [Call("put", (_sv_repl(x, n), _sv_repl(x, node), d))
-                    for n in sorted(ns)]
-            return seq(*puts) if puts else DEAD
-        if m == "sv_gf":
-            (ns,) = args
-            gets = [Call("get", (_sv_dummy(node), _sv_dummy(n), _SV_D0))
-                    for n in sorted(ns)]
-            if not gets:
-                return DEAD
-            return seq(*gets, Call("wait", (_SV_D0,)))
-        raise InvalidInput(m)
 
-    def extend(cfg2: NodeConfig, prof: ClientProfile) -> NodeConfig:
-        loc_node = dict(cfg2.loc_node)
-        init = dict(cfg2.init)
-        for x in sorted(prof.locs):
-            for n in sorted(cfg2.nodes):
-                loc_node[_sv_repl(x, n)] = n
-                iv = cfg2.init_of(x, n)
-                if iv != 0:
-                    init[(_sv_repl(x, n), None)] = iv
-        for n in sorted(cfg2.nodes):
-            loc_node[_sv_dummy(n)] = n
-        return replace(cfg2, loc_node=loc_node, init=init)
-
-    return Implementation(name="sv", source="sv", targets=("rl",),
-                          mapping=mapping,
-                          reserved_prefixes=("__sv_", "__gf_", "__d0"),
-                          extend_config=extend,
-                          extra_wids=lambda c, pr: {t: frozenset({_SV_D0})
-                                                    for t in c.thread_node})
+def _sv_extend(cfg: NodeConfig, profile: ClientProfile):
+    """A replica of every location on every node, carrying the location's
+    initial value and domain, and a fence dummy per node."""
+    loc_node, init, domains = {}, {}, {}
+    for x in sorted(profile.locs):
+        for n in sorted(cfg.nodes):
+            r = _sv_repl(x, n)
+            loc_node[r] = n
+            iv = cfg.init_of(x, n)
+            if iv != 0:
+                init[(r, None)] = iv
+            if x in profile.domains:
+                domains[r] = profile.domains[x]
+    for n in sorted(cfg.nodes):
+        loc_node[_sv_dummy(n)] = n
+    return _extended(replace(cfg, init={**cfg.init, **init}), profile,
+                     loc_node, domains, {_SV_D0})
 
 
 def _bal_ctr(x: str, t: int) -> str:
@@ -170,8 +165,7 @@ def _bal_ctr(x: str, t: int) -> str:
 _BAL_DUMMY_WID = "__dbal"
 
 
-def impl_bal(cfg: NodeConfig, profile: ClientProfile,
-             variant: str = "transitive", buggy: bool = False) -> Implementation:
+def impl_bal(variant: str, buggy: bool = False) -> Implementation:
     """The counter barrier over shared variables.
 
     Each participant fences, bumps its own counter, pushes it to the other
@@ -180,10 +174,9 @@ def impl_bal(cfg: NodeConfig, profile: ClientProfile,
     all nodes; the buggy variant omits the fence entirely, reproducing the
     pairwise-synchronisation defect.
     """
-    if variant not in ("weak", "transitive"):
-        raise InvalidInput(f"unknown barrier variant {variant!r}")
 
-    def mapping(t: int, m: str, args: tuple) -> Program:
+    def mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
+                args: tuple) -> Program:
         if m != "bar":
             raise InvalidInput(m)
         (x,) = args
@@ -222,22 +215,21 @@ def impl_bal(cfg: NodeConfig, profile: ClientProfile,
             return core
         return seq(Call("sv_gf", (frozenset(s_n),)), core)
 
-    def domains(cfg2: NodeConfig, prof: ClientProfile) -> dict:
-        out = {}
-        for x, parts in cfg2.barrier.items():
-            rounds = max((prof.count(t, "bar", x) for t in parts), default=0)
-            dom = frozenset(range(rounds + 1))
-            for t in parts:
-                out[_bal_ctr(x, t)] = dom
-        return out
-
     suffix = "buggy" if buggy else variant
     return Implementation(name=f"bal_{suffix}", source="bal", targets=("sv",),
-                          mapping=mapping,
-                          reserved_prefixes=("__bal_",),
-                          loc_domains=domains,
-                          extra_wids=lambda c, pr: {t: frozenset({_BAL_DUMMY_WID})
-                                                    for t in c.thread_node})
+                          mapping=mapping, extend=_bal_extend,
+                          reserved_prefixes=("__bal_",))
+
+
+def _bal_extend(cfg: NodeConfig, profile: ClientProfile):
+    """A counter per participant, bounded by the barrier's rounds."""
+    domains = {}
+    for x, parts in cfg.barrier.items():
+        rounds = max((profile.count(t, "bar", x) for t in parts), default=0)
+        dom = frozenset(range(rounds + 1))
+        for t in parts:
+            domains[_bal_ctr(x, t)] = dom
+    return _extended(cfg, profile, {}, domains, {_BAL_DUMMY_WID})
 
 
 def _rbl_cell(x: str, i: int) -> str:
@@ -259,7 +251,8 @@ def _rbl_wid(x: str) -> str:
 _RBL_DUMMY_WID = "__drbl0"
 
 
-def impl_rbl(cfg: NodeConfig, profile: ClientProfile) -> Implementation:
+def _rbl_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
+                 args: tuple) -> Program:
     """The ring buffer over shared variables.
 
     Cells hold the message length followed by the payload; the writer's
@@ -269,254 +262,241 @@ def impl_rbl(cfg: NodeConfig, profile: ClientProfile) -> Implementation:
     the head; readers never outrun the writer head, and push their own
     head back to the writer's node when remote.
     """
+    x = args[0]
+    S = cfg.capacity[x]
+    readers = sorted(cfg.rthd.get(x, frozenset()))
+    me = cfg.node_of_thread(t)
+    if m == "submit":
+        if t != cfg.wthd.get(x):
+            return DEAD
+        vs = tuple(args[1])
+        V = len(vs)
+        s_n = frozenset({cfg.node_of_thread(r) for r in readers} - {me})
 
-    def mapping(t: int, m: str, args: tuple) -> Program:
-        x = args[0]
+        def with_heads(H, heads) -> Program:
+            if not (isinstance(H, int) and all(isinstance(h, int) for h in heads)):
+                return DEAD
+            M = min(heads) if heads else H
+            if (H - M) + (V + 1) > S:
+                return Val(False)
+            steps: list[Program] = []
+            for i, v in enumerate((V,) + vs):
+                c = _rbl_cell(x, (H + i) % S)
+                steps.append(Call("sv_write", (c, v)))
+                if s_n:
+                    steps.append(Call("sv_bcast", (c, _RBL_DUMMY_WID, s_n)))
+            if s_n:
+                steps.append(Call("sv_wait", (_rbl_wid(x),)))
+            steps.append(Call("sv_write", (_rbl_headw(x), H + V + 1)))
+            if s_n:
+                steps.append(Call("sv_bcast", (_rbl_headw(x), _rbl_wid(x), s_n)))
+            steps.append(Val(True))
+            return seq(*steps)
+
+        def read_heads(H, i, acc) -> Program:
+            if i == len(readers):
+                return with_heads(H, acc)
+            return let(Call("sv_read", (_rbl_headr(x, readers[i]),)),
+                       lambda h: read_heads(H, i + 1, acc + [h]))
+
+        return let(Call("sv_read", (_rbl_headw(x),)),
+                   lambda H: read_heads(H, 0, []))
+
+    if m == "receive":
+        if t not in cfg.rthd.get(x, frozenset()):
+            return DEAD
+        wnode = cfg.node_of_thread(cfg.wthd[x])
+
+        def with_msg(H, V, vs) -> Program:
+            steps: list[Program] = [Call("sv_write", (_rbl_headr(x, t), H + V + 1))]
+            if wnode != me:
+                steps.append(Call("sv_bcast",
+                                  (_rbl_headr(x, t), _RBL_DUMMY_WID,
+                                   frozenset({wnode}))))
+            steps.append(Val(tuple(vs)))
+            return seq(*steps)
+
+        def read_cells(H, V, i, acc) -> Program:
+            if i > V:
+                return with_msg(H, V, acc)
+            return let(Call("sv_read", (_rbl_cell(x, (H + i) % S),)),
+                       lambda v: read_cells(H, V, i + 1, acc + [v]))
+
+        def with_heads(H, H2) -> Program:
+            if not (isinstance(H, int) and isinstance(H2, int)):
+                return DEAD
+            if H >= H2:
+                return Val(BOT)
+            # A length outside 0..S-1 cannot be a committed header; no
+            # consistent execution reads one, so the branch is dead.
+            return let(Call("sv_read", (_rbl_cell(x, H % S),)),
+                       lambda V: read_cells(H, V, 1, [])
+                       if isinstance(V, int) and 0 <= V < S else DEAD)
+
+        return let(Call("sv_read", (_rbl_headr(x, t),)),
+                   lambda H: let(Call("sv_read", (_rbl_headw(x),)),
+                                 lambda H2: with_heads(H, H2)))
+    raise InvalidInput(m)
+
+
+def _rbl_extend(cfg: NodeConfig, profile: ClientProfile):
+    """Bounded heads and cells of every ring buffer."""
+    domains = {}
+    for x, writer in cfg.wthd.items():
         S = cfg.capacity[x]
-        readers = sorted(cfg.rthd.get(x, frozenset()))
-        me = cfg.node_of_thread(t)
-        if m == "submit":
-            if t != cfg.wthd.get(x):
-                return DEAD
-            vs = tuple(args[1])
-            V = len(vs)
-            s_n = frozenset({cfg.node_of_thread(r) for r in readers} - {me})
-
-            def with_heads(H, heads) -> Program:
-                if not (isinstance(H, int) and all(isinstance(h, int) for h in heads)):
-                    return DEAD
-                M = min(heads) if heads else H
-                if (H - M) + (V + 1) > S:
-                    return Val(False)
-                steps: list[Program] = []
-                for i, v in enumerate((V,) + vs):
-                    c = _rbl_cell(x, (H + i) % S)
-                    steps.append(Call("sv_write", (c, v)))
-                    if s_n:
-                        steps.append(Call("sv_bcast", (c, _RBL_DUMMY_WID, s_n)))
-                if s_n:
-                    steps.append(Call("sv_wait", (_rbl_wid(x),)))
-                steps.append(Call("sv_write", (_rbl_headw(x), H + V + 1)))
-                if s_n:
-                    steps.append(Call("sv_bcast", (_rbl_headw(x), _rbl_wid(x), s_n)))
-                steps.append(Val(True))
-                return seq(*steps)
-
-            def read_heads(H, i, acc) -> Program:
-                if i == len(readers):
-                    return with_heads(H, acc)
-                return let(Call("sv_read", (_rbl_headr(x, readers[i]),)),
-                           lambda h: read_heads(H, i + 1, acc + [h]))
-
-            return let(Call("sv_read", (_rbl_headw(x),)),
-                       lambda H: read_heads(H, 0, []))
-
-        if m == "receive":
-            if t not in cfg.rthd.get(x, frozenset()):
-                return DEAD
-            wnode = cfg.node_of_thread(cfg.wthd[x])
-
-            def with_msg(H, V, vs) -> Program:
-                steps: list[Program] = [Call("sv_write", (_rbl_headr(x, t), H + V + 1))]
-                if wnode != me:
-                    steps.append(Call("sv_bcast",
-                                      (_rbl_headr(x, t), _RBL_DUMMY_WID,
-                                       frozenset({wnode}))))
-                steps.append(Val(tuple(vs)))
-                return seq(*steps)
-
-            def read_cells(H, V, i, acc) -> Program:
-                if i > V:
-                    return with_msg(H, V, acc)
-                return let(Call("sv_read", (_rbl_cell(x, (H + i) % S),)),
-                           lambda v: read_cells(H, V, i + 1, acc + [v]))
-
-            def with_heads(H, H2) -> Program:
-                if not (isinstance(H, int) and isinstance(H2, int)):
-                    return DEAD
-                if H >= H2:
-                    return Val(BOT)
-                # A length outside 0..S-1 cannot be a committed header; no
-                # consistent execution reads one, so the branch is dead.
-                return let(Call("sv_read", (_rbl_cell(x, H % S),)),
-                           lambda V: read_cells(H, V, 1, [])
-                           if isinstance(V, int) and 0 <= V < S else DEAD)
-
-            return let(Call("sv_read", (_rbl_headr(x, t),)),
-                       lambda H: let(Call("sv_read", (_rbl_headw(x),)),
-                                     lambda H2: with_heads(H, H2)))
-        raise InvalidInput(m)
-
-    def domains(cfg2: NodeConfig, prof: ClientProfile) -> dict:
-        out = {}
-        for x, writer in cfg2.wthd.items():
-            S = cfg2.capacity[x]
-            pool = prof.tuples.get(x, frozenset())
-            maxlen = max((len(v) for v in pool), default=1)
-            subs = prof.count(writer, "submit", x)
-            top = subs * (maxlen + 1)
-            heads = frozenset(range(top + 1))
-            out[_rbl_headw(x)] = heads
-            for r in cfg2.rthd.get(x, frozenset()):
-                out[_rbl_headr(x, r)] = heads
-            cells = {0} | set(range(1, maxlen + 1)) | \
-                {s for v in pool for s in v}
-            for i in range(S):
-                out[_rbl_cell(x, i)] = frozenset(cells)
-        return out
-
-    def wids(c: NodeConfig, pr: ClientProfile):
-        ds = frozenset({_RBL_DUMMY_WID} | {_rbl_wid(x) for x in c.wthd})
-        return {t: ds for t in c.thread_node}
-
-    return Implementation(name="rbl", source="rbl", targets=("sv",),
-                          mapping=mapping,
-                          reserved_prefixes=("__rbl_", "__drbl"),
-                          loc_domains=domains, extra_wids=wids)
+        pool = profile.tuple_pool(x)
+        maxlen = max((len(v) for v in pool), default=1)
+        subs = profile.count(writer, "submit", x)
+        top = subs * (maxlen + 1)
+        heads = frozenset(range(top + 1))
+        domains[_rbl_headw(x)] = heads
+        for r in cfg.rthd.get(x, frozenset()):
+            domains[_rbl_headr(x, r)] = heads
+        cells = {0} | set(range(1, maxlen + 1)) | \
+            {s for v in pool for s in v}
+        for i in range(S):
+            domains[_rbl_cell(x, i)] = frozenset(cells)
+    wids = {_RBL_DUMMY_WID} | {_rbl_wid(x) for x in cfg.wthd}
+    return _extended(cfg, profile, {}, domains, wids)
 
 
 def _msw_slot(x: str, i: int) -> str:
     return f"__msw_{x}_{i}"
 
 
-def impl_msw(cfg: NodeConfig, profile: ClientProfile) -> Implementation:
+def _msw_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
+                 args: tuple) -> Program:
     """Mixed-size cells over the wait-based model: slot 0 carries an
     injective digest of the payload, written first and checked on read."""
+    me = cfg.node_of_thread(t)
+    if m == "msw_wait":
+        return Call("wait", (args[0],))
+    x = args[0]
+    k = cfg.size.get(x)
+    if m == "msw_write":
+        vs = tuple(args[1])
+        if k is None or len(vs) != k or cfg.node_of_loc(x) != me:
+            return DEAD
+        steps = [Call("write", (_msw_slot(x, 0), hash_tuple(vs)))]
+        steps += [Call("write", (_msw_slot(x, i + 1), vs[i])) for i in range(k)]
+        return seq(*steps)
+    if m == "msw_tryread":
+        if k is None or cfg.node_of_loc(x) != me:
+            return DEAD
 
-    def mapping(t: int, m: str, args: tuple) -> Program:
-        me = cfg.node_of_thread(t)
-        if m == "msw_wait":
-            return Call("wait", (args[0],))
-        x = args[0]
-        k = cfg.size.get(x)
-        if m == "msw_write":
-            vs = tuple(args[1])
-            if k is None or len(vs) != k or cfg.node_of_loc(x) != me:
-                return DEAD
-            steps = [Call("write", (_msw_slot(x, 0), hash_tuple(vs)))]
-            steps += [Call("write", (_msw_slot(x, i + 1), vs[i])) for i in range(k)]
-            return seq(*steps)
-        if m == "msw_tryread":
-            if k is None or cfg.node_of_loc(x) != me:
-                return DEAD
+        def read_slots(i, acc) -> Program:
+            if i > k:
+                vs = tuple(acc[1:])
+                return Val(vs if acc[0] == hash_tuple(vs) else BOT)
+            return let(Call("read", (_msw_slot(x, i),)),
+                       lambda v: read_slots(i + 1, acc + [v]))
 
-            def read_slots(i, acc) -> Program:
-                if i > k:
-                    vs = tuple(acc[1:])
-                    return Val(vs if acc[0] == hash_tuple(vs) else BOT)
-                return let(Call("read", (_msw_slot(x, i),)),
-                           lambda v: read_slots(i + 1, acc + [v]))
+        return read_slots(0, [])
+    if m in ("msw_put", "msw_get"):
+        x, y, d = args
+        ky = cfg.size.get(y)
+        local = y if m == "msw_put" else x
+        if k is None or ky != k or cfg.node_of_loc(local) != me:
+            return DEAD
+        op = "put" if m == "msw_put" else "get"
+        return seq(*[Call(op, (_msw_slot(x, i), _msw_slot(y, i), d))
+                     for i in range(k + 1)])
+    raise InvalidInput(m)
 
-            return read_slots(0, [])
-        if m in ("msw_put", "msw_get"):
-            x, y, d = args
-            ky = cfg.size.get(y)
-            local = y if m == "msw_put" else x
-            if k is None or ky != k or cfg.node_of_loc(local) != me:
-                return DEAD
-            op = "put" if m == "msw_put" else "get"
-            return seq(*[Call(op, (_msw_slot(x, i), _msw_slot(y, i), d))
-                         for i in range(k + 1)])
-        raise InvalidInput(m)
 
-    def extend(cfg2: NodeConfig, prof: ClientProfile) -> NodeConfig:
-        loc_node = dict(cfg2.loc_node)
-        for x, k in cfg2.size.items():
-            n = cfg2.node_of_loc(x)
-            for i in range(k + 1):
-                loc_node[_msw_slot(x, i)] = n
-        return replace(cfg2, loc_node=loc_node)
-
-    def domains(cfg2: NodeConfig, prof: ClientProfile) -> dict:
-        out = {}
-        pools: dict[int, set] = {}
-        for x, pool in prof.tuples.items():
-            if x in cfg2.size:
-                for v in pool:
-                    pools.setdefault(len(v), set()).add(v)
-        for x, k in cfg2.size.items():
-            pool = pools.get(k, set())
-            out[_msw_slot(x, 0)] = frozenset({0} | {hash_tuple(v) for v in pool})
-            scal = frozenset({0} | {s for v in pool for s in v})
-            for i in range(k):
-                out[_msw_slot(x, i + 1)] = scal
-        return out
-
-    return Implementation(name="msw", source="msw", targets=("rl",),
-                          mapping=mapping,
-                          reserved_prefixes=("__msw_",),
-                          extend_config=extend, loc_domains=domains)
+def _msw_extend(cfg: NodeConfig, profile: ClientProfile):
+    """The slots of every sized location, on its node: the digest slot
+    over the digests of same-size payloads, the others over their
+    scalars."""
+    loc_node, domains = {}, {}
+    pools: dict[int, set] = {}
+    for x, pool in profile.tuples.items():
+        if x in cfg.size:
+            for v in pool:
+                pools.setdefault(len(v), set()).add(v)
+    for x, k in cfg.size.items():
+        n = cfg.node_of_loc(x)
+        for i in range(k + 1):
+            loc_node[_msw_slot(x, i)] = n
+        pool = pools.get(k, set())
+        domains[_msw_slot(x, 0)] = frozenset({0} | {hash_tuple(v) for v in pool})
+        scal = frozenset({0} | {s for v in pool for s in v})
+        for i in range(k):
+            domains[_msw_slot(x, i + 1)] = scal
+    return _extended(cfg, profile, loc_node, domains)
 
 
 def _set_loc(t: int, d, n: int) -> str:
     return f"__set_t{t}_{d}_{n}"
 
 
-def impl_w(cfg: NodeConfig, profile: ClientProfile) -> Implementation:
+def _w_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
+               args: tuple) -> Program:
     """The wait-based model over the poll-based one.
 
     Put/get identifiers are recorded in a per-(thread, work id, node) set;
     a wait polls each node until its set drains, removing each polled
     identifier from all of the thread's sets for that node.
     """
+    direct = {"write": "tso_write", "read": "tso_read", "cas": "tso_cas",
+              "mfence": "tso_mfence", "rfence": "tso_rfence"}
+    if m in direct:
+        return Call(direct[m], args)
+    if m == "get":
+        x, y, d = args
+        n = cfg.node_of_loc(y)
+        return let(Call("tso_get", (x, y)),
+                   lambda v: Call("set_add", (_set_loc(t, d, n), v)))
+    if m == "put":
+        x, y, d = args
+        n = cfg.node_of_loc(x)
+        return let(Call("tso_put", (x, y)),
+                   lambda v: Call("set_add", (_set_loc(t, d, n), v)))
+    if m == "wait":
+        (d,) = args
+        wids = sorted(profile.wids.get(t, frozenset()), key=repr)
 
-    def wids_of(t: int):
-        return sorted(profile.wids.get(t, frozenset()), key=repr)
+        def drain(n: int) -> Program:
+            def body(v) -> Program:
+                removes = [Call("set_remove", (_set_loc(t, dk, n), v))
+                           for dk in wids]
+                return seq(*removes, Val(UNIT)) if removes else Val(UNIT)
 
-    def mapping(t: int, m: str, args: tuple) -> Program:
-        direct = {"write": "tso_write", "read": "tso_read", "cas": "tso_cas",
-                  "mfence": "tso_mfence", "rfence": "tso_rfence"}
-        if m in direct:
-            return Call(direct[m], args)
-        if m == "get":
-            x, y, d = args
-            n = cfg.node_of_loc(y)
-            return let(Call("tso_get", (x, y)),
-                       lambda v: Call("set_add", (_set_loc(t, d, n), v)))
-        if m == "put":
-            x, y, d = args
-            n = cfg.node_of_loc(x)
-            return let(Call("tso_put", (x, y)),
-                       lambda v: Call("set_add", (_set_loc(t, d, n), v)))
-        if m == "wait":
-            (d,) = args
+            return Loop(let(Call("set_isempty", (_set_loc(t, d, n),)),
+                            lambda b: Break(1, UNIT) if b is True
+                            else let(Call("poll", (n,)), body)))
 
-            def drain(n: int) -> Program:
-                def body(v) -> Program:
-                    removes = [Call("set_remove", (_set_loc(t, dk, n), v))
-                               for dk in wids_of(t)]
-                    return seq(*removes, Val(UNIT)) if removes else Val(UNIT)
-
-                return Loop(let(Call("set_isempty", (_set_loc(t, d, n),)),
-                                lambda b: Break(1, UNIT) if b is True
-                                else let(Call("poll", (n,)), body)))
-
-            return seq(*[drain(n) for n in sorted(cfg.nodes)], Val(UNIT))
-        raise InvalidInput(m)
-
-    return Implementation(name="w", source="rl", targets=("tso",),
-                          mapping=mapping,
-                          reserved_prefixes=("__set_",))
+        return seq(*[drain(n) for n in sorted(cfg.nodes)], Val(UNIT))
+    raise InvalidInput(m)
 
 
-_BUILTINS = {
-    "sv": impl_sv,
-    "rbl": impl_rbl,
-    "msw": impl_msw,
-    "w": impl_w,
-    "bal_weak": lambda cfg, prof: impl_bal(cfg, prof, variant="weak"),
-    "bal_transitive": lambda cfg, prof: impl_bal(cfg, prof, variant="transitive"),
-    "bal_buggy": lambda cfg, prof: impl_bal(cfg, prof, variant="weak", buggy=True),
-}
+def _w_extend(cfg: NodeConfig, profile: ClientProfile):
+    """An identifier set per thread, work identifier and node."""
+    sets = {_set_loc(t, d, n) for t, ds in profile.wids.items() for d in ds
+            for n in cfg.nodes}
+    return cfg, replace(profile, locs=profile.locs | sets)
 
 
-def builtin_impl(name: str, cfg: NodeConfig,
+_BUILTINS = {impl.name: impl for impl in (
+    Implementation("sv", "sv", ("rl",), _sv_mapping, _sv_extend,
+                   ("__sv_", "__gf_", "__d0")),
+    Implementation("rbl", "rbl", ("sv",), _rbl_mapping, _rbl_extend,
+                   ("__rbl_", "__drbl")),
+    Implementation("msw", "msw", ("rl",), _msw_mapping, _msw_extend,
+                   ("__msw_",)),
+    Implementation("w", "rl", ("tso",), _w_mapping, _w_extend, ("__set_",)),
+    impl_bal("weak"), impl_bal("transitive"), impl_bal("weak", buggy=True))}
+
+
+def builtin_impl(name: str, cfg: NodeConfig | None = None,
                  profile: ClientProfile | None = None) -> Implementation:
+    """The builtin stage ``name``.  ``cfg`` and ``profile`` are accepted
+    for older callers and unused: a stage reads the config and profile of
+    what it compiles when it is applied."""
     try:
-        ctor = _BUILTINS[name]
+        return _BUILTINS[name]
     except KeyError:
         raise InvalidInput(f"unknown implementation {name!r}")
-    return ctor(cfg, profile or ClientProfile())
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +504,12 @@ def builtin_impl(name: str, cfg: NodeConfig,
 
 
 def check_well_defined(impl: Implementation, cfg: NodeConfig,
+                       profile: ClientProfile,
                        arg_grid: Mapping[str, Sequence[tuple]],
                        loop_bound: int = 3,
                        value_domain=frozenset({0, 1})) -> list[str]:
-    """Break-depth and non-emptiness checks over an argument grid.
+    """Break-depth and non-emptiness checks over an argument grid, with
+    the stage reading ``cfg`` and ``profile``.
 
     Returns a list of violation descriptions (empty = well defined): an
     implementation body may never return a positive break depth and every
@@ -537,7 +519,7 @@ def check_well_defined(impl: Implementation, cfg: NodeConfig,
     for m, arglists in arg_grid.items():
         for args in arglists:
             for t in sorted(cfg.thread_node):
-                prog = impl.mapping(t, m, args)
+                prog = impl.mapping(cfg, profile, t, m, args)
                 r = interpret_seq(prog, t, loop_bound, value_domain)
                 for out, g in r.results:
                     if out.brk > 0:
@@ -584,24 +566,17 @@ class SoundnessReport:
 
 def compile_stack(progs: ConcurrentProgram, impls: Sequence[Implementation],
                   cfg: NodeConfig, profile: ClientProfile):
-    """Apply a chain of implementations, threading config and profile.
+    """Apply a chain of implementations in order, each to the config and
+    profile its predecessor produced.
 
-    Each stage may introduce reserved locations, per-location domains, and
-    work identifiers that later stages (notably the wait-to-poll compiler)
-    must know about.  Returns (compiled programs, extended config,
-    extended profile, accumulated per-location scalar domains).
+    Returns (compiled programs, config, profile) of the last stage's
+    output.
     """
     compiled = list(progs)
-    loc_domains: dict = {}
     for impl in impls:
-        compiled = apply_impl(impl, compiled, profile.locs)
-        cfg = impl.extend_config(cfg, profile)
-        loc_domains.update(impl.loc_domains(cfg, profile))
-        wids = {t: frozenset(w) for t, w in profile.wids.items()}
-        for t, extra in impl.extra_wids(cfg, profile).items():
-            wids[t] = wids.get(t, frozenset()) | frozenset(extra)
-        profile = replace(profile, wids=wids)
-    return compiled, cfg, profile, loc_domains
+        compiled = apply_impl(impl, compiled, cfg, profile)
+        cfg, profile = impl.extend(cfg, profile)
+    return compiled, cfg, profile
 
 
 def check_soundness(progs: ConcurrentProgram,
@@ -617,15 +592,12 @@ def check_soundness(progs: ConcurrentProgram,
     observations belong in the client program as trailing reads.
     """
     impls = [impl] if isinstance(impl, Implementation) else list(impl)
-    spec_ctx = OutputCtx(scalars=profile.scalars, tuples=dict(profile.tuples))
-    spec = outcomes(progs, list(spec_libs), cfg, bounds, spec_ctx,
+    spec = outcomes(progs, list(spec_libs), cfg, bounds, profile,
                     outputs_only=True)
 
-    compiled, cfg2, _prof2, loc_scalars = compile_stack(progs, impls, cfg, profile)
-    impl_ctx = OutputCtx(scalars=profile.scalars, loc_scalars=loc_scalars,
-                         tuples=dict(profile.tuples))
+    compiled, cfg2, profile2 = compile_stack(progs, impls, cfg, profile)
     comp = outcomes(compiled, list(impl_libs), cfg2,
-                    impl_bounds or bounds, impl_ctx, outputs_only=True)
+                    impl_bounds or bounds, profile2, outputs_only=True)
 
     spec_set = frozenset(o.outputs for o in spec.outcomes)
     impl_set = frozenset(o.outputs for o in comp.outcomes)

@@ -1,4 +1,5 @@
-"""Per-test node/role configuration shared by all libraries."""
+"""Per-test node/role configuration and the client profile shared by all
+libraries and implementation stages."""
 
 from __future__ import annotations
 
@@ -51,3 +52,33 @@ class NodeConfig:
         for x, s in self.size.items():
             if s < 1:
                 raise InvalidInput(f"location {x!r} has size {s} < 1")
+
+
+@dataclass(frozen=True)
+class ClientProfile:
+    """Static facts about a program, used to size output domains.
+
+    ``scalars``: base scalar domain ({0}, literals, initial values);
+    ``locs``: every location the program names; ``counts``: static call
+    counts keyed (tid, method, loc); ``tuples``: payload pools per
+    location; ``wids``: work identifiers used per thread; ``domains``:
+    per-location scalar domains overriding ``scalars``.  A litmus client
+    has no ``domains``; an implementation stage's ``extend`` gives the
+    locations it introduces theirs (see ``compilers``).
+    """
+
+    scalars: frozenset = frozenset({0})
+    locs: frozenset = frozenset()
+    counts: Mapping = field(default_factory=dict)
+    tuples: Mapping = field(default_factory=dict)
+    wids: Mapping = field(default_factory=dict)
+    domains: Mapping = field(default_factory=dict)
+
+    def count(self, tid: int, method: str, loc: str) -> int:
+        return self.counts.get((tid, method, loc), 0)
+
+    def domain(self, loc: str) -> frozenset:
+        return self.domains.get(loc, self.scalars)
+
+    def tuple_pool(self, loc: str) -> frozenset:
+        return self.tuples.get(loc, frozenset())

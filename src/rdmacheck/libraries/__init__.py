@@ -1,4 +1,4 @@
-from .base import Library, OutputCtx, Witness, check_consistent
+from .base import Library, Witness, check_consistent
 from .barrier import BarrierLib
 from .msw import MixedSizeLib
 from .rdma_tso import RdmaTsoLib
@@ -26,6 +26,6 @@ def make_library(name: str, *, bal_variant: str = "weak",
     return LIBRARIES[name]()
 
 
-__all__ = ["Library", "OutputCtx", "Witness", "check_consistent",
+__all__ = ["Library", "Witness", "check_consistent",
            "BarrierLib", "MixedSizeLib", "RdmaTsoLib", "RdmaWaitLib",
            "RingBufferLib", "SharedVarLib", "LIBRARIES", "VARIANTS", "make_library"]

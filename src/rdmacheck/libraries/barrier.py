@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..config import NodeConfig
+from ..config import ClientProfile, NodeConfig
 from ..events import Event, PlainExecution, SubEvent
 from ..relations import Rel
 from ..stamps import ACR, GF
 from ..values import UNIT
-from .base import Library, OutputCtx, Witness
+from .base import Library, Witness
 
 BAR = "bar"
 
@@ -44,7 +44,7 @@ class BarrierLib(Library):
             nodes = {cfg.node_of_thread(t) for t in cfg.barrier.get(e.args[0], ())}
         return frozenset({GF(n) for n in nodes} | {ACR})
 
-    def outputs(self, method, args, tid, state, ctx: OutputCtx, cfg):
+    def outputs(self, method, args, tid, state, profile: ClientProfile, cfg):
         return ((UNIT, state),)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from ..config import NodeConfig
+from ..config import ClientProfile, NodeConfig
 from ..events import Event, InvalidInput, PlainExecution, SubEvent
 from ..lang import ThreadState
 from ..relations import Rel
@@ -39,26 +39,6 @@ class Witness:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class OutputCtx:
-    """Finite candidate spaces for method outputs.
-
-    ``scalars`` is the global scalar domain; ``loc_scalars`` overrides it
-    per location (tight domains for generated implementation locations);
-    ``tuples`` maps a location to its payload candidates.
-    """
-
-    scalars: frozenset
-    loc_scalars: Mapping[str, frozenset] = field(default_factory=dict)
-    tuples: Mapping[str, frozenset] = field(default_factory=dict)
-
-    def domain(self, loc: str) -> frozenset:
-        return self.loc_scalars.get(loc, self.scalars)
-
-    def tuple_pool(self, loc: str) -> frozenset:
-        return self.tuples.get(loc, frozenset())
-
-
 class Library:
     """Base class; concrete libraries override the hooks below."""
 
@@ -69,7 +49,9 @@ class Library:
         raise NotImplementedError
 
     def outputs(self, method: str, args: tuple, tid: int, state: ThreadState,
-                ctx: OutputCtx, cfg: NodeConfig) -> Iterable[tuple[Value, ThreadState]]:
+                profile: ClientProfile, cfg: NodeConfig) -> Iterable[tuple[Value, ThreadState]]:
+        """Candidate results of a call; value and payload candidates come
+        from ``profile.domain`` and ``profile.tuple_pool``."""
         raise NotImplementedError
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:

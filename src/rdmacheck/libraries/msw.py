@@ -11,11 +11,10 @@ returns a written payload or the all-zero payload.
 
 from __future__ import annotations
 
-from ..config import NodeConfig
+from ..config import ClientProfile, NodeConfig
 from ..events import Event, PlainExecution
 from ..stamps import AWT
 from ..values import BOT, zero_tuple
-from .base import OutputCtx
 from .rdma_core import RdmaLib
 
 MSW_WRITE, MSW_TRYREAD = "msw_write", "msw_tryread"
@@ -33,14 +32,14 @@ class MixedSizeLib(RdmaLib):
             return frozenset({AWT})
         return super().stamping(e, cfg)
 
-    def outputs(self, method, args, tid, state, ctx: OutputCtx, cfg):
+    def outputs(self, method, args, tid, state, profile: ClientProfile, cfg):
         if method == MSW_TRYREAD:
             size = cfg.size[args[0]]
-            pool = {t for t in ctx.tuple_pool(args[0]) if len(t) == size}
+            pool = {t for t in profile.tuple_pool(args[0]) if len(t) == size}
             pool.add(zero_tuple(size))
             outs = [BOT] + sorted(pool, key=repr)
             return ((v, state) for v in outs)
-        return super().outputs(method, args, tid, state, ctx, cfg)
+        return super().outputs(method, args, tid, state, profile, cfg)
 
     def extra_valid(self, plain: PlainExecution, cfg: NodeConfig) -> bool:
         for e in plain.events:

@@ -20,20 +20,24 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..config import NodeConfig
+from ..config import ClientProfile, NodeConfig
 from ..events import Event, PlainExecution, SubEvent
 from ..relations import Rel
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW,
                       ppo_before, stamp_order)
 from ..values import UNIT
-from .base import (Library, OutputCtx, Witness, choose_rf, enumerate_mo,
-                   reads_before, rslot, wslot)
+from .base import (Library, Witness, choose_rf, enumerate_mo, reads_before,
+                   rslot, wslot)
 
 READ_KINDS = ("aCR", "aCAS", "nLR", "nRR")
 WRITE_KINDS = ("aCW", "aCAS", "nLW", "nRW")
 
 _SINGLE_STAMPS = {"write": frozenset({ACW}), "read": frozenset({ACR}),
                   "mfence": frozenset({AMF}), "wait": frozenset({AWT})}
+
+# Node discipline: role -> position of the argument that must be a location
+# on the caller's node.
+LOCAL_ARG = {"write": 0, "read": 0, "cas": 0, "get": 0, "put": 1}
 
 
 class RdmaLib(Library):
@@ -62,9 +66,9 @@ class RdmaLib(Library):
             return frozenset({nF(e.args[0])})
         return _SINGLE_STAMPS[role]
 
-    def outputs(self, method, args, tid, state, ctx: OutputCtx, cfg):
+    def outputs(self, method, args, tid, state, profile: ClientProfile, cfg):
         if self.role_of.get(method) in ("read", "cas"):
-            return ((v, state) for v in sorted(ctx.domain(args[0]), key=repr))
+            return ((v, state) for v in sorted(profile.domain(args[0]), key=repr))
         return ((UNIT, state),)
 
     def polls_from(self, plain: PlainExecution, stmp) -> tuple[Rel, Rel, dict] | None:
@@ -107,14 +111,11 @@ class RdmaLib(Library):
         role_of = self.role_of
         for e in plain.events:
             self._require(e)
-        # Node discipline: every local argument is on the caller's node.
         for e in plain.events:
-            t = cfg.node_of_thread(e.tid)
-            role = role_of.get(e.method)
-            if role in ("write", "read", "cas", "get", "put"):
-                local = e.args[1] if role == "put" else e.args[0]
-                if cfg.node_of_loc(local) != t:
-                    return
+            k = LOCAL_ARG.get(role_of.get(e.method))
+            if k is not None and (cfg.node_of_loc(e.args[k])
+                                  != cfg.node_of_thread(e.tid)):
+                return
         if not self.extra_valid(plain, cfg):
             return
         polls = self.polls_from(plain, stmp)

@@ -13,11 +13,10 @@ wait-based model of ``RdmaLib``.
 
 from __future__ import annotations
 
-from ..config import NodeConfig
+from ..config import ClientProfile, NodeConfig
 from ..events import Event, PlainExecution, SubEvent
 from ..relations import Rel
 from ..stamps import AMF, AWT
-from .base import OutputCtx
 from .rdma_core import RdmaLib
 
 TSO_WRITE, TSO_READ, TSO_CAS, TSO_MFENCE = "tso_write", "tso_read", "tso_cas", "tso_mfence"
@@ -39,7 +38,7 @@ class RdmaTsoLib(RdmaLib):
             return frozenset({AMF})
         return super().stamping(e, cfg)
 
-    def outputs(self, method, args, tid, state, ctx: OutputCtx, cfg):
+    def outputs(self, method, args, tid, state, profile: ClientProfile, cfg):
         if method in (TSO_GET, TSO_PUT):
             node = cfg.node_of_loc(args[1] if method == TSO_GET else args[0])
             ident, st = state.next_fresh(tid)
@@ -48,7 +47,7 @@ class RdmaTsoLib(RdmaLib):
             return ((v, state) for v, n in state.issued if n == args[0])
         if method == SET_ISEMPTY:
             return ((True, state), (False, state))
-        return super().outputs(method, args, tid, state, ctx, cfg)
+        return super().outputs(method, args, tid, state, profile, cfg)
 
     def polls_from(self, plain: PlainExecution, stmp):
         ops: dict = {}

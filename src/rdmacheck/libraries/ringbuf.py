@@ -18,12 +18,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from ..config import NodeConfig
+from ..config import ClientProfile, NodeConfig
 from ..events import Event, PlainExecution, SubEvent
 from ..relations import Rel
 from ..stamps import ACR, ACW, AWT, nRW
 from ..values import BOT
-from .base import Library, OutputCtx, Witness
+from .base import Library, Witness
 
 SUBMIT, RECEIVE = "submit", "receive"
 
@@ -52,10 +52,10 @@ class RingBufferLib(Library):
             return frozenset({AWT})
         return frozenset({ACR})
 
-    def outputs(self, method, args, tid, state, ctx: OutputCtx, cfg):
+    def outputs(self, method, args, tid, state, profile: ClientProfile, cfg):
         if method == SUBMIT:
             return ((True, state), (False, state))
-        pool = sorted(ctx.tuple_pool(args[0]), key=repr)
+        pool = sorted(profile.tuple_pool(args[0]), key=repr)
         return itertools.chain(((BOT, state),), ((v, state) for v in pool))
 
     def post_check(self, w: Witness, hb: Rel) -> bool:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..config import NodeConfig
+from ..config import ClientProfile, NodeConfig
 from ..events import Event, PlainExecution, SubEvent
 from ..relations import Rel
 from ..stamps import ACR, ACW, AWT, GF, nLR, nRW, ppo_before
 from ..values import UNIT
-from .base import (Library, OutputCtx, Witness, choose_rf, enumerate_mo,
-                   reads_before, rslot, wslot)
+from .base import (Library, Witness, choose_rf, enumerate_mo, reads_before,
+                   rslot, wslot)
 
 WRITE, READ, BCAST, WAIT, GFENCE = "sv_write", "sv_read", "sv_bcast", "sv_wait", "sv_gf"
 
@@ -39,9 +39,9 @@ class SharedVarLib(Library):
         targets = e.args[2]
         return frozenset(s for n in targets for s in (nLR(n), nRW(n)))
 
-    def outputs(self, method, args, tid, state, ctx: OutputCtx, cfg):
+    def outputs(self, method, args, tid, state, profile: ClientProfile, cfg):
         if method == READ:
-            return ((v, state) for v in sorted(ctx.domain(args[0]), key=repr))
+            return ((v, state) for v in sorted(profile.domain(args[0]), key=repr))
         return ((UNIT, state),)
 
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:

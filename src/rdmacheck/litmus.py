@@ -50,10 +50,10 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .checker import Bounds
-from .compilers import ClientProfile
-from .config import NodeConfig
+from .config import ClientProfile, NodeConfig
 from .lang import Call, LetF, Program, Val
 from .libraries import LIBRARIES, VARIANTS
+from .libraries.rdma_core import LOCAL_ARG
 from .values import BOT, Value, fmt_value, is_reserved_loc
 
 
@@ -247,6 +247,7 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
     barriers: dict = {}
     rings: dict = {}
     msizes: dict = {}
+    msize_lines: dict = {}
     inits: list = []
     programs: dict = {}
     assertions: list = []
@@ -276,6 +277,8 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
                     raise LitmusError(f"unknown library {lib!r}", ln)
                 if eq and var not in VARIANTS.get(lib, ()):
                     raise LitmusError(f"unknown variant {t!r}", ln)
+                if lib in {l for l, _ in libs}:
+                    raise LitmusError(f"library {lib!r} declared twice", ln)
                 libs.append((lib, var if eq else None))
         elif head == "loc":
             if len(toks) != 4 or toks[2] != "@":
@@ -296,6 +299,7 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
             if len(toks) != 3:
                 raise LitmusError("expected: msize <x> <size>", ln)
             msizes[_check_name(toks[1], "location", ln)] = _positive(toks[2], "size", ln)
+            msize_lines[toks[1]] = ln
         elif head == "init":
             m = re.match(r"init\s+(\w+)\s*(?:@\s*(\w+))?\s*=\s*(.+)$", raw)
             if not m:
@@ -331,6 +335,9 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
             bounds = Bounds(loop_bound=kw["loop"], max_events=kw["events"])
         else:
             raise LitmusError(f"unknown directive {head!r}", ln)
+    for x, ln in msize_lines.items():
+        if x not in loc_nodes:
+            raise LitmusError(f"sized location {x!r} has no loc line", ln)
 
     test = LitmusTest(name=tname, nodes=tuple(nodes), threads=tuple(threads),
                       libs=tuple(libs), loc_nodes=loc_nodes, svars=tuple(svars),
@@ -462,14 +469,18 @@ def _validate(test: LitmusTest) -> None:
                 | set(test.rings) | set(test.msizes))
     lib_names = {l for l, _ in test.libs}
     regs: set[str] = set()
-    for t, _n in test.threads:
+    for t, node in test.threads:
         seen: set[str] = set()
         for ins in test.programs.get(t, ()):
-            lib, _m = _METHOD_OF[ins.op]
+            lib, method = _METHOD_OF[ins.op]
             if lib not in lib_names:
-                raise LitmusError(f"{ins.op} needs library {lib} "
-                                  f"(line {ins.line})", ins.line)
+                raise LitmusError(f"{ins.op} needs library {lib}", ins.line)
             kinds, _ret = _INSTRS[ins.op]
+            k = LOCAL_ARG.get(getattr(LIBRARIES[lib], "role_of", {}).get(method))
+            local = ins.args[k] if k is not None and kinds[k] == "loc" else None
+            if test.loc_nodes.get(local, node) != node:
+                raise LitmusError(f"{ins.op}: location {local!r} is not on "
+                                  f"{t}'s node {node}", ins.line)
             for kind, a in zip(kinds, ins.args):
                 if kind == "loc" and ins.op not in ("setadd", "setremove",
                                                     "setisempty"):

@@ -20,7 +20,7 @@ from .checker import Bounds, Outcome, enumerate_consistent, merged_outputs, outc
 from .config import NodeConfig
 from .dump import dump_execution
 from .lang import interpret_conc
-from .libraries import OutputCtx, make_library
+from .libraries import make_library
 from .litmus import Assertion, BuiltTest, LitmusTest, build_test, parse_litmus
 
 REPORT_SCHEMA = "rdmacheck-report-v1"
@@ -46,16 +46,11 @@ class TestReport:
                 "seconds": round(self.seconds, 3), "notes": self.notes}
 
 
-def _mk_libs(built: BuiltTest):
-    libs = []
-    for name, variant in built.libs:
-        if name == "bal":
-            libs.append(make_library("bal", bal_variant=variant or "weak"))
-        elif name == "rbl":
-            libs.append(make_library("rbl", rbl_mode=variant or "strict"))
-        else:
-            libs.append(make_library(name))
-    return libs
+def _mk_libs(pairs) -> list:
+    """Libraries from (name, variant | None) pairs, a variant defaulting
+    to its library's first."""
+    return [make_library(n, bal_variant=v or "weak", rbl_mode=v or "strict")
+            for n, v in pairs]
 
 
 def _reg_positions(built: BuiltTest) -> dict:
@@ -109,10 +104,8 @@ def run_litmus(test: LitmusTest, overrides: Mapping | None = None,
         bounds = Bounds(overrides["loop_bound"], bounds.max_events)
     if "max_events" in overrides:
         bounds = Bounds(bounds.loop_bound, overrides["max_events"])
-    libs = _mk_libs(built)
-    ctx = OutputCtx(scalars=built.profile.scalars,
-                    tuples=dict(built.profile.tuples))
-    res = outcomes(built.programs, libs, built.cfg, bounds, ctx,
+    libs = _mk_libs(built.libs)
+    res = outcomes(built.programs, libs, built.cfg, bounds, built.profile,
                    outputs_only=not built.uses_memory)
     regpos = _reg_positions(built)
 
@@ -157,7 +150,7 @@ def run_litmus(test: LitmusTest, overrides: Mapping | None = None,
         failures=failures, truncated=res.truncated,
         seconds=time.perf_counter() - t0, notes=notes)
     if dump_witness:
-        report.witness_dump = _dump_first_witness(built, libs, bounds, ctx)
+        report.witness_dump = _dump_first_witness(built, libs, bounds)
     return report
 
 
@@ -166,9 +159,8 @@ def _assert_desc(a: Assertion) -> str:
     return _print_assert(a)
 
 
-def _dump_first_witness(built: BuiltTest, libs, bounds: Bounds,
-                        ctx: OutputCtx) -> str:
-    fn = merged_outputs(libs, ctx, built.cfg)
+def _dump_first_witness(built: BuiltTest, libs, bounds: Bounds) -> str:
+    fn = merged_outputs(libs, built.profile, built.cfg)
     interp = interpret_conc(built.programs, bounds.loop_bound, fn,
                             bounds.max_events)
     for vals, plain in interp.results:

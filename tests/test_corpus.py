@@ -13,7 +13,6 @@ import pytest
 
 import rdmacheck
 from rdmacheck.checker import outcomes
-from rdmacheck.libraries import OutputCtx
 from rdmacheck.litmus import build_test, parse_litmus
 from rdmacheck.runner import PASS, _mk_libs, run_file
 
@@ -32,8 +31,8 @@ def test_corpus_file_passes(path):
 def test_outputs_only_matches_full_enumeration(path):
     test = parse_litmus(path.read_text(), name=path.stem)
     built = build_test(test)
-    ctx = OutputCtx(scalars=built.profile.scalars, tuples=dict(built.profile.tuples))
-    args = (built.programs, _mk_libs(built), built.cfg, test.bounds, ctx)
+    args = (built.programs, _mk_libs(built.libs), built.cfg, test.bounds,
+            built.profile)
     fast = outcomes(*args, outputs_only=True)
     full = outcomes(*args, outputs_only=False)
     assert {o.outputs for o in fast.outcomes} == {o.outputs for o in full.outcomes}

@@ -21,7 +21,7 @@ def test_print_then_parse_is_identity(path):
 
 
 ONE_THREAD = """name {name}
-nodes n1
+nodes n1 n2
 libs rl
 loc x @ n1
 thread t1 @ n1 {{
@@ -87,14 +87,24 @@ def test_exit_3_when_the_event_cap_hides_a_forbidden_outcome(tmp_path):
 
 @pytest.mark.parametrize("bad", [
     "name", "msize x abc", "bounds loop=x", "bounds loop=0", "libs foo",
-    "libs bal=bogus",
+    "libs bal=bogus", "libs rl", "msize y 2",
+    "thread t2 @ n2 {\n  b = read x\n}",
 ])
 def test_exit_2_with_the_line_of_a_bad_directive(tmp_path, capsys, bad):
     text = ONE_THREAD.format(name="bad", asserts="assert allowed a = 1") + bad + "\n"
     p = tmp_path / "bad.litmus"
     p.write_text(text)
     assert exit_code(["check", p]) == 2
-    assert f"parse error: line {len(text.splitlines())}:" in capsys.readouterr().out
+    lines = text.splitlines()
+    line = len(lines) - (lines[-1] == "}")   # a thread's last instruction
+    assert f"parse error: line {line}:" in capsys.readouterr().out
+
+
+def test_an_instruction_without_its_library_names_its_line_once():
+    text = ONE_THREAD.format(name="nolib", asserts="")
+    with pytest.raises(LitmusError) as e:
+        parse_litmus(text.replace("a = read x", "a = svread x"))
+    assert str(e.value) == "line 7: svread needs library sv"
 
 
 def test_msw_location_without_msize_is_a_parse_error():

@@ -40,11 +40,11 @@ class TestPolling:
     def test_pf_clauses_on_witnesses(self):
         from rdmacheck.checker import enumerate_consistent, merged_outputs
         from rdmacheck.lang import interpret_conc
-        from rdmacheck.libraries import OutputCtx
-        ctx = OutputCtx(scalars=frozenset({0, 1}))
+        from rdmacheck.config import ClientProfile
+        profile = ClientProfile(scalars=frozenset({0, 1}))
         p = seq(C("tso_put", "z", "x"), C("tso_put", "z", "x"),
                 C("poll", 2), C("poll", 2))
-        fn = merged_outputs([tso], ctx, CFG)
+        fn = merged_outputs([tso], profile, CFG)
         seen = 0
         for vals, plain in interpret_conc([p], 4, fn, 14).results:
             for acc in enumerate_consistent(plain, [tso], CFG):

@@ -20,30 +20,30 @@ CASES = [("sv", "corpus/fig4_gf_sb"), ("bal_weak", "corpus/fig5_barrier"),
 
 
 def impl_and_grid(name: str, client: str):
-    """The implementation built for a client, and the argument grid of the
-    source-library calls in the client's unfoldings."""
+    """The implementation, the client's built test, and the argument grid
+    of the source-library calls in the client's unfoldings."""
     built, _libs, res = unfold_file(ROOT / f"{client}.litmus")
-    impl = builtin_impl(name, built.cfg, built.profile)
+    impl = builtin_impl(name)
     grid: dict = {}
     for _vals, plain in res.results:
         for e in plain.events:
             if e.method in impl.source_methods():
                 grid.setdefault(e.method, set()).add(e.args)
-    return impl, built.cfg, {m: sorted(a, key=repr) for m, a in grid.items()}
+    return impl, built, {m: sorted(a, key=repr) for m, a in grid.items()}
 
 
 @pytest.mark.parametrize("name, client", CASES, ids=[n for n, _ in CASES])
 def test_builtin_implementation_is_well_defined(name, client):
-    impl, cfg, grid = impl_and_grid(name, client)
+    impl, built, grid = impl_and_grid(name, client)
     assert grid
-    assert check_well_defined(impl, cfg, grid) == []
+    assert check_well_defined(impl, built.cfg, built.profile, grid) == []
 
 
 def test_break_out_and_empty_bodies_are_reported():
-    impl, cfg, grid = impl_and_grid("sv", "corpus/fig4_gf_sb")
-    breaks = replace(impl, mapping=lambda t, m, args: Break(1, UNIT))
-    problems = check_well_defined(breaks, cfg, grid)
+    impl, built, grid = impl_and_grid("sv", "corpus/fig4_gf_sb")
+    breaks = replace(impl, mapping=lambda cfg, prof, t, m, args: Break(1, UNIT))
+    problems = check_well_defined(breaks, built.cfg, built.profile, grid)
     assert problems and all("break depth 1" in p for p in problems)
-    empty = replace(impl, mapping=lambda t, m, args: Val(UNIT))
-    problems = check_well_defined(empty, cfg, grid)
+    empty = replace(impl, mapping=lambda cfg, prof, t, m, args: Val(UNIT))
+    problems = check_well_defined(empty, built.cfg, built.profile, grid)
     assert problems and all("empty successful unfolding" in p for p in problems)
