@@ -1,4 +1,4 @@
-"""Library interface and shared witness-search machinery.
+"""Library interface and the coherence search the memory libraries share.
 
 A library is a method set, a stamping rule, an output space per method,
 and a consistency oracle.  Oracles are implemented as witness generators:
@@ -7,18 +7,27 @@ given the library's slice of a plain execution they yield every witness
 induces.
 The checker combines per-library synchronisation orders into the global
 happens-before and backtracks across libraries.
+
+The shared-variable and RDMA libraries search the same existentials over
+their reads and writes: a reads-from map, a modification order per place
+and the reads-before relation they induce.  ``coherence`` enumerates them.
+A value is never guessed: a read's value is its rf source's, and a
+write's is fixed by its label or carried from the read part of its own
+event (a put, get or broadcast moves the value its read part saw).
+``final_values`` reads the final memory off such a witness.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..config import ClientProfile, NodeConfig
-from ..events import Event, InvalidInput, PlainExecution, SubEvent
+from ..events import Event, InvalidInput, PlainExecution, SubEvent, po_before
 from ..lang import ThreadState
 from ..relations import Rel
+from ..stamps import ppo_before
 from ..values import Value
 
 
@@ -87,113 +96,98 @@ def check_consistent(lib: Library, exec_, cfg: NodeConfig) -> Witness | None:
 # Shared search helpers
 
 
-class _Slots:
-    """Union-find over subevent value slots with attached constants.
+def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
+              place: Mapping[SubEvent, Hashable],
+              read_value: Mapping[SubEvent, Value],
+              write_value: Mapping[SubEvent, Value],
+              carrier: Mapping[SubEvent, SubEvent],
+              init_of: Callable[[Hashable], Value],
+              ) -> Iterator[tuple[Rel, Rel, Rel, dict, dict, dict]]:
+    """Every coherent choice of reads-from and modification order.
 
-    Internal broadcast/put/get equalities and rf choices unify slots; a
-    contradiction (two different constants in one class) kills the branch.
+    A read takes its value from one write of its ``place`` or from the
+    place's initial value; a CPU read or CAS must get what ``read_value``
+    pins.  A write stores its ``write_value``, or else what its own event's
+    read part (``carrier``) saw, so values are found by following rf.
+    Reads decide in order, each trying its place's writes and then the
+    initial value.  A choice that contradicts a pin or closes an rf cycle
+    is pruned at once; a pin whose source still waits on an undecided read
+    is passed on to that read in ``need``.
+
+    Yields ``(rf, mo, rb, vR, vW, by_place)``: each complete rf choice with
+    each of its modification orders (``enumerate_mo`` along ppo, places in
+    ``repr`` order), the reads-before relation they induce, the values read
+    and written, and each place's writes.
     """
-
-    def __init__(self):
-        self.parent: dict = {}
-        self.value: dict = {}
-
-    def copy(self) -> "_Slots":
-        c = _Slots()
-        c.parent = dict(self.parent)
-        c.value = dict(self.value)
-        return c
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != x:
-            self.parent[x] = p = self.parent.setdefault(p, p)
-            x = p
-            p = self.parent[x]
-        return x
-
-    def set_value(self, x, v) -> bool:
-        r = self.find(x)
-        if r in self.value:
-            return self.value[r] == v
-        self.value[r] = v
-        return True
-
-    def get_value(self, x):
-        return self.value.get(self.find(x))
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return True
-        vx, vy = self.value.get(rx), self.value.get(ry)
-        if vx is not None and vy is not None and vx != vy:
-            return False
-        self.parent[rx] = ry
-        if vx is not None:
-            self.value[ry] = vx
-        return True
-
-
-def rslot(s: SubEvent) -> tuple:
-    return ("R", s)
-
-
-def wslot(s: SubEvent) -> tuple:
-    return ("W", s)
-
-
-def choose_rf(reads: Sequence[SubEvent],
-              candidates: Callable[[SubEvent], Sequence[SubEvent]],
-              fixed: Mapping[tuple, Value],
-              eqs: Sequence[tuple],
-              init_of: Callable[[SubEvent], Value],
-              ) -> Iterator[tuple[dict, _Slots]]:
-    """Enumerate reads-from choices with value propagation.
-
-    Each read picks one same-place write or None (initial value).  Values
-    live in keyed slots — ``rslot(s)`` / ``wslot(s)`` — because an atomic
-    update subevent reads and writes different values.  ``fixed`` pins
-    label-determined slots; ``eqs`` are internal equalities (a NIC write
-    part carries what its event's read part saw).  Branches with
-    contradictory equations are pruned, as are branches leaving a read slot
-    valueless (only possible via rf cycles among NIC parts, which always
-    induce a synchronisation-order cycle downstream).
-    """
-    base = _Slots()
-    for k, v in fixed.items():
-        if not base.set_value(k, v):
-            return
-    for a, b in eqs:
-        if not base.union(a, b):
-            return
-
+    grouped: dict = {}
+    for w in writes:
+        grouped.setdefault(place[w], []).append(w)
+    by_place = {p: grouped[p] for p in sorted(grouped, key=repr)}
     reads = list(reads)
+    rf: dict = {}
+    need = dict(read_value)
 
-    def step(i: int, slots: _Slots, rf: dict) -> Iterator[tuple[dict, _Slots]]:
+    def walk(w):
+        """(value, None) once write w's value is known, (what its class
+        needs, r) while it waits on the undecided read r, and (None, None)
+        on an rf cycle."""
+        for _ in range(len(rf) + 1):
+            if w in write_value:
+                return write_value[w], None
+            r = carrier[w]
+            if r not in rf:
+                return need.get(r), r
+            w = rf[r]
+            if w is None:
+                return init_of(place[r]), None
+        return None, None
+
+    def step(i: int):
         if i == len(reads):
-            if any(slots.get_value(rslot(r)) is None for r in reads):
-                return
-            yield rf, slots
+            vW = {w: walk(w)[0] for w in writes}
+            vR = {r: init_of(place[r]) if rf[r] is None else vW[rf[r]] for r in reads}
+            rel = Rel((w, r) for r, w in rf.items() if w is not None)
+            for mo in enumerate_mo(list(by_place.values()), ppo_before):
+                rb = Rel((r, w) for r in reads for w in by_place.get(place[r], ())
+                         if w != r and (rf[r] is None or (rf[r], w) in mo))
+                yield rel, mo, rb, vR, vW, by_place
             return
         r = reads[i]
-        rk = rslot(r)
-        rv = slots.get_value(rk)
-        for w in candidates(r):
-            wv = slots.get_value(wslot(w))
-            if rv is not None and wv is not None and rv != wv:
-                continue
-            s2 = slots.copy()
-            if not s2.union(rk, wslot(w)):
-                continue
-            yield from step(i + 1, s2, {**rf, r: w})
-        iv = init_of(r)
-        if rv is None or rv == iv:
-            s2 = slots.copy()
-            if s2.set_value(rk, iv):
-                yield from step(i + 1, s2, {**rf, r: None})
+        want = need.get(r)
+        for w in by_place.get(place[r], ()):
+            rf[r] = w
+            have, u = walk(w)
+            if have is None and u is None:
+                continue                    # an rf cycle
+            if want is None or want == have:
+                yield from step(i + 1)
+            elif have is None:
+                need[u] = want
+                yield from step(i + 1)
+                del need[u]
+        rf[r] = None
+        if want is None or want == init_of(place[r]):
+            yield from step(i + 1)
+        del rf[r]
 
-    yield from step(0, base, {})
+    yield from step(0)
+
+
+def external_rf(rf: Rel) -> Rel:
+    """rf without a CPU read of its own thread's po-earlier CPU write, which
+    synchronises nothing."""
+    return rf.filter(lambda w, r: not (w.stamp.kind == "aCW" and r.stamp.kind == "aCR"
+                                       and po_before(w.event, r.event)))
+
+
+def final_values(w: Witness) -> dict:
+    """place -> value of the mo-maximal write, for a witness of ``coherence``."""
+    mo = w.rels["mo"]
+    out = {}
+    for p, group in w.meta["by_place"].items():
+        top = next(s for s in group if not any((s, t) in mo for t in group))
+        out[p] = w.vW[top]
+    return out
 
 
 def enumerate_mo(groups: Sequence[Sequence[SubEvent]],
@@ -219,18 +213,3 @@ def enumerate_mo(groups: Sequence[Sequence[SubEvent]],
                  for g in groups]
     for combo in itertools.product(*per_group):
         yield Rel(p for pairs in combo for p in pairs)
-
-
-def reads_before(rf: Mapping[SubEvent, SubEvent | None], mo: Rel,
-                 reads: Iterable[SubEvent],
-                 writes_of: Callable[[SubEvent], Iterable[SubEvent]]) -> Rel:
-    """(r, w) pairs: r read the initial value, or from a write mo-before w."""
-    pairs = []
-    for r in reads:
-        src = rf.get(r)
-        for w in writes_of(r):
-            if w == r:
-                continue
-            if src is None or (src, w) in mo:
-                pairs.append((r, w))
-    return Rel(pairs)

@@ -1,19 +1,18 @@
 """Shared base of the RDMA-shaped libraries.
 
-The wait-based model, the poll-based model, and the mixed-size variant all
-search the same existentials: a reads-from map, per-location modification
-orders, and an orientation of the NIC flush order.  ``RdmaLib`` holds that
-search and the wait-based model's stamping, outputs, node discipline and
-polls-from.  A subclass names its methods in the class-level role table
-``roles`` (engine role -> method name; the roles are write, read, cas,
-mfence, rfence, get, put and wait) and overrides only the hooks where its
-model differs: ``polls_from``, ``extra_valid``, ``init_of``, and
-``stamping`` or ``outputs`` for methods outside the role table.
-
-Subevent conventions: NIC read parts carry the value their event's write
-part transmits (internal equalities); instantaneous subevents are
-everything except write parts; issued-before (ib) orders subevent starts
-and must be irreflexive on its own.
+The wait-based model, the poll-based model, and the mixed-size variant
+check the same witnesses: a coherence choice (``base.coherence`` over
+(location, node) places; a put's or get's write part carries what its
+read part saw) and an orientation of the NIC flush order.  ``RdmaLib``
+holds that check and the wait-based model's stamping, outputs, node
+discipline and polls-from.  A subclass names its methods in the
+class-level role table ``roles`` (engine role -> method name; the roles
+are write, read, cas, mfence, rfence, get, put and wait) and overrides
+only the hooks where its model differs: ``polls_from``, ``extra_valid``,
+``init_of``, and ``stamping`` or ``outputs`` for methods outside the role
+table.  Issued-before (ib) orders subevent starts and must be
+irreflexive; its part that starts at an instantaneous subevent (any but
+a write part) joins so.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ from ..relations import Rel
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW,
                       ppo_before, stamp_order)
 from ..values import UNIT
-from .base import (Library, Witness, choose_rf, enumerate_mo, reads_before,
-                   rslot, wslot)
+from .base import Library, Witness, coherence, external_rf, final_values
 
 READ_KINDS = ("aCR", "aCAS", "nLR", "nRR")
 WRITE_KINDS = ("aCW", "aCAS", "nLW", "nRW")
@@ -100,12 +98,7 @@ class RdmaLib(Library):
         return cfg.init_of(loc)
 
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
-        out = {}
-        mo = w.rels["mo"]
-        for loc, group in w.meta["by_loc"].items():
-            top = next(s for s in group if not any((s, t) in mo for t in group))
-            out[(loc, cfg.node_of_loc(loc))] = w.vW[top]
-        return out
+        return final_values(w)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
         role_of = self.role_of
@@ -128,37 +121,26 @@ class RdmaLib(Library):
         reads = [s for s in sevents if s.stamp.kind in READ_KINDS]
         writes = [s for s in sevents if s.stamp.kind in WRITE_KINDS]
 
-        def loc_of(s: SubEvent) -> str:
-            """The location a read or write part accesses."""
-            e, k = s.event, s.stamp.kind
-            role = role_of[e.method]
-            if role == "get":
-                return e.args[1] if k == "nRR" else e.args[0]
-            if role == "put":
-                return e.args[1] if k == "nLR" else e.args[0]
-            return e.args[0]
+        def place_of(s: SubEvent) -> tuple:
+            """(location, node): the read part of a put or get reads its
+            source argument, every other part accesses args[0]."""
+            x = s.event.args[1 if s.stamp.kind in ("nLR", "nRR") else 0]
+            return x, cfg.node_of_loc(x)
 
-        by_loc: dict = {}
-        for w in writes:
-            by_loc.setdefault(loc_of(w), []).append(w)
+        place = {s: place_of(s) for s in reads + writes}
 
         # Label-determined values: what CPU reads and CASes return, what
         # CPU writes and successful CASes store.
-        fixed = {}
-        for s in reads:
-            if role_of[s.event.method] in ("read", "cas") and s.stamp.kind in ("aCR", "aCAS"):
-                fixed[rslot(s)] = s.event.output
-        for s in writes:
-            role = role_of[s.event.method]
-            if role == "write":
-                fixed[wslot(s)] = s.event.args[1]
-            elif role == "cas" and s.stamp.kind == "aCAS":
-                fixed[wslot(s)] = s.event.args[2]
+        read_value = {s: s.event.output for s in reads
+                      if role_of[s.event.method] in ("read", "cas")}
+        stored = {"write": 1, "cas": 2}     # the argument a write part stores
+        write_value = {s: s.event.args[stored[role_of[s.event.method]]]
+                       for s in writes if role_of[s.event.method] in stored}
 
         # A put or get is a (read part, write part) pair that moves one
         # value and is ordered inside the event (iso); so is a failed CAS's
         # fence before its read.
-        eqs, iso_pairs = [], []
+        carrier, iso_pairs = {}, []
         for e in events:
             role = role_of.get(e.method)
             if role not in ("put", "get", "cas"):
@@ -167,7 +149,7 @@ class RdmaLib(Library):
             if role in ("put", "get"):
                 r, w = ((kinds["nLR"], kinds["nRW"]) if role == "put"
                         else (kinds["nRR"], kinds["nLW"]))
-                eqs.append((rslot(r), wslot(w)))
+                carrier[w] = r
                 iso_pairs.append((r, w))
             elif "aMF" in kinds:
                 iso_pairs.append((kinds["aMF"], kinds["aCR"]))
@@ -215,34 +197,21 @@ class RdmaLib(Library):
             yield from nfo_choices(i + 1, acc + [(s1, s2)])
             yield from nfo_choices(i + 1, acc + [(s2, s1)])
 
-        def candidates(r: SubEvent):
-            return by_loc.get(loc_of(r), ())
-
-        def init_of(r: SubEvent):
-            return self.init_of(loc_of(r), cfg)
-
-        for rfmap, slots in choose_rf(reads, candidates, fixed, eqs, init_of):
-            rf = Rel((w, r) for r, w in rfmap.items() if w is not None)
-            rf_int = rf.filter(lambda w, r: w.stamp.kind == "aCW"
-                               and r.stamp.kind == "aCR"
-                               and (w.event, r.event) in plain.po)
-            groups = [by_loc[k] for k in sorted(by_loc, key=repr)]
-            for mo in enumerate_mo(groups, ppo_before):
-                rb = reads_before(rfmap, mo, reads, candidates)
-                fr_int = rb.filter(lambda r, w: r.stamp.kind == "aCR"
-                                   and w.stamp.kind == "aCW"
-                                   and r.event.tid == w.event.tid)
-                for nfo in nfo_choices(0, []):
-                    ib = (ippo | iso | rf | ib_pf | nfo | fr_int).transitive_closure()
-                    if not ib.is_irreflexive():
-                        continue
-                    inst_ib = ib.filter(lambda a, b: a in inst)
-                    so = iso | (rf - rf_int) | so_pf | nfo | rb | mo | inst_ib
-                    yield Witness(
-                        lib=self.name, so=so,
-                        vR={s: slots.get_value(rslot(s)) for s in reads},
-                        vW={s: slots.get_value(wslot(s)) for s in writes},
-                        rels={"rf": rf, "mo": mo, "rb": rb, "nfo": nfo,
-                              "iso": iso, "ib": ib, **pf_parts},
-                        meta={"by_loc": by_loc},
-                    )
+        for rf, mo, rb, vR, vW, by_place in coherence(
+                reads, writes, place, read_value, write_value, carrier,
+                lambda p: self.init_of(p[0], cfg)):
+            fr_int = rb.filter(lambda r, w: r.stamp.kind == "aCR"
+                               and w.stamp.kind == "aCW"
+                               and r.event.tid == w.event.tid)
+            for nfo in nfo_choices(0, []):
+                ib = (ippo | iso | rf | ib_pf | nfo | fr_int).transitive_closure()
+                if not ib.is_irreflexive():
+                    continue
+                inst_ib = ib.filter(lambda a, b: a in inst)
+                so = iso | external_rf(rf) | so_pf | nfo | rb | mo | inst_ib
+                yield Witness(
+                    lib=self.name, so=so, vR=vR, vW=vW,
+                    rels={"rf": rf, "mo": mo, "rb": rb, "nfo": nfo,
+                          "iso": iso, "ib": ib, **pf_parts},
+                    meta={"by_place": by_place},
+                )

@@ -82,6 +82,7 @@ class Assertion:
     terms: tuple = ()              # ((kind, key, value), ...) for conjunctions
     regs: tuple = ()               # exact mode: register tuple
     tuples: frozenset = frozenset()  # exact mode: expected value tuples
+    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -253,6 +254,15 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
     assertions: list = []
     bounds = Bounds()
     tname = name
+    once: dict = {}        # name / nodes / bounds -> its line
+    loc_lines: dict = {}   # location -> the line declaring it
+
+    def declare(x: str, ln: int) -> str:
+        if x in loc_lines:
+            raise LitmusError(f"location {x!r} already declared on line "
+                              f"{loc_lines[x]}", ln)
+        loc_lines[x] = ln
+        return x
 
     lines = text.splitlines()
     i = 0
@@ -264,6 +274,10 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
             continue
         toks = _tokens(raw)
         head = toks[0]
+        if head in ("name", "nodes", "bounds"):
+            if head in once:
+                raise LitmusError(f"{head} already given on line {once[head]}", ln)
+            once[head] = ln
         if head == "name":
             if len(toks) != 2:
                 raise LitmusError("expected: name <name>", ln)
@@ -283,21 +297,25 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
         elif head == "loc":
             if len(toks) != 4 or toks[2] != "@":
                 raise LitmusError("expected: loc <x> @ <node>", ln)
-            loc_nodes[_check_name(toks[1], "location", ln)] = toks[3]
+            loc_nodes[declare(_check_name(toks[1], "location", ln), ln)] = toks[3]
         elif head == "svar":
-            svars += [_check_name(t, "location", ln) for t in toks[1:]]
+            svars += [declare(_check_name(t, "location", ln), ln) for t in toks[1:]]
         elif head == "barrier":
             if len(toks) < 4 or toks[2] != ":":
                 raise LitmusError("expected: barrier <x> : <threads>", ln)
-            barriers[_check_name(toks[1], "location", ln)] = tuple(toks[3:])
+            barriers[declare(_check_name(toks[1], "location", ln), ln)] = tuple(toks[3:])
         elif head == "ring":
             m = re.match(r"ring\s+(\w+)\s*:\s*writer\s+(\w+)\s+readers\s+(.*?)\s+cap\s+(\d+)$", raw)
             if not m:
                 raise LitmusError("expected: ring <x> : writer <t> readers <t...> cap <n>", ln)
-            rings[m.group(1)] = (m.group(2), tuple(m.group(3).split()), int(m.group(4)))
+            rings[declare(m.group(1), ln)] = (m.group(2), tuple(m.group(3).split()),
+                                              int(m.group(4)))
         elif head == "msize":
             if len(toks) != 3:
                 raise LitmusError("expected: msize <x> <size>", ln)
+            if toks[1] in msize_lines:
+                raise LitmusError(f"msize of {toks[1]!r} already given on line "
+                                  f"{msize_lines[toks[1]]}", ln)
             msizes[_check_name(toks[1], "location", ln)] = _positive(toks[2], "size", ln)
             msize_lines[toks[1]] = ln
         elif head == "init":
@@ -419,7 +437,7 @@ def _parse_assert(raw: str, ln: int) -> Assertion:
             if not isinstance(v, tuple) or len(v) != len(regs):
                 raise LitmusError(f"expected a {len(regs)}-tuple: {part}", ln)
             tuples.add(v)
-        return Assertion(kind="exact", regs=regs, tuples=frozenset(tuples))
+        return Assertion(kind="exact", regs=regs, tuples=frozenset(tuples), line=ln)
     for kind in ("allowed", "forbidden"):
         if body.startswith(kind):
             terms = []
@@ -436,7 +454,7 @@ def _parse_assert(raw: str, ln: int) -> Assertion:
                     terms.append(("mem", (loc, node), v))
             if not terms:
                 raise LitmusError("empty assertion", ln)
-            return Assertion(kind=kind, terms=tuple(terms))
+            return Assertion(kind=kind, terms=tuple(terms), line=ln)
     raise LitmusError("expected: assert allowed|forbidden|exact ...", ln)
 
 
@@ -476,7 +494,8 @@ def _validate(test: LitmusTest) -> None:
             if lib not in lib_names:
                 raise LitmusError(f"{ins.op} needs library {lib}", ins.line)
             kinds, _ret = _INSTRS[ins.op]
-            k = LOCAL_ARG.get(getattr(LIBRARIES[lib], "role_of", {}).get(method))
+            role_of = getattr(LIBRARIES[lib], "role_of", None)
+            k = LOCAL_ARG.get((role_of or {}).get(method))
             local = ins.args[k] if k is not None and kinds[k] == "loc" else None
             if test.loc_nodes.get(local, node) != node:
                 raise LitmusError(f"{ins.op}: location {local!r} is not on "
@@ -486,6 +505,9 @@ def _validate(test: LitmusTest) -> None:
                                                     "setisempty"):
                     if a not in declared:
                         raise LitmusError(f"undeclared location {a!r}", ins.line)
+                    if role_of is not None and a not in test.loc_nodes:
+                        raise LitmusError(f"{ins.op}: location {a!r} has no loc line",
+                                          ins.line)
                     if lib == "msw" and a not in test.msizes:
                         raise LitmusError(f"msw location {a!r} has no msize", ins.line)
                 if kind == "node" or kind == "nodeset":
@@ -502,16 +524,26 @@ def _validate(test: LitmusTest) -> None:
     for a in test.assertions:
         for kind, key, _v in a.terms:
             if kind == "reg" and key not in regs:
-                raise LitmusError(f"assertion references unbound register {key!r}")
+                raise LitmusError(f"assertion references unbound register {key!r}",
+                                  a.line)
             if kind == "mem":
                 loc, node = key
                 if loc not in declared:
-                    raise LitmusError(f"assertion references undeclared location {loc!r}")
+                    raise LitmusError(f"assertion references undeclared location "
+                                      f"{loc!r}", a.line)
                 if node is not None and node not in test.nodes:
-                    raise LitmusError(f"assertion references undeclared node {node!r}")
+                    raise LitmusError(f"assertion references undeclared node {node!r}",
+                                      a.line)
+                if node is None and loc in test.svars:
+                    raise LitmusError(f"shared variable {loc!r} has one replica per "
+                                      f"node: write [{loc}@<node>]", a.line)
+                if node is not None and test.loc_nodes.get(loc, node) != node:
+                    raise LitmusError(f"location {loc!r} is on node "
+                                      f"{test.loc_nodes[loc]}, not {node}", a.line)
         for r in a.regs:
             if r not in regs:
-                raise LitmusError(f"assertion references unbound register {r!r}")
+                raise LitmusError(f"assertion references unbound register {r!r}",
+                                  a.line)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from rdmacheck.checker import Bounds, merged_outputs, outcomes
 from rdmacheck.compilers import builtin_impl, check_soundness
@@ -8,6 +9,11 @@ from rdmacheck.config import ClientProfile, NodeConfig
 from rdmacheck.lang import Call, interpret_conc
 from rdmacheck.litmus import build_test, parse_litmus
 from rdmacheck.runner import _mk_libs
+
+# Generated-input properties draw the same examples on every run, and a
+# slow example is not a failure.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def C(method, *args):

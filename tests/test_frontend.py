@@ -89,6 +89,11 @@ def test_exit_3_when_the_event_cap_hides_a_forbidden_outcome(tmp_path):
     "name", "msize x abc", "bounds loop=x", "bounds loop=0", "libs foo",
     "libs bal=bogus", "libs rl", "msize y 2",
     "thread t2 @ n2 {\n  b = read x\n}",
+    "name again", "nodes n1 n2 n3", "bounds loop=2\nbounds loop=3",
+    "loc x @ n2", "svar x", "loc y @ n1\nmsize y 2\nmsize y 2",
+    "svar y\nthread t2 @ n2 {\n  b = read y\n}",
+    "svar y\nassert forbidden [y] = 1", "assert allowed [x@n2] = 0",
+    "assert allowed b = 1",
 ])
 def test_exit_2_with_the_line_of_a_bad_directive(tmp_path, capsys, bad):
     text = ONE_THREAD.format(name="bad", asserts="assert allowed a = 1") + bad + "\n"
@@ -98,6 +103,27 @@ def test_exit_2_with_the_line_of_a_bad_directive(tmp_path, capsys, bad):
     lines = text.splitlines()
     line = len(lines) - (lines[-1] == "}")   # a thread's last instruction
     assert f"parse error: line {line}:" in capsys.readouterr().out
+
+
+SV_WRITE = """name svmem
+nodes n1 n2
+libs sv
+svar x
+thread t1 @ n1 {{
+  svwrite x 1
+}}
+assert forbidden [{term}] = 1
+"""
+
+
+def test_a_shared_variable_term_must_name_its_replica(tmp_path, capsys):
+    p = tmp_path / "svmem.litmus"
+    p.write_text(SV_WRITE.format(term="x"))
+    assert exit_code(["check", p]) == 2
+    assert "parse error: line 8: shared variable 'x'" in capsys.readouterr().out
+    p.write_text(SV_WRITE.format(term="x@n1"))
+    assert exit_code(["check", p]) == 1
+    assert "forbidden outcome found: assert forbidden [x@n1] = 1" in capsys.readouterr().out
 
 
 def test_an_instruction_without_its_library_names_its_line_once():

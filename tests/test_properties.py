@@ -1,5 +1,6 @@
 """Generated-input properties: the mo enumeration against the permutation
-filter it replaced, and derived program order against the po that the
+filter it replaced, the coherence search against the union-find rf search
+it replaced, and derived program order against the po that the
 cross-product sequential composition used to store."""
 
 from __future__ import annotations
@@ -9,10 +10,11 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdmacheck.events import Event
+from rdmacheck.events import Event, SubEvent
 from rdmacheck.lang import Break, Call, LetF, Loop, Output, Val, interpret_seq
-from rdmacheck.libraries.base import enumerate_mo
+from rdmacheck.libraries.base import coherence, enumerate_mo
 from rdmacheck.relations import Rel
+from rdmacheck.stamps import ACAS, ACR, ACW, nLR, nRW, ppo_before
 
 
 def permutation_filter_mo(groups, forbidden):
@@ -47,13 +49,179 @@ def mo_problems(draw):
     return groups, draw(st.sets(st.tuples(item, item), max_size=12))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(mo_problems())
 def test_enumerate_mo_is_the_permutation_filter_in_order(problem):
     groups, before = problem
     forbidden = {(b, a) for a, b in before}
     got = list(enumerate_mo(groups, lambda a, b: (a, b) in before))
     assert got == list(permutation_filter_mo(groups, forbidden))
+
+
+# --- coherence against the union-find rf search ---------------------------
+
+
+class Slots:
+    """Union-find over value slots with attached constants: a contradiction
+    (two different constants in one class) kills the branch."""
+
+    def __init__(self):
+        self.parent: dict = {}
+        self.value: dict = {}
+
+    def copy(self) -> "Slots":
+        c = Slots()
+        c.parent = dict(self.parent)
+        c.value = dict(self.value)
+        return c
+
+    def find(self, x):
+        while self.parent.get(x, x) != x:
+            x = self.parent[x]
+        return x
+
+    def set_value(self, x, v) -> bool:
+        r = self.find(x)
+        if r in self.value:
+            return self.value[r] == v
+        self.value[r] = v
+        return True
+
+    def get_value(self, x):
+        return self.value.get(self.find(x))
+
+    def union(self, x, y) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return True
+        vx, vy = self.value.get(rx), self.value.get(ry)
+        if vx is not None and vy is not None and vx != vy:
+            return False
+        self.parent[rx] = ry
+        if vx is not None:
+            self.value[ry] = vx
+        return True
+
+
+def choose_rf(reads, candidates, fixed, eqs, init_of):
+    """(rf map, slots) for each read's choice of a candidate write or the
+    initial value (None), with slots ("R", s) / ("W", s) unified along rf
+    and ``eqs``; branches that contradict ``fixed`` or leave a read
+    valueless are dropped."""
+    base = Slots()
+    for k, v in fixed.items():
+        if not base.set_value(k, v):
+            return
+    for a, b in eqs:
+        if not base.union(a, b):
+            return
+
+    def step(i, slots, rf):
+        if i == len(reads):
+            if all(slots.get_value(("R", r)) is not None for r in reads):
+                yield rf, slots
+            return
+        r = reads[i]
+        rv = slots.get_value(("R", r))
+        for w in candidates(r):
+            wv = slots.get_value(("W", w))
+            if rv is not None and wv is not None and rv != wv:
+                continue
+            s2 = slots.copy()
+            if s2.union(("R", r), ("W", w)):
+                yield from step(i + 1, s2, {**rf, r: w})
+        iv = init_of(r)
+        if rv is None or rv == iv:
+            s2 = slots.copy()
+            if s2.set_value(("R", r), iv):
+                yield from step(i + 1, s2, {**rf, r: None})
+
+    yield from step(0, base, {})
+
+
+def rf_cycle(rfmap, carrier) -> bool:
+    """Some read's value would come, through rf and carried writes, from
+    itself.  The union-find keeps such a map when a pinned read hangs off
+    the cycle; it always puts an rf/iso cycle into so."""
+    for r in rfmap:
+        seen = set()
+        while r not in seen:
+            seen.add(r)
+            w = rfmap[r]
+            if w is None or w not in carrier:
+                break
+            r = carrier[w]
+        else:
+            return True
+    return False
+
+
+def union_find_coherence(reads, writes, place, read_value, write_value,
+                         carrier, init_of):
+    """``choose_rf`` with the acyclic maps kept, then every mo of each and
+    the rb it induces."""
+    by_place: dict = {}
+    for w in writes:
+        by_place.setdefault(place[w], []).append(w)
+    groups = [by_place[p] for p in sorted(by_place, key=repr)]
+    fixed = {**{("R", r): v for r, v in read_value.items()},
+             **{("W", w): v for w, v in write_value.items()}}
+    eqs = [(("R", r), ("W", w)) for w, r in carrier.items()]
+    for rfmap, slots in choose_rf(reads, lambda r: by_place.get(place[r], ()),
+                                  fixed, eqs, lambda r: init_of(place[r])):
+        if rf_cycle(rfmap, carrier):
+            continue
+        rf = Rel((w, r) for r, w in rfmap.items() if w is not None)
+        vR = {r: slots.get_value(("R", r)) for r in reads}
+        vW = {w: slots.get_value(("W", w)) for w in writes}
+        for mo in enumerate_mo(groups, ppo_before):
+            rb = Rel((r, w) for r in reads for w in by_place.get(place[r], ())
+                     if w != r and (rfmap[r] is None or (rfmap[r], w) in mo))
+            yield rf, mo, rb, vR, vW
+
+
+VALUES = st.integers(0, 2)
+PLACES = st.integers(0, 2)
+
+
+@st.composite
+def coherence_problems(draw):
+    """Subevents of up to six events on two threads over up to three
+    places: pinned CPU reads, label-fixed CPU writes, CASes that read and
+    write one place, and NIC (read part, carried write part) pairs whose
+    parts may share a place, so rf cycles arise."""
+    reads, writes = [], []
+    place, read_value, write_value, carrier = {}, {}, {}, {}
+    eids = {1: 0, 2: 0}
+    for kind in draw(st.lists(st.sampled_from(["read", "write", "cas", "nic"]),
+                              max_size=6)):
+        tid = draw(st.sampled_from([1, 2]))
+        e = Event(tid, eids[tid], kind, (), 0)
+        eids[tid] += 1
+        if kind == "nic":
+            r, w = SubEvent(e, nLR(1)), SubEvent(e, nRW(1))
+            place[r], place[w] = draw(PLACES), draw(PLACES)
+            reads.append(r)
+            writes.append(w)
+            carrier[w] = r
+            continue
+        s = SubEvent(e, {"read": ACR, "write": ACW, "cas": ACAS}[kind])
+        place[s] = draw(PLACES)
+        if kind in ("read", "cas"):
+            reads.append(s)
+            read_value[s] = draw(VALUES)
+        if kind in ("write", "cas"):
+            writes.append(s)
+            write_value[s] = draw(VALUES)
+    init = draw(st.lists(VALUES, min_size=3, max_size=3))
+    return reads, writes, place, read_value, write_value, carrier, init.__getitem__
+
+
+@settings(max_examples=300)
+@given(coherence_problems())
+def test_coherence_is_the_union_find_search_in_order(problem):
+    got = [(rf, mo, rb, vR, vW) for rf, mo, rb, vR, vW, _ in coherence(*problem)]
+    assert got == list(union_find_coherence(*problem))
 
 
 # --- derived po against the stored cross-product po ------------------------
@@ -126,7 +294,7 @@ programs = st.recursive(
     max_leaves=8)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(programs)
 def test_derived_po_is_the_cross_product_po(p):
     stored = {(o, g[0]): g[1] for o, g, _n in stored_po_unfoldings(p, 0)}
