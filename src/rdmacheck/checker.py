@@ -5,11 +5,17 @@ An execution is accepted when its happens-before, fixed here to
 irreflexive and every library accepts its slice.  Outcomes of a concurrent
 program are the output tuples (plus final memory) of its accepted
 executions, enumerated from the bounded plain semantics.
+
+Libraries are asked before hb is built: each library's witnesses are
+drawn once and lazily per plain execution, and ppo and hb are built only
+when every library has a witness.  Most executions are rejected there.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
+from itertools import tee
 from typing import Iterator, Mapping, Sequence
 
 from .config import ClientProfile, NodeConfig
@@ -87,16 +93,27 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
                          cfg: NodeConfig) -> Iterator[dict]:
     """All accepted (witness-per-library, so, hb) combinations.
 
-    Stamping first (deterministic), then per-library witness backtracking
-    with incremental cycle detection on (ppo ∪ accumulated so)+.
+    Stamping first (deterministic).  Each library's witness search then
+    runs at most once: its witnesses are drawn lazily into a buffer that
+    every later visit replays.  The first witness of each library is
+    drawn in ``libs`` order, and a library with none rejects the
+    execution before ppo and hb are built.  Only then are combinations
+    backtracked, in the libraries' order and each library's witness
+    order, with incremental cycle detection on (ppo ∪ accumulated so)+.
     """
     stmp, per_lib = stamp_events(plain, libs, cfg)
+    drawn = []
+    for lib in libs:
+        # A tee that is never advanced holds every witness drawn so far;
+        # each copy of it replays them and draws the rest on demand.
+        ws = tee(lib.witnesses(plain.restrict(per_lib[lib.name]), stmp, cfg), 1)[0]
+        if next(copy(ws), None) is None:
+            return
+        drawn.append((lib, ws))
     ppo = derive_ppo(plain, stmp)
-    base = IncrementalOrder(ppo)
-    slices = [(lib, plain.restrict(per_lib[lib.name])) for lib in libs]
 
     def rec(i: int, order: IncrementalOrder, chosen: list):
-        if i == len(slices):
+        if i == len(drawn):
             hb = order.to_rel()
             if all(lib.post_check(w, hb) for lib, w in chosen):
                 yield {
@@ -107,14 +124,14 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
                     "ppo": ppo,
                 }
             return
-        lib, sl = slices[i]
-        for w in lib.witnesses(sl, stmp, cfg):
+        lib, ws = drawn[i]
+        for w in copy(ws):
             o2 = order.copy()
             if not o2.add_edges(w.so):
                 continue
             yield from rec(i + 1, o2, chosen + [(lib, w)])
 
-    yield from rec(0, base, [])
+    yield from rec(0, IncrementalOrder(ppo), [])
 
 
 def lambda_consistent(exec_: Execution, libs: Sequence[Library],

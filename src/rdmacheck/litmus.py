@@ -256,6 +256,7 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
     tname = name
     once: dict = {}        # name / nodes / bounds -> its line
     loc_lines: dict = {}   # location -> the line declaring it
+    thread_lines: dict = {}  # thread -> the line of its header
 
     def declare(x: str, ln: int) -> str:
         if x in loc_lines:
@@ -284,6 +285,8 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
             tname = toks[1]
         elif head == "nodes":
             nodes = [_check_name(t, "node", ln) for t in toks[1:]]
+            if len(set(nodes)) != len(nodes):
+                raise LitmusError("duplicate node names", ln)
         elif head == "libs":
             for t in toks[1:]:
                 lib, eq, var = t.partition("=")
@@ -327,6 +330,10 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
             if len(toks) < 4 or toks[2] != "@" or toks[-1] != "{":
                 raise LitmusError("expected: thread <t> @ <node> {", ln)
             t = _check_name(toks[1], "thread", ln)
+            if t in thread_lines:
+                raise LitmusError(f"thread {t!r} already declared on line "
+                                  f"{thread_lines[t]}", ln)
+            thread_lines[t] = ln
             threads.append((t, toks[3]))
             body: list[Instr] = []
             while True:
@@ -461,11 +468,7 @@ def _parse_assert(raw: str, ln: int) -> Assertion:
 def _validate(test: LitmusTest) -> None:
     if not test.nodes:
         raise LitmusError("no nodes declared")
-    if len(set(test.nodes)) != len(test.nodes):
-        raise LitmusError("duplicate node names")
     names = [t for t, _ in test.threads]
-    if len(set(names)) != len(names):
-        raise LitmusError("duplicate thread names")
     for t, n in test.threads:
         if n not in test.nodes:
             raise LitmusError(f"thread {t} on undeclared node {n}")
@@ -534,6 +537,9 @@ def _validate(test: LitmusTest) -> None:
                 if node is not None and node not in test.nodes:
                     raise LitmusError(f"assertion references undeclared node {node!r}",
                                       a.line)
+                if loc in test.barriers or loc in test.rings:
+                    raise LitmusError(f"{loc!r} is a barrier or ring and has no "
+                                      f"memory to assert on", a.line)
                 if node is None and loc in test.svars:
                     raise LitmusError(f"shared variable {loc!r} has one replica per "
                                       f"node: write [{loc}@<node>]", a.line)

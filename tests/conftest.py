@@ -4,7 +4,7 @@ import pytest
 from hypothesis import settings
 
 from rdmacheck.checker import Bounds, merged_outputs, outcomes
-from rdmacheck.compilers import builtin_impl, check_soundness
+from rdmacheck.compilers import builtin_impl, check_soundness, compile_stack
 from rdmacheck.config import ClientProfile, NodeConfig
 from rdmacheck.lang import Call, interpret_conc
 from rdmacheck.litmus import build_test, parse_litmus
@@ -49,11 +49,9 @@ def unfold_file(path):
     return built, libs, res
 
 
-def soundness(path, impl_names, loop, events):
-    """The chain ``impl_names`` compiled onto the litmus client at ``path``:
-    the specification side at the file's bounds, the compiled side at
-    (loop, events), over the client's libraries with each stage's source
-    replaced by its targets."""
+def _tower(path, impl_names):
+    """The litmus client at ``path``, the chain ``impl_names`` and the
+    client's libraries with each stage's source replaced by its targets."""
     test = parse_litmus(path.read_text(), name=path.stem)
     built = build_test(test)
     impls = [builtin_impl(n) for n in impl_names]
@@ -62,6 +60,26 @@ def soundness(path, impl_names, loop, events):
         target = [(n, v) for n, v in target if n != impl.source]
         target += [(t, None) for t in impl.targets
                    if t not in {n for n, _ in target}]
+    return test, built, impls, target
+
+
+def soundness(path, impl_names, loop, events):
+    """The chain ``impl_names`` compiled onto the litmus client at ``path``:
+    the specification side at the file's bounds, the compiled side at
+    (loop, events), over the client's libraries with each stage's source
+    replaced by its targets."""
+    test, built, impls, target = _tower(path, impl_names)
     return check_soundness(built.programs, impls, _mk_libs(built.libs),
                            _mk_libs(target), built.cfg, test.bounds,
                            built.profile, impl_bounds=Bounds(loop, events))
+
+
+def unfold_compiled(path, impl_names, loop, events):
+    """The compiled side of ``soundness`` unfolded at (loop, events):
+    (node config, target libraries, interpretation result)."""
+    _test, built, impls, target = _tower(path, impl_names)
+    progs, cfg, profile = compile_stack(built.programs, impls, built.cfg,
+                                        built.profile)
+    libs = _mk_libs(target)
+    res = interpret_conc(progs, loop, merged_outputs(libs, profile, cfg), events)
+    return cfg, libs, res

@@ -1,6 +1,10 @@
-"""The whole-execution check ``lambda_consistent`` against the search
-``enumerate_consistent``: every accepted combination passes it, and an
-execution that differs from one in stamping, so or hb does not."""
+"""The search ``enumerate_consistent``: every accepted combination passes
+the whole-execution check ``lambda_consistent``, and an execution that
+differs from one in stamping, so or hb does not.  It yields the same
+combinations, in the same order, as a search that builds hb first and
+restarts each library's search for every combination before it; and it
+runs each library's search once, building ppo only when every library
+has a witness."""
 
 from __future__ import annotations
 
@@ -8,12 +12,20 @@ from pathlib import Path
 
 import pytest
 
-from conftest import unfold_file
-from rdmacheck.checker import enumerate_consistent, lambda_consistent
+from conftest import C, cfg2, unfold_compiled, unfold_file
+from rdmacheck import checker
+from rdmacheck.checker import (Bounds, enumerate_consistent, lambda_consistent,
+                               merged_outputs, outcomes, stamp_events)
+from rdmacheck.config import ClientProfile
 from rdmacheck.events import Execution
-from rdmacheck.stamps import AMF
+from rdmacheck.lang import interpret_conc
+from rdmacheck.libraries.base import Library, Witness
+from rdmacheck.relations import IncrementalOrder, Rel
+from rdmacheck.stamps import ACR, AMF, derive_ppo
+from rdmacheck.values import UNIT
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 FILES = sorted(CORPUS.glob("*.litmus"))
 
 
@@ -57,3 +69,118 @@ def test_rejects_a_missing_so_or_hb_edge():
     hb_edge = next(iter(ex.hb))
     less_hb = Execution(ex.plain, ex.stmp, ex.so, ex.hb - {hb_edge})
     assert not lambda_consistent(less_hb, libs, cfg)[0]
+
+
+def eager_combinations(plain, libs, cfg):
+    """The search with ppo and hb built first and each library's search
+    restarted for every combination of the libraries before it:
+    (so per library, hb) of each accepted combination."""
+    stmp, per_lib = stamp_events(plain, libs, cfg)
+    slices = [(lib, plain.restrict(per_lib[lib.name])) for lib in libs]
+
+    def rec(i, order, chosen):
+        if i == len(slices):
+            hb = order.to_rel()
+            if all(lib.post_check(w, hb) for lib, w in chosen):
+                yield [(lib.name, w.so) for lib, w in chosen], hb
+            return
+        lib, sl = slices[i]
+        for w in lib.witnesses(sl, stmp, cfg):
+            o2 = order.copy()
+            if o2.add_edges(w.so):
+                yield from rec(i + 1, o2, chosen + [(lib, w)])
+
+    yield from rec(0, IncrementalOrder(derive_ppo(plain, stmp)), [])
+
+
+# The corpus workload's files and two compiled sides of the soundness
+# workloads at their benchmark bounds: one where the RDMA libraries reject
+# most executions, one where the shared-variable search does.
+SEARCHED = ([(p.stem, p, None) for p in
+             FILES + [ROOT / "perfbench/inputs/msw_put_tryread.litmus"]]
+            + [("w/fig3_sb_get_wait", CORPUS / "fig3_sb_get_wait.litmus", ("w", 3, 32)),
+               ("bal_buggy/bug1_barrier", CORPUS / "bug1_barrier.litmus",
+                ("bal_buggy", 3, 26))])
+
+
+@pytest.mark.parametrize("path, tower", [(p, t) for _, p, t in SEARCHED],
+                         ids=[n for n, _, _ in SEARCHED])
+def test_same_combinations_in_the_same_order_as_the_eager_search(path, tower):
+    if tower is None:
+        built, libs, res = unfold_file(path)
+        cfg = built.cfg
+    else:
+        impl, loop, events = tower
+        cfg, libs, res = unfold_compiled(path, [impl], loop, events)
+    n = 0
+    for _vals, plain in res.results:
+        got = [([(name, w.so) for name, w in acc["witnesses"].items()], acc["hb"])
+               for acc in enumerate_consistent(plain, libs, cfg)]
+        assert got == list(eager_combinations(plain, libs, cfg))
+        n += len(got)
+    assert n > 0
+
+
+class Counted(Library):
+    """A one-method library with ``n`` witnesses of empty so on every
+    slice; counts the calls of ``witnesses`` and the witnesses drawn."""
+
+    def __init__(self, method: str, n: int):
+        self.name = method
+        self.methods = frozenset({method})
+        self.n = n
+        self.calls = self.drawn = 0
+
+    def stamping(self, e, cfg):
+        return frozenset({ACR})
+
+    def outputs(self, method, args, tid, state, profile, cfg):
+        return ((UNIT, state),)
+
+    def witnesses(self, plain, stmp, cfg):
+        self.calls += 1
+        for _ in range(self.n):
+            self.drawn += 1
+            yield Witness(self.name, Rel())
+
+
+def _one_plain(libs, cfg):
+    progs = [C("a"), C("b")]
+    res = interpret_conc(progs, 1, merged_outputs(libs, ClientProfile(), cfg), 14)
+    (_vals, plain), = res.results
+    return progs, plain
+
+
+@pytest.fixture
+def ppo_calls(monkeypatch):
+    calls = []
+
+    def counted(plain, stmp):
+        calls.append(plain)
+        return derive_ppo(plain, stmp)
+
+    monkeypatch.setattr(checker, "derive_ppo", counted)
+    return calls
+
+
+@pytest.mark.parametrize("na, nb", [(3, 2), (0, 2), (3, 0), (0, 0)])
+def test_each_search_runs_once_and_ppo_waits_for_every_library(ppo_calls, na, nb):
+    a, b = Counted("a", na), Counted("b", nb)
+    cfg = cfg2()
+    _progs, plain = _one_plain([a, b], cfg)
+    assert len(list(enumerate_consistent(plain, [a, b], cfg))) == na * nb
+    # Past the first witness, a's are drawn only when b has one too; b's
+    # search is replayed for each of them but runs once, and is not
+    # started when a has no witness.
+    assert (a.calls, a.drawn) == (1, na if nb else min(na, 1))
+    assert (b.calls, b.drawn) == ((1, nb) if na else (0, 0))
+    assert len(ppo_calls) == (1 if na and nb else 0)
+
+
+def test_outputs_only_draws_only_an_accepted_first_witness():
+    a, b = Counted("a", 4), Counted("b", 4)
+    cfg = cfg2()
+    progs, _plain = _one_plain([a, b], cfg)
+    r = outcomes(progs, [a, b], cfg, Bounds(), ClientProfile(), outputs_only=True)
+    assert len(r.outcomes) == 1
+    assert (a.calls, a.drawn, b.calls, b.drawn) == (1, 1, 1, 1)

@@ -93,7 +93,8 @@ def test_exit_3_when_the_event_cap_hides_a_forbidden_outcome(tmp_path):
     "loc x @ n2", "svar x", "loc y @ n1\nmsize y 2\nmsize y 2",
     "svar y\nthread t2 @ n2 {\n  b = read y\n}",
     "svar y\nassert forbidden [y] = 1", "assert allowed [x@n2] = 0",
-    "assert allowed b = 1",
+    "assert allowed b = 1", "barrier z : t1\nassert forbidden [z] = 1",
+    "ring q : writer t1 readers t1 cap 1\nassert allowed [q@n1] = 0",
 ])
 def test_exit_2_with_the_line_of_a_bad_directive(tmp_path, capsys, bad):
     text = ONE_THREAD.format(name="bad", asserts="assert allowed a = 1") + bad + "\n"
@@ -102,6 +103,18 @@ def test_exit_2_with_the_line_of_a_bad_directive(tmp_path, capsys, bad):
     assert exit_code(["check", p]) == 2
     lines = text.splitlines()
     line = len(lines) - (lines[-1] == "}")   # a thread's last instruction
+    assert f"parse error: line {line}:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, line", [
+    ("nodes n1 n1\nthread t1 @ n1 {\n  mfence\n}\n", 1),
+    ("nodes n1\nlibs rl\nthread t1 @ n1 {\n  mfence\n}\n"
+     "thread t1 @ n1 {\n  mfence\n}\n", 6),
+])
+def test_exit_2_with_the_line_of_a_duplicate_name(tmp_path, capsys, text, line):
+    p = tmp_path / "dup.litmus"
+    p.write_text(text)
+    assert exit_code(["check", p]) == 2
     assert f"parse error: line {line}:" in capsys.readouterr().out
 
 
