@@ -22,7 +22,7 @@ from .config import ClientProfile, NodeConfig
 from .events import Event, Execution, InvalidInput, PlainExecution
 from .lang import OutputsFn, interpret_conc
 from .libraries.base import Library, Witness, check_consistent
-from .relations import IncrementalOrder, Rel
+from .relations import IncrementalOrder
 from .stamps import derive_ppo
 
 
@@ -114,11 +114,11 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
 
     def rec(i: int, order: IncrementalOrder, chosen: list):
         if i == len(drawn):
-            hb = order.to_rel()
+            hb = order.pairs()
             if all(lib.post_check(w, hb) for lib, w in chosen):
                 yield {
                     "witnesses": {lib.name: w for lib, w in chosen},
-                    "so": Rel(p for _, w in chosen for p in w.so),
+                    "so": frozenset(p for _, w in chosen for p in w.so),
                     "hb": hb,
                     "stmp": stmp,
                     "ppo": ppo,
@@ -147,25 +147,21 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
     stmp, per_lib = stamp_events(exec_.plain, libs, cfg)
     if dict(exec_.stmp) != stmp:
         return False, {}
-    ppo = derive_ppo(exec_.plain, stmp)
-    so = Rel(exec_.so)
-    hb = (ppo | so).transitive_closure()
-    if Rel(exec_.hb) != hb or not hb.is_irreflexive():
+    # A cycle in ppo ∪ so closes to a reflexive pair.
+    hb = IncrementalOrder(derive_ppo(exec_.plain, stmp) | exec_.so).pairs()
+    if exec_.hb != hb or any(a == b for a, b in hb):
         return False, {}
 
     mm = method_map(libs)
-    for a, b in so:
+    for a, b in exec_.so:
         la = mm.get(a.event.method)
-        lb = mm.get(b.event.method)
-        if la is None or la is not lb:
+        if la is None or la is not mm.get(b.event.method):
             return False, {}
 
     witnesses = {}
     for lib in libs:
         w = check_consistent(lib, exec_.restrict(per_lib[lib.name]), cfg)
-        if w is None:
-            return False, {}
-        if not lib.post_check(w, hb):
+        if w is None or not lib.post_check(w, hb):
             return False, {}
         witnesses[lib.name] = w
     return True, witnesses

@@ -17,7 +17,6 @@ from typing import Iterator
 
 from ..config import ClientProfile, NodeConfig
 from ..events import Event, PlainExecution, SubEvent
-from ..relations import Rel
 from ..stamps import ACR, GF
 from ..values import UNIT
 from .base import Library, Witness
@@ -81,7 +80,7 @@ class BarrierLib(Library):
                     for a in stmp[e1]:
                         if a.kind == "GF":
                             so.append((SubEvent(e1, a), SubEvent(e2, ACR)))
-        yield Witness(lib=self.name, so=Rel(so),
+        yield Witness(lib=self.name, so=frozenset(so),
                       meta={"rounds": rounds,
                             "c": {x: len(next(iter(pt.values())))
                                   for x, pt in by_loc.items()}})

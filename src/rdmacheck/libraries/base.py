@@ -26,7 +26,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from ..config import ClientProfile, NodeConfig
 from ..events import Event, InvalidInput, PlainExecution, SubEvent, po_before
 from ..lang import ThreadState
-from ..relations import Rel
 from ..stamps import ppo_before
 from ..values import Value
 
@@ -41,7 +40,7 @@ class Witness:
     """
 
     lib: str
-    so: Rel
+    so: frozenset
     vR: dict = field(default_factory=dict)
     vW: dict = field(default_factory=dict)
     rels: dict = field(default_factory=dict)
@@ -66,7 +65,7 @@ class Library:
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
         raise NotImplementedError
 
-    def post_check(self, w: Witness, hb: Rel) -> bool:
+    def post_check(self, w: Witness, hb: frozenset) -> bool:
         """Final veto once the global happens-before is known."""
         return True
 
@@ -87,7 +86,7 @@ def check_consistent(lib: Library, exec_, cfg: NodeConfig) -> Witness | None:
     witness, or None when the execution is inconsistent.
     """
     for w in lib.witnesses(exec_.plain, exec_.stmp, cfg):
-        if w.so.pairs == frozenset(exec_.so) and lib.post_check(w, Rel(exec_.hb)):
+        if w.so == exec_.so and lib.post_check(w, exec_.hb):
             return w
     return None
 
@@ -102,7 +101,7 @@ def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
               write_value: Mapping[SubEvent, Value],
               carrier: Mapping[SubEvent, SubEvent],
               init_of: Callable[[Hashable], Value],
-              ) -> Iterator[tuple[Rel, Rel, Rel, dict, dict, dict]]:
+              ) -> Iterator[tuple[frozenset, frozenset, frozenset, dict, dict, dict]]:
     """Every coherent choice of reads-from and modification order.
 
     A read takes its value from one write of its ``place`` or from the
@@ -146,10 +145,10 @@ def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
         if i == len(reads):
             vW = {w: walk(w)[0] for w in writes}
             vR = {r: init_of(place[r]) if rf[r] is None else vW[rf[r]] for r in reads}
-            rel = Rel((w, r) for r, w in rf.items() if w is not None)
+            rel = frozenset((w, r) for r, w in rf.items() if w is not None)
             for mo in enumerate_mo(list(by_place.values()), ppo_before):
-                rb = Rel((r, w) for r in reads for w in by_place.get(place[r], ())
-                         if w != r and (rf[r] is None or (rf[r], w) in mo))
+                rb = frozenset((r, w) for r in reads for w in by_place.get(place[r], ())
+                               if w != r and (rf[r] is None or (rf[r], w) in mo))
                 yield rel, mo, rb, vR, vW, by_place
             return
         r = reads[i]
@@ -173,11 +172,12 @@ def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
     yield from step(0)
 
 
-def external_rf(rf: Rel) -> Rel:
+def external_rf(rf: frozenset) -> frozenset:
     """rf without a CPU read of its own thread's po-earlier CPU write, which
     synchronises nothing."""
-    return rf.filter(lambda w, r: not (w.stamp.kind == "aCW" and r.stamp.kind == "aCR"
-                                       and po_before(w.event, r.event)))
+    return frozenset((w, r) for w, r in rf
+                     if not (w.stamp.kind == "aCW" and r.stamp.kind == "aCR"
+                             and po_before(w.event, r.event)))
 
 
 def final_values(w: Witness) -> dict:
@@ -191,7 +191,7 @@ def final_values(w: Witness) -> dict:
 
 
 def enumerate_mo(groups: Sequence[Sequence[SubEvent]],
-                 before: Callable[[SubEvent, SubEvent], bool]) -> Iterator[Rel]:
+                 before: Callable[[SubEvent, SubEvent], bool]) -> Iterator[frozenset]:
     """Total orders per write group, as one relation per combination.
 
     Each group's orders are its linear extensions under ``before`` (a, b:
@@ -212,4 +212,4 @@ def enumerate_mo(groups: Sequence[Sequence[SubEvent]],
                   for o in extensions(tuple(g), ())]
                  for g in groups]
     for combo in itertools.product(*per_group):
-        yield Rel(p for pairs in combo for p in pairs)
+        yield frozenset(p for pairs in combo for p in pairs)

@@ -3,16 +3,21 @@
 The wait-based model, the poll-based model, and the mixed-size variant
 check the same witnesses: a coherence choice (``base.coherence`` over
 (location, node) places; a put's or get's write part carries what its
-read part saw) and an orientation of the NIC flush order.  ``RdmaLib``
-holds that check and the wait-based model's stamping, outputs, node
-discipline and polls-from.  A subclass names its methods in the
-class-level role table ``roles`` (engine role -> method name; the roles
-are write, read, cas, mfence, rfence, get, put and wait) and overrides
-only the hooks where its model differs: ``polls_from``, ``extra_valid``,
-``init_of``, and ``stamping`` or ``outputs`` for methods outside the role
-table.  Issued-before (ib) orders subevent starts and must be
-irreflexive; its part that starts at an instantaneous subevent (any but
-a write part) joins so.
+read part saw) and an orientation of the NIC flush order (nfo).
+``RdmaLib`` holds that check and the wait-based model's stamping,
+outputs, node discipline and polls-from.  A subclass names its methods
+in the class-level role table ``roles`` (engine role -> method name; the
+roles are write, read, cas, mfence, rfence, get, put and wait) and
+overrides only the hooks where its model differs: ``polls_from``,
+``extra_valid``, ``init_of``, and ``stamping`` or ``outputs`` for
+methods outside the role table.
+
+Issued-before (ib) orders subevent starts and must be acyclic; its part
+that starts at an instantaneous subevent (any but a write part) joins
+so.  ib is grown, not re-closed: its fixed part is closed once per call
+in an ``IncrementalOrder``, and each coherence choice, then each
+orientation of a free nfo pair, extends a copy that is dropped as soon
+as it closes a cycle.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Iterator
 
 from ..config import ClientProfile, NodeConfig
 from ..events import Event, PlainExecution, SubEvent
-from ..relations import Rel
+from ..relations import IncrementalOrder
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW,
                       ppo_before, stamp_order)
 from ..values import UNIT
@@ -69,7 +74,7 @@ class RdmaLib(Library):
             return ((v, state) for v in sorted(profile.domain(args[0]), key=repr))
         return ((UNIT, state),)
 
-    def polls_from(self, plain: PlainExecution, stmp) -> tuple[Rel, Rel, dict] | None:
+    def polls_from(self, plain: PlainExecution, stmp) -> tuple[frozenset, frozenset, dict] | None:
         """(so part, ib part, named parts), or None when structurally invalid.
 
         A wait synchronises with the local write part of each po-earlier
@@ -88,7 +93,7 @@ class RdmaLib(Library):
             elif e1.method == put and e1.args[2] == d:
                 (a,) = [a for a in stmp[e1] if a.kind == "nRW"]
                 pfp.append((SubEvent(e1, a), SubEvent(e2, AWT)))
-        pfg, pfp = Rel(pfg), Rel(pfp)
+        pfg, pfp = frozenset(pfg), frozenset(pfp)
         return pfg, pfg | pfp, {"pfg": pfg, "pfp": pfp}
 
     def extra_valid(self, plain: PlainExecution, cfg: NodeConfig) -> bool:
@@ -153,7 +158,7 @@ class RdmaLib(Library):
                 iso_pairs.append((r, w))
             elif "aMF" in kinds:
                 iso_pairs.append((kinds["aMF"], kinds["aCR"]))
-        iso = Rel(iso_pairs)
+        iso = frozenset(iso_pairs)
         # ib orders starts: it extends ppo with CPU-write -> CPU-read/wait
         # program order and NIC-write -> same-node NIC-fence program order.
         ippo_pairs = []
@@ -165,49 +170,55 @@ class RdmaLib(Library):
                             or (a1.kind in ("nRW", "nLW") and a2.kind == "nF"
                                 and a1.node == a2.node)):
                         ippo_pairs.append((SubEvent(e1, a1), SubEvent(e2, a2)))
-        ippo = Rel(ippo_pairs)
 
         inst = {s for s in sevents if s.stamp.kind not in ("aCW", "nLW", "nRW")}
 
         # NIC flush order: orient each same-thread same-node (local read, local
         # write) and (remote read, remote write) pair; orientations the stamp
         # order already implies are fixed, the rest are enumerated.
-        nfo_pairs = []
+        forced_nfo, free_nfo = [], []
         for i, s1 in enumerate(sevents):
             for s2 in sevents[i + 1:]:
-                if s1.tid != s2.tid or s1.stamp.node != s2.stamp.node:
-                    continue
                 kinds = {s1.stamp.kind, s2.stamp.kind}
-                if kinds == {"nLR", "nLW"} or kinds == {"nRR", "nRW"}:
-                    nfo_pairs.append((s1, s2))
-        forced_nfo, free_nfo = [], []
-        for s1, s2 in nfo_pairs:
-            if ppo_before(s1, s2):
-                forced_nfo.append((s1, s2))
-            elif ppo_before(s2, s1):
-                forced_nfo.append((s2, s1))
-            else:
-                free_nfo.append((s1, s2))
+                if (s1.tid != s2.tid or s1.stamp.node != s2.stamp.node
+                        or kinds != {"nLR", "nLW"} and kinds != {"nRR", "nRW"}):
+                    continue
+                if ppo_before(s1, s2):
+                    forced_nfo.append((s1, s2))
+                elif ppo_before(s2, s1):
+                    forced_nfo.append((s2, s1))
+                else:
+                    free_nfo.append((s1, s2))
 
-        def nfo_choices(i: int, acc: list) -> Iterator[Rel]:
+        # ib grows per choice from its fixed part, closed once here.  That
+        # part needs no cycle veto: ippo and polls-from run po-forward
+        # between events, and iso inside one event, from a read part to its
+        # write part or from a failed CAS's fence to its read.
+        fixed = IncrementalOrder([*ippo_pairs, *iso, *ib_pf])
+
+        def oriented(i: int, order: IncrementalOrder, nfo: tuple):
+            """Each acyclic orientation of the free nfo pairs from the
+            i-th on, (s1, s2) before (s2, s1): (ib order, nfo)."""
             if i == len(free_nfo):
-                yield Rel(forced_nfo + acc)
+                yield order, frozenset(nfo)
                 return
             s1, s2 = free_nfo[i]
-            yield from nfo_choices(i + 1, acc + [(s1, s2)])
-            yield from nfo_choices(i + 1, acc + [(s2, s1)])
+            for pair in ((s1, s2), (s2, s1)):
+                o2 = order.copy()
+                if o2.add_edges((pair,)):
+                    yield from oriented(i + 1, o2, nfo + (pair,))
 
         for rf, mo, rb, vR, vW, by_place in coherence(
                 reads, writes, place, read_value, write_value, carrier,
                 lambda p: self.init_of(p[0], cfg)):
-            fr_int = rb.filter(lambda r, w: r.stamp.kind == "aCR"
-                               and w.stamp.kind == "aCW"
-                               and r.event.tid == w.event.tid)
-            for nfo in nfo_choices(0, []):
-                ib = (ippo | iso | rf | ib_pf | nfo | fr_int).transitive_closure()
-                if not ib.is_irreflexive():
-                    continue
-                inst_ib = ib.filter(lambda a, b: a in inst)
+            fr_int = [(r, w) for r, w in rb if r.stamp.kind == "aCR"
+                      and w.stamp.kind == "aCW" and r.event.tid == w.event.tid]
+            grown = fixed.copy()
+            if not grown.add_edges([*rf, *fr_int, *forced_nfo]):
+                continue
+            for order, nfo in oriented(0, grown, tuple(forced_nfo)):
+                ib = order.pairs()
+                inst_ib = frozenset((a, b) for a, b in ib if a in inst)
                 so = iso | external_rf(rf) | so_pf | nfo | rb | mo | inst_ib
                 yield Witness(
                     lib=self.name, so=so, vR=vR, vW=vW,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from ..config import ClientProfile, NodeConfig
 from ..events import Event, PlainExecution, SubEvent
-from ..relations import Rel
 from ..stamps import AMF, AWT
 from .rdma_core import RdmaLib
 
@@ -89,8 +88,8 @@ class RdmaTsoLib(RdmaLib):
                 if p1 is None or (p1.event, p2.event) not in plain.po:
                     return None
 
-        rel = Rel(pf.items())
-        so_pf = rel.filter(lambda w, p: w.stamp.kind == "nLW")
+        rel = frozenset(pf.items())
+        so_pf = frozenset((w, p) for w, p in rel if w.stamp.kind == "nLW")
         return so_pf, rel, {"pf": rel}
 
     def extra_valid(self, plain: PlainExecution, cfg: NodeConfig) -> bool:

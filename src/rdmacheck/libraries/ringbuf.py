@@ -20,7 +20,6 @@ from typing import Iterator
 
 from ..config import ClientProfile, NodeConfig
 from ..events import Event, PlainExecution, SubEvent
-from ..relations import Rel
 from ..stamps import ACR, ACW, AWT, nRW
 from ..values import BOT
 from .base import Library, Witness
@@ -58,7 +57,7 @@ class RingBufferLib(Library):
         pool = sorted(profile.tuple_pool(args[0]), key=repr)
         return itertools.chain(((BOT, state),), ((v, state) for v in pool))
 
-    def post_check(self, w: Witness, hb: Rel) -> bool:
+    def post_check(self, w: Witness, hb: frozenset) -> bool:
         if self.mode == STRICT:
             return True
         fb = w.rels["fb"]
@@ -124,7 +123,7 @@ class RingBufferLib(Library):
                     break
             if not ok:
                 continue
-            rf = Rel((w, r) for r, w in rfmap.items())
+            rf = frozenset((w, r) for r, w in rfmap.items())
             fb = []
             for f in fails:
                 consumed = {w.event for r, w in rfmap.items()
@@ -133,7 +132,7 @@ class RingBufferLib(Library):
                 for w in writes.get(place(f), ()):
                     if w.event not in consumed:
                         fb.append((f, w))
-            fb = Rel(fb)
+            fb = frozenset(fb)
             so = rf | fb if self.mode == STRICT else rf
             yield Witness(lib=self.name, so=so,
                           vR={r: r.event.output for r in reads},

@@ -16,7 +16,6 @@ from typing import Iterator
 
 from ..config import ClientProfile, NodeConfig
 from ..events import Event, PlainExecution, SubEvent, po_before
-from ..relations import Rel
 from ..stamps import ACR, ACW, AWT, GF, nLR, nRW
 from ..values import UNIT
 from .base import Library, Witness, coherence, external_rf, final_values
@@ -68,12 +67,12 @@ class SharedVarLib(Library):
                    for e in events if e.method == BCAST for n in e.args[2]}
 
         # pf and iso do not depend on the witness choice.
-        pf = Rel((SubEvent(e1, a), SubEvent(e2, AWT))
-                 for (e1, e2) in plain.po
-                 if e1.method == BCAST and e2.method == WAIT
-                 and e1.args[1] == e2.args[0]
-                 for a in stmp[e1] if a.kind == "nLR")
-        iso = Rel((r, w) for w, r in carrier.items())
+        pf = frozenset((SubEvent(e1, a), SubEvent(e2, AWT))
+                       for (e1, e2) in plain.po
+                       if e1.method == BCAST and e2.method == WAIT
+                       and e1.args[1] == e2.args[0]
+                       for a in stmp[e1] if a.kind == "nLR")
+        iso = frozenset((r, w) for w, r in carrier.items())
 
         for rf, mo, rb, vR, vW, by_place in coherence(
                 reads, writes, place, read_value, write_value, carrier,

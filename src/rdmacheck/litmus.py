@@ -257,6 +257,7 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
     once: dict = {}        # name / nodes / bounds -> its line
     loc_lines: dict = {}   # location -> the line declaring it
     thread_lines: dict = {}  # thread -> the line of its header
+    init_lines: dict = {}  # (location, node name | None) -> its init line
 
     def declare(x: str, ln: int) -> str:
         if x in loc_lines:
@@ -311,8 +312,8 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
             m = re.match(r"ring\s+(\w+)\s*:\s*writer\s+(\w+)\s+readers\s+(.*?)\s+cap\s+(\d+)$", raw)
             if not m:
                 raise LitmusError("expected: ring <x> : writer <t> readers <t...> cap <n>", ln)
-            rings[declare(m.group(1), ln)] = (m.group(2), tuple(m.group(3).split()),
-                                              int(m.group(4)))
+            x = declare(_check_name(m.group(1), "location", ln), ln)
+            rings[x] = (m.group(2), tuple(m.group(3).split()), int(m.group(4)))
         elif head == "msize":
             if len(toks) != 3:
                 raise LitmusError("expected: msize <x> <size>", ln)
@@ -325,7 +326,12 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
             m = re.match(r"init\s+(\w+)\s*(?:@\s*(\w+))?\s*=\s*(.+)$", raw)
             if not m:
                 raise LitmusError("expected: init <x>[@node] = <value>", ln)
-            inits.append((m.group(1), m.group(2), _parse_value(m.group(3).strip(), ln)))
+            key = (m.group(1), m.group(2))
+            if key in init_lines:
+                raise LitmusError(f"{m.group(1)!r} already initialised on line "
+                                  f"{init_lines[key]}", ln)
+            init_lines[key] = ln
+            inits.append((*key, _parse_value(m.group(3).strip(), ln)))
         elif head == "thread":
             if len(toks) < 4 or toks[2] != "@" or toks[-1] != "{":
                 raise LitmusError("expected: thread <t> @ <node> {", ln)
@@ -363,13 +369,18 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
     for x, ln in msize_lines.items():
         if x not in loc_nodes:
             raise LitmusError(f"sized location {x!r} has no loc line", ln)
+    for (x, n), ln in init_lines.items():
+        if x not in loc_lines:
+            raise LitmusError(f"init of undeclared location {x!r}", ln)
+        if n is not None and n not in nodes:
+            raise LitmusError(f"init on undeclared node {n!r}", ln)
 
     test = LitmusTest(name=tname, nodes=tuple(nodes), threads=tuple(threads),
                       libs=tuple(libs), loc_nodes=loc_nodes, svars=tuple(svars),
                       barriers=barriers, rings=rings, msizes=msizes,
                       inits=tuple(inits), programs=programs,
                       assertions=tuple(assertions), bounds=bounds)
-    _validate(test)
+    _validate(test, loc_lines, thread_lines)
     return test
 
 
@@ -465,26 +476,31 @@ def _parse_assert(raw: str, ln: int) -> Assertion:
     raise LitmusError("expected: assert allowed|forbidden|exact ...", ln)
 
 
-def _validate(test: LitmusTest) -> None:
+def _validate(test: LitmusTest, loc_lines: Mapping[str, int],
+              thread_lines: Mapping[str, int]) -> None:
+    """Cross-directive checks, each reported at the line of the directive
+    at fault: the declaring line of a location or thread, and the first
+    thread header (or line 1) when there is no nodes line."""
     if not test.nodes:
-        raise LitmusError("no nodes declared")
+        raise LitmusError("no nodes declared", min(thread_lines.values(), default=1))
     names = [t for t, _ in test.threads]
     for t, n in test.threads:
         if n not in test.nodes:
-            raise LitmusError(f"thread {t} on undeclared node {n}")
+            raise LitmusError(f"thread {t} on undeclared node {n}", thread_lines[t])
     for x, n in test.loc_nodes.items():
         if n not in test.nodes:
-            raise LitmusError(f"location {x} on undeclared node {n}")
+            raise LitmusError(f"location {x} on undeclared node {n}", loc_lines[x])
     for x, ts in test.barriers.items():
         for t in ts:
             if t not in names:
-                raise LitmusError(f"barrier {x} names undeclared thread {t}")
+                raise LitmusError(f"barrier {x} names undeclared thread {t}",
+                                  loc_lines[x])
     for x, (w, rs, cap) in test.rings.items():
         for t in (w, *rs):
             if t not in names:
-                raise LitmusError(f"ring {x} names undeclared thread {t}")
+                raise LitmusError(f"ring {x} names undeclared thread {t}", loc_lines[x])
         if cap < 1:
-            raise LitmusError(f"ring {x} capacity must be >= 1")
+            raise LitmusError(f"ring {x} capacity must be >= 1", loc_lines[x])
 
     declared = (set(test.loc_nodes) | set(test.svars) | set(test.barriers)
                 | set(test.rings) | set(test.msizes))

@@ -1,80 +1,29 @@
-"""Small finite-relation algebra: set operations, filters, closures.
+"""Relations and their one transitive closure.
 
-Everything the consistency oracles need over subevent pairs; carrier sets
-are whatever hashable items appear in the pairs.
+A relation is a ``frozenset`` of pairs; the carrier is whatever hashable
+items appear in them, and set operations and comprehensions are the
+algebra.  ``IncrementalOrder`` is the only closure: it closes a base
+once and then grows it edge by edge with a cycle veto.  The checker
+grows happens-before, (ppo ∪ so)+, in one; ``RdmaLib`` grows
+issued-before from its fixed per-execution part, one coherence and NIC
+flush choice at a time; ``lambda_consistent`` closes ppo ∪ so in one and
+rejects a reflexive pair.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
 Pair = tuple[Hashable, Hashable]
-
-
-class Rel:
-    """An immutable finite binary relation."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Iterable[Pair] = ()):
-        self.pairs = frozenset(pairs)
-
-    def __repr__(self):
-        return f"Rel({sorted(map(repr, self.pairs))})"
-
-    def __eq__(self, other):
-        return isinstance(other, Rel) and self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __contains__(self, pair: Pair) -> bool:
-        return pair in self.pairs
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __or__(self, other: "Rel") -> "Rel":
-        return Rel(self.pairs | other.pairs)
-
-    def __sub__(self, other: "Rel") -> "Rel":
-        return Rel(self.pairs - other.pairs)
-
-    def filter(self, pred: Callable[[Hashable, Hashable], bool]) -> "Rel":
-        return Rel((a, b) for a, b in self.pairs if pred(a, b))
-
-    def transitive_closure(self) -> "Rel":
-        succ: dict = {}
-        for a, b in self.pairs:
-            succ.setdefault(a, set()).add(b)
-        out = set(self.pairs)
-        # Per-source DFS; relations here are tiny (tens of elements).
-        for src in list(succ):
-            seen: set = set()
-            stack = list(succ.get(src, ()))
-            while stack:
-                n = stack.pop()
-                if n in seen:
-                    continue
-                seen.add(n)
-                stack.extend(succ.get(n, ()))
-            out.update((src, n) for n in seen)
-        return Rel(out)
-
-    def is_irreflexive(self) -> bool:
-        return all(a != b for a, b in self.pairs)
 
 
 class IncrementalOrder:
     """Grow-only transitive relation with a cycle veto, over bitset rows.
 
-    Used by the witness search: so edges accumulate across libraries, and
-    any addition that would close a cycle with the fixed ppo base must fail
-    fast.  `add_edges` returns False (and rolls back nothing: copy before
-    speculative use) when a cycle would appear.
+    Any addition that would close a cycle fails fast: `add_edges` returns
+    False (and rolls back nothing: copy before speculative use) when a
+    cycle would appear.  The base is not vetoed: a cyclic base gets a
+    self pair on every item of a cycle.
 
     Items are numbered on first sight; row i is an int whose bit j is set
     when item j follows item i.  The base is closed once by bitset
@@ -86,21 +35,20 @@ class IncrementalOrder:
 
     __slots__ = ("index", "items", "rows")
 
-    def __init__(self, base: Rel | None = None):
+    def __init__(self, base: Iterable[Pair] = ()):
         self.index: dict = {}
         self.items: list = []
         self.rows: list[int] = []
-        if base is not None:
-            for a, b in base:
-                i, j = self._id(a), self._id(b)
-                self.rows[i] |= 1 << j
-            rows = self.rows
-            for k in range(len(rows)):
-                rk, bit = rows[k], 1 << k
-                if rk:
-                    for i, ri in enumerate(rows):
-                        if ri & bit:
-                            rows[i] = ri | rk
+        for a, b in base:
+            i, j = self._id(a), self._id(b)
+            self.rows[i] |= 1 << j
+        rows = self.rows
+        for k in range(len(rows)):
+            rk, bit = rows[k], 1 << k
+            if rk:
+                for i, ri in enumerate(rows):
+                    if ri & bit:
+                        rows[i] = ri | rk
 
     def _id(self, item) -> int:
         i = self.index.get(item)
@@ -140,7 +88,7 @@ class IncrementalOrder:
                 return False
         return True
 
-    def to_rel(self) -> Rel:
+    def pairs(self) -> frozenset:
         items = self.items
         pairs = []
         for i, r in enumerate(self.rows):
@@ -148,4 +96,4 @@ class IncrementalOrder:
                 low = r & -r
                 pairs.append((items[i], items[low.bit_length() - 1]))
                 r ^= low
-        return Rel(pairs)
+        return frozenset(pairs)

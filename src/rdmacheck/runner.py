@@ -4,7 +4,9 @@ A test passes when every allowed pattern is matched by some computed
 outcome, no forbidden pattern is matched, and exact-set assertions match
 exactly.  A bound-limited enumeration can never confirm a forbidden
 pattern's absence, so such tests report ``bound-limited`` instead of
-``pass`` unless the assertion set needs no absence claims.
+``pass`` unless the assertion set needs no absence claims.  A test with
+no consistent execution at all fails, since every forbidden pattern
+would then hold vacuously.
 """
 
 from __future__ import annotations
@@ -110,6 +112,8 @@ def run_litmus(test: LitmusTest, overrides: Mapping | None = None,
     regpos = _reg_positions(built)
 
     failures = []
+    if not res.outcomes and not res.truncated:
+        failures.append("no execution is consistent")
     needs_absence = False
     for a in test.assertions:
         if a.kind == "allowed":

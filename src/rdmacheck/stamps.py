@@ -12,7 +12,6 @@ stamps carry the same node index.
 from __future__ import annotations
 
 from .events import PlainExecution, Stamp, Stamping, SubEvent, po_before
-from .relations import Rel
 
 # Singleton kinds.
 ACR = Stamp("aCR")    # CPU read
@@ -94,7 +93,7 @@ def render_table() -> str:
     return "\n".join(lines) + "\n"
 
 
-def derive_ppo(plain: PlainExecution, stmp: Stamping) -> Rel:
+def derive_ppo(plain: PlainExecution, stmp: Stamping) -> frozenset:
     """Program order lifted to subevents and filtered by the stamp order."""
     pairs = []
     for e1, e2 in plain.po:
@@ -102,4 +101,4 @@ def derive_ppo(plain: PlainExecution, stmp: Stamping) -> Rel:
             for a2 in stmp[e2]:
                 if stamp_order(a1, a2):
                     pairs.append((SubEvent(e1, a1), SubEvent(e2, a2)))
-    return Rel(pairs)
+    return frozenset(pairs)

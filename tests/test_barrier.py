@@ -40,7 +40,7 @@ def test_stamping_transitive_covers_all_nodes():
 
 def test_no_events_trivial():
     ws = witnesses_of([], [], CFG)
-    assert len(ws) == 1 and ws[0].so.pairs == frozenset()
+    assert len(ws) == 1 and ws[0].so == frozenset()
 
 
 def test_single_round_synchronises_entry_to_exit():

@@ -20,7 +20,7 @@ from rdmacheck.config import ClientProfile
 from rdmacheck.events import Execution
 from rdmacheck.lang import interpret_conc
 from rdmacheck.libraries.base import Library, Witness
-from rdmacheck.relations import IncrementalOrder, Rel
+from rdmacheck.relations import IncrementalOrder
 from rdmacheck.stamps import ACR, AMF, derive_ppo
 from rdmacheck.values import UNIT
 
@@ -34,7 +34,7 @@ def accepted(path: Path):
     built, libs, res = unfold_file(path)
     for _vals, plain in res.results:
         for acc in enumerate_consistent(plain, libs, built.cfg):
-            yield (Execution(plain, acc["stmp"], acc["so"].pairs, acc["hb"].pairs),
+            yield (Execution(plain, acc["stmp"], acc["so"], acc["hb"]),
                    libs, built.cfg)
 
 
@@ -80,7 +80,7 @@ def eager_combinations(plain, libs, cfg):
 
     def rec(i, order, chosen):
         if i == len(slices):
-            hb = order.to_rel()
+            hb = order.pairs()
             if all(lib.post_check(w, hb) for lib, w in chosen):
                 yield [(lib.name, w.so) for lib, w in chosen], hb
             return
@@ -141,7 +141,7 @@ class Counted(Library):
         self.calls += 1
         for _ in range(self.n):
             self.drawn += 1
-            yield Witness(self.name, Rel())
+            yield Witness(self.name, frozenset())
 
 
 def _one_plain(libs, cfg):

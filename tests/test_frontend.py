@@ -95,6 +95,9 @@ def test_exit_3_when_the_event_cap_hides_a_forbidden_outcome(tmp_path):
     "svar y\nassert forbidden [y] = 1", "assert allowed [x@n2] = 0",
     "assert allowed b = 1", "barrier z : t1\nassert forbidden [z] = 1",
     "ring q : writer t1 readers t1 cap 1\nassert allowed [q@n1] = 0",
+    "init x @ n9 = 1", "init y = 1", "init x = 1\ninit x = 2",
+    "ring __q : writer t1 readers t1 cap 2", "loc y @ n3", "barrier z : t9",
+    "ring q : writer t1 readers t9 cap 1", "ring q : writer t1 readers t1 cap 0",
 ])
 def test_exit_2_with_the_line_of_a_bad_directive(tmp_path, capsys, bad):
     text = ONE_THREAD.format(name="bad", asserts="assert allowed a = 1") + bad + "\n"
@@ -116,6 +119,29 @@ def test_exit_2_with_the_line_of_a_duplicate_name(tmp_path, capsys, text, line):
     p.write_text(text)
     assert exit_code(["check", p]) == 2
     assert f"parse error: line {line}:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text, line", [
+    ("name nonodes\nlibs rl\nthread t1 @ n1 {\n  mfence\n}\n", 3),
+    ("name nonodes\nlibs rl\n", 1),
+    ("nodes n1\nlibs rl\nthread t1 @ n1 {\n  mfence\n}\n"
+     "thread t2 @ n3 {\n  mfence\n}\n", 6),
+])
+def test_exit_2_with_the_line_of_a_structural_error(tmp_path, capsys, text, line):
+    p = tmp_path / "bad.litmus"
+    p.write_text(text)
+    assert exit_code(["check", p]) == 2
+    assert f"parse error: line {line}:" in capsys.readouterr().out
+
+
+def test_exit_1_when_no_execution_is_consistent(tmp_path, capsys):
+    # t2 is no participant of barrier z, so its call has no witness.
+    p = tmp_path / "stuck.litmus"
+    p.write_text("name stuck\nnodes n1 n2\nlibs bal rl\nbarrier z : t1\n"
+                 "loc x @ n1\nthread t1 @ n1 {\n  bar z\n  a = read x\n}\n"
+                 "thread t2 @ n2 {\n  bar z\n}\nassert forbidden a = 1\n")
+    assert exit_code(["check", p]) == 1
+    assert "no execution is consistent" in capsys.readouterr().out
 
 
 SV_WRITE = """name svmem

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from rdmacheck.events import Event, SubEvent
 from rdmacheck.lang import Break, Call, LetF, Loop, Output, Val, interpret_seq
 from rdmacheck.libraries.base import coherence, enumerate_mo
-from rdmacheck.relations import Rel
 from rdmacheck.stamps import ACAS, ACR, ACW, nLR, nRW, ppo_before
 
 
@@ -31,7 +30,7 @@ def permutation_filter_mo(groups, forbidden):
             orders.append(pairs)
         per_group.append(orders)
     for combo in itertools.product(*per_group):
-        yield Rel(p for pairs in combo for p in pairs)
+        yield frozenset(p for pairs in combo for p in pairs)
 
 
 @st.composite
@@ -171,12 +170,12 @@ def union_find_coherence(reads, writes, place, read_value, write_value,
                                   fixed, eqs, lambda r: init_of(place[r])):
         if rf_cycle(rfmap, carrier):
             continue
-        rf = Rel((w, r) for r, w in rfmap.items() if w is not None)
+        rf = frozenset((w, r) for r, w in rfmap.items() if w is not None)
         vR = {r: slots.get_value(("R", r)) for r in reads}
         vW = {w: slots.get_value(("W", w)) for w in writes}
         for mo in enumerate_mo(groups, ppo_before):
-            rb = Rel((r, w) for r in reads for w in by_place.get(place[r], ())
-                     if w != r and (rfmap[r] is None or (rfmap[r], w) in mo))
+            rb = frozenset((r, w) for r in reads for w in by_place.get(place[r], ())
+                           if w != r and (rfmap[r] is None or (rfmap[r], w) in mo))
             yield rf, mo, rb, vR, vW
 
 

@@ -1,10 +1,11 @@
-"""Relation algebra: closures, the incremental order, and the naive oracle."""
+"""Relation algebra: the one closure, the incremental order, and the naive
+oracle."""
 
 from __future__ import annotations
 
 import random
 
-from rdmacheck.relations import IncrementalOrder, Rel
+from rdmacheck.relations import IncrementalOrder
 
 
 def naive_closure(pairs):
@@ -17,35 +18,49 @@ def naive_closure(pairs):
         work |= new
 
 
+def closure(pairs) -> frozenset:
+    return IncrementalOrder(pairs).pairs()
+
+
 def test_empty():
-    c = Rel().transitive_closure()
-    assert c.pairs == frozenset() and c.is_irreflexive()
+    assert closure(()) == frozenset()
 
 
 def test_two_cycle():
-    c = Rel([("x", "y"), ("y", "x")]).transitive_closure()
-    assert ("x", "x") in c and not c.is_irreflexive()
+    # A cyclic base is closed, not vetoed: every item on the cycle gets
+    # its reflexive pair.
+    c = closure([("x", "y"), ("y", "x")])
+    assert c == {("x", "y"), ("y", "x"), ("x", "x"), ("y", "y")}
 
 
 def test_three_chain():
-    r = Rel([(1, 2), (2, 3), (3, 4)])
-    c = r.transitive_closure()
-    assert c.is_irreflexive()
-    assert c.pairs == frozenset(naive_closure(r.pairs))
-    assert len(c.pairs - r.pairs) == 3
+    r = frozenset([(1, 2), (2, 3), (3, 4)])
+    c = closure(r)
+    assert all(a != b for a, b in c)
+    assert c == frozenset(naive_closure(r))
+    assert len(c - r) == 3
+
+
+def test_a_cycle_off_a_chain_makes_only_its_own_items_reflexive():
+    c = closure([(0, 1), (1, 2), (2, 1), (2, 3)])
+    assert c == frozenset(naive_closure([(0, 1), (1, 2), (2, 1), (2, 3)]))
+    assert {a for a, b in c if a == b} == {1, 2}
 
 
 def test_matches_naive_oracle_on_random_relations():
+    # Random bases, cyclic ones included: loops, two-cycles and longer.
     rng = random.Random(20240817)
+    cyclic = 0
     for _ in range(300):
         n = rng.randint(0, 8)
         items = list(range(n))
         pairs = {(rng.choice(items), rng.choice(items))
                  for _ in range(rng.randint(0, 12))} if items else set()
-        c = Rel(pairs).transitive_closure()
+        c = closure(pairs)
         want = naive_closure(pairs)
-        assert c.pairs == frozenset(want)
-        assert c.is_irreflexive() == all(a != b for a, b in want)
+        assert c == frozenset(want)
+        cyclic += any(a == b for a, b in want)
+    assert cyclic > 50
 
 
 def test_incremental_order_detects_cycles():
@@ -59,7 +74,7 @@ def test_incremental_order_detects_cycles():
         want = all(a != b for a, b in naive_closure(edges))
         assert ok == want
         if ok:
-            assert inc.to_rel().pairs == frozenset(naive_closure(edges))
+            assert inc.pairs() == frozenset(naive_closure(edges))
     # a closed acyclic base, then edges added to a copy, over items first
     # seen in the base, in the edges, or in neither
     for _ in range(200):
@@ -69,16 +84,16 @@ def test_incremental_order_detects_cycles():
                 (sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 8)))}
         edges = [(rng.choice(items), rng.choice(items))
                  for _ in range(rng.randint(1, 6))]
-        inc = IncrementalOrder(Rel(base))
+        inc = IncrementalOrder(base)
         closed = frozenset(naive_closure(base))
-        assert inc.to_rel().pairs == closed
+        assert inc.pairs() == closed
         c = inc.copy()
         ok = c.add_edges(edges)
         want = naive_closure(base | set(edges))
         assert ok == all(a != b for a, b in want)
         if ok:
-            assert c.to_rel().pairs == frozenset(want)
+            assert c.pairs() == frozenset(want)
             assert all((a, b) in c for a, b in want)
-        assert inc.to_rel().pairs == closed
+        assert inc.pairs() == closed
         assert all(((a, b) in inc) == ((a, b) in closed)
                    for a in items for b in items)

@@ -77,7 +77,7 @@ def _bcast_gf_setup():
 
 class TestDerivePpo:
     def test_empty(self):
-        assert derive_ppo(PlainExecution.empty(), {}).pairs == frozenset()
+        assert derive_ppo(PlainExecution.empty(), {}) == frozenset()
 
     def test_bcast_before_global_fence(self):
         e_br, e_gf, plain, stmp = _bcast_gf_setup()
@@ -89,7 +89,7 @@ class TestDerivePpo:
         r = Event(1, 1, "read", ("y",), 0)
         plain = plain_of({w, r}, {(w, r)})
         ppo = derive_ppo(plain, {w: frozenset({ACW}), r: frozenset({ACR})})
-        assert ppo.pairs == frozenset()
+        assert ppo == frozenset()
 
     def test_ppo_subset_of_po(self):
         e_br, e_gf, plain, stmp = _bcast_gf_setup()
