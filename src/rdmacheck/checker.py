@@ -80,7 +80,7 @@ def stamp_events(plain: PlainExecution, libs: Sequence[Library], cfg: NodeConfig
     mm = method_map(libs)
     stmp = {}
     per_lib: dict[str, list[Event]] = {lib.name: [] for lib in libs}
-    for e in sorted(plain.events, key=lambda e: (e.tid, e.eid)):
+    for e in plain.events:
         if e.method not in mm:
             raise InvalidInput(f"event {e!r} uses unknown method")
         lib = mm[e.method]

@@ -89,8 +89,6 @@ def main(argv=None) -> int:
     c2.add_argument("directory", type=Path)
     c2.add_argument("--filter", action="append", default=[],
                     help="only run tests whose name contains this substring")
-    c2.add_argument("--jobs", type=_at_least_one, default=1,
-                    help="parallel worker processes")
 
     args = ap.parse_args(argv)
     if args.json and not args.json.parent.is_dir():
@@ -114,7 +112,7 @@ def main(argv=None) -> int:
         print(f"no such directory: {args.directory}", file=sys.stderr)
         return 2
     summary = run_corpus(args.directory, filters=args.filter,
-                         overrides=_overrides(args), jobs=args.jobs)
+                         overrides=_overrides(args))
     for r in summary.reports:
         _print_report(r, args.verbose)
     c = summary.counts()

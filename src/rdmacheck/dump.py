@@ -24,7 +24,7 @@ def dump_execution(plain: PlainExecution, stmp, so, hb,
     if outputs is not None:
         lines.append("outputs " + fmt_value(tuple(outputs)))
     lines.append("events")
-    for e in sorted(plain.events, key=lambda e: (e.tid, e.eid)):
+    for e in plain.events:
         args = ",".join(fmt_value(a) for a in e.args)
         stamps = " ".join(sorted(repr(a) for a in stmp[e]))
         lines.append(f"  {_ename(e)} t{e.tid} {e.method}({args}) = "

@@ -5,8 +5,8 @@ name, the input values, and the output value.  A plain execution is a
 finite event set with a per-thread total program order.  The interpreter
 numbers each thread's events in program order, so program order is
 (thread, event id) order: ``po_before`` is its one definition, and a plain
-execution stores only its events.  A full execution adds a stamping
-(event -> non-empty stamp set), a synchronisation order and a
+execution is its events listed in that order.  A full execution adds a
+stamping (event -> non-empty stamp set), a synchronisation order and a
 happens-before order over the induced subevents.
 """
 
@@ -30,17 +30,13 @@ class Event:
 
     # Events and subevents are hashed millions of times as set members and
     # dict keys, so each computes its hash once; equality is the generated
-    # field-wise one.  Pickling rebuilds through the constructor, because
-    # string hashes differ between processes.
+    # field-wise one.
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash(
             (self.tid, self.eid, self.method, self.args, self.output)))
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return Event, (self.tid, self.eid, self.method, self.args, self.output)
 
     def __repr__(self):
         a = ",".join(fmt_value(v) for v in self.args)
@@ -58,50 +54,35 @@ def po_before(a: Event, b: Event) -> bool:
 
 @dataclass(frozen=True)
 class PlainExecution:
-    """A finite event set.  Its program order ``po`` is derived, not stored:
-    the interpreter numbers each thread's events in program order, so po is
-    the (tid, eid) order of ``po_before``."""
+    """A finite event set, stored as its events in program order: by
+    thread, then by event id.  Its program order ``po`` is derived, not
+    stored: the interpreter numbers each thread's events in program order,
+    so po is the (tid, eid) order of ``po_before``."""
 
-    events: frozenset[Event]
-
-    @staticmethod
-    def empty() -> "PlainExecution":
-        return PlainExecution(frozenset())
-
-    @staticmethod
-    def single(e: Event) -> "PlainExecution":
-        return PlainExecution(frozenset([e]))
+    events: tuple[Event, ...]
 
     @cached_property
     def po(self) -> frozenset[tuple[Event, Event]]:
         """Every (a, b) pair with ``po_before(a, b)``: each thread's events
-        in eid order, taken two at a time."""
-        evs = sorted(self.events, key=lambda e: (e.tid, e.eid))
-        return frozenset(p for _tid, thread in groupby(evs, key=lambda e: e.tid)
+        taken two at a time."""
+        return frozenset(p for _tid, thread in groupby(self.events, key=lambda e: e.tid)
                          for p in combinations(thread, 2))
 
-    def thread_events(self, tid: int) -> list[Event]:
-        """Events of one thread, in program order."""
-        return sorted((e for e in self.events if e.tid == tid), key=lambda e: e.eid)
-
     def restrict(self, events: Iterable[Event]) -> "PlainExecution":
-        """The sub-execution on ``events``, a subset of this one's.  On all
-        of them it is this execution, so a single library's slice shares
-        its derived po instead of building it again."""
+        """The sub-execution on ``events``, a subset of this one's, in this
+        one's order.  On all of them it is this execution, so a single
+        library's slice shares its derived po instead of building it again."""
         s = frozenset(events)
-        return self if s == self.events else PlainExecution(s)
+        if len(s) == len(self.events):
+            return self
+        return PlainExecution(tuple(e for e in self.events if e in s))
 
     def validate(self) -> None:
-        """Check the plain-execution invariant; raises InvalidInput."""
-        if len({(e.tid, e.eid) for e in self.events}) != len(self.events):
-            raise InvalidInput("duplicate (tid, eid) pair")
-
-
-def seq_compose(g1: PlainExecution, g2: PlainExecution) -> PlainExecution:
-    """g1 then g2: their disjoint union, as g2's events are numbered after g1's."""
-    if g1.events & g2.events:
-        raise InvalidInput("sequential composition of overlapping event sets")
-    return PlainExecution(g1.events | g2.events)
+        """Check the invariant the order relies on: (tid, eid) keys strictly
+        increase along ``events``; raises InvalidInput."""
+        keys = [(e.tid, e.eid) for e in self.events]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise InvalidInput("events not in strictly increasing (tid, eid) order")
 
 
 @dataclass(frozen=True)
@@ -126,9 +107,6 @@ class SubEvent:
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):
-        return SubEvent, (self.event, self.stamp)
-
     def __repr__(self):
         return f"<{self.event!r},{self.stamp!r}>"
 
@@ -152,9 +130,6 @@ class Execution:
     stmp: Mapping[Event, frozenset[Stamp]]
     so: frozenset[tuple[SubEvent, SubEvent]]
     hb: frozenset[tuple[SubEvent, SubEvent]]
-
-    def subevents(self) -> frozenset[SubEvent]:
-        return subevents(self.plain.events, self.stmp)
 
     def restrict(self, events: Iterable[Event]) -> "Execution":
         plain = self.plain.restrict(events)

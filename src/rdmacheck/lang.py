@@ -5,6 +5,8 @@ continuation is a total function from values to programs, an infinite
 loop, or a k-level break.  The plain semantics enumerates every bounded
 unfolding of a program into an output (value, break-depth) plus a plain
 execution, without yet asking whether any library accepts the behaviour.
+An unfolding's events are numbered and concatenated in program order, so
+each plain execution is built once, already in (thread, event id) order.
 
 Two finite-search deviations from the unbounded semantics, both flagged on
 the result:
@@ -20,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .events import Event, InvalidInput, PlainExecution, seq_compose
+from .events import Event, InvalidInput, PlainExecution
 from .values import Value
 
 
@@ -133,28 +135,28 @@ class _Ctx:
 
 
 def _interp(p: Program, tid: int, st: ThreadState, ctx: _Ctx,
-            ) -> Iterator[tuple[Output, PlainExecution, ThreadState]]:
+            ) -> Iterator[tuple[Output, tuple[Event, ...], ThreadState]]:
+    """(output, the unfolding's events in program order, state) triples."""
     if isinstance(p, Val):
-        yield Output(p.value, 0), PlainExecution.empty(), st
+        yield Output(p.value, 0), (), st
     elif isinstance(p, Break):
-        yield Output(p.value, p.depth), PlainExecution.empty(), st
+        yield Output(p.value, p.depth), (), st
     elif isinstance(p, Call):
         for out, st2 in ctx.outputs(p.method, p.args, tid, st):
             e = Event(tid, st2.eid, p.method, p.args, out)
-            yield Output(out, 0), PlainExecution.single(e), replace(st2, eid=st2.eid + 1)
+            yield Output(out, 0), (e,), replace(st2, eid=st2.eid + 1)
     elif isinstance(p, LetF):
         for o1, g1, st1 in _interp(p.prog, tid, st, ctx):
             if o1.brk != 0:
                 yield o1, g1, st1
                 continue
             for o2, g2, st2 in _interp(p.cont(o1.value), tid, st1, ctx):
-                g = seq_compose(g1, g2)
-                if len(g.events) > ctx.max_events:
+                if len(g1) + len(g2) > ctx.max_events:
                     ctx.truncated = True
                     continue
-                yield o2, g, st2
+                yield o2, g1 + g2, st2
     elif isinstance(p, Loop):
-        yield from _loop(p.body, tid, st, ctx, PlainExecution.empty(), 0)
+        yield from _loop(p.body, tid, st, ctx, (), 0)
     else:
         raise InvalidInput(f"not a program: {p!r}")
 
@@ -164,10 +166,10 @@ def _loop(body, tid, st, ctx, prefix, done):
         ctx.truncated = True
         return
     for o, g, st2 in _interp(body, tid, st, ctx):
-        ga = seq_compose(prefix, g)
-        if len(ga.events) > ctx.max_events:
+        if len(prefix) + len(g) > ctx.max_events:
             ctx.truncated = True
             continue
+        ga = prefix + g
         if o.brk > 0:
             yield Output(o.value, o.brk - 1), ga, st2
         else:
@@ -186,7 +188,7 @@ def interpret_seq(p: Program, tid: int, loop_bound: int,
     outputs = value_domain if callable(value_domain) else uniform_outputs(value_domain)
     ctx = _Ctx(loop_bound, outputs, max_events)
     results = dict.fromkeys(
-        (o, g) for o, g, _ in _interp(p, tid, ThreadState(), ctx)).keys()
+        (o, PlainExecution(g)) for o, g, _ in _interp(p, tid, ThreadState(), ctx)).keys()
     return InterpResult(results, ctx.truncated)
 
 
@@ -202,33 +204,30 @@ def interpret_conc(progs: ConcurrentProgram, loop_bound: int,
 
     The results come in a fixed order: the products of the per-thread
     unfoldings in lexicographic order, thread 1 outermost, each thread's
-    unfoldings in the order the interpreter generates them.  Threads have
-    distinct ids, so the parts of a product are disjoint by construction
-    and are united once, without re-validation, when the product is whole.
+    unfoldings in the order the interpreter generates them.  Threads are
+    numbered in order, so a product's events, each thread's concatenated
+    in thread order, are in program order by construction.
     """
-    per_thread: list[list[tuple[Value, PlainExecution, int]]] = []
+    per_thread: list[list[tuple[Value, tuple[Event, ...]]]] = []
     truncated = False
     for i, p in enumerate(progs):
         r = interpret_seq(p, i + 1, loop_bound, value_domain, max_events)
         truncated |= r.truncated
-        per_thread.append([(o.value, g, len(g.events))
-                           for o, g in r.results if o.brk == 0])
+        per_thread.append([(o.value, g.events) for o, g in r.results if o.brk == 0])
 
-    # (values, plain executions, event count) of each partial product; a
-    # thread's unfoldings are filtered once per remaining event budget.
-    combos: list[tuple[tuple, tuple, int]] = [((), (), 0)]
+    # (values, events) of each partial product; a thread's unfoldings are
+    # filtered once per remaining event budget.
+    combos: list[tuple[tuple, tuple]] = [((), ())]
     for choices in per_thread:
         fits: dict[int, list] = {}
         nxt = []
-        for vals, gs, n in combos:
-            budget = max_events - n
+        for vals, evs in combos:
+            budget = max_events - len(evs)
             fit = fits.get(budget)
             if fit is None:
-                fit = fits[budget] = [c for c in choices if c[2] <= budget]
+                fit = fits[budget] = [c for c in choices if len(c[1]) <= budget]
                 truncated |= len(fit) < len(choices)
-            nxt.extend((vals + (v,), gs + (g,), n + m) for v, g, m in fit)
+            nxt.extend((vals + (v,), evs + g) for v, g in fit)
         combos = nxt
-    results = dict.fromkeys(
-        (vals, PlainExecution(frozenset().union(*(g.events for g in gs))))
-        for vals, gs, _n in combos)
+    results = dict.fromkeys((vals, PlainExecution(evs)) for vals, evs in combos)
     return InterpResult(results.keys(), truncated)

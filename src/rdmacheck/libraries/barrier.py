@@ -51,7 +51,7 @@ class BarrierLib(Library):
             self._require(e)
 
         by_loc: dict = {}
-        for e in sorted(plain.events, key=lambda e: (e.tid, e.eid)):
+        for e in plain.events:
             x = e.args[0]
             if e.tid not in cfg.barrier.get(x, frozenset()):
                 return  # non-participating caller: no consistent execution

@@ -55,6 +55,6 @@ class MixedSizeLib(RdmaLib):
         return True
 
     def init_of(self, loc: str, cfg: NodeConfig):
-        if (loc, None) in cfg.init:
-            return cfg.init[(loc, None)]
+        if (loc, None) in cfg.init or (loc, cfg.node_of_loc(loc)) in cfg.init:
+            return super().init_of(loc, cfg)
         return zero_tuple(cfg.size[loc])

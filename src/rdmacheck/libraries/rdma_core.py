@@ -100,7 +100,8 @@ class RdmaLib(Library):
         return True
 
     def init_of(self, loc: str, cfg: NodeConfig):
-        return cfg.init_of(loc)
+        """The initial value of ``loc``'s one cell, on its node."""
+        return cfg.init_of(loc, cfg.node_of_loc(loc))
 
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)
@@ -121,8 +122,7 @@ class RdmaLib(Library):
             return
         so_pf, ib_pf, pf_parts = polls
 
-        events = sorted(plain.events, key=lambda e: (e.tid, e.eid))
-        sevents = [SubEvent(e, a) for e in events for a in sorted(stmp[e], key=repr)]
+        sevents = [SubEvent(e, a) for e in plain.events for a in sorted(stmp[e], key=repr)]
         reads = [s for s in sevents if s.stamp.kind in READ_KINDS]
         writes = [s for s in sevents if s.stamp.kind in WRITE_KINDS]
 
@@ -146,7 +146,7 @@ class RdmaLib(Library):
         # value and is ordered inside the event (iso); so is a failed CAS's
         # fence before its read.
         carrier, iso_pairs = {}, []
-        for e in events:
+        for e in plain.events:
             role = role_of.get(e.method)
             if role not in ("put", "get", "cas"):
                 continue

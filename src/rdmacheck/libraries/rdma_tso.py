@@ -14,7 +14,7 @@ wait-based model of ``RdmaLib``.
 from __future__ import annotations
 
 from ..config import ClientProfile, NodeConfig
-from ..events import Event, PlainExecution, SubEvent
+from ..events import Event, PlainExecution, SubEvent, po_before
 from ..stamps import AMF, AWT
 from .rdma_core import RdmaLib
 
@@ -69,7 +69,7 @@ class RdmaTsoLib(RdmaLib):
             if src is None:
                 return None  # every poll polls from exactly one NIC write
             w = nic_write(src)
-            if w.stamp.node != p.args[0] or (src, p) not in plain.po:
+            if w.stamp.node != p.args[0] or not po_before(src, p):
                 return None
             if w in pf:
                 return None  # a NIC write is polled at most once
@@ -79,13 +79,13 @@ class RdmaTsoLib(RdmaLib):
         # polled by po-earlier polls.
         for w2, p2 in pf.items():
             for e1 in plain.events:
-                if e1.method not in (TSO_GET, TSO_PUT) or (e1, w2.event) not in plain.po:
+                if e1.method not in (TSO_GET, TSO_PUT) or not po_before(e1, w2.event):
                     continue
                 w1 = nic_write(e1)
                 if w1.stamp.node != w2.stamp.node:
                     continue
                 p1 = pf.get(w1)
-                if p1 is None or (p1.event, p2.event) not in plain.po:
+                if p1 is None or not po_before(p1.event, p2.event):
                     return None
 
         rel = frozenset(pf.items())
@@ -100,11 +100,11 @@ class RdmaTsoLib(RdmaLib):
                 continue
             for e1 in plain.events:
                 if (e1.method != SET_ADD or e1.args[0] != e3.args[0]
-                        or (e1, e3) not in plain.po):
+                        or not po_before(e1, e3)):
                     continue
                 if not any(e2.method == SET_REMOVE
                            and e2.args[:2] == (e1.args[0], e1.args[1])
-                           and (e1, e2) in plain.po and (e2, e3) in plain.po
+                           and po_before(e1, e2) and po_before(e2, e3)
                            for e2 in plain.events):
                     return False
         return True

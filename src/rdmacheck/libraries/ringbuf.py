@@ -19,7 +19,7 @@ import itertools
 from typing import Iterator
 
 from ..config import ClientProfile, NodeConfig
-from ..events import Event, PlainExecution, SubEvent
+from ..events import Event, PlainExecution, SubEvent, po_before
 from ..stamps import ACR, ACW, AWT, nRW
 from ..values import BOT
 from .base import Library, Witness
@@ -64,8 +64,7 @@ class RingBufferLib(Library):
         return not any((b, a) in hb for a, b in fb)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
-        events = sorted(plain.events, key=lambda e: (e.tid, e.eid))
-        for e in events:
+        for e in plain.events:
             self._require(e)
             x = e.args[0]
             if e.method == SUBMIT and e.tid != cfg.wthd.get(x):
@@ -77,15 +76,15 @@ class RingBufferLib(Library):
 
         # Write subevents of message m on node n: exactly one per (m, n).
         writes: dict[tuple, list[SubEvent]] = {}   # (x, n) -> po-ordered writes
-        for e in events:
+        for e in plain.events:
             if e.method == SUBMIT and e.output is True:
                 for a in stmp[e]:
                     n = node(e.tid) if a.kind == "aCW" else a.node
                     writes.setdefault((e.args[0], n), []).append(SubEvent(e, a))
 
-        reads = [SubEvent(e, ACR) for e in events
+        reads = [SubEvent(e, ACR) for e in plain.events
                  if e.method == RECEIVE and e.output is not BOT]
-        fails = [SubEvent(e, AWT) for e in events
+        fails = [SubEvent(e, AWT) for e in plain.events
                  if e.method == RECEIVE and e.output is BOT]
 
         def place(s: SubEvent) -> tuple:
@@ -112,11 +111,11 @@ class RingBufferLib(Library):
             ok = True
             for r, w in rfmap.items():
                 for w1 in writes.get(place(r), ()):
-                    if (w1.event, w.event) not in plain.po:
+                    if not po_before(w1.event, w.event):
                         continue
                     if not any((r1, ww) for r1, ww in rfmap.items()
                                if ww == w1 and (r1.event == r.event or
-                                                (r1.event, r.event) in plain.po)):
+                                                po_before(r1.event, r.event))):
                         ok = False
                         break
                 if not ok:
@@ -128,7 +127,7 @@ class RingBufferLib(Library):
             for f in fails:
                 consumed = {w.event for r, w in rfmap.items()
                             if r.event.tid == f.event.tid
-                            and (r.event, f.event) in plain.po}
+                            and po_before(r.event, f.event)}
                 for w in writes.get(place(f), ()):
                     if w.event not in consumed:
                         fb.append((f, w))

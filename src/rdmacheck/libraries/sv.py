@@ -49,11 +49,10 @@ class SharedVarLib(Library):
         return final_values(w)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
-        events = sorted(plain.events, key=lambda e: (e.tid, e.eid))
-        for e in events:
+        for e in plain.events:
             self._require(e)
 
-        sevents = [SubEvent(e, a) for e in events for a in sorted(stmp[e], key=repr)]
+        sevents = [SubEvent(e, a) for e in plain.events for a in sorted(stmp[e], key=repr)]
         reads = [s for s in sevents if s.stamp.kind in ("aCR", "nLR")]
         writes = [s for s in sevents if s.stamp.kind in ("aCW", "nRW")]
         # A replica is a (location, node) place: a broadcast's write part
@@ -64,7 +63,7 @@ class SharedVarLib(Library):
         read_value = {s: s.event.output for s in reads if s.event.method == READ}
         write_value = {s: s.event.args[1] for s in writes if s.event.method == WRITE}
         carrier = {SubEvent(e, nRW(n)): SubEvent(e, nLR(n))
-                   for e in events if e.method == BCAST for n in e.args[2]}
+                   for e in plain.events if e.method == BCAST for n in e.args[2]}
 
         # pf and iso do not depend on the witness choice.
         pf = frozenset((SubEvent(e1, a), SubEvent(e2, AWT))

@@ -257,7 +257,7 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
     once: dict = {}        # name / nodes / bounds -> its line
     loc_lines: dict = {}   # location -> the line declaring it
     thread_lines: dict = {}  # thread -> the line of its header
-    init_lines: dict = {}  # (location, node name | None) -> its init line
+    init_lines: list = []  # the line of each init, in the order of ``inits``
 
     def declare(x: str, ln: int) -> str:
         if x in loc_lines:
@@ -326,12 +326,8 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
             m = re.match(r"init\s+(\w+)\s*(?:@\s*(\w+))?\s*=\s*(.+)$", raw)
             if not m:
                 raise LitmusError("expected: init <x>[@node] = <value>", ln)
-            key = (m.group(1), m.group(2))
-            if key in init_lines:
-                raise LitmusError(f"{m.group(1)!r} already initialised on line "
-                                  f"{init_lines[key]}", ln)
-            init_lines[key] = ln
-            inits.append((*key, _parse_value(m.group(3).strip(), ln)))
+            init_lines.append(ln)
+            inits.append((m.group(1), m.group(2), _parse_value(m.group(3).strip(), ln)))
         elif head == "thread":
             if len(toks) < 4 or toks[2] != "@" or toks[-1] != "{":
                 raise LitmusError("expected: thread <t> @ <node> {", ln)
@@ -369,11 +365,27 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
     for x, ln in msize_lines.items():
         if x not in loc_nodes:
             raise LitmusError(f"sized location {x!r} has no loc line", ln)
-    for (x, n), ln in init_lines.items():
+    cells: dict = {}  # (location, node name | None) -> the line initialising it
+    for (x, n, v), ln in zip(inits, init_lines):
         if x not in loc_lines:
             raise LitmusError(f"init of undeclared location {x!r}", ln)
         if n is not None and n not in nodes:
             raise LitmusError(f"init on undeclared node {n!r}", ln)
+        if x in barriers or x in rings:
+            raise LitmusError(f"{x!r} is a barrier or ring and has no memory to "
+                              f"initialise", ln)
+        if n is not None and loc_nodes.get(x, n) != n:
+            raise LitmusError(f"location {x!r} is on node {loc_nodes[x]}, not {n}", ln)
+        if x in msizes and not (isinstance(v, tuple) and len(v) == msizes[x]):
+            raise LitmusError(f"init of {x!r} must be a {msizes[x]}-tuple", ln)
+        if x not in msizes and isinstance(v, tuple):
+            raise LitmusError(f"tuple init of unsized location {x!r}", ln)
+        # A loc location has one cell, so ``init x`` and ``init x @ <its
+        # node>`` name the same one.
+        cell = (x, None if x in loc_nodes else n)
+        if cell in cells:
+            raise LitmusError(f"{x!r} already initialised on line {cells[cell]}", ln)
+        cells[cell] = ln
 
     test = LitmusTest(name=tname, nodes=tuple(nodes), threads=tuple(threads),
                       libs=tuple(libs), loc_nodes=loc_nodes, svars=tuple(svars),
@@ -717,14 +729,14 @@ def build_test(test: LitmusTest, variants: Mapping[str, str] | None = None) -> B
                 elif ins.op in ("rfence", "tsorfence", "poll"):
                     args = [node_id[args[0]]]
                 calls.append((ins.dest, method, tuple(args), ins))
-            for a in args:
-                note_scalar(a if not isinstance(a, RegRef) else None)
+            # Scalars come from value arguments only: a node id is no value.
+            for k, a in zip(_INSTRS[ins.op][0], ins.args):
+                if k in ("vreg", "payload"):
+                    note_scalar(a)
+                elif k == "loc":
+                    counts[(tid, method, a)] = counts.get((tid, method, a), 0) + 1
             if ins.op in ("submit", "mswwrite") and isinstance(args[1], tuple):
                 tuples.setdefault(args[0], set()).add(args[1])
-            loc_args = [a for k, a in zip(_INSTRS[ins.op][0], ins.args)
-                        if k == "loc"]
-            for x in loc_args:
-                counts[(tid, method, x)] = counts.get((tid, method, x), 0) + 1
 
         programs.append(_chain(calls, regs))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -188,11 +187,6 @@ def run_file(path: Path, overrides: Mapping | None = None,
                           failures=[f"run error: {e}"])
 
 
-def _run_file_job(args) -> TestReport:
-    path, overrides = args
-    return run_file(Path(path), overrides)
-
-
 @dataclass
 class CorpusSummary:
     reports: list
@@ -219,17 +213,12 @@ class CorpusSummary:
 
 
 def run_corpus(directory: Path, filters: Sequence[str] = (),
-               overrides: Mapping | None = None, jobs: int = 1) -> CorpusSummary:
+               overrides: Mapping | None = None) -> CorpusSummary:
     t0 = time.perf_counter()
     paths = sorted(directory.glob("*.litmus"))
     if filters:
         paths = [p for p in paths if any(f in p.stem for f in filters)]
-    if jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            reports = list(ex.map(_run_file_job,
-                                  [(str(p), overrides) for p in paths]))
-    else:
-        reports = [run_file(p, overrides) for p in paths]
+    reports = [run_file(p, overrides) for p in paths]
     return CorpusSummary(reports=reports, seconds=time.perf_counter() - t0)
 
 

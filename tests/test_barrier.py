@@ -14,7 +14,7 @@ CFG = cfg2(barrier={"z": frozenset({1, 2})})
 
 def witnesses_of(events, po, cfg, variant="weak"):
     lib = BarrierLib(variant)
-    plain = PlainExecution(frozenset(events))
+    plain = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert plain.po == frozenset(po)
     stmp = {e: lib.stamping(e, cfg) for e in events}
     return list(lib.witnesses(plain, stmp, cfg))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import unfold_file
 from rdmacheck.cli import main
 from rdmacheck.litmus import LitmusError, parse_litmus, print_litmus
 
@@ -75,10 +76,6 @@ def test_exit_2_on_a_bad_option(flags):
     assert exit_code(["check", CORPUS / "fig2a_wait.litmus", *flags]) == 2
 
 
-def test_exit_2_on_no_workers():
-    assert exit_code(["corpus", CORPUS, "--jobs", "0"]) == 2
-
-
 def test_exit_3_when_the_event_cap_hides_a_forbidden_outcome(tmp_path):
     p = litmus_file(tmp_path, "capped", "assert forbidden a = 0")
     assert exit_code(["check", p]) == 0
@@ -98,6 +95,10 @@ def test_exit_3_when_the_event_cap_hides_a_forbidden_outcome(tmp_path):
     "init x @ n9 = 1", "init y = 1", "init x = 1\ninit x = 2",
     "ring __q : writer t1 readers t1 cap 2", "loc y @ n3", "barrier z : t9",
     "ring q : writer t1 readers t9 cap 1", "ring q : writer t1 readers t1 cap 0",
+    "init x @ n2 = 1", "init x = 1\ninit x @ n1 = 2", "init x @ n1 = 1\ninit x = 2",
+    "barrier z : t1\ninit z = 5", "ring q : writer t1 readers t1 cap 1\ninit q = 3",
+    "loc y @ n1\nmsize y 2\ninit y = 7", "loc y @ n1\nmsize y 2\ninit y = (1,2,3)",
+    "init x = (1,2)", "svar y\ninit y @ n2 = (1,2)",
 ])
 def test_exit_2_with_the_line_of_a_bad_directive(tmp_path, capsys, bad):
     text = ONE_THREAD.format(name="bad", asserts="assert allowed a = 1") + bad + "\n"
@@ -142,6 +143,41 @@ def test_exit_1_when_no_execution_is_consistent(tmp_path, capsys):
                  "thread t2 @ n2 {\n  bar z\n}\nassert forbidden a = 1\n")
     assert exit_code(["check", p]) == 1
     assert "no execution is consistent" in capsys.readouterr().out
+
+
+NODE_INIT = """name nodeinit
+nodes n1 n2
+libs {lib}
+loc x @ n1
+{msize}init x @ n1 = {init}
+thread t1 @ n1 {{
+  a = {read} x
+}}
+assert allowed a = {init}
+assert forbidden a = {zero}
+"""
+
+
+@pytest.mark.parametrize("fields", [
+    dict(lib="rl", msize="", init="1", read="read", zero="0"),
+    dict(lib="msw", msize="msize x 2\n", init="(1,2)", read="tryread", zero="(0,0)"),
+])
+def test_a_node_qualified_init_is_the_cell_on_that_node(tmp_path, fields):
+    p = tmp_path / "nodeinit.litmus"
+    p.write_text(NODE_INIT.format(**fields))
+    assert exit_code(["check", p]) == 0
+
+
+def test_a_node_id_joins_no_value_domain(tmp_path):
+    # rfence's node n3 is no value a read could return: reads range over
+    # {0, 1}, so two reads give 2 x 2 plain executions.
+    p = tmp_path / "rfence.litmus"
+    p.write_text("name rfence\nnodes n1 n2 n3\nlibs rl\nloc x @ n1\n"
+                 "thread t1 @ n1 {\n  write x 1\n  rfence n3\n  a = read x\n}\n"
+                 "thread t2 @ n1 {\n  b = read x\n}\n")
+    built, _libs, res = unfold_file(p)
+    assert built.profile.scalars == {0, 1}
+    assert len(res.results) == 4 and not res.truncated
 
 
 SV_WRITE = """name svmem

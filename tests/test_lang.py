@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from rdmacheck.events import Event, InvalidInput, PlainExecution, seq_compose
+from rdmacheck.events import Event, InvalidInput, PlainExecution
 from rdmacheck.lang import (Break, Call, LetF, Loop, Output, Val, interpret_conc,
                             interpret_seq, let, seq)
 
@@ -16,31 +16,30 @@ def ev(tid, eid, m="m", args=(), out=0):
 
 
 def plain(events, po=()):
-    g = PlainExecution(frozenset(events))
+    g = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert g.po == frozenset(po)
     return g
 
 
-class TestSeqCompose:
-    def test_empty(self):
-        assert seq_compose(plain([]), plain([])) == plain([])
+class TestPlainExecution:
+    def test_validate_accepts_program_order(self):
+        plain([ev(2, 0), ev(1, 1), ev(1, 0)], [(ev(1, 0), ev(1, 1))]).validate()
 
-    def test_singletons_ordered(self):
-        e1, e2 = ev(1, 0), ev(1, 1)
-        g = seq_compose(plain([e1]), plain([e2]))
-        assert g.events == {e1, e2}
-        assert g.po == {(e1, e2)}
-
-    def test_chain_cross_product(self):
-        # expand the definition by hand: po1 + cross edges to the new event
-        e1, e2, e3 = ev(1, 0), ev(1, 1), ev(1, 2)
-        g = seq_compose(plain([e1, e2], [(e1, e2)]), plain([e3]))
-        assert g.po == {(e1, e2), (e1, e3), (e2, e3)}
-
-    def test_overlap_rejected(self):
-        e = ev(1, 0)
+    @pytest.mark.parametrize("keys", [[(1, 1), (1, 0)], [(2, 0), (1, 0)],
+                                      [(1, 0), (1, 0)]])
+    def test_validate_rejects_out_of_order_and_duplicate_keys(self, keys):
+        g = PlainExecution(tuple(ev(t, i, out=k) for k, (t, i) in enumerate(keys)))
         with pytest.raises(InvalidInput):
-            seq_compose(plain([e]), plain([e]))
+            g.validate()
+
+    def test_restrict_keeps_program_order(self):
+        evs = [ev(1, 0), ev(1, 1), ev(1, 2), ev(2, 0), ev(2, 1)]
+        g = plain(evs, [(a, b) for a, b in itertools.combinations(evs, 2)
+                        if a.tid == b.tid])
+        sub = g.restrict([evs[4], evs[2], evs[0]])
+        assert sub.events == (evs[0], evs[2], evs[4])
+        assert sub.po == {(evs[0], evs[2])}
+        assert g.restrict(reversed(evs)) is g
 
 
 DOM = frozenset({0, 1, 7})
@@ -82,7 +81,7 @@ class TestInterpretSeq:
         r = interpret_seq(p, 1, 4, frozenset({0}))
         for _out, g in r.results:
             g.validate()
-            evs = g.thread_events(1)
+            evs = [e for e in g.events if e.tid == 1]
             assert [e.method for e in evs] == ["a", "b", "c"]
 
     def test_loop_bound_monotone(self):
@@ -110,7 +109,7 @@ class TestInterpretSeq:
                 shifted = plain(
                     [Event(e.tid, e.eid + len(g1.events), e.method, e.args, e.output)
                      for e in g2.events])
-                expected.add((out2, seq_compose(g1, shifted)))
+                expected.add((out2, PlainExecution(g1.events + shifted.events)))
         assert combined == frozenset(expected)
 
 

@@ -15,7 +15,7 @@ CFG = cfg2({"x": 1, "y": 2}, size={"x": 2, "y": 2})
 
 
 def witnesses_of(events, po, cfg=CFG):
-    plain = PlainExecution(frozenset(events))
+    plain = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert plain.po == frozenset(po)
     stmp = {e: msw.stamping(e, cfg) for e in events}
     return list(msw.witnesses(plain, stmp, cfg))

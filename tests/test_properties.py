@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdmacheck.events import Event, SubEvent
-from rdmacheck.lang import Break, Call, LetF, Loop, Output, Val, interpret_seq
+from rdmacheck.lang import (Break, Call, LetF, Loop, Output, Val, interpret_conc,
+                            interpret_seq)
 from rdmacheck.libraries.base import coherence, enumerate_mo
 from rdmacheck.stamps import ACAS, ACR, ACW, nLR, nRW, ppo_before
 
@@ -298,6 +299,31 @@ programs = st.recursive(
 def test_derived_po_is_the_cross_product_po(p):
     stored = {(o, g[0]): g[1] for o, g, _n in stored_po_unfoldings(p, 0)}
     got = interpret_seq(p, 1, LOOP_BOUND, DOM, max_events=MAX_EVENTS).results
-    assert {(o, g.events) for o, g in got} == set(stored)
+    assert {(o, frozenset(g.events)) for o, g in got} == set(stored)
     for o, g in got:
-        assert g.po == stored[(o, g.events)]
+        assert g.po == stored[(o, frozenset(g.events))]
+
+
+def union_products(progs):
+    """Products of the threads' unfoldings composed as event sets used to
+    be: (output values, union of the event sets, union of the po sets), in
+    lexicographic order, dropping those over the event cap."""
+    per_thread = [[(o.value, g) for o, g in
+                   interpret_seq(p, tid, LOOP_BOUND, DOM, max_events=MAX_EVENTS).results
+                   if o.brk == 0]
+                  for tid, p in enumerate(progs, 1)]
+    for combo in itertools.product(*per_thread):
+        events = frozenset().union(*(frozenset(g.events) for _v, g in combo))
+        if len(events) <= MAX_EVENTS:
+            yield (tuple(v for v, _g in combo), events,
+                   frozenset().union(*(g.po for _v, g in combo)))
+
+
+@settings(max_examples=200)
+@given(st.lists(programs, min_size=2, max_size=2))
+def test_concurrent_products_are_the_union_composition(progs):
+    got = interpret_conc(progs, LOOP_BOUND, DOM, max_events=MAX_EVENTS).results
+    for _vals, g in got:
+        g.validate()
+    assert [(vals, frozenset(g.events), g.po) for vals, g in got] == \
+        list(union_products(progs))

@@ -15,7 +15,7 @@ CFG = cfg2(wthd={"x": 1}, rthd={"x": frozenset({2})}, capacity={"x": 4})
 
 def witnesses_of(events, po, cfg=CFG, mode="strict"):
     lib = RingBufferLib(mode)
-    plain = PlainExecution(frozenset(events))
+    plain = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert plain.po == frozenset(po)
     stmp = {e: lib.stamping(e, cfg) for e in events}
     return list(lib.witnesses(plain, stmp, cfg))

@@ -39,7 +39,7 @@ class TestStamping:
 
 
 def witnesses_of(events, po, cfg):
-    plain = PlainExecution(frozenset(events))
+    plain = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert plain.po == frozenset(po)
     stmp = {e: sv.stamping(e, cfg) for e in events}
     return list(sv.witnesses(plain, stmp, cfg))
