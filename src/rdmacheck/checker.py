@@ -66,12 +66,12 @@ def merged_outputs(libs: Sequence[Library], profile: ClientProfile,
                    cfg: NodeConfig) -> OutputsFn:
     mm = method_map(libs)
 
-    def fn(method, args, tid, state):
+    def fn(method, args, tid, prior):
         try:
             lib = mm[method]
         except KeyError:
             raise InvalidInput(f"unknown method {method}")
-        return lib.outputs(method, args, tid, state, profile, cfg)
+        return lib.outputs(method, args, tid, prior, profile, cfg)
 
     return fn
 

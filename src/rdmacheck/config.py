@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .events import InvalidInput
-from .values import Value
+from .values import Value, zero_tuple
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,13 @@ class NodeConfig:
             raise InvalidInput(f"location {loc!r} is not mapped to a node")
 
     def init_of(self, loc: str, node: int | None = None) -> Value:
+        """The initial value of ``loc``'s cell on ``node``: its ``init``, else
+        the all-zero tuple of a sized location, else 0."""
         if (loc, node) in self.init:
             return self.init[(loc, node)]
-        return self.init.get((loc, None), 0)
+        if (loc, None) in self.init:
+            return self.init[(loc, None)]
+        return zero_tuple(self.size[loc]) if loc in self.size else 0
 
     def validate(self) -> None:
         for t, n in self.thread_node.items():

@@ -5,21 +5,23 @@ continuation is a total function from values to programs, an infinite
 loop, or a k-level break.  The plain semantics enumerates every bounded
 unfolding of a program into an output (value, break-depth) plus a plain
 execution, without yet asking whether any library accepts the behaviour.
-An unfolding's events are numbered and concatenated in program order, so
-each plain execution is built once, already in (thread, event id) order.
+Each call appends its event to the thread's earlier events, numbered by
+their count, so each plain execution is built already in (thread, event
+id) order.
 
 Two finite-search deviations from the unbounded semantics, both flagged on
 the result:
 
-* method outputs are enumerated from a finite candidate space (a plain
-  value domain, or a per-method function supplied by the checker);
+* method outputs are enumerated from a finite candidate space: a plain
+  value domain, or a function of the call and the thread's earlier events
+  (the checker asks the library that owns the method);
 * each loop unrolls at most ``loop_bound`` iterations, deeper unfoldings
   are dropped and the result is marked bound-limited.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .events import Event, InvalidInput, PlainExecution
@@ -81,42 +83,9 @@ class Output(NamedTuple):
     brk: int
 
 
-@dataclass(frozen=True)
-class ThreadState:
-    """Per-branch interpreter state threaded through an unfolding.
-
-    ``eid`` numbers events in unfolding order (deterministic reports);
-    ``fresh`` feeds reserved fresh-identifier outputs; ``issued`` records
-    (identifier, node) pairs already produced on this thread, so polls can
-    enumerate exactly the identifiers that program order makes available.
-    """
-
-    eid: int = 0
-    fresh: int = 0
-    issued: tuple = ()
-
-    def next_fresh(self, tid: int) -> tuple[Value, "ThreadState"]:
-        ident = _FRESH_BASE + tid * _FRESH_STRIDE + self.fresh
-        return ident, replace(self, fresh=self.fresh + 1)
-
-    def record_issue(self, ident: Value, node: int) -> "ThreadState":
-        return replace(self, issued=self.issued + ((ident, node),))
-
-
-_FRESH_BASE = 1_000_000
-_FRESH_STRIDE = 1_000
-
-# A method-output enumerator: (method, args, tid, state) -> (output, state) pairs.
-OutputsFn = Callable[[str, tuple, int, ThreadState], Iterable[tuple[Value, ThreadState]]]
-
-
-def uniform_outputs(domain: Iterable[Value]) -> OutputsFn:
-    vals = tuple(domain)
-
-    def fn(method, args, tid, state):
-        return ((v, state) for v in vals)
-
-    return fn
+# A method-output enumerator: (method, args, tid, prior) -> the call's
+# candidate outputs, where ``prior`` is the thread's events before the call.
+OutputsFn = Callable[[str, tuple, int, tuple[Event, ...]], Iterable[Value]]
 
 
 class InterpResult(NamedTuple):
@@ -134,46 +103,48 @@ class _Ctx:
         self.truncated = False
 
 
-def _interp(p: Program, tid: int, st: ThreadState, ctx: _Ctx,
-            ) -> Iterator[tuple[Output, tuple[Event, ...], ThreadState]]:
-    """(output, the unfolding's events in program order, state) triples."""
+def _interp(p: Program, tid: int, prior: tuple[Event, ...], ctx: _Ctx,
+            ) -> Iterator[tuple[Output, tuple[Event, ...]]]:
+    """(output, events) pairs: ``prior`` followed by the unfolding's events,
+    in program order.  A call's event id is the number of events before it."""
     if isinstance(p, Val):
-        yield Output(p.value, 0), (), st
+        yield Output(p.value, 0), prior
     elif isinstance(p, Break):
-        yield Output(p.value, p.depth), (), st
+        yield Output(p.value, p.depth), prior
     elif isinstance(p, Call):
-        for out, st2 in ctx.outputs(p.method, p.args, tid, st):
-            e = Event(tid, st2.eid, p.method, p.args, out)
-            yield Output(out, 0), (e,), replace(st2, eid=st2.eid + 1)
+        for out in ctx.outputs(p.method, p.args, tid, prior):
+            yield Output(out, 0), prior + (Event(tid, len(prior), p.method, p.args, out),)
     elif isinstance(p, LetF):
-        for o1, g1, st1 in _interp(p.prog, tid, st, ctx):
+        start = len(prior)
+        for o1, g1 in _interp(p.prog, tid, prior, ctx):
             if o1.brk != 0:
-                yield o1, g1, st1
+                yield o1, g1
                 continue
-            for o2, g2, st2 in _interp(p.cont(o1.value), tid, st1, ctx):
-                if len(g1) + len(g2) > ctx.max_events:
+            for o2, g2 in _interp(p.cont(o1.value), tid, g1, ctx):
+                if len(g2) - start > ctx.max_events:
                     ctx.truncated = True
                     continue
-                yield o2, g1 + g2, st2
+                yield o2, g2
     elif isinstance(p, Loop):
-        yield from _loop(p.body, tid, st, ctx, (), 0)
+        yield from _loop(p.body, tid, prior, ctx, len(prior), 0)
     else:
         raise InvalidInput(f"not a program: {p!r}")
 
 
-def _loop(body, tid, st, ctx, prefix, done):
+def _loop(body, tid, prior, ctx, start, done):
+    """The loop's unfoldings after ``done`` iterations; the event cap counts
+    the events added since the loop started, at ``start``."""
     if done >= ctx.loop_bound:
         ctx.truncated = True
         return
-    for o, g, st2 in _interp(body, tid, st, ctx):
-        if len(prefix) + len(g) > ctx.max_events:
+    for o, g in _interp(body, tid, prior, ctx):
+        if len(g) - start > ctx.max_events:
             ctx.truncated = True
             continue
-        ga = prefix + g
         if o.brk > 0:
-            yield Output(o.value, o.brk - 1), ga, st2
+            yield Output(o.value, o.brk - 1), g
         else:
-            yield from _loop(body, tid, st2, ctx, ga, done + 1)
+            yield from _loop(body, tid, g, ctx, start, done + 1)
 
 
 def interpret_seq(p: Program, tid: int, loop_bound: int,
@@ -185,10 +156,14 @@ def interpret_seq(p: Program, tid: int, loop_bound: int,
     ``value_domain`` is either a finite value collection (every method
     call's output ranges over it) or an :data:`OutputsFn`.
     """
-    outputs = value_domain if callable(value_domain) else uniform_outputs(value_domain)
+    if callable(value_domain):
+        outputs = value_domain
+    else:
+        vals = tuple(value_domain)
+        outputs = lambda method, args, tid, prior: vals
     ctx = _Ctx(loop_bound, outputs, max_events)
     results = dict.fromkeys(
-        (o, PlainExecution(g)) for o, g, _ in _interp(p, tid, ThreadState(), ctx)).keys()
+        (o, PlainExecution(g)) for o, g in _interp(p, tid, (), ctx)).keys()
     return InterpResult(results, ctx.truncated)
 
 

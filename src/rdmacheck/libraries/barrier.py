@@ -43,8 +43,8 @@ class BarrierLib(Library):
             nodes = {cfg.node_of_thread(t) for t in cfg.barrier.get(e.args[0], ())}
         return frozenset({GF(n) for n in nodes} | {ACR})
 
-    def outputs(self, method, args, tid, state, profile: ClientProfile, cfg):
-        return ((UNIT, state),)
+    def outputs(self, method, args, tid, prior, profile: ClientProfile, cfg):
+        return (UNIT,)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
         for e in plain.events:

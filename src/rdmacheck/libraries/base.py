@@ -25,7 +25,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..config import ClientProfile, NodeConfig
 from ..events import Event, InvalidInput, PlainExecution, SubEvent, po_before
-from ..lang import ThreadState
 from ..stamps import ppo_before
 from ..values import Value
 
@@ -56,10 +55,11 @@ class Library:
     def stamping(self, e: Event, cfg: NodeConfig) -> frozenset:
         raise NotImplementedError
 
-    def outputs(self, method: str, args: tuple, tid: int, state: ThreadState,
-                profile: ClientProfile, cfg: NodeConfig) -> Iterable[tuple[Value, ThreadState]]:
-        """Candidate results of a call; value and payload candidates come
-        from ``profile.domain`` and ``profile.tuple_pool``."""
+    def outputs(self, method: str, args: tuple, tid: int, prior: tuple[Event, ...],
+                profile: ClientProfile, cfg: NodeConfig) -> Iterable[Value]:
+        """Candidate results of a call by thread ``tid``, given the thread's
+        earlier events ``prior``; value and payload candidates come from
+        ``profile.domain`` and ``profile.tuple_pool``."""
         raise NotImplementedError
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:

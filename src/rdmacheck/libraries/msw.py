@@ -32,14 +32,13 @@ class MixedSizeLib(RdmaLib):
             return frozenset({AWT})
         return super().stamping(e, cfg)
 
-    def outputs(self, method, args, tid, state, profile: ClientProfile, cfg):
+    def outputs(self, method, args, tid, prior, profile: ClientProfile, cfg):
         if method == MSW_TRYREAD:
             size = cfg.size[args[0]]
             pool = {t for t in profile.tuple_pool(args[0]) if len(t) == size}
             pool.add(zero_tuple(size))
-            outs = [BOT] + sorted(pool, key=repr)
-            return ((v, state) for v in outs)
-        return super().outputs(method, args, tid, state, profile, cfg)
+            return [BOT] + sorted(pool, key=repr)
+        return super().outputs(method, args, tid, prior, profile, cfg)
 
     def extra_valid(self, plain: PlainExecution, cfg: NodeConfig) -> bool:
         for e in plain.events:
@@ -53,8 +52,3 @@ class MixedSizeLib(RdmaLib):
                 if cfg.size[e.args[0]] != cfg.size[e.args[1]]:
                     return False
         return True
-
-    def init_of(self, loc: str, cfg: NodeConfig):
-        if (loc, None) in cfg.init or (loc, cfg.node_of_loc(loc)) in cfg.init:
-            return super().init_of(loc, cfg)
-        return zero_tuple(cfg.size[loc])

@@ -9,8 +9,8 @@ outputs, node discipline and polls-from.  A subclass names its methods
 in the class-level role table ``roles`` (engine role -> method name; the
 roles are write, read, cas, mfence, rfence, get, put and wait) and
 overrides only the hooks where its model differs: ``polls_from``,
-``extra_valid``, ``init_of``, and ``stamping`` or ``outputs`` for
-methods outside the role table.
+``extra_valid``, and ``stamping`` or ``outputs`` for methods outside the
+role table.
 
 Issued-before (ib) orders subevent starts and must be acyclic; its part
 that starts at an instantaneous subevent (any but a write part) joins
@@ -69,10 +69,10 @@ class RdmaLib(Library):
             return frozenset({nF(e.args[0])})
         return _SINGLE_STAMPS[role]
 
-    def outputs(self, method, args, tid, state, profile: ClientProfile, cfg):
+    def outputs(self, method, args, tid, prior, profile: ClientProfile, cfg):
         if self.role_of.get(method) in ("read", "cas"):
-            return ((v, state) for v in sorted(profile.domain(args[0]), key=repr))
-        return ((UNIT, state),)
+            return sorted(profile.domain(args[0]), key=repr)
+        return (UNIT,)
 
     def polls_from(self, plain: PlainExecution, stmp) -> tuple[frozenset, frozenset, dict] | None:
         """(so part, ib part, named parts), or None when structurally invalid.
@@ -98,10 +98,6 @@ class RdmaLib(Library):
 
     def extra_valid(self, plain: PlainExecution, cfg: NodeConfig) -> bool:
         return True
-
-    def init_of(self, loc: str, cfg: NodeConfig):
-        """The initial value of ``loc``'s one cell, on its node."""
-        return cfg.init_of(loc, cfg.node_of_loc(loc))
 
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)
@@ -210,7 +206,7 @@ class RdmaLib(Library):
 
         for rf, mo, rb, vR, vW, by_place in coherence(
                 reads, writes, place, read_value, write_value, carrier,
-                lambda p: self.init_of(p[0], cfg)):
+                lambda p: cfg.init_of(*p)):
             fr_int = [(r, w) for r, w in rb if r.stamp.kind == "aCR"
                       and w.stamp.kind == "aCW" and r.event.tid == w.event.tid]
             grown = fixed.copy()

@@ -5,6 +5,11 @@ returning a unique operation identifier, poll(n) returning the identifier
 of the polled operation, tso_rfence(n), and per-thread identifier-set
 bookkeeping set_add/set_remove/set_isempty.
 
+Identifiers are read off the thread's earlier events: the k-th get or put
+of thread t (from 0) returns 1_000_000 + 1_000·t + k, and poll(n) may
+return the identifier of any earlier get or put toward node n, in program
+order.
+
 A poll blocks for the oldest not-yet-polled NIC write toward the node and
 is the only cross-benefit synchronisation: only polls of *get* local
 writes certify completion to other threads.  Everything else is the
@@ -37,16 +42,16 @@ class RdmaTsoLib(RdmaLib):
             return frozenset({AMF})
         return super().stamping(e, cfg)
 
-    def outputs(self, method, args, tid, state, profile: ClientProfile, cfg):
-        if method in (TSO_GET, TSO_PUT):
-            node = cfg.node_of_loc(args[1] if method == TSO_GET else args[0])
-            ident, st = state.next_fresh(tid)
-            return ((ident, st.record_issue(ident, node)),)
-        if method == POLL:
-            return ((v, state) for v, n in state.issued if n == args[0])
+    def outputs(self, method, args, tid, prior, profile: ClientProfile, cfg):
+        if method in (TSO_GET, TSO_PUT, POLL):
+            ops = [e for e in prior if e.method in (TSO_GET, TSO_PUT)]
+            if method == POLL:
+                return [e.output for e in ops if cfg.node_of_loc(
+                    e.args[1] if e.method == TSO_GET else e.args[0]) == args[0]]
+            return (1_000_000 + 1_000 * tid + len(ops),)
         if method == SET_ISEMPTY:
-            return ((True, state), (False, state))
-        return super().outputs(method, args, tid, state, profile, cfg)
+            return (True, False)
+        return super().outputs(method, args, tid, prior, profile, cfg)
 
     def polls_from(self, plain: PlainExecution, stmp):
         ops: dict = {}

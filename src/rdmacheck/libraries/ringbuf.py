@@ -15,7 +15,6 @@ but refuses witnesses where fb contradicts the global happens-before.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
 from ..config import ClientProfile, NodeConfig
@@ -51,11 +50,10 @@ class RingBufferLib(Library):
             return frozenset({AWT})
         return frozenset({ACR})
 
-    def outputs(self, method, args, tid, state, profile: ClientProfile, cfg):
+    def outputs(self, method, args, tid, prior, profile: ClientProfile, cfg):
         if method == SUBMIT:
-            return ((True, state), (False, state))
-        pool = sorted(profile.tuple_pool(args[0]), key=repr)
-        return itertools.chain(((BOT, state),), ((v, state) for v in pool))
+            return (True, False)
+        return [BOT] + sorted(profile.tuple_pool(args[0]), key=repr)
 
     def post_check(self, w: Witness, hb: frozenset) -> bool:
         if self.mode == STRICT:

@@ -40,10 +40,10 @@ class SharedVarLib(Library):
         targets = e.args[2]
         return frozenset(s for n in targets for s in (nLR(n), nRW(n)))
 
-    def outputs(self, method, args, tid, state, profile: ClientProfile, cfg):
+    def outputs(self, method, args, tid, prior, profile: ClientProfile, cfg):
         if method == READ:
-            return ((v, state) for v in sorted(profile.domain(args[0]), key=repr))
-        return ((UNIT, state),)
+            return sorted(profile.domain(args[0]), key=repr)
+        return (UNIT,)
 
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)

@@ -142,6 +142,13 @@ def _positive(tok: str, what: str, line: int) -> int:
     return int(tok)
 
 
+def _distinct(toks: Sequence[str], what: str, line: int) -> tuple:
+    for k, t in enumerate(toks):
+        if t in toks[:k]:
+            raise LitmusError(f"{what} {t!r} given twice", line)
+    return tuple(toks)
+
+
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*$")
 
 
@@ -151,66 +158,44 @@ def _check_name(tok: str, what: str, line: int) -> str:
     return tok
 
 
-# spec of each instruction: (argument kinds, returns-value)
+# litmus op -> (library, method, argument kinds, returns a value)
 # kinds: loc, vreg (value or register), wid, owid (optional wid), node,
 #        nodeset (rest of line), payload (tuple value or register)
-_INSTRS: dict[str, tuple[tuple, bool]] = {
-    "write": (("loc", "vreg"), False),
-    "read": (("loc",), True),
-    "cas": (("loc", "vreg", "vreg"), True),
-    "mfence": ((), False),
-    "put": (("loc", "loc", "wid"), False),
-    "putc": (("loc", "vreg", "owid"), False),
-    "get": (("loc", "loc", "wid"), False),
-    "wait": (("wid",), False),
-    "rfence": (("node",), False),
-    "svwrite": (("loc", "vreg"), False),
-    "svread": (("loc",), True),
-    "bcast": (("loc", "wid", "nodeset"), False),
-    "svwait": (("wid",), False),
-    "gf": (("nodeset",), False),
-    "tsowrite": (("loc", "vreg"), False),
-    "tsoread": (("loc",), True),
-    "tsocas": (("loc", "vreg", "vreg"), True),
-    "tsomfence": ((), False),
-    "tsoput": (("loc", "loc"), True),
-    "tsoputc": (("loc", "vreg"), False),
-    "tsoget": (("loc", "loc"), True),
-    "poll": (("node",), True),
-    "tsorfence": (("node",), False),
-    "setadd": (("loc", "vreg"), False),
-    "setremove": (("loc", "vreg"), False),
-    "setisempty": (("loc",), True),
-    "bar": (("loc",), False),
-    "submit": (("loc", "payload"), True),
-    "receive": (("loc",), True),
-    "mswwrite": (("loc", "payload"), False),
-    "tryread": (("loc",), True),
-    "mswput": (("loc", "loc", "wid"), False),
-    "mswget": (("loc", "loc", "wid"), False),
-    "mswwait": (("wid",), False),
-}
-
-# litmus op -> (library, method)
-_METHOD_OF = {
-    "write": ("rl", "write"), "read": ("rl", "read"), "cas": ("rl", "cas"),
-    "mfence": ("rl", "mfence"), "put": ("rl", "put"), "get": ("rl", "get"),
-    "wait": ("rl", "wait"), "rfence": ("rl", "rfence"),
-    "putc": ("rl", "put"), "tsoputc": ("tso", "tso_put"),
-    "svwrite": ("sv", "sv_write"), "svread": ("sv", "sv_read"),
-    "bcast": ("sv", "sv_bcast"), "svwait": ("sv", "sv_wait"),
-    "gf": ("sv", "sv_gf"),
-    "tsowrite": ("tso", "tso_write"), "tsoread": ("tso", "tso_read"),
-    "tsocas": ("tso", "tso_cas"), "tsomfence": ("tso", "tso_mfence"),
-    "tsoput": ("tso", "tso_put"), "tsoget": ("tso", "tso_get"),
-    "poll": ("tso", "poll"), "tsorfence": ("tso", "tso_rfence"),
-    "setadd": ("tso", "set_add"), "setremove": ("tso", "set_remove"),
-    "setisempty": ("tso", "set_isempty"),
-    "bar": ("bal", "bar"),
-    "submit": ("rbl", "submit"), "receive": ("rbl", "receive"),
-    "mswwrite": ("msw", "msw_write"), "tryread": ("msw", "msw_tryread"),
-    "mswput": ("msw", "msw_put"), "mswget": ("msw", "msw_get"),
-    "mswwait": ("msw", "msw_wait"),
+_INSTRS: dict[str, tuple[str, str, tuple, bool]] = {
+    "write": ("rl", "write", ("loc", "vreg"), False),
+    "read": ("rl", "read", ("loc",), True),
+    "cas": ("rl", "cas", ("loc", "vreg", "vreg"), True),
+    "mfence": ("rl", "mfence", (), False),
+    "put": ("rl", "put", ("loc", "loc", "wid"), False),
+    "putc": ("rl", "put", ("loc", "vreg", "owid"), False),
+    "get": ("rl", "get", ("loc", "loc", "wid"), False),
+    "wait": ("rl", "wait", ("wid",), False),
+    "rfence": ("rl", "rfence", ("node",), False),
+    "svwrite": ("sv", "sv_write", ("loc", "vreg"), False),
+    "svread": ("sv", "sv_read", ("loc",), True),
+    "bcast": ("sv", "sv_bcast", ("loc", "wid", "nodeset"), False),
+    "svwait": ("sv", "sv_wait", ("wid",), False),
+    "gf": ("sv", "sv_gf", ("nodeset",), False),
+    "tsowrite": ("tso", "tso_write", ("loc", "vreg"), False),
+    "tsoread": ("tso", "tso_read", ("loc",), True),
+    "tsocas": ("tso", "tso_cas", ("loc", "vreg", "vreg"), True),
+    "tsomfence": ("tso", "tso_mfence", (), False),
+    "tsoput": ("tso", "tso_put", ("loc", "loc"), True),
+    "tsoputc": ("tso", "tso_put", ("loc", "vreg"), False),
+    "tsoget": ("tso", "tso_get", ("loc", "loc"), True),
+    "poll": ("tso", "poll", ("node",), True),
+    "tsorfence": ("tso", "tso_rfence", ("node",), False),
+    "setadd": ("tso", "set_add", ("loc", "vreg"), False),
+    "setremove": ("tso", "set_remove", ("loc", "vreg"), False),
+    "setisempty": ("tso", "set_isempty", ("loc",), True),
+    "bar": ("bal", "bar", ("loc",), False),
+    "submit": ("rbl", "submit", ("loc", "payload"), True),
+    "receive": ("rbl", "receive", ("loc",), True),
+    "mswwrite": ("msw", "msw_write", ("loc", "payload"), False),
+    "tryread": ("msw", "msw_tryread", ("loc",), True),
+    "mswput": ("msw", "msw_put", ("loc", "loc", "wid"), False),
+    "mswget": ("msw", "msw_get", ("loc", "loc", "wid"), False),
+    "mswwait": ("msw", "msw_wait", ("wid",), False),
 }
 
 
@@ -307,13 +292,15 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
         elif head == "barrier":
             if len(toks) < 4 or toks[2] != ":":
                 raise LitmusError("expected: barrier <x> : <threads>", ln)
-            barriers[declare(_check_name(toks[1], "location", ln), ln)] = tuple(toks[3:])
+            barriers[declare(_check_name(toks[1], "location", ln), ln)] = \
+                _distinct(toks[3:], "barrier thread", ln)
         elif head == "ring":
             m = re.match(r"ring\s+(\w+)\s*:\s*writer\s+(\w+)\s+readers\s+(.*?)\s+cap\s+(\d+)$", raw)
             if not m:
                 raise LitmusError("expected: ring <x> : writer <t> readers <t...> cap <n>", ln)
             x = declare(_check_name(m.group(1), "location", ln), ln)
-            rings[x] = (m.group(2), tuple(m.group(3).split()), int(m.group(4)))
+            rings[x] = (m.group(2), _distinct(m.group(3).split(), "ring reader", ln),
+                        int(m.group(4)))
         elif head == "msize":
             if len(toks) != 3:
                 raise LitmusError("expected: msize <x> <size>", ln)
@@ -354,6 +341,8 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
             assertions.append(_parse_assert(raw, ln))
         elif head == "bounds":
             kw = {"loop": bounds.loop_bound, "events": bounds.max_events}
+            keys = [t.partition("=")[0] for t in toks[1:]]
+            _distinct(keys, "bound", ln)
             for t in toks[1:]:
                 key, eq, val = t.partition("=")
                 if not eq or key not in kw:
@@ -408,7 +397,7 @@ def _parse_instr(raw: str, ln: int) -> Instr:
     spec = _INSTRS.get(op)
     if spec is None:
         raise LitmusError(f"unknown instruction {op!r}", ln)
-    kinds, returns = spec
+    _lib, _method, kinds, returns = spec
     if dest is not None and not returns:
         raise LitmusError(f"{op} returns no value", ln)
     rest = toks[1:]
@@ -521,10 +510,9 @@ def _validate(test: LitmusTest, loc_lines: Mapping[str, int],
     for t, node in test.threads:
         seen: set[str] = set()
         for ins in test.programs.get(t, ()):
-            lib, method = _METHOD_OF[ins.op]
+            lib, method, kinds, _ret = _INSTRS[ins.op]
             if lib not in lib_names:
                 raise LitmusError(f"{ins.op} needs library {lib}", ins.line)
-            kinds, _ret = _INSTRS[ins.op]
             role_of = getattr(LIBRARIES[lib], "role_of", None)
             k = LOCAL_ARG.get((role_of or {}).get(method))
             local = ins.args[k] if k is not None and kinds[k] == "loc" else None
@@ -615,7 +603,7 @@ def print_litmus(test: LitmusTest) -> str:
 
 def _print_instr(ins: Instr) -> str:
     parts = [ins.op]
-    for kind, a in zip(_INSTRS[ins.op][0], ins.args):
+    for kind, a in zip(_INSTRS[ins.op][2], ins.args):
         if a is None:
             continue        # an absent optional work identifier
         if kind == "nodeset":
@@ -700,43 +688,36 @@ def build_test(test: LitmusTest, variants: Mapping[str, str] | None = None) -> B
 
         calls = []
         for ins in instrs:
-            lib, method = _METHOD_OF[ins.op]
+            _lib, method, kinds, _ret = _INSTRS[ins.op]
             args = list(ins.args)
+            for k, (kind, a) in enumerate(zip(kinds, ins.args)):
+                # Scalars come from value arguments only: a node id is no value.
+                if kind in ("vreg", "payload"):
+                    note_scalar(a)
+                    if kind == "payload" and isinstance(a, tuple):
+                        tuples.setdefault(args[0], set()).add(a)
+                elif kind == "loc":
+                    counts[(tid, method, a)] = counts.get((tid, method, a), 0) + 1
+                elif kind == "wid":
+                    wids.setdefault(tid, set()).add(a)
+                elif kind == "node":
+                    args[k] = node_id[a]
+                elif kind == "nodeset":
+                    args[k] = frozenset(node_id[n] for n in a)
             if ins.op in ("putc", "tsoputc"):
                 nonlocal_aux = f"__tmp_t{tid}_{aux}"
                 aux += 1
                 loc_node[nonlocal_aux] = node_id[nname]
                 x, v, *rest = args
                 d = rest[0] if rest and rest[0] else f"__dput{aux}"
-                wmeth = "write" if ins.op == "putc" else "tso_write"
-                pmeth = "put" if ins.op == "putc" else "tso_put"
+                wmeth = "write" if method == "put" else "tso_write"
                 calls.append((None, wmeth, (nonlocal_aux, v), ins))
-                pargs = (x, nonlocal_aux, d) if pmeth == "put" else (x, nonlocal_aux)
-                calls.append((None, pmeth, pargs, ins))
-                if pmeth == "put":
+                pargs = (x, nonlocal_aux, d) if method == "put" else (x, nonlocal_aux)
+                calls.append((None, method, pargs, ins))
+                if method == "put":
                     wids.setdefault(tid, set()).add(d)
             else:
-                if ins.op == "bcast":
-                    x, d, ns = args
-                    args = [x, d, frozenset(node_id[n] for n in ns)]
-                    wids.setdefault(tid, set()).add(d)
-                elif ins.op == "gf":
-                    args = [frozenset(node_id[n] for n in args[0])]
-                elif ins.op in ("put", "get", "mswput", "mswget"):
-                    wids.setdefault(tid, set()).add(args[2])
-                elif ins.op in ("wait", "svwait", "mswwait"):
-                    wids.setdefault(tid, set()).add(args[0])
-                elif ins.op in ("rfence", "tsorfence", "poll"):
-                    args = [node_id[args[0]]]
                 calls.append((ins.dest, method, tuple(args), ins))
-            # Scalars come from value arguments only: a node id is no value.
-            for k, a in zip(_INSTRS[ins.op][0], ins.args):
-                if k in ("vreg", "payload"):
-                    note_scalar(a)
-                elif k == "loc":
-                    counts[(tid, method, a)] = counts.get((tid, method, a), 0) + 1
-            if ins.op in ("submit", "mswwrite") and isinstance(args[1], tuple):
-                tuples.setdefault(args[0], set()).add(args[1])
 
         programs.append(_chain(calls, regs))
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import unfold_file
 from rdmacheck.cli import main
 from rdmacheck.litmus import LitmusError, parse_litmus, print_litmus
+from rdmacheck.runner import FAIL, PASS, run_litmus
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -99,6 +100,7 @@ def test_exit_3_when_the_event_cap_hides_a_forbidden_outcome(tmp_path):
     "barrier z : t1\ninit z = 5", "ring q : writer t1 readers t1 cap 1\ninit q = 3",
     "loc y @ n1\nmsize y 2\ninit y = 7", "loc y @ n1\nmsize y 2\ninit y = (1,2,3)",
     "init x = (1,2)", "svar y\ninit y @ n2 = (1,2)",
+    "bounds loop=2 loop=3", "barrier z : t1 t1", "ring q : writer t1 readers t1 t1 cap 2",
 ])
 def test_exit_2_with_the_line_of_a_bad_directive(tmp_path, capsys, bad):
     text = ONE_THREAD.format(name="bad", asserts="assert allowed a = 1") + bad + "\n"
@@ -166,6 +168,24 @@ def test_a_node_qualified_init_is_the_cell_on_that_node(tmp_path, fields):
     p = tmp_path / "nodeinit.litmus"
     p.write_text(NODE_INIT.format(**fields))
     assert exit_code(["check", p]) == 0
+
+
+UNWRITTEN_MSW = """name unwritten
+nodes n1
+libs msw
+loc x @ n1
+msize x 2
+thread t1 @ n1 {{
+  a = tryread x
+}}
+assert {kind} [x] = (0,0)
+"""
+
+
+@pytest.mark.parametrize("kind, verdict", [("forbidden", FAIL), ("allowed", PASS)])
+def test_an_unwritten_sized_cell_holds_the_zero_tuple(kind, verdict):
+    report = run_litmus(parse_litmus(UNWRITTEN_MSW.format(kind=kind)))
+    assert report.verdict == verdict
 
 
 def test_a_node_id_joins_no_value_domain(tmp_path):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmacheck.events import Event, SubEvent
@@ -242,10 +242,12 @@ def cross_product_seq(g1, g2):
 EMPTY = (frozenset(), frozenset())
 
 
-def stored_po_unfoldings(p, eid):
+def stored_po_unfoldings(p, eid, truncated):
     """(output, (events, po), next eid) for each unfolding of ``p`` on
     thread 1, under the interpreter's bounds, with po built by
-    ``cross_product_seq``."""
+    ``cross_product_seq``.  ``truncated[0]`` is set where an unfolding is
+    dropped: a let or a loop iteration over the event cap, and the loop
+    bound."""
     if isinstance(p, Val):
         yield Output(p.value, 0), EMPTY, eid
     elif isinstance(p, Break):
@@ -255,29 +257,33 @@ def stored_po_unfoldings(p, eid):
             e = Event(1, eid, p.method, p.args, v)
             yield Output(v, 0), (frozenset([e]), frozenset()), eid + 1
     elif isinstance(p, LetF):
-        for o1, g1, n1 in stored_po_unfoldings(p.prog, eid):
+        for o1, g1, n1 in stored_po_unfoldings(p.prog, eid, truncated):
             if o1.brk:
                 yield o1, g1, n1
                 continue
-            for o2, g2, n2 in stored_po_unfoldings(p.cont(o1.value), n1):
+            for o2, g2, n2 in stored_po_unfoldings(p.cont(o1.value), n1, truncated):
                 g = cross_product_seq(g1, g2)
                 if len(g[0]) <= MAX_EVENTS:
                     yield o2, g, n2
+                else:
+                    truncated[0] = True
     else:
-        yield from stored_po_loop(p.body, eid, EMPTY, 0)
+        yield from stored_po_loop(p.body, eid, EMPTY, 0, truncated)
 
 
-def stored_po_loop(body, eid, prefix, done):
+def stored_po_loop(body, eid, prefix, done, truncated):
     if done >= LOOP_BOUND:
+        truncated[0] = True
         return
-    for o, g, n in stored_po_unfoldings(body, eid):
+    for o, g, n in stored_po_unfoldings(body, eid, truncated):
         ga = cross_product_seq(prefix, g)
         if len(ga[0]) > MAX_EVENTS:
+            truncated[0] = True
             continue
         if o.brk:
             yield Output(o.value, o.brk - 1), ga, n
         else:
-            yield from stored_po_loop(body, n, ga, done + 1)
+            yield from stored_po_loop(body, n, ga, done + 1, truncated)
 
 
 def _let(prog, conts):
@@ -294,14 +300,29 @@ programs = st.recursive(
     max_leaves=8)
 
 
+def _calls(names, conts):
+    """Calls of ``names`` in sequence, the last one's output picking from
+    ``conts``."""
+    p = _let(Call(names[-1], ()), conts)
+    for name in reversed(names[:-1]):
+        p = _let(Call(name, ()), [p])
+    return p
+
+
+# Five calls overrun the event cap at a let alone; a three-call loop body
+# overruns it at the loop alone, on its second iteration.
+@example(_calls("abcab", [Val(0)]))
+@example(Loop(_calls("abc", [Val(0), Break(1, 1)])))
 @settings(max_examples=300)
 @given(programs)
 def test_derived_po_is_the_cross_product_po(p):
-    stored = {(o, g[0]): g[1] for o, g, _n in stored_po_unfoldings(p, 0)}
-    got = interpret_seq(p, 1, LOOP_BOUND, DOM, max_events=MAX_EVENTS).results
-    assert {(o, frozenset(g.events)) for o, g in got} == set(stored)
-    for o, g in got:
+    truncated = [False]
+    stored = {(o, g[0]): g[1] for o, g, _n in stored_po_unfoldings(p, 0, truncated)}
+    r = interpret_seq(p, 1, LOOP_BOUND, DOM, max_events=MAX_EVENTS)
+    assert {(o, frozenset(g.events)) for o, g in r.results} == set(stored)
+    for o, g in r.results:
         assert g.po == stored[(o, frozenset(g.events))]
+    assert r.truncated == truncated[0]
 
 
 def union_products(progs):

@@ -87,7 +87,7 @@ def per_choice_witnesses(lib: RdmaLib, plain, stmp, cfg):
 
     for rf, mo, rb, vR, vW, _by_place in coherence(
             reads, writes, place, read_value, write_value, carrier,
-            lambda p: lib.init_of(p[0], cfg)):
+            lambda p: cfg.init_of(*p)):
         fr_int = {(r, w) for r, w in rb if r.stamp.kind == "aCR"
                   and w.stamp.kind == "aCW" and r.event.tid == w.event.tid}
         for nfo in nfo_choices(0, []):

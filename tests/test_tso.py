@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from conftest import C, cfg2, out_set, outs
-from rdmacheck.config import NodeConfig
+from rdmacheck.checker import merged_outputs
+from rdmacheck.config import ClientProfile, NodeConfig
 from rdmacheck.events import Event
-from rdmacheck.lang import Break, Call, Loop, Val, let, seq
+from rdmacheck.lang import Break, Call, Loop, Val, interpret_seq, let, seq
 from rdmacheck.libraries import RdmaTsoLib
 from rdmacheck.stamps import AMF, AWT
 from rdmacheck.values import UNIT
@@ -60,6 +61,27 @@ class TestPolling:
                 assert dict(pf) == {puts[0]: polls[0], puts[1]: polls[1]}
                 seen += 1
         assert seen > 0
+
+
+class TestIdentifiers:
+    def unfold(self, *calls):
+        """Thread 2's unfoldings of ``calls``, in the interpreter's order."""
+        fn = merged_outputs([tso], ClientProfile(), CFG)
+        return [g.events for _o, g in interpret_seq(seq(*calls), 2, 4, fn).results]
+
+    def test_gets_and_puts_are_numbered_per_thread(self):
+        (evs,) = self.unfold(C("tso_get", "z", "x"), C("tso_write", "z", 1),
+                             C("tso_put", "x", "z"))
+        assert [e.output for e in evs] == [1_002_000, UNIT, 1_002_001]
+
+    def test_poll_offers_the_earlier_operations_toward_its_node(self):
+        # toward n1, n2, n1: the get reads x, the puts write z and then x
+        ops = (C("tso_get", "z", "x"), C("tso_put", "z", "z"), C("tso_put", "x", "z"))
+        polled = [evs[-1].output for evs in self.unfold(*ops, C("poll", 1))]
+        assert polled == [1_002_000, 1_002_002]
+        polled = [evs[-1].output for evs in self.unfold(*ops, C("poll", 2))]
+        assert polled == [1_002_001]
+        assert self.unfold(C("poll", 1), *ops) == []
 
 
 class TestSets:
