@@ -17,8 +17,8 @@ client substitutes calls homomorphically.  Its two functions:
 The builtin stages: shared variables over the wait-based RDMA model, the
 barrier and the ring buffer over shared variables, mixed-size cells over
 the wait-based model, and the wait-based model over the poll-based one.
-Invalid calls (wrong role, wrong size, non-participant) compile to an
-infinite loop, which has no terminating unfolding and hence no outcome.
+Invalid calls (wrong role, wrong size, non-participant) and failed awaits
+have no unfolding (``DEAD``), and hence no outcome.
 ``check_well_defined`` checks a stage's bodies over an argument grid.  The
 soundness harness reports inclusion of a compiled client's outcomes in
 those of its specification.
@@ -32,12 +32,12 @@ from typing import Callable, Mapping, Sequence
 from .checker import Bounds, outcomes
 from .config import ClientProfile, NodeConfig
 from .events import InvalidInput
-from .lang import (Break, Call, ConcurrentProgram, LetF, Loop, Program, Val,
-                   interpret_seq, let, seq)
+from .lang import (Break, Call, ConcurrentProgram, LetF, Loop, Program, Stop,
+                   Val, interpret_seq, let, seq)
 from .libraries import make_library
-from .values import BOT, UNIT, hash_tuple
+from .values import BOT, UNIT, Value, hash_tuple
 
-DEAD = Loop(Val(UNIT))
+DEAD = Stop()
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def apply_impl(impl: Implementation, progs: ConcurrentProgram,
     methods = impl.source_methods()
 
     def subst(tid: int, p: Program) -> Program:
-        if isinstance(p, (Val, Break)):
+        if isinstance(p, (Val, Break, Stop)):
             return p
         if isinstance(p, Call):
             if p.method in methods:
@@ -158,6 +158,29 @@ def _sv_extend(cfg: NodeConfig, profile: ClientProfile):
                      loc_node, domains, {_SV_D0})
 
 
+def _await(call: Call, exits: Callable[[Value], bool]) -> Program:
+    """A spin that repeats the read ``call`` until its output passes
+    ``exits``, as its one exiting iteration: the call, then nothing more if
+    the output passes and no unfolding (``DEAD``) if it fails.
+
+    The spin and the await have the same outcomes.  Every unfolding of the
+    await is one of the spin.  Conversely, take a consistent execution of
+    the spin and delete its failed reads:
+
+    * the failed reads feed only the exit test, so no other event's
+      arguments or output, and no thread's output, depend on them;
+    * deleting such a read removes rf, rb, ppo and ib edges that touch it,
+      and removes no write;
+    * every clause that consistency checks on the compiled side keeps
+      holding when edges are removed: hb and ib acyclicity, coherence,
+      ``sv``'s read-past-write veto and ``rbl``'s weak ``post_check``.
+
+    What is left is a consistent execution of the await with the same
+    outcome.
+    """
+    return let(call, lambda v: Val(UNIT) if exits(v) else DEAD)
+
+
 def _bal_ctr(x: str, t: int) -> str:
     return f"__bal_{x}_t{t}"
 
@@ -169,9 +192,10 @@ def impl_bal(variant: str, buggy: bool = False) -> Implementation:
     """The counter barrier over shared variables.
 
     Each participant fences, bumps its own counter, pushes it to the other
-    participating nodes, then spins on every participant's counter.  The
-    weak variant fences only participating nodes, the transitive variant
-    all nodes; the buggy variant omits the fence entirely, reproducing the
+    participating nodes, then awaits every participant's counter passing
+    the value it read of its own.  The weak variant fences only
+    participating nodes, the transitive variant all nodes; the buggy
+    variant omits the fence entirely, reproducing the
     pairwise-synchronisation defect.
     """
 
@@ -191,18 +215,11 @@ def impl_bal(variant: str, buggy: bool = False) -> Implementation:
         ctr = _bal_ctr(x, t)
 
         def spins(v: int) -> Program:
-            body: list[Program] = []
-            for ti in sorted(parts):
-                loc = _bal_ctr(x, ti)
-                body.append(Loop(let(Call("sv_read", (loc,)),
-                                     lambda v2, v=v: Break(1, UNIT)
-                                     if isinstance(v2, int) and v2 > v
-                                     else Val(UNIT))))
-            return seq(*body, Val(UNIT))
+            return seq(*[_await(Call("sv_read", (_bal_ctr(x, ti),)),
+                                lambda v2: v2 > v)
+                         for ti in sorted(parts)], Val(UNIT))
 
-        def after_read(v) -> Program:
-            if not isinstance(v, int):
-                return DEAD
+        def after_read(v: int) -> Program:
             steps: list[Program] = [Call("sv_write", (ctr, v + 1))]
             targets = frozenset(s_n - {me})
             if targets:
@@ -539,9 +556,9 @@ def check_well_defined(impl: Implementation, cfg: NodeConfig,
 class SoundnessReport:
     """Outcome inclusion of a compiled program in its specification.
 
-    ``inconclusive`` is set when the compiled side is bound-limited and has
-    no outcome at all: inclusion would then hold vacuously, so ``included``
-    is False without any counterexample.
+    ``inconclusive`` is set when the compiled side has no outcome at all,
+    whether a bound cut it or every unfolding blocks: inclusion would then
+    hold vacuously, so ``included`` is False without any counterexample.
     """
 
     included: bool
@@ -602,7 +619,7 @@ def check_soundness(progs: ConcurrentProgram,
     spec_set = frozenset(o.outputs for o in spec.outcomes)
     impl_set = frozenset(o.outputs for o in comp.outcomes)
     missing = sorted(impl_set - spec_set, key=repr)
-    inconclusive = not impl_set and comp.truncated
+    inconclusive = not impl_set
     return SoundnessReport(included=not missing and not inconclusive,
                            counterexamples=missing,
                            spec_outcomes=spec_set, impl_outcomes=impl_set,

@@ -2,7 +2,8 @@
 
 A sequential program is a value, a method call, a let-binding whose
 continuation is a total function from values to programs, an infinite
-loop, or a k-level break.  The plain semantics enumerates every bounded
+loop, a k-level break, or a stop, which never finishes and so has no
+unfolding at all.  The plain semantics enumerates every bounded
 unfolding of a program into an output (value, break-depth) plus a plain
 execution, without yet asking whether any library accepts the behaviour.
 Each call appends its event to the thread's earlier events, numbered by
@@ -60,7 +61,13 @@ class Break:
             raise InvalidInput("break depth must be >= 1")
 
 
-Program = Val | Call | LetF | Loop | Break
+@dataclass(frozen=True)
+class Stop:
+    """A program that never finishes: it has no unfolding, and it is not
+    cut by any bound."""
+
+
+Program = Val | Call | LetF | Loop | Break | Stop
 ConcurrentProgram = Sequence[Program]
 
 
@@ -127,6 +134,8 @@ def _interp(p: Program, tid: int, prior: tuple[Event, ...], ctx: _Ctx,
                 yield o2, g2
     elif isinstance(p, Loop):
         yield from _loop(p.body, tid, prior, ctx, len(prior), 0)
+    elif isinstance(p, Stop):
+        return
     else:
         raise InvalidInput(f"not a program: {p!r}")
 

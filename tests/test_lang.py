@@ -7,8 +7,8 @@ import itertools
 import pytest
 
 from rdmacheck.events import Event, InvalidInput, PlainExecution
-from rdmacheck.lang import (Break, Call, LetF, Loop, Output, Val, interpret_conc,
-                            interpret_seq, let, seq)
+from rdmacheck.lang import (Break, Call, LetF, Loop, Output, Stop, Val,
+                            interpret_conc, interpret_seq, let, seq)
 
 
 def ev(tid, eid, m="m", args=(), out=0):
@@ -76,6 +76,13 @@ class TestInterpretSeq:
         r = interpret_seq(Loop(Val(0)), 1, 4, DOM)
         assert r.results == frozenset() and r.truncated
 
+    @pytest.mark.parametrize("p", [Stop(), LetF(Call("m", ()), lambda v: Stop()),
+                                   Loop(Stop())],
+                             ids=["alone", "after_call", "loop_body"])
+    def test_stop_has_no_unfolding_and_no_truncation(self, p):
+        r = interpret_seq(p, 1, 4, DOM)
+        assert r.results == frozenset() and not r.truncated
+
     def test_po_total_per_thread(self):
         p = seq(Call("a", ()), Call("b", ()), Call("c", ()))
         r = interpret_seq(p, 1, 4, frozenset({0}))
@@ -121,6 +128,10 @@ class TestInterpretConc:
     def test_nonterminating_thread_kills_all(self):
         r = interpret_conc([Val(1), Loop(Val(0))], 4, DOM)
         assert r.results == frozenset() and r.truncated
+
+    def test_stopped_thread_kills_all_without_truncation(self):
+        r = interpret_conc([Call("m", ()), Stop()], 4, DOM)
+        assert r.results == frozenset() and not r.truncated
 
     def test_sb_skeleton_shapes(self):
         # store-buffering skeleton: one write-like and one read-like call per

@@ -7,8 +7,11 @@ from pathlib import Path
 import pytest
 
 from conftest import soundness as soundness_of
+from rdmacheck import compilers
 from rdmacheck.compilers import builtin_impl, compile_stack
+from rdmacheck.lang import Break, Loop, Val, let
 from rdmacheck.litmus import build_test, parse_litmus
+from rdmacheck.values import UNIT
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -34,24 +37,96 @@ def test_no_compiled_outcome_under_truncation_is_inconclusive(stem, impl, loop, 
     assert rep.summary().startswith("inconclusive")
 
 
-def test_buggy_barrier_is_not_included():
-    rep = soundness("bug1_barrier", "bal_buggy", 3, 26)
+# A participant that never calls ``bar``, and a ``bar`` by a thread outside
+# the barrier: every compiled unfolding blocks in an await.
+BLOCKED_BARRIERS = {
+    "missing_participant": """name missing_participant
+nodes n1 n2
+libs rl bal
+loc x @ n1
+loc y @ n2
+barrier z : t1 t2
+thread t1 @ n1 {
+  bar z
+  a = read x
+}
+thread t2 @ n2 {
+  b = read y
+}
+""",
+    "outsider": """name outsider
+nodes n1 n2
+libs rl bal
+loc x @ n1
+barrier z : t1
+thread t1 @ n1 {
+  bar z
+  a = read x
+}
+thread t2 @ n2 {
+  bar z
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKED_BARRIERS))
+def test_no_compiled_outcome_without_truncation_is_inconclusive(tmp_path, name):
+    path = tmp_path / f"{name}.litmus"
+    path.write_text(BLOCKED_BARRIERS[name])
+    rep = soundness_of(path, ["bal_weak"], 3, 30)
+    assert rep.impl_outcomes == frozenset() and not rep.impl_truncated
+    assert rep.inconclusive and not rep.included
+    assert rep.counterexamples == []
+
+
+@pytest.mark.parametrize("impl, loop, events", [
+    ("bal_buggy", 3, 26), ("bal_buggy,sv", 3, 26),
+    ("bal_buggy", 3, 30), ("bal_buggy,sv", 3, 30),
+])
+def test_buggy_barrier_is_not_included(impl, loop, events):
+    rep = soundness("bug1_barrier", impl, loop, events)
     assert not rep.included and not rep.inconclusive
     assert rep.counterexamples == [((), (), (0,))]
+    assert not rep.impl_truncated
     assert rep.summary().startswith("NOT included")
 
 
-def test_buggy_barrier_down_to_rdma_is_not_included():
-    rep = soundness("bug1_barrier", "bal_buggy,sv", 3, 26)
-    assert not rep.included and not rep.inconclusive
-    assert rep.counterexamples == [((), (), (0,))]
-
-
-def test_weak_barrier_is_included():
-    rep = soundness("bug1_barrier", "bal_weak", 3, 26)
+@pytest.mark.parametrize("stem, impl, loop, events", [
+    ("bug1_barrier", "bal_weak", 3, 26),
+    ("fig5_barrier", "bal_weak,sv", 3, 30),
+])
+def test_weak_barrier_is_included(stem, impl, loop, events):
+    rep = soundness(stem, impl, loop, events)
     assert rep.impl_outcomes and rep.impl_outcomes <= rep.spec_outcomes
     assert rep.included and not rep.inconclusive
+    assert not rep.impl_truncated
     assert rep.summary().startswith("included")
+
+
+def _loop_spin(call, exits):
+    """The barrier spin as a loop that repeats ``call`` until ``exits``
+    holds: the reference for ``compilers._await``."""
+    return Loop(let(call, lambda v: Break(1, UNIT) if exits(v) else Val(UNIT)))
+
+
+@pytest.mark.parametrize("impl", ["bal_weak", "bal_transitive", "bal_buggy"])
+@pytest.mark.parametrize("stem", ["fig5_barrier", "fig12_weakbar",
+                                  "fig12_transbar", "bug1_barrier",
+                                  "appf_rbl_bal"])
+def test_awaits_give_the_loop_spins_verdicts(monkeypatch, stem, impl):
+    for events in (24, 26):
+        awaits = soundness(stem, impl, 3, events)
+        with monkeypatch.context() as m:
+            m.setattr(compilers, "_await", _loop_spin)
+            loops = soundness(stem, impl, 3, events)
+        assert loops.impl_truncated   # a loop spin always meets the bound
+        # Deleting a spin's failed reads keeps an execution consistent, so
+        # the await reaches every outcome the loop reaches within its bounds.
+        assert loops.impl_outcomes <= awaits.impl_outcomes
+        assert loops.impl_outcomes == awaits.impl_outcomes
+        assert loops.included == awaits.included
+        assert loops.counterexamples == awaits.counterexamples
 
 
 def test_shared_variables_down_to_polling_are_included():
