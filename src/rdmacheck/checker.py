@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from itertools import tee
 from typing import Iterator, Mapping, Sequence
 
-from .config import ClientProfile, NodeConfig
+from .config import NodeConfig
 from .events import Event, Execution, InvalidInput, PlainExecution
-from .lang import OutputsFn, interpret_conc
+from .lang import Pools, interpret_conc
 from .libraries.base import Library, Witness, check_consistent
 from .relations import IncrementalOrder
 from .stamps import derive_ppo
@@ -62,18 +62,23 @@ def method_map(libs: Sequence[Library]) -> dict[str, Library]:
     return out
 
 
-def merged_outputs(libs: Sequence[Library], profile: ClientProfile,
-                   cfg: NodeConfig) -> OutputsFn:
+def pools(libs: Sequence[Library], cfg: NodeConfig) -> Pools:
+    """The value pools of a program over ``libs``: each call's candidate
+    outputs come from the library that owns its method, and so do the
+    stores of each event."""
     mm = method_map(libs)
 
-    def fn(method, args, tid, prior):
+    def lib_of(method: str) -> Library:
         try:
-            lib = mm[method]
+            return mm[method]
         except KeyError:
             raise InvalidInput(f"unknown method {method}")
-        return lib.outputs(method, args, tid, prior, profile, cfg)
 
-    return fn
+    return Pools(
+        lambda method, args, tid, prior, ps:
+            lib_of(method).outputs(method, args, tid, prior, ps, cfg),
+        lambda e: lib_of(e.method).stores(e, cfg),
+        lambda place: cfg.init_of(*place))
 
 
 def stamp_events(plain: PlainExecution, libs: Sequence[Library], cfg: NodeConfig):
@@ -178,7 +183,7 @@ def final_memory(witnesses: Mapping[str, Witness], libs: Sequence[Library],
 
 
 def outcomes(progs, libs: Sequence[Library], cfg: NodeConfig, bounds: Bounds,
-             profile: ClientProfile, outputs_only: bool = False) -> OutcomeResult:
+             outputs_only: bool = False) -> OutcomeResult:
     """Outcome set of a concurrent program under the installed libraries.
 
     With ``outputs_only`` the search stops at the first witness per plain
@@ -190,8 +195,8 @@ def outcomes(progs, libs: Sequence[Library], cfg: NodeConfig, bounds: Bounds,
     set is the same.  A full enumeration, whose outcomes carry final
     memory, checks every plain execution.
     """
-    fn = merged_outputs(libs, profile, cfg)
-    interp = interpret_conc(progs, bounds.loop_bound, fn, bounds.max_events)
+    interp = interpret_conc(progs, bounds.loop_bound, pools(libs, cfg),
+                            bounds.max_events)
     found = set()
     for vals, plain in interp.results:
         if outputs_only and Outcome(vals) in found:

@@ -11,8 +11,9 @@ client substitutes calls homomorphically.  Its two functions:
 * ``extend(cfg, profile)`` returns the config and profile of the compiled
   program.  It must add every location the stage introduces to
   ``profile.locs`` (and to ``cfg.loc_node`` when a target library places
-  it on a node), their ``profile.domains`` where it bounds them, and the
-  work identifiers its bodies use to ``profile.wids``.
+  it on a node), and the work identifiers its bodies use to
+  ``profile.wids``.  It sizes no values: a read of the compiled program
+  is offered what the compiled program's stores can put at its place.
 
 The builtin stages: shared variables over the wait-based RDMA model, the
 barrier and the ring buffer over shared variables, mixed-size cells over
@@ -27,7 +28,7 @@ those of its specification.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .checker import Bounds, outcomes
 from .config import ClientProfile, NodeConfig
@@ -84,16 +85,17 @@ def apply_impl(impl: Implementation, progs: ConcurrentProgram,
     return [subst(t + 1, p) for t, p in enumerate(progs)]
 
 
-def _extended(cfg: NodeConfig, profile: ClientProfile, loc_node: Mapping,
-              domains: Mapping, wids=()):
-    """(cfg, profile) with the locations a stage introduces, those in
-    ``loc_node`` placed on nodes and those in ``domains`` with bounded
-    values, and with ``wids`` added to every thread's work identifiers."""
+def _extended(cfg: NodeConfig, profile: ClientProfile, *,
+              locs: Iterable[str] = (), loc_node: Mapping | None = None,
+              wids=()):
+    """(cfg, profile) with the locations a stage introduces, ``locs`` and
+    those ``loc_node`` places on nodes, and with ``wids`` added to every
+    thread's work identifiers."""
+    loc_node = loc_node or {}
     cfg = replace(cfg, loc_node={**cfg.loc_node, **loc_node})
     wids = {t: profile.wids.get(t, frozenset()) | frozenset(wids)
             for t in cfg.thread_node}
-    return cfg, replace(profile, locs=profile.locs.union(loc_node, domains),
-                        domains={**profile.domains, **domains},
+    return cfg, replace(profile, locs=profile.locs.union(locs, loc_node),
                         wids={**profile.wids, **wids})
 
 
@@ -141,8 +143,8 @@ def _sv_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
 
 def _sv_extend(cfg: NodeConfig, profile: ClientProfile):
     """A replica of every location on every node, carrying the location's
-    initial value and domain, and a fence dummy per node."""
-    loc_node, init, domains = {}, {}, {}
+    initial value, and a fence dummy per node."""
+    loc_node, init = {}, {}
     for x in sorted(profile.locs):
         for n in sorted(cfg.nodes):
             r = _sv_repl(x, n)
@@ -150,12 +152,10 @@ def _sv_extend(cfg: NodeConfig, profile: ClientProfile):
             iv = cfg.init_of(x, n)
             if iv != 0:
                 init[(r, None)] = iv
-            if x in profile.domains:
-                domains[r] = profile.domains[x]
     for n in sorted(cfg.nodes):
         loc_node[_sv_dummy(n)] = n
     return _extended(replace(cfg, init={**cfg.init, **init}), profile,
-                     loc_node, domains, {_SV_D0})
+                     loc_node=loc_node, wids={_SV_D0})
 
 
 def _await(call: Call, exits: Callable[[Value], bool]) -> Program:
@@ -239,14 +239,9 @@ def impl_bal(variant: str, buggy: bool = False) -> Implementation:
 
 
 def _bal_extend(cfg: NodeConfig, profile: ClientProfile):
-    """A counter per participant, bounded by the barrier's rounds."""
-    domains = {}
-    for x, parts in cfg.barrier.items():
-        rounds = max((profile.count(t, "bar", x) for t in parts), default=0)
-        dom = frozenset(range(rounds + 1))
-        for t in parts:
-            domains[_bal_ctr(x, t)] = dom
-    return _extended(cfg, profile, {}, domains, {_BAL_DUMMY_WID})
+    """A counter per participant."""
+    ctrs = {_bal_ctr(x, t) for x, parts in cfg.barrier.items() for t in parts}
+    return _extended(cfg, profile, locs=ctrs, wids={_BAL_DUMMY_WID})
 
 
 def _rbl_cell(x: str, i: int) -> str:
@@ -291,8 +286,6 @@ def _rbl_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
         s_n = frozenset({cfg.node_of_thread(r) for r in readers} - {me})
 
         def with_heads(H, heads) -> Program:
-            if not (isinstance(H, int) and all(isinstance(h, int) for h in heads)):
-                return DEAD
             M = min(heads) if heads else H
             if (H - M) + (V + 1) > S:
                 return Val(False)
@@ -340,8 +333,6 @@ def _rbl_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
                        lambda v: read_cells(H, V, i + 1, acc + [v]))
 
         def with_heads(H, H2) -> Program:
-            if not (isinstance(H, int) and isinstance(H2, int)):
-                return DEAD
             if H >= H2:
                 return Val(BOT)
             # A length outside 0..S-1 cannot be a committed header; no
@@ -357,24 +348,14 @@ def _rbl_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
 
 
 def _rbl_extend(cfg: NodeConfig, profile: ClientProfile):
-    """Bounded heads and cells of every ring buffer."""
-    domains = {}
-    for x, writer in cfg.wthd.items():
-        S = cfg.capacity[x]
-        pool = profile.tuple_pool(x)
-        maxlen = max((len(v) for v in pool), default=1)
-        subs = profile.count(writer, "submit", x)
-        top = subs * (maxlen + 1)
-        heads = frozenset(range(top + 1))
-        domains[_rbl_headw(x)] = heads
-        for r in cfg.rthd.get(x, frozenset()):
-            domains[_rbl_headr(x, r)] = heads
-        cells = {0} | set(range(1, maxlen + 1)) | \
-            {s for v in pool for s in v}
-        for i in range(S):
-            domains[_rbl_cell(x, i)] = frozenset(cells)
+    """The heads and cells of every ring buffer."""
+    locs = set()
+    for x in cfg.wthd:
+        locs.add(_rbl_headw(x))
+        locs.update(_rbl_headr(x, r) for r in cfg.rthd.get(x, frozenset()))
+        locs.update(_rbl_cell(x, i) for i in range(cfg.capacity[x]))
     wids = {_RBL_DUMMY_WID} | {_rbl_wid(x) for x in cfg.wthd}
-    return _extended(cfg, profile, {}, domains, wids)
+    return _extended(cfg, profile, locs=locs, wids=wids)
 
 
 def _msw_slot(x: str, i: int) -> str:
@@ -422,25 +403,10 @@ def _msw_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
 
 
 def _msw_extend(cfg: NodeConfig, profile: ClientProfile):
-    """The slots of every sized location, on its node: the digest slot
-    over the digests of same-size payloads, the others over their
-    scalars."""
-    loc_node, domains = {}, {}
-    pools: dict[int, set] = {}
-    for x, pool in profile.tuples.items():
-        if x in cfg.size:
-            for v in pool:
-                pools.setdefault(len(v), set()).add(v)
-    for x, k in cfg.size.items():
-        n = cfg.node_of_loc(x)
-        for i in range(k + 1):
-            loc_node[_msw_slot(x, i)] = n
-        pool = pools.get(k, set())
-        domains[_msw_slot(x, 0)] = frozenset({0} | {hash_tuple(v) for v in pool})
-        scal = frozenset({0} | {s for v in pool for s in v})
-        for i in range(k):
-            domains[_msw_slot(x, i + 1)] = scal
-    return _extended(cfg, profile, loc_node, domains)
+    """The slots of every sized location, on its node."""
+    loc_node = {_msw_slot(x, i): cfg.node_of_loc(x)
+                for x, k in cfg.size.items() for i in range(k + 1)}
+    return _extended(cfg, profile, loc_node=loc_node)
 
 
 def _set_loc(t: int, d, n: int) -> str:
@@ -609,12 +575,11 @@ def check_soundness(progs: ConcurrentProgram,
     observations belong in the client program as trailing reads.
     """
     impls = [impl] if isinstance(impl, Implementation) else list(impl)
-    spec = outcomes(progs, list(spec_libs), cfg, bounds, profile,
-                    outputs_only=True)
+    spec = outcomes(progs, list(spec_libs), cfg, bounds, outputs_only=True)
 
     compiled, cfg2, profile2 = compile_stack(progs, impls, cfg, profile)
-    comp = outcomes(compiled, list(impl_libs), cfg2,
-                    impl_bounds or bounds, profile2, outputs_only=True)
+    comp = outcomes(compiled, list(impl_libs), cfg2, impl_bounds or bounds,
+                    outputs_only=True)
 
     spec_set = frozenset(o.outputs for o in spec.outcomes)
     impl_set = frozenset(o.outputs for o in comp.outcomes)

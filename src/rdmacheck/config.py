@@ -1,5 +1,5 @@
-"""Per-test node/role configuration and the client profile shared by all
-libraries and implementation stages."""
+"""Per-test node/role configuration, shared by all libraries and
+implementation stages, and the client profile the stages read."""
 
 from __future__ import annotations
 
@@ -60,29 +60,11 @@ class NodeConfig:
 
 @dataclass(frozen=True)
 class ClientProfile:
-    """Static facts about a program, used to size output domains.
+    """Static facts about a program that an implementation stage compiles:
+    ``locs``, every location the program names (a stage replicates or
+    refuses them), and ``wids``, the work identifiers each thread uses (a
+    compiled wait drains them).  No value is sized here: a read is offered
+    what the program's stores can put at its place."""
 
-    ``scalars``: base scalar domain ({0}, literals, initial values);
-    ``locs``: every location the program names; ``counts``: static call
-    counts keyed (tid, method, loc); ``tuples``: payload pools per
-    location; ``wids``: work identifiers used per thread; ``domains``:
-    per-location scalar domains overriding ``scalars``.  A litmus client
-    has no ``domains``; an implementation stage's ``extend`` gives the
-    locations it introduces theirs (see ``compilers``).
-    """
-
-    scalars: frozenset = frozenset({0})
     locs: frozenset = frozenset()
-    counts: Mapping = field(default_factory=dict)
-    tuples: Mapping = field(default_factory=dict)
     wids: Mapping = field(default_factory=dict)
-    domains: Mapping = field(default_factory=dict)
-
-    def count(self, tid: int, method: str, loc: str) -> int:
-        return self.counts.get((tid, method, loc), 0)
-
-    def domain(self, loc: str) -> frozenset:
-        return self.domains.get(loc, self.scalars)
-
-    def tuple_pool(self, loc: str) -> frozenset:
-        return self.tuples.get(loc, frozenset())

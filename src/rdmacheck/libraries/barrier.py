@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..config import ClientProfile, NodeConfig
+from ..config import NodeConfig
 from ..events import Event, PlainExecution, SubEvent
 from ..stamps import ACR, GF
 from ..values import UNIT
@@ -43,7 +43,7 @@ class BarrierLib(Library):
             nodes = {cfg.node_of_thread(t) for t in cfg.barrier.get(e.args[0], ())}
         return frozenset({GF(n) for n in nodes} | {ACR})
 
-    def outputs(self, method, args, tid, prior, profile: ClientProfile, cfg):
+    def outputs(self, method, args, tid, prior, pools, cfg):
         return (UNIT,)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:

@@ -1,10 +1,10 @@
 """Library interface and the coherence search the memory libraries share.
 
 A library is a method set, a stamping rule, an output space per method,
-and a consistency oracle.  Oracles are implemented as witness generators:
-given the library's slice of a plain execution they yield every witness
-(rf, mo, ... choices) together with the synchronisation order the witness
-induces.
+the stores each event makes, and a consistency oracle.  Oracles are
+implemented as witness generators: given the library's slice of a plain
+execution they yield every witness (rf, mo, ... choices) together with
+the synchronisation order the witness induces.
 The checker combines per-library synchronisation orders into the global
 happens-before and backtracks across libraries.
 
@@ -23,8 +23,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from ..config import ClientProfile, NodeConfig
+from ..config import NodeConfig
 from ..events import Event, InvalidInput, PlainExecution, SubEvent, po_before
+from ..lang import Pools
 from ..stamps import ppo_before
 from ..values import Value
 
@@ -56,11 +57,16 @@ class Library:
         raise NotImplementedError
 
     def outputs(self, method: str, args: tuple, tid: int, prior: tuple[Event, ...],
-                profile: ClientProfile, cfg: NodeConfig) -> Iterable[Value]:
+                pools: Pools, cfg: NodeConfig) -> Iterable[Value]:
         """Candidate results of a call by thread ``tid``, given the thread's
-        earlier events ``prior``; value and payload candidates come from
-        ``profile.domain`` and ``profile.tuple_pool``."""
+        earlier events ``prior``, in ``repr`` order; a read's value
+        candidates are what ``pools.read`` says it can see."""
         raise NotImplementedError
+
+    def stores(self, e: Event, cfg: NodeConfig) -> Iterable[tuple]:
+        """(place, value) for each cell the event ``e`` writes; the value
+        is a ``Carried`` place when the event moves what it read there."""
+        return ()
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
         raise NotImplementedError

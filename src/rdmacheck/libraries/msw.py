@@ -11,10 +11,11 @@ returns a written payload or the all-zero payload.
 
 from __future__ import annotations
 
-from ..config import ClientProfile, NodeConfig
+from ..config import NodeConfig
 from ..events import Event, PlainExecution
 from ..stamps import AWT
-from ..values import BOT, zero_tuple
+from ..lang import Pools
+from ..values import BOT
 from .rdma_core import RdmaLib
 
 MSW_WRITE, MSW_TRYREAD = "msw_write", "msw_tryread"
@@ -32,13 +33,14 @@ class MixedSizeLib(RdmaLib):
             return frozenset({AWT})
         return super().stamping(e, cfg)
 
-    def outputs(self, method, args, tid, prior, profile: ClientProfile, cfg):
+    def outputs(self, method, args, tid, prior, pools: Pools, cfg):
         if method == MSW_TRYREAD:
-            size = cfg.size[args[0]]
-            pool = {t for t in profile.tuple_pool(args[0]) if len(t) == size}
-            pool.add(zero_tuple(size))
-            return [BOT] + sorted(pool, key=repr)
-        return super().outputs(method, args, tid, prior, profile, cfg)
+            x = args[0]
+            size, p = cfg.size[x], (x, cfg.node_of_loc(x))
+            return [BOT] + sorted((v for v in pools.read(p, tid, prior)
+                                   if isinstance(v, tuple) and len(v) == size),
+                                  key=repr)
+        return super().outputs(method, args, tid, prior, pools, cfg)
 
     def extra_valid(self, plain: PlainExecution, cfg: NodeConfig) -> bool:
         for e in plain.events:

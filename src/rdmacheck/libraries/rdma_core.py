@@ -5,10 +5,10 @@ check the same witnesses: a coherence choice (``base.coherence`` over
 (location, node) places; a put's or get's write part carries what its
 read part saw) and an orientation of the NIC flush order (nfo).
 ``RdmaLib`` holds that check and the wait-based model's stamping,
-outputs, node discipline and polls-from.  A subclass names its methods
-in the class-level role table ``roles`` (engine role -> method name; the
-roles are write, read, cas, mfence, rfence, get, put and wait) and
-overrides only the hooks where its model differs: ``polls_from``,
+outputs, stores, node discipline and polls-from.  A subclass names its
+methods in the class-level role table ``roles`` (engine role -> method
+name; the roles are write, read, cas, mfence, rfence, get, put and wait)
+and overrides only the hooks where its model differs: ``polls_from``,
 ``extra_valid``, and ``stamping`` or ``outputs`` for methods outside the
 role table.
 
@@ -24,8 +24,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..config import ClientProfile, NodeConfig
+from ..config import NodeConfig
 from ..events import Event, PlainExecution, SubEvent
+from ..lang import Carried, Pools
 from ..relations import IncrementalOrder
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW,
                       ppo_before, stamp_order)
@@ -41,6 +42,11 @@ _SINGLE_STAMPS = {"write": frozenset({ACW}), "read": frozenset({ACR}),
 # Node discipline: role -> position of the argument that must be a location
 # on the caller's node.
 LOCAL_ARG = {"write": 0, "read": 0, "cas": 0, "get": 0, "put": 1}
+
+
+def _place(x: str, cfg: NodeConfig) -> tuple:
+    """The (location, node) cell of ``x``."""
+    return x, cfg.node_of_loc(x)
 
 
 class RdmaLib(Library):
@@ -69,10 +75,24 @@ class RdmaLib(Library):
             return frozenset({nF(e.args[0])})
         return _SINGLE_STAMPS[role]
 
-    def outputs(self, method, args, tid, prior, profile: ClientProfile, cfg):
+    def outputs(self, method, args, tid, prior, pools: Pools, cfg):
         if self.role_of.get(method) in ("read", "cas"):
-            return sorted(profile.domain(args[0]), key=repr)
+            p = _place(args[0], cfg)
+            return sorted(pools.read(p, tid, prior), key=repr)
         return (UNIT,)
+
+    def stores(self, e: Event, cfg: NodeConfig):
+        """A write stores its value, a successful CAS its new value, and a
+        put or get what its read part saw at its source."""
+        role = self.role_of.get(e.method)
+        if role == "write":
+            return ((_place(e.args[0], cfg), e.args[1]),)
+        if role == "cas" and e.output == e.args[1]:
+            return ((_place(e.args[0], cfg), e.args[2]),)
+        if role in ("put", "get"):
+            dst, src = _place(e.args[0], cfg), _place(e.args[1], cfg)
+            return ((dst, Carried(src)),)
+        return ()
 
     def polls_from(self, plain: PlainExecution, stmp) -> tuple[frozenset, frozenset, dict] | None:
         """(so part, ib part, named parts), or None when structurally invalid.

@@ -18,8 +18,9 @@ wait-based model of ``RdmaLib``.
 
 from __future__ import annotations
 
-from ..config import ClientProfile, NodeConfig
+from ..config import NodeConfig
 from ..events import Event, PlainExecution, SubEvent, po_before
+from ..lang import Pools
 from ..stamps import AMF, AWT
 from .rdma_core import RdmaLib
 
@@ -42,7 +43,7 @@ class RdmaTsoLib(RdmaLib):
             return frozenset({AMF})
         return super().stamping(e, cfg)
 
-    def outputs(self, method, args, tid, prior, profile: ClientProfile, cfg):
+    def outputs(self, method, args, tid, prior, pools: Pools, cfg):
         if method in (TSO_GET, TSO_PUT, POLL):
             ops = [e for e in prior if e.method in (TSO_GET, TSO_PUT)]
             if method == POLL:
@@ -51,7 +52,7 @@ class RdmaTsoLib(RdmaLib):
             return (1_000_000 + 1_000 * tid + len(ops),)
         if method == SET_ISEMPTY:
             return (True, False)
-        return super().outputs(method, args, tid, prior, profile, cfg)
+        return super().outputs(method, args, tid, prior, pools, cfg)
 
     def polls_from(self, plain: PlainExecution, stmp):
         ops: dict = {}

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..config import ClientProfile, NodeConfig
+from ..config import NodeConfig
 from ..events import Event, PlainExecution, SubEvent, po_before
+from ..lang import Pools
 from ..stamps import ACR, ACW, AWT, nRW
 from ..values import BOT
 from .base import Library, Witness
@@ -50,10 +51,17 @@ class RingBufferLib(Library):
             return frozenset({AWT})
         return frozenset({ACR})
 
-    def outputs(self, method, args, tid, prior, profile: ClientProfile, cfg):
+    def outputs(self, method, args, tid, prior, pools: Pools, cfg):
         if method == SUBMIT:
             return (True, False)
-        return [BOT] + sorted(profile.tuple_pool(args[0]), key=repr)
+        return [BOT] + sorted(pools.stored((args[0], None), tid, prior), key=repr)
+
+    def stores(self, e: Event, cfg: NodeConfig):
+        """A successful submit stores its payload in the buffer, a place
+        of its own with no initial value."""
+        if e.method == SUBMIT and e.output is True:
+            return (((e.args[0], None), e.args[1]),)
+        return ()
 
     def post_check(self, w: Witness, hb: frozenset) -> bool:
         if self.mode == STRICT:

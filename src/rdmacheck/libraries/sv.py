@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ..config import ClientProfile, NodeConfig
+from ..config import NodeConfig
 from ..events import Event, PlainExecution, SubEvent, po_before
+from ..lang import Carried, Pools
 from ..stamps import ACR, ACW, AWT, GF, nLR, nRW
 from ..values import UNIT
 from .base import Library, Witness, coherence, external_rf, final_values
@@ -40,10 +41,21 @@ class SharedVarLib(Library):
         targets = e.args[2]
         return frozenset(s for n in targets for s in (nLR(n), nRW(n)))
 
-    def outputs(self, method, args, tid, prior, profile: ClientProfile, cfg):
+    def outputs(self, method, args, tid, prior, pools: Pools, cfg):
         if method == READ:
-            return sorted(profile.domain(args[0]), key=repr)
+            p = (args[0], cfg.node_of_thread(tid))
+            return sorted(pools.read(p, tid, prior), key=repr)
         return (UNIT,)
+
+    def stores(self, e: Event, cfg: NodeConfig):
+        """A write stores its value in the caller's replica; a broadcast
+        stores in each target replica what it read from the caller's."""
+        mine = (e.args[0], cfg.node_of_thread(e.tid))
+        if e.method == WRITE:
+            return ((mine, e.args[1]),)
+        if e.method == BCAST:
+            return tuple(((e.args[0], n), Carried(mine)) for n in e.args[2])
+        return ()
 
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)

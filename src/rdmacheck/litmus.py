@@ -658,25 +658,8 @@ def build_test(test: LitmusTest, variants: Mapping[str, str] | None = None) -> B
     for loc, node, v in test.inits:
         init[(loc, None if node is None else node_id[node])] = v
 
-    scalars = {0}
-    tuples: dict = {}
-    counts: dict = {}
     wids: dict = {}
     aux = 0
-
-    def note_scalar(v):
-        if isinstance(v, bool) or not isinstance(v, (int, tuple)):
-            return
-        if isinstance(v, tuple):
-            for s in v:
-                note_scalar(s)
-        else:
-            scalars.add(v)
-
-    for (loc, _node, v) in test.inits:
-        note_scalar(v)
-        if isinstance(v, tuple):
-            tuples.setdefault(loc, set()).add(v)
 
     programs = []
     registers = []
@@ -691,14 +674,7 @@ def build_test(test: LitmusTest, variants: Mapping[str, str] | None = None) -> B
             _lib, method, kinds, _ret = _INSTRS[ins.op]
             args = list(ins.args)
             for k, (kind, a) in enumerate(zip(kinds, ins.args)):
-                # Scalars come from value arguments only: a node id is no value.
-                if kind in ("vreg", "payload"):
-                    note_scalar(a)
-                    if kind == "payload" and isinstance(a, tuple):
-                        tuples.setdefault(args[0], set()).add(a)
-                elif kind == "loc":
-                    counts[(tid, method, a)] = counts.get((tid, method, a), 0) + 1
-                elif kind == "wid":
+                if kind == "wid":
                     wids.setdefault(tid, set()).add(a)
                 elif kind == "node":
                     args[k] = node_id[a]
@@ -721,15 +697,6 @@ def build_test(test: LitmusTest, variants: Mapping[str, str] | None = None) -> B
 
         programs.append(_chain(calls, regs))
 
-    # share payload pools across same-size msw locations (puts/gets copy)
-    by_size: dict = {}
-    for x, k in test.msizes.items():
-        for v in tuples.get(x, set()):
-            by_size.setdefault(k, set()).add(v)
-    for x, k in test.msizes.items():
-        pool = tuples.setdefault(x, set())
-        pool.update(by_size.get(k, set()))
-
     cfg = NodeConfig(
         nodes=frozenset(node_id.values()),
         thread_node={thread_id[t]: node_id[n] for t, n in test.threads},
@@ -748,10 +715,7 @@ def build_test(test: LitmusTest, variants: Mapping[str, str] | None = None) -> B
     all_locs = (set(test.loc_nodes) | set(test.svars) | set(test.barriers)
                 | set(test.rings) | set(test.msizes))
     profile = ClientProfile(
-        scalars=frozenset(scalars),
         locs=frozenset(all_locs),
-        counts=counts,
-        tuples={x: frozenset(vs) for x, vs in tuples.items()},
         wids={t: frozenset(ws) for t, ws in wids.items()},
     )
     libs = tuple((l, variants.get(l, v)) for l, v in test.libs)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .checker import Bounds, Outcome, enumerate_consistent, merged_outputs, outcomes
+from .checker import Bounds, Outcome, enumerate_consistent, outcomes, pools
 from .config import NodeConfig
 from .dump import dump_execution
 from .lang import interpret_conc
@@ -106,7 +106,7 @@ def run_litmus(test: LitmusTest, overrides: Mapping | None = None,
     if "max_events" in overrides:
         bounds = Bounds(bounds.loop_bound, overrides["max_events"])
     libs = _mk_libs(built.libs)
-    res = outcomes(built.programs, libs, built.cfg, bounds, built.profile,
+    res = outcomes(built.programs, libs, built.cfg, bounds,
                    outputs_only=not built.uses_memory)
     regpos = _reg_positions(built)
 
@@ -163,9 +163,8 @@ def _assert_desc(a: Assertion) -> str:
 
 
 def _dump_first_witness(built: BuiltTest, libs, bounds: Bounds) -> str:
-    fn = merged_outputs(libs, built.profile, built.cfg)
-    interp = interpret_conc(built.programs, bounds.loop_bound, fn,
-                            bounds.max_events)
+    interp = interpret_conc(built.programs, bounds.loop_bound,
+                            pools(libs, built.cfg), bounds.max_events)
     for vals, plain in interp.results:
         for acc in enumerate_consistent(plain, libs, built.cfg):
             return dump_execution(plain, acc["stmp"], acc["so"], acc["hb"],

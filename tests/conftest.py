@@ -3,9 +3,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from rdmacheck.checker import Bounds, merged_outputs, outcomes
+from rdmacheck.checker import Bounds, outcomes, pools
 from rdmacheck.compilers import builtin_impl, check_soundness, compile_stack
-from rdmacheck.config import ClientProfile, NodeConfig
+from rdmacheck.config import NodeConfig
 from rdmacheck.lang import Call, interpret_conc
 from rdmacheck.litmus import build_test, parse_litmus
 from rdmacheck.runner import _mk_libs
@@ -26,11 +26,8 @@ def cfg2(loc_node=None, **kw):
                       loc_node=loc_node or {}, **kw)
 
 
-def outs(progs, libs, cfg, scalars={0, 1}, tuples=None, bounds=Bounds(),
-         memory=False):
-    profile = ClientProfile(scalars=frozenset(scalars), tuples=tuples or {})
-    r = outcomes(progs, libs, cfg, bounds, profile, outputs_only=not memory)
-    return r
+def outs(progs, libs, cfg, bounds=Bounds(), memory=False):
+    return outcomes(progs, libs, cfg, bounds, outputs_only=not memory)
 
 
 def out_set(progs, libs, cfg, **kw):
@@ -44,8 +41,7 @@ def unfold_file(path):
     built = build_test(test)
     libs = _mk_libs(built.libs)
     res = interpret_conc(built.programs, test.bounds.loop_bound,
-                         merged_outputs(libs, built.profile, built.cfg),
-                         test.bounds.max_events)
+                         pools(libs, built.cfg), test.bounds.max_events)
     return built, libs, res
 
 
@@ -78,8 +74,8 @@ def unfold_compiled(path, impl_names, loop, events):
     """The compiled side of ``soundness`` unfolded at (loop, events):
     (node config, target libraries, interpretation result)."""
     _test, built, impls, target = _tower(path, impl_names)
-    progs, cfg, profile = compile_stack(built.programs, impls, built.cfg,
-                                        built.profile)
+    progs, cfg, _profile = compile_stack(built.programs, impls, built.cfg,
+                                         built.profile)
     libs = _mk_libs(target)
-    res = interpret_conc(progs, loop, merged_outputs(libs, profile, cfg), events)
+    res = interpret_conc(progs, loop, pools(libs, cfg), events)
     return cfg, libs, res

@@ -15,8 +15,7 @@ import pytest
 from conftest import C, cfg2, unfold_compiled, unfold_file
 from rdmacheck import checker
 from rdmacheck.checker import (Bounds, enumerate_consistent, lambda_consistent,
-                               merged_outputs, outcomes, stamp_events)
-from rdmacheck.config import ClientProfile
+                               outcomes, pools, stamp_events)
 from rdmacheck.events import Execution
 from rdmacheck.lang import interpret_conc
 from rdmacheck.libraries.base import Library, Witness
@@ -146,7 +145,7 @@ class Counted(Library):
 
 def _one_plain(libs, cfg):
     progs = [C("a"), C("b")]
-    res = interpret_conc(progs, 1, merged_outputs(libs, ClientProfile(), cfg), 14)
+    res = interpret_conc(progs, 1, pools(libs, cfg), 14)
     (_vals, plain), = res.results
     return progs, plain
 
@@ -181,6 +180,6 @@ def test_outputs_only_draws_only_an_accepted_first_witness():
     a, b = Counted("a", 4), Counted("b", 4)
     cfg = cfg2()
     progs, _plain = _one_plain([a, b], cfg)
-    r = outcomes(progs, [a, b], cfg, Bounds(), ClientProfile(), outputs_only=True)
+    r = outcomes(progs, [a, b], cfg, Bounds(), outputs_only=True)
     assert len(r.outcomes) == 1
     assert (a.calls, a.drawn, b.calls, b.drawn) == (1, 1, 1, 1)

@@ -31,8 +31,7 @@ def test_corpus_file_passes(path):
 def test_outputs_only_matches_full_enumeration(path):
     test = parse_litmus(path.read_text(), name=path.stem)
     built = build_test(test)
-    args = (built.programs, _mk_libs(built.libs), built.cfg, test.bounds,
-            built.profile)
+    args = (built.programs, _mk_libs(built.libs), built.cfg, test.bounds)
     fast = outcomes(*args, outputs_only=True)
     full = outcomes(*args, outputs_only=False)
     assert {o.outputs for o in fast.outcomes} == {o.outputs for o in full.outcomes}

@@ -189,15 +189,17 @@ def test_an_unwritten_sized_cell_holds_the_zero_tuple(kind, verdict):
 
 
 def test_a_node_id_joins_no_value_domain(tmp_path):
-    # rfence's node n3 is no value a read could return: reads range over
-    # {0, 1}, so two reads give 2 x 2 plain executions.
+    # rfence's node n3 is no value a read could return: the reads of x are
+    # offered its initial 0 and the stored 1, and the read of y, which
+    # nothing writes, only its initial 0, so the three reads give 2 x 2 x 1
+    # plain executions.
     p = tmp_path / "rfence.litmus"
-    p.write_text("name rfence\nnodes n1 n2 n3\nlibs rl\nloc x @ n1\n"
+    p.write_text("name rfence\nnodes n1 n2 n3\nlibs rl\nloc x @ n1\nloc y @ n1\n"
                  "thread t1 @ n1 {\n  write x 1\n  rfence n3\n  a = read x\n}\n"
-                 "thread t2 @ n1 {\n  b = read x\n}\n")
-    built, _libs, res = unfold_file(p)
-    assert built.profile.scalars == {0, 1}
+                 "thread t2 @ n1 {\n  b = read x\n  c = read y\n}\n")
+    _built, _libs, res = unfold_file(p)
     assert len(res.results) == 4 and not res.truncated
+    assert {vals[1][1] for vals, _g in res.results} == {0}
 
 
 SV_WRITE = """name svmem

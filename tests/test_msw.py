@@ -61,7 +61,6 @@ def test_remote_transfer_outcomes():
              C("msw_wait", "d"))
     cfg = NodeConfig(nodes=frozenset({1, 2}), thread_node={1: 1, 2: 2},
                      loc_node={"x": 1, "y": 2}, size={"x": 2, "y": 2})
-    got = out_set([t1, C("msw_tryread", "y")], [msw], cfg,
-                  scalars={0, 1, 2}, tuples={"y": frozenset({(1, 2)})})
+    got = out_set([t1, C("msw_tryread", "y")], [msw], cfg)
     vals = {o[1] for o in got}
     assert vals == {BOT, (0, 0), (1, 2)}

@@ -75,14 +75,13 @@ class TestWaitSemantics:
 
 class TestCas:
     def test_cas_success_updates(self):
-        r = outs([seq(C("cas", "x", 0, 7), C("read", "x"))], [rl], CFG,
-                 scalars={0, 7})
+        r = outs([seq(C("cas", "x", 0, 7), C("read", "x"))], [rl], CFG)
         got = {o.outputs[0] for o in r.outcomes}
         assert got == {7}
 
     def test_cas_failure_reads_current(self):
         p = seq(C("write", "x", 7), C("cas", "x", 1, 9))
-        r = outs([p], [rl], CFG, scalars={0, 1, 7, 9}, memory=True)
+        r = outs([p], [rl], CFG, memory=True)
         finals = {o.memory_map().get(("x", 1), 0) for o in r.outcomes}
         assert finals == {7}
 
@@ -90,8 +89,7 @@ class TestCas:
         # two successful CAS from 0: impossible for both to win
         cfg = NodeConfig(nodes=frozenset({1}), thread_node={1: 1, 2: 1},
                          loc_node={"x": 1})
-        got = out_set([C("cas", "x", 0, 1), C("cas", "x", 0, 2)], [rl], cfg,
-                      scalars={0, 1, 2})
+        got = out_set([C("cas", "x", 0, 1), C("cas", "x", 0, 2)], [rl], cfg)
         # the loser must observe the winner's value
         assert got == {(0, 1), (2, 0)}
 
@@ -111,7 +109,7 @@ class TestFences:
         # cannot land before the first's
         p = seq(C("write", "x", 1), C("put", "z", "x", "d"),
                 C("rfence", 2), C("write", "x", 2), C("put", "z", "x", "e"))
-        r = outs([p], [rl], CFG, scalars={0, 1, 2}, memory=True)
+        r = outs([p], [rl], CFG, memory=True)
         finals = {o.memory_map().get(("z", 2), 0) for o in r.outcomes}
         # mo must follow the fence-induced order, so the final value is the
         # second put's payload

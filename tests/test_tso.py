@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from conftest import C, cfg2, out_set, outs
-from rdmacheck.checker import merged_outputs
-from rdmacheck.config import ClientProfile, NodeConfig
+from rdmacheck.checker import pools
 from rdmacheck.events import Event
 from rdmacheck.lang import Break, Call, Loop, Val, interpret_seq, let, seq
 from rdmacheck.libraries import RdmaTsoLib
@@ -15,8 +14,8 @@ tso = RdmaTsoLib()
 CFG = cfg2({"x": 1, "z": 2})
 
 
-def z_finals(prog, scalars={0, 1}):
-    r = outs([prog], [tso], CFG, scalars=scalars, memory=True)
+def z_finals(prog):
+    r = outs([prog], [tso], CFG, memory=True)
     return {o.memory_map().get(("z", 2), 0) for o in r.outcomes}
 
 
@@ -39,13 +38,11 @@ class TestPolling:
         assert out_set([C("poll", 2)], [tso], CFG) == set()
 
     def test_pf_clauses_on_witnesses(self):
-        from rdmacheck.checker import enumerate_consistent, merged_outputs
+        from rdmacheck.checker import enumerate_consistent
         from rdmacheck.lang import interpret_conc
-        from rdmacheck.config import ClientProfile
-        profile = ClientProfile(scalars=frozenset({0, 1}))
         p = seq(C("tso_put", "z", "x"), C("tso_put", "z", "x"),
                 C("poll", 2), C("poll", 2))
-        fn = merged_outputs([tso], profile, CFG)
+        fn = pools([tso], CFG)
         seen = 0
         for vals, plain in interpret_conc([p], 4, fn, 14).results:
             for acc in enumerate_consistent(plain, [tso], CFG):
@@ -66,7 +63,7 @@ class TestPolling:
 class TestIdentifiers:
     def unfold(self, *calls):
         """Thread 2's unfoldings of ``calls``, in the interpreter's order."""
-        fn = merged_outputs([tso], ClientProfile(), CFG)
+        fn = pools([tso], CFG)
         return [g.events for _o, g in interpret_seq(seq(*calls), 2, 4, fn).results]
 
     def test_gets_and_puts_are_numbered_per_thread(self):
@@ -87,13 +84,13 @@ class TestIdentifiers:
 class TestSets:
     def test_isempty_true_requires_removal(self):
         p = seq(C("set_add", "s", 5), C("set_isempty", "s"))
-        got = out_set([p], [tso], CFG, scalars={0, 5})
+        got = out_set([p], [tso], CFG)
         assert got == {(False,)}
 
     def test_isempty_true_after_remove(self):
         p = seq(C("set_add", "s", 5), C("set_remove", "s", 5),
                 C("set_isempty", "s"))
-        got = out_set([p], [tso], CFG, scalars={0, 5})
+        got = out_set([p], [tso], CFG)
         assert got == {(True,), (False,)}
 
     def test_set_ops_are_fences(self):
