@@ -19,11 +19,11 @@ from itertools import tee
 from typing import Iterator, Mapping, Sequence
 
 from .config import NodeConfig
-from .events import Event, Execution, InvalidInput, PlainExecution
+from .events import Event, Execution, InvalidInput, PlainExecution, SubEvent, subevents
 from .lang import Pools, interpret_conc
 from .libraries.base import Library, Witness, check_consistent
 from .relations import IncrementalOrder
-from .stamps import derive_ppo
+from .stamps import ppo_before
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,13 @@ def stamp_events(plain: PlainExecution, libs: Sequence[Library], cfg: NodeConfig
     return stmp, per_lib
 
 
+def ppo_order(plain: PlainExecution, stmp) -> IncrementalOrder:
+    """Preserved program order, closed: the subevents in program order,
+    each event's stamps in ``repr`` order, swept once with ``ppo_before``."""
+    return IncrementalOrder([SubEvent(e, a) for e in plain.events
+                             for a in sorted(stmp[e], key=repr)], ppo_before)
+
+
 def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
                          cfg: NodeConfig) -> Iterator[dict]:
     """All accepted (witness-per-library, so, hb) combinations.
@@ -115,7 +122,6 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
         if next(copy(ws), None) is None:
             return
         drawn.append((lib, ws))
-    ppo = derive_ppo(plain, stmp)
 
     def rec(i: int, order: IncrementalOrder, chosen: list):
         if i == len(drawn):
@@ -126,7 +132,6 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
                     "so": frozenset(p for _, w in chosen for p in w.so),
                     "hb": hb,
                     "stmp": stmp,
-                    "ppo": ppo,
                 }
             return
         lib, ws = drawn[i]
@@ -136,7 +141,7 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
                 continue
             yield from rec(i + 1, o2, chosen + [(lib, w)])
 
-    yield from rec(0, IncrementalOrder(ppo), [])
+    yield from rec(0, ppo_order(plain, stmp), [])
 
 
 def lambda_consistent(exec_: Execution, libs: Sequence[Library],
@@ -152,9 +157,12 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
     stmp, per_lib = stamp_events(exec_.plain, libs, cfg)
     if dict(exec_.stmp) != stmp:
         return False, {}
-    # A cycle in ppo ∪ so closes to a reflexive pair.
-    hb = IncrementalOrder(derive_ppo(exec_.plain, stmp) | exec_.so).pairs()
-    if exec_.hb != hb or any(a == b for a, b in hb):
+    # so relates the execution's subevents and closes with ppo to hb
+    # without a cycle.
+    sub = subevents(exec_.plain.events, stmp)
+    order = ppo_order(exec_.plain, stmp)
+    if (not all(a in sub and b in sub for a, b in exec_.so)
+            or not order.add_edges(exec_.so) or exec_.hb != order.pairs()):
         return False, {}
 
     mm = method_map(libs)
@@ -166,7 +174,7 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
     witnesses = {}
     for lib in libs:
         w = check_consistent(lib, exec_.restrict(per_lib[lib.name]), cfg)
-        if w is None or not lib.post_check(w, hb):
+        if w is None or not lib.post_check(w, exec_.hb):
             return False, {}
         witnesses[lib.name] = w
     return True, witnesses

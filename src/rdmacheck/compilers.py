@@ -403,10 +403,17 @@ def _msw_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
 
 
 def _msw_extend(cfg: NodeConfig, profile: ClientProfile):
-    """The slots of every sized location, on its node."""
-    loc_node = {_msw_slot(x, i): cfg.node_of_loc(x)
-                for x, k in cfg.size.items() for i in range(k + 1)}
-    return _extended(cfg, profile, loc_node=loc_node)
+    """The slots of every sized location, on its node, carrying the
+    location's initial value: its digest in slot 0, its parts after."""
+    loc_node, init = {}, {}
+    for x, k in cfg.size.items():
+        v = cfg.init_of(x, cfg.node_of_loc(x))
+        for i, iv in enumerate((hash_tuple(v), *v)):
+            loc_node[_msw_slot(x, i)] = cfg.node_of_loc(x)
+            if iv != 0:
+                init[(_msw_slot(x, i), None)] = iv
+    return _extended(replace(cfg, init={**cfg.init, **init}), profile,
+                     loc_node=loc_node)
 
 
 def _set_loc(t: int, d, n: int) -> str:

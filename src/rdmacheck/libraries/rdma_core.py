@@ -14,10 +14,11 @@ role table.
 
 Issued-before (ib) orders subevent starts and must be acyclic; its part
 that starts at an instantaneous subevent (any but a write part) joins
-so.  ib is grown, not re-closed: its fixed part is closed once per call
-in an ``IncrementalOrder``, and each coherence choice, then each
-orientation of a free nfo pair, extends a copy that is dropped as soon
-as it closes a cycle.
+so.  ib is grown, not re-closed: its fixed part (ippo, iso and
+polls-from) runs forward along program order and is closed once per call
+in one sweep of an ``IncrementalOrder``, and each coherence choice, then
+each orientation of a free nfo pair, extends a copy that is dropped as
+soon as it closes a cycle.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution, SubEvent
+from ..events import Event, PlainExecution, SubEvent, po_before
 from ..lang import Carried, Pools
 from ..relations import IncrementalOrder
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW,
@@ -94,8 +95,9 @@ class RdmaLib(Library):
             return ((dst, Carried(src)),)
         return ()
 
-    def polls_from(self, plain: PlainExecution, stmp) -> tuple[frozenset, frozenset, dict] | None:
-        """(so part, ib part, named parts), or None when structurally invalid.
+    def polls_from(self, plain: PlainExecution, stmp) -> tuple[frozenset, frozenset, dict]:
+        """(so part, ib part, named parts).  Every pair runs from a NIC
+        write to a po-later event.
 
         A wait synchronises with the local write part of each po-earlier
         get with its work identifier; a waited put's remote write is only
@@ -133,10 +135,7 @@ class RdmaLib(Library):
                 return
         if not self.extra_valid(plain, cfg):
             return
-        polls = self.polls_from(plain, stmp)
-        if polls is None:
-            return
-        so_pf, ib_pf, pf_parts = polls
+        so_pf, ib_pf, pf_parts = self.polls_from(plain, stmp)
 
         sevents = [SubEvent(e, a) for e in plain.events for a in sorted(stmp[e], key=repr)]
         reads = [s for s in sevents if s.stamp.kind in READ_KINDS]
@@ -160,32 +159,39 @@ class RdmaLib(Library):
 
         # A put or get is a (read part, write part) pair that moves one
         # value and is ordered inside the event (iso); so is a failed CAS's
-        # fence before its read.
-        carrier, iso_pairs = {}, []
+        # fence before its read.  ``listed`` is the subevents in program
+        # order with each iso source before its target.
+        carrier, iso_pairs, listed = {}, [], []
         for e in plain.events:
             role = role_of.get(e.method)
-            if role not in ("put", "get", "cas"):
-                continue
             kinds = {a.kind: SubEvent(e, a) for a in stmp[e]}
             if role in ("put", "get"):
                 r, w = ((kinds["nLR"], kinds["nRW"]) if role == "put"
                         else (kinds["nRR"], kinds["nLW"]))
                 carrier[w] = r
-                iso_pairs.append((r, w))
-            elif "aMF" in kinds:
-                iso_pairs.append((kinds["aMF"], kinds["aCR"]))
+            elif role == "cas" and "aMF" in kinds:
+                r, w = kinds["aMF"], kinds["aCR"]
+            else:
+                listed += sorted(kinds.values(), key=repr)
+                continue
+            iso_pairs.append((r, w))
+            listed += (r, w)
         iso = frozenset(iso_pairs)
-        # ib orders starts: it extends ppo with CPU-write -> CPU-read/wait
-        # program order and NIC-write -> same-node NIC-fence program order.
-        ippo_pairs = []
-        for e1, e2 in plain.po:
-            for a1 in stmp[e1]:
-                for a2 in stmp[e2]:
-                    if (stamp_order(a1, a2)
-                            or a1.kind == "aCW" and a2.kind in ("aCR", "aWT")
-                            or (a1.kind in ("nRW", "nLW") and a2.kind == "nF"
-                                and a1.node == a2.node)):
-                        ippo_pairs.append((SubEvent(e1, a1), SubEvent(e2, a2)))
+
+        def ib_before(s1: SubEvent, s2: SubEvent) -> bool:
+            """ib's fixed part: iso inside an event; between events, ippo
+            (ppo with CPU-write -> CPU-read/wait and NIC-write -> same-node
+            NIC-fence program order) and polls-from."""
+            if s1.event is s2.event:
+                return (s1, s2) in iso
+            if not po_before(s1.event, s2.event):
+                return False
+            a1, a2 = s1.stamp, s2.stamp
+            return (stamp_order(a1, a2)
+                    or a1.kind == "aCW" and a2.kind in ("aCR", "aWT")
+                    or (a1.kind in ("nRW", "nLW") and a2.kind == "nF"
+                        and a1.node == a2.node)
+                    or (s1, s2) in ib_pf)
 
         inst = {s for s in sevents if s.stamp.kind not in ("aCW", "nLW", "nRW")}
 
@@ -193,8 +199,9 @@ class RdmaLib(Library):
         # write) and (remote read, remote write) pair; orientations the stamp
         # order already implies are fixed, the rest are enumerated.
         forced_nfo, free_nfo = [], []
-        for i, s1 in enumerate(sevents):
-            for s2 in sevents[i + 1:]:
+        nic = [s for s in sevents if s.stamp.kind in ("nLR", "nLW", "nRR", "nRW")]
+        for i, s1 in enumerate(nic):
+            for s2 in nic[i + 1:]:
                 kinds = {s1.stamp.kind, s2.stamp.kind}
                 if (s1.tid != s2.tid or s1.stamp.node != s2.stamp.node
                         or kinds != {"nLR", "nLW"} and kinds != {"nRR", "nRW"}):
@@ -207,10 +214,10 @@ class RdmaLib(Library):
                     free_nfo.append((s1, s2))
 
         # ib grows per choice from its fixed part, closed once here.  That
-        # part needs no cycle veto: ippo and polls-from run po-forward
+        # part runs forward along ``listed``: ippo and polls-from po-forward
         # between events, and iso inside one event, from a read part to its
         # write part or from a failed CAS's fence to its read.
-        fixed = IncrementalOrder([*ippo_pairs, *iso, *ib_pf])
+        fixed = IncrementalOrder(listed, ib_before)
 
         def oriented(i: int, order: IncrementalOrder, nfo: tuple):
             """Each acyclic orientation of the free nfo pairs from the

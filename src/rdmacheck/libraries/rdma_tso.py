@@ -6,12 +6,12 @@ of the polled operation, tso_rfence(n), and per-thread identifier-set
 bookkeeping set_add/set_remove/set_isempty.
 
 Identifiers are read off the thread's earlier events: the k-th get or put
-of thread t (from 0) returns 1_000_000 + 1_000·t + k, and poll(n) may
-return the identifier of any earlier get or put toward node n, in program
-order.
+of thread t (from 0) returns 1_000_000 + 1_000·t + k, and poll(n) returns
+the identifier of the oldest earlier get or put toward node n that no
+earlier poll returned, or blocks.  set_isempty may return True only when
+every earlier set_add of the set has a later set_remove.
 
-A poll blocks for the oldest not-yet-polled NIC write toward the node and
-is the only cross-benefit synchronisation: only polls of *get* local
+A poll is the only cross-benefit synchronisation: only polls of *get* local
 writes certify completion to other threads.  Everything else is the
 wait-based model of ``RdmaLib``.
 """
@@ -19,7 +19,7 @@ wait-based model of ``RdmaLib``.
 from __future__ import annotations
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution, SubEvent, po_before
+from ..events import Event, PlainExecution, SubEvent
 from ..lang import Pools
 from ..stamps import AMF, AWT
 from .rdma_core import RdmaLib
@@ -44,73 +44,47 @@ class RdmaTsoLib(RdmaLib):
         return super().stamping(e, cfg)
 
     def outputs(self, method, args, tid, prior, pools: Pools, cfg):
-        if method in (TSO_GET, TSO_PUT, POLL):
+        if method in (TSO_GET, TSO_PUT):
             ops = [e for e in prior if e.method in (TSO_GET, TSO_PUT)]
-            if method == POLL:
-                return [e.output for e in ops if cfg.node_of_loc(
-                    e.args[1] if e.method == TSO_GET else e.args[0]) == args[0]]
             return (1_000_000 + 1_000 * tid + len(ops),)
+        if method == POLL:
+            # The oldest not-yet-polled operation toward the node: the k-th
+            # when k polls of the node came before.
+            toward = [e.output for e in prior if e.method in (TSO_GET, TSO_PUT)
+                      and cfg.node_of_loc(e.args[1] if e.method == TSO_GET
+                                          else e.args[0]) == args[0]]
+            polled = sum(1 for e in prior if e.method == POLL and e.args == args)
+            return toward[polled:polled + 1]
         if method == SET_ISEMPTY:
-            return (True, False)
+            # Empty only when every earlier add to the set was removed since.
+            pending = set()
+            for e in prior:
+                if e.method == SET_ADD and e.args[0] == args[0]:
+                    pending.add(e.args[1])
+                elif e.method == SET_REMOVE and e.args[0] == args[0]:
+                    pending.discard(e.args[1])
+            return (False,) if pending else (True, False)
         return super().outputs(method, args, tid, prior, pools, cfg)
 
     def polls_from(self, plain: PlainExecution, stmp):
-        ops: dict = {}
-        for e in plain.events:
-            if e.method in (TSO_GET, TSO_PUT):
-                if e.output in ops:
-                    return None  # operation identifiers must be unique
-                ops[e.output] = e
+        """Each poll polls from the NIC write of the operation whose
+        identifier it returns.
 
-        def nic_write(e: Event) -> SubEvent:
-            kind = "nLW" if e.method == TSO_GET else "nRW"
-            (a,) = [a for a in stmp[e] if a.kind == kind]
-            return SubEvent(e, a)
-
-        pf = {}
+        Identifiers are unique while each thread issues fewer than 1_000
+        gets and puts: the k-th of thread t returns 1_000_000 + 1_000·t + k.
+        A poll is offered only the oldest operation of
+        its own thread's earlier ones toward its node that no earlier poll
+        returned, so each NIC write is polled at most once, by a po-later
+        poll, and the writes toward a node are polled in program order.
+        """
+        ops = {e.output: e for e in plain.events if e.method in (TSO_GET, TSO_PUT)}
+        pf = []
         for p in plain.events:
-            if p.method != POLL:
-                continue
-            src = ops.get(p.output)
-            if src is None:
-                return None  # every poll polls from exactly one NIC write
-            w = nic_write(src)
-            if w.stamp.node != p.args[0] or not po_before(src, p):
-                return None
-            if w in pf:
-                return None  # a NIC write is polled at most once
-            pf[w] = SubEvent(p, AWT)
-
-        # Oldest-first: a polled write's po-earlier same-node writes were
-        # polled by po-earlier polls.
-        for w2, p2 in pf.items():
-            for e1 in plain.events:
-                if e1.method not in (TSO_GET, TSO_PUT) or not po_before(e1, w2.event):
-                    continue
-                w1 = nic_write(e1)
-                if w1.stamp.node != w2.stamp.node:
-                    continue
-                p1 = pf.get(w1)
-                if p1 is None or not po_before(p1.event, p2.event):
-                    return None
-
-        rel = frozenset(pf.items())
+            if p.method == POLL:
+                src = ops[p.output]
+                kind = "nLW" if src.method == TSO_GET else "nRW"
+                (a,) = [a for a in stmp[src] if a.kind == kind]
+                pf.append((SubEvent(src, a), SubEvent(p, AWT)))
+        rel = frozenset(pf)
         so_pf = frozenset((w, p) for w, p in rel if w.stamp.kind == "nLW")
         return so_pf, rel, {"pf": rel}
-
-    def extra_valid(self, plain: PlainExecution, cfg: NodeConfig) -> bool:
-        # Per-thread set soundness: an empty verdict means every earlier
-        # add of the set was removed in between.
-        for e3 in plain.events:
-            if e3.method != SET_ISEMPTY or e3.output is not True:
-                continue
-            for e1 in plain.events:
-                if (e1.method != SET_ADD or e1.args[0] != e3.args[0]
-                        or not po_before(e1, e3)):
-                    continue
-                if not any(e2.method == SET_REMOVE
-                           and e2.args[:2] == (e1.args[0], e1.args[1])
-                           and po_before(e1, e2) and po_before(e2, e3)
-                           for e2 in plain.events):
-                    return False
-        return True

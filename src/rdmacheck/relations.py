@@ -2,17 +2,18 @@
 
 A relation is a ``frozenset`` of pairs; the carrier is whatever hashable
 items appear in them, and set operations and comprehensions are the
-algebra.  ``IncrementalOrder`` is the only closure: it closes a base
-once and then grows it edge by edge with a cycle veto.  The checker
-grows happens-before, (ppo ∪ so)+, in one; ``RdmaLib`` grows
+algebra.  ``IncrementalOrder`` is the only closure: it closes a relation
+that runs forward along a list of items in one backward sweep, and then
+grows it edge by edge with a cycle veto.  The checker grows
+happens-before, (ppo ∪ so)+, from ppo in one; ``RdmaLib`` grows
 issued-before from its fixed per-execution part, one coherence and NIC
-flush choice at a time; ``lambda_consistent`` closes ppo ∪ so in one and
-rejects a reflexive pair.
+flush choice at a time; ``lambda_consistent`` adds so to ppo and rejects
+a cycle.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable, Sequence
 
 Pair = tuple[Hashable, Hashable]
 
@@ -20,45 +21,33 @@ Pair = tuple[Hashable, Hashable]
 class IncrementalOrder:
     """Grow-only transitive relation with a cycle veto, over bitset rows.
 
+    ``IncrementalOrder(items, before)`` is the closure of ``before`` over
+    ``items``, where ``before(a, b)`` may hold only when ``a`` is listed
+    before ``b``; pairs the other way are never asked for, so the base is
+    acyclic.  Row i is an int whose bit j is set when item j follows item
+    i.  One backward sweep closes the base: row i is the OR, over every
+    later j with ``before(items[i], items[j])``, of bit j and row j, which
+    is already closed.
+
     Any addition that would close a cycle fails fast: `add_edges` returns
     False (and rolls back nothing: copy before speculative use) when a
-    cycle would appear.  The base is not vetoed: a cyclic base gets a
-    self pair on every item of a cycle.
-
-    Items are numbered on first sight; row i is an int whose bit j is set
-    when item j follows item i.  The base is closed once by bitset
-    Warshall, O(n^2) row ORs for n items.  Adding an edge a -> b ORs b's
-    row (plus b) into a and every row that has a's bit, one bit test per
-    row.  Copies share the numbering, which only grows, and own their rows;
-    a row or bit past the end of a copy's rows is empty.
+    cycle would appear.  Adding an edge a -> b ORs b's row (plus b) into a
+    and every row that has a's bit, one bit test per row.  Edges relate
+    listed items only.  Copies share the numbering and own their rows.
     """
 
     __slots__ = ("index", "items", "rows")
 
-    def __init__(self, base: Iterable[Pair] = ()):
-        self.index: dict = {}
-        self.items: list = []
-        self.rows: list[int] = []
-        for a, b in base:
-            i, j = self._id(a), self._id(b)
-            self.rows[i] |= 1 << j
-        rows = self.rows
-        for k in range(len(rows)):
-            rk, bit = rows[k], 1 << k
-            if rk:
-                for i, ri in enumerate(rows):
-                    if ri & bit:
-                        rows[i] = ri | rk
-
-    def _id(self, item) -> int:
-        i = self.index.get(item)
-        if i is None:
-            i = self.index[item] = len(self.items)
-            self.items.append(item)
-        rows = self.rows
-        if len(rows) < len(self.items):
-            rows.extend([0] * (len(self.items) - len(rows)))
-        return i
+    def __init__(self, items: Sequence, before: Callable[[Hashable, Hashable], bool]):
+        items = self.items = list(items)
+        self.index = {x: i for i, x in enumerate(items)}
+        rows = self.rows = [0] * len(items)
+        for i in range(len(items) - 2, -1, -1):
+            a, r = items[i], 0
+            for j, b in enumerate(items[i + 1:], i + 1):
+                if before(a, b):
+                    r |= 1 << j | rows[j]
+            rows[i] = r
 
     def copy(self) -> "IncrementalOrder":
         c = IncrementalOrder.__new__(IncrementalOrder)
@@ -67,13 +56,12 @@ class IncrementalOrder:
 
     def __contains__(self, pair: Pair) -> bool:
         i, j = self.index.get(pair[0]), self.index.get(pair[1])
-        return (i is not None and j is not None and i < len(self.rows)
-                and self.rows[i] >> j & 1 == 1)
+        return i is not None and j is not None and self.rows[i] >> j & 1 == 1
 
     def add_edges(self, edges: Iterable[Pair]) -> bool:
-        rows = self.rows
+        index, rows = self.index, self.rows
         for a, b in edges:
-            i, j = self._id(a), self._id(b)
+            i, j = index[a], index[b]
             if i == j or rows[j] >> i & 1:
                 return False
             if rows[i] >> j & 1:

@@ -94,7 +94,10 @@ def render_table() -> str:
 
 
 def derive_ppo(plain: PlainExecution, stmp: Stamping) -> frozenset:
-    """Program order lifted to subevents and filtered by the stamp order."""
+    """Program order lifted to subevents and filtered by the stamp order.
+
+    The checker closes ppo in one sweep with ``ppo_before`` instead; this
+    pair set is the reference its closure is tested against."""
     pairs = []
     for e1, e2 in plain.po:
         for a1 in stmp[e1]:

@@ -4,7 +4,7 @@ differs from one in stamping, so or hb does not.  It yields the same
 combinations, in the same order, as a search that builds hb first and
 restarts each library's search for every combination before it; and it
 runs each library's search once, building ppo only when every library
-has a witness."""
+has a witness.  Its one-sweep ppo is the closure of ``derive_ppo``."""
 
 from __future__ import annotations
 
@@ -13,14 +13,15 @@ from pathlib import Path
 import pytest
 
 from conftest import C, cfg2, unfold_compiled, unfold_file
+from test_relations import naive_closure
 from rdmacheck import checker
 from rdmacheck.checker import (Bounds, enumerate_consistent, lambda_consistent,
                                outcomes, pools, stamp_events)
-from rdmacheck.events import Execution
+from rdmacheck.events import Execution, SubEvent
 from rdmacheck.lang import interpret_conc
 from rdmacheck.libraries.base import Library, Witness
 from rdmacheck.relations import IncrementalOrder
-from rdmacheck.stamps import ACR, AMF, derive_ppo
+from rdmacheck.stamps import ACR, AMF, derive_ppo, ppo_before
 from rdmacheck.values import UNIT
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,7 +90,8 @@ def eager_combinations(plain, libs, cfg):
             if o2.add_edges(w.so):
                 yield from rec(i + 1, o2, chosen + [(lib, w)])
 
-    yield from rec(0, IncrementalOrder(derive_ppo(plain, stmp)), [])
+    subevents = [SubEvent(e, a) for e in plain.events for a in stmp[e]]
+    yield from rec(0, IncrementalOrder(subevents, ppo_before), [])
 
 
 # The corpus workload's files and two compiled sides of the soundness
@@ -102,15 +104,19 @@ SEARCHED = ([(p.stem, p, None) for p in
                 ("bal_buggy", 3, 26))])
 
 
+def unfold_searched(path, tower):
+    """(node config, libraries, interpretation result) of a SEARCHED item."""
+    if tower is None:
+        built, libs, res = unfold_file(path)
+        return built.cfg, libs, res
+    impl, loop, events = tower
+    return unfold_compiled(path, [impl], loop, events)
+
+
 @pytest.mark.parametrize("path, tower", [(p, t) for _, p, t in SEARCHED],
                          ids=[n for n, _, _ in SEARCHED])
 def test_same_combinations_in_the_same_order_as_the_eager_search(path, tower):
-    if tower is None:
-        built, libs, res = unfold_file(path)
-        cfg = built.cfg
-    else:
-        impl, loop, events = tower
-        cfg, libs, res = unfold_compiled(path, [impl], loop, events)
+    cfg, libs, res = unfold_searched(path, tower)
     n = 0
     for _vals, plain in res.results:
         got = [([(name, w.so) for name, w in acc["witnesses"].items()], acc["hb"])
@@ -118,6 +124,17 @@ def test_same_combinations_in_the_same_order_as_the_eager_search(path, tower):
         assert got == list(eager_combinations(plain, libs, cfg))
         n += len(got)
     assert n > 0
+
+
+@pytest.mark.parametrize("path, tower", [(p, t) for _, p, t in SEARCHED],
+                         ids=[n for n, _, _ in SEARCHED])
+def test_the_swept_ppo_is_the_closure_of_derive_ppo(path, tower):
+    cfg, libs, res = unfold_searched(path, tower)
+    for _vals, plain in res.results:
+        stmp, _per_lib = stamp_events(plain, libs, cfg)
+        assert (checker.ppo_order(plain, stmp).pairs()
+                == frozenset(naive_closure(derive_ppo(plain, stmp))))
+    assert res.results
 
 
 class Counted(Library):
@@ -152,13 +169,15 @@ def _one_plain(libs, cfg):
 
 @pytest.fixture
 def ppo_calls(monkeypatch):
+    """The plain executions whose ppo order the checker builds."""
     calls = []
+    ppo_order = checker.ppo_order
 
     def counted(plain, stmp):
         calls.append(plain)
-        return derive_ppo(plain, stmp)
+        return ppo_order(plain, stmp)
 
-    monkeypatch.setattr(checker, "derive_ppo", counted)
+    monkeypatch.setattr(checker, "ppo_order", counted)
     return calls
 
 

@@ -18,73 +18,86 @@ def naive_closure(pairs):
         work |= new
 
 
-def closure(pairs) -> frozenset:
-    return IncrementalOrder(pairs).pairs()
+def never(a, b) -> bool:
+    return False
+
+
+def closure(items, pairs) -> frozenset:
+    """The sweep's closure of ``pairs``, which run forward along ``items``."""
+    pairs = frozenset(pairs)
+    return IncrementalOrder(items, lambda a, b: (a, b) in pairs).pairs()
+
+
+def random_dag(rng, n):
+    """(items in a topological order, pairs that run forward along it)."""
+    items = list(range(n))
+    rng.shuffle(items)
+    pairs = {(items[i], items[j]) for i, j in
+             (sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 12)))
+             } if n > 1 else set()
+    return items, pairs
 
 
 def test_empty():
-    assert closure(()) == frozenset()
+    assert closure((), ()) == frozenset()
+    assert IncrementalOrder(["x"], never).pairs() == frozenset()
 
 
 def test_two_cycle():
-    # A cyclic base is closed, not vetoed: every item on the cycle gets
-    # its reflexive pair.
-    c = closure([("x", "y"), ("y", "x")])
-    assert c == {("x", "y"), ("y", "x"), ("x", "x"), ("y", "y")}
+    # Only add_edges can close a cycle, and it vetoes it.
+    inc = IncrementalOrder(["x", "y"], never)
+    assert inc.add_edges([("x", "y")])
+    assert not inc.add_edges([("y", "x")])
+    assert not IncrementalOrder(["x"], never).add_edges([("x", "x")])
 
 
 def test_three_chain():
     r = frozenset([(1, 2), (2, 3), (3, 4)])
-    c = closure(r)
+    c = closure([1, 2, 3, 4], r)
     assert all(a != b for a, b in c)
     assert c == frozenset(naive_closure(r))
     assert len(c - r) == 3
 
 
-def test_a_cycle_off_a_chain_makes_only_its_own_items_reflexive():
-    c = closure([(0, 1), (1, 2), (2, 1), (2, 3)])
-    assert c == frozenset(naive_closure([(0, 1), (1, 2), (2, 1), (2, 3)]))
-    assert {a for a, b in c if a == b} == {1, 2}
+def test_the_sweep_asks_only_forward_pairs():
+    asked = []
+    IncrementalOrder("abcd", lambda a, b: asked.append((a, b)) or True)
+    assert sorted(asked) == [(a, b) for i, a in enumerate("abcd") for b in "abcd"[i + 1:]]
 
 
 def test_matches_naive_oracle_on_random_relations():
-    # Random bases, cyclic ones included: loops, two-cycles and longer.
+    # Random acyclic relations, each listed along a shuffled topological
+    # order, with items that no pair touches.
     rng = random.Random(20240817)
-    cyclic = 0
     for _ in range(300):
-        n = rng.randint(0, 8)
-        items = list(range(n))
-        pairs = {(rng.choice(items), rng.choice(items))
-                 for _ in range(rng.randint(0, 12))} if items else set()
-        c = closure(pairs)
-        want = naive_closure(pairs)
-        assert c == frozenset(want)
-        cyclic += any(a == b for a, b in want)
-    assert cyclic > 50
+        items, pairs = random_dag(rng, rng.randint(0, 9))
+        assert closure(items, pairs) == frozenset(naive_closure(pairs))
 
 
 def test_incremental_order_detects_cycles():
     rng = random.Random(7)
-    for _ in range(200):
+    # Cyclic relations, loops and two-cycles included, go through
+    # add_edges, which vetoes exactly when the closure is reflexive.
+    cyclic = 0
+    for _ in range(300):
         n = rng.randint(1, 7)
         edges = [(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randint(1, 10))]
-        inc = IncrementalOrder()
+        inc = IncrementalOrder(rng.sample(range(n), n), never)
         ok = inc.add_edges(edges)
-        want = all(a != b for a, b in naive_closure(edges))
-        assert ok == want
+        want = naive_closure(edges)
+        assert ok == all(a != b for a, b in want)
+        cyclic += not ok
         if ok:
-            assert inc.pairs() == frozenset(naive_closure(edges))
-    # a closed acyclic base, then edges added to a copy, over items first
-    # seen in the base, in the edges, or in neither
+            assert inc.pairs() == frozenset(want)
+    assert cyclic > 50
+    # a swept acyclic base, then edges added to a copy
     for _ in range(200):
         n = rng.randint(2, 9)
-        items = [("s", k) for k in range(n)]
-        base = {(items[a], items[b]) for a, b in
-                (sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 8)))}
-        edges = [(rng.choice(items), rng.choice(items))
+        order, base = random_dag(rng, n)
+        edges = [(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randint(1, 6))]
-        inc = IncrementalOrder(base)
+        inc = IncrementalOrder(order, lambda a, b: (a, b) in base)
         closed = frozenset(naive_closure(base))
         assert inc.pairs() == closed
         c = inc.copy()
@@ -96,4 +109,4 @@ def test_incremental_order_detects_cycles():
             assert all((a, b) in c for a, b in want)
         assert inc.pairs() == closed
         assert all(((a, b) in inc) == ((a, b) in closed)
-                   for a in items for b in items)
+                   for a in order for b in order)

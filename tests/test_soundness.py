@@ -13,7 +13,8 @@ from rdmacheck.lang import Break, Loop, Val, let
 from rdmacheck.litmus import build_test, parse_litmus
 from rdmacheck.values import UNIT
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 
 def soundness(stem: str, impls: str, loop: int, events: int):
@@ -141,6 +142,42 @@ def test_shared_variables_down_to_polling_are_included():
     assert rep.included and not rep.inconclusive
     assert len(rep.impl_outcomes) == len(rep.spec_outcomes) == 3
     assert rep.impl_outcomes == rep.spec_outcomes
+
+
+# A poll is offered only the operation it must poll, and an identifier set
+# is empty only when drained, so the drain loop of a compiled wait ends
+# within the loop bound.
+@pytest.mark.parametrize("path, impl, loop, events", [
+    (ROOT / "perfbench/inputs/msw_put_tryread.litmus", "msw,w", 4, 32),
+    (CORPUS / "fig4_gf_sb.litmus", "sv,w", 3, 32),
+])
+def test_towers_down_to_polling_are_included_within_their_bounds(path, impl, loop, events):
+    rep = soundness_of(path, impl.split(","), loop, events)
+    assert rep.included and not rep.inconclusive
+    assert not rep.impl_truncated
+    assert rep.impl_outcomes == rep.spec_outcomes
+
+
+# A mixed-size cell with an initial value: the compiled slots start at its
+# digest and its parts.
+MSW_INIT = """name msw_init
+nodes n1
+libs msw
+loc x @ n1
+msize x 2
+init x = (1,2)
+thread t1 @ n1 {
+  a = tryread x
+}
+"""
+
+
+def test_a_mixed_size_initial_value_reaches_the_compiled_slots(tmp_path):
+    path = tmp_path / "msw_init.litmus"
+    path.write_text(MSW_INIT)
+    rep = soundness_of(path, ["msw"], 4, 32)
+    assert rep.included and not rep.inconclusive
+    assert rep.impl_outcomes == {(((1, 2),),)}
 
 
 TWO_ROUNDS = """name two_rounds

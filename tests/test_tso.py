@@ -71,13 +71,15 @@ class TestIdentifiers:
                              C("tso_put", "x", "z"))
         assert [e.output for e in evs] == [1_002_000, UNIT, 1_002_001]
 
-    def test_poll_offers_the_earlier_operations_toward_its_node(self):
+    def test_poll_offers_the_oldest_unpolled_operation_toward_its_node(self):
         # toward n1, n2, n1: the get reads x, the puts write z and then x
         ops = (C("tso_get", "z", "x"), C("tso_put", "z", "z"), C("tso_put", "x", "z"))
-        polled = [evs[-1].output for evs in self.unfold(*ops, C("poll", 1))]
-        assert polled == [1_002_000, 1_002_002]
-        polled = [evs[-1].output for evs in self.unfold(*ops, C("poll", 2))]
-        assert polled == [1_002_001]
+        polled = [[e.output for e in evs[3:]]
+                  for evs in self.unfold(*ops, C("poll", 1), C("poll", 2),
+                                         C("poll", 1))]
+        assert polled == [[1_002_000, 1_002_001, 1_002_002]]
+        # a third poll of n1 has nothing left to poll, and blocks
+        assert self.unfold(*ops, C("poll", 1), C("poll", 1), C("poll", 1)) == []
         assert self.unfold(C("poll", 1), *ops) == []
 
 
@@ -92,6 +94,20 @@ class TestSets:
                 C("set_isempty", "s"))
         got = out_set([p], [tso], CFG)
         assert got == {(True,), (False,)}
+
+    def test_isempty_is_offered_true_only_when_every_add_was_removed_since(self):
+        fn = pools([tso], CFG)
+
+        def offered(*calls):
+            return {g.events[-1].output for _o, g in
+                    interpret_seq(seq(*calls, C("set_isempty", "s")), 1, 4, fn).results}
+
+        add, remove = (lambda v: C("set_add", "s", v)), (lambda v: C("set_remove", "s", v))
+        assert offered() == {True, False}
+        assert offered(add(5), add(5), remove(5)) == {True, False}
+        assert offered(add(5), remove(5), add(5)) == {False}
+        assert offered(add(5), add(6), remove(5)) == {False}
+        assert offered(add(5), C("set_add", "t", 6), remove(5)) == {True, False}
 
     def test_set_ops_are_fences(self):
         e = Event(1, 0, "set_add", ("s", 1), UNIT)
