@@ -22,7 +22,7 @@ from .config import NodeConfig
 from .events import Event, Execution, InvalidInput, PlainExecution, SubEvent, subevents
 from .lang import Pools, interpret_conc
 from .libraries.base import Library, Witness, check_consistent
-from .relations import IncrementalOrder
+from .relations import IncrementalOrder, OnRead
 from .stamps import ppo_before
 
 
@@ -102,7 +102,7 @@ def ppo_order(plain: PlainExecution, stmp) -> IncrementalOrder:
 
 
 def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
-                         cfg: NodeConfig) -> Iterator[dict]:
+                         cfg: NodeConfig) -> Iterator[Mapping]:
     """All accepted (witness-per-library, so, hb) combinations.
 
     Stamping first (deterministic).  Each library's witness search then
@@ -111,7 +111,11 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
     drawn in ``libs`` order, and a library with none rejects the
     execution before ppo and hb are built.  Only then are combinations
     backtracked, in the libraries' order and each library's witness
-    order, with incremental cycle detection on (ppo ∪ accumulated so)+.
+    order, with incremental cycle detection on (ppo ∪ accumulated so)+:
+    each witness grows a copy of hb by its explicit pairs and the rows of
+    its order (`Witness.add_to`).  A combination is a mapping whose
+    ``"so"`` and ``"hb"`` become pair sets only when read; the libraries'
+    ``post_check`` reads the grown order itself.
     """
     stmp, per_lib = stamp_events(plain, libs, cfg)
     drawn = []
@@ -125,21 +129,17 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
 
     def rec(i: int, order: IncrementalOrder, chosen: list):
         if i == len(drawn):
-            hb = order.pairs()
-            if all(lib.post_check(w, hb) for lib, w in chosen):
-                yield {
-                    "witnesses": {lib.name: w for lib, w in chosen},
-                    "so": frozenset(p for _, w in chosen for p in w.so),
-                    "hb": hb,
-                    "stmp": stmp,
-                }
+            if all(lib.post_check(w, order) for lib, w in chosen):
+                yield OnRead(
+                    {"witnesses": {lib.name: w for lib, w in chosen}, "stmp": stmp},
+                    so=lambda: frozenset(p for _, w in chosen for p in w.so),
+                    hb=order.pairs)
             return
         lib, ws = drawn[i]
         for w in copy(ws):
             o2 = order.copy()
-            if not o2.add_edges(w.so):
-                continue
-            yield from rec(i + 1, o2, chosen + [(lib, w)])
+            if w.add_to(o2):
+                yield from rec(i + 1, o2, chosen + [(lib, w)])
 
     yield from rec(0, ppo_order(plain, stmp), [])
 

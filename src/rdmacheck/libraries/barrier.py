@@ -80,7 +80,7 @@ class BarrierLib(Library):
                     for a in stmp[e1]:
                         if a.kind == "GF":
                             so.append((SubEvent(e1, a), SubEvent(e2, ACR)))
-        yield Witness(lib=self.name, so=frozenset(so),
+        yield Witness(lib=self.name, explicit=frozenset(so),
                       meta={"rounds": rounds,
                             "c": {x: len(next(iter(pt.values())))
                                   for x, pt in by_loc.items()}})

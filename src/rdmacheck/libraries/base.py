@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import (Callable, Container, Hashable, Iterable, Iterator, Mapping,
+                    Sequence)
 
 from ..config import NodeConfig
 from ..events import Event, InvalidInput, PlainExecution, SubEvent, po_before
 from ..lang import Pools
+from ..relations import IncrementalOrder, Pair
 from ..stamps import ppo_before
 from ..values import Value
 
@@ -34,17 +37,35 @@ from ..values import Value
 class Witness:
     """One satisfying assignment of a library's existentials.
 
-    ``so`` is the synchronisation order the witness induces; ``rels`` holds
-    the named component relations for dumps and property tests; ``vR`` /
-    ``vW`` give the value read/written per subevent where meaningful.
+    ``so`` is the synchronisation order the witness induces: the
+    ``explicit`` pairs and, when the witness has an ``order`` (the RDMA
+    libraries' issued-before), every pair of that order from an item whose
+    index is in ``inst``.  It becomes a pair set only when read; the
+    checker grows hb by `add_to`, from the explicit pairs and the order's
+    rows.  ``rels`` holds the named component relations for dumps and
+    property tests, and may build one on its first read; ``vR`` / ``vW``
+    give the value read/written per subevent where meaningful.
     """
 
     lib: str
-    so: frozenset
+    explicit: frozenset
     vR: dict = field(default_factory=dict)
     vW: dict = field(default_factory=dict)
-    rels: dict = field(default_factory=dict)
+    rels: Mapping = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+    order: IncrementalOrder | None = None
+    inst: tuple = ()
+
+    @cached_property
+    def so(self) -> frozenset:
+        if self.order is None:
+            return self.explicit
+        return self.explicit | self.order.pairs(self.inst)
+
+    def add_to(self, hb: IncrementalOrder) -> bool:
+        """Grow ``hb`` by this witness's so; False when a cycle closes."""
+        return hb.add_edges(self.explicit) and (
+            self.order is None or hb.absorb(self.order, self.inst))
 
 
 class Library:
@@ -71,8 +92,10 @@ class Library:
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
         raise NotImplementedError
 
-    def post_check(self, w: Witness, hb: frozenset) -> bool:
-        """Final veto once the global happens-before is known."""
+    def post_check(self, w: Witness, hb: Container[Pair]) -> bool:
+        """Final veto once the global happens-before is known: the
+        checker passes its grown order and ``lambda_consistent`` a pair
+        set, so ``hb`` is read only with ``in``."""
         return True
 
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:

@@ -13,12 +13,14 @@ and overrides only the hooks where its model differs: ``polls_from``,
 role table.
 
 Issued-before (ib) orders subevent starts and must be acyclic; its part
-that starts at an instantaneous subevent (any but a write part) joins
-so.  ib is grown, not re-closed: its fixed part (ippo, iso and
-polls-from) runs forward along program order and is closed once per call
-in one sweep of an ``IncrementalOrder``, and each coherence choice, then
-each orientation of a free nfo pair, extends a copy that is dropped as
-soon as it closes a cycle.
+that starts at an instantaneous subevent (any but a write part),
+``inst_ib``, joins so.  ib is grown, not re-closed: its fixed part (ippo,
+iso and polls-from) runs forward along program order and is closed once
+per call in one sweep of an ``IncrementalOrder``, and each coherence
+choice, then each orientation of a free nfo pair, extends a copy that is
+dropped as soon as it closes a cycle.  A witness carries its grown order
+and the indices of its instantaneous items, and the checker's hb absorbs
+those rows; ib, ``inst_ib`` and so become pair sets only when read.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Iterator
 from ..config import NodeConfig
 from ..events import Event, PlainExecution, SubEvent, po_before
 from ..lang import Carried, Pools
-from ..relations import IncrementalOrder
+from ..relations import IncrementalOrder, OnRead
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW,
                       ppo_before, stamp_order)
 from ..values import UNIT
@@ -193,8 +195,6 @@ class RdmaLib(Library):
                         and a1.node == a2.node)
                     or (s1, s2) in ib_pf)
 
-        inst = {s for s in sevents if s.stamp.kind not in ("aCW", "nLW", "nRW")}
-
         # NIC flush order: orient each same-thread same-node (local read, local
         # write) and (remote read, remote write) pair; orientations the stamp
         # order already implies are fixed, the rest are enumerated.
@@ -218,6 +218,8 @@ class RdmaLib(Library):
         # between events, and iso inside one event, from a read part to its
         # write part or from a failed CAS's fence to its read.
         fixed = IncrementalOrder(listed, ib_before)
+        inst = tuple(i for i, s in enumerate(listed)
+                     if s.stamp.kind not in ("aCW", "nLW", "nRW"))
 
         def oriented(i: int, order: IncrementalOrder, nfo: tuple):
             """Each acyclic orientation of the free nfo pairs from the
@@ -239,13 +241,11 @@ class RdmaLib(Library):
             grown = fixed.copy()
             if not grown.add_edges([*rf, *fr_int, *forced_nfo]):
                 continue
+            explicit = external_rf(rf) | so_pf | rb | mo
             for order, nfo in oriented(0, grown, tuple(forced_nfo)):
-                ib = order.pairs()
-                inst_ib = frozenset((a, b) for a, b in ib if a in inst)
-                so = iso | external_rf(rf) | so_pf | nfo | rb | mo | inst_ib
                 yield Witness(
-                    lib=self.name, so=so, vR=vR, vW=vW,
-                    rels={"rf": rf, "mo": mo, "rb": rb, "nfo": nfo,
-                          "iso": iso, "ib": ib, **pf_parts},
-                    meta={"by_place": by_place},
+                    lib=self.name, explicit=explicit | nfo, vR=vR, vW=vW,
+                    rels=OnRead({"rf": rf, "mo": mo, "rb": rb, "nfo": nfo,
+                                 "iso": iso, **pf_parts}, ib=order.pairs),
+                    meta={"by_place": by_place}, order=order, inst=inst,
                 )

@@ -15,11 +15,12 @@ but refuses witnesses where fb contradicts the global happens-before.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Container, Iterator
 
 from ..config import NodeConfig
 from ..events import Event, PlainExecution, SubEvent, po_before
 from ..lang import Pools
+from ..relations import Pair
 from ..stamps import ACR, ACW, AWT, nRW
 from ..values import BOT
 from .base import Library, Witness
@@ -63,7 +64,7 @@ class RingBufferLib(Library):
             return (((e.args[0], None), e.args[1]),)
         return ()
 
-    def post_check(self, w: Witness, hb: frozenset) -> bool:
+    def post_check(self, w: Witness, hb: Container[Pair]) -> bool:
         if self.mode == STRICT:
             return True
         fb = w.rels["fb"]
@@ -139,7 +140,7 @@ class RingBufferLib(Library):
                         fb.append((f, w))
             fb = frozenset(fb)
             so = rf | fb if self.mode == STRICT else rf
-            yield Witness(lib=self.name, so=so,
+            yield Witness(lib=self.name, explicit=so,
                           vR={r: r.event.output for r in reads},
                           vW={w: w.event.args[1] for ws in writes.values() for w in ws},
                           rels={"rf": rf, "fb": fb},

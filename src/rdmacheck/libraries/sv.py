@@ -94,7 +94,7 @@ class SharedVarLib(Library):
                 continue
             so = iso | external_rf(rf) | pf | rb | mo
             yield Witness(
-                lib=self.name, so=so, vR=vR, vW=vW,
+                lib=self.name, explicit=so, vR=vR, vW=vW,
                 rels={"rf": rf, "mo": mo, "rb": rb, "pf": pf, "iso": iso},
                 meta={"by_place": by_place},
             )

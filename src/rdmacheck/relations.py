@@ -4,15 +4,19 @@ A relation is a ``frozenset`` of pairs; the carrier is whatever hashable
 items appear in them, and set operations and comprehensions are the
 algebra.  ``IncrementalOrder`` is the only closure: it closes a relation
 that runs forward along a list of items in one backward sweep, and then
-grows it edge by edge with a cycle veto.  The checker grows
-happens-before, (ppo ∪ so)+, from ppo in one; ``RdmaLib`` grows
-issued-before from its fixed per-execution part, one coherence and NIC
-flush choice at a time; ``lambda_consistent`` adds so to ppo and rejects
-a cycle.
+grows it edge by edge, or by the rows of another order, with a cycle
+veto.  The checker grows happens-before, (ppo ∪ so)+, from ppo in one;
+``RdmaLib`` grows issued-before from its fixed per-execution part, one
+coherence and NIC flush choice at a time, and hb absorbs the rows of ib
+that start at an instantaneous subevent; ``lambda_consistent`` adds so
+to ppo and rejects a cycle.  An order becomes a pair set only when
+something reads its pairs: ib, ``inst_ib``, so and hb are built for a
+dump or a test, never on the checker's path.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Callable, Hashable, Iterable, Sequence
 
 Pair = tuple[Hashable, Hashable]
@@ -29,11 +33,12 @@ class IncrementalOrder:
     later j with ``before(items[i], items[j])``, of bit j and row j, which
     is already closed.
 
-    Any addition that would close a cycle fails fast: `add_edges` returns
-    False (and rolls back nothing: copy before speculative use) when a
-    cycle would appear.  Adding an edge a -> b ORs b's row (plus b) into a
-    and every row that has a's bit, one bit test per row.  Edges relate
-    listed items only.  Copies share the numbering and own their rows.
+    Any addition that would close a cycle fails fast: `add_edges` and
+    `absorb` return False (and roll back nothing: copy before speculative
+    use) when a cycle would appear.  Adding an edge a -> b ORs b's row
+    (plus b) into a and every row that has a's bit, one bit test per row.
+    Edges relate listed items only.  Copies share the numbering and own
+    their rows.
     """
 
     __slots__ = ("index", "items", "rows")
@@ -76,12 +81,67 @@ class IncrementalOrder:
                 return False
         return True
 
-    def pairs(self) -> frozenset:
-        items = self.items
+    def absorb(self, other: "IncrementalOrder", sources: Iterable[int]) -> bool:
+        """Add every pair (a, b) of ``other`` whose a is ``other.items[s]``
+        for an s in ``sources``, with `add_edges`'s veto.  ``other``'s items
+        must be listed here too, in any order.  Row by row, with no pair
+        list: each source's row is translated into this numbering, the bits
+        already present are dropped, and the rest, with their rows, are
+        ORed into the source's row and every row that has its bit."""
+        rows, to = self.rows, [self.index[x] for x in other.items]
+        for s in sources:
+            r, new = other.rows[s], 0
+            while r:
+                low = r & -r
+                new |= 1 << to[low.bit_length() - 1]
+                r ^= low
+            i = to[s]
+            new &= ~rows[i]
+            after = new
+            while new:
+                low = new & -new
+                after |= rows[low.bit_length() - 1]
+                new ^= low
+            bit = 1 << i
+            if after & bit:
+                return False
+            if after:
+                for k, row in enumerate(rows):
+                    if row & bit:
+                        rows[k] = row | after
+                rows[i] |= after
+        return True
+
+    def pairs(self, sources: Iterable[int] | None = None) -> frozenset:
+        """The pairs, or only those from the items at the indices
+        ``sources``."""
+        items, rows = self.items, self.rows
         pairs = []
-        for i, r in enumerate(self.rows):
+        for i in range(len(rows)) if sources is None else sources:
+            r = rows[i]
             while r:
                 low = r & -r
                 pairs.append((items[i], items[low.bit_length() - 1]))
                 r ^= low
         return frozenset(pairs)
+
+
+class OnRead(Mapping):
+    """A mapping whose ``thunks`` are called, once, when their key is first
+    read; ``values`` holds the rest."""
+
+    __slots__ = ("_values", "_thunks")
+
+    def __init__(self, values: dict, **thunks: Callable[[], object]):
+        self._values, self._thunks = values, thunks
+
+    def __getitem__(self, key):
+        if key in self._thunks:
+            self._values[key] = self._thunks.pop(key)()
+        return self._values[key]
+
+    def __iter__(self):
+        return iter([*self._values, *self._thunks])
+
+    def __len__(self) -> int:
+        return len(self._values) + len(self._thunks)

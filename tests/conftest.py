@@ -70,12 +70,18 @@ def soundness(path, impl_names, loop, events):
                            built.profile, impl_bounds=Bounds(loop, events))
 
 
-def unfold_compiled(path, impl_names, loop, events):
-    """The compiled side of ``soundness`` unfolded at (loop, events):
-    (node config, target libraries, interpretation result)."""
+def compiled(path, impl_names):
+    """The compiled side of ``soundness``: (programs, node config, target
+    libraries)."""
     _test, built, impls, target = _tower(path, impl_names)
     progs, cfg, _profile = compile_stack(built.programs, impls, built.cfg,
                                          built.profile)
-    libs = _mk_libs(target)
+    return progs, cfg, _mk_libs(target)
+
+
+def unfold_compiled(path, impl_names, loop, events):
+    """The compiled side of ``soundness`` unfolded at (loop, events):
+    (node config, target libraries, interpretation result)."""
+    progs, cfg, libs = compiled(path, impl_names)
     res = interpret_conc(progs, loop, pools(libs, cfg), events)
     return cfg, libs, res

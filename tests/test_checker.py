@@ -4,7 +4,8 @@ differs from one in stamping, so or hb does not.  It yields the same
 combinations, in the same order, as a search that builds hb first and
 restarts each library's search for every combination before it; and it
 runs each library's search once, building ppo only when every library
-has a witness.  Its one-sweep ppo is the closure of ``derive_ppo``."""
+has a witness.  Its one-sweep ppo is the closure of ``derive_ppo``, and
+it builds no relation as a pair set unless something reads it."""
 
 from __future__ import annotations
 
@@ -12,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import C, cfg2, unfold_compiled, unfold_file
+from conftest import C, cfg2, compiled, unfold_compiled, unfold_file
+from test_rdma_ib import CLIENTS
 from test_relations import naive_closure
-from rdmacheck import checker
+from rdmacheck import checker, runner
 from rdmacheck.checker import (Bounds, enumerate_consistent, lambda_consistent,
                                outcomes, pools, stamp_events)
 from rdmacheck.events import Execution, SubEvent
@@ -113,9 +115,17 @@ def unfold_searched(path, tower):
     return unfold_compiled(path, [impl], loop, events)
 
 
-@pytest.mark.parametrize("path, tower", [(p, t) for _, p, t in SEARCHED],
-                         ids=[n for n, _, _ in SEARCHED])
-def test_same_combinations_in_the_same_order_as_the_eager_search(path, tower):
+# The RDMA clients where a free nfo orientation or an internal fr edge
+# decides, written out by the test.
+COMBINED = SEARCHED + [(f"clients/{n}", n, None) for n in sorted(CLIENTS)]
+
+
+@pytest.mark.parametrize("path, tower", [(p, t) for _, p, t in COMBINED],
+                         ids=[n for n, _, _ in COMBINED])
+def test_same_combinations_in_the_same_order_as_the_eager_search(tmp_path, path, tower):
+    if isinstance(path, str):
+        name, path = path, tmp_path / f"{path}.litmus"
+        path.write_text(CLIENTS[name])
     cfg, libs, res = unfold_searched(path, tower)
     n = 0
     for _vals, plain in res.results:
@@ -202,3 +212,46 @@ def test_outputs_only_draws_only_an_accepted_first_witness():
     r = outcomes(progs, [a, b], cfg, Bounds(), outputs_only=True)
     assert len(r.outcomes) == 1
     assert (a.calls, a.drawn, b.calls, b.drawn) == (1, 1, 1, 1)
+
+
+@pytest.fixture
+def pairs_calls(monkeypatch):
+    """The orders whose pairs are built as a set."""
+    calls = []
+    pairs = IncrementalOrder.pairs
+
+    def counted(self, *args):
+        calls.append(self)
+        return pairs(self, *args)
+
+    monkeypatch.setattr(IncrementalOrder, "pairs", counted)
+    return calls
+
+
+def test_the_checker_builds_no_pair_set(pairs_calls):
+    # An RDMA tower's compiled side, a corpus file through the runner, and
+    # a full enumeration whose outcomes carry final memory.
+    progs, cfg, libs = compiled(CORPUS / "fig3_sb_get_wait.litmus", ["w"])
+    assert outcomes(progs, libs, cfg, Bounds(3, 32), outputs_only=True).outcomes
+    assert not pairs_calls
+    assert runner.run_file(CORPUS / "fig3_sb_get_wait.litmus").verdict == runner.PASS
+    assert not pairs_calls
+    built, libs, _res = unfold_file(CORPUS / "fig3_sb_get_wait.litmus")
+    r = outcomes(built.programs, libs, built.cfg, Bounds())
+    assert any(o.memory for o in r.outcomes) and not pairs_calls
+
+
+def test_so_hb_and_ib_are_built_when_read(pairs_calls):
+    built, libs, res = unfold_file(CORPUS / "fig3_sb_get_wait.litmus")
+    acc = next(acc for _vals, plain in res.results
+               for acc in enumerate_consistent(plain, libs, built.cfg))
+    w = acc["witnesses"]["rl"]
+    assert not pairs_calls
+    assert acc["hb"] and len(pairs_calls) == 1
+    # The combination's so is the witness's, which takes inst_ib from
+    # the rows of its ib order.
+    assert acc["so"] == w.so and len(pairs_calls) == 2
+    assert w.rels["ib"] and len(pairs_calls) == 3
+    assert w.so >= w.rels["iso"] and w.rels["ib"] >= w.rels["iso"]
+    # A second read builds nothing.
+    assert (acc["so"], acc["hb"], w.so, w.rels["ib"]) and len(pairs_calls) == 3

@@ -110,3 +110,42 @@ def test_incremental_order_detects_cycles():
         assert inc.pairs() == closed
         assert all(((a, b) in inc) == ((a, b) in closed)
                    for a in order for b in order)
+
+
+def test_absorb_matches_add_edges_of_the_pairs():
+    # The receiver is a swept order; the other is an acyclic order over a
+    # shuffled sub-list of its items, numbered apart.  Absorbing the other's
+    # rows from some of its items gives the rows and the veto of add_edges
+    # of those items' pairs.
+    rng = random.Random(15)
+    vetoed = 0
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        order, base = random_dag(rng, n)
+        recv = IncrementalOrder(order, lambda a, b: (a, b) in base)
+        sub = rng.sample(order, rng.randint(1, n))
+        perm, pairs = random_dag(rng, len(sub))
+        pairs = {(sub[a], sub[b]) for a, b in pairs}
+        other = IncrementalOrder([sub[i] for i in perm], lambda a, b: (a, b) in pairs)
+        sources = rng.sample(range(len(sub)), rng.randint(0, len(sub)))
+        moved = {p for p in other.pairs() if p[0] in {other.items[s] for s in sources}}
+        assert other.pairs(sources) == moved
+        ref, got = recv.copy(), recv.copy()
+        ok = got.absorb(other, sources)
+        assert ok == ref.add_edges(sorted(moved))
+        want = naive_closure(base | moved)
+        assert ok == all(a != b for a, b in want)
+        vetoed += not ok
+        if ok:
+            assert got.rows == ref.rows
+            assert got.pairs() == frozenset(want)
+        assert recv.pairs() == frozenset(naive_closure(base))
+    assert vetoed > 50
+
+
+def test_absorb_alone_closes_a_cycle():
+    recv = IncrementalOrder("xyz", lambda a, b: (a, b) == ("x", "y"))
+    other = IncrementalOrder("zyx", lambda a, b: (a, b) in {("z", "y"), ("y", "x")})
+    assert recv.copy().absorb(other, [0])
+    assert not recv.copy().absorb(other, [1])
+    assert not recv.absorb(other, [0, 1])
