@@ -7,15 +7,18 @@ program are the output tuples (plus final memory) of its accepted
 executions, enumerated from the bounded plain semantics.
 
 Libraries are asked before hb is built: each library's witnesses are
-drawn once and lazily per plain execution, and ppo and hb are built only
-when every library has a witness.  Most executions are rejected there.
+drawn once and lazily per plain execution, and hb is built only when
+every library has a witness.  Most executions are rejected there.  ppo
+is built at most once per plain execution, when the first library asks
+for it to prune its search, and otherwise only for hb.
 """
 
 from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
-from itertools import tee
+from functools import cache
+from itertools import islice, tee
 from typing import Iterator, Mapping, Sequence
 
 from .config import NodeConfig
@@ -101,31 +104,49 @@ def ppo_order(plain: PlainExecution, stmp) -> IncrementalOrder:
                              for a in sorted(stmp[e], key=repr)], ppo_before)
 
 
+def _peeked(it: Iterator) -> Iterator | None:
+    """``it`` with its first item put back, or None when it is empty.  The
+    first item is held only until it is drawn again."""
+    held = list(islice(it, 1))
+    if not held:
+        return None
+
+    def replay():
+        yield held.pop()
+        yield from it
+    return replay()
+
+
 def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
                          cfg: NodeConfig) -> Iterator[Mapping]:
     """All accepted (witness-per-library, so, hb) combinations.
 
     Stamping first (deterministic).  Each library's witness search then
-    runs at most once: its witnesses are drawn lazily into a buffer that
-    every later visit replays.  The first witness of each library is
-    drawn in ``libs`` order, and a library with none rejects the
-    execution before ppo and hb are built.  Only then are combinations
-    backtracked, in the libraries' order and each library's witness
-    order, with incremental cycle detection on (ppo ∪ accumulated so)+:
-    each witness grows a copy of hb by its explicit pairs and the rows of
-    its order (`Witness.add_to`).  A combination is a mapping whose
-    ``"so"`` and ``"hb"`` become pair sets only when read; the libraries'
-    ``post_check`` reads the grown order itself.
+    runs at most once, and its first witness is drawn in ``libs`` order: a
+    library with none rejects the execution.  ppo is built at most once,
+    by the first library that asks for it (`Library.witnesses` prunes
+    against it) or else only when every library has a witness.  Then
+    combinations are backtracked, in the libraries' order and each
+    library's witness order, with incremental cycle detection on
+    (ppo ∪ accumulated so)+: each witness grows a copy of hb by its
+    explicit pairs and the rows of its order (`Witness.add_to`).  The
+    first library's witnesses are visited once, straight from its search;
+    every later library's are drawn lazily into a buffer that each visit
+    replays.  A combination is a mapping whose ``"so"`` and ``"hb"``
+    become pair sets only when read; the libraries' ``post_check`` reads
+    the grown order itself.
     """
     stmp, per_lib = stamp_events(plain, libs, cfg)
+    ppo = cache(lambda: ppo_order(plain, stmp))
     drawn = []
     for lib in libs:
+        ws = _peeked(lib.witnesses(plain.restrict(per_lib[lib.name]),
+                                   stmp, cfg, ppo))
+        if ws is None:
+            return
         # A tee that is never advanced holds every witness drawn so far;
         # each copy of it replays them and draws the rest on demand.
-        ws = tee(lib.witnesses(plain.restrict(per_lib[lib.name]), stmp, cfg), 1)[0]
-        if next(copy(ws), None) is None:
-            return
-        drawn.append((lib, ws))
+        drawn.append((lib, tee(ws, 1)[0] if drawn else ws))
 
     def rec(i: int, order: IncrementalOrder, chosen: list):
         if i == len(drawn):
@@ -136,12 +157,12 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
                     hb=order.pairs)
             return
         lib, ws = drawn[i]
-        for w in copy(ws):
+        for w in copy(ws) if i else ws:
             o2 = order.copy()
             if w.add_to(o2):
                 yield from rec(i + 1, o2, chosen + [(lib, w)])
 
-    yield from rec(0, ppo_order(plain, stmp), [])
+    yield from rec(0, ppo(), [])
 
 
 def lambda_consistent(exec_: Execution, libs: Sequence[Library],

@@ -94,6 +94,9 @@ def main(argv=None) -> int:
     if args.json and not args.json.parent.is_dir():
         print(f"no such directory for --json: {args.json.parent}", file=sys.stderr)
         return 2
+    if args.json and args.json.is_dir():
+        print(f"--json names a directory: {args.json}", file=sys.stderr)
+        return 2
 
     if args.cmd == "check":
         if not args.file.is_file():

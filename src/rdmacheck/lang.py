@@ -308,8 +308,9 @@ def interpret_conc(progs: ConcurrentProgram, loop_bound: int,
     The rounds end when finitely many values can be stored.  Litmus
     clients store literals and values read; the compiled barrier counters
     and ring-buffer heads count up from their own thread's earlier
-    stores, which a thread sees only through ``prior``, so the loop bound
-    and the event cap bound them.
+    stores, which a thread sees only through ``prior``, so only the event
+    cap bounds them: no loop counts them up, since the barrier's spins
+    are awaits.
 
     The results come in a fixed order: the products of the per-thread
     unfoldings in lexicographic order, thread 1 outermost, each thread's

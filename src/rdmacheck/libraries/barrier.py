@@ -46,7 +46,8 @@ class BarrierLib(Library):
     def outputs(self, method, args, tid, prior, pools, cfg):
         return (UNIT,)
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
+    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
+                  ppo=None) -> Iterator[Witness]:
         for e in plain.events:
             self._require(e)
 

@@ -89,7 +89,12 @@ class Library:
         is a ``Carried`` place when the event moves what it read there."""
         return ()
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
+    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
+                  ppo: Callable[[], IncrementalOrder] | None = None) -> Iterator[Witness]:
+        """Every witness of the slice ``plain``.  ``ppo``, when given,
+        returns the closed ppo of the whole execution, which the library
+        must not change; a library may then skip a witness whose so closes
+        a cycle with it, since hb would.  ``None`` asks for every witness."""
         raise NotImplementedError
 
     def post_check(self, w: Witness, hb: Container[Pair]) -> bool:
@@ -130,6 +135,7 @@ def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
               write_value: Mapping[SubEvent, Value],
               carrier: Mapping[SubEvent, SubEvent],
               init_of: Callable[[Hashable], Value],
+              order: IncrementalOrder | None = None,
               ) -> Iterator[tuple[frozenset, frozenset, frozenset, dict, dict, dict]]:
     """Every coherent choice of reads-from and modification order.
 
@@ -141,6 +147,14 @@ def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
     initial value.  A choice that contradicts a pin or closes an rf cycle
     is pruned at once; a pin whose source still waits on an undecided read
     is passed on to that read in ``need``.
+
+    With ``order``, a closed order over the subevents that must stay
+    acyclic with every pair below (the checker's ppo, grown by the so
+    pairs every witness holds), each choice grows a copy of it and is
+    pruned as soon as it closes a cycle.  Reading w adds
+    (w, r) unless `internal_rf`; reading the initial value adds (r, w')
+    for every other write w' of r's place; each modification order adds
+    its mo and rb pairs.  The choices left keep their order.
 
     Yields ``(rf, mo, rb, vR, vW, by_place)``: each complete rf choice with
     each of its modification orders (``enumerate_mo`` along ppo, places in
@@ -170,7 +184,15 @@ def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
                 return init_of(place[r]), None
         return None, None
 
-    def step(i: int):
+    def grow(o, edges):
+        """``o`` grown by ``edges`` on a copy, or False when they close a
+        cycle; ``o`` itself when there is no order or nothing to add."""
+        if o is None or not edges:
+            return o
+        o = o.copy()
+        return o.add_edges(edges) and o
+
+    def step(i: int, o):
         if i == len(reads):
             vW = {w: walk(w)[0] for w in writes}
             vR = {r: init_of(place[r]) if rf[r] is None else vW[rf[r]] for r in reads}
@@ -178,7 +200,8 @@ def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
             for mo in enumerate_mo(list(by_place.values()), ppo_before):
                 rb = frozenset((r, w) for r in reads for w in by_place.get(place[r], ())
                                if w != r and (rf[r] is None or (rf[r], w) in mo))
-                yield rel, mo, rb, vR, vW, by_place
+                if grow(o, [*mo, *rb]) is not False:
+                    yield rel, mo, rb, vR, vW, by_place
             return
         r = reads[i]
         want = need.get(r)
@@ -187,26 +210,37 @@ def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
             have, u = walk(w)
             if have is None and u is None:
                 continue                    # an rf cycle
+            if want is not None and have is not None and want != have:
+                continue
+            o2 = o if internal_rf(w, r) else grow(o, ((w, r),))
+            if o2 is False:
+                continue                    # a cycle with the order
             if want is None or want == have:
-                yield from step(i + 1)
-            elif have is None:
+                yield from step(i + 1, o2)
+            else:
                 need[u] = want
-                yield from step(i + 1)
+                yield from step(i + 1, o2)
                 del need[u]
         rf[r] = None
         if want is None or want == init_of(place[r]):
-            yield from step(i + 1)
+            o2 = grow(o, [(r, w) for w in by_place.get(place[r], ()) if w != r])
+            if o2 is not False:
+                yield from step(i + 1, o2)
         del rf[r]
 
-    yield from step(0)
+    yield from step(0, order)
+
+
+def internal_rf(w: SubEvent, r: SubEvent) -> bool:
+    """A CPU read of its own thread's po-earlier CPU write, which
+    synchronises nothing."""
+    return (w.stamp.kind == "aCW" and r.stamp.kind == "aCR"
+            and po_before(w.event, r.event))
 
 
 def external_rf(rf: frozenset) -> frozenset:
-    """rf without a CPU read of its own thread's po-earlier CPU write, which
-    synchronises nothing."""
-    return frozenset((w, r) for w, r in rf
-                     if not (w.stamp.kind == "aCW" and r.stamp.kind == "aCR"
-                             and po_before(w.event, r.event)))
+    """rf without its `internal_rf` pairs."""
+    return frozenset((w, r) for w, r in rf if not internal_rf(w, r))
 
 
 def final_values(w: Witness) -> dict:

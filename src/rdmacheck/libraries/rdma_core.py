@@ -21,6 +21,13 @@ choice, then each orientation of a free nfo pair, extends a copy that is
 dropped as soon as it closes a cycle.  A witness carries its grown order
 and the indices of its instantaneous items, and the checker's hb absorbs
 those rows; ib, ``inst_ib`` and so become pair sets only when read.
+
+Given the checker's ppo, the coherence search is pruned against ppo
+grown, once per call, by the so pairs every witness holds: the fixed
+part's rows from instantaneous items, polls-from's so part and the nfo
+pairs the stamp order forces.  hb would veto each choice that closes a
+cycle there, and an execution whose fixed pairs alone close one has no
+witness.
 """
 
 from __future__ import annotations
@@ -126,7 +133,8 @@ class RdmaLib(Library):
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
+    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
+                  ppo=None) -> Iterator[Witness]:
         role_of = self.role_of
         for e in plain.events:
             self._require(e)
@@ -221,6 +229,16 @@ class RdmaLib(Library):
         inst = tuple(i for i, s in enumerate(listed)
                      if s.stamp.kind not in ("aCW", "nLW", "nRW"))
 
+        # Every witness's so holds the pairs of ``fixed`` from its
+        # instantaneous items, polls-from's so part and the forced nfo
+        # pairs, so hb holds ppo and those whatever the choice: coherence
+        # is pruned against them.
+        base = None
+        if ppo is not None:
+            base = ppo().copy()
+            if not (base.absorb(fixed, inst) and base.add_edges([*so_pf, *forced_nfo])):
+                return
+
         def oriented(i: int, order: IncrementalOrder, nfo: tuple):
             """Each acyclic orientation of the free nfo pairs from the
             i-th on, (s1, s2) before (s2, s1): (ib order, nfo)."""
@@ -235,7 +253,7 @@ class RdmaLib(Library):
 
         for rf, mo, rb, vR, vW, by_place in coherence(
                 reads, writes, place, read_value, write_value, carrier,
-                lambda p: cfg.init_of(*p)):
+                lambda p: cfg.init_of(*p), base):
             fr_int = [(r, w) for r, w in rb if r.stamp.kind == "aCR"
                       and w.stamp.kind == "aCW" and r.event.tid == w.event.tid]
             grown = fixed.copy()

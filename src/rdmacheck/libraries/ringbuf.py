@@ -70,7 +70,8 @@ class RingBufferLib(Library):
         fb = w.rels["fb"]
         return not any((b, a) in hb for a, b in fb)
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
+    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
+                  ppo=None) -> Iterator[Witness]:
         for e in plain.events:
             self._require(e)
             x = e.args[0]

@@ -60,7 +60,8 @@ class SharedVarLib(Library):
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig) -> Iterator[Witness]:
+    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
+                  ppo=None) -> Iterator[Witness]:
         for e in plain.events:
             self._require(e)
 
@@ -85,9 +86,17 @@ class SharedVarLib(Library):
                        for a in stmp[e1] if a.kind == "nLR")
         iso = frozenset((r, w) for w, r in carrier.items())
 
+        # Every witness's so holds pf and iso: coherence is pruned against
+        # ppo and them.
+        order = None
+        if ppo is not None:
+            order = ppo().copy()
+            if not order.add_edges(pf | iso):
+                return
+
         for rf, mo, rb, vR, vW, by_place in coherence(
                 reads, writes, place, read_value, write_value, carrier,
-                lambda p: cfg.init_of(*p)):
+                lambda p: cfg.init_of(*p), order):
             # CPU reads may not read past a program-order-later CPU write.
             if any(r.stamp.kind == "aCR" and w.stamp.kind == "aCW"
                    and po_before(w.event, r.event) for r, w in rb):

@@ -3,12 +3,15 @@ the whole-execution check ``lambda_consistent``, and an execution that
 differs from one in stamping, so or hb does not.  It yields the same
 combinations, in the same order, as a search that builds hb first and
 restarts each library's search for every combination before it; and it
-runs each library's search once, building ppo only when every library
-has a witness.  Its one-sweep ppo is the closure of ``derive_ppo``, and
-it builds no relation as a pair set unless something reads it."""
+runs each library's search once, building ppo at most once, when a
+library asks for it or every library has a witness.  A witness search
+pruned by ppo drops only witnesses that hb would veto.  Its one-sweep ppo
+is the closure of ``derive_ppo``, and it builds no relation as a pair set
+unless something reads it."""
 
 from __future__ import annotations
 
+import weakref
 from pathlib import Path
 
 import pytest
@@ -147,15 +150,79 @@ def test_the_swept_ppo_is_the_closure_of_derive_ppo(path, tower):
     assert res.results
 
 
+def witness_key(w):
+    return w.so, w.rels["rf"], w.rels["mo"], w.vR, w.vW
+
+
+# A CPU read of its own thread's write, then store buffering.  hb holds
+# no internal rf pair: a search pruned by one would drop the witness where
+# t2's write to x is mo-first, whose cycle runs through b's rb edge.
+OWN_WRITE_SB = """nodes n1
+libs rl
+loc x @ n1
+loc y @ n1
+thread t1 @ n1 {
+  write x 1
+  a = read x
+  b = read y
+}
+thread t2 @ n1 {
+  write y 1
+  write x 2
+}
+"""
+
+# The SEARCHED items, the RDMA clients, and a compiled side where the
+# shared-variable search builds witnesses that hb vetoes.
+PRUNED = COMBINED + [("clients/own_write_sb", "own_write_sb", None),
+                     ("rbl/appf_rbl_bal", CORPUS / "appf_rbl_bal.litmus", ("rbl", 3, 30))]
+
+
+@pytest.mark.parametrize("name, path, tower", PRUNED, ids=[n for n, _, _ in PRUNED])
+def test_pruning_by_ppo_drops_only_witnesses_that_hb_vetoes(tmp_path, name, path, tower):
+    if isinstance(path, str):
+        path = tmp_path / f"{path}.litmus"
+        path.write_text({**CLIENTS, "own_write_sb": OWN_WRITE_SB}[path.stem])
+    cfg, libs, res = unfold_searched(path, tower)
+    dropped = 0
+    for _vals, plain in res.results:
+        stmp, per_lib = stamp_events(plain, libs, cfg)
+        ppo = checker.ppo_order(plain, stmp)
+        rows = list(ppo.rows)
+        for lib in libs:
+            if lib.name not in ("sv", "rl", "tso", "msw"):
+                continue
+            sl = plain.restrict(per_lib[lib.name])
+            pruned = lib.witnesses(sl, stmp, cfg, lambda: ppo)
+            # The pruned witnesses are an in-order subsequence of all of
+            # them, and each one left out closes a cycle with ppo.
+            nxt = next(pruned, None)
+            for w in lib.witnesses(sl, stmp, cfg):
+                if nxt is not None and witness_key(nxt) == witness_key(w):
+                    nxt = next(pruned, None)
+                else:
+                    assert not w.add_to(ppo.copy())
+                    dropped += 1
+            assert nxt is None
+        assert ppo.rows == rows
+    assert res.results
+    if name == "rbl/appf_rbl_bal":
+        assert dropped > 0
+
+
 class Counted(Library):
     """A one-method library with ``n`` witnesses of empty so on every
-    slice; counts the calls of ``witnesses`` and the witnesses drawn."""
+    slice; counts the calls of ``witnesses`` and the witnesses drawn,
+    keeps a weak reference to each witness and, with ``asks_ppo``, the
+    ppo order it got."""
 
-    def __init__(self, method: str, n: int):
+    def __init__(self, method: str, n: int, asks_ppo: bool = False):
         self.name = method
         self.methods = frozenset({method})
         self.n = n
+        self.asks_ppo = asks_ppo
         self.calls = self.drawn = 0
+        self.refs, self.ppos = [], []
 
     def stamping(self, e, cfg):
         return frozenset({ACR})
@@ -163,11 +230,15 @@ class Counted(Library):
     def outputs(self, method, args, tid, state, profile, cfg):
         return ((UNIT, state),)
 
-    def witnesses(self, plain, stmp, cfg):
+    def witnesses(self, plain, stmp, cfg, ppo=None):
         self.calls += 1
+        if self.asks_ppo:
+            self.ppos.append(ppo())
         for _ in range(self.n):
             self.drawn += 1
-            yield Witness(self.name, frozenset())
+            w = Witness(self.name, frozenset())
+            self.refs.append(weakref.ref(w))
+            yield w
 
 
 def _one_plain(libs, cfg):
@@ -203,6 +274,41 @@ def test_each_search_runs_once_and_ppo_waits_for_every_library(ppo_calls, na, nb
     assert (a.calls, a.drawn) == (1, na if nb else min(na, 1))
     assert (b.calls, b.drawn) == ((1, nb) if na else (0, 0))
     assert len(ppo_calls) == (1 if na and nb else 0)
+
+
+def test_a_library_that_asks_for_ppo_gets_the_order_hb_grows_from(ppo_calls, monkeypatch):
+    copied = []
+    copy_order = IncrementalOrder.copy
+
+    def counted(self):
+        copied.append(self)
+        return copy_order(self)
+
+    monkeypatch.setattr(IncrementalOrder, "copy", counted)
+    a, b = Counted("a", 2, asks_ppo=True), Counted("b", 2, asks_ppo=True)
+    cfg = cfg2()
+    _progs, plain = _one_plain([a, b], cfg)
+    assert len(list(enumerate_consistent(plain, [a, b], cfg))) == 4
+    (ppo,) = {id(o): o for o in a.ppos + b.ppos}.values()
+    assert len(ppo_calls) == 1
+    # hb starts from a copy of that very order, which nothing changed.
+    assert copied[0] is ppo
+    stmp, _per_lib = stamp_events(plain, [a, b], cfg)
+    assert ppo.pairs() == frozenset(naive_closure(derive_ppo(plain, stmp)))
+
+
+def test_the_first_library_holds_no_witness_it_has_moved_past():
+    a, b = Counted("a", 3), Counted("b", 2)
+    cfg = cfg2()
+    _progs, plain = _one_plain([a, b], cfg)
+    live = []
+    for acc in enumerate_consistent(plain, [a, b], cfg):
+        live.append([r() is not None for r in a.refs])
+        del acc
+    # a's witness of each combination is live, and none before it; b's
+    # are replayed for each of a's.
+    assert live == [[True], [True]] + [[False, True]] * 2 + [[False, False, True]] * 2
+    assert all(r() is not None for r in b.refs)
 
 
 def test_outputs_only_draws_only_an_accepted_first_witness():

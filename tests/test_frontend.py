@@ -245,3 +245,11 @@ def test_exit_2_before_running_when_the_json_directory_is_missing(tmp_path, caps
     assert exit_code([cmd, target, "--json", tmp_path / "absent" / "r.json"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "--json" in err
+
+
+@pytest.mark.parametrize("cmd", ["check", "corpus"])
+def test_exit_2_before_running_when_the_json_path_is_a_directory(tmp_path, capsys, cmd):
+    target = CORPUS / "fig2a_wait.litmus" if cmd == "check" else CORPUS
+    assert exit_code([cmd, target, "--json", tmp_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--json" in err
