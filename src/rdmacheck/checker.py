@@ -8,9 +8,15 @@ executions, enumerated from the bounded plain semantics.
 
 Libraries are asked before hb is built: each library's witnesses are
 drawn once and lazily per plain execution, and hb is built only when
-every library has a witness.  Most executions are rejected there.  ppo
-is built at most once per plain execution, when the first library asks
-for it to prune its search, and otherwise only for hb.
+every library has a witness.  Most executions are rejected there.
+
+Plain executions that differ only in what their reads return share a
+shape: the same events, stamps and program order.  Within one
+``outcomes`` call each shape's frame is built once and rebound to every
+later execution of that shape, as positions in its subevent list: ppo is
+swept at most once per shape, when the first library asks for it to prune
+its search or else for hb, and each library keeps its own per-shape part
+of the witness search there (`Library.witnesses`' ``memo``).
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from itertools import islice, tee
 from typing import Iterator, Mapping, Sequence
 
 from .config import NodeConfig
-from .events import Event, Execution, InvalidInput, PlainExecution, SubEvent, subevents
+from .events import (Event, Execution, InvalidInput, PlainExecution, SubEvent,
+                     subevent_list, subevents)
 from .lang import Pools, interpret_conc
 from .libraries.base import Library, Witness, check_consistent
 from .relations import IncrementalOrder, OnRead
@@ -100,8 +107,53 @@ def stamp_events(plain: PlainExecution, libs: Sequence[Library], cfg: NodeConfig
 def ppo_order(plain: PlainExecution, stmp) -> IncrementalOrder:
     """Preserved program order, closed: the subevents in program order,
     each event's stamps in ``repr`` order, swept once with ``ppo_before``."""
-    return IncrementalOrder([SubEvent(e, a) for e in plain.events
-                             for a in sorted(stmp[e], key=repr)], ppo_before)
+    return IncrementalOrder(subevent_list(plain.events, stmp), ppo_before)
+
+
+class Shape:
+    """What the plain executions of one shape share within one outcome
+    computation: ppo's closed rows once swept, and each library's frame,
+    by library name."""
+
+    __slots__ = ("ppo", "stamps", "libs")
+
+    def __init__(self):
+        self.ppo: IncrementalOrder | None = None
+        self.stamps: list | None = None
+        self.libs: dict = {}
+
+    def ppo_of(self, plain: PlainExecution, stmp) -> IncrementalOrder:
+        """The closed ppo of ``plain``, an execution of this shape: swept on
+        the first call, and after that its rows carried onto ``plain``'s
+        subevents, which stand at the same positions."""
+        if self.ppo is None:
+            self.ppo = ppo_order(plain, stmp)
+            return self.ppo.rebind(self.ppo.items, self.ppo.index)
+        if self.stamps is None:
+            self.stamps = [sorted(stmp[e], key=repr) for e in plain.events]
+        return self.ppo.rebind([SubEvent(e, a) for e, stamps in
+                                zip(plain.events, self.stamps) for a in stamps])
+
+
+def shape_key(plain: PlainExecution, stmp, libs: Sequence[Library],
+              per_lib: Mapping[str, list[Event]]) -> tuple:
+    """What two plain executions of one `Shape` have in common: per event,
+    its thread, id, method, arguments and stamps, and what of its output
+    its library's frame reads (`Library.shape_output`); ``per_lib`` is
+    each library's events."""
+    return (tuple([(e.tid, e.eid, e.method, e.args, stmp[e]) for e in plain.events]),
+            tuple([lib.shape_output(e) for lib in libs for e in per_lib[lib.name]]))
+
+
+def shape_of(plain: PlainExecution, stmp, libs: Sequence[Library],
+             per_lib: Mapping[str, list[Event]], memo: dict) -> Shape:
+    """The `Shape` of ``plain`` in ``memo``, added when it is the first of
+    its shape there."""
+    key = shape_key(plain, stmp, libs, per_lib)
+    shape = memo.get(key)
+    if shape is None:
+        shape = memo[key] = Shape()
+    return shape
 
 
 def _peeked(it: Iterator) -> Iterator | None:
@@ -118,14 +170,17 @@ def _peeked(it: Iterator) -> Iterator | None:
 
 
 def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
-                         cfg: NodeConfig) -> Iterator[Mapping]:
+                         cfg: NodeConfig, memo: dict | None = None) -> Iterator[Mapping]:
     """All accepted (witness-per-library, so, hb) combinations.
 
-    Stamping first (deterministic).  Each library's witness search then
-    runs at most once, and its first witness is drawn in ``libs`` order: a
-    library with none rejects the execution.  ppo is built at most once,
-    by the first library that asks for it (`Library.witnesses` prunes
-    against it) or else only when every library has a witness.  Then
+    Stamping first (deterministic).  ``memo`` maps shape keys to the
+    `Shape` frames of one outcome computation; without it the execution's
+    frame is built afresh.  Each library's witness search then runs at
+    most once, and its first witness is drawn in ``libs`` order: a library
+    with none rejects the execution.  ppo is needed at most once, by the
+    first library that asks for it (`Library.witnesses` prunes against it)
+    or else only when every library has a witness, and is swept only for
+    the first execution of its shape.  Then
     combinations are backtracked, in the libraries' order and each
     library's witness order, with incremental cycle detection on
     (ppo ∪ accumulated so)+: each witness grows a copy of hb by its
@@ -137,11 +192,12 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
     the grown order itself.
     """
     stmp, per_lib = stamp_events(plain, libs, cfg)
-    ppo = cache(lambda: ppo_order(plain, stmp))
+    shape = shape_of(plain, stmp, libs, per_lib, {} if memo is None else memo)
+    ppo = cache(lambda: shape.ppo_of(plain, stmp))
     drawn = []
     for lib in libs:
         ws = _peeked(lib.witnesses(plain.restrict(per_lib[lib.name]),
-                                   stmp, cfg, ppo))
+                                   stmp, cfg, ppo, shape.libs))
         if ws is None:
             return
         # A tee that is never advanced holds every witness drawn so far;
@@ -223,14 +279,17 @@ def outcomes(progs, libs: Sequence[Library], cfg: NodeConfig, bounds: Bounds,
     Every tuple not yet found still has all its executions checked, so the
     set is the same.  A full enumeration, whose outcomes carry final
     memory, checks every plain execution.
+
+    The shape frames the search builds live until this call returns.
     """
     interp = interpret_conc(progs, bounds.loop_bound, pools(libs, cfg),
                             bounds.max_events)
     found = set()
+    memo: dict = {}
     for vals, plain in interp.results:
         if outputs_only and Outcome(vals) in found:
             continue
-        for acc in enumerate_consistent(plain, libs, cfg):
+        for acc in enumerate_consistent(plain, libs, cfg, memo):
             if outputs_only:
                 found.add(Outcome(vals))
                 break

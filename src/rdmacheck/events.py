@@ -122,6 +122,13 @@ def subevents(events: Iterable[Event], stmp: Stamping) -> frozenset[SubEvent]:
     return frozenset(SubEvent(e, a) for e in events for a in stmp[e])
 
 
+def subevent_list(events: Iterable[Event], stmp: Stamping) -> list[SubEvent]:
+    """The subevents of ``events`` as a list: events in order, each one's
+    stamps in ``repr`` order.  ppo is swept along it, and per-shape frames
+    name subevents by their positions in it."""
+    return [SubEvent(e, a) for e in events for a in sorted(stmp[e], key=repr)]
+
+
 @dataclass(frozen=True)
 class Execution:
     """Plain execution + stamping + synchronisation and happens-before order."""

@@ -47,7 +47,7 @@ class BarrierLib(Library):
         return (UNIT,)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo=None) -> Iterator[Witness]:
+                  ppo=None, memo=None) -> Iterator[Witness]:
         for e in plain.events:
             self._require(e)
 

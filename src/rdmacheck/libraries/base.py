@@ -23,10 +23,11 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (Callable, Container, Hashable, Iterable, Iterator, Mapping,
-                    Sequence)
+                    NamedTuple, Sequence)
 
 from ..config import NodeConfig
-from ..events import Event, InvalidInput, PlainExecution, SubEvent, po_before
+from ..events import (Event, InvalidInput, PlainExecution, SubEvent, po_before,
+                      subevent_list)
 from ..lang import Pools
 from ..relations import IncrementalOrder, Pair
 from ..stamps import ppo_before
@@ -89,12 +90,26 @@ class Library:
         is a ``Carried`` place when the event moves what it read there."""
         return ()
 
+    def shape_output(self, e: Event) -> Value | None:
+        """What of ``e``'s output this library's frame reads (see
+        `witnesses`), or None.  Stamps are part of the shape already, so
+        only a frame that reads an output itself names it here; executions
+        that differ only in what their reads return share one frame."""
+        return None
+
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo: Callable[[], IncrementalOrder] | None = None) -> Iterator[Witness]:
+                  ppo: Callable[[], IncrementalOrder] | None = None,
+                  memo: dict | None = None) -> Iterator[Witness]:
         """Every witness of the slice ``plain``.  ``ppo``, when given,
         returns the closed ppo of the whole execution, which the library
         must not change; a library may then skip a witness whose so closes
-        a cycle with it, since hb would.  ``None`` asks for every witness."""
+        a cycle with it, since hb would.  ``None`` asks for every witness.
+
+        ``memo`` is where the library may keep its frame: the checker
+        hands the same dict to every execution of this one's shape
+        (`checker.shape_key`) in one outcome computation, so a frame holds
+        only what the shape decides, with subevents as positions in
+        `frame_list` (see `shared_frame`)."""
         raise NotImplementedError
 
     def post_check(self, w: Witness, hb: Container[Pair]) -> bool:
@@ -110,6 +125,90 @@ class Library:
     def _require(self, e: Event):
         if e.method not in self.methods:
             raise InvalidInput(f"{e.method} is not a method of {self.name}")
+
+
+def frame_list(plain: PlainExecution, stmp,
+               ppo: Callable[[], IncrementalOrder] | None) -> tuple[list, dict]:
+    """The subevent list a library's frame names subevents in, and each
+    one's position: the whole execution's, ``ppo().items``, given ``ppo``,
+    and else the slice's own `subevent_list`."""
+    if ppo is not None:
+        order = ppo()
+        return order.items, order.index
+    subs = subevent_list(plain.events, stmp)
+    return subs, {s: i for i, s in enumerate(subs)}
+
+
+def positions(pos: Mapping[SubEvent, int], pairs: Iterable[Pair]) -> tuple:
+    """Each (a, b) of ``pairs`` as (a's position, b's position)."""
+    return tuple((pos[a], pos[b]) for a, b in pairs)
+
+
+def at(subs: Sequence[SubEvent], pairs: Iterable[tuple[int, int]]) -> list:
+    """Each (i, j) of ``pairs`` as the subevents at those positions."""
+    return [(subs[i], subs[j]) for i, j in pairs]
+
+
+def shared_frame(memo: dict | None, name: str, plain: PlainExecution, stmp,
+                 ppo: Callable[[], IncrementalOrder] | None,
+                 build: Callable[[], object], keep: Callable, rebind: Callable):
+    """The frame of library ``name`` for the execution ``plain``, shared
+    through ``memo`` (see `Library.witnesses`) by the executions of its
+    shape.  ``build()`` makes it for the first one, None when the shape has
+    no witness.  Once a second one comes, ``keep(frame, pos)`` turns the
+    first one's frame into one that names each subevent by its position
+    ``pos`` in `frame_list`, and ``rebind(kept, subs, index)`` turns that
+    back into the frame of each later execution, whose list is ``subs``."""
+    if memo is None:
+        return build()
+    if name not in memo:
+        frame = build()
+        memo[name] = frame, None if frame is None else frame_list(plain, stmp, ppo)[1]
+        return frame
+    kept = memo[name]
+    if isinstance(kept, tuple):
+        frame, pos = kept
+        kept = memo[name] = None if frame is None else keep(frame, pos)
+    return None if kept is None else rebind(kept, *frame_list(plain, stmp, ppo))
+
+
+class CoherenceFrame(NamedTuple):
+    """`coherence`'s inputs as a shape decides them, each subevent as its
+    position in `frame_list`: the reads and writes, each one's place, the
+    reads whose value their event's output pins, the values writes store
+    by label, each carried write's read part, and the order the search is
+    pruned against, over the whole list (None for no pruning)."""
+
+    reads: tuple
+    writes: tuple
+    place: tuple
+    pinned: tuple
+    write_value: tuple
+    carrier: tuple
+    order: IncrementalOrder | None
+
+    @classmethod
+    def of(cls, pos: Mapping[SubEvent, int], search: Mapping) -> "CoherenceFrame":
+        """Positional from ``search``, `coherence`'s keyword arguments but
+        ``init_of``."""
+        return cls(tuple(pos[s] for s in search["reads"]),
+                   tuple(pos[s] for s in search["writes"]),
+                   tuple((pos[s], p) for s, p in search["place"].items()),
+                   tuple(pos[s] for s in search["read_value"]),
+                   tuple((pos[s], v) for s, v in search["write_value"].items()),
+                   positions(pos, search["carrier"].items()), search["order"])
+
+    def bind(self, subs: list, index: dict) -> dict:
+        """`coherence`'s keyword arguments but ``init_of``, for the
+        execution whose subevent list is ``subs``, with ``index`` its
+        positions."""
+        return {"reads": [subs[i] for i in self.reads],
+                "writes": [subs[i] for i in self.writes],
+                "place": {subs[i]: p for i, p in self.place},
+                "read_value": {subs[i]: subs[i].event.output for i in self.pinned},
+                "write_value": {subs[i]: v for i, v in self.write_value},
+                "carrier": dict(at(subs, self.carrier)),
+                "order": None if self.order is None else self.order.rebind(subs, index)}
 
 
 def check_consistent(lib: Library, exec_, cfg: NodeConfig) -> Witness | None:

@@ -10,28 +10,38 @@ methods in the class-level role table ``roles`` (engine role -> method
 name; the roles are write, read, cas, mfence, rfence, get, put and wait)
 and overrides only the hooks where its model differs: ``polls_from``,
 ``extra_valid``, and ``stamping`` or ``outputs`` for methods outside the
-role table.
+role table.  ``tso`` names, in ``shape_output``, the outputs its
+polls-from reads: operation identifiers and what each poll returns.
 
 Issued-before (ib) orders subevent starts and must be acyclic; its part
 that starts at an instantaneous subevent (any but a write part),
 ``inst_ib``, joins so.  ib is grown, not re-closed: its fixed part (ippo,
 iso and polls-from) runs forward along program order and is closed once
-per call in one sweep of an ``IncrementalOrder``, and each coherence
-choice, then each orientation of a free nfo pair, extends a copy that is
-dropped as soon as it closes a cycle.  A witness carries its grown order
-and the indices of its instantaneous items, and the checker's hb absorbs
-those rows; ib, ``inst_ib`` and so become pair sets only when read.
+per shape in one sweep of an ``IncrementalOrder``, and each coherence
+choice, then each orientation of a free nfo pair that the grown order
+does not already decide, extends a copy that is dropped as soon as it
+closes a cycle.  A witness carries its grown order and the indices of its
+instantaneous items, and the checker's hb absorbs those rows; ib,
+``inst_ib`` and so become pair sets only when read.
 
 Given the checker's ppo, the coherence search is pruned against ppo
-grown, once per call, by the so pairs every witness holds: the fixed
-part's rows from instantaneous items, polls-from's so part and the nfo
-pairs the stamp order forces.  hb would veto each choice that closes a
-cycle there, and an execution whose fixed pairs alone close one has no
-witness.
+grown by the so pairs every witness holds: the fixed part's rows from
+instantaneous items, polls-from's so part and the nfo pairs the stamp
+order forces.  hb would veto each choice that closes a cycle there, and
+an execution whose fixed pairs alone close one has no witness.
+
+All of that but the values the reads pin is decided by the execution's
+shape (`checker.shape_key`): polls-from, iso and the carriers, places
+and stored values, ib's fixed rows and instantaneous items, the nfo
+split and the pruning order, or that there is no witness.  `frame`
+builds them for the first execution of a shape in one outcome
+computation and rebinds them, by position, to each later one; only
+``extra_valid`` and the witness search itself run per execution.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Iterator
 
 from ..config import NodeConfig
@@ -41,7 +51,8 @@ from ..relations import IncrementalOrder, OnRead
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW,
                       ppo_before, stamp_order)
 from ..values import UNIT
-from .base import Library, Witness, coherence, external_rf, final_values
+from .base import (CoherenceFrame, Library, Witness, at, coherence, external_rf,
+                   final_values, frame_list, positions, shared_frame)
 
 READ_KINDS = ("aCR", "aCAS", "nLR", "nRR")
 WRITE_KINDS = ("aCW", "aCAS", "nLW", "nRW")
@@ -133,8 +144,21 @@ class RdmaLib(Library):
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo=None) -> Iterator[Witness]:
+    def frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo=None,
+              memo=None) -> SimpleNamespace | None:
+        """What the shape of ``plain`` decides of its witness search:
+        ``search``, `coherence`'s keyword arguments but ``init_of``;
+        polls-from's so part ``so_pf`` and its named ``pf_parts``; ``iso``;
+        ib's ``fixed`` part, closed, and the indices ``inst`` of its
+        instantaneous items; and the ``forced`` and ``free`` nfo pairs.
+        None when the node discipline fails or the fixed so pairs close a
+        cycle with ppo, so that no witness exists.  Built once per shape in
+        ``memo`` (`base.shared_frame`)."""
+        return shared_frame(memo, self.name, plain, stmp, ppo,
+                            lambda: self._build_frame(plain, stmp, cfg, ppo),
+                            _keep, _rebind)
+
+    def _build_frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo):
         role_of = self.role_of
         for e in plain.events:
             self._require(e)
@@ -142,12 +166,11 @@ class RdmaLib(Library):
             k = LOCAL_ARG.get(role_of.get(e.method))
             if k is not None and (cfg.node_of_loc(e.args[k])
                                   != cfg.node_of_thread(e.tid)):
-                return
-        if not self.extra_valid(plain, cfg):
-            return
+                return None
         so_pf, ib_pf, pf_parts = self.polls_from(plain, stmp)
 
-        sevents = [SubEvent(e, a) for e in plain.events for a in sorted(stmp[e], key=repr)]
+        subs, _pos = frame_list(plain, stmp, ppo)
+        sevents = [s for s in subs if s.event.method in self.methods]
         reads = [s for s in sevents if s.stamp.kind in READ_KINDS]
         writes = [s for s in sevents if s.stamp.kind in WRITE_KINDS]
 
@@ -237,33 +260,71 @@ class RdmaLib(Library):
         if ppo is not None:
             base = ppo().copy()
             if not (base.absorb(fixed, inst) and base.add_edges([*so_pf, *forced_nfo])):
-                return
+                return None
+
+        return SimpleNamespace(
+            search={"reads": reads, "writes": writes, "place": place,
+                    "read_value": read_value, "write_value": write_value,
+                    "carrier": carrier, "order": base},
+            so_pf=so_pf, pf_parts=pf_parts, iso=iso, fixed=fixed, inst=inst,
+            forced=forced_nfo, free=free_nfo)
+
+    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
+                  ppo=None, memo=None) -> Iterator[Witness]:
+        if not self.extra_valid(plain, cfg):
+            return
+        f = self.frame(plain, stmp, cfg, ppo, memo)
+        if f is None:
+            return
 
         def oriented(i: int, order: IncrementalOrder, nfo: tuple):
             """Each acyclic orientation of the free nfo pairs from the
-            i-th on, (s1, s2) before (s2, s1): (ib order, nfo)."""
-            if i == len(free_nfo):
+            i-th on, (s1, s2) before (s2, s1): (ib order, nfo).  A pair
+            that ``order`` already orients keeps that orientation, with no
+            copy; either way round closes no cycle for the others."""
+            if i == len(f.free):
                 yield order, frozenset(nfo)
                 return
-            s1, s2 = free_nfo[i]
+            s1, s2 = f.free[i]
+            for pair in ((s1, s2), (s2, s1)):
+                if pair in order:
+                    yield from oriented(i + 1, order, nfo + (pair,))
+                    return
             for pair in ((s1, s2), (s2, s1)):
                 o2 = order.copy()
-                if o2.add_edges((pair,)):
-                    yield from oriented(i + 1, o2, nfo + (pair,))
+                o2.add_edges((pair,))
+                yield from oriented(i + 1, o2, nfo + (pair,))
 
         for rf, mo, rb, vR, vW, by_place in coherence(
-                reads, writes, place, read_value, write_value, carrier,
-                lambda p: cfg.init_of(*p), base):
+                init_of=lambda p: cfg.init_of(*p), **f.search):
             fr_int = [(r, w) for r, w in rb if r.stamp.kind == "aCR"
                       and w.stamp.kind == "aCW" and r.event.tid == w.event.tid]
-            grown = fixed.copy()
-            if not grown.add_edges([*rf, *fr_int, *forced_nfo]):
+            grown = f.fixed.copy()
+            if not grown.add_edges([*rf, *fr_int, *f.forced]):
                 continue
-            explicit = external_rf(rf) | so_pf | rb | mo
-            for order, nfo in oriented(0, grown, tuple(forced_nfo)):
+            explicit = external_rf(rf) | f.so_pf | rb | mo
+            for order, nfo in oriented(0, grown, tuple(f.forced)):
                 yield Witness(
                     lib=self.name, explicit=explicit | nfo, vR=vR, vW=vW,
                     rels=OnRead({"rf": rf, "mo": mo, "rb": rb, "nfo": nfo,
-                                 "iso": iso, **pf_parts}, ib=order.pairs),
-                    meta={"by_place": by_place}, order=order, inst=inst,
+                                 "iso": f.iso, **f.pf_parts}, ib=order.pairs),
+                    meta={"by_place": by_place}, order=order, inst=f.inst,
                 )
+
+
+def _keep(f: SimpleNamespace, pos) -> SimpleNamespace:
+    return SimpleNamespace(
+        search=CoherenceFrame.of(pos, f.search), so_pf=positions(pos, f.so_pf),
+        pf_parts={k: positions(pos, v) for k, v in f.pf_parts.items()},
+        iso=positions(pos, f.iso), listed=tuple(pos[s] for s in f.fixed.items),
+        fixed=f.fixed, inst=f.inst, forced=positions(pos, f.forced),
+        free=positions(pos, f.free))
+
+
+def _rebind(kept: SimpleNamespace, subs, index) -> SimpleNamespace:
+    return SimpleNamespace(
+        search=kept.search.bind(subs, index), so_pf=frozenset(at(subs, kept.so_pf)),
+        pf_parts={k: frozenset(at(subs, v)) for k, v in kept.pf_parts.items()},
+        iso=frozenset(at(subs, kept.iso)),
+        fixed=kept.fixed.rebind([subs[i] for i in kept.listed]), inst=kept.inst,
+        forced=at(subs, kept.forced), free=at(subs, kept.free))

@@ -66,6 +66,10 @@ class RdmaTsoLib(RdmaLib):
             return (False,) if pending else (True, False)
         return super().outputs(method, args, tid, prior, pools, cfg)
 
+    def shape_output(self, e: Event):
+        """`polls_from` reads the identifiers of gets, puts and polls."""
+        return e.output if e.method in (TSO_GET, TSO_PUT, POLL) else None
+
     def polls_from(self, plain: PlainExecution, stmp):
         """Each poll polls from the NIC write of the operation whose
         identifier it returns.

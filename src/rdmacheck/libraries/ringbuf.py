@@ -71,7 +71,7 @@ class RingBufferLib(Library):
         return not any((b, a) in hb for a, b in fb)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo=None) -> Iterator[Witness]:
+                  ppo=None, memo=None) -> Iterator[Witness]:
         for e in plain.events:
             self._require(e)
             x = e.args[0]

@@ -7,11 +7,17 @@ target replicas; sv_wait(d) synchronises with the read parts of earlier
 broadcasts tagged d; the global fence orders everything via its stamps.
 A witness is a ``base.coherence`` choice over (location, node) replicas,
 a broadcast's write part carrying what its read part saw, in which no CPU
-read reads past a po-later CPU write.
+read reads past a po-later CPU write.  Polls-from (pf), the broadcast's
+intra-event order (iso), the coherence search's inputs but the values
+reads return, and its pruning order, ppo grown by pf and iso, are decided
+by the execution's shape: `frame` builds them once per shape in one
+outcome computation and rebinds them, by position, to each later
+execution of it.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Iterator
 
 from ..config import NodeConfig
@@ -19,7 +25,8 @@ from ..events import Event, PlainExecution, SubEvent, po_before
 from ..lang import Carried, Pools
 from ..stamps import ACR, ACW, AWT, GF, nLR, nRW
 from ..values import UNIT
-from .base import Library, Witness, coherence, external_rf, final_values
+from .base import (CoherenceFrame, Library, Witness, at, coherence, external_rf,
+                   final_values, frame_list, positions, shared_frame)
 
 WRITE, READ, BCAST, WAIT, GFENCE = "sv_write", "sv_read", "sv_bcast", "sv_wait", "sv_gf"
 
@@ -60,12 +67,22 @@ class SharedVarLib(Library):
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo=None) -> Iterator[Witness]:
+    def frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo=None,
+              memo=None) -> SimpleNamespace | None:
+        """What the shape of ``plain`` decides of its witness search:
+        ``search``, `coherence`'s keyword arguments but ``init_of``, and
+        ``pf`` and ``iso``; or None when pf and iso close a cycle with ppo,
+        so that no witness exists.  Built once per shape in ``memo``
+        (`base.shared_frame`)."""
+        return shared_frame(memo, self.name, plain, stmp, ppo,
+                            lambda: self._build_frame(plain, stmp, cfg, ppo),
+                            _keep, _rebind)
+
+    def _build_frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo):
         for e in plain.events:
             self._require(e)
-
-        sevents = [SubEvent(e, a) for e in plain.events for a in sorted(stmp[e], key=repr)]
+        subs, _pos = frame_list(plain, stmp, ppo)
+        sevents = [s for s in subs if s.event.method in self.methods]
         reads = [s for s in sevents if s.stamp.kind in ("aCR", "nLR")]
         writes = [s for s in sevents if s.stamp.kind in ("aCW", "nRW")]
         # A replica is a (location, node) place: a broadcast's write part
@@ -92,18 +109,38 @@ class SharedVarLib(Library):
         if ppo is not None:
             order = ppo().copy()
             if not order.add_edges(pf | iso):
-                return
+                return None
+        return SimpleNamespace(
+            search={"reads": reads, "writes": writes, "place": place,
+                    "read_value": read_value, "write_value": write_value,
+                    "carrier": carrier, "order": order},
+            pf=pf, iso=iso)
 
+    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
+                  ppo=None, memo=None) -> Iterator[Witness]:
+        f = self.frame(plain, stmp, cfg, ppo, memo)
+        if f is None:
+            return
         for rf, mo, rb, vR, vW, by_place in coherence(
-                reads, writes, place, read_value, write_value, carrier,
-                lambda p: cfg.init_of(*p), order):
+                init_of=lambda p: cfg.init_of(*p), **f.search):
             # CPU reads may not read past a program-order-later CPU write.
             if any(r.stamp.kind == "aCR" and w.stamp.kind == "aCW"
                    and po_before(w.event, r.event) for r, w in rb):
                 continue
-            so = iso | external_rf(rf) | pf | rb | mo
+            so = f.iso | external_rf(rf) | f.pf | rb | mo
             yield Witness(
                 lib=self.name, explicit=so, vR=vR, vW=vW,
-                rels={"rf": rf, "mo": mo, "rb": rb, "pf": pf, "iso": iso},
+                rels={"rf": rf, "mo": mo, "rb": rb, "pf": f.pf, "iso": f.iso},
                 meta={"by_place": by_place},
             )
+
+
+def _keep(f: SimpleNamespace, pos) -> SimpleNamespace:
+    return SimpleNamespace(search=CoherenceFrame.of(pos, f.search),
+                           pf=positions(pos, f.pf), iso=positions(pos, f.iso))
+
+
+def _rebind(kept: SimpleNamespace, subs, index) -> SimpleNamespace:
+    return SimpleNamespace(search=kept.search.bind(subs, index),
+                           pf=frozenset(at(subs, kept.pf)),
+                           iso=frozenset(at(subs, kept.iso)))

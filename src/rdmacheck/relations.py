@@ -6,12 +6,16 @@ algebra.  ``IncrementalOrder`` is the only closure: it closes a relation
 that runs forward along a list of items in one backward sweep, and then
 grows it edge by edge, or by the rows of another order, with a cycle
 veto.  The checker grows happens-before, (ppo ∪ so)+, from ppo in one;
-``RdmaLib`` grows issued-before from its fixed per-execution part, one
+``RdmaLib`` grows issued-before from its fixed per-shape part, one
 coherence and NIC flush choice at a time, and hb absorbs the rows of ib
 that start at an instantaneous subevent; ``lambda_consistent`` adds so
-to ppo and rejects a cycle.  An order becomes a pair set only when
-something reads its pairs: ib, ``inst_ib``, so and hb are built for a
-dump or a test, never on the checker's path.
+to ppo and rejects a cycle.  Rows are positional, so an order closed for
+one execution carries over, by `IncrementalOrder.rebind`, to another
+execution of the same shape whose items stand at the same positions: ppo,
+ib's fixed part and the libraries' pruning orders are swept once per
+shape.  An order becomes a pair set only when something reads its pairs:
+ib, ``inst_ib``, so and hb are built for a dump or a test, never on the
+checker's path.
 """
 
 from __future__ import annotations
@@ -57,6 +61,16 @@ class IncrementalOrder:
     def copy(self) -> "IncrementalOrder":
         c = IncrementalOrder.__new__(IncrementalOrder)
         c.index, c.items, c.rows = self.index, self.items, list(self.rows)
+        return c
+
+    def rebind(self, items: list, index: dict | None = None) -> "IncrementalOrder":
+        """A copy whose items are ``items``, a list as long as this order's:
+        the i-th takes the place of the i-th, so the rows carry over as
+        they are.  ``index`` is the items' index when one is at hand, such
+        as that of another order over the same list."""
+        c = IncrementalOrder.__new__(IncrementalOrder)
+        c.items, c.rows = items, list(self.rows)
+        c.index = {x: i for i, x in enumerate(items)} if index is None else index
         return c
 
     def __contains__(self, pair: Pair) -> bool:

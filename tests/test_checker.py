@@ -230,7 +230,7 @@ class Counted(Library):
     def outputs(self, method, args, tid, state, profile, cfg):
         return ((UNIT, state),)
 
-    def witnesses(self, plain, stmp, cfg, ppo=None):
+    def witnesses(self, plain, stmp, cfg, ppo=None, memo=None):
         self.calls += 1
         if self.asks_ppo:
             self.ppos.append(ppo())

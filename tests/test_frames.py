@@ -1,0 +1,136 @@
+"""Per-shape frames: plain executions that differ only in what their reads
+return share their ppo, and each library's shape-decided part of the
+witness search, within one outcome computation.  A frame rebound from a
+memo shared by every execution of an item equals one built afresh for
+that execution, and the search gives the same combinations, in the same
+order, with a shared memo as with a fresh one.  No frame outlives the
+``outcomes`` call that built it."""
+
+from __future__ import annotations
+
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from conftest import soundness, unfold_compiled, unfold_file
+from test_rdma_ib import CLIENTS
+from test_tower_verdicts import ITEMS, item_id
+from rdmacheck import checker, compilers
+from rdmacheck.checker import enumerate_consistent, stamp_events
+from rdmacheck.relations import IncrementalOrder
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+FILES = sorted(CORPUS.glob("*.litmus")) + [ROOT / "perfbench/inputs/msw_put_tryread.litmus"]
+
+# The corpus workload's files, the compiled sides of the pinned tower
+# verdicts, and the RDMA clients where nfo and internal fr decide.
+CASES = ([(p.stem, p, None) for p in FILES]
+         + [(item_id(it), ROOT / f"{it[1]}.litmus", it) for it in ITEMS]
+         + [(f"clients/{n}", n, None) for n in sorted(CLIENTS)])
+
+
+def unfold_case(tmp_path, path, item):
+    """(node config, libraries, interpretation result) of a CASES entry."""
+    if isinstance(path, str):
+        name, path = path, tmp_path / f"{path}.litmus"
+        path.write_text(CLIENTS[name])
+    if item is None:
+        built, libs, res = unfold_file(path)
+        return built.cfg, libs, res
+    impl, _client, loop, events = item
+    return unfold_compiled(path, [impl], loop, events)
+
+
+def comparable(x):
+    """``x`` with each order as its items and pairs, so that frames built
+    for one execution compare equal field by field."""
+    if isinstance(x, IncrementalOrder):
+        return x.items, x.pairs()
+    if isinstance(x, dict):
+        return {k: comparable(v) for k, v in x.items()}
+    if isinstance(x, SimpleNamespace):
+        return comparable(vars(x))
+    return x
+
+
+@pytest.mark.parametrize("path, item", [(p, it) for _, p, it in CASES],
+                         ids=[n for n, _, _ in CASES])
+def test_a_rebound_frame_is_the_frame_built_afresh(tmp_path, path, item):
+    cfg, libs, res = unfold_case(tmp_path, path, item)
+    memo = {}
+    rebound = 0
+    for _vals, plain in res.results:
+        stmp, per_lib = stamp_events(plain, libs, cfg)
+        seen = len(memo)
+        shape = checker.shape_of(plain, stmp, libs, per_lib, memo)
+        rebound += len(memo) == seen
+        ppo = shape.ppo_of(plain, stmp)
+        fresh = checker.ppo_order(plain, stmp)
+        assert (ppo.items, ppo.pairs()) == (fresh.items, fresh.pairs())
+        for lib in libs:
+            if not hasattr(lib, "frame"):
+                continue
+            sl = plain.restrict(per_lib[lib.name])
+            got = lib.frame(sl, stmp, cfg, lambda: ppo, shape.libs)
+            want = lib.frame(sl, stmp, cfg, lambda: fresh)
+            assert comparable(got) == comparable(want)
+    assert res.results
+    if path == CORPUS / "fig3_sb_get_wait.litmus":
+        assert rebound == 3
+
+
+@pytest.mark.parametrize("path, item", [(p, it) for _, p, it in CASES],
+                         ids=[n for n, _, _ in CASES])
+def test_same_combinations_with_a_shared_memo_as_with_a_fresh_one(tmp_path, path, item):
+    cfg, libs, res = unfold_case(tmp_path, path, item)
+
+    def combinations(plain, memo=None):
+        return [([(name, w.so, w.vR, w.vW) for name, w in acc["witnesses"].items()],
+                 acc["hb"]) for acc in enumerate_consistent(plain, libs, cfg, memo)]
+
+    memo = {}
+    n = 0
+    for _vals, plain in res.results:
+        got = combinations(plain, memo)
+        assert got == combinations(plain)
+        n += len(got)
+    assert n > 0
+
+
+def test_no_frame_outlives_its_outcome_computation(monkeypatch):
+    """Each ``outcomes`` call of a soundness check sweeps ppo once per
+    shape of the executions it checks, and a second check does it all
+    again."""
+    sweeps, shapes = [], []
+    calls = 0
+    ppo_order, enumerate_ = checker.ppo_order, checker.enumerate_consistent
+    outcomes = compilers.outcomes
+
+    def counted_ppo(plain, stmp):
+        sweeps.append(plain)
+        return ppo_order(plain, stmp)
+
+    def counted_enumerate(plain, libs, cfg, memo=None):
+        stmp, per_lib = stamp_events(plain, libs, cfg)
+        shapes.append((calls, checker.shape_key(plain, stmp, libs, per_lib)))
+        return enumerate_(plain, libs, cfg, memo)
+
+    def counted_outcomes(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return outcomes(*args, **kwargs)
+
+    monkeypatch.setattr(checker, "ppo_order", counted_ppo)
+    monkeypatch.setattr(checker, "enumerate_consistent", counted_enumerate)
+    monkeypatch.setattr(compilers, "outcomes", counted_outcomes)
+    counts = []
+    for _ in range(2):
+        del sweeps[:], shapes[:]
+        rep = soundness(CORPUS / "fig3_sb_get_wait.litmus", ["w"], 3, 32)
+        assert rep.included
+        counts.append((len(sweeps), len(set(shapes)), len(shapes)))
+    (n_sweeps, n_shapes, n_execs), again = counts
+    assert again == counts[0]
+    assert n_sweeps == n_shapes < n_execs

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +52,15 @@ def litmus_file(tmp_path: Path, name: str, asserts: str) -> Path:
 
 def test_exit_0_on_a_passing_file():
     assert exit_code(["check", CORPUS / "fig2a_wait.litmus"]) == 0
+
+
+def test_the_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    r = subprocess.run([sys.executable, "-m", "rdmacheck", "check",
+                        "corpus/fig1a_poll.litmus"],
+                       cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
 
 
 def test_exit_1_on_a_false_assertion(tmp_path, capsys):
