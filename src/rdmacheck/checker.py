@@ -11,24 +11,27 @@ drawn once and lazily per plain execution, and hb is built only when
 every library has a witness.  Most executions are rejected there.
 
 Plain executions that differ only in what their reads return share a
-shape: the same events, stamps and program order.  Within one
-``outcomes`` call each shape's frame is built once and rebound to every
-later execution of that shape, as positions in its subevent list: ppo is
-swept at most once per shape, when the first library asks for it to prune
-its search or else for hb, and each library keeps its own per-shape part
-of the witness search there (`Library.witnesses`' ``memo``).
+shape: the same events, stamps and program order.  A shape has one
+numbering, the positions of its subevent list (`events.subevent_list`),
+and within one ``outcomes`` call its frame is built once, in those
+positions, and never rebound: ppo is swept at most once per shape, when
+the first library asks for it to prune its search or else for hb, each
+library keeps its own per-shape part of the witness search there
+(`Library.witnesses`' ``memo``), and hb grows from ppo's rows by
+position.  A later execution of a shape builds no subevent unless
+something reads one: a witness's relations and values and a
+combination's so and hb are named by its subevents on first read.
 """
 
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
 from itertools import islice, tee
 from typing import Iterator, Mapping, Sequence
 
 from .config import NodeConfig
-from .events import (Event, Execution, InvalidInput, PlainExecution, SubEvent,
+from .events import (Event, Execution, InvalidInput, PlainExecution,
                      subevent_list, subevents)
 from .lang import Pools, interpret_conc
 from .libraries.base import Library, Witness, check_consistent
@@ -91,69 +94,51 @@ def pools(libs: Sequence[Library], cfg: NodeConfig) -> Pools:
         lambda place: cfg.init_of(*place))
 
 
-def stamp_events(plain: PlainExecution, libs: Sequence[Library], cfg: NodeConfig):
+class Stamped(tuple):
+    """`stamp_events`' ``(stmp, per_lib)``, with ``key``, the execution's
+    shape: per event, its thread, id, method, arguments and stamps, and
+    what of its output its library's frame reads (`Library.shape_output`).
+    Plain executions with one key differ only in what their reads return."""
+
+    def __new__(cls, stmp: dict, per_lib: dict, key: tuple):
+        self = super().__new__(cls, (stmp, per_lib))
+        self.key = key
+        return self
+
+
+def stamp_events(plain: PlainExecution, libs: Sequence[Library], cfg: NodeConfig) -> Stamped:
+    """Each event's stamps and each library's events, in one walk over the
+    events that also builds the shape key."""
     mm = method_map(libs)
     stmp = {}
     per_lib: dict[str, list[Event]] = {lib.name: [] for lib in libs}
+    key = []
     for e in plain.events:
-        if e.method not in mm:
+        lib = mm.get(e.method)
+        if lib is None:
             raise InvalidInput(f"event {e!r} uses unknown method")
-        lib = mm[e.method]
-        stmp[e] = lib.stamping(e, cfg)
+        stamps = stmp[e] = lib.stamping(e, cfg)
         per_lib[lib.name].append(e)
-    return stmp, per_lib
+        key.append((e.tid, e.eid, e.method, e.args, stamps, lib.shape_output(e)))
+    return Stamped(stmp, per_lib, tuple(key))
 
 
 def ppo_order(plain: PlainExecution, stmp) -> IncrementalOrder:
-    """Preserved program order, closed: the subevents in program order,
-    each event's stamps in ``repr`` order, swept once with ``ppo_before``."""
-    return IncrementalOrder(subevent_list(plain.events, stmp), ppo_before)
+    """Preserved program order, closed: the execution's `subevent_list`,
+    swept once with ``ppo_before`` and keyed by position."""
+    subs = subevent_list(plain.events, stmp)
+    return IncrementalOrder(subs, ppo_before, range(len(subs)))
 
 
+@dataclass
 class Shape:
     """What the plain executions of one shape share within one outcome
-    computation: ppo's closed rows once swept, and each library's frame,
-    by library name."""
+    computation: ppo's closed rows once swept, over the positions every
+    execution of the shape numbers its subevents by, and each library's
+    frame, by library name."""
 
-    __slots__ = ("ppo", "stamps", "libs")
-
-    def __init__(self):
-        self.ppo: IncrementalOrder | None = None
-        self.stamps: list | None = None
-        self.libs: dict = {}
-
-    def ppo_of(self, plain: PlainExecution, stmp) -> IncrementalOrder:
-        """The closed ppo of ``plain``, an execution of this shape: swept on
-        the first call, and after that its rows carried onto ``plain``'s
-        subevents, which stand at the same positions."""
-        if self.ppo is None:
-            self.ppo = ppo_order(plain, stmp)
-            return self.ppo.rebind(self.ppo.items, self.ppo.index)
-        if self.stamps is None:
-            self.stamps = [sorted(stmp[e], key=repr) for e in plain.events]
-        return self.ppo.rebind([SubEvent(e, a) for e, stamps in
-                                zip(plain.events, self.stamps) for a in stamps])
-
-
-def shape_key(plain: PlainExecution, stmp, libs: Sequence[Library],
-              per_lib: Mapping[str, list[Event]]) -> tuple:
-    """What two plain executions of one `Shape` have in common: per event,
-    its thread, id, method, arguments and stamps, and what of its output
-    its library's frame reads (`Library.shape_output`); ``per_lib`` is
-    each library's events."""
-    return (tuple([(e.tid, e.eid, e.method, e.args, stmp[e]) for e in plain.events]),
-            tuple([lib.shape_output(e) for lib in libs for e in per_lib[lib.name]]))
-
-
-def shape_of(plain: PlainExecution, stmp, libs: Sequence[Library],
-             per_lib: Mapping[str, list[Event]], memo: dict) -> Shape:
-    """The `Shape` of ``plain`` in ``memo``, added when it is the first of
-    its shape there."""
-    key = shape_key(plain, stmp, libs, per_lib)
-    shape = memo.get(key)
-    if shape is None:
-        shape = memo[key] = Shape()
-    return shape
+    ppo: IncrementalOrder | None = None
+    libs: dict = field(default_factory=dict)
 
 
 def _peeked(it: Iterator) -> Iterator | None:
@@ -173,27 +158,36 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
                          cfg: NodeConfig, memo: dict | None = None) -> Iterator[Mapping]:
     """All accepted (witness-per-library, so, hb) combinations.
 
-    Stamping first (deterministic).  ``memo`` maps shape keys to the
-    `Shape` frames of one outcome computation; without it the execution's
-    frame is built afresh.  Each library's witness search then runs at
-    most once, and its first witness is drawn in ``libs`` order: a library
-    with none rejects the execution.  ppo is needed at most once, by the
-    first library that asks for it (`Library.witnesses` prunes against it)
-    or else only when every library has a witness, and is swept only for
-    the first execution of its shape.  Then
-    combinations are backtracked, in the libraries' order and each
-    library's witness order, with incremental cycle detection on
-    (ppo ∪ accumulated so)+: each witness grows a copy of hb by its
-    explicit pairs and the rows of its order (`Witness.add_to`).  The
-    first library's witnesses are visited once, straight from its search;
-    every later library's are drawn lazily into a buffer that each visit
-    replays.  A combination is a mapping whose ``"so"`` and ``"hb"``
-    become pair sets only when read; the libraries' ``post_check`` reads
-    the grown order itself.
+    Stamping first (deterministic), which also gives the execution's
+    shape.  ``memo`` maps shapes to the `Shape` frames of one outcome
+    computation; without it the execution's frame is built afresh.  Each
+    library's witness search then runs at most once, and its first witness
+    is drawn in ``libs`` order: a library with none rejects the execution.
+    ppo is needed at most once, by the first library that asks for it
+    (`Library.witnesses` prunes against it) or else only when every
+    library has a witness, and is swept only for the first execution of
+    its shape that needs it.  Then combinations are backtracked, in the
+    libraries' order and each library's witness order, with incremental
+    cycle detection on (ppo ∪ accumulated so)+: each witness grows a copy
+    of hb by its explicit pairs and the rows of its order, all by position
+    (`Witness.add_to`).  The first library's witnesses are visited once,
+    straight from its search; every later library's are drawn lazily into
+    a buffer that each visit replays.  A combination is a mapping whose
+    ``"so"`` and ``"hb"`` become pair sets, named by this execution's
+    subevents, only when read; the libraries' ``post_check`` reads the
+    grown order itself.
     """
-    stmp, per_lib = stamp_events(plain, libs, cfg)
-    shape = shape_of(plain, stmp, libs, per_lib, {} if memo is None else memo)
-    ppo = cache(lambda: shape.ppo_of(plain, stmp))
+    stamped = stamp_events(plain, libs, cfg)
+    stmp, per_lib = stamped
+    shape = Shape() if memo is None else memo.get(stamped.key)
+    if shape is None:
+        shape = memo[stamped.key] = Shape()
+
+    def ppo() -> IncrementalOrder:
+        if shape.ppo is None:
+            shape.ppo = ppo_order(plain, stmp)
+        return shape.ppo
+
     drawn = []
     for lib in libs:
         ws = _peeked(lib.witnesses(plain.restrict(per_lib[lib.name]),
@@ -210,7 +204,7 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
                 yield OnRead(
                     {"witnesses": {lib.name: w for lib, w in chosen}, "stmp": stmp},
                     so=lambda: frozenset(p for _, w in chosen for p in w.so),
-                    hb=order.pairs)
+                    hb=lambda: order.pairs(None, subevent_list(plain.events, stmp)))
             return
         lib, ws = drawn[i]
         for w in copy(ws) if i else ws:
@@ -230,6 +224,7 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
 
     This is the paper's whole-execution check; ``enumerate_consistent``
     searches for what it validates, and the tests hold the two together.
+    It closes ppo over the subevents themselves.
     """
     stmp, per_lib = stamp_events(exec_.plain, libs, cfg)
     if dict(exec_.stmp) != stmp:
@@ -237,7 +232,7 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
     # so relates the execution's subevents and closes with ppo to hb
     # without a cycle.
     sub = subevents(exec_.plain.events, stmp)
-    order = ppo_order(exec_.plain, stmp)
+    order = IncrementalOrder(subevent_list(exec_.plain.events, stmp), ppo_before)
     if (not all(a in sub and b in sub for a, b in exec_.so)
             or not order.add_edges(exec_.so) or exec_.hb != order.pairs()):
         return False, {}
@@ -251,7 +246,7 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
     witnesses = {}
     for lib in libs:
         w = check_consistent(lib, exec_.restrict(per_lib[lib.name]), cfg)
-        if w is None or not lib.post_check(w, exec_.hb):
+        if w is None:
             return False, {}
         witnesses[lib.name] = w
     return True, witnesses

@@ -122,11 +122,20 @@ def subevents(events: Iterable[Event], stmp: Stamping) -> frozenset[SubEvent]:
     return frozenset(SubEvent(e, a) for e in events for a in stmp[e])
 
 
+def stamp_key(a: Stamp) -> tuple:
+    """Where a stamp stands among its event's: a NIC read part before its
+    write part and a failed CAS's fence before its read, else by ``repr``."""
+    return a.kind not in ("nLR", "nRR", "aMF"), repr(a)
+
+
 def subevent_list(events: Iterable[Event], stmp: Stamping) -> list[SubEvent]:
     """The subevents of ``events`` as a list: events in order, each one's
-    stamps in ``repr`` order.  ppo is swept along it, and per-shape frames
-    name subevents by their positions in it."""
-    return [SubEvent(e, a) for e in events for a in sorted(stmp[e], key=repr)]
+    stamps in `stamp_key` order.  Its positions are the one numbering of an
+    execution's subevents: ppo is swept along it, issued-before's fixed
+    part runs forward along it, and per-shape frames and witnesses name
+    subevents by position in it."""
+    return [SubEvent(e, a) for e in events
+            for a in (stmp[e] if len(stmp[e]) == 1 else sorted(stmp[e], key=stamp_key))]
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution, SubEvent
+from ..events import Event, PlainExecution
 from ..stamps import ACR, GF
 from ..values import UNIT
-from .base import Library, Witness
+from .base import Library, Names, Numbering, Witness, shared_frame
 
 BAR = "bar"
 
@@ -71,6 +71,8 @@ class BarrierLib(Library):
                 for i, e in enumerate(evs):
                     rounds[e] = i + 1
 
+        # Subevents are positions (`base.Numbering`).
+        num = shared_frame(memo, self.name, lambda: Numbering(plain, stmp, ppo))
         so = []
         for x, per_thread in by_loc.items():
             calls = [e for evs in per_thread.values() for e in evs]
@@ -80,8 +82,8 @@ class BarrierLib(Library):
                         continue
                     for a in stmp[e1]:
                         if a.kind == "GF":
-                            so.append((SubEvent(e1, a), SubEvent(e2, ACR)))
-        yield Witness(lib=self.name, explicit=frozenset(so),
+                            so.append((num.position(e1, a), num.position(e2, ACR)))
+        yield Witness(self.name, frozenset(so), names=Names(num, plain.events),
                       meta={"rounds": rounds,
                             "c": {x: len(next(iter(pt.values())))
                                   for x, pt in by_loc.items()}})

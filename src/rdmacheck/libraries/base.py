@@ -8,65 +8,185 @@ the synchronisation order the witness induces.
 The checker combines per-library synchronisation orders into the global
 happens-before and backtracks across libraries.
 
+A witness names subevents by position in one list (`Numbering`): the
+whole execution's subevent list when the checker passes its ppo, whose
+positions every execution of a shape shares, and else the slice's own.
+A library's frame, what the shape decides of its search, is built in
+those positions once per shape (`shared_frame`) and never rebound; a
+witness's pair sets and value maps name subevents only when read.
+
 The shared-variable and RDMA libraries search the same existentials over
 their reads and writes: a reads-from map, a modification order per place
-and the reads-before relation they induce.  ``coherence`` enumerates them.
-A value is never guessed: a read's value is its rf source's, and a
-write's is fixed by its label or carried from the read part of its own
-event (a put, get or broadcast moves the value its read part saw).
+and the reads-before relation they induce.  `Coherence` holds what a
+shape decides of that search, and its `search` enumerates them for the
+values one execution's reads pin; ``coherence`` is both in one call.  A
+value is never guessed: a read's value is its rf source's, and a write's
+is fixed by its label or carried from the read part of its own event (a
+put, get or broadcast moves the value its read part saw).
 ``final_values`` reads the final memory off such a witness.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import (Callable, Container, Hashable, Iterable, Iterator, Mapping,
-                    NamedTuple, Sequence)
+                    Sequence)
 
 from ..config import NodeConfig
-from ..events import (Event, InvalidInput, PlainExecution, SubEvent, po_before,
-                      subevent_list)
+from ..events import (Event, InvalidInput, PlainExecution, Stamp, SubEvent,
+                      po_before, stamp_key)
 from ..lang import Pools
-from ..relations import IncrementalOrder, Pair
+from ..relations import IncrementalOrder, OnRead, Pair
 from ..stamps import ppo_before
 from ..values import Value
 
 
-@dataclass
+class Numbering:
+    """Where a library's subevents stand in the list its frame and
+    witnesses name by position: given the checker's ``ppo``, the whole
+    execution's `subevent_list`, ppo's own positions (``stmp`` stamps
+    every event, in program order, as `checker.stamp_events` gives it for
+    the execution the slice's events are taken from), counted without
+    building it; else the slice's own list.  ``own`` is
+    (position, index in the slice's events, stamp) of each of the
+    library's subevents, and ``subs`` each one's subevent.  Built once per
+    shape, so only what a shape decides is read off ``subs``: threads,
+    ids, methods, arguments, stamps and the outputs
+    `Library.shape_output` names."""
+
+    __slots__ = ("whole", "size", "own", "where", "_first")
+
+    def __init__(self, plain: PlainExecution, stmp, ppo: Callable | None):
+        self.whole = ppo is not None
+        events = plain.events
+        self._first = Names(self, events)
+        self.own, self.where = [], {}
+        p = k = 0
+        # The slice's events come in the whole execution's order.
+        for e in stmp if self.whole else events:
+            stamps = stmp[e]
+            if k == len(events) or events[k] is not e:
+                p += len(stamps)
+                continue
+            for a in stamps if len(stamps) == 1 else sorted(stamps, key=stamp_key):
+                self.own.append((p, k, a))
+                self.where[e.tid, e.eid, a.kind, a.node] = p
+                p += 1
+            k += 1
+        if k != len(events):
+            raise ValueError("stmp does not stamp the slice's events in order")
+        self.size = p
+
+    @property
+    def subs(self) -> dict:
+        """The subevent at each of the library's positions, in the execution
+        this was built for."""
+        return self._first()
+
+    def position(self, e: Event, a: Stamp) -> int:
+        """The position of event ``e``'s subevent stamped ``a``."""
+        return self.where[e.tid, e.eid, a.kind, a.node]
+
+    def positions(self, pairs: Iterable[tuple[SubEvent, SubEvent]]) -> frozenset:
+        """Each (a, b) of ``pairs`` as (a's position, b's position)."""
+        at = self.position
+        return frozenset((at(a.event, a.stamp), at(b.event, b.stamp)) for a, b in pairs)
+
+    def coherence(self, reads: list, writes: list, place: dict, write_value: dict,
+                  carrier: dict) -> tuple["Coherence", frozenset]:
+        """`Coherence` over these positions, with ppo and `internal_rf` read
+        off ``subs``, and its internal rf pairs."""
+        subs = self.subs
+        internal = frozenset((w, r) for r in reads for w in writes
+                             if internal_rf(subs[w], subs[r]))
+        return Coherence(reads, writes, place, write_value, carrier,
+                         internal=lambda w, r: (w, r) in internal,
+                         before=lambda a, b: ppo_before(subs[a], subs[b])), internal
+
+
+class Names:
+    """One execution's subevents by position in a `Numbering`, as a dict
+    built on the first call; ``events`` are the slice's."""
+
+    __slots__ = ("numbering", "events", "_named")
+
+    def __init__(self, numbering: Numbering, events: Sequence[Event]):
+        self.numbering, self.events, self._named = numbering, events, None
+
+    def __call__(self) -> dict:
+        if self._named is None:
+            self._named = {p: SubEvent(self.events[k], a) for p, k, a in self.numbering.own}
+        return self._named
+
+
 class Witness:
     """One satisfying assignment of a library's existentials.
 
-    ``so`` is the synchronisation order the witness induces: the
-    ``explicit`` pairs and, when the witness has an ``order`` (the RDMA
-    libraries' issued-before), every pair of that order from an item whose
-    index is in ``inst``.  It becomes a pair set only when read; the
+    ``explicit`` is the synchronisation order's explicit pairs; with an
+    ``order`` (the RDMA libraries' issued-before), so also holds every
+    pair of that order from an item whose index is in ``inst``.  The
     checker grows hb by `add_to`, from the explicit pairs and the order's
-    rows.  ``rels`` holds the named component relations for dumps and
-    property tests, and may build one on its first read; ``vR`` / ``vW``
-    give the value read/written per subevent where meaningful.
+    rows.  ``rels`` are the component relations (pair sets or orders) for
+    dumps, property tests and ``post_check``, and ``vR`` / ``vW`` the
+    value read/written per subevent where meaningful.  With ``names``
+    (`Names`) all of these are given by position, and ``so``, ``rels``,
+    ``vR`` and ``vW`` name them by subevent when first read; ``explicit``,
+    ``relations`` and ``values`` keep the positions.
     """
 
-    lib: str
-    explicit: frozenset
-    vR: dict = field(default_factory=dict)
-    vW: dict = field(default_factory=dict)
-    rels: Mapping = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-    order: IncrementalOrder | None = None
-    inst: tuple = ()
+    def __init__(self, lib: str, explicit: frozenset = frozenset(), *,
+                 names: Names | None = None, vR: dict | None = None,
+                 vW: dict | None = None, rels: Mapping | None = None,
+                 meta: dict | None = None, order: IncrementalOrder | None = None,
+                 inst: tuple = ()):
+        self.lib, self.explicit, self.names = lib, explicit, names
+        self.values = (vR or {}, vW or {})
+        self.relations, self.meta = rels or {}, meta or {}
+        self.order, self.inst = order, inst
+
+    def _named(self, rel) -> frozenset:
+        """``rel``, an order or a pair set, as a set of named pairs."""
+        n = self.names and self.names()
+        if isinstance(rel, IncrementalOrder):
+            return rel.pairs(None, n)
+        return rel if n is None else frozenset((n[a], n[b]) for a, b in rel)
+
+    def _keyed(self, at: dict) -> dict:
+        n = self.names and self.names()
+        return at if n is None else {n[p]: v for p, v in at.items()}
 
     @cached_property
     def so(self) -> frozenset:
-        if self.order is None:
-            return self.explicit
-        return self.explicit | self.order.pairs(self.inst)
+        so = self._named(self.explicit)
+        return so if self.order is None else so | self.order.pairs(
+            self.inst, self.names and self.names())
+
+    rels = cached_property(lambda self: OnRead(
+        {}, **{k: partial(self._named, v) for k, v in self.relations.items()}))
+    vR = cached_property(lambda self: self._keyed(self.values[0]))
+    vW = cached_property(lambda self: self._keyed(self.values[1]))
+
+    def _over(self, hb) -> bool:
+        """Whether ``hb`` is an order keyed by position in this witness's
+        numbering: the checker's hb, over the whole execution's list."""
+        return (self.names is not None and self.names.numbering.whole
+                and isinstance(hb, IncrementalOrder) and isinstance(hb.keys, range)
+                and len(hb.keys) == self.names.numbering.size)
 
     def add_to(self, hb: IncrementalOrder) -> bool:
-        """Grow ``hb`` by this witness's so; False when a cycle closes."""
+        """Grow ``hb`` by this witness's so; False when a cycle closes.
+        An order over another list takes the named pairs of ``so``."""
+        if self.names is not None and not self._over(hb):
+            key = dict(zip(hb.items, hb.keys))
+            return hb.add_edges([(key[a], key[b]) for a, b in self.so])
         return hb.add_edges(self.explicit) and (
             self.order is None or hb.absorb(self.order, self.inst))
+
+    def rel_for(self, name: str, hb) -> Iterable[Pair]:
+        """The relation ``name`` as ``hb`` names subevents: by position when
+        it is an order over this witness's numbering, else by subevent."""
+        return self.relations[name] if self._over(hb) else self.rels[name]
 
 
 class Library:
@@ -101,21 +221,25 @@ class Library:
                   ppo: Callable[[], IncrementalOrder] | None = None,
                   memo: dict | None = None) -> Iterator[Witness]:
         """Every witness of the slice ``plain``.  ``ppo``, when given,
-        returns the closed ppo of the whole execution, which the library
-        must not change; a library may then skip a witness whose so closes
-        a cycle with it, since hb would.  ``None`` asks for every witness.
+        returns the closed ppo of the whole execution, keyed by position
+        and named by its subevent list, which the library must not change;
+        a library may then skip a witness whose so closes a cycle with it,
+        since hb would.  Its witnesses then name subevents by position in
+        that list, which ``stmp``, stamping every event in program order,
+        gives without the sweep (`Numbering`).  ``None`` asks for every
+        witness, named by position in the slice's own list.
 
         ``memo`` is where the library may keep its frame: the checker
         hands the same dict to every execution of this one's shape
-        (`checker.shape_key`) in one outcome computation, so a frame holds
-        only what the shape decides, with subevents as positions in
-        `frame_list` (see `shared_frame`)."""
+        (`checker.stamp_events`' key) in one outcome computation, so a
+        frame holds only what the shape decides (see `shared_frame`)."""
         raise NotImplementedError
 
     def post_check(self, w: Witness, hb: Container[Pair]) -> bool:
         """Final veto once the global happens-before is known: the
         checker passes its grown order and ``lambda_consistent`` a pair
-        set, so ``hb`` is read only with ``in``."""
+        set, so ``hb`` is read only with ``in``, of pairs as
+        `Witness.rel_for` gives them."""
         return True
 
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
@@ -127,88 +251,17 @@ class Library:
             raise InvalidInput(f"{e.method} is not a method of {self.name}")
 
 
-def frame_list(plain: PlainExecution, stmp,
-               ppo: Callable[[], IncrementalOrder] | None) -> tuple[list, dict]:
-    """The subevent list a library's frame names subevents in, and each
-    one's position: the whole execution's, ``ppo().items``, given ``ppo``,
-    and else the slice's own `subevent_list`."""
-    if ppo is not None:
-        order = ppo()
-        return order.items, order.index
-    subs = subevent_list(plain.events, stmp)
-    return subs, {s: i for i, s in enumerate(subs)}
-
-
-def positions(pos: Mapping[SubEvent, int], pairs: Iterable[Pair]) -> tuple:
-    """Each (a, b) of ``pairs`` as (a's position, b's position)."""
-    return tuple((pos[a], pos[b]) for a, b in pairs)
-
-
-def at(subs: Sequence[SubEvent], pairs: Iterable[tuple[int, int]]) -> list:
-    """Each (i, j) of ``pairs`` as the subevents at those positions."""
-    return [(subs[i], subs[j]) for i, j in pairs]
-
-
-def shared_frame(memo: dict | None, name: str, plain: PlainExecution, stmp,
-                 ppo: Callable[[], IncrementalOrder] | None,
-                 build: Callable[[], object], keep: Callable, rebind: Callable):
-    """The frame of library ``name`` for the execution ``plain``, shared
-    through ``memo`` (see `Library.witnesses`) by the executions of its
-    shape.  ``build()`` makes it for the first one, None when the shape has
-    no witness.  Once a second one comes, ``keep(frame, pos)`` turns the
-    first one's frame into one that names each subevent by its position
-    ``pos`` in `frame_list`, and ``rebind(kept, subs, index)`` turns that
-    back into the frame of each later execution, whose list is ``subs``."""
+def shared_frame(memo: dict | None, name: str, build: Callable[[], object]):
+    """The frame of library ``name``: ``build()`` for the first execution
+    of its shape, kept in ``memo`` (see `Library.witnesses`) for every
+    later one; without a memo, built afresh.  A frame names subevents by
+    position (`Numbering`), so it serves every execution of the shape as
+    it is."""
     if memo is None:
         return build()
     if name not in memo:
-        frame = build()
-        memo[name] = frame, None if frame is None else frame_list(plain, stmp, ppo)[1]
-        return frame
-    kept = memo[name]
-    if isinstance(kept, tuple):
-        frame, pos = kept
-        kept = memo[name] = None if frame is None else keep(frame, pos)
-    return None if kept is None else rebind(kept, *frame_list(plain, stmp, ppo))
-
-
-class CoherenceFrame(NamedTuple):
-    """`coherence`'s inputs as a shape decides them, each subevent as its
-    position in `frame_list`: the reads and writes, each one's place, the
-    reads whose value their event's output pins, the values writes store
-    by label, each carried write's read part, and the order the search is
-    pruned against, over the whole list (None for no pruning)."""
-
-    reads: tuple
-    writes: tuple
-    place: tuple
-    pinned: tuple
-    write_value: tuple
-    carrier: tuple
-    order: IncrementalOrder | None
-
-    @classmethod
-    def of(cls, pos: Mapping[SubEvent, int], search: Mapping) -> "CoherenceFrame":
-        """Positional from ``search``, `coherence`'s keyword arguments but
-        ``init_of``."""
-        return cls(tuple(pos[s] for s in search["reads"]),
-                   tuple(pos[s] for s in search["writes"]),
-                   tuple((pos[s], p) for s, p in search["place"].items()),
-                   tuple(pos[s] for s in search["read_value"]),
-                   tuple((pos[s], v) for s, v in search["write_value"].items()),
-                   positions(pos, search["carrier"].items()), search["order"])
-
-    def bind(self, subs: list, index: dict) -> dict:
-        """`coherence`'s keyword arguments but ``init_of``, for the
-        execution whose subevent list is ``subs``, with ``index`` its
-        positions."""
-        return {"reads": [subs[i] for i in self.reads],
-                "writes": [subs[i] for i in self.writes],
-                "place": {subs[i]: p for i, p in self.place},
-                "read_value": {subs[i]: subs[i].event.output for i in self.pinned},
-                "write_value": {subs[i]: v for i, v in self.write_value},
-                "carrier": dict(at(subs, self.carrier)),
-                "order": None if self.order is None else self.order.rebind(subs, index)}
+        memo[name] = build()
+    return memo[name]
 
 
 def check_consistent(lib: Library, exec_, cfg: NodeConfig) -> Witness | None:
@@ -228,108 +281,6 @@ def check_consistent(lib: Library, exec_, cfg: NodeConfig) -> Witness | None:
 # Shared search helpers
 
 
-def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
-              place: Mapping[SubEvent, Hashable],
-              read_value: Mapping[SubEvent, Value],
-              write_value: Mapping[SubEvent, Value],
-              carrier: Mapping[SubEvent, SubEvent],
-              init_of: Callable[[Hashable], Value],
-              order: IncrementalOrder | None = None,
-              ) -> Iterator[tuple[frozenset, frozenset, frozenset, dict, dict, dict]]:
-    """Every coherent choice of reads-from and modification order.
-
-    A read takes its value from one write of its ``place`` or from the
-    place's initial value; a CPU read or CAS must get what ``read_value``
-    pins.  A write stores its ``write_value``, or else what its own event's
-    read part (``carrier``) saw, so values are found by following rf.
-    Reads decide in order, each trying its place's writes and then the
-    initial value.  A choice that contradicts a pin or closes an rf cycle
-    is pruned at once; a pin whose source still waits on an undecided read
-    is passed on to that read in ``need``.
-
-    With ``order``, a closed order over the subevents that must stay
-    acyclic with every pair below (the checker's ppo, grown by the so
-    pairs every witness holds), each choice grows a copy of it and is
-    pruned as soon as it closes a cycle.  Reading w adds
-    (w, r) unless `internal_rf`; reading the initial value adds (r, w')
-    for every other write w' of r's place; each modification order adds
-    its mo and rb pairs.  The choices left keep their order.
-
-    Yields ``(rf, mo, rb, vR, vW, by_place)``: each complete rf choice with
-    each of its modification orders (``enumerate_mo`` along ppo, places in
-    ``repr`` order), the reads-before relation they induce, the values read
-    and written, and each place's writes.
-    """
-    grouped: dict = {}
-    for w in writes:
-        grouped.setdefault(place[w], []).append(w)
-    by_place = {p: grouped[p] for p in sorted(grouped, key=repr)}
-    reads = list(reads)
-    rf: dict = {}
-    need = dict(read_value)
-
-    def walk(w):
-        """(value, None) once write w's value is known, (what its class
-        needs, r) while it waits on the undecided read r, and (None, None)
-        on an rf cycle."""
-        for _ in range(len(rf) + 1):
-            if w in write_value:
-                return write_value[w], None
-            r = carrier[w]
-            if r not in rf:
-                return need.get(r), r
-            w = rf[r]
-            if w is None:
-                return init_of(place[r]), None
-        return None, None
-
-    def grow(o, edges):
-        """``o`` grown by ``edges`` on a copy, or False when they close a
-        cycle; ``o`` itself when there is no order or nothing to add."""
-        if o is None or not edges:
-            return o
-        o = o.copy()
-        return o.add_edges(edges) and o
-
-    def step(i: int, o):
-        if i == len(reads):
-            vW = {w: walk(w)[0] for w in writes}
-            vR = {r: init_of(place[r]) if rf[r] is None else vW[rf[r]] for r in reads}
-            rel = frozenset((w, r) for r, w in rf.items() if w is not None)
-            for mo in enumerate_mo(list(by_place.values()), ppo_before):
-                rb = frozenset((r, w) for r in reads for w in by_place.get(place[r], ())
-                               if w != r and (rf[r] is None or (rf[r], w) in mo))
-                if grow(o, [*mo, *rb]) is not False:
-                    yield rel, mo, rb, vR, vW, by_place
-            return
-        r = reads[i]
-        want = need.get(r)
-        for w in by_place.get(place[r], ()):
-            rf[r] = w
-            have, u = walk(w)
-            if have is None and u is None:
-                continue                    # an rf cycle
-            if want is not None and have is not None and want != have:
-                continue
-            o2 = o if internal_rf(w, r) else grow(o, ((w, r),))
-            if o2 is False:
-                continue                    # a cycle with the order
-            if want is None or want == have:
-                yield from step(i + 1, o2)
-            else:
-                need[u] = want
-                yield from step(i + 1, o2)
-                del need[u]
-        rf[r] = None
-        if want is None or want == init_of(place[r]):
-            o2 = grow(o, [(r, w) for w in by_place.get(place[r], ()) if w != r])
-            if o2 is not False:
-                yield from step(i + 1, o2)
-        del rf[r]
-
-    yield from step(0, order)
-
-
 def internal_rf(w: SubEvent, r: SubEvent) -> bool:
     """A CPU read of its own thread's po-earlier CPU write, which
     synchronises nothing."""
@@ -342,25 +293,156 @@ def external_rf(rf: frozenset) -> frozenset:
     return frozenset((w, r) for w, r in rf if not internal_rf(w, r))
 
 
+class Coherence:
+    """Every coherent choice of reads-from and modification order: what a
+    shape decides of the search, built once, and `search`, which runs it
+    for the values one execution's reads pin.
+
+    A read takes its value from one write of its ``place`` or from the
+    place's initial value; a CPU read or CAS must get what ``read_value``
+    pins.  A write stores its ``write_value``, or else what its own event's
+    read part (``carrier``) saw, so values are found by following rf.
+    Reads decide in order, each trying its place's writes and then the
+    initial value.  A choice that contradicts a pin or closes an rf cycle
+    is pruned at once; a pin whose source still waits on an undecided read
+    is passed on to that read in ``need``.  With ``order``, a closed order
+    that must stay acyclic with every pair below (the checker's ppo, grown
+    by the so pairs every witness holds), a choice is pruned as soon as it
+    closes a cycle: reading w adds (w, r) unless ``internal(w, r)``,
+    reading the initial value (r, w') for every other write w' of r's
+    place, and each modification order its mo and rb pairs, each on a copy
+    unless the order holds them already.  The choices left keep their
+    order.
+
+    Yields ``(rf, mo, rb, vR, vW, by_place)``: each complete rf choice with
+    each of its modification orders (per place, in ``repr`` order, its
+    linear extensions under ``before``), the reads-before relation they
+    induce, the values read and written, and each place's writes.  Items
+    are subevents, with the default predicates, or positions.
+    """
+
+    __slots__ = ("reads", "writes", "place", "write_value", "carrier",
+                 "by_place", "choices", "init_edges", "mo_choices")
+
+    def __init__(self, reads: Sequence, writes: Sequence, place: Mapping,
+                 write_value: Mapping, carrier: Mapping, *,
+                 internal: Callable[[Hashable, Hashable], bool] = internal_rf,
+                 before: Callable[[Hashable, Hashable], bool] = ppo_before):
+        grouped: dict = {}
+        for w in writes:
+            grouped.setdefault(place[w], []).append(w)
+        self.by_place = {p: grouped[p] for p in sorted(grouped, key=repr)}
+        self.reads, self.writes = list(reads), list(writes)
+        self.place, self.write_value, self.carrier = place, write_value, carrier
+        self.choices = [[(w, None if internal(w, r) else ((w, r),))
+                         for w in self.by_place.get(place[r], ())] for r in self.reads]
+        self.init_edges = [[(r, w) for w in self.by_place.get(place[r], ()) if w != r]
+                           for r in self.reads]
+        self.mo_choices = _mo_choices(list(self.by_place.values()), before)
+
+    def search(self, read_value: Mapping, init_of: Callable[[Hashable], Value],
+               order: IncrementalOrder | None = None
+               ) -> Iterator[tuple[frozenset, frozenset, frozenset, dict, dict, dict]]:
+        reads, writes, place = self.reads, self.writes, self.place
+        write_value, carrier, by_place = self.write_value, self.carrier, self.by_place
+        choices, init_edges, mo_choices = self.choices, self.init_edges, self.mo_choices
+        rf: dict = {}
+        need = dict(read_value)
+
+        def walk(w):
+            """(value, None) once write w's value is known, (what its class
+            needs, r) while it waits on the undecided read r, and (None, None)
+            on an rf cycle."""
+            for _ in range(len(rf) + 1):
+                if w in write_value:
+                    return write_value[w], None
+                r = carrier[w]
+                if r not in rf:
+                    return need.get(r), r
+                w = rf[r]
+                if w is None:
+                    return init_of(place[r]), None
+            return None, None
+
+        def grow(o, edges):
+            """``o`` grown by ``edges`` on a copy, or False when they close a
+            cycle; ``o`` itself when there is no order or it holds every
+            edge already."""
+            if o is None:
+                return o
+            index, rows = o.index, o.rows
+            if all(rows[index[a]] >> index[b] & 1 for a, b in edges):
+                return o
+            o = o.copy()
+            return o.add_edges(edges) and o
+
+        def step(i: int, o):
+            if i == len(reads):
+                vW = {w: walk(w)[0] for w in writes}
+                vR = {r: init_of(place[r]) if rf[r] is None else vW[rf[r]] for r in reads}
+                rel = frozenset((w, r) for r, w in rf.items() if w is not None)
+                for combo in itertools.product(*mo_choices):
+                    mo = frozenset(p for pairs in combo for p in pairs)
+                    rb = frozenset((r, w) for r in reads for w in by_place.get(place[r], ())
+                                   if w != r and (rf[r] is None or (rf[r], w) in mo))
+                    if grow(o, [*mo, *rb]) is not False:
+                        yield rel, mo, rb, vR, vW, by_place
+                return
+            r = reads[i]
+            want = need.get(r)
+            for w, edge in choices[i]:
+                rf[r] = w
+                have, u = walk(w)
+                if have is None and u is None:
+                    continue                    # an rf cycle
+                if want is not None and have is not None and want != have:
+                    continue
+                o2 = o if edge is None else grow(o, edge)
+                if o2 is False:
+                    continue                    # a cycle with the order
+                if want is None or want == have:
+                    yield from step(i + 1, o2)
+                else:
+                    need[u] = want
+                    yield from step(i + 1, o2)
+                    del need[u]
+            rf[r] = None
+            if want is None or want == init_of(place[r]):
+                o2 = grow(o, init_edges[i])
+                if o2 is not False:
+                    yield from step(i + 1, o2)
+            del rf[r]
+
+        yield from step(0, order)
+
+
+def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
+              place: Mapping[SubEvent, Hashable], read_value: Mapping[SubEvent, Value],
+              write_value: Mapping[SubEvent, Value], carrier: Mapping[SubEvent, SubEvent],
+              init_of: Callable[[Hashable], Value], order: IncrementalOrder | None = None,
+              *, internal: Callable = internal_rf, before: Callable = ppo_before) -> Iterator:
+    """`Coherence` built and searched in one call, over subevents by
+    default."""
+    yield from Coherence(reads, writes, place, write_value, carrier,
+                         internal=internal, before=before).search(read_value, init_of, order)
+
+
 def final_values(w: Witness) -> dict:
-    """place -> value of the mo-maximal write, for a witness of ``coherence``."""
-    mo = w.rels["mo"]
+    """place -> value of the mo-maximal write, for a witness of ``coherence``,
+    read off its own positions."""
+    mo, vW = w.relations["mo"], w.values[1]
     out = {}
     for p, group in w.meta["by_place"].items():
         top = next(s for s in group if not any((s, t) in mo for t in group))
-        out[p] = w.vW[top]
+        out[p] = vW[top]
     return out
 
 
-def enumerate_mo(groups: Sequence[Sequence[SubEvent]],
-                 before: Callable[[SubEvent, SubEvent], bool]) -> Iterator[frozenset]:
-    """Total orders per write group, as one relation per combination.
-
-    Each group's orders are its linear extensions under ``before`` (a, b:
-    a must precede b), built write by write: the next write is one that no
+def _mo_choices(groups: Sequence[Sequence], before: Callable) -> list[list[list]]:
+    """Per group, the pairs of each of its linear extensions under
+    ``before``, built write by write: the next write is one that no
     remaining write must precede.  Taking the candidates in group order
-    gives the orders in the lexicographic order of positions.
-    """
+    gives the orders in the lexicographic order of positions."""
     def extensions(rest: tuple, prefix: tuple) -> Iterator[tuple]:
         if not rest:
             yield prefix
@@ -370,8 +452,15 @@ def enumerate_mo(groups: Sequence[Sequence[SubEvent]],
             if not any(before(r, w) for r in others):
                 yield from extensions(others, prefix + (w,))
 
-    per_group = [[[(o[i], o[j]) for i in range(len(o)) for j in range(i + 1, len(o))]
-                  for o in extensions(tuple(g), ())]
-                 for g in groups]
-    for combo in itertools.product(*per_group):
+    return [[[(o[i], o[j]) for i in range(len(o)) for j in range(i + 1, len(o))]
+             for o in extensions(tuple(g), ())]
+            for g in groups]
+
+
+def enumerate_mo(groups: Sequence[Sequence[SubEvent]],
+                 before: Callable[[SubEvent, SubEvent], bool]) -> Iterator[frozenset]:
+    """Total orders per write group, as one relation per combination: the
+    product of each group's linear extensions under ``before`` (a, b: a
+    must precede b), in order."""
+    for combo in itertools.product(*_mo_choices(groups, before)):
         yield frozenset(p for pairs in combo for p in pairs)

@@ -16,13 +16,15 @@ polls-from reads: operation identifiers and what each poll returns.
 Issued-before (ib) orders subevent starts and must be acyclic; its part
 that starts at an instantaneous subevent (any but a write part),
 ``inst_ib``, joins so.  ib is grown, not re-closed: its fixed part (ippo,
-iso and polls-from) runs forward along program order and is closed once
-per shape in one sweep of an ``IncrementalOrder``, and each coherence
-choice, then each orientation of a free nfo pair that the grown order
-does not already decide, extends a copy that is dropped as soon as it
-closes a cycle.  A witness carries its grown order and the indices of its
-instantaneous items, and the checker's hb absorbs those rows; ib,
-``inst_ib`` and so become pair sets only when read.
+iso and polls-from) runs forward along the execution's subevent list,
+where each event lists its read part (or a failed CAS's fence) first, and
+is closed once per shape in one sweep of an ``IncrementalOrder`` over the
+same positions as ppo.  Each coherence choice, then each orientation of
+a free nfo pair that the grown order does not already decide, extends a
+copy that is dropped as soon as it closes a cycle.  A witness carries its
+grown order and the positions of its instantaneous items, and the
+checker's hb absorbs those rows as they are; ib, ``inst_ib`` and so
+become pair sets only when read.
 
 Given the checker's ppo, the coherence search is pruned against ppo
 grown by the so pairs every witness holds: the fixed part's rows from
@@ -31,12 +33,13 @@ order forces.  hb would veto each choice that closes a cycle there, and
 an execution whose fixed pairs alone close one has no witness.
 
 All of that but the values the reads pin is decided by the execution's
-shape (`checker.shape_key`): polls-from, iso and the carriers, places
-and stored values, ib's fixed rows and instantaneous items, the nfo
-split and the pruning order, or that there is no witness.  `frame`
-builds them for the first execution of a shape in one outcome
-computation and rebinds them, by position, to each later one; only
-``extra_valid`` and the witness search itself run per execution.
+shape (`checker.stamp_events`' key): polls-from, iso and the carriers,
+places and stored values, ib's fixed rows and instantaneous items, the
+nfo split and the pruning order, or that there is no witness.  `frame`
+builds them, naming subevents by position (`base.Numbering`), for the
+first execution of a shape in one outcome computation, and every later
+one uses them as they are; only ``extra_valid``, the pinned reads'
+outputs and the witness search itself are per execution.
 """
 
 from __future__ import annotations
@@ -47,12 +50,11 @@ from typing import Iterator
 from ..config import NodeConfig
 from ..events import Event, PlainExecution, SubEvent, po_before
 from ..lang import Carried, Pools
-from ..relations import IncrementalOrder, OnRead
+from ..relations import IncrementalOrder
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW,
                       ppo_before, stamp_order)
 from ..values import UNIT
-from .base import (CoherenceFrame, Library, Witness, at, coherence, external_rf,
-                   final_values, frame_list, positions, shared_frame)
+from .base import Library, Names, Numbering, Witness, final_values, shared_frame
 
 READ_KINDS = ("aCR", "aCAS", "nLR", "nRR")
 WRITE_KINDS = ("aCW", "aCAS", "nLW", "nRW")
@@ -146,17 +148,19 @@ class RdmaLib(Library):
 
     def frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo=None,
               memo=None) -> SimpleNamespace | None:
-        """What the shape of ``plain`` decides of its witness search:
-        ``search``, `coherence`'s keyword arguments but ``init_of``;
-        polls-from's so part ``so_pf`` and its named ``pf_parts``; ``iso``;
-        ib's ``fixed`` part, closed, and the indices ``inst`` of its
-        instantaneous items; and the ``forced`` and ``free`` nfo pairs.
-        None when the node discipline fails or the fixed so pairs close a
-        cycle with ppo, so that no witness exists.  Built once per shape in
-        ``memo`` (`base.shared_frame`)."""
-        return shared_frame(memo, self.name, plain, stmp, ppo,
-                            lambda: self._build_frame(plain, stmp, cfg, ppo),
-                            _keep, _rebind)
+        """What the shape of ``plain`` decides of its witness search, in
+        the positions of its ``numbering``: the `Coherence` ``search``, the
+        ``pinned`` reads (position, index of the event in ``plain``) and
+        the pruning ``order``; polls-from's so part ``so_pf`` and its named
+        ``pf_parts``; ``iso``; ib's ``fixed`` part, closed, and the
+        positions ``inst`` of its instantaneous items; the ``internal`` rf
+        pairs and the candidate internal fr pairs ``fr_int``; and the
+        ``forced`` and ``free`` nfo pairs.  None when the node discipline
+        fails or the fixed so pairs close a cycle with ppo, so that no
+        witness exists.  Built once per shape in ``memo``
+        (`base.shared_frame`)."""
+        return shared_frame(memo, self.name,
+                            lambda: self._build_frame(plain, stmp, cfg, ppo))
 
     def _build_frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo):
         role_of = self.role_of
@@ -167,12 +171,15 @@ class RdmaLib(Library):
             if k is not None and (cfg.node_of_loc(e.args[k])
                                   != cfg.node_of_thread(e.tid)):
                 return None
+        num = Numbering(plain, stmp, ppo)
+        subs, at = num.subs, num.position
         so_pf, ib_pf, pf_parts = self.polls_from(plain, stmp)
+        so_pf, ib_pf = num.positions(so_pf), num.positions(ib_pf)
+        pf_parts = {k: num.positions(v) for k, v in pf_parts.items()}
 
-        subs, _pos = frame_list(plain, stmp, ppo)
-        sevents = [s for s in subs if s.event.method in self.methods]
-        reads = [s for s in sevents if s.stamp.kind in READ_KINDS]
-        writes = [s for s in sevents if s.stamp.kind in WRITE_KINDS]
+        reads = [p for p, _k, a in num.own if a.kind in READ_KINDS]
+        writes = [p for p, _k, a in num.own if a.kind in WRITE_KINDS]
+        kind = {p: a.kind for p, _k, a in num.own}
 
         def place_of(s: SubEvent) -> tuple:
             """(location, node): the read part of a put or get reads its
@@ -180,43 +187,44 @@ class RdmaLib(Library):
             x = s.event.args[1 if s.stamp.kind in ("nLR", "nRR") else 0]
             return x, cfg.node_of_loc(x)
 
-        place = {s: place_of(s) for s in reads + writes}
+        place = {p: place_of(subs[p]) for p in reads + writes}
 
         # Label-determined values: what CPU reads and CASes return, what
         # CPU writes and successful CASes store.
-        read_value = {s: s.event.output for s in reads
-                      if role_of[s.event.method] in ("read", "cas")}
+        reading = set(reads)
+        pinned = tuple((p, k) for p, k, _a in num.own
+                       if p in reading and role_of[subs[p].event.method] in ("read", "cas"))
         stored = {"write": 1, "cas": 2}     # the argument a write part stores
-        write_value = {s: s.event.args[stored[role_of[s.event.method]]]
-                       for s in writes if role_of[s.event.method] in stored}
+        write_value = {p: subs[p].event.args[stored[role_of[subs[p].event.method]]]
+                       for p in writes if role_of[subs[p].event.method] in stored}
 
         # A put or get is a (read part, write part) pair that moves one
         # value and is ordered inside the event (iso); so is a failed CAS's
-        # fence before its read.  ``listed`` is the subevents in program
-        # order with each iso source before its target.
-        carrier, iso_pairs, listed = {}, [], []
+        # fence before its read.  The read part (or fence) is listed first.
+        carrier, iso_pairs = {}, []
         for e in plain.events:
             role = role_of.get(e.method)
-            kinds = {a.kind: SubEvent(e, a) for a in stmp[e]}
+            kinds = {a.kind: a for a in stmp[e]}
             if role in ("put", "get"):
-                r, w = ((kinds["nLR"], kinds["nRW"]) if role == "put"
-                        else (kinds["nRR"], kinds["nLW"]))
+                r, w = ((at(e, kinds["nLR"]), at(e, kinds["nRW"])) if role == "put"
+                        else (at(e, kinds["nRR"]), at(e, kinds["nLW"])))
                 carrier[w] = r
             elif role == "cas" and "aMF" in kinds:
-                r, w = kinds["aMF"], kinds["aCR"]
+                r, w = at(e, kinds["aMF"]), at(e, kinds["aCR"])
             else:
-                listed += sorted(kinds.values(), key=repr)
                 continue
             iso_pairs.append((r, w))
-            listed += (r, w)
         iso = frozenset(iso_pairs)
 
-        def ib_before(s1: SubEvent, s2: SubEvent) -> bool:
+        def ib_before(i: int, j: int) -> bool:
             """ib's fixed part: iso inside an event; between events, ippo
             (ppo with CPU-write -> CPU-read/wait and NIC-write -> same-node
             NIC-fence program order) and polls-from."""
+            if i not in kind or j not in kind:
+                return False
+            s1, s2 = subs[i], subs[j]
             if s1.event is s2.event:
-                return (s1, s2) in iso
+                return (i, j) in iso
             if not po_before(s1.event, s2.event):
                 return False
             a1, a2 = s1.stamp, s2.stamp
@@ -224,33 +232,36 @@ class RdmaLib(Library):
                     or a1.kind == "aCW" and a2.kind in ("aCR", "aWT")
                     or (a1.kind in ("nRW", "nLW") and a2.kind == "nF"
                         and a1.node == a2.node)
-                    or (s1, s2) in ib_pf)
+                    or (i, j) in ib_pf)
 
         # NIC flush order: orient each same-thread same-node (local read, local
         # write) and (remote read, remote write) pair; orientations the stamp
-        # order already implies are fixed, the rest are enumerated.
+        # order already implies are fixed, the rest are enumerated, in
+        # program order with each event's stamps in ``repr`` order.
         forced_nfo, free_nfo = [], []
-        nic = [s for s in sevents if s.stamp.kind in ("nLR", "nLW", "nRR", "nRW")]
-        for i, s1 in enumerate(nic):
-            for s2 in nic[i + 1:]:
+        nic = [p for _k, _r, p in sorted((k, repr(a), p) for p, k, a in num.own
+                                         if a.kind in ("nLR", "nLW", "nRR", "nRW"))]
+        for i, p1 in enumerate(nic):
+            s1 = subs[p1]
+            for p2 in nic[i + 1:]:
+                s2 = subs[p2]
                 kinds = {s1.stamp.kind, s2.stamp.kind}
                 if (s1.tid != s2.tid or s1.stamp.node != s2.stamp.node
                         or kinds != {"nLR", "nLW"} and kinds != {"nRR", "nRW"}):
                     continue
                 if ppo_before(s1, s2):
-                    forced_nfo.append((s1, s2))
+                    forced_nfo.append((p1, p2))
                 elif ppo_before(s2, s1):
-                    forced_nfo.append((s2, s1))
+                    forced_nfo.append((p2, p1))
                 else:
-                    free_nfo.append((s1, s2))
+                    free_nfo.append((p1, p2))
 
         # ib grows per choice from its fixed part, closed once here.  That
-        # part runs forward along ``listed``: ippo and polls-from po-forward
-        # between events, and iso inside one event, from a read part to its
-        # write part or from a failed CAS's fence to its read.
-        fixed = IncrementalOrder(listed, ib_before)
-        inst = tuple(i for i, s in enumerate(listed)
-                     if s.stamp.kind not in ("aCW", "nLW", "nRW"))
+        # part runs forward along the numbering: ippo and polls-from
+        # po-forward between events, and iso inside one event, from a read
+        # part to its write part or from a failed CAS's fence to its read.
+        fixed = IncrementalOrder(range(num.size), ib_before)
+        inst = tuple(p for p, _k, a in num.own if a.kind not in ("aCW", "nLW", "nRW"))
 
         # Every witness's so holds the pairs of ``fixed`` from its
         # instantaneous items, polls-from's so part and the forced nfo
@@ -262,12 +273,14 @@ class RdmaLib(Library):
             if not (base.absorb(fixed, inst) and base.add_edges([*so_pf, *forced_nfo])):
                 return None
 
+        search, internal = num.coherence(reads, writes, place, write_value, carrier)
+        fr_int = frozenset((r, w) for r in reads for w in writes
+                           if kind[r] == "aCR" and kind[w] == "aCW"
+                           and subs[r].tid == subs[w].tid)
         return SimpleNamespace(
-            search={"reads": reads, "writes": writes, "place": place,
-                    "read_value": read_value, "write_value": write_value,
-                    "carrier": carrier, "order": base},
+            numbering=num, search=search, pinned=pinned, order=base,
             so_pf=so_pf, pf_parts=pf_parts, iso=iso, fixed=fixed, inst=inst,
-            forced=forced_nfo, free=free_nfo)
+            internal=internal, fr_int=fr_int, forced=forced_nfo, free=free_nfo)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
                   ppo=None, memo=None) -> Iterator[Witness]:
@@ -276,6 +289,8 @@ class RdmaLib(Library):
         f = self.frame(plain, stmp, cfg, ppo, memo)
         if f is None:
             return
+        events = plain.events
+        names = Names(f.numbering, events)
 
         def oriented(i: int, order: IncrementalOrder, nfo: tuple):
             """Each acyclic orientation of the free nfo pairs from the
@@ -295,36 +310,17 @@ class RdmaLib(Library):
                 o2.add_edges((pair,))
                 yield from oriented(i + 1, o2, nfo + (pair,))
 
-        for rf, mo, rb, vR, vW, by_place in coherence(
-                init_of=lambda p: cfg.init_of(*p), **f.search):
-            fr_int = [(r, w) for r, w in rb if r.stamp.kind == "aCR"
-                      and w.stamp.kind == "aCW" and r.event.tid == w.event.tid]
+        for rf, mo, rb, vR, vW, by_place in f.search.search(
+                {p: events[k].output for p, k in f.pinned},
+                lambda p: cfg.init_of(*p), f.order):
             grown = f.fixed.copy()
-            if not grown.add_edges([*rf, *fr_int, *f.forced]):
+            if not grown.add_edges([*rf, *(p for p in rb if p in f.fr_int), *f.forced]):
                 continue
-            explicit = external_rf(rf) | f.so_pf | rb | mo
+            explicit = (rf - f.internal) | f.so_pf | rb | mo
             for order, nfo in oriented(0, grown, tuple(f.forced)):
                 yield Witness(
-                    lib=self.name, explicit=explicit | nfo, vR=vR, vW=vW,
-                    rels=OnRead({"rf": rf, "mo": mo, "rb": rb, "nfo": nfo,
-                                 "iso": f.iso, **f.pf_parts}, ib=order.pairs),
+                    self.name, explicit | nfo, names=names, vR=vR, vW=vW,
+                    rels={"rf": rf, "mo": mo, "rb": rb, "nfo": nfo, "iso": f.iso,
+                          **f.pf_parts, "ib": order},
                     meta={"by_place": by_place}, order=order, inst=f.inst,
                 )
-
-
-def _keep(f: SimpleNamespace, pos) -> SimpleNamespace:
-    return SimpleNamespace(
-        search=CoherenceFrame.of(pos, f.search), so_pf=positions(pos, f.so_pf),
-        pf_parts={k: positions(pos, v) for k, v in f.pf_parts.items()},
-        iso=positions(pos, f.iso), listed=tuple(pos[s] for s in f.fixed.items),
-        fixed=f.fixed, inst=f.inst, forced=positions(pos, f.forced),
-        free=positions(pos, f.free))
-
-
-def _rebind(kept: SimpleNamespace, subs, index) -> SimpleNamespace:
-    return SimpleNamespace(
-        search=kept.search.bind(subs, index), so_pf=frozenset(at(subs, kept.so_pf)),
-        pf_parts={k: frozenset(at(subs, v)) for k, v in kept.pf_parts.items()},
-        iso=frozenset(at(subs, kept.iso)),
-        fixed=kept.fixed.rebind([subs[i] for i in kept.listed]), inst=kept.inst,
-        forced=at(subs, kept.forced), free=at(subs, kept.free))

@@ -18,12 +18,12 @@ from __future__ import annotations
 from typing import Container, Iterator
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution, SubEvent, po_before
+from ..events import Event, PlainExecution, po_before
 from ..lang import Pools
 from ..relations import Pair
 from ..stamps import ACR, ACW, AWT, nRW
 from ..values import BOT
-from .base import Library, Witness
+from .base import Library, Names, Numbering, Witness, shared_frame
 
 SUBMIT, RECEIVE = "submit", "receive"
 
@@ -67,8 +67,7 @@ class RingBufferLib(Library):
     def post_check(self, w: Witness, hb: Container[Pair]) -> bool:
         if self.mode == STRICT:
             return True
-        fb = w.rels["fb"]
-        return not any((b, a) in hb for a, b in fb)
+        return not any((b, a) in hb for a, b in w.rel_for("fb", hb))
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
                   ppo=None, memo=None) -> Iterator[Witness]:
@@ -81,35 +80,39 @@ class RingBufferLib(Library):
                 return
 
         node = cfg.node_of_thread
+        # Subevents are positions (`base.Numbering`); ``ev`` is each one's event.
+        num = shared_frame(memo, self.name, lambda: Numbering(plain, stmp, ppo))
+        ev = {p: plain.events[k] for p, k, _a in num.own}
+        at = num.position
 
         # Write subevents of message m on node n: exactly one per (m, n).
-        writes: dict[tuple, list[SubEvent]] = {}   # (x, n) -> po-ordered writes
+        writes: dict[tuple, list[int]] = {}   # (x, n) -> po-ordered writes
         for e in plain.events:
             if e.method == SUBMIT and e.output is True:
                 for a in stmp[e]:
                     n = node(e.tid) if a.kind == "aCW" else a.node
-                    writes.setdefault((e.args[0], n), []).append(SubEvent(e, a))
+                    writes.setdefault((e.args[0], n), []).append(at(e, a))
 
-        reads = [SubEvent(e, ACR) for e in plain.events
+        reads = [at(e, ACR) for e in plain.events
                  if e.method == RECEIVE and e.output is not BOT]
-        fails = [SubEvent(e, AWT) for e in plain.events
+        fails = [at(e, AWT) for e in plain.events
                  if e.method == RECEIVE and e.output is BOT]
 
-        def place(s: SubEvent) -> tuple:
-            return (s.event.args[0], node(s.event.tid))
+        def place(s: int) -> tuple:
+            return (ev[s].args[0], node(ev[s].tid))
 
-        def candidates(r: SubEvent):
+        def candidates(r: int):
             return [w for w in writes.get(place(r), ())
-                    if w.event.args[1] == r.event.output]
+                    if ev[w].args[1] == ev[r].output]
 
         def rec(i: int, rf: dict) -> Iterator[dict]:
             if i == len(reads):
                 yield rf
                 return
             r = reads[i]
-            taken = {(w.event, rr.event.tid) for rr, w in rf.items()}
+            taken = {(ev[w], ev[rr].tid) for rr, w in rf.items()}
             for w in candidates(r):
-                if (w.event, r.event.tid) in taken:
+                if (ev[w], ev[r].tid) in taken:
                     continue  # a thread reads each message at most once
                 yield from rec(i + 1, {**rf, r: w})
 
@@ -119,11 +122,11 @@ class RingBufferLib(Library):
             ok = True
             for r, w in rfmap.items():
                 for w1 in writes.get(place(r), ()):
-                    if not po_before(w1.event, w.event):
+                    if not po_before(ev[w1], ev[w]):
                         continue
                     if not any((r1, ww) for r1, ww in rfmap.items()
-                               if ww == w1 and (r1.event == r.event or
-                                                po_before(r1.event, r.event))):
+                               if ww == w1 and (r1 == r or
+                                                po_before(ev[r1], ev[r]))):
                         ok = False
                         break
                 if not ok:
@@ -133,16 +136,16 @@ class RingBufferLib(Library):
             rf = frozenset((w, r) for r, w in rfmap.items())
             fb = []
             for f in fails:
-                consumed = {w.event for r, w in rfmap.items()
-                            if r.event.tid == f.event.tid
-                            and po_before(r.event, f.event)}
+                consumed = {ev[w] for r, w in rfmap.items()
+                            if ev[r].tid == ev[f].tid
+                            and po_before(ev[r], ev[f])}
                 for w in writes.get(place(f), ()):
-                    if w.event not in consumed:
+                    if ev[w] not in consumed:
                         fb.append((f, w))
             fb = frozenset(fb)
             so = rf | fb if self.mode == STRICT else rf
-            yield Witness(lib=self.name, explicit=so,
-                          vR={r: r.event.output for r in reads},
-                          vW={w: w.event.args[1] for ws in writes.values() for w in ws},
+            yield Witness(self.name, so, names=Names(num, plain.events),
+                          vR={r: ev[r].output for r in reads},
+                          vW={w: ev[w].args[1] for ws in writes.values() for w in ws},
                           rels={"rf": rf, "fb": fb},
                           meta={"mode": self.mode})

@@ -8,11 +8,12 @@ broadcasts tagged d; the global fence orders everything via its stamps.
 A witness is a ``base.coherence`` choice over (location, node) replicas,
 a broadcast's write part carrying what its read part saw, in which no CPU
 read reads past a po-later CPU write.  Polls-from (pf), the broadcast's
-intra-event order (iso), the coherence search's inputs but the values
-reads return, and its pruning order, ppo grown by pf and iso, are decided
-by the execution's shape: `frame` builds them once per shape in one
-outcome computation and rebinds them, by position, to each later
-execution of it.
+intra-event order (iso), the coherence search but the values reads
+return, and its pruning order, ppo grown by pf and iso, are decided by
+the execution's shape: `frame` builds them once per shape in one outcome
+computation, naming subevents by position (`base.Numbering`), and every
+later execution of the shape uses them as they are, reading only its
+pinned reads' outputs off its events.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from types import SimpleNamespace
 from typing import Iterator
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution, SubEvent, po_before
+from ..events import Event, PlainExecution, po_before
 from ..lang import Carried, Pools
 from ..stamps import ACR, ACW, AWT, GF, nLR, nRW
 from ..values import UNIT
-from .base import (CoherenceFrame, Library, Witness, at, coherence, external_rf,
-                   final_values, frame_list, positions, shared_frame)
+from .base import Library, Names, Numbering, Witness, final_values, shared_frame
 
 WRITE, READ, BCAST, WAIT, GFENCE = "sv_write", "sv_read", "sv_bcast", "sv_wait", "sv_gf"
 
@@ -69,34 +69,40 @@ class SharedVarLib(Library):
 
     def frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo=None,
               memo=None) -> SimpleNamespace | None:
-        """What the shape of ``plain`` decides of its witness search:
-        ``search``, `coherence`'s keyword arguments but ``init_of``, and
-        ``pf`` and ``iso``; or None when pf and iso close a cycle with ppo,
-        so that no witness exists.  Built once per shape in ``memo``
-        (`base.shared_frame`)."""
-        return shared_frame(memo, self.name, plain, stmp, ppo,
-                            lambda: self._build_frame(plain, stmp, cfg, ppo),
-                            _keep, _rebind)
+        """What the shape of ``plain`` decides of its witness search, in
+        the positions of its ``numbering``: the `Coherence` ``search``, the
+        ``pinned`` reads (position, index of the event in ``plain``), the
+        pruning ``order``, ``pf``, ``iso``, the ``internal`` rf pairs and
+        the CPU (read, later write) pairs ``past``; or None when pf and iso
+        close a cycle with ppo, so that no witness exists.  Built once per
+        shape in ``memo`` (`base.shared_frame`)."""
+        return shared_frame(memo, self.name,
+                            lambda: self._build_frame(plain, stmp, cfg, ppo))
 
     def _build_frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo):
         for e in plain.events:
             self._require(e)
-        subs, _pos = frame_list(plain, stmp, ppo)
-        sevents = [s for s in subs if s.event.method in self.methods]
-        reads = [s for s in sevents if s.stamp.kind in ("aCR", "nLR")]
-        writes = [s for s in sevents if s.stamp.kind in ("aCW", "nRW")]
+        num = Numbering(plain, stmp, ppo)
+        subs, at = num.subs, num.position
+        reads = [p for p, _k, a in num.own if a.kind in ("aCR", "nLR")]
+        writes = [p for p, _k, a in num.own if a.kind in ("aCW", "nRW")]
         # A replica is a (location, node) place: a broadcast's write part
         # targets its node's replica, everything else the caller's.
-        place = {s: (s.event.args[0], s.stamp.node if s.stamp.kind == "nRW"
-                     else cfg.node_of_thread(s.tid))
-                 for s in reads + writes}
-        read_value = {s: s.event.output for s in reads if s.event.method == READ}
-        write_value = {s: s.event.args[1] for s in writes if s.event.method == WRITE}
-        carrier = {SubEvent(e, nRW(n)): SubEvent(e, nLR(n))
+        place = {p: (subs[p].event.args[0], subs[p].stamp.node if subs[p].stamp.kind == "nRW"
+                     else cfg.node_of_thread(subs[p].tid))
+                 for p in reads + writes}
+        pinned = tuple((p, k) for p, k, a in num.own
+                       if a.kind == "aCR" and subs[p].event.method == READ)
+        write_value = {p: subs[p].event.args[1] for p in writes
+                       if subs[p].event.method == WRITE}
+        carrier = {at(e, nRW(n)): at(e, nLR(n))
                    for e in plain.events if e.method == BCAST for n in e.args[2]}
+        past = frozenset((r, w) for r in reads for w in writes
+                         if subs[r].stamp.kind == "aCR" and subs[w].stamp.kind == "aCW"
+                         and po_before(subs[w].event, subs[r].event))
 
         # pf and iso do not depend on the witness choice.
-        pf = frozenset((SubEvent(e1, a), SubEvent(e2, AWT))
+        pf = frozenset((at(e1, a), at(e2, AWT))
                        for (e1, e2) in plain.po
                        if e1.method == BCAST and e2.method == WAIT
                        and e1.args[1] == e2.args[0]
@@ -110,37 +116,27 @@ class SharedVarLib(Library):
             order = ppo().copy()
             if not order.add_edges(pf | iso):
                 return None
-        return SimpleNamespace(
-            search={"reads": reads, "writes": writes, "place": place,
-                    "read_value": read_value, "write_value": write_value,
-                    "carrier": carrier, "order": order},
-            pf=pf, iso=iso)
+        search, internal = num.coherence(reads, writes, place, write_value, carrier)
+        return SimpleNamespace(numbering=num, search=search, pinned=pinned,
+                               order=order, pf=pf, iso=iso, internal=internal,
+                               past=past)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
                   ppo=None, memo=None) -> Iterator[Witness]:
         f = self.frame(plain, stmp, cfg, ppo, memo)
         if f is None:
             return
-        for rf, mo, rb, vR, vW, by_place in coherence(
-                init_of=lambda p: cfg.init_of(*p), **f.search):
+        events = plain.events
+        names = Names(f.numbering, events)
+        for rf, mo, rb, vR, vW, by_place in f.search.search(
+                {p: events[k].output for p, k in f.pinned},
+                lambda p: cfg.init_of(*p), f.order):
             # CPU reads may not read past a program-order-later CPU write.
-            if any(r.stamp.kind == "aCR" and w.stamp.kind == "aCW"
-                   and po_before(w.event, r.event) for r, w in rb):
+            if not f.past.isdisjoint(rb):
                 continue
-            so = f.iso | external_rf(rf) | f.pf | rb | mo
+            so = f.iso | (rf - f.internal) | f.pf | rb | mo
             yield Witness(
-                lib=self.name, explicit=so, vR=vR, vW=vW,
+                self.name, so, names=names, vR=vR, vW=vW,
                 rels={"rf": rf, "mo": mo, "rb": rb, "pf": f.pf, "iso": f.iso},
                 meta={"by_place": by_place},
             )
-
-
-def _keep(f: SimpleNamespace, pos) -> SimpleNamespace:
-    return SimpleNamespace(search=CoherenceFrame.of(pos, f.search),
-                           pf=positions(pos, f.pf), iso=positions(pos, f.iso))
-
-
-def _rebind(kept: SimpleNamespace, subs, index) -> SimpleNamespace:
-    return SimpleNamespace(search=kept.search.bind(subs, index),
-                           pf=frozenset(at(subs, kept.pf)),
-                           iso=frozenset(at(subs, kept.iso)))

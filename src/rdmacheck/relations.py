@@ -5,17 +5,16 @@ items appear in them, and set operations and comprehensions are the
 algebra.  ``IncrementalOrder`` is the only closure: it closes a relation
 that runs forward along a list of items in one backward sweep, and then
 grows it edge by edge, or by the rows of another order, with a cycle
-veto.  The checker grows happens-before, (ppo ∪ so)+, from ppo in one;
-``RdmaLib`` grows issued-before from its fixed per-shape part, one
-coherence and NIC flush choice at a time, and hb absorbs the rows of ib
-that start at an instantaneous subevent; ``lambda_consistent`` adds so
-to ppo and rejects a cycle.  Rows are positional, so an order closed for
-one execution carries over, by `IncrementalOrder.rebind`, to another
-execution of the same shape whose items stand at the same positions: ppo,
-ib's fixed part and the libraries' pruning orders are swept once per
-shape.  An order becomes a pair set only when something reads its pairs:
-ib, ``inst_ib``, so and hb are built for a dump or a test, never on the
-checker's path.
+veto.  On the checker's path the keys are positions: ``range(n)`` over
+the subevent list of an execution shape, along which ppo is swept once
+per shape.  ib's fixed part runs forward along the same positions, and
+every order grown from them (the libraries' pruning orders, ib per
+choice, hb) shares that numbering, so hb absorbs ib's rows as they are.
+An order becomes a pair set only when something reads its pairs, named
+by the subevents of the execution that reads them: ib, ``inst_ib``, so
+and hb are built for a dump or a test, never on the checker's path.
+``lambda_consistent`` adds so to ppo over the subevents themselves and
+rejects a cycle.
 """
 
 from __future__ import annotations
@@ -35,21 +34,26 @@ class IncrementalOrder:
     acyclic.  Row i is an int whose bit j is set when item j follows item
     i.  One backward sweep closes the base: row i is the OR, over every
     later j with ``before(items[i], items[j])``, of bit j and row j, which
-    is already closed.
+    is already closed.  Edges, membership and `absorb` name the items by
+    their ``keys``, the items themselves by default, and `pairs` by the
+    items: ppo is swept over an execution's subevents and keyed by
+    ``range(n)``, their positions.
 
     Any addition that would close a cycle fails fast: `add_edges` and
     `absorb` return False (and roll back nothing: copy before speculative
     use) when a cycle would appear.  Adding an edge a -> b ORs b's row
     (plus b) into a and every row that has a's bit, one bit test per row.
-    Edges relate listed items only.  Copies share the numbering and own
-    their rows.
+    Edges relate listed items only.  Copies share the items and keys, and
+    own their rows.
     """
 
-    __slots__ = ("index", "items", "rows")
+    __slots__ = ("index", "items", "keys", "rows")
 
-    def __init__(self, items: Sequence, before: Callable[[Hashable, Hashable], bool]):
-        items = self.items = list(items)
-        self.index = {x: i for i, x in enumerate(items)}
+    def __init__(self, items: Sequence, before: Callable[[Hashable, Hashable], bool],
+                 keys: Sequence | None = None):
+        items = self.items = items if isinstance(items, range) else list(items)
+        self.keys = items if keys is None else keys
+        self.index = {x: i for i, x in enumerate(self.keys)}
         rows = self.rows = [0] * len(items)
         for i in range(len(items) - 2, -1, -1):
             a, r = items[i], 0
@@ -60,17 +64,7 @@ class IncrementalOrder:
 
     def copy(self) -> "IncrementalOrder":
         c = IncrementalOrder.__new__(IncrementalOrder)
-        c.index, c.items, c.rows = self.index, self.items, list(self.rows)
-        return c
-
-    def rebind(self, items: list, index: dict | None = None) -> "IncrementalOrder":
-        """A copy whose items are ``items``, a list as long as this order's:
-        the i-th takes the place of the i-th, so the rows carry over as
-        they are.  ``index`` is the items' index when one is at hand, such
-        as that of another order over the same list."""
-        c = IncrementalOrder.__new__(IncrementalOrder)
-        c.items, c.rows = items, list(self.rows)
-        c.index = {x: i for i, x in enumerate(items)} if index is None else index
+        c.index, c.items, c.keys, c.rows = self.index, self.items, self.keys, list(self.rows)
         return c
 
     def __contains__(self, pair: Pair) -> bool:
@@ -96,20 +90,26 @@ class IncrementalOrder:
         return True
 
     def absorb(self, other: "IncrementalOrder", sources: Iterable[int]) -> bool:
-        """Add every pair (a, b) of ``other`` whose a is ``other.items[s]``
-        for an s in ``sources``, with `add_edges`'s veto.  ``other``'s items
-        must be listed here too, in any order.  Row by row, with no pair
-        list: each source's row is translated into this numbering, the bits
-        already present are dropped, and the rest, with their rows, are
-        ORed into the source's row and every row that has its bit."""
-        rows, to = self.rows, [self.index[x] for x in other.items]
+        """Add every pair (a, b) of ``other`` whose a is the item at index s
+        for an s in ``sources``, with `add_edges`'s veto.  ``other``'s keys
+        must be keys here too, in any order.  Row by row, with no pair
+        list: each source's row is carried into this numbering (as it is
+        when both have the same keys, as the orders over one shape's
+        positions do), the bits already present are dropped, and the rest,
+        with their rows, are ORed into the source's row and every row that
+        has its bit."""
+        rows = self.rows
+        to = None if other.keys == self.keys else [self.index[x] for x in other.keys]
         for s in sources:
-            r, new = other.rows[s], 0
-            while r:
-                low = r & -r
-                new |= 1 << to[low.bit_length() - 1]
-                r ^= low
-            i = to[s]
+            r = other.rows[s]
+            if to is None:
+                i, new = s, r
+            else:
+                i, new = to[s], 0
+                while r:
+                    low = r & -r
+                    new |= 1 << to[low.bit_length() - 1]
+                    r ^= low
             new &= ~rows[i]
             after = new
             while new:
@@ -126,16 +126,19 @@ class IncrementalOrder:
                 rows[i] |= after
         return True
 
-    def pairs(self, sources: Iterable[int] | None = None) -> frozenset:
+    def pairs(self, sources: Iterable[int] | None = None,
+              names: Sequence | Mapping | None = None) -> frozenset:
         """The pairs, or only those from the items at the indices
-        ``sources``."""
-        items, rows = self.items, self.rows
+        ``sources``, each item called by its ``names`` entry (the item
+        itself by default)."""
+        names = self.items if names is None else names
+        rows = self.rows
         pairs = []
         for i in range(len(rows)) if sources is None else sources:
             r = rows[i]
             while r:
                 low = r & -r
-                pairs.append((items[i], items[low.bit_length() - 1]))
+                pairs.append((names[i], names[low.bit_length() - 1]))
                 r ^= low
         return frozenset(pairs)
 

@@ -1,9 +1,12 @@
 """Per-shape frames: plain executions that differ only in what their reads
 return share their ppo, and each library's shape-decided part of the
-witness search, within one outcome computation.  A frame rebound from a
-memo shared by every execution of an item equals one built afresh for
-that execution, and the search gives the same combinations, in the same
-order, with a shared memo as with a fresh one.  No frame outlives the
+witness search, within one outcome computation.  Frames name subevents by
+position, so the frame a later execution of a shape takes from a memo
+shared by every execution of an item equals one built afresh for it, and
+such an execution builds no subevent unless something reads one.  The
+search gives the same combinations, in the same order, with a shared memo
+as with a fresh one.  Each event lists its read part first, so ib's fixed
+part runs forward along ppo's positions.  No frame outlives the
 ``outcomes`` call that built it."""
 
 from __future__ import annotations
@@ -13,11 +16,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import soundness, unfold_compiled, unfold_file
+from conftest import compiled, soundness, unfold_compiled, unfold_file
 from test_rdma_ib import CLIENTS
 from test_tower_verdicts import ITEMS, item_id
 from rdmacheck import checker, compilers
 from rdmacheck.checker import enumerate_consistent, stamp_events
+from rdmacheck.events import SubEvent
+from rdmacheck.libraries.base import Coherence, Numbering
+from rdmacheck.libraries.rdma_core import RdmaLib
 from rdmacheck.relations import IncrementalOrder
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,10 +50,16 @@ def unfold_case(tmp_path, path, item):
 
 
 def comparable(x):
-    """``x`` with each order as its items and pairs, so that frames built
-    for one execution compare equal field by field."""
+    """``x`` with each order as its keys and rows, each numbering as its
+    library's positions, and each coherence search as its fields, so that
+    frames built for two executions of a shape compare equal field by
+    field."""
     if isinstance(x, IncrementalOrder):
-        return x.items, x.pairs()
+        return x.keys, x.rows
+    if isinstance(x, Numbering):
+        return x.own
+    if isinstance(x, Coherence):
+        return {k: comparable(getattr(x, k)) for k in Coherence.__slots__}
     if isinstance(x, dict):
         return {k: comparable(v) for k, v in x.items()}
     if isinstance(x, SimpleNamespace):
@@ -55,20 +67,30 @@ def comparable(x):
     return x
 
 
+def shared_ppo(shape, plain, stmp):
+    """The shape's ppo, swept for ``plain`` when it is the first to ask."""
+    if shape.ppo is None:
+        shape.ppo = checker.ppo_order(plain, stmp)
+    return shape.ppo
+
+
 @pytest.mark.parametrize("path, item", [(p, it) for _, p, it in CASES],
                          ids=[n for n, _, _ in CASES])
 def test_a_rebound_frame_is_the_frame_built_afresh(tmp_path, path, item):
+    """The frame a later execution of a shape takes from the memo, as it
+    is, equals the frame built afresh for it; the name is kept from when
+    shared frames were rebound to each execution."""
     cfg, libs, res = unfold_case(tmp_path, path, item)
     memo = {}
-    rebound = 0
+    later = 0
     for _vals, plain in res.results:
-        stmp, per_lib = stamp_events(plain, libs, cfg)
-        seen = len(memo)
-        shape = checker.shape_of(plain, stmp, libs, per_lib, memo)
-        rebound += len(memo) == seen
-        ppo = shape.ppo_of(plain, stmp)
+        stamped = stamp_events(plain, libs, cfg)
+        stmp, per_lib = stamped
+        later += stamped.key in memo
+        shape = memo.setdefault(stamped.key, checker.Shape())
+        ppo = shared_ppo(shape, plain, stmp)
         fresh = checker.ppo_order(plain, stmp)
-        assert (ppo.items, ppo.pairs()) == (fresh.items, fresh.pairs())
+        assert (ppo.keys, ppo.rows) == (fresh.keys, fresh.rows)
         for lib in libs:
             if not hasattr(lib, "frame"):
                 continue
@@ -78,7 +100,60 @@ def test_a_rebound_frame_is_the_frame_built_afresh(tmp_path, path, item):
             assert comparable(got) == comparable(want)
     assert res.results
     if path == CORPUS / "fig3_sb_get_wait.litmus":
-        assert rebound == 3
+        assert later == 3
+
+
+@pytest.mark.parametrize("path, item", [(p, it) for _, p, it in CASES],
+                         ids=[n for n, _, _ in CASES])
+def test_each_event_lists_its_read_part_first(tmp_path, path, item):
+    """A put's or get's read part, and a failed CAS's fence, stand before
+    the part they are ordered before, and ib's fixed part holds that iso
+    pair, so it runs forward along the positions ppo is swept over."""
+    cfg, libs, res = unfold_case(tmp_path, path, item)
+    for _vals, plain in res.results:
+        stmp, per_lib = stamp_events(plain, libs, cfg)
+        ppo = checker.ppo_order(plain, stmp)
+        for lib in libs:
+            if not isinstance(lib, RdmaLib):
+                continue
+            sl = plain.restrict(per_lib[lib.name])
+            f = lib.frame(sl, stmp, cfg, lambda: ppo)
+            if f is None:
+                continue
+            moves = sum(lib.role_of.get(e.method) in ("put", "get") for e in sl.events)
+            assert len(f.iso) >= moves
+            for r, w in f.iso:
+                assert r < w and (r, w) in f.fixed
+
+
+def test_later_executions_of_a_shape_build_no_subevent(monkeypatch):
+    """With ``outputs_only`` nothing reads a witness's relations, so only
+    the first execution of each shape builds subevents: for its frames and
+    its ppo."""
+    built = []
+    init = SubEvent.__post_init__
+
+    def counted(self):
+        built[-1][1] += 1
+        init(self)
+
+    enumerate_ = checker.enumerate_consistent
+
+    def counted_enumerate(plain, libs, cfg, memo=None):
+        built.append([stamp_events(plain, libs, cfg).key, 0])
+        yield from enumerate_(plain, libs, cfg, memo)
+
+    progs, cfg, libs = compiled(CORPUS / "fig3_sb_get_wait.litmus", ["w"])
+    monkeypatch.setattr(SubEvent, "__post_init__", counted)
+    monkeypatch.setattr(checker, "enumerate_consistent", counted_enumerate)
+    assert checker.outcomes(progs, libs, cfg, checker.Bounds(3, 32),
+                            outputs_only=True).outcomes
+    seen, firsts, later = set(), [], []
+    for key, n in built:
+        (later if key in seen else firsts).append(n)
+        seen.add(key)
+    assert later and not any(later)
+    assert all(firsts)
 
 
 @pytest.mark.parametrize("path, item", [(p, it) for _, p, it in CASES],
@@ -113,8 +188,7 @@ def test_no_frame_outlives_its_outcome_computation(monkeypatch):
         return ppo_order(plain, stmp)
 
     def counted_enumerate(plain, libs, cfg, memo=None):
-        stmp, per_lib = stamp_events(plain, libs, cfg)
-        shapes.append((calls, checker.shape_key(plain, stmp, libs, per_lib)))
+        shapes.append((calls, stamp_events(plain, libs, cfg).key))
         return enumerate_(plain, libs, cfg, memo)
 
     def counted_outcomes(*args, **kwargs):
