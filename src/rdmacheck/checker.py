@@ -124,10 +124,10 @@ def stamp_events(plain: PlainExecution, libs: Sequence[Library], cfg: NodeConfig
 
 
 def ppo_order(plain: PlainExecution, stmp) -> IncrementalOrder:
-    """Preserved program order, closed: the execution's `subevent_list`,
-    swept once with ``ppo_before`` and keyed by position."""
+    """Preserved program order, closed: ``ppo_before`` swept once over the
+    positions of the execution's `subevent_list`."""
     subs = subevent_list(plain.events, stmp)
-    return IncrementalOrder(subs, ppo_before, range(len(subs)))
+    return IncrementalOrder(range(len(subs)), lambda i, j: ppo_before(subs[i], subs[j]))
 
 
 @dataclass

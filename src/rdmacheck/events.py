@@ -122,20 +122,22 @@ def subevents(events: Iterable[Event], stmp: Stamping) -> frozenset[SubEvent]:
     return frozenset(SubEvent(e, a) for e in events for a in stmp[e])
 
 
-def stamp_key(a: Stamp) -> tuple:
-    """Where a stamp stands among its event's: a NIC read part before its
-    write part and a failed CAS's fence before its read, else by ``repr``."""
-    return a.kind not in ("nLR", "nRR", "aMF"), repr(a)
+def ordered_stamps(stamps: frozenset[Stamp]) -> Iterable[Stamp]:
+    """An event's stamps in the order its subevents are listed: a NIC read
+    part before its write part and a failed CAS's fence before its read,
+    else by ``repr``."""
+    if len(stamps) == 1:
+        return stamps
+    return sorted(stamps, key=lambda a: (a.kind not in ("nLR", "nRR", "aMF"), repr(a)))
 
 
 def subevent_list(events: Iterable[Event], stmp: Stamping) -> list[SubEvent]:
     """The subevents of ``events`` as a list: events in order, each one's
-    stamps in `stamp_key` order.  Its positions are the one numbering of an
-    execution's subevents: ppo is swept along it, issued-before's fixed
-    part runs forward along it, and per-shape frames and witnesses name
-    subevents by position in it."""
-    return [SubEvent(e, a) for e in events
-            for a in (stmp[e] if len(stmp[e]) == 1 else sorted(stmp[e], key=stamp_key))]
+    stamps in `ordered_stamps` order.  Its positions are the one numbering
+    of an execution's subevents: ppo is swept along it, issued-before's
+    fixed part runs forward along it, and per-shape frames and witnesses
+    name subevents by position in it (`libraries.base.Numbering`)."""
+    return [SubEvent(e, a) for e in events for a in ordered_stamps(stmp[e])]
 
 
 @dataclass(frozen=True)

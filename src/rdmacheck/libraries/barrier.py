@@ -19,7 +19,7 @@ from ..config import NodeConfig
 from ..events import Event, PlainExecution
 from ..stamps import ACR, GF
 from ..values import UNIT
-from .base import Library, Names, Numbering, Witness, shared_frame
+from .base import Library, Numbering, Witness, shared_frame
 
 BAR = "bar"
 
@@ -72,7 +72,7 @@ class BarrierLib(Library):
                     rounds[e] = i + 1
 
         # Subevents are positions (`base.Numbering`).
-        num = shared_frame(memo, self.name, lambda: Numbering(plain, stmp, ppo))
+        num = shared_frame(memo, self.name, lambda: Numbering(plain, stmp))
         so = []
         for x, per_thread in by_loc.items():
             calls = [e for evs in per_thread.values() for e in evs]
@@ -83,7 +83,7 @@ class BarrierLib(Library):
                     for a in stmp[e1]:
                         if a.kind == "GF":
                             so.append((num.position(e1, a), num.position(e2, ACR)))
-        yield Witness(self.name, frozenset(so), names=Names(num, plain.events),
+        yield Witness(self.name, frozenset(so), names=num.names(plain.events),
                       meta={"rounds": rounds,
                             "c": {x: len(next(iter(pt.values())))
                                   for x, pt in by_loc.items()}})

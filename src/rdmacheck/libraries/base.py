@@ -9,11 +9,12 @@ The checker combines per-library synchronisation orders into the global
 happens-before and backtracks across libraries.
 
 A witness names subevents by position in one list (`Numbering`): the
-whole execution's subevent list when the checker passes its ppo, whose
-positions every execution of a shape shares, and else the slice's own.
-A library's frame, what the shape decides of its search, is built in
-those positions once per shape (`shared_frame`) and never rebound; a
-witness's pair sets and value maps name subevents only when read.
+subevent list of the events its stamping covers, which for the checker
+is the whole execution's, whose positions ppo and every execution of a
+shape share.  A library's frame, what the shape decides of its search,
+is built in those positions once per shape (`shared_frame`) and never
+rebound; a witness's pair sets and value maps name subevents only when
+read.
 
 The shared-variable and RDMA libraries search the same existentials over
 their reads and writes: a reads-from map, a modification order per place
@@ -35,7 +36,7 @@ from typing import (Callable, Container, Hashable, Iterable, Iterator, Mapping,
 
 from ..config import NodeConfig
 from ..events import (Event, InvalidInput, PlainExecution, Stamp, SubEvent,
-                      po_before, stamp_key)
+                      ordered_stamps, po_before)
 from ..lang import Pools
 from ..relations import IncrementalOrder, OnRead, Pair
 from ..stamps import ppo_before
@@ -43,33 +44,31 @@ from ..values import Value
 
 
 class Numbering:
-    """Where a library's subevents stand in the list its frame and
-    witnesses name by position: given the checker's ``ppo``, the whole
-    execution's `subevent_list`, ppo's own positions (``stmp`` stamps
-    every event, in program order, as `checker.stamp_events` gives it for
-    the execution the slice's events are taken from), counted without
-    building it; else the slice's own list.  ``own`` is
-    (position, index in the slice's events, stamp) of each of the
-    library's subevents, and ``subs`` each one's subevent.  Built once per
-    shape, so only what a shape decides is read off ``subs``: threads,
-    ids, methods, arguments, stamps and the outputs
-    `Library.shape_output` names."""
+    """Where a library's subevents stand in the `events.subevent_list` of
+    the events ``stmp`` stamps, in program order, counted without building
+    it: the checker's ``stmp`` (`checker.stamp_events`) stamps the whole
+    execution the slice's events are taken from, so these are ppo's
+    positions, and a slice's own stamping (`check_consistent`) numbers the
+    slice's list.  ``own`` is (position, index in the slice's events,
+    stamp) of each of the library's subevents, and ``subs`` each one's
+    subevent in the execution this was built for.  Built once per shape,
+    so only what a shape decides is read off ``subs``: threads, ids,
+    methods, arguments, stamps and the outputs `Library.shape_output`
+    names."""
 
-    __slots__ = ("whole", "size", "own", "where", "_first")
+    __slots__ = ("size", "own", "where", "_first")
 
-    def __init__(self, plain: PlainExecution, stmp, ppo: Callable | None):
-        self.whole = ppo is not None
+    def __init__(self, plain: PlainExecution, stmp):
         events = plain.events
-        self._first = Names(self, events)
+        self._first = self.names(events)
         self.own, self.where = [], {}
         p = k = 0
-        # The slice's events come in the whole execution's order.
-        for e in stmp if self.whole else events:
-            stamps = stmp[e]
+        # The slice's events come in stmp's order.
+        for e, stamps in stmp.items():
             if k == len(events) or events[k] is not e:
                 p += len(stamps)
                 continue
-            for a in stamps if len(stamps) == 1 else sorted(stamps, key=stamp_key):
+            for a in ordered_stamps(stamps):
                 self.own.append((p, k, a))
                 self.where[e.tid, e.eid, a.kind, a.node] = p
                 p += 1
@@ -78,11 +77,18 @@ class Numbering:
             raise ValueError("stmp does not stamp the slice's events in order")
         self.size = p
 
-    @property
-    def subs(self) -> dict:
-        """The subevent at each of the library's positions, in the execution
-        this was built for."""
-        return self._first()
+    subs = property(lambda self: self._first())
+
+    def names(self, events: Sequence[Event]) -> Callable[[], dict]:
+        """One execution's subevents by position, as a dict built on the
+        first call; ``events`` are its slice's."""
+        named = {}
+
+        def name() -> dict:
+            if not named:
+                named.update((p, SubEvent(events[k], a)) for p, k, a in self.own)
+            return named
+        return name
 
     def position(self, e: Event, a: Stamp) -> int:
         """The position of event ``e``'s subevent stamped ``a``."""
@@ -105,21 +111,6 @@ class Numbering:
                          before=lambda a, b: ppo_before(subs[a], subs[b])), internal
 
 
-class Names:
-    """One execution's subevents by position in a `Numbering`, as a dict
-    built on the first call; ``events`` are the slice's."""
-
-    __slots__ = ("numbering", "events", "_named")
-
-    def __init__(self, numbering: Numbering, events: Sequence[Event]):
-        self.numbering, self.events, self._named = numbering, events, None
-
-    def __call__(self) -> dict:
-        if self._named is None:
-            self._named = {p: SubEvent(self.events[k], a) for p, k, a in self.numbering.own}
-        return self._named
-
-
 class Witness:
     """One satisfying assignment of a library's existentials.
 
@@ -130,13 +121,13 @@ class Witness:
     rows.  ``rels`` are the component relations (pair sets or orders) for
     dumps, property tests and ``post_check``, and ``vR`` / ``vW`` the
     value read/written per subevent where meaningful.  With ``names``
-    (`Names`) all of these are given by position, and ``so``, ``rels``,
-    ``vR`` and ``vW`` name them by subevent when first read; ``explicit``,
-    ``relations`` and ``values`` keep the positions.
+    (`Numbering.names`) all of these are given by position, and ``so``,
+    ``rels``, ``vR`` and ``vW`` name them by subevent when first read;
+    ``explicit``, ``relations`` and ``values`` keep the positions.
     """
 
     def __init__(self, lib: str, explicit: frozenset = frozenset(), *,
-                 names: Names | None = None, vR: dict | None = None,
+                 names: Callable[[], dict] | None = None, vR: dict | None = None,
                  vW: dict | None = None, rels: Mapping | None = None,
                  meta: dict | None = None, order: IncrementalOrder | None = None,
                  inst: tuple = ()):
@@ -167,26 +158,21 @@ class Witness:
     vR = cached_property(lambda self: self._keyed(self.values[0]))
     vW = cached_property(lambda self: self._keyed(self.values[1]))
 
-    def _over(self, hb) -> bool:
-        """Whether ``hb`` is an order keyed by position in this witness's
-        numbering: the checker's hb, over the whole execution's list."""
-        return (self.names is not None and self.names.numbering.whole
-                and isinstance(hb, IncrementalOrder) and isinstance(hb.keys, range)
-                and len(hb.keys) == self.names.numbering.size)
-
     def add_to(self, hb: IncrementalOrder) -> bool:
-        """Grow ``hb`` by this witness's so; False when a cycle closes.
-        An order over another list takes the named pairs of ``so``."""
-        if self.names is not None and not self._over(hb):
-            key = dict(zip(hb.items, hb.keys))
-            return hb.add_edges([(key[a], key[b]) for a, b in self.so])
+        """Grow ``hb`` by this witness's so; False when a cycle closes.  An
+        order over positions (the checker's hb, numbered as this witness
+        is) takes the explicit pairs and the order's rows as they are; an
+        order over subevents takes the named pairs of ``so``."""
+        if not isinstance(hb.items, range):
+            return hb.add_edges(self.so)
         return hb.add_edges(self.explicit) and (
             self.order is None or hb.absorb(self.order, self.inst))
 
     def rel_for(self, name: str, hb) -> Iterable[Pair]:
-        """The relation ``name`` as ``hb`` names subevents: by position when
-        it is an order over this witness's numbering, else by subevent."""
-        return self.relations[name] if self._over(hb) else self.rels[name]
+        """The relation ``name`` as ``hb`` names subevents: by position in
+        an order over positions, else by subevent."""
+        over_positions = isinstance(hb, IncrementalOrder) and isinstance(hb.items, range)
+        return self.relations[name] if over_positions else self.rels[name]
 
 
 class Library:
@@ -221,13 +207,13 @@ class Library:
                   ppo: Callable[[], IncrementalOrder] | None = None,
                   memo: dict | None = None) -> Iterator[Witness]:
         """Every witness of the slice ``plain``.  ``ppo``, when given,
-        returns the closed ppo of the whole execution, keyed by position
-        and named by its subevent list, which the library must not change;
-        a library may then skip a witness whose so closes a cycle with it,
-        since hb would.  Its witnesses then name subevents by position in
-        that list, which ``stmp``, stamping every event in program order,
-        gives without the sweep (`Numbering`).  ``None`` asks for every
-        witness, named by position in the slice's own list.
+        returns the closed ppo of the whole execution, over the positions
+        of its subevent list, which the library must not change; a library
+        may then skip a witness whose so closes a cycle with it, since hb
+        would; ``None`` asks for every witness.  Witnesses name
+        subevents by position in the subevent list of the events ``stmp``
+        stamps, in program order (`Numbering`): with the checker's
+        stamping, that is ppo's list.
 
         ``memo`` is where the library may keep its frame: the checker
         hands the same dict to every execution of this one's shape
@@ -419,12 +405,11 @@ class Coherence:
 def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
               place: Mapping[SubEvent, Hashable], read_value: Mapping[SubEvent, Value],
               write_value: Mapping[SubEvent, Value], carrier: Mapping[SubEvent, SubEvent],
-              init_of: Callable[[Hashable], Value], order: IncrementalOrder | None = None,
-              *, internal: Callable = internal_rf, before: Callable = ppo_before) -> Iterator:
-    """`Coherence` built and searched in one call, over subevents by
-    default."""
-    yield from Coherence(reads, writes, place, write_value, carrier,
-                         internal=internal, before=before).search(read_value, init_of, order)
+              init_of: Callable[[Hashable], Value],
+              order: IncrementalOrder | None = None) -> Iterator:
+    """`Coherence` over subevents, built and searched in one call."""
+    yield from Coherence(reads, writes, place, write_value, carrier).search(
+        read_value, init_of, order)
 
 
 def final_values(w: Witness) -> dict:

@@ -54,7 +54,7 @@ from ..relations import IncrementalOrder
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW,
                       ppo_before, stamp_order)
 from ..values import UNIT
-from .base import Library, Names, Numbering, Witness, final_values, shared_frame
+from .base import Library, Numbering, Witness, final_values, shared_frame
 
 READ_KINDS = ("aCR", "aCAS", "nLR", "nRR")
 WRITE_KINDS = ("aCW", "aCAS", "nLW", "nRW")
@@ -171,7 +171,7 @@ class RdmaLib(Library):
             if k is not None and (cfg.node_of_loc(e.args[k])
                                   != cfg.node_of_thread(e.tid)):
                 return None
-        num = Numbering(plain, stmp, ppo)
+        num = Numbering(plain, stmp)
         subs, at = num.subs, num.position
         so_pf, ib_pf, pf_parts = self.polls_from(plain, stmp)
         so_pf, ib_pf = num.positions(so_pf), num.positions(ib_pf)
@@ -290,7 +290,7 @@ class RdmaLib(Library):
         if f is None:
             return
         events = plain.events
-        names = Names(f.numbering, events)
+        names = f.numbering.names(events)
 
         def oriented(i: int, order: IncrementalOrder, nfo: tuple):
             """Each acyclic orientation of the free nfo pairs from the

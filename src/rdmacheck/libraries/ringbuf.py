@@ -23,7 +23,7 @@ from ..lang import Pools
 from ..relations import Pair
 from ..stamps import ACR, ACW, AWT, nRW
 from ..values import BOT
-from .base import Library, Names, Numbering, Witness, shared_frame
+from .base import Library, Numbering, Witness, shared_frame
 
 SUBMIT, RECEIVE = "submit", "receive"
 
@@ -81,7 +81,7 @@ class RingBufferLib(Library):
 
         node = cfg.node_of_thread
         # Subevents are positions (`base.Numbering`); ``ev`` is each one's event.
-        num = shared_frame(memo, self.name, lambda: Numbering(plain, stmp, ppo))
+        num = shared_frame(memo, self.name, lambda: Numbering(plain, stmp))
         ev = {p: plain.events[k] for p, k, _a in num.own}
         at = num.position
 
@@ -144,7 +144,7 @@ class RingBufferLib(Library):
                         fb.append((f, w))
             fb = frozenset(fb)
             so = rf | fb if self.mode == STRICT else rf
-            yield Witness(self.name, so, names=Names(num, plain.events),
+            yield Witness(self.name, so, names=num.names(plain.events),
                           vR={r: ev[r].output for r in reads},
                           vW={w: ev[w].args[1] for ws in writes.values() for w in ws},
                           rels={"rf": rf, "fb": fb},

@@ -26,7 +26,7 @@ from ..events import Event, PlainExecution, po_before
 from ..lang import Carried, Pools
 from ..stamps import ACR, ACW, AWT, GF, nLR, nRW
 from ..values import UNIT
-from .base import Library, Names, Numbering, Witness, final_values, shared_frame
+from .base import Library, Numbering, Witness, final_values, shared_frame
 
 WRITE, READ, BCAST, WAIT, GFENCE = "sv_write", "sv_read", "sv_bcast", "sv_wait", "sv_gf"
 
@@ -82,7 +82,7 @@ class SharedVarLib(Library):
     def _build_frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo):
         for e in plain.events:
             self._require(e)
-        num = Numbering(plain, stmp, ppo)
+        num = Numbering(plain, stmp)
         subs, at = num.subs, num.position
         reads = [p for p, _k, a in num.own if a.kind in ("aCR", "nLR")]
         writes = [p for p, _k, a in num.own if a.kind in ("aCW", "nRW")]
@@ -127,7 +127,7 @@ class SharedVarLib(Library):
         if f is None:
             return
         events = plain.events
-        names = Names(f.numbering, events)
+        names = f.numbering.names(events)
         for rf, mo, rb, vR, vW, by_place in f.search.search(
                 {p: events[k].output for p, k in f.pinned},
                 lambda p: cfg.init_of(*p), f.order):

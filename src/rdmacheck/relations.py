@@ -5,7 +5,7 @@ items appear in them, and set operations and comprehensions are the
 algebra.  ``IncrementalOrder`` is the only closure: it closes a relation
 that runs forward along a list of items in one backward sweep, and then
 grows it edge by edge, or by the rows of another order, with a cycle
-veto.  On the checker's path the keys are positions: ``range(n)`` over
+veto.  On the checker's path the items are positions: ``range(n)`` over
 the subevent list of an execution shape, along which ppo is swept once
 per shape.  ib's fixed part runs forward along the same positions, and
 every order grown from them (the libraries' pruning orders, ib per
@@ -34,26 +34,23 @@ class IncrementalOrder:
     acyclic.  Row i is an int whose bit j is set when item j follows item
     i.  One backward sweep closes the base: row i is the OR, over every
     later j with ``before(items[i], items[j])``, of bit j and row j, which
-    is already closed.  Edges, membership and `absorb` name the items by
-    their ``keys``, the items themselves by default, and `pairs` by the
-    items: ppo is swept over an execution's subevents and keyed by
-    ``range(n)``, their positions.
+    is already closed.  Edges and membership name the items themselves,
+    and `pairs` names them by the items or by given names: ppo is swept
+    over ``range(n)``, the positions of an execution's subevents.
 
     Any addition that would close a cycle fails fast: `add_edges` and
     `absorb` return False (and roll back nothing: copy before speculative
     use) when a cycle would appear.  Adding an edge a -> b ORs b's row
     (plus b) into a and every row that has a's bit, one bit test per row.
-    Edges relate listed items only.  Copies share the items and keys, and
-    own their rows.
+    Edges relate listed items only.  Copies share the items and own their
+    rows.
     """
 
-    __slots__ = ("index", "items", "keys", "rows")
+    __slots__ = ("index", "items", "rows")
 
-    def __init__(self, items: Sequence, before: Callable[[Hashable, Hashable], bool],
-                 keys: Sequence | None = None):
+    def __init__(self, items: Sequence, before: Callable[[Hashable, Hashable], bool]):
         items = self.items = items if isinstance(items, range) else list(items)
-        self.keys = items if keys is None else keys
-        self.index = {x: i for i, x in enumerate(self.keys)}
+        self.index = {x: i for i, x in enumerate(items)}
         rows = self.rows = [0] * len(items)
         for i in range(len(items) - 2, -1, -1):
             a, r = items[i], 0
@@ -64,7 +61,7 @@ class IncrementalOrder:
 
     def copy(self) -> "IncrementalOrder":
         c = IncrementalOrder.__new__(IncrementalOrder)
-        c.index, c.items, c.keys, c.rows = self.index, self.items, self.keys, list(self.rows)
+        c.index, c.items, c.rows = self.index, self.items, list(self.rows)
         return c
 
     def __contains__(self, pair: Pair) -> bool:
@@ -91,15 +88,15 @@ class IncrementalOrder:
 
     def absorb(self, other: "IncrementalOrder", sources: Iterable[int]) -> bool:
         """Add every pair (a, b) of ``other`` whose a is the item at index s
-        for an s in ``sources``, with `add_edges`'s veto.  ``other``'s keys
-        must be keys here too, in any order.  Row by row, with no pair
+        for an s in ``sources``, with `add_edges`'s veto.  ``other``'s items
+        must be items here too, in any order.  Row by row, with no pair
         list: each source's row is carried into this numbering (as it is
-        when both have the same keys, as the orders over one shape's
+        when both have the same items, as the orders over one shape's
         positions do), the bits already present are dropped, and the rest,
         with their rows, are ORed into the source's row and every row that
         has its bit."""
         rows = self.rows
-        to = None if other.keys == self.keys else [self.index[x] for x in other.keys]
+        to = None if other.items == self.items else [self.index[x] for x in other.items]
         for s in sources:
             r = other.rows[s]
             if to is None:

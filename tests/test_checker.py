@@ -22,7 +22,7 @@ from test_relations import naive_closure
 from rdmacheck import checker, runner
 from rdmacheck.checker import (Bounds, enumerate_consistent, lambda_consistent,
                                outcomes, pools, stamp_events)
-from rdmacheck.events import Execution, SubEvent
+from rdmacheck.events import Execution, SubEvent, subevent_list
 from rdmacheck.lang import interpret_conc
 from rdmacheck.libraries.base import Library, Witness
 from rdmacheck.relations import IncrementalOrder
@@ -145,7 +145,8 @@ def test_the_swept_ppo_is_the_closure_of_derive_ppo(path, tower):
     cfg, libs, res = unfold_searched(path, tower)
     for _vals, plain in res.results:
         stmp, _per_lib = stamp_events(plain, libs, cfg)
-        assert (checker.ppo_order(plain, stmp).pairs()
+        # ppo is swept over positions, named by the execution's list.
+        assert (checker.ppo_order(plain, stmp).pairs(None, subevent_list(plain.events, stmp))
                 == frozenset(naive_closure(derive_ppo(plain, stmp))))
     assert res.results
 

@@ -50,12 +50,12 @@ def unfold_case(tmp_path, path, item):
 
 
 def comparable(x):
-    """``x`` with each order as its keys and rows, each numbering as its
+    """``x`` with each order as its items and rows, each numbering as its
     library's positions, and each coherence search as its fields, so that
     frames built for two executions of a shape compare equal field by
     field."""
     if isinstance(x, IncrementalOrder):
-        return x.keys, x.rows
+        return x.items, x.rows
     if isinstance(x, Numbering):
         return x.own
     if isinstance(x, Coherence):
@@ -78,8 +78,8 @@ def shared_ppo(shape, plain, stmp):
                          ids=[n for n, _, _ in CASES])
 def test_a_rebound_frame_is_the_frame_built_afresh(tmp_path, path, item):
     """The frame a later execution of a shape takes from the memo, as it
-    is, equals the frame built afresh for it; the name is kept from when
-    shared frames were rebound to each execution."""
+    is, equals the frame built afresh for it, and so does the shape's
+    ppo."""
     cfg, libs, res = unfold_case(tmp_path, path, item)
     memo = {}
     later = 0
@@ -90,7 +90,7 @@ def test_a_rebound_frame_is_the_frame_built_afresh(tmp_path, path, item):
         shape = memo.setdefault(stamped.key, checker.Shape())
         ppo = shared_ppo(shape, plain, stmp)
         fresh = checker.ppo_order(plain, stmp)
-        assert (ppo.keys, ppo.rows) == (fresh.keys, fresh.rows)
+        assert (ppo.items, ppo.rows) == (fresh.items, fresh.rows)
         for lib in libs:
             if not hasattr(lib, "frame"):
                 continue
