@@ -41,6 +41,12 @@ from .stamps import ppo_before
 
 @dataclass(frozen=True)
 class Bounds:
+    """The bounds of one outcome computation: ``max_events`` caps each
+    thread's events and each plain execution's.  Nothing reads
+    ``loop_bound``; it stays first only because the benchmark harness
+    builds ``Bounds`` positionally, and ROADMAP item 6, the next change to
+    the benchmark, deletes it."""
+
     loop_bound: int = 4
     max_events: int = 14
 
@@ -277,8 +283,7 @@ def outcomes(progs, libs: Sequence[Library], cfg: NodeConfig, bounds: Bounds,
 
     The shape frames the search builds live until this call returns.
     """
-    interp = interpret_conc(progs, bounds.loop_bound, pools(libs, cfg),
-                            bounds.max_events)
+    interp = interpret_conc(progs, pools(libs, cfg), bounds.max_events)
     found = set()
     memo: dict = {}
     for vals, plain in interp.results:

@@ -37,8 +37,6 @@ def _at_least_one(s: str) -> int:
 
 def _overrides(args) -> dict:
     o: dict = {"variants": dict(args.variant or ())}
-    if args.loop_bound is not None:
-        o["loop_bound"] = args.loop_bound
     if args.max_events is not None:
         o["max_events"] = args.max_events
     return o
@@ -66,10 +64,9 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--loop-bound", type=_at_least_one, default=None,
-                        help="max loop unrollings per loop (default 4)")
     common.add_argument("--max-events", type=_at_least_one, default=None,
-                        help="hard cap on events per execution (default 14)")
+                        help="cap on events per thread and per execution, "
+                             "the one bound on an unfolding (default 14)")
     common.add_argument("--variant", action="append", type=_variant,
                         metavar="LIB=CHOICE",
                         help="bal=weak|transitive or rbl=strict|weak")
@@ -116,6 +113,10 @@ def main(argv=None) -> int:
         return 2
     summary = run_corpus(args.directory, filters=args.filter,
                          overrides=_overrides(args))
+    if not summary.reports:
+        what = " matches --filter" if args.filter else ""
+        print(f"no *.litmus file in {args.directory}{what}", file=sys.stderr)
+        return 2
     for r in summary.reports:
         _print_report(r, args.verbose)
     c = summary.counts()

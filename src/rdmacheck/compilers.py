@@ -33,8 +33,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .checker import Bounds, outcomes
 from .config import ClientProfile, NodeConfig
 from .events import InvalidInput
-from .lang import (Break, Call, ConcurrentProgram, LetF, Loop, Program, Stop,
-                   Val, interpret_seq, let, seq)
+from .lang import (Call, ConcurrentProgram, LetF, Program, Stop, Val,
+                   interpret_seq, let, seq)
 from .libraries import make_library
 from .values import BOT, UNIT, Value, hash_tuple
 
@@ -69,7 +69,7 @@ def apply_impl(impl: Implementation, progs: ConcurrentProgram,
     methods = impl.source_methods()
 
     def subst(tid: int, p: Program) -> Program:
-        if isinstance(p, (Val, Break, Stop)):
+        if isinstance(p, (Val, Stop)):
             return p
         if isinstance(p, Call):
             if p.method in methods:
@@ -78,8 +78,6 @@ def apply_impl(impl: Implementation, progs: ConcurrentProgram,
         if isinstance(p, LetF):
             return LetF(subst(tid, p.prog),
                         lambda v, f=p.cont: subst(tid, f(v)))
-        if isinstance(p, Loop):
-            return Loop(subst(tid, p.body))
         raise InvalidInput(f"not a program: {p!r}")
 
     return [subst(t + 1, p) for t, p in enumerate(progs)]
@@ -448,13 +446,12 @@ def _w_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
 
         def drain(n: int) -> Program:
             def body(v) -> Program:
-                removes = [Call("set_remove", (_set_loc(t, dk, n), v))
-                           for dk in wids]
-                return seq(*removes, Val(UNIT)) if removes else Val(UNIT)
+                return seq(*[Call("set_remove", (_set_loc(t, dk, n), v))
+                             for dk in wids], drain(n))
 
-            return Loop(let(Call("set_isempty", (_set_loc(t, d, n),)),
-                            lambda b: Break(1, UNIT) if b is True
-                            else let(Call("poll", (n,)), body)))
+            return let(Call("set_isempty", (_set_loc(t, d, n),)),
+                       lambda b: Val(UNIT) if b is True
+                       else let(Call("poll", (n,)), body))
 
         return seq(*[drain(n) for n in sorted(cfg.nodes)], Val(UNIT))
     raise InvalidInput(m)
@@ -495,29 +492,24 @@ def builtin_impl(name: str, cfg: NodeConfig | None = None,
 
 def check_well_defined(impl: Implementation, cfg: NodeConfig,
                        profile: ClientProfile,
-                       arg_grid: Mapping[str, Sequence[tuple]],
-                       loop_bound: int = 3,
-                       value_domain=frozenset({0, 1})) -> list[str]:
-    """Break-depth and non-emptiness checks over an argument grid, with
-    the stage reading ``cfg`` and ``profile``.
+                       arg_grid: Mapping[str, Sequence[tuple]]) -> list[str]:
+    """Non-emptiness checks over an argument grid, with the stage reading
+    ``cfg`` and ``profile``.
 
-    Returns a list of violation descriptions (empty = well defined): an
-    implementation body may never return a positive break depth and every
-    terminating unfolding must contain at least one event.
+    Returns a list of violation descriptions (empty = well defined): every
+    finishing unfolding of a body must contain at least one event.  Each
+    body is unfolded with no candidate output for any call, so every call
+    blocks and the unfoldings left are exactly those without events; no
+    bound is needed.
     """
     problems = []
     for m, arglists in arg_grid.items():
         for args in arglists:
             for t in sorted(cfg.thread_node):
                 prog = impl.mapping(cfg, profile, t, m, args)
-                r = interpret_seq(prog, t, loop_bound, value_domain)
-                for out, g in r.results:
-                    if out.brk > 0:
-                        problems.append(f"{impl.name}.{m}{args} on t{t}: "
-                                        f"break depth {out.brk}")
-                    if out.brk == 0 and not g.events:
-                        problems.append(f"{impl.name}.{m}{args} on t{t}: "
-                                        f"empty successful unfolding")
+                if interpret_seq(prog, t, ()).results:
+                    problems.append(f"{impl.name}.{m}{args} on t{t}: "
+                                    f"empty successful unfolding")
     return problems
 
 

@@ -1,25 +1,27 @@
 """The program meta-language and its plain (unfolding) semantics.
 
 A sequential program is a value, a method call, a let-binding whose
-continuation is a total function from values to programs, an infinite
-loop, a k-level break, or a stop, which never finishes and so has no
-unfolding at all.  The plain semantics enumerates every bounded
-unfolding of a program into an output (value, break-depth) plus a plain
-execution, without yet asking whether any library accepts the behaviour.
-Each call appends its event to the thread's earlier events, numbered by
-their count, so each plain execution is built already in (thread, event
-id) order.
+continuation is a total function from values to programs, or a stop,
+which never finishes and so has no unfolding at all.  A continuation may
+build the program it is part of again, so repetition is recursion.  The
+plain semantics enumerates every bounded unfolding of a program into an
+output value plus a plain execution, without yet asking whether any
+library accepts the behaviour.  Each call appends its event to the
+thread's earlier events, numbered by their count, so each plain execution
+is built already in (thread, event id) order.
 
-Two finite-search deviations from the unbounded semantics, both flagged on
-the result:
+Method outputs are enumerated from a finite candidate space: a plain
+value domain, or a function of the call and the thread's earlier events
+(the checker asks the library that owns the method); a read's candidates
+are the values that stores can put at its place, which ``Pools`` collects
+while ``interpret_conc`` unfolds.
 
-* method outputs are enumerated from a finite candidate space: a plain
-  value domain, or a function of the call and the thread's earlier events
-  (the checker asks the library that owns the method); a read's
-  candidates are the values that stores can put at its place, which
-  ``Pools`` collects while ``interpret_conc`` unfolds;
-* each loop unrolls at most ``loop_bound`` iterations, deeper unfoldings
-  are dropped and the result is marked bound-limited.
+One finite-search deviation from the unbounded semantics, flagged on the
+result: the event cap.  A call with an output that would give its thread
+more than ``max_events`` events is cut: the unfoldings through it are
+dropped and the result is marked bound-limited.  The cap bounds every
+recursion that makes a call before it recurses; one that makes none has no
+finite unfolding.
 """
 
 from __future__ import annotations
@@ -50,27 +52,12 @@ class LetF:
 
 
 @dataclass(frozen=True)
-class Loop:
-    body: "Program"
-
-
-@dataclass(frozen=True)
-class Break:
-    depth: int
-    value: Value
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise InvalidInput("break depth must be >= 1")
-
-
-@dataclass(frozen=True)
 class Stop:
     """A program that never finishes: it has no unfolding, and it is not
     cut by any bound."""
 
 
-Program = Val | Call | LetF | Loop | Break | Stop
+Program = Val | Call | LetF | Stop
 ConcurrentProgram = Sequence[Program]
 
 
@@ -86,11 +73,6 @@ def seq(*ps: Program) -> Program:
         return ps[0]
     rest = seq(*ps[1:])
     return LetF(ps[0], lambda _v, _rest=rest: _rest)
-
-
-class Output(NamedTuple):
-    value: Value
-    brk: int
 
 
 # A method-output enumerator: (method, args, tid, prior) -> the call's
@@ -215,66 +197,41 @@ class InterpResult(NamedTuple):
 
 
 class _Ctx:
-    __slots__ = ("loop_bound", "outputs", "max_events", "truncated")
+    __slots__ = ("outputs", "max_events", "truncated")
 
-    def __init__(self, loop_bound, outputs, max_events):
-        self.loop_bound = loop_bound
+    def __init__(self, outputs, max_events):
         self.outputs = outputs
         self.max_events = max_events
         self.truncated = False
 
 
 def _interp(p: Program, tid: int, prior: tuple[Event, ...], ctx: _Ctx,
-            ) -> Iterator[tuple[Output, tuple[Event, ...]]]:
-    """(output, events) pairs: ``prior`` followed by the unfolding's events,
-    in program order.  A call's event id is the number of events before it."""
+            ) -> Iterator[tuple[Value, tuple[Event, ...]]]:
+    """(value, events) pairs: ``prior`` followed by the unfolding's events,
+    in program order.  A call's event id is the number of events before it;
+    a call with an output that would exceed the event cap is cut."""
     if isinstance(p, Val):
-        yield Output(p.value, 0), prior
-    elif isinstance(p, Break):
-        yield Output(p.value, p.depth), prior
+        yield p.value, prior
     elif isinstance(p, Call):
         for out in ctx.outputs(p.method, p.args, tid, prior):
-            yield Output(out, 0), prior + (Event(tid, len(prior), p.method, p.args, out),)
+            if len(prior) >= ctx.max_events:    # an output, but no room
+                ctx.truncated = True
+                return
+            yield out, prior + (Event(tid, len(prior), p.method, p.args, out),)
     elif isinstance(p, LetF):
-        start = len(prior)
-        for o1, g1 in _interp(p.prog, tid, prior, ctx):
-            if o1.brk != 0:
-                yield o1, g1
-                continue
-            for o2, g2 in _interp(p.cont(o1.value), tid, g1, ctx):
-                if len(g2) - start > ctx.max_events:
-                    ctx.truncated = True
-                    continue
-                yield o2, g2
-    elif isinstance(p, Loop):
-        yield from _loop(p.body, tid, prior, ctx, len(prior), 0)
+        for v, g in _interp(p.prog, tid, prior, ctx):
+            yield from _interp(p.cont(v), tid, g, ctx)
     elif isinstance(p, Stop):
         return
     else:
         raise InvalidInput(f"not a program: {p!r}")
 
 
-def _loop(body, tid, prior, ctx, start, done):
-    """The loop's unfoldings after ``done`` iterations; the event cap counts
-    the events added since the loop started, at ``start``."""
-    if done >= ctx.loop_bound:
-        ctx.truncated = True
-        return
-    for o, g in _interp(body, tid, prior, ctx):
-        if len(g) - start > ctx.max_events:
-            ctx.truncated = True
-            continue
-        if o.brk > 0:
-            yield Output(o.value, o.brk - 1), g
-        else:
-            yield from _loop(body, tid, g, ctx, start, done + 1)
-
-
-def interpret_seq(p: Program, tid: int, loop_bound: int,
+def interpret_seq(p: Program, tid: int,
                   value_domain: Iterable[Value] | OutputsFn,
                   max_events: int = 10_000) -> InterpResult:
     """All bounded unfoldings of ``p`` on thread ``tid``, in the order the
-    interpreter generates them.
+    interpreter generates them: (value, plain execution) pairs.
 
     ``value_domain`` is either a finite value collection (every method
     call's output ranges over it) or an :data:`OutputsFn`.
@@ -284,19 +241,18 @@ def interpret_seq(p: Program, tid: int, loop_bound: int,
     else:
         vals = tuple(value_domain)
         outputs = lambda method, args, tid, prior: vals
-    ctx = _Ctx(loop_bound, outputs, max_events)
+    ctx = _Ctx(outputs, max_events)
     results = dict.fromkeys(
-        (o, PlainExecution(g)) for o, g in _interp(p, tid, (), ctx)).keys()
+        (v, PlainExecution(g)) for v, g in _interp(p, tid, (), ctx)).keys()
     return InterpResult(results, ctx.truncated)
 
 
-def interpret_conc(progs: ConcurrentProgram, loop_bound: int,
+def interpret_conc(progs: ConcurrentProgram,
                    value_domain: Iterable[Value] | OutputsFn | Pools,
                    max_events: int = 10_000) -> InterpResult:
     """Parallel composition of per-thread unfoldings, threads numbered 1..T.
 
-    Keeps only unfoldings where every thread terminates with break depth 0;
-    the result pairs the tuple of thread outputs with the combined plain
+    The result pairs the tuple of thread outputs with the combined plain
     execution.  Products whose events exceed ``max_events`` are dropped and
     mark the result bound-limited.
 
@@ -309,8 +265,7 @@ def interpret_conc(progs: ConcurrentProgram, loop_bound: int,
     clients store literals and values read; the compiled barrier counters
     and ring-buffer heads count up from their own thread's earlier
     stores, which a thread sees only through ``prior``, so only the event
-    cap bounds them: no loop counts them up, since the barrier's spins
-    are awaits.
+    cap bounds them.
 
     The results come in a fixed order: the products of the per-thread
     unfoldings in lexicographic order, thread 1 outermost, each thread's
@@ -328,15 +283,14 @@ def interpret_conc(progs: ConcurrentProgram, loop_bound: int,
                 continue
             if pools:
                 pools.start(i + 1)
-            runs[i] = interpret_seq(p, i + 1, loop_bound, value_domain, max_events)
+            runs[i] = interpret_seq(p, i + 1, value_domain, max_events)
             if pools:
                 for _o, g in runs[i].results:
                     if g.events:
                         pools.note(g.events[-1])
                 again = True
     truncated = any(r.truncated for r in runs)
-    per_thread = [[(o.value, g.events) for o, g in r.results if o.brk == 0]
-                  for r in runs]
+    per_thread = [[(v, g.events) for v, g in r.results] for r in runs]
 
     # (values, events) of each partial product; a thread's unfoldings are
     # filtered once per remaining event budget.

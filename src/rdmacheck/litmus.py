@@ -22,7 +22,7 @@ optional bounds.  Example::
       b = read x
     }
     assert exact (a, b) in { (1,1) }
-    bounds loop=4 events=14
+    bounds events=14
 
 Instructions (registers on the left where the method returns a value):
 
@@ -340,15 +340,10 @@ def parse_litmus(text: str, name: str = "test") -> LitmusTest:
         elif head == "assert":
             assertions.append(_parse_assert(raw, ln))
         elif head == "bounds":
-            kw = {"loop": bounds.loop_bound, "events": bounds.max_events}
-            keys = [t.partition("=")[0] for t in toks[1:]]
-            _distinct(keys, "bound", ln)
-            for t in toks[1:]:
-                key, eq, val = t.partition("=")
-                if not eq or key not in kw:
-                    raise LitmusError("expected: bounds loop=<n> events=<n>", ln)
-                kw[key] = _positive(val, key, ln)
-            bounds = Bounds(loop_bound=kw["loop"], max_events=kw["events"])
+            key, eq, val = (toks[1] if len(toks) == 2 else "").partition("=")
+            if key != "events" or not eq:
+                raise LitmusError("expected: bounds events=<n>", ln)
+            bounds = Bounds(max_events=_positive(val, key, ln))
         else:
             raise LitmusError(f"unknown directive {head!r}", ln)
     for x, ln in msize_lines.items():
@@ -597,7 +592,7 @@ def print_litmus(test: LitmusTest) -> str:
         out.append("}")
     for a in test.assertions:
         out.append(_print_assert(a))
-    out.append(f"bounds loop={test.bounds.loop_bound} events={test.bounds.max_events}")
+    out.append(f"bounds events={test.bounds.max_events}")
     return "\n".join(out) + "\n"
 
 

@@ -4,9 +4,12 @@ A test passes when every allowed pattern is matched by some computed
 outcome, no forbidden pattern is matched, and exact-set assertions match
 exactly.  A bound-limited enumeration can never confirm a forbidden
 pattern's absence, so such tests report ``bound-limited`` instead of
-``pass`` unless the assertion set needs no absence claims.  A test with
-no consistent execution at all fails, since every forbidden pattern
-would then hold vacuously.
+``pass`` unless the assertion set needs no absence claims.  Truncation only
+removes outcomes, so under it an allowed pattern not found, or an
+exact-set tuple missing, is ``bound-limited`` too, not a failure; a
+forbidden pattern found, or an exact-set tuple outside the set, still
+fails.  A test with no consistent execution at all fails, since every
+forbidden pattern would then hold vacuously.
 """
 
 from __future__ import annotations
@@ -101,16 +104,14 @@ def run_litmus(test: LitmusTest, overrides: Mapping | None = None,
     t0 = time.perf_counter()
     built = build_test(test, variants=overrides.get("variants"))
     bounds = test.bounds
-    if "loop_bound" in overrides:
-        bounds = Bounds(overrides["loop_bound"], bounds.max_events)
     if "max_events" in overrides:
-        bounds = Bounds(bounds.loop_bound, overrides["max_events"])
+        bounds = Bounds(max_events=overrides["max_events"])
     libs = _mk_libs(built.libs)
     res = outcomes(built.programs, libs, built.cfg, bounds,
                    outputs_only=not built.uses_memory)
     regpos = _reg_positions(built)
 
-    failures = []
+    failures, missing = [], []
     if not res.outcomes and not res.truncated:
         failures.append("no execution is consistent")
     needs_absence = False
@@ -118,7 +119,7 @@ def run_litmus(test: LitmusTest, overrides: Mapping | None = None,
         if a.kind == "allowed":
             if not any(_matches(o, a.terms, built, regpos, built.cfg)
                        for o in res.outcomes):
-                failures.append(f"allowed outcome not found: {_assert_desc(a)}")
+                missing.append(f"allowed outcome not found: {_assert_desc(a)}")
         elif a.kind == "forbidden":
             needs_absence = True
             hits = [o for o in res.outcomes
@@ -131,16 +132,19 @@ def run_litmus(test: LitmusTest, overrides: Mapping | None = None,
                 tuple(o.outputs[regpos[r][0]][regpos[r][1]] for r in a.regs)
                 for o in res.outcomes)
             if got != a.tuples:
-                failures.append(
+                lost = a.tuples - got
+                (failures if got - a.tuples else missing).append(
                     f"exact-set mismatch on ({', '.join(a.regs)}): "
-                    f"got {sorted(got, key=repr)}")
+                    f"got {sorted(got, key=repr)}"
+                    + (f", missing {sorted(lost, key=repr)}" if lost else ""))
 
-    if failures:
+    if failures or (missing and not res.truncated):
         verdict = FAIL
-    elif res.truncated and needs_absence:
+    elif res.truncated and (needs_absence or missing):
         verdict = BOUND_LIMITED
     else:
         verdict = PASS
+    failures += missing
 
     notes = []
     for name, variant in built.libs:
@@ -163,8 +167,8 @@ def _assert_desc(a: Assertion) -> str:
 
 
 def _dump_first_witness(built: BuiltTest, libs, bounds: Bounds) -> str:
-    interp = interpret_conc(built.programs, bounds.loop_bound,
-                            pools(libs, built.cfg), bounds.max_events)
+    interp = interpret_conc(built.programs, pools(libs, built.cfg),
+                            bounds.max_events)
     for vals, plain in interp.results:
         for acc in enumerate_consistent(plain, libs, built.cfg):
             return dump_execution(plain, acc["stmp"], acc["so"], acc["hb"],

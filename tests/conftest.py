@@ -40,8 +40,8 @@ def unfold_file(path):
     test = parse_litmus(path.read_text(), name=path.stem)
     built = build_test(test)
     libs = _mk_libs(built.libs)
-    res = interpret_conc(built.programs, test.bounds.loop_bound,
-                         pools(libs, built.cfg), test.bounds.max_events)
+    res = interpret_conc(built.programs, pools(libs, built.cfg),
+                         test.bounds.max_events)
     return built, libs, res
 
 
@@ -59,15 +59,15 @@ def _tower(path, impl_names):
     return test, built, impls, target
 
 
-def soundness(path, impl_names, loop, events):
+def soundness(path, impl_names, events):
     """The chain ``impl_names`` compiled onto the litmus client at ``path``:
-    the specification side at the file's bounds, the compiled side at
-    (loop, events), over the client's libraries with each stage's source
-    replaced by its targets."""
+    the specification side at the file's bounds, the compiled side at the
+    event cap ``events``, over the client's libraries with each stage's
+    source replaced by its targets."""
     test, built, impls, target = _tower(path, impl_names)
     return check_soundness(built.programs, impls, _mk_libs(built.libs),
                            _mk_libs(target), built.cfg, test.bounds,
-                           built.profile, impl_bounds=Bounds(loop, events))
+                           built.profile, impl_bounds=Bounds(max_events=events))
 
 
 def compiled(path, impl_names):
@@ -79,9 +79,9 @@ def compiled(path, impl_names):
     return progs, cfg, _mk_libs(target)
 
 
-def unfold_compiled(path, impl_names, loop, events):
-    """The compiled side of ``soundness`` unfolded at (loop, events):
-    (node config, target libraries, interpretation result)."""
+def unfold_compiled(path, impl_names, events):
+    """The compiled side of ``soundness`` unfolded at the event cap
+    ``events``: (node config, target libraries, interpretation result)."""
     progs, cfg, libs = compiled(path, impl_names)
-    res = interpret_conc(progs, loop, pools(libs, cfg), events)
+    res = interpret_conc(progs, pools(libs, cfg), events)
     return cfg, libs, res

@@ -104,9 +104,9 @@ def eager_combinations(plain, libs, cfg):
 # most executions, one where the shared-variable search does.
 SEARCHED = ([(p.stem, p, None) for p in
              FILES + [ROOT / "perfbench/inputs/msw_put_tryread.litmus"]]
-            + [("w/fig3_sb_get_wait", CORPUS / "fig3_sb_get_wait.litmus", ("w", 3, 32)),
+            + [("w/fig3_sb_get_wait", CORPUS / "fig3_sb_get_wait.litmus", ("w", 32)),
                ("bal_buggy/bug1_barrier", CORPUS / "bug1_barrier.litmus",
-                ("bal_buggy", 3, 26))])
+                ("bal_buggy", 26))])
 
 
 def unfold_searched(path, tower):
@@ -114,8 +114,8 @@ def unfold_searched(path, tower):
     if tower is None:
         built, libs, res = unfold_file(path)
         return built.cfg, libs, res
-    impl, loop, events = tower
-    return unfold_compiled(path, [impl], loop, events)
+    impl, events = tower
+    return unfold_compiled(path, [impl], events)
 
 
 # The RDMA clients where a free nfo orientation or an internal fr edge
@@ -176,7 +176,7 @@ thread t2 @ n1 {
 # The SEARCHED items, the RDMA clients, and a compiled side where the
 # shared-variable search builds witnesses that hb vetoes.
 PRUNED = COMBINED + [("clients/own_write_sb", "own_write_sb", None),
-                     ("rbl/appf_rbl_bal", CORPUS / "appf_rbl_bal.litmus", ("rbl", 3, 30))]
+                     ("rbl/appf_rbl_bal", CORPUS / "appf_rbl_bal.litmus", ("rbl", 30))]
 
 
 @pytest.mark.parametrize("name, path, tower", PRUNED, ids=[n for n, _, _ in PRUNED])
@@ -244,7 +244,7 @@ class Counted(Library):
 
 def _one_plain(libs, cfg):
     progs = [C("a"), C("b")]
-    res = interpret_conc(progs, 1, pools(libs, cfg), 14)
+    res = interpret_conc(progs, pools(libs, cfg), 14)
     (_vals, plain), = res.results
     return progs, plain
 
@@ -339,7 +339,7 @@ def test_the_checker_builds_no_pair_set(pairs_calls):
     # An RDMA tower's compiled side, a corpus file through the runner, and
     # a full enumeration whose outcomes carry final memory.
     progs, cfg, libs = compiled(CORPUS / "fig3_sb_get_wait.litmus", ["w"])
-    assert outcomes(progs, libs, cfg, Bounds(3, 32), outputs_only=True).outcomes
+    assert outcomes(progs, libs, cfg, Bounds(max_events=32), outputs_only=True).outcomes
     assert not pairs_calls
     assert runner.run_file(CORPUS / "fig3_sb_get_wait.litmus").verdict == runner.PASS
     assert not pairs_calls

@@ -45,8 +45,8 @@ def unfold_case(tmp_path, path, item):
     if item is None:
         built, libs, res = unfold_file(path)
         return built.cfg, libs, res
-    impl, _client, loop, events = item
-    return unfold_compiled(path, [impl], loop, events)
+    impl, _client, events = item
+    return unfold_compiled(path, [impl], events)
 
 
 def comparable(x):
@@ -146,7 +146,7 @@ def test_later_executions_of_a_shape_build_no_subevent(monkeypatch):
     progs, cfg, libs = compiled(CORPUS / "fig3_sb_get_wait.litmus", ["w"])
     monkeypatch.setattr(SubEvent, "__post_init__", counted)
     monkeypatch.setattr(checker, "enumerate_consistent", counted_enumerate)
-    assert checker.outcomes(progs, libs, cfg, checker.Bounds(3, 32),
+    assert checker.outcomes(progs, libs, cfg, checker.Bounds(max_events=32),
                             outputs_only=True).outcomes
     seen, firsts, later = set(), [], []
     for key, n in built:
@@ -202,7 +202,7 @@ def test_no_frame_outlives_its_outcome_computation(monkeypatch):
     counts = []
     for _ in range(2):
         del sweeps[:], shapes[:]
-        rep = soundness(CORPUS / "fig3_sb_get_wait.litmus", ["w"], 3, 32)
+        rep = soundness(CORPUS / "fig3_sb_get_wait.litmus", ["w"], 32)
         assert rep.included
         counts.append((len(sweeps), len(set(shapes)), len(shapes)))
     (n_sweeps, n_shapes, n_execs), again = counts

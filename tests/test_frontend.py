@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from conftest import unfold_file
+from rdmacheck import runner
+from rdmacheck.checker import Outcome, OutcomeResult
 from rdmacheck.cli import main
 from rdmacheck.litmus import LitmusError, parse_litmus, print_litmus
 from rdmacheck.runner import FAIL, PASS, run_litmus
@@ -23,6 +25,13 @@ LITMUS = sorted(CORPUS.glob("*.litmus")) + [ROOT / "perfbench/inputs/msw_put_try
 def test_print_then_parse_is_identity(path):
     t = parse_litmus(path.read_text(), name=path.stem)
     assert parse_litmus(print_litmus(t), name=path.stem) == t
+
+
+def test_the_printer_writes_only_the_event_cap():
+    for path in LITMUS:
+        text = print_litmus(parse_litmus(path.read_text(), name=path.stem))
+        assert "loop=" not in text
+        assert text.splitlines()[-1] == "bounds events=14"
 
 
 ONE_THREAD = """name {name}
@@ -80,10 +89,17 @@ def test_exit_2_on_a_missing_file(tmp_path):
     assert exit_code(["corpus", tmp_path / "absent"]) == 2
 
 
+@pytest.mark.parametrize("directory, flags", [
+    (None, []), (CORPUS, ["--filter", "no_such_test"])], ids=["empty", "filter"])
+def test_exit_2_when_a_corpus_run_has_no_file(tmp_path, capsys, directory, flags):
+    assert exit_code(["corpus", directory or tmp_path, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert "no *.litmus file" in err and "total:" not in out
+
+
 @pytest.mark.parametrize("flags", [
     ["--variant", "bal"], ["--variant", "bal=nope"], ["--variant", "xyz=weak"],
-    ["--loop-bound", "-1"], ["--loop-bound", "0"], ["--max-events", "0"],
-    ["--loop-bound", "two"],
+    ["--loop-bound", "3"], ["--max-events", "0"], ["--max-events", "two"],
 ])
 def test_exit_2_on_a_bad_option(flags):
     assert exit_code(["check", CORPUS / "fig2a_wait.litmus", *flags]) == 2
@@ -93,6 +109,42 @@ def test_exit_3_when_the_event_cap_hides_a_forbidden_outcome(tmp_path):
     p = litmus_file(tmp_path, "capped", "assert forbidden a = 0")
     assert exit_code(["check", p]) == 0
     assert exit_code(["check", p, "--max-events", "1"]) == 3
+
+
+# Truncation only removes outcomes: under it, an expected outcome that is
+# missing is bound-limited and still named in the report.
+@pytest.mark.parametrize("asserts, message", [
+    ("assert allowed a = 1", "allowed outcome not found: assert allowed a = 1"),
+    ("assert exact (a) in { (1) }", "exact-set mismatch on (a): got [], missing [(1,)]"),
+], ids=["allowed", "exact"])
+def test_exit_3_when_the_event_cap_hides_an_expected_outcome(tmp_path, capsys,
+                                                              asserts, message):
+    p = litmus_file(tmp_path, "capped", asserts)
+    assert exit_code(["check", p]) == 0
+    assert exit_code(["check", p, "--max-events", "1"]) == 3
+    assert message in capsys.readouterr().out
+
+
+def truncated_with_a_1(monkeypatch):
+    """Make the runner's outcome set ``a = 1`` alone, bound-limited."""
+    found = OutcomeResult(frozenset({Outcome(((1,),))}), True)
+    monkeypatch.setattr(runner, "outcomes", lambda *args, **kw: found)
+
+
+def test_a_forbidden_outcome_found_under_truncation_fails(monkeypatch):
+    truncated_with_a_1(monkeypatch)
+    test = parse_litmus(ONE_THREAD.format(name="t", asserts="assert forbidden a = 1"))
+    report = run_litmus(test)
+    assert report.verdict == FAIL and report.truncated
+    assert report.failures == ["forbidden outcome found: assert forbidden a = 1"]
+
+
+def test_an_exact_set_tuple_outside_the_set_under_truncation_fails(monkeypatch):
+    truncated_with_a_1(monkeypatch)
+    test = parse_litmus(ONE_THREAD.format(name="t", asserts="assert exact (a) in { (0) }"))
+    report = run_litmus(test)
+    assert report.verdict == FAIL and report.truncated
+    assert report.failures == ["exact-set mismatch on (a): got [(1,)], missing [(0,)]"]
 
 
 @pytest.mark.parametrize("bad", [
@@ -113,6 +165,7 @@ def test_exit_3_when_the_event_cap_hides_a_forbidden_outcome(tmp_path):
     "loc y @ n1\nmsize y 2\ninit y = 7", "loc y @ n1\nmsize y 2\ninit y = (1,2,3)",
     "init x = (1,2)", "svar y\ninit y @ n2 = (1,2)",
     "bounds loop=2 loop=3", "barrier z : t1 t1", "ring q : writer t1 readers t1 t1 cap 2",
+    "bounds", "bounds events=0", "bounds events=x", "bounds events=9 events=9",
 ])
 def test_exit_2_with_the_line_of_a_bad_directive(tmp_path, capsys, bad):
     text = ONE_THREAD.format(name="bad", asserts="assert allowed a = 1") + bad + "\n"
@@ -121,6 +174,8 @@ def test_exit_2_with_the_line_of_a_bad_directive(tmp_path, capsys, bad):
     assert exit_code(["check", p]) == 2
     lines = text.splitlines()
     line = len(lines) - (lines[-1] == "}")   # a thread's last instruction
+    if "loop=" in bad:      # no loop bound: its first directive fails
+        line = next(i for i, ln in enumerate(lines, 1) if "loop=" in ln)
     assert f"parse error: line {line}:" in capsys.readouterr().out
 
 

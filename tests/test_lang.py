@@ -7,8 +7,8 @@ import itertools
 import pytest
 
 from rdmacheck.events import Event, InvalidInput, PlainExecution
-from rdmacheck.lang import (Break, Call, LetF, Loop, Output, Stop, Val,
-                            interpret_conc, interpret_seq, let, seq)
+from rdmacheck.lang import (Call, LetF, Stop, Val, interpret_conc, interpret_seq,
+                            let, seq)
 
 
 def ev(tid, eid, m="m", args=(), out=0):
@@ -45,74 +45,72 @@ class TestPlainExecution:
 DOM = frozenset({0, 1, 7})
 
 
+def repeat(body):
+    """``body`` forever: the program runs it, then itself again."""
+    return LetF(body, lambda _v: repeat(body))
+
+
 class TestInterpretSeq:
     def test_value(self):
-        r = interpret_seq(Val(7), 1, 4, DOM)
-        assert r.results == {(Output(7, 0), plain([]))}
+        r = interpret_seq(Val(7), 1, DOM)
+        assert r.results == {(7, plain([]))}
         assert not r.truncated
 
-    def test_break(self):
-        r = interpret_seq(Break(2, 5), 1, 4, DOM)
-        assert r.results == {(Output(5, 2), plain([]))}
-
     def test_call_enumerates_domain(self):
-        r = interpret_seq(Call("m", ("x",)), 1, 4, DOM)
+        r = interpret_seq(Call("m", ("x",)), 1, DOM)
         assert len(r.results) == len(DOM)
         for out, g in r.results:
-            assert out.brk == 0 and len(g.events) == 1
             (e,) = g.events
-            assert e.output == out.value and e.method == "m"
-
-    def test_loop_break_decrements(self):
-        r = interpret_seq(Loop(Break(1, 3)), 1, 4, DOM)
-        assert r.results == {(Output(3, 0), plain([]))}
-
-    def test_let_propagates_break(self):
-        boom = lambda v: Call("never", ())
-        r = interpret_seq(LetF(Break(1, 9), boom), 1, 4, DOM)
-        assert r.results == {(Output(9, 1), plain([]))}
+            assert e.output == out and e.method == "m"
 
     def test_infinite_loop_truncates(self):
-        r = interpret_seq(Loop(Val(0)), 1, 4, DOM)
+        r = interpret_seq(repeat(Call("m", ())), 1, DOM, max_events=4)
         assert r.results == frozenset() and r.truncated
 
     @pytest.mark.parametrize("p", [Stop(), LetF(Call("m", ()), lambda v: Stop()),
-                                   Loop(Stop())],
+                                   repeat(Stop())],
                              ids=["alone", "after_call", "loop_body"])
     def test_stop_has_no_unfolding_and_no_truncation(self, p):
-        r = interpret_seq(p, 1, 4, DOM)
+        r = interpret_seq(p, 1, DOM, max_events=4)
         assert r.results == frozenset() and not r.truncated
+
+    def test_only_a_call_with_an_output_meets_the_cap(self):
+        # past the cap, a call with no output blocks as it would within it
+        outputs = lambda m, args, tid, prior: () if m == "blocked" else (0,)
+        blocked = seq(Call("m", ()), Call("blocked", ()))
+        r = interpret_seq(blocked, 1, outputs, max_events=1)
+        assert r.results == frozenset() and not r.truncated
+        r = interpret_seq(seq(Call("m", ()), Call("m", ())), 1, outputs, max_events=1)
+        assert r.results == frozenset() and r.truncated
 
     def test_po_total_per_thread(self):
         p = seq(Call("a", ()), Call("b", ()), Call("c", ()))
-        r = interpret_seq(p, 1, 4, frozenset({0}))
+        r = interpret_seq(p, 1, frozenset({0}))
         for _out, g in r.results:
             g.validate()
             evs = [e for e in g.events if e.tid == 1]
             assert [e.method for e in evs] == ["a", "b", "c"]
 
-    def test_loop_bound_monotone(self):
-        # a loop breaking after a data-dependent number of iterations
-        body = let(Call("flip", ()), lambda v: Break(1, v) if v else Val(0))
-        p = Loop(body)
+    def test_event_cap_monotone(self):
+        # a recursion that ends after a data-dependent number of calls
+        def flip():
+            return let(Call("flip", ()), lambda v: Val(v) if v else flip())
         prev: frozenset = frozenset()
-        for b in range(5):
-            r = interpret_seq(p, 1, b, frozenset({0, 1}))
-            assert prev <= r.results
+        for cap in range(5):
+            r = interpret_seq(flip(), 1, frozenset({0, 1}), max_events=cap)
+            assert prev <= r.results and r.truncated
+            assert {len(g.events) for _v, g in r.results} == set(range(1, cap + 1))
             prev = r.results
 
     def test_let_compositional(self):
         # the let rule recomputed from its parts, brute force
         p1 = Call("m", ())
         f = lambda v: Call("k", (v,)) if v else Val(9)
-        combined = interpret_seq(LetF(p1, f), 1, 4, DOM).results
+        combined = interpret_seq(LetF(p1, f), 1, DOM).results
         expected = set()
-        for out1, g1 in interpret_seq(p1, 1, 4, DOM).results:
-            if out1.brk:
-                expected.add((out1, g1))
-                continue
+        for out1, g1 in interpret_seq(p1, 1, DOM).results:
             # continuation events are numbered after the prefix
-            for out2, g2 in interpret_seq(f(out1.value), 1, 4, DOM).results:
+            for out2, g2 in interpret_seq(f(out1), 1, DOM).results:
                 shifted = plain(
                     [Event(e.tid, e.eid + len(g1.events), e.method, e.args, e.output)
                      for e in g2.events])
@@ -122,15 +120,15 @@ class TestInterpretSeq:
 
 class TestInterpretConc:
     def test_all_values(self):
-        r = interpret_conc([Val(1), Val(2)], 4, DOM)
+        r = interpret_conc([Val(1), Val(2)], DOM)
         assert r.results == {((1, 2), plain([]))}
 
     def test_nonterminating_thread_kills_all(self):
-        r = interpret_conc([Val(1), Loop(Val(0))], 4, DOM)
+        r = interpret_conc([Val(1), repeat(Call("m", ()))], DOM, max_events=4)
         assert r.results == frozenset() and r.truncated
 
     def test_stopped_thread_kills_all_without_truncation(self):
-        r = interpret_conc([Call("m", ()), Stop()], 4, DOM)
+        r = interpret_conc([Call("m", ()), Stop()], DOM)
         assert r.results == frozenset() and not r.truncated
 
     def test_sb_skeleton_shapes(self):
@@ -138,7 +136,7 @@ class TestInterpretConc:
         # thread; hand count: |DOM| read results per thread, independent
         w = lambda x: Call("w", (x, 1))
         rd = lambda x: Call("r", (x,))
-        r = interpret_conc([seq(w("x"), rd("y")), seq(w("y"), rd("x"))], 4,
+        r = interpret_conc([seq(w("x"), rd("y")), seq(w("y"), rd("x"))],
                            frozenset({0, 1}))
         assert len(r.results) == (2 * 2) * (2 * 2)
         for vals, g in r.results:
@@ -147,17 +145,17 @@ class TestInterpretConc:
 
     def test_max_events_cap(self):
         p = seq(*[Call("m", ()) for _ in range(5)])
-        r = interpret_conc([p], 4, frozenset({0}), max_events=3)
+        r = interpret_conc([p], frozenset({0}), max_events=3)
         assert r.results == frozenset() and r.truncated
 
     def test_max_events_cap_across_threads(self):
         # each thread fits alone; only their product exceeds the cap
         p = seq(Call("m", ()), Call("m", ()))
-        r = interpret_conc([p, p], 4, frozenset({0}), max_events=3)
+        r = interpret_conc([p, p], frozenset({0}), max_events=3)
         assert r.results == frozenset() and r.truncated
-        r = interpret_conc([p, p], 4, frozenset({0}), max_events=4)
+        r = interpret_conc([p, p], frozenset({0}), max_events=4)
         assert len(r.results) == 1 and not r.truncated
 
     def test_products_in_lexicographic_order(self):
-        r = interpret_conc([Call("m", ()), Call("m", ())], 4, (0, 1))
+        r = interpret_conc([Call("m", ()), Call("m", ())], (0, 1))
         assert [vals for vals, _g in r.results] == [(0, 0), (0, 1), (1, 0), (1, 1)]

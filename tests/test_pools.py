@@ -70,12 +70,12 @@ ONE_NODE = NodeConfig(nodes=frozenset({1}), thread_node={1: 1, 2: 1},
 
 def test_a_read_is_not_offered_its_own_threads_later_store():
     p = let(C("read", "x"), lambda v: C("write", "x", 1))
-    res = interpret_conc([p], 4, pools([rl], ONE_NODE), 14)
+    res = interpret_conc([p], pools([rl], ONE_NODE), 14)
     assert [vals for vals, _g in res.results] == [(UNIT,)]
     # Thread 1 reads y, which thread 2 writes, so it is unfolded again with
     # its own store of x in the pools: the read of x still sees only 0.
     t1 = seq(C("read", "y"), p)
-    res = interpret_conc([t1, C("write", "y", 1)], 4, pools([rl], ONE_NODE), 14)
+    res = interpret_conc([t1, C("write", "y", 1)], pools([rl], ONE_NODE), 14)
     assert sorted(g.events[1].output for _vals, g in res.results) == [0, 0]
 
 
@@ -84,7 +84,7 @@ def test_threads_that_await_each_others_store_both_finish():
     # unfolding of its thread has finished yet.
     t1 = seq(C("write", "x", 1), _await(C("read", "y"), lambda v: v == 1))
     t2 = seq(C("write", "y", 1), _await(C("read", "x"), lambda v: v == 1))
-    res = interpret_conc([t1, t2], 4, pools([rl], ONE_NODE), 14)
+    res = interpret_conc([t1, t2], pools([rl], ONE_NODE), 14)
     assert len(res.results) == 1 and not res.truncated
     assert out_set([t1, t2], [rl], ONE_NODE) == {(UNIT, UNIT)}
 
@@ -105,7 +105,7 @@ def test_a_compiled_reader_numbered_before_the_writer_sees_a_carried_store(
     # The compiled get fills cells on the reader's node that its read reads.
     path = tmp_path / f"{name}.litmus"
     path.write_text(INLINE[name])
-    rep = soundness(path, [impl], 3, 30)
+    rep = soundness(path, [impl], 30)
     assert rep.included and len(rep.impl_outcomes) == len(rep.spec_outcomes) == n
 
 

@@ -11,8 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmacheck.events import Event, SubEvent
-from rdmacheck.lang import (Break, Call, LetF, Loop, Output, Val, interpret_conc,
-                            interpret_seq)
+from rdmacheck.lang import Call, LetF, Val, interpret_conc, interpret_seq
 from rdmacheck.libraries.base import coherence, enumerate_mo
 from rdmacheck.stamps import ACAS, ACR, ACW, nLR, nRW, ppo_before
 
@@ -227,7 +226,6 @@ def test_coherence_is_the_union_find_search_in_order(problem):
 # --- derived po against the stored cross-product po ------------------------
 
 DOM = (0, 1)
-LOOP_BOUND = 2
 MAX_EVENTS = 4
 
 
@@ -243,47 +241,24 @@ EMPTY = (frozenset(), frozenset())
 
 
 def stored_po_unfoldings(p, eid, truncated):
-    """(output, (events, po), next eid) for each unfolding of ``p`` on
-    thread 1, under the interpreter's bounds, with po built by
+    """(value, (events, po), next eid) for each unfolding of ``p`` on
+    thread 1, under the interpreter's event cap, with po built by
     ``cross_product_seq``.  ``truncated[0]`` is set where an unfolding is
-    dropped: a let or a loop iteration over the event cap, and the loop
-    bound."""
+    dropped: a let over the event cap."""
     if isinstance(p, Val):
-        yield Output(p.value, 0), EMPTY, eid
-    elif isinstance(p, Break):
-        yield Output(p.value, p.depth), EMPTY, eid
+        yield p.value, EMPTY, eid
     elif isinstance(p, Call):
         for v in DOM:
             e = Event(1, eid, p.method, p.args, v)
-            yield Output(v, 0), (frozenset([e]), frozenset()), eid + 1
-    elif isinstance(p, LetF):
-        for o1, g1, n1 in stored_po_unfoldings(p.prog, eid, truncated):
-            if o1.brk:
-                yield o1, g1, n1
-                continue
-            for o2, g2, n2 in stored_po_unfoldings(p.cont(o1.value), n1, truncated):
+            yield v, (frozenset([e]), frozenset()), eid + 1
+    else:
+        for v1, g1, n1 in stored_po_unfoldings(p.prog, eid, truncated):
+            for v2, g2, n2 in stored_po_unfoldings(p.cont(v1), n1, truncated):
                 g = cross_product_seq(g1, g2)
                 if len(g[0]) <= MAX_EVENTS:
-                    yield o2, g, n2
+                    yield v2, g, n2
                 else:
                     truncated[0] = True
-    else:
-        yield from stored_po_loop(p.body, eid, EMPTY, 0, truncated)
-
-
-def stored_po_loop(body, eid, prefix, done, truncated):
-    if done >= LOOP_BOUND:
-        truncated[0] = True
-        return
-    for o, g, n in stored_po_unfoldings(body, eid, truncated):
-        ga = cross_product_seq(prefix, g)
-        if len(ga[0]) > MAX_EVENTS:
-            truncated[0] = True
-            continue
-        if o.brk:
-            yield Output(o.value, o.brk - 1), ga, n
-        else:
-            yield from stored_po_loop(body, n, ga, done + 1, truncated)
 
 
 def _let(prog, conts):
@@ -291,12 +266,10 @@ def _let(prog, conts):
 
 
 leaves = st.one_of(st.builds(Val, st.sampled_from(DOM)),
-                   st.builds(Call, st.sampled_from("abc"), st.just(())),
-                   st.builds(Break, st.integers(1, 2), st.sampled_from(DOM)))
+                   st.builds(Call, st.sampled_from("abc"), st.just(())))
 programs = st.recursive(
     leaves,
-    lambda kids: st.one_of(st.builds(Loop, kids),
-                           st.builds(_let, kids, st.lists(kids, min_size=1, max_size=2))),
+    lambda kids: st.builds(_let, kids, st.lists(kids, min_size=1, max_size=2)),
     max_leaves=8)
 
 
@@ -309,19 +282,19 @@ def _calls(names, conts):
     return p
 
 
-# Five calls overrun the event cap at a let alone; a three-call loop body
-# overruns it at the loop alone, on its second iteration.
+# Five calls overrun the event cap; so do a let's first two calls and
+# its continuation's three.
 @example(_calls("abcab", [Val(0)]))
-@example(Loop(_calls("abc", [Val(0), Break(1, 1)])))
+@example(_let(_calls("ab", [Val(0)]), [_calls("abc", [Val(0)])]))
 @settings(max_examples=300)
 @given(programs)
 def test_derived_po_is_the_cross_product_po(p):
     truncated = [False]
-    stored = {(o, g[0]): g[1] for o, g, _n in stored_po_unfoldings(p, 0, truncated)}
-    r = interpret_seq(p, 1, LOOP_BOUND, DOM, max_events=MAX_EVENTS)
-    assert {(o, frozenset(g.events)) for o, g in r.results} == set(stored)
-    for o, g in r.results:
-        assert g.po == stored[(o, frozenset(g.events))]
+    stored = {(v, g[0]): g[1] for v, g, _n in stored_po_unfoldings(p, 0, truncated)}
+    r = interpret_seq(p, 1, DOM, max_events=MAX_EVENTS)
+    assert {(v, frozenset(g.events)) for v, g in r.results} == set(stored)
+    for v, g in r.results:
+        assert g.po == stored[(v, frozenset(g.events))]
     assert r.truncated == truncated[0]
 
 
@@ -329,9 +302,7 @@ def union_products(progs):
     """Products of the threads' unfoldings composed as event sets used to
     be: (output values, union of the event sets, union of the po sets), in
     lexicographic order, dropping those over the event cap."""
-    per_thread = [[(o.value, g) for o, g in
-                   interpret_seq(p, tid, LOOP_BOUND, DOM, max_events=MAX_EVENTS).results
-                   if o.brk == 0]
+    per_thread = [list(interpret_seq(p, tid, DOM, max_events=MAX_EVENTS).results)
                   for tid, p in enumerate(progs, 1)]
     for combo in itertools.product(*per_thread):
         events = frozenset().union(*(frozenset(g.events) for _v, g in combo))
@@ -343,7 +314,7 @@ def union_products(progs):
 @settings(max_examples=200)
 @given(st.lists(programs, min_size=2, max_size=2))
 def test_concurrent_products_are_the_union_composition(progs):
-    got = interpret_conc(progs, LOOP_BOUND, DOM, max_events=MAX_EVENTS).results
+    got = interpret_conc(progs, DOM, max_events=MAX_EVENTS).results
     for _vals, g in got:
         g.validate()
     assert [(vals, frozenset(g.events), g.po) for vals, g in got] == \

@@ -106,9 +106,9 @@ FILES = [p for p in sorted(CORPUS.glob("*.litmus"))
          + [ROOT / "perfbench/inputs/msw_put_tryread.litmus"]
          if {"rl", "tso", "msw"} & {n for n, _ in parse_litmus(p.read_text()).libs}]
 SEARCHED = ([(p.stem, p, None) for p in FILES]
-            + [("w/fig3_sb_get_wait", CORPUS / "fig3_sb_get_wait.litmus", ("w", 3, 32)),
+            + [("w/fig3_sb_get_wait", CORPUS / "fig3_sb_get_wait.litmus", ("w", 32)),
                ("sv/fig6b_bcast_3node", CORPUS / "fig6b_bcast_3node.litmus",
-                ("sv", 3, 32))])
+                ("sv", 32))])
 
 
 # No execution of those has two witnesses that differ in nfo, and none
@@ -180,8 +180,8 @@ def test_same_witnesses_in_the_same_order_as_the_per_choice_search(path, tower):
         built, libs, res = unfold_file(path)
         cfg = built.cfg
     else:
-        impl, loop, events = tower
-        cfg, libs, res = unfold_compiled(path, [impl], loop, events)
+        impl, events = tower
+        cfg, libs, res = unfold_compiled(path, [impl], events)
     n, _ = assert_same_witnesses(cfg, libs, res)
     assert n > 0
 

@@ -2,16 +2,30 @@
 
 from __future__ import annotations
 
-from conftest import C, cfg2, out_set, outs
+import pytest
+
+from conftest import C, cfg2, out_set, outs, unfold_compiled
 from rdmacheck.checker import pools
+from rdmacheck.compilers import _set_loc
 from rdmacheck.events import Event
-from rdmacheck.lang import Break, Call, Loop, Val, interpret_seq, let, seq
+from rdmacheck.lang import Val, interpret_seq, let, seq
 from rdmacheck.libraries import RdmaTsoLib
 from rdmacheck.stamps import AMF, AWT
 from rdmacheck.values import UNIT
 
 tso = RdmaTsoLib()
 CFG = cfg2({"x": 1, "z": 2})
+
+# Puts from t1 on n1 toward x on n2, then a wait.
+PUTS = """name puts
+nodes n1 n2
+libs rl
+loc x @ n2
+thread t1 @ n1 {{
+{puts}
+  wait d
+}}
+"""
 
 
 def z_finals(prog):
@@ -44,7 +58,7 @@ class TestPolling:
                 C("poll", 2), C("poll", 2))
         fn = pools([tso], CFG)
         seen = 0
-        for vals, plain in interpret_conc([p], 4, fn, 14).results:
+        for vals, plain in interpret_conc([p], fn, 14).results:
             for acc in enumerate_consistent(plain, [tso], CFG):
                 pf = acc["witnesses"]["tso"].rels["pf"]
                 assert len(pf) == 2
@@ -64,7 +78,7 @@ class TestIdentifiers:
     def unfold(self, *calls):
         """Thread 2's unfoldings of ``calls``, in the interpreter's order."""
         fn = pools([tso], CFG)
-        return [g.events for _o, g in interpret_seq(seq(*calls), 2, 4, fn).results]
+        return [g.events for _o, g in interpret_seq(seq(*calls), 2, fn).results]
 
     def test_gets_and_puts_are_numbered_per_thread(self):
         (evs,) = self.unfold(C("tso_get", "z", "x"), C("tso_write", "z", 1),
@@ -100,7 +114,7 @@ class TestSets:
 
         def offered(*calls):
             return {g.events[-1].output for _o, g in
-                    interpret_seq(seq(*calls, C("set_isempty", "s")), 1, 4, fn).results}
+                    interpret_seq(seq(*calls, C("set_isempty", "s")), 1, fn).results}
 
         add, remove = (lambda v: C("set_add", "s", v)), (lambda v: C("set_remove", "s", v))
         assert offered() == {True, False}
@@ -116,13 +130,32 @@ class TestSets:
         assert tso.stamping(e, CFG) == {AWT}
 
     def test_wait_loop_shape_drains_set(self):
-        # hand-rolled drain loop in the meta-language: poll until empty
+        # hand-rolled drain in the meta-language: poll until empty
         def drain(n):
-            return Loop(let(C("set_isempty", "s"),
-                            lambda b: Break(1, UNIT) if b is True
-                            else let(C("poll", n),
-                                     lambda v: C("set_remove", "s", v))))
+            return let(C("set_isempty", "s"),
+                       lambda b: Val(UNIT) if b is True
+                       else let(C("poll", n),
+                                lambda v: seq(C("set_remove", "s", v), drain(n))))
         p = seq(let(C("tso_put", "z", "x"),
                     lambda v: C("set_add", "s", v)), drain(2))
         got = out_set([p], [tso], CFG)
         assert got == {((),)}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_a_compiled_wait_polls_each_put_once(self, tmp_path, k):
+        # Each put is a tso_write of its value, a tso_put and a set_add; the
+        # wait drains n1's empty set with one check and n2's with k rounds
+        # of a check, a poll and a remove, then a last check: 6k + 2 events.
+        path = tmp_path / "puts.litmus"
+        path.write_text(PUTS.format(puts="\n".join(["  putc x 1 d"] * k)))
+        _cfg, _libs, res = unfold_compiled(path, ["w"], 6 * k + 2)
+        assert res.results and not res.truncated
+        toward_n2 = (_set_loc(1, "d", 2),)
+        for _vals, plain in res.results:
+            methods = [e.method for e in plain.events]
+            assert methods.count("poll") == k
+            assert [e.args for e in plain.events
+                    if e.method == "set_isempty"].count(toward_n2) == k + 1
+        # One event less cuts every drain: the event cap is the only bound.
+        _cfg, _libs, res = unfold_compiled(path, ["w"], 6 * k + 1)
+        assert not res.results and res.truncated

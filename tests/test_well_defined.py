@@ -10,7 +10,7 @@ import pytest
 
 from conftest import unfold_file
 from rdmacheck.compilers import builtin_impl, check_well_defined
-from rdmacheck.lang import Break, Val
+from rdmacheck.lang import Call, Val, let
 from rdmacheck.values import UNIT
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,11 +39,15 @@ def test_builtin_implementation_is_well_defined(name, client):
     assert check_well_defined(impl, built.cfg, built.profile, grid) == []
 
 
-def test_break_out_and_empty_bodies_are_reported():
+def test_empty_bodies_are_reported():
     impl, built, grid = impl_and_grid("sv", "corpus/fig4_gf_sb")
-    breaks = replace(impl, mapping=lambda cfg, prof, t, m, args: Break(1, UNIT))
-    problems = check_well_defined(breaks, built.cfg, built.profile, grid)
-    assert problems and all("break depth 1" in p for p in problems)
     empty = replace(impl, mapping=lambda cfg, prof, t, m, args: Val(UNIT))
     problems = check_well_defined(empty, built.cfg, built.profile, grid)
     assert problems and all("empty successful unfolding" in p for p in problems)
+    # A body that ends before its first call on some path is reported for
+    # the arguments that take that path.
+    maybe = replace(impl, mapping=lambda cfg, prof, t, m, args:
+                    let(Val(1 in args[0]), lambda b: Val(UNIT) if b
+                        else Call("mfence", ())))
+    problems = check_well_defined(maybe, built.cfg, built.profile, grid)
+    assert problems and all("(frozenset({1}),)" in p for p in problems)
