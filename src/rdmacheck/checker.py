@@ -11,31 +11,34 @@ drawn once and lazily per plain execution, and hb is built only when
 every library has a witness.  Most executions are rejected there.
 
 Plain executions that differ only in what their reads return share a
-shape: the same events, stamps and program order.  A shape has one
-numbering, the positions of its subevent list (`events.subevent_list`),
-and within one ``outcomes`` call its frame is built once, in those
-positions, and never rebound: ppo is swept at most once per shape, when
-the first library asks for it to prune its search or else for hb, each
+shape: the same events, stamps and program order.  Within one
+``outcomes`` call a shape is set up once, in integer positions, and never
+rebound (`Shape`): the checker builds its one `Numbering`, the positions
+of its subevent list (`events.subevent_list`) with each position's event
+index and stamp and each library's own positions, and every library's
+frame reads it.  ppo's direct rows come from per-thread stamp masks
+(`stamps.ppo_rows`) and are closed at most once per shape, when the
+first library asks for ppo to prune its search or else for hb; each
 library keeps its own per-shape part of the witness search there
-(`Library.witnesses`' ``memo``), and hb grows from ppo's rows by
-position.  A later execution of a shape builds no subevent unless
-something reads one: a witness's relations and values and a
-combination's so and hb are named by its subevents on first read.
+(`Library.witnesses`' ``shape``), and hb grows from ppo's rows by
+position.  No execution builds a subevent unless something reads one: a
+witness's relations and values and a combination's so and hb are named
+by its subevents on first read.
 """
 
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, tee
 from typing import Iterator, Mapping, Sequence
 
 from .config import NodeConfig
 from .events import (Event, Execution, InvalidInput, PlainExecution,
                      subevent_list, subevents)
-from .lang import Pools, interpret_conc
-from .libraries.base import Library, Witness, check_consistent
-from .relations import IncrementalOrder, OnRead
+from .lang import MAX_EVENTS, Pools, interpret_conc
+from .libraries.base import Library, Numbering, Shape, Witness, check_consistent
+from .relations import IncrementalOrder, OnRead, forward_rows
 from .stamps import ppo_before
 
 
@@ -48,7 +51,7 @@ class Bounds:
     the benchmark, deletes it."""
 
     loop_bound: int = 4
-    max_events: int = 14
+    max_events: int = MAX_EVENTS
 
 
 @dataclass(frozen=True)
@@ -129,22 +132,10 @@ def stamp_events(plain: PlainExecution, libs: Sequence[Library], cfg: NodeConfig
     return Stamped(stmp, per_lib, tuple(key))
 
 
-def ppo_order(plain: PlainExecution, stmp) -> IncrementalOrder:
-    """Preserved program order, closed: ``ppo_before`` swept once over the
-    positions of the execution's `subevent_list`."""
-    subs = subevent_list(plain.events, stmp)
-    return IncrementalOrder(range(len(subs)), lambda i, j: ppo_before(subs[i], subs[j]))
-
-
-@dataclass
-class Shape:
-    """What the plain executions of one shape share within one outcome
-    computation: ppo's closed rows once swept, over the positions every
-    execution of the shape numbers its subevents by, and each library's
-    frame, by library name."""
-
-    ppo: IncrementalOrder | None = None
-    libs: dict = field(default_factory=dict)
+def ppo_order(num: Numbering) -> IncrementalOrder:
+    """Preserved program order, closed over the positions of ``num``
+    from its direct rows."""
+    return IncrementalOrder(range(num.size), num.direct_ppo)
 
 
 def _peeked(it: Iterator) -> Iterator | None:
@@ -165,13 +156,14 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
     """All accepted (witness-per-library, so, hb) combinations.
 
     Stamping first (deterministic), which also gives the execution's
-    shape.  ``memo`` maps shapes to the `Shape` frames of one outcome
-    computation; without it the execution's frame is built afresh.  Each
-    library's witness search then runs at most once, and its first witness
-    is drawn in ``libs`` order: a library with none rejects the execution.
-    ppo is needed at most once, by the first library that asks for it
+    shape.  ``memo`` maps shapes to the `Shape` set-ups of one outcome
+    computation; a new shape is numbered once (`Numbering`), and without
+    a memo the execution's shape is set up afresh.  Each library's witness
+    search then runs at most once, and its first witness is drawn in
+    ``libs`` order: a library with none rejects the execution.  ppo is
+    needed at most once, by the first library that asks for it
     (`Library.witnesses` prunes against it) or else only when every
-    library has a witness, and is swept only for the first execution of
+    library has a witness, and is closed only for the first execution of
     its shape that needs it.  Then combinations are backtracked, in the
     libraries' order and each library's witness order, with incremental
     cycle detection on (ppo ∪ accumulated so)+: each witness grows a copy
@@ -185,19 +177,21 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
     """
     stamped = stamp_events(plain, libs, cfg)
     stmp, per_lib = stamped
-    shape = Shape() if memo is None else memo.get(stamped.key)
+    shape = None if memo is None else memo.get(stamped.key)
     if shape is None:
-        shape = memo[stamped.key] = Shape()
+        shape = Shape(Numbering(plain.events, stmp, per_lib))
+        if memo is not None:
+            memo[stamped.key] = shape
 
     def ppo() -> IncrementalOrder:
         if shape.ppo is None:
-            shape.ppo = ppo_order(plain, stmp)
+            shape.ppo = ppo_order(shape.numbering)
         return shape.ppo
 
     drawn = []
     for lib in libs:
         ws = _peeked(lib.witnesses(plain.restrict(per_lib[lib.name]),
-                                   stmp, cfg, ppo, shape.libs))
+                                   stmp, cfg, ppo, shape))
         if ws is None:
             return
         # A tee that is never advanced holds every witness drawn so far;
@@ -230,7 +224,8 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
 
     This is the paper's whole-execution check; ``enumerate_consistent``
     searches for what it validates, and the tests hold the two together.
-    It closes ppo over the subevents themselves.
+    It closes ppo over the subevents themselves, asking ``ppo_before`` of
+    each forward pair.
     """
     stmp, per_lib = stamp_events(exec_.plain, libs, cfg)
     if dict(exec_.stmp) != stmp:
@@ -238,7 +233,8 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
     # so relates the execution's subevents and closes with ppo to hb
     # without a cycle.
     sub = subevents(exec_.plain.events, stmp)
-    order = IncrementalOrder(subevent_list(exec_.plain.events, stmp), ppo_before)
+    subs = subevent_list(exec_.plain.events, stmp)
+    order = IncrementalOrder(subs, forward_rows(subs, ppo_before))
     if (not all(a in sub and b in sub for a, b in exec_.so)
             or not order.add_edges(exec_.so) or exec_.hb != order.pairs()):
         return False, {}

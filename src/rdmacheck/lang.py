@@ -21,7 +21,7 @@ result: the event cap.  A call with an output that would give its thread
 more than ``max_events`` events is cut: the unfoldings through it are
 dropped and the result is marked bound-limited.  The cap bounds every
 recursion that makes a call before it recurses; one that makes none has no
-finite unfolding.
+finite unfolding.  Its default, ``MAX_EVENTS``, is also `checker.Bounds`'.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ from typing import (AbstractSet, Callable, Hashable, Iterable, Iterator, NamedTu
 
 from .events import Event, InvalidInput, PlainExecution
 from .values import Value
+
+# The default event cap.  The unfolding recurses once per event, so a cap
+# far past this runs into the interpreter's recursion limit.
+MAX_EVENTS = 14
 
 
 @dataclass(frozen=True)
@@ -229,7 +233,7 @@ def _interp(p: Program, tid: int, prior: tuple[Event, ...], ctx: _Ctx,
 
 def interpret_seq(p: Program, tid: int,
                   value_domain: Iterable[Value] | OutputsFn,
-                  max_events: int = 10_000) -> InterpResult:
+                  max_events: int = MAX_EVENTS) -> InterpResult:
     """All bounded unfoldings of ``p`` on thread ``tid``, in the order the
     interpreter generates them: (value, plain execution) pairs.
 
@@ -249,7 +253,7 @@ def interpret_seq(p: Program, tid: int,
 
 def interpret_conc(progs: ConcurrentProgram,
                    value_domain: Iterable[Value] | OutputsFn | Pools,
-                   max_events: int = 10_000) -> InterpResult:
+                   max_events: int = MAX_EVENTS) -> InterpResult:
     """Parallel composition of per-thread unfoldings, threads numbered 1..T.
 
     The result pairs the tuple of thread outputs with the combined plain

@@ -19,7 +19,7 @@ from ..config import NodeConfig
 from ..events import Event, PlainExecution
 from ..stamps import ACR, GF
 from ..values import UNIT
-from .base import Library, Numbering, Witness, shared_frame
+from .base import Library, Witness, slice_shape
 
 BAR = "bar"
 
@@ -47,7 +47,7 @@ class BarrierLib(Library):
         return (UNIT,)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo=None, memo=None) -> Iterator[Witness]:
+                  ppo=None, shape=None) -> Iterator[Witness]:
         for e in plain.events:
             self._require(e)
 
@@ -71,19 +71,24 @@ class BarrierLib(Library):
                 for i, e in enumerate(evs):
                     rounds[e] = i + 1
 
-        # Subevents are positions (`base.Numbering`).
-        num = shared_frame(memo, self.name, lambda: Numbering(plain, stmp))
+        # Subevents are positions (`base.Numbering`): each call's global
+        # fences and its exit.
+        num = (shape or slice_shape(plain, stmp, self.name)).numbering
+        fences: dict[Event, list[int]] = {}
+        exit_: dict[Event, int] = {}
+        for p, k, a in num.own[self.name]:
+            if a.kind == "GF":
+                fences.setdefault(plain.events[k], []).append(p)
+            else:
+                exit_[plain.events[k]] = p
         so = []
         for x, per_thread in by_loc.items():
             calls = [e for evs in per_thread.values() for e in evs]
             for e1 in calls:
                 for e2 in calls:
-                    if rounds[e1] != rounds[e2]:
-                        continue
-                    for a in stmp[e1]:
-                        if a.kind == "GF":
-                            so.append((num.position(e1, a), num.position(e2, ACR)))
-        yield Witness(self.name, frozenset(so), names=num.names(plain.events),
+                    if rounds[e1] == rounds[e2]:
+                        so.extend((p, exit_[e2]) for p in fences.get(e1, ()))
+        yield Witness(self.name, frozenset(so), names=num.names(self.name, plain.events),
                       meta={"rounds": rounds,
                             "c": {x: len(next(iter(pt.values())))
                                   for x, pt in by_loc.items()}})

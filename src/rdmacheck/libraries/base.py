@@ -9,21 +9,22 @@ The checker combines per-library synchronisation orders into the global
 happens-before and backtracks across libraries.
 
 A witness names subevents by position in one list (`Numbering`): the
-subevent list of the events its stamping covers, which for the checker
-is the whole execution's, whose positions ppo and every execution of a
-shape share.  A library's frame, what the shape decides of its search,
-is built in those positions once per shape (`shared_frame`) and never
-rebound; a witness's pair sets and value maps name subevents only when
-read.
+subevent list of the execution, whose positions ppo and every execution
+of a shape share.  The checker numbers each shape once, for every
+library (`Shape`), and a library's frame, what the shape decides of its
+search, is built in those positions once per shape (`shared_frame`) and
+never rebound.  A frame is read off the numbering's integer positions
+and the events' shape-decided fields, and builds no subevent; a
+witness's pair sets and value maps name subevents only when read.
 
 The shared-variable and RDMA libraries search the same existentials over
 their reads and writes: a reads-from map, a modification order per place
 and the reads-before relation they induce.  `Coherence` holds what a
-shape decides of that search, and its `search` enumerates them for the
-values one execution's reads pin; ``coherence`` is both in one call.  A
-value is never guessed: a read's value is its rf source's, and a write's
-is fixed by its label or carried from the read part of its own event (a
-put, get or broadcast moves the value its read part saw).
+shape decides of that search, with mo extended under ppo's direct rows,
+and its `search` enumerates them for the values one execution's reads
+pin.  A value is never guessed: a read's value is its rf source's, and a
+write's is fixed by its label or carried from the read part of its own
+event (a put, get or broadcast moves the value its read part saw).
 ``final_values`` reads the final memory off such a witness.
 """
 
@@ -35,80 +36,86 @@ from typing import (Callable, Container, Hashable, Iterable, Iterator, Mapping,
                     Sequence)
 
 from ..config import NodeConfig
-from ..events import (Event, InvalidInput, PlainExecution, Stamp, SubEvent,
-                      ordered_stamps, po_before)
+from ..events import (Event, InvalidInput, PlainExecution, Stamping, SubEvent,
+                      ordered_stamps)
 from ..lang import Pools
 from ..relations import IncrementalOrder, OnRead, Pair
-from ..stamps import ppo_before
+from ..stamps import ppo_rows
 from ..values import Value
 
 
 class Numbering:
-    """Where a library's subevents stand in the `events.subevent_list` of
-    the events ``stmp`` stamps, in program order, counted without building
-    it: the checker's ``stmp`` (`checker.stamp_events`) stamps the whole
-    execution the slice's events are taken from, so these are ppo's
-    positions, and a slice's own stamping (`check_consistent`) numbers the
-    slice's list.  ``own`` is (position, index in the slice's events,
-    stamp) of each of the library's subevents, and ``subs`` each one's
-    subevent in the execution this was built for.  Built once per shape,
-    so only what a shape decides is read off ``subs``: threads, ids,
-    methods, arguments, stamps and the outputs `Library.shape_output`
-    names."""
+    """The positions of the `events.subevent_list` of ``events`` (an
+    execution's, in program order) under ``stmp``, read off once: each
+    position's ``event`` index, ``tid`` and ``stamp``, and ``own``, each
+    library's positions as (position, index of the event in the library's
+    slice, stamp), from ``per_lib``, the library's events in order.  The
+    checker builds one per shape, from `checker.stamp_events`' stamping
+    and slices, and every library's frame reads it; no subevent is built.
+    ``direct_ppo`` is preserved program order's direct rows over the
+    positions, read off stamp masks (`stamps.ppo_rows`)."""
 
-    __slots__ = ("size", "own", "where", "_first")
+    def __init__(self, events: Sequence[Event], stmp: Stamping,
+                 per_lib: Mapping[str, Sequence[Event]]):
+        owner = {e: (name, k) for name, evs in per_lib.items() for k, e in enumerate(evs)}
+        self.own = {name: [] for name in per_lib}
+        self.event, self.tid, self.stamp = [], [], []
+        for i, e in enumerate(events):
+            name, k = owner.get(e, (None, None))
+            for a in ordered_stamps(stmp[e]):
+                if name is not None:
+                    self.own[name].append((len(self.stamp), k, a))
+                self.event.append(i)
+                self.tid.append(e.tid)
+                self.stamp.append(a)
+        self.size = len(self.stamp)
 
-    def __init__(self, plain: PlainExecution, stmp):
-        events = plain.events
-        self._first = self.names(events)
-        self.own, self.where = [], {}
-        p = k = 0
-        # The slice's events come in stmp's order.
-        for e, stamps in stmp.items():
-            if k == len(events) or events[k] is not e:
-                p += len(stamps)
-                continue
-            for a in ordered_stamps(stamps):
-                self.own.append((p, k, a))
-                self.where[e.tid, e.eid, a.kind, a.node] = p
-                p += 1
-            k += 1
-        if k != len(events):
-            raise ValueError("stmp does not stamp the slice's events in order")
-        self.size = p
+    @cached_property
+    def direct_ppo(self) -> list[int]:
+        return ppo_rows(self.size, zip(range(self.size), self.tid, self.event, self.stamp))
 
-    subs = property(lambda self: self._first())
-
-    def names(self, events: Sequence[Event]) -> Callable[[], dict]:
-        """One execution's subevents by position, as a dict built on the
-        first call; ``events`` are its slice's."""
+    def names(self, lib: str, events: Sequence[Event]) -> Callable[[], dict]:
+        """One execution's subevents of library ``lib`` by position, as a
+        dict built on the first call; ``events`` are its slice's."""
         named = {}
 
         def name() -> dict:
             if not named:
-                named.update((p, SubEvent(events[k], a)) for p, k, a in self.own)
+                named.update((p, SubEvent(events[k], a)) for p, k, a in self.own[lib])
             return named
         return name
 
-    def position(self, e: Event, a: Stamp) -> int:
-        """The position of event ``e``'s subevent stamped ``a``."""
-        return self.where[e.tid, e.eid, a.kind, a.node]
-
-    def positions(self, pairs: Iterable[tuple[SubEvent, SubEvent]]) -> frozenset:
-        """Each (a, b) of ``pairs`` as (a's position, b's position)."""
-        at = self.position
-        return frozenset((at(a.event, a.stamp), at(b.event, b.stamp)) for a, b in pairs)
-
     def coherence(self, reads: list, writes: list, place: dict, write_value: dict,
                   carrier: dict) -> tuple["Coherence", frozenset]:
-        """`Coherence` over these positions, with ppo and `internal_rf` read
-        off ``subs``, and its internal rf pairs."""
-        subs = self.subs
+        """`Coherence` over these positions, with mo extended under ppo's
+        direct rows, and its internal rf pairs: a CPU read of its own
+        thread's po-earlier CPU write, which synchronises nothing."""
+        stamp, tid, ppo = self.stamp, self.tid, self.direct_ppo
         internal = frozenset((w, r) for r in reads for w in writes
-                             if internal_rf(subs[w], subs[r]))
+                             if stamp[w].kind == "aCW" and stamp[r].kind == "aCR"
+                             and tid[w] == tid[r] and w < r)
         return Coherence(reads, writes, place, write_value, carrier,
-                         internal=lambda w, r: (w, r) in internal,
-                         before=lambda a, b: ppo_before(subs[a], subs[b])), internal
+                         lambda w, r: (w, r) in internal,
+                         lambda a, b: ppo[a] >> b & 1), internal
+
+
+class Shape:
+    """What the plain executions of one shape share within one outcome
+    computation: its `Numbering`, ppo's closed rows once swept, and each
+    library's frame, by library name (`shared_frame`)."""
+
+    __slots__ = ("numbering", "ppo", "frames")
+
+    def __init__(self, numbering: Numbering):
+        self.numbering, self.ppo, self.frames = numbering, None, {}
+
+
+def slice_shape(plain: PlainExecution, stmp: Stamping, lib: str) -> Shape:
+    """A fresh shape for a library asked without the checker's: the
+    events ``stmp`` stamps numbered in program order, with the slice
+    ``plain``'s events as library ``lib``'s."""
+    events = sorted(stmp, key=lambda e: (e.tid, e.eid))
+    return Shape(Numbering(events, stmp, {lib: plain.events}))
 
 
 class Witness:
@@ -205,7 +212,7 @@ class Library:
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
                   ppo: Callable[[], IncrementalOrder] | None = None,
-                  memo: dict | None = None) -> Iterator[Witness]:
+                  shape: Shape | None = None) -> Iterator[Witness]:
         """Every witness of the slice ``plain``.  ``ppo``, when given,
         returns the closed ppo of the whole execution, over the positions
         of its subevent list, which the library must not change; a library
@@ -215,10 +222,12 @@ class Library:
         stamps, in program order (`Numbering`): with the checker's
         stamping, that is ppo's list.
 
-        ``memo`` is where the library may keep its frame: the checker
-        hands the same dict to every execution of this one's shape
-        (`checker.stamp_events`' key) in one outcome computation, so a
-        frame holds only what the shape decides (see `shared_frame`)."""
+        ``shape`` is the checker's `Shape`, the same for every execution
+        of this one's shape (`checker.stamp_events`' key) in one outcome
+        computation: its numbering, and where the library may keep its
+        frame, which holds only what the shape decides (see
+        `shared_frame`).  Without it the library numbers its slice itself
+        (`slice_shape`)."""
         raise NotImplementedError
 
     def post_check(self, w: Witness, hb: Container[Pair]) -> bool:
@@ -237,17 +246,14 @@ class Library:
             raise InvalidInput(f"{e.method} is not a method of {self.name}")
 
 
-def shared_frame(memo: dict | None, name: str, build: Callable[[], object]):
-    """The frame of library ``name``: ``build()`` for the first execution
-    of its shape, kept in ``memo`` (see `Library.witnesses`) for every
-    later one; without a memo, built afresh.  A frame names subevents by
-    position (`Numbering`), so it serves every execution of the shape as
-    it is."""
-    if memo is None:
-        return build()
-    if name not in memo:
-        memo[name] = build()
-    return memo[name]
+def shared_frame(shape: Shape, lib: str, build: Callable[[], object]):
+    """The frame of library ``lib``: ``build()`` for the first execution
+    of its shape, kept in ``shape`` for every later one.  A frame names
+    subevents by position (`Numbering`), so it serves every execution of
+    the shape as it is."""
+    if lib not in shape.frames:
+        shape.frames[lib] = build()
+    return shape.frames[lib]
 
 
 def check_consistent(lib: Library, exec_, cfg: NodeConfig) -> Witness | None:
@@ -261,22 +267,6 @@ def check_consistent(lib: Library, exec_, cfg: NodeConfig) -> Witness | None:
         if w.so == exec_.so and lib.post_check(w, exec_.hb):
             return w
     return None
-
-
-# ---------------------------------------------------------------------------
-# Shared search helpers
-
-
-def internal_rf(w: SubEvent, r: SubEvent) -> bool:
-    """A CPU read of its own thread's po-earlier CPU write, which
-    synchronises nothing."""
-    return (w.stamp.kind == "aCW" and r.stamp.kind == "aCR"
-            and po_before(w.event, r.event))
-
-
-def external_rf(rf: frozenset) -> frozenset:
-    """rf without its `internal_rf` pairs."""
-    return frozenset((w, r) for w, r in rf if not internal_rf(w, r))
 
 
 class Coherence:
@@ -303,17 +293,17 @@ class Coherence:
     Yields ``(rf, mo, rb, vR, vW, by_place)``: each complete rf choice with
     each of its modification orders (per place, in ``repr`` order, its
     linear extensions under ``before``), the reads-before relation they
-    induce, the values read and written, and each place's writes.  Items
-    are subevents, with the default predicates, or positions.
+    induce, the values read and written, and each place's writes.  The
+    frames search over positions (`Numbering.coherence`).
     """
 
     __slots__ = ("reads", "writes", "place", "write_value", "carrier",
                  "by_place", "choices", "init_edges", "mo_choices")
 
     def __init__(self, reads: Sequence, writes: Sequence, place: Mapping,
-                 write_value: Mapping, carrier: Mapping, *,
-                 internal: Callable[[Hashable, Hashable], bool] = internal_rf,
-                 before: Callable[[Hashable, Hashable], bool] = ppo_before):
+                 write_value: Mapping, carrier: Mapping,
+                 internal: Callable[[Hashable, Hashable], bool],
+                 before: Callable[[Hashable, Hashable], bool]):
         grouped: dict = {}
         for w in writes:
             grouped.setdefault(place[w], []).append(w)
@@ -402,19 +392,9 @@ class Coherence:
         yield from step(0, order)
 
 
-def coherence(reads: Sequence[SubEvent], writes: Sequence[SubEvent],
-              place: Mapping[SubEvent, Hashable], read_value: Mapping[SubEvent, Value],
-              write_value: Mapping[SubEvent, Value], carrier: Mapping[SubEvent, SubEvent],
-              init_of: Callable[[Hashable], Value],
-              order: IncrementalOrder | None = None) -> Iterator:
-    """`Coherence` over subevents, built and searched in one call."""
-    yield from Coherence(reads, writes, place, write_value, carrier).search(
-        read_value, init_of, order)
-
-
 def final_values(w: Witness) -> dict:
-    """place -> value of the mo-maximal write, for a witness of ``coherence``,
-    read off its own positions."""
+    """place -> value of the mo-maximal write, for a witness of a
+    `Coherence` search, read off its own positions."""
     mo, vW = w.relations["mo"], w.values[1]
     out = {}
     for p, group in w.meta["by_place"].items():
@@ -440,12 +420,3 @@ def _mo_choices(groups: Sequence[Sequence], before: Callable) -> list[list[list]
     return [[[(o[i], o[j]) for i in range(len(o)) for j in range(i + 1, len(o))]
              for o in extensions(tuple(g), ())]
             for g in groups]
-
-
-def enumerate_mo(groups: Sequence[Sequence[SubEvent]],
-                 before: Callable[[SubEvent, SubEvent], bool]) -> Iterator[frozenset]:
-    """Total orders per write group, as one relation per combination: the
-    product of each group's linear extensions under ``before`` (a, b: a
-    must precede b), in order."""
-    for combo in itertools.product(*_mo_choices(groups, before)):
-        yield frozenset(p for pairs in combo for p in pairs)

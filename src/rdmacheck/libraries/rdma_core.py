@@ -1,7 +1,7 @@
 """Shared base of the RDMA-shaped libraries.
 
 The wait-based model, the poll-based model, and the mixed-size variant
-check the same witnesses: a coherence choice (``base.coherence`` over
+check the same witnesses: a coherence choice (``base.Coherence`` over
 (location, node) places; a put's or get's write part carries what its
 read part saw) and an orientation of the NIC flush order (nfo).
 ``RdmaLib`` holds that check and the wait-based model's stamping,
@@ -18,13 +18,16 @@ that starts at an instantaneous subevent (any but a write part),
 ``inst_ib``, joins so.  ib is grown, not re-closed: its fixed part (ippo,
 iso and polls-from) runs forward along the execution's subevent list,
 where each event lists its read part (or a failed CAS's fence) first, and
-is closed once per shape in one sweep of an ``IncrementalOrder`` over the
-same positions as ppo.  Each coherence choice, then each orientation of
-a free nfo pair that the grown order does not already decide, extends a
-copy that is dropped as soon as it closes a cycle.  A witness carries its
-grown order and the positions of its instantaneous items, and the
-checker's hb absorbs those rows as they are; ib, ``inst_ib`` and so
-become pair sets only when read.
+is closed once per shape over the same positions as ppo.  ippo is read
+off a stamp table of its own (`IPPO`, the stamp order plus CPU-write ->
+CPU-read/wait and NIC-write -> same-node NIC-fence) by per-thread masks
+over the library's own positions only, as ppo is (`stamps.ppo_rows`);
+iso and polls-from add their pairs to those rows.  Each coherence choice,
+then each orientation of a free nfo pair that the grown order does not
+already decide, extends a copy that is dropped as soon as it closes a
+cycle.  A witness carries its grown order and the positions of its
+instantaneous items, and the checker's hb absorbs those rows as they
+are; ib, ``inst_ib`` and so become pair sets only when read.
 
 Given the checker's ppo, the coherence search is pruned against ppo
 grown by the so pairs every witness holds: the fixed part's rows from
@@ -36,25 +39,26 @@ All of that but the values the reads pin is decided by the execution's
 shape (`checker.stamp_events`' key): polls-from, iso and the carriers,
 places and stored values, ib's fixed rows and instantaneous items, the
 nfo split and the pruning order, or that there is no witness.  `frame`
-builds them, naming subevents by position (`base.Numbering`), for the
-first execution of a shape in one outcome computation, and every later
-one uses them as they are; only ``extra_valid``, the pinned reads'
-outputs and the witness search itself are per execution.
+builds them in the positions of the shape's `base.Numbering`, from the
+events' shape-decided fields and with no subevent, for the first
+execution of a shape in one outcome computation, and every later one
+uses them as they are; only ``extra_valid``, the pinned reads' outputs
+and the witness search itself are per execution.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution, SubEvent, po_before
+from ..events import Event, PlainExecution
 from ..lang import Carried, Pools
 from ..relations import IncrementalOrder
-from ..stamps import (ACAS, ACR, ACW, AMF, AWT, nF, nLR, nLW, nRR, nRW,
-                      ppo_before, stamp_order)
+from ..stamps import (ACAS, ACR, ACW, AMF, AWT, TABLE, columns, nF, nLR, nLW,
+                      nRR, nRW, ppo_rows)
 from ..values import UNIT
-from .base import Library, Numbering, Witness, final_values, shared_frame
+from .base import Library, Shape, Witness, final_values, shared_frame, slice_shape
 
 READ_KINDS = ("aCR", "aCAS", "nLR", "nRR")
 WRITE_KINDS = ("aCW", "aCAS", "nLW", "nRW")
@@ -65,6 +69,11 @@ _SINGLE_STAMPS = {"write": frozenset({ACW}), "read": frozenset({ACR}),
 # Node discipline: role -> position of the argument that must be a location
 # on the caller's node.
 LOCAL_ARG = {"write": 0, "read": 0, "cas": 0, "get": 0, "put": 1}
+
+# ippo: the stamp order, plus CPU-write -> CPU-read/wait and NIC-write ->
+# same-node NIC-fence program order.
+IPPO = columns({**TABLE, ("aCW", "aCR"): "Y", ("aCW", "aWT"): "Y",
+                ("nRW", "nF"): "S", ("nLW", "nF"): "S"})
 
 
 def _place(x: str, cfg: NodeConfig) -> tuple:
@@ -117,9 +126,12 @@ class RdmaLib(Library):
             return ((dst, Carried(src)),)
         return ()
 
-    def polls_from(self, plain: PlainExecution, stmp) -> tuple[frozenset, frozenset, dict]:
-        """(so part, ib part, named parts).  Every pair runs from a NIC
-        write to a po-later event.
+    def polls_from(self, events: Sequence[Event], at: Mapping[tuple, int]
+                   ) -> tuple[frozenset, frozenset, dict]:
+        """(so part, ib part, named parts), as pairs of positions: ``at``
+        maps (index in ``events``, stamp kind) to the position of that
+        event's subevent.  Every pair runs from a NIC write to a po-later
+        event.
 
         A wait synchronises with the local write part of each po-earlier
         get with its work identifier; a waited put's remote write is only
@@ -127,16 +139,19 @@ class RdmaLib(Library):
         """
         wait, get, put = self.roles["wait"], self.roles["get"], self.roles["put"]
         pfg, pfp = [], []
-        for e1, e2 in plain.po:
+        for k2, e2 in enumerate(events):
             if e2.method != wait:
                 continue
             d = e2.args[0]
-            if e1.method == get and e1.args[2] == d:
-                (a,) = [a for a in stmp[e1] if a.kind == "nLW"]
-                pfg.append((SubEvent(e1, a), SubEvent(e2, AWT)))
-            elif e1.method == put and e1.args[2] == d:
-                (a,) = [a for a in stmp[e1] if a.kind == "nRW"]
-                pfp.append((SubEvent(e1, a), SubEvent(e2, AWT)))
+            # The po-earlier events: those of its thread listed before it.
+            for k1 in range(k2 - 1, -1, -1):
+                e1 = events[k1]
+                if e1.tid != e2.tid:
+                    break
+                if e1.method == get and e1.args[2] == d:
+                    pfg.append((at[k1, "nLW"], at[k2, "aWT"]))
+                elif e1.method == put and e1.args[2] == d:
+                    pfp.append((at[k1, "nRW"], at[k2, "aWT"]))
         pfg, pfp = frozenset(pfg), frozenset(pfp)
         return pfg, pfg | pfp, {"pfg": pfg, "pfp": pfp}
 
@@ -147,112 +162,91 @@ class RdmaLib(Library):
         return final_values(w)
 
     def frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo=None,
-              memo=None) -> SimpleNamespace | None:
+              shape: Shape | None = None) -> SimpleNamespace | None:
         """What the shape of ``plain`` decides of its witness search, in
-        the positions of its ``numbering``: the `Coherence` ``search``, the
-        ``pinned`` reads (position, index of the event in ``plain``) and
-        the pruning ``order``; polls-from's so part ``so_pf`` and its named
-        ``pf_parts``; ``iso``; ib's ``fixed`` part, closed, and the
+        the positions of the shape's numbering: the `Coherence` ``search``,
+        the ``pinned`` reads (position, index of the event in ``plain``)
+        and the pruning ``order``; polls-from's so part ``so_pf`` and its
+        named ``pf_parts``; ``iso``; ib's ``fixed`` part, closed, and the
         positions ``inst`` of its instantaneous items; the ``internal`` rf
         pairs and the candidate internal fr pairs ``fr_int``; and the
         ``forced`` and ``free`` nfo pairs.  None when the node discipline
         fails or the fixed so pairs close a cycle with ppo, so that no
-        witness exists.  Built once per shape in ``memo``
-        (`base.shared_frame`)."""
-        return shared_frame(memo, self.name,
-                            lambda: self._build_frame(plain, stmp, cfg, ppo))
+        witness exists.  Built once per ``shape`` (`base.shared_frame`)."""
+        shape = shape or slice_shape(plain, stmp, self.name)
+        return shared_frame(shape, self.name,
+                            lambda: self._build_frame(plain, shape, cfg, ppo))
 
-    def _build_frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo):
+    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig, ppo):
         role_of = self.role_of
-        for e in plain.events:
+        events = plain.events
+        for e in events:
             self._require(e)
-        for e in plain.events:
+        for e in events:
             k = LOCAL_ARG.get(role_of.get(e.method))
             if k is not None and (cfg.node_of_loc(e.args[k])
                                   != cfg.node_of_thread(e.tid)):
                 return None
-        num = Numbering(plain, stmp)
-        subs, at = num.subs, num.position
-        so_pf, ib_pf, pf_parts = self.polls_from(plain, stmp)
-        so_pf, ib_pf = num.positions(so_pf), num.positions(ib_pf)
-        pf_parts = {k: num.positions(v) for k, v in pf_parts.items()}
+        num = shape.numbering
+        own = num.own[self.name]
+        kind = {p: a.kind for p, _k, a in own}
+        at = {(k, a.kind): p for p, k, a in own}
+        ev = {p: events[k] for p, k, _a in own}
+        so_pf, ib_pf, pf_parts = self.polls_from(events, at)
 
-        reads = [p for p, _k, a in num.own if a.kind in READ_KINDS]
-        writes = [p for p, _k, a in num.own if a.kind in WRITE_KINDS]
-        kind = {p: a.kind for p, _k, a in num.own}
+        reads = [p for p, _k, a in own if a.kind in READ_KINDS]
+        writes = [p for p, _k, a in own if a.kind in WRITE_KINDS]
 
-        def place_of(s: SubEvent) -> tuple:
+        def place_of(p: int) -> tuple:
             """(location, node): the read part of a put or get reads its
             source argument, every other part accesses args[0]."""
-            x = s.event.args[1 if s.stamp.kind in ("nLR", "nRR") else 0]
+            x = ev[p].args[1 if kind[p] in ("nLR", "nRR") else 0]
             return x, cfg.node_of_loc(x)
 
-        place = {p: place_of(subs[p]) for p in reads + writes}
+        place = {p: place_of(p) for p in reads + writes}
 
         # Label-determined values: what CPU reads and CASes return, what
         # CPU writes and successful CASes store.
-        reading = set(reads)
-        pinned = tuple((p, k) for p, k, _a in num.own
-                       if p in reading and role_of[subs[p].event.method] in ("read", "cas"))
+        pinned = tuple((p, k) for p, k, a in own if a.kind in READ_KINDS
+                       and role_of[events[k].method] in ("read", "cas"))
         stored = {"write": 1, "cas": 2}     # the argument a write part stores
-        write_value = {p: subs[p].event.args[stored[role_of[subs[p].event.method]]]
-                       for p in writes if role_of[subs[p].event.method] in stored}
+        write_value = {p: ev[p].args[stored[role_of[ev[p].method]]]
+                       for p in writes if role_of[ev[p].method] in stored}
 
         # A put or get is a (read part, write part) pair that moves one
         # value and is ordered inside the event (iso); so is a failed CAS's
         # fence before its read.  The read part (or fence) is listed first.
         carrier, iso_pairs = {}, []
-        for e in plain.events:
+        for k, e in enumerate(events):
             role = role_of.get(e.method)
-            kinds = {a.kind: a for a in stmp[e]}
             if role in ("put", "get"):
-                r, w = ((at(e, kinds["nLR"]), at(e, kinds["nRW"])) if role == "put"
-                        else (at(e, kinds["nRR"]), at(e, kinds["nLW"])))
+                r, w = ((at[k, "nLR"], at[k, "nRW"]) if role == "put"
+                        else (at[k, "nRR"], at[k, "nLW"]))
                 carrier[w] = r
-            elif role == "cas" and "aMF" in kinds:
-                r, w = at(e, kinds["aMF"]), at(e, kinds["aCR"])
+            elif role == "cas" and (k, "aMF") in at:
+                r, w = at[k, "aMF"], at[k, "aCR"]
             else:
                 continue
             iso_pairs.append((r, w))
         iso = frozenset(iso_pairs)
 
-        def ib_before(i: int, j: int) -> bool:
-            """ib's fixed part: iso inside an event; between events, ippo
-            (ppo with CPU-write -> CPU-read/wait and NIC-write -> same-node
-            NIC-fence program order) and polls-from."""
-            if i not in kind or j not in kind:
-                return False
-            s1, s2 = subs[i], subs[j]
-            if s1.event is s2.event:
-                return (i, j) in iso
-            if not po_before(s1.event, s2.event):
-                return False
-            a1, a2 = s1.stamp, s2.stamp
-            return (stamp_order(a1, a2)
-                    or a1.kind == "aCW" and a2.kind in ("aCR", "aWT")
-                    or (a1.kind in ("nRW", "nLW") and a2.kind == "nF"
-                        and a1.node == a2.node)
-                    or (i, j) in ib_pf)
-
         # NIC flush order: orient each same-thread same-node (local read, local
         # write) and (remote read, remote write) pair; orientations the stamp
         # order already implies are fixed, the rest are enumerated, in
-        # program order with each event's stamps in ``repr`` order.
+        # program order with each event's stamps in ``repr`` order.  A pair
+        # joins two events, the first one po-earlier.
         forced_nfo, free_nfo = [], []
-        nic = [p for _k, _r, p in sorted((k, repr(a), p) for p, k, a in num.own
-                                         if a.kind in ("nLR", "nLW", "nRR", "nRW"))]
-        for i, p1 in enumerate(nic):
-            s1 = subs[p1]
-            for p2 in nic[i + 1:]:
-                s2 = subs[p2]
-                kinds = {s1.stamp.kind, s2.stamp.kind}
-                if (s1.tid != s2.tid or s1.stamp.node != s2.stamp.node
+        nic = [(p, a) for _k, _r, p, a in sorted((k, repr(a), p, a) for p, k, a in own
+                                                 if a.kind in ("nLR", "nLW", "nRR", "nRW"))]
+        direct = num.direct_ppo
+        for i, (p1, a1) in enumerate(nic):
+            for p2, a2 in nic[i + 1:]:
+                kinds = {a1.kind, a2.kind}
+                if (num.tid[p1] != num.tid[p2] or a1.node != a2.node
                         or kinds != {"nLR", "nLW"} and kinds != {"nRR", "nRW"}):
                     continue
-                if ppo_before(s1, s2):
+                if direct[p1] >> p2 & 1:
                     forced_nfo.append((p1, p2))
-                elif ppo_before(s2, s1):
-                    forced_nfo.append((p2, p1))
                 else:
                     free_nfo.append((p1, p2))
 
@@ -260,8 +254,11 @@ class RdmaLib(Library):
         # part runs forward along the numbering: ippo and polls-from
         # po-forward between events, and iso inside one event, from a read
         # part to its write part or from a failed CAS's fence to its read.
-        fixed = IncrementalOrder(range(num.size), ib_before)
-        inst = tuple(p for p, _k, a in num.own if a.kind not in ("aCW", "nLW", "nRW"))
+        rows = ppo_rows(num.size, [(p, num.tid[p], k, a) for p, k, a in own], IPPO)
+        for r, w in iso | ib_pf:
+            rows[r] |= 1 << w
+        fixed = IncrementalOrder(range(num.size), rows)
+        inst = tuple(p for p, _k, a in own if a.kind not in ("aCW", "nLW", "nRW"))
 
         # Every witness's so holds the pairs of ``fixed`` from its
         # instantaneous items, polls-from's so part and the forced nfo
@@ -276,21 +273,22 @@ class RdmaLib(Library):
         search, internal = num.coherence(reads, writes, place, write_value, carrier)
         fr_int = frozenset((r, w) for r in reads for w in writes
                            if kind[r] == "aCR" and kind[w] == "aCW"
-                           and subs[r].tid == subs[w].tid)
+                           and num.tid[r] == num.tid[w])
         return SimpleNamespace(
-            numbering=num, search=search, pinned=pinned, order=base,
+            search=search, pinned=pinned, order=base,
             so_pf=so_pf, pf_parts=pf_parts, iso=iso, fixed=fixed, inst=inst,
             internal=internal, fr_int=fr_int, forced=forced_nfo, free=free_nfo)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo=None, memo=None) -> Iterator[Witness]:
+                  ppo=None, shape=None) -> Iterator[Witness]:
         if not self.extra_valid(plain, cfg):
             return
-        f = self.frame(plain, stmp, cfg, ppo, memo)
+        shape = shape or slice_shape(plain, stmp, self.name)
+        f = self.frame(plain, stmp, cfg, ppo, shape)
         if f is None:
             return
         events = plain.events
-        names = f.numbering.names(events)
+        names = shape.numbering.names(self.name, events)
 
         def oriented(i: int, order: IncrementalOrder, nfo: tuple):
             """Each acyclic orientation of the free nfo pairs from the

@@ -19,7 +19,7 @@ wait-based model of ``RdmaLib``.
 from __future__ import annotations
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution, SubEvent
+from ..events import Event
 from ..lang import Pools
 from ..stamps import AMF, AWT
 from .rdma_core import RdmaLib
@@ -70,7 +70,7 @@ class RdmaTsoLib(RdmaLib):
         """`polls_from` reads the identifiers of gets, puts and polls."""
         return e.output if e.method in (TSO_GET, TSO_PUT, POLL) else None
 
-    def polls_from(self, plain: PlainExecution, stmp):
+    def polls_from(self, events, at):
         """Each poll polls from the NIC write of the operation whose
         identifier it returns.
 
@@ -81,14 +81,15 @@ class RdmaTsoLib(RdmaLib):
         returned, so each NIC write is polled at most once, by a po-later
         poll, and the writes toward a node are polled in program order.
         """
-        ops = {e.output: e for e in plain.events if e.method in (TSO_GET, TSO_PUT)}
-        pf = []
-        for p in plain.events:
+        ops = {e.output: k for k, e in enumerate(events) if e.method in (TSO_GET, TSO_PUT)}
+        pf, so_pf = [], []
+        for k, p in enumerate(events):
             if p.method == POLL:
                 src = ops[p.output]
-                kind = "nLW" if src.method == TSO_GET else "nRW"
-                (a,) = [a for a in stmp[src] if a.kind == kind]
-                pf.append((SubEvent(src, a), SubEvent(p, AWT)))
+                pair = (at[src, "nLW" if events[src].method == TSO_GET else "nRW"],
+                        at[k, "aWT"])
+                pf.append(pair)
+                if events[src].method == TSO_GET:
+                    so_pf.append(pair)
         rel = frozenset(pf)
-        so_pf = frozenset((w, p) for w, p in rel if w.stamp.kind == "nLW")
-        return so_pf, rel, {"pf": rel}
+        return frozenset(so_pf), rel, {"pf": rel}

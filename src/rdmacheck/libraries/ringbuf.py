@@ -23,7 +23,7 @@ from ..lang import Pools
 from ..relations import Pair
 from ..stamps import ACR, ACW, AWT, nRW
 from ..values import BOT
-from .base import Library, Numbering, Witness, shared_frame
+from .base import Library, Witness, slice_shape
 
 SUBMIT, RECEIVE = "submit", "receive"
 
@@ -70,7 +70,7 @@ class RingBufferLib(Library):
         return not any((b, a) in hb for a, b in w.rel_for("fb", hb))
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo=None, memo=None) -> Iterator[Witness]:
+                  ppo=None, shape=None) -> Iterator[Witness]:
         for e in plain.events:
             self._require(e)
             x = e.args[0]
@@ -81,22 +81,21 @@ class RingBufferLib(Library):
 
         node = cfg.node_of_thread
         # Subevents are positions (`base.Numbering`); ``ev`` is each one's event.
-        num = shared_frame(memo, self.name, lambda: Numbering(plain, stmp))
-        ev = {p: plain.events[k] for p, k, _a in num.own}
-        at = num.position
+        num = (shape or slice_shape(plain, stmp, self.name)).numbering
+        own = num.own[self.name]
+        ev = {p: plain.events[k] for p, k, _a in own}
 
         # Write subevents of message m on node n: exactly one per (m, n).
+        # A successful submit's stamps are writes, its CPU write first.
         writes: dict[tuple, list[int]] = {}   # (x, n) -> po-ordered writes
-        for e in plain.events:
+        for p, _k, a in own:
+            e = ev[p]
             if e.method == SUBMIT and e.output is True:
-                for a in stmp[e]:
-                    n = node(e.tid) if a.kind == "aCW" else a.node
-                    writes.setdefault((e.args[0], n), []).append(at(e, a))
+                n = node(e.tid) if a.kind == "aCW" else a.node
+                writes.setdefault((e.args[0], n), []).append(p)
 
-        reads = [at(e, ACR) for e in plain.events
-                 if e.method == RECEIVE and e.output is not BOT]
-        fails = [at(e, AWT) for e in plain.events
-                 if e.method == RECEIVE and e.output is BOT]
+        reads = [p for p, _k, a in own if ev[p].method == RECEIVE and a.kind == "aCR"]
+        fails = [p for p, _k, a in own if ev[p].method == RECEIVE and a.kind == "aWT"]
 
         def place(s: int) -> tuple:
             return (ev[s].args[0], node(ev[s].tid))
@@ -144,7 +143,7 @@ class RingBufferLib(Library):
                         fb.append((f, w))
             fb = frozenset(fb)
             so = rf | fb if self.mode == STRICT else rf
-            yield Witness(self.name, so, names=num.names(plain.events),
+            yield Witness(self.name, so, names=num.names(self.name, plain.events),
                           vR={r: ev[r].output for r in reads},
                           vW={w: ev[w].args[1] for ws in writes.values() for w in ws},
                           rels={"rf": rf, "fb": fb},

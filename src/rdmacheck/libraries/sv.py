@@ -5,15 +5,15 @@ sv_gf(nodes).  Reads and writes touch only the caller's node replica; a
 broadcast reads the local replica once per target node and overwrites the
 target replicas; sv_wait(d) synchronises with the read parts of earlier
 broadcasts tagged d; the global fence orders everything via its stamps.
-A witness is a ``base.coherence`` choice over (location, node) replicas,
+A witness is a ``base.Coherence`` choice over (location, node) replicas,
 a broadcast's write part carrying what its read part saw, in which no CPU
 read reads past a po-later CPU write.  Polls-from (pf), the broadcast's
 intra-event order (iso), the coherence search but the values reads
 return, and its pruning order, ppo grown by pf and iso, are decided by
 the execution's shape: `frame` builds them once per shape in one outcome
-computation, naming subevents by position (`base.Numbering`), and every
-later execution of the shape uses them as they are, reading only its
-pinned reads' outputs off its events.
+computation, in the positions of the shape's `base.Numbering` and with
+no subevent, and every later execution of the shape uses them as they
+are, reading only its pinned reads' outputs off its events.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from types import SimpleNamespace
 from typing import Iterator
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution, po_before
+from ..events import Event, PlainExecution
 from ..lang import Carried, Pools
 from ..stamps import ACR, ACW, AWT, GF, nLR, nRW
 from ..values import UNIT
-from .base import Library, Numbering, Witness, final_values, shared_frame
+from .base import Library, Shape, Witness, final_values, shared_frame, slice_shape
 
 WRITE, READ, BCAST, WAIT, GFENCE = "sv_write", "sv_read", "sv_bcast", "sv_wait", "sv_gf"
 
@@ -68,45 +68,50 @@ class SharedVarLib(Library):
         return final_values(w)
 
     def frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo=None,
-              memo=None) -> SimpleNamespace | None:
+              shape: Shape | None = None) -> SimpleNamespace | None:
         """What the shape of ``plain`` decides of its witness search, in
-        the positions of its ``numbering``: the `Coherence` ``search``, the
-        ``pinned`` reads (position, index of the event in ``plain``), the
-        pruning ``order``, ``pf``, ``iso``, the ``internal`` rf pairs and
-        the CPU (read, later write) pairs ``past``; or None when pf and iso
-        close a cycle with ppo, so that no witness exists.  Built once per
-        shape in ``memo`` (`base.shared_frame`)."""
-        return shared_frame(memo, self.name,
-                            lambda: self._build_frame(plain, stmp, cfg, ppo))
+        the positions of the shape's numbering: the `Coherence` ``search``,
+        the ``pinned`` reads (position, index of the event in ``plain``),
+        the pruning ``order``, ``pf``, ``iso``, the ``internal`` rf pairs
+        and the CPU (read, later write) pairs ``past``; or None when pf
+        and iso close a cycle with ppo, so that no witness exists.  Built
+        once per ``shape`` (`base.shared_frame`)."""
+        shape = shape or slice_shape(plain, stmp, self.name)
+        return shared_frame(shape, self.name,
+                            lambda: self._build_frame(plain, shape, cfg, ppo))
 
-    def _build_frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo):
-        for e in plain.events:
+    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig, ppo):
+        events = plain.events
+        for e in events:
             self._require(e)
-        num = Numbering(plain, stmp)
-        subs, at = num.subs, num.position
-        reads = [p for p, _k, a in num.own if a.kind in ("aCR", "nLR")]
-        writes = [p for p, _k, a in num.own if a.kind in ("aCW", "nRW")]
+        num = shape.numbering
+        own = num.own[self.name]
+        ev = {p: events[k] for p, k, _a in own}
+        kind = {p: a.kind for p, _k, a in own}
+        at = {(k, a.kind, a.node): p for p, k, a in own}
+        reads = [p for p, _k, a in own if a.kind in ("aCR", "nLR")]
+        writes = [p for p, _k, a in own if a.kind in ("aCW", "nRW")]
         # A replica is a (location, node) place: a broadcast's write part
         # targets its node's replica, everything else the caller's.
-        place = {p: (subs[p].event.args[0], subs[p].stamp.node if subs[p].stamp.kind == "nRW"
-                     else cfg.node_of_thread(subs[p].tid))
+        place = {p: (ev[p].args[0], num.stamp[p].node if kind[p] == "nRW"
+                     else cfg.node_of_thread(ev[p].tid))
                  for p in reads + writes}
-        pinned = tuple((p, k) for p, k, a in num.own
-                       if a.kind == "aCR" and subs[p].event.method == READ)
-        write_value = {p: subs[p].event.args[1] for p in writes
-                       if subs[p].event.method == WRITE}
-        carrier = {at(e, nRW(n)): at(e, nLR(n))
-                   for e in plain.events if e.method == BCAST for n in e.args[2]}
+        pinned = tuple((p, k) for p, k, a in own
+                       if a.kind == "aCR" and events[k].method == READ)
+        write_value = {p: ev[p].args[1] for p in writes if ev[p].method == WRITE}
+        carrier = {p: at[k, "nLR", a.node] for p, k, a in own if a.kind == "nRW"}
         past = frozenset((r, w) for r in reads for w in writes
-                         if subs[r].stamp.kind == "aCR" and subs[w].stamp.kind == "aCW"
-                         and po_before(subs[w].event, subs[r].event))
+                         if kind[r] == "aCR" and kind[w] == "aCW"
+                         and num.tid[w] == num.tid[r] and w < r)
 
-        # pf and iso do not depend on the witness choice.
-        pf = frozenset((at(e1, a), at(e2, AWT))
-                       for (e1, e2) in plain.po
-                       if e1.method == BCAST and e2.method == WAIT
-                       and e1.args[1] == e2.args[0]
-                       for a in stmp[e1] if a.kind == "nLR")
+        # pf and iso do not depend on the witness choice.  A wait polls
+        # from the read parts of its thread's po-earlier broadcasts with
+        # its tag.
+        waits = [(k, e.tid, e.args[0]) for k, e in enumerate(events) if e.method == WAIT]
+        pf = frozenset((p, at[k2, "aWT", None])
+                       for p, k1, a in own if a.kind == "nLR"
+                       for k2, t, d in waits
+                       if t == num.tid[p] and k1 < k2 and ev[p].args[1] == d)
         iso = frozenset((r, w) for w, r in carrier.items())
 
         # Every witness's so holds pf and iso: coherence is pruned against
@@ -117,17 +122,17 @@ class SharedVarLib(Library):
             if not order.add_edges(pf | iso):
                 return None
         search, internal = num.coherence(reads, writes, place, write_value, carrier)
-        return SimpleNamespace(numbering=num, search=search, pinned=pinned,
-                               order=order, pf=pf, iso=iso, internal=internal,
-                               past=past)
+        return SimpleNamespace(search=search, pinned=pinned, order=order, pf=pf,
+                               iso=iso, internal=internal, past=past)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo=None, memo=None) -> Iterator[Witness]:
-        f = self.frame(plain, stmp, cfg, ppo, memo)
+                  ppo=None, shape=None) -> Iterator[Witness]:
+        shape = shape or slice_shape(plain, stmp, self.name)
+        f = self.frame(plain, stmp, cfg, ppo, shape)
         if f is None:
             return
         events = plain.events
-        names = f.numbering.names(events)
+        names = shape.numbering.names(self.name, events)
         for rf, mo, rb, vR, vW, by_place in f.search.search(
                 {p: events[k].output for p, k in f.pinned},
                 lambda p: cfg.init_of(*p), f.order):

@@ -3,18 +3,20 @@
 A relation is a ``frozenset`` of pairs; the carrier is whatever hashable
 items appear in them, and set operations and comprehensions are the
 algebra.  ``IncrementalOrder`` is the only closure: it closes a relation
-that runs forward along a list of items in one backward sweep, and then
-grows it edge by edge, or by the rows of another order, with a cycle
-veto.  On the checker's path the items are positions: ``range(n)`` over
-the subevent list of an execution shape, along which ppo is swept once
-per shape.  ib's fixed part runs forward along the same positions, and
-every order grown from them (the libraries' pruning orders, ib per
+that runs forward along a list of items, given as each item's row of
+direct successors, in one backward sweep, and then grows it edge by edge,
+or by the rows of another order, with a cycle veto.  On the checker's
+path the items are positions: ``range(n)`` over the subevent list of an
+execution shape (`libraries.base.Numbering`), whose direct rows ppo and
+ib's fixed part read off stamp tables by position (`stamps.ppo_rows`).
+Every order grown from them (the libraries' pruning orders, ib per
 choice, hb) shares that numbering, so hb absorbs ib's rows as they are.
-An order becomes a pair set only when something reads its pairs, named
-by the subevents of the execution that reads them: ib, ``inst_ib``, so
-and hb are built for a dump or a test, never on the checker's path.
-``lambda_consistent`` adds so to ppo over the subevents themselves and
-rejects a cycle.
+A caller with a pair predicate builds the direct rows with
+`forward_rows`.  An order becomes a pair set only when something reads
+its pairs, named by the subevents of the execution that reads them: ib,
+``inst_ib``, so and hb are built for a dump or a test, never on the
+checker's path.  ``lambda_consistent`` adds so to ppo over the subevents
+themselves and rejects a cycle.
 """
 
 from __future__ import annotations
@@ -28,15 +30,16 @@ Pair = tuple[Hashable, Hashable]
 class IncrementalOrder:
     """Grow-only transitive relation with a cycle veto, over bitset rows.
 
-    ``IncrementalOrder(items, before)`` is the closure of ``before`` over
-    ``items``, where ``before(a, b)`` may hold only when ``a`` is listed
-    before ``b``; pairs the other way are never asked for, so the base is
-    acyclic.  Row i is an int whose bit j is set when item j follows item
-    i.  One backward sweep closes the base: row i is the OR, over every
-    later j with ``before(items[i], items[j])``, of bit j and row j, which
-    is already closed.  Edges and membership name the items themselves,
-    and `pairs` names them by the items or by given names: ppo is swept
-    over ``range(n)``, the positions of an execution's subevents.
+    ``IncrementalOrder(items, direct)`` is the closure of the relation
+    whose row i, ``direct[i]``, has bit j set for each item j that directly
+    follows item i; only later items may, so the base is acyclic.  Row i
+    is an int whose bit j is set when item j follows item i.  One backward
+    sweep closes the base: row i is the OR, over the bits j of
+    ``direct[i]``, of bit j and row j, which is already closed; a bit that
+    an earlier row taken in already holds adds nothing and is skipped.
+    Edges and membership name the items themselves, and `pairs` names them
+    by the items or by given names: ppo is closed over ``range(n)``, the
+    positions of an execution's subevents.
 
     Any addition that would close a cycle fails fast: `add_edges` and
     `absorb` return False (and roll back nothing: copy before speculative
@@ -48,15 +51,16 @@ class IncrementalOrder:
 
     __slots__ = ("index", "items", "rows")
 
-    def __init__(self, items: Sequence, before: Callable[[Hashable, Hashable], bool]):
+    def __init__(self, items: Sequence, direct: Sequence[int]):
         items = self.items = items if isinstance(items, range) else list(items)
         self.index = {x: i for i, x in enumerate(items)}
         rows = self.rows = [0] * len(items)
         for i in range(len(items) - 2, -1, -1):
-            a, r = items[i], 0
-            for j, b in enumerate(items[i + 1:], i + 1):
-                if before(a, b):
-                    r |= 1 << j | rows[j]
+            todo, r = direct[i], 0
+            while todo:
+                low = todo & -todo
+                r |= low | rows[low.bit_length() - 1]
+                todo &= ~r
             rows[i] = r
 
     def copy(self) -> "IncrementalOrder":
@@ -138,6 +142,15 @@ class IncrementalOrder:
                 pairs.append((names[i], names[low.bit_length() - 1]))
                 r ^= low
         return frozenset(pairs)
+
+
+def forward_rows(items: Sequence, before: Callable[[Hashable, Hashable], bool]) -> list[int]:
+    """Each item's row of direct successors under ``before``, which may
+    hold only when its first item is listed before its second: bit j of
+    row i is set when ``before(items[i], items[j])``.  Only forward pairs
+    are asked."""
+    return [sum(1 << j for j in range(i + 1, len(items)) if before(a, items[j]))
+            for i, a in enumerate(items)]
 
 
 class OnRead(Mapping):

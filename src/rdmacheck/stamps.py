@@ -7,9 +7,16 @@ to a stable text form that tests diff against a hand-checked transcription
 
 Cell values: 'Y' = ordered, 'N' = unordered, 'S' = ordered iff the two
 stamps carry the same node index.
+
+The checker reads ppo off the table by position (`ppo_rows`): per thread,
+bitmasks of the later subevents of each kind and of each (kind, node),
+ORed together by the table's row for each subevent.  Issued-before's
+fixed part reads its own table the same way.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Mapping
 
 from .events import PlainExecution, Stamp, Stamping, SubEvent, po_before
 
@@ -82,6 +89,64 @@ def ppo_before(s1: SubEvent, s2: SubEvent) -> bool:
     return po_before(s1.event, s2.event) and stamp_order(s1.stamp, s2.stamp)
 
 
+def columns(table: Mapping[tuple[str, str], str]) -> dict[str, tuple[bool, tuple, tuple]]:
+    """Per earlier kind, how `ppo_rows` reads its row of a ``table`` shaped
+    like ``TABLE``: ``(every, kinds, same_node)``.  With ``every``, the row
+    is every later kind but ``kinds``, its 'N' and 'S' cells; else only
+    ``kinds``, its 'Y' cells; either way plus ``same_node``, its 'S' cells'
+    kinds, at the earlier stamp's node.  Whichever asks fewer kinds."""
+    out = {}
+    for r in KINDS:
+        cells = {v: tuple(c for c in KINDS if table[r, c] == v) for v in "YNS"}
+        every = len(cells["N"]) + len(cells["S"]) < len(cells["Y"])
+        out[r] = (every, cells["N"] + cells["S"] if every else cells["Y"], cells["S"])
+    return out
+
+
+PPO = columns(TABLE)
+
+
+def ppo_rows(size: int, items: Iterable[tuple[int, int, int, Stamp]],
+             cols: Mapping[str, tuple[bool, tuple, tuple]] = PPO) -> list[int]:
+    """The direct rows of preserved program order over ``size`` positions,
+    or of an order read off another table's ``cols`` the same way.
+
+    ``items`` are (position, thread, event, stamp), in position order,
+    each thread's and each event's positions together.  Row p has bit q
+    for each item q of p's thread and a later event whose stamp the table
+    orders after p's; rows of positions not in ``items`` stay empty.  One
+    backward walk keeps, per thread, the later events' positions: all of
+    them, by kind and by (kind, node); so no pair of subevents is asked."""
+    rows = [0] * size
+    later: dict = {}
+    pending: list = []
+    thread = event = None
+    every = 0
+    for p, t, i, a in reversed(list(items)):
+        if i != event or t != thread:
+            if t != thread:
+                later, every, thread = {}, 0, t
+            else:
+                for q, b in pending:
+                    bit = 1 << q
+                    every |= bit
+                    later[b.kind] = later.get(b.kind, 0) | bit
+                    if b.node is not None:
+                        later[b.kind, b.node] = later.get((b.kind, b.node), 0) | bit
+            pending, event = [], i
+        all_but, kinds, same_node = cols[a.kind]
+        r = 0
+        for k in kinds:
+            r |= later.get(k, 0)
+        if all_but:
+            r = every & ~r
+        for k in same_node:
+            r |= later.get((k, a.node), 0)
+        rows[p] = r
+        pending.append((p, a))
+    return rows
+
+
 def render_table() -> str:
     """Stable text rendering of the order table, one row per earlier stamp."""
     width = 5
@@ -96,8 +161,8 @@ def render_table() -> str:
 def derive_ppo(plain: PlainExecution, stmp: Stamping) -> frozenset:
     """Program order lifted to subevents and filtered by the stamp order.
 
-    The checker closes ppo in one sweep with ``ppo_before`` instead; this
-    pair set is the reference its closure is tested against."""
+    The checker closes ppo from `ppo_rows` instead; this pair set is the
+    reference its closure is tested against."""
     pairs = []
     for e1, e2 in plain.po:
         for a1 in stmp[e1]:

@@ -24,8 +24,8 @@ from rdmacheck.checker import (Bounds, enumerate_consistent, lambda_consistent,
                                outcomes, pools, stamp_events)
 from rdmacheck.events import Execution, SubEvent, subevent_list
 from rdmacheck.lang import interpret_conc
-from rdmacheck.libraries.base import Library, Witness
-from rdmacheck.relations import IncrementalOrder
+from rdmacheck.libraries.base import Library, Numbering, Witness
+from rdmacheck.relations import IncrementalOrder, forward_rows
 from rdmacheck.stamps import ACR, AMF, derive_ppo, ppo_before
 from rdmacheck.values import UNIT
 
@@ -96,7 +96,7 @@ def eager_combinations(plain, libs, cfg):
                 yield from rec(i + 1, o2, chosen + [(lib, w)])
 
     subevents = [SubEvent(e, a) for e in plain.events for a in stmp[e]]
-    yield from rec(0, IncrementalOrder(subevents, ppo_before), [])
+    yield from rec(0, IncrementalOrder(subevents, forward_rows(subevents, ppo_before)), [])
 
 
 # The corpus workload's files and two compiled sides of the soundness
@@ -144,9 +144,10 @@ def test_same_combinations_in_the_same_order_as_the_eager_search(tmp_path, path,
 def test_the_swept_ppo_is_the_closure_of_derive_ppo(path, tower):
     cfg, libs, res = unfold_searched(path, tower)
     for _vals, plain in res.results:
-        stmp, _per_lib = stamp_events(plain, libs, cfg)
+        stmp, per_lib = stamp_events(plain, libs, cfg)
         # ppo is swept over positions, named by the execution's list.
-        assert (checker.ppo_order(plain, stmp).pairs(None, subevent_list(plain.events, stmp))
+        ppo = checker.ppo_order(Numbering(plain.events, stmp, per_lib))
+        assert (ppo.pairs(None, subevent_list(plain.events, stmp))
                 == frozenset(naive_closure(derive_ppo(plain, stmp))))
     assert res.results
 
@@ -188,7 +189,7 @@ def test_pruning_by_ppo_drops_only_witnesses_that_hb_vetoes(tmp_path, name, path
     dropped = 0
     for _vals, plain in res.results:
         stmp, per_lib = stamp_events(plain, libs, cfg)
-        ppo = checker.ppo_order(plain, stmp)
+        ppo = checker.ppo_order(Numbering(plain.events, stmp, per_lib))
         rows = list(ppo.rows)
         for lib in libs:
             if lib.name not in ("sv", "rl", "tso", "msw"):
@@ -231,7 +232,7 @@ class Counted(Library):
     def outputs(self, method, args, tid, state, profile, cfg):
         return ((UNIT, state),)
 
-    def witnesses(self, plain, stmp, cfg, ppo=None, memo=None):
+    def witnesses(self, plain, stmp, cfg, ppo=None, shape=None):
         self.calls += 1
         if self.asks_ppo:
             self.ppos.append(ppo())
@@ -251,13 +252,13 @@ def _one_plain(libs, cfg):
 
 @pytest.fixture
 def ppo_calls(monkeypatch):
-    """The plain executions whose ppo order the checker builds."""
+    """The numberings whose ppo order the checker builds."""
     calls = []
     ppo_order = checker.ppo_order
 
-    def counted(plain, stmp):
-        calls.append(plain)
-        return ppo_order(plain, stmp)
+    def counted(num):
+        calls.append(num)
+        return ppo_order(num)
 
     monkeypatch.setattr(checker, "ppo_order", counted)
     return calls

@@ -1,13 +1,14 @@
 """Per-shape frames: plain executions that differ only in what their reads
-return share their ppo, and each library's shape-decided part of the
-witness search, within one outcome computation.  Frames name subevents by
-position, so the frame a later execution of a shape takes from a memo
-shared by every execution of an item equals one built afresh for it, and
-such an execution builds no subevent unless something reads one.  The
-search gives the same combinations, in the same order, with a shared memo
-as with a fresh one.  Each event lists its read part first, so ib's fixed
-part runs forward along ppo's positions.  No frame outlives the
-``outcomes`` call that built it."""
+return share their numbering, their ppo, and each library's shape-decided
+part of the witness search, within one outcome computation.  Frames name
+subevents by position, so the frame a later execution of a shape takes
+from a memo shared by every execution of an item equals one built afresh
+for it, and frames are read off positions: no execution builds a
+subevent unless something reads one, and each shape is numbered once for
+all its libraries.  The search gives the same combinations, in the same
+order, with a shared memo as with a fresh one.  Each event lists its read
+part first, so ib's fixed part runs forward along ppo's positions.  No
+frame outlives the ``outcomes`` call that built it."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from test_tower_verdicts import ITEMS, item_id
 from rdmacheck import checker, compilers
 from rdmacheck.checker import enumerate_consistent, stamp_events
 from rdmacheck.events import SubEvent
-from rdmacheck.libraries.base import Coherence, Numbering
+from rdmacheck.libraries.base import Coherence, Numbering, Shape
 from rdmacheck.libraries.rdma_core import RdmaLib
 from rdmacheck.relations import IncrementalOrder
 
@@ -51,13 +52,12 @@ def unfold_case(tmp_path, path, item):
 
 def comparable(x):
     """``x`` with each order as its items and rows, each numbering as its
-    library's positions, and each coherence search as its fields, so that
-    frames built for two executions of a shape compare equal field by
-    field."""
+    positions, and each coherence search as its fields, so that frames
+    built for two executions of a shape compare equal field by field."""
     if isinstance(x, IncrementalOrder):
         return x.items, x.rows
     if isinstance(x, Numbering):
-        return x.own
+        return x.own, x.event, x.tid, x.stamp, x.direct_ppo
     if isinstance(x, Coherence):
         return {k: comparable(getattr(x, k)) for k in Coherence.__slots__}
     if isinstance(x, dict):
@@ -67,10 +67,10 @@ def comparable(x):
     return x
 
 
-def shared_ppo(shape, plain, stmp):
-    """The shape's ppo, swept for ``plain`` when it is the first to ask."""
+def shared_ppo(shape):
+    """The shape's ppo, closed when it is first asked for."""
     if shape.ppo is None:
-        shape.ppo = checker.ppo_order(plain, stmp)
+        shape.ppo = checker.ppo_order(shape.numbering)
     return shape.ppo
 
 
@@ -78,8 +78,8 @@ def shared_ppo(shape, plain, stmp):
                          ids=[n for n, _, _ in CASES])
 def test_a_rebound_frame_is_the_frame_built_afresh(tmp_path, path, item):
     """The frame a later execution of a shape takes from the memo, as it
-    is, equals the frame built afresh for it, and so does the shape's
-    ppo."""
+    is, equals the frame built afresh for it, and so do the shape's
+    numbering and ppo."""
     cfg, libs, res = unfold_case(tmp_path, path, item)
     memo = {}
     later = 0
@@ -87,15 +87,17 @@ def test_a_rebound_frame_is_the_frame_built_afresh(tmp_path, path, item):
         stamped = stamp_events(plain, libs, cfg)
         stmp, per_lib = stamped
         later += stamped.key in memo
-        shape = memo.setdefault(stamped.key, checker.Shape())
-        ppo = shared_ppo(shape, plain, stmp)
-        fresh = checker.ppo_order(plain, stmp)
+        num = Numbering(plain.events, stmp, per_lib)
+        shape = memo.setdefault(stamped.key, Shape(num))
+        assert comparable(shape.numbering) == comparable(num)
+        ppo = shared_ppo(shape)
+        fresh = checker.ppo_order(num)
         assert (ppo.items, ppo.rows) == (fresh.items, fresh.rows)
         for lib in libs:
             if not hasattr(lib, "frame"):
                 continue
             sl = plain.restrict(per_lib[lib.name])
-            got = lib.frame(sl, stmp, cfg, lambda: ppo, shape.libs)
+            got = lib.frame(sl, stmp, cfg, lambda: ppo, shape)
             want = lib.frame(sl, stmp, cfg, lambda: fresh)
             assert comparable(got) == comparable(want)
     assert res.results
@@ -112,7 +114,7 @@ def test_each_event_lists_its_read_part_first(tmp_path, path, item):
     cfg, libs, res = unfold_case(tmp_path, path, item)
     for _vals, plain in res.results:
         stmp, per_lib = stamp_events(plain, libs, cfg)
-        ppo = checker.ppo_order(plain, stmp)
+        ppo = checker.ppo_order(Numbering(plain.events, stmp, per_lib))
         for lib in libs:
             if not isinstance(lib, RdmaLib):
                 continue
@@ -127,33 +129,45 @@ def test_each_event_lists_its_read_part_first(tmp_path, path, item):
 
 
 def test_later_executions_of_a_shape_build_no_subevent(monkeypatch):
-    """With ``outputs_only`` nothing reads a witness's relations, so only
-    the first execution of each shape builds subevents: for its frames and
-    its ppo."""
+    """With ``outputs_only`` nothing reads a witness's relations, and
+    frames and ppo are read off positions, so no execution builds a
+    subevent, the first of each shape included.  Each shape is numbered
+    once, by the checker, for all its libraries."""
     built = []
-    init = SubEvent.__post_init__
+    init, number = SubEvent.__post_init__, Numbering.__init__
 
     def counted(self):
         built[-1][1] += 1
         init(self)
 
+    def numbered(self, *args):
+        built[-1][2] += 1
+        number(self, *args)
+
     enumerate_ = checker.enumerate_consistent
 
     def counted_enumerate(plain, libs, cfg, memo=None):
-        built.append([stamp_events(plain, libs, cfg).key, 0])
+        built.append([stamp_events(plain, libs, cfg).key, 0, 0])
         yield from enumerate_(plain, libs, cfg, memo)
 
-    progs, cfg, libs = compiled(CORPUS / "fig3_sb_get_wait.litmus", ["w"])
     monkeypatch.setattr(SubEvent, "__post_init__", counted)
+    monkeypatch.setattr(Numbering, "__init__", numbered)
     monkeypatch.setattr(checker, "enumerate_consistent", counted_enumerate)
-    assert checker.outcomes(progs, libs, cfg, checker.Bounds(max_events=32),
-                            outputs_only=True).outcomes
-    seen, firsts, later = set(), [], []
-    for key, n in built:
-        (later if key in seen else firsts).append(n)
-        seen.add(key)
-    assert later and not any(later)
-    assert all(firsts)
+    # An RDMA tower's compiled side, and one over two libraries.
+    for stem, impl, events, n_libs in [("fig3_sb_get_wait", "w", 32, 1),
+                                       ("appf_rbl_bal", "rbl", 30, 2)]:
+        progs, cfg, libs = compiled(CORPUS / f"{stem}.litmus", [impl])
+        assert len(libs) == n_libs
+        del built[:]
+        assert checker.outcomes(progs, libs, cfg, checker.Bounds(max_events=events),
+                                outputs_only=True).outcomes
+        seen, firsts, later = set(), [], []
+        for key, n, numberings in built:
+            (later if key in seen else firsts).append((n, numberings))
+            seen.add(key)
+        assert later and not any(n or k for n, k in later)
+        assert not any(n for n, _k in firsts)
+        assert [k for _n, k in firsts] == [1] * len(seen)
 
 
 @pytest.mark.parametrize("path, item", [(p, it) for _, p, it in CASES],
@@ -183,9 +197,9 @@ def test_no_frame_outlives_its_outcome_computation(monkeypatch):
     ppo_order, enumerate_ = checker.ppo_order, checker.enumerate_consistent
     outcomes = compilers.outcomes
 
-    def counted_ppo(plain, stmp):
-        sweeps.append(plain)
-        return ppo_order(plain, stmp)
+    def counted_ppo(num):
+        sweeps.append(num)
+        return ppo_order(num)
 
     def counted_enumerate(plain, libs, cfg, memo=None):
         shapes.append((calls, stamp_events(plain, libs, cfg).key))

@@ -6,9 +6,10 @@ import itertools
 
 import pytest
 
+from rdmacheck.checker import Bounds
 from rdmacheck.events import Event, InvalidInput, PlainExecution
-from rdmacheck.lang import (Call, LetF, Stop, Val, interpret_conc, interpret_seq,
-                            let, seq)
+from rdmacheck.lang import (MAX_EVENTS, Call, LetF, Stop, Val, interpret_conc,
+                            interpret_seq, let, seq)
 
 
 def ev(tid, eid, m="m", args=(), out=0):
@@ -65,6 +66,15 @@ class TestInterpretSeq:
 
     def test_infinite_loop_truncates(self):
         r = interpret_seq(repeat(Call("m", ())), 1, DOM, max_events=4)
+        assert r.results == frozenset() and r.truncated
+
+    def test_endless_recursion_is_cut_at_the_default_cap(self):
+        # The default cap is the outcome computation's, and it cuts an
+        # endless recursion well within the interpreter's recursion limit.
+        assert MAX_EVENTS == Bounds().max_events
+        r = interpret_seq(repeat(Call("m", ())), 1, frozenset({0}))
+        assert r.results == frozenset() and r.truncated
+        r = interpret_conc([Call("m", ()), repeat(Call("m", ()))], frozenset({0}))
         assert r.results == frozenset() and r.truncated
 
     @pytest.mark.parametrize("p", [Stop(), LetF(Call("m", ()), lambda v: Stop()),

@@ -1,7 +1,9 @@
 """Generated-input properties: the mo enumeration against the permutation
 filter it replaced, the coherence search against the union-find rf search
-it replaced, and derived program order against the po that the
-cross-product sequential composition used to store."""
+it replaced, derived program order against the po that the cross-product
+sequential composition used to store, and, on generated stamped
+executions, ppo and ib's fixed part read off stamp masks against the
+pairwise sweeps they replaced."""
 
 from __future__ import annotations
 
@@ -10,10 +12,25 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rdmacheck.events import Event, SubEvent
+from test_rdma_ib import coherence, whole_position_ib
+from test_relations import naive_closure
+from rdmacheck.checker import ppo_order
+from rdmacheck.config import NodeConfig
+from rdmacheck.events import Event, PlainExecution, SubEvent, subevent_list
 from rdmacheck.lang import Call, LetF, Val, interpret_conc, interpret_seq
-from rdmacheck.libraries.base import coherence, enumerate_mo
-from rdmacheck.stamps import ACAS, ACR, ACW, nLR, nRW, ppo_before
+from rdmacheck.libraries import RdmaWaitLib
+from rdmacheck.libraries.base import Numbering, _mo_choices
+from rdmacheck.stamps import (ACAS, ACR, ACW, AMF, AWT, GF, KINDS, derive_ppo, nF,
+                              nLR, nLW, nRR, nRW, ppo_before)
+from rdmacheck.values import UNIT
+
+
+def enumerate_mo(groups, before):
+    """Total orders per write group, as one relation per combination: the
+    product of each group's linear extensions under ``before`` (a, b: a
+    must precede b), in order."""
+    for combo in itertools.product(*_mo_choices(groups, before)):
+        yield frozenset(p for pairs in combo for p in pairs)
 
 
 def permutation_filter_mo(groups, forbidden):
@@ -319,3 +336,94 @@ def test_concurrent_products_are_the_union_composition(progs):
         g.validate()
     assert [(vals, frozenset(g.events), g.po) for vals, g in got] == \
         list(union_products(progs))
+
+
+# --- ppo and ib's fixed part from stamp masks -------------------------------
+
+FAMILIES = (nLR, nRW, nRR, nLW, nF, GF)
+
+
+def stamps_on(nodes: int):
+    """Any of the eleven stamp kinds, a family's at one of ``nodes`` nodes."""
+    return st.one_of(st.sampled_from([ACR, ACW, ACAS, AMF, AWT]),
+                     st.builds(lambda f, n: f(n), st.sampled_from(FAMILIES),
+                               st.integers(1, nodes)))
+
+
+@st.composite
+def stamped_executions(draw):
+    """(plain execution, stamping): 1 to 3 threads of up to 4 events, each
+    stamped with 1 to 3 stamps of any kind over 1 to 3 nodes."""
+    stamp = stamps_on(draw(st.integers(1, 3)))
+    stmp = {}
+    for tid in range(1, draw(st.integers(1, 3)) + 1):
+        for eid in range(draw(st.integers(0, 4))):
+            stmp[Event(tid, eid, "m", (), 0)] = draw(st.frozensets(stamp, min_size=1,
+                                                                  max_size=3))
+    return PlainExecution(tuple(stmp)), stmp
+
+
+@settings(max_examples=200)
+@given(stamped_executions())
+def test_the_mask_swept_ppo_is_the_closure_of_derive_ppo(ex):
+    plain, stmp = ex
+    kinds = {a.kind for stamps in stmp.values() for a in stamps}
+    assert kinds <= set(KINDS)
+    ppo = ppo_order(Numbering(plain.events, stmp, {}))
+    assert (ppo.pairs(None, subevent_list(plain.events, stmp))
+            == frozenset(naive_closure(derive_ppo(plain, stmp))))
+
+
+# Each call of the wait-based model by role, on a thread whose node holds
+# ``here``, toward a location ``there`` on any node, with work identifier
+# ``d``: (method, arguments, output).
+RDMA_CALLS = {
+    "write": lambda here, there, n, d: ("write", (here, 1), UNIT),
+    "read": lambda here, there, n, d: ("read", (here,), 0),
+    "cas": lambda here, there, n, d: ("cas", (here, 0, 1), 0),
+    "failed cas": lambda here, there, n, d: ("cas", (here, 0, 1), 1),
+    "mfence": lambda here, there, n, d: ("mfence", (), UNIT),
+    "rfence": lambda here, there, n, d: ("rfence", (n,), UNIT),
+    "get": lambda here, there, n, d: ("get", (here, there, d), UNIT),
+    "put": lambda here, there, n, d: ("put", (there, here, d), UNIT),
+    "wait": lambda here, there, n, d: ("wait", (d,), UNIT),
+}
+
+
+@st.composite
+def rdma_executions(draw):
+    """(node config, whole execution, stamping, the wait-based model's
+    slice): 1 to 3 threads of up to 5 events over 1 to 3 nodes, each a
+    call of the model, or of another library with 1 to 3 stamps of any
+    kind."""
+    n_nodes = draw(st.integers(1, 3))
+    nodes = st.integers(1, n_nodes)
+    threads = draw(st.integers(1, 3))
+    cfg = NodeConfig(nodes=frozenset(range(1, n_nodes + 1)),
+                     thread_node={t: draw(nodes) for t in range(1, threads + 1)},
+                     loc_node={f"x{n}": n for n in range(1, n_nodes + 1)})
+    rl = RdmaWaitLib()
+    stmp, mine = {}, []
+    for tid in range(1, threads + 1):
+        here = f"x{cfg.node_of_thread(tid)}"
+        for eid in range(draw(st.integers(0, 5))):
+            role = draw(st.sampled_from(sorted(RDMA_CALLS) + ["other"]))
+            if role == "other":
+                e = Event(tid, eid, "other", (), 0)
+                stmp[e] = draw(st.frozensets(stamps_on(n_nodes), min_size=1, max_size=3))
+                continue
+            n = draw(nodes)
+            e = Event(tid, eid, *RDMA_CALLS[role](here, f"x{n}", n, draw(st.sampled_from("df"))))
+            stmp[e] = rl.stamping(e, cfg)
+            mine.append(e)
+    return cfg, PlainExecution(tuple(stmp)), stmp, PlainExecution(tuple(mine))
+
+
+@settings(max_examples=200)
+@given(rdma_executions())
+def test_the_mask_swept_ib_fixed_part_is_the_whole_position_sweep(ex):
+    cfg, plain, stmp, sl = ex
+    rl = RdmaWaitLib()
+    f = rl.frame(sl, stmp, cfg)
+    want = whole_position_ib(rl, plain, sl, stmp)
+    assert (f.fixed.items, f.fixed.rows) == (want.items, want.rows)

@@ -3,7 +3,9 @@ part of ib once and extends copies of it, one coherence choice and one
 NIC flush orientation at a time.  It yields the same witnesses, in the
 same order, as the search it replaced, which closed the whole union of
 ib's six parts from scratch for every (coherence, nfo) choice and then
-dropped the reflexive closures."""
+dropped the reflexive closures.  That search, and the coherence search
+over subevents it enumerates (``coherence``, which the union-find
+reference of `test_properties` shares), are kept here as references."""
 
 from __future__ import annotations
 
@@ -14,14 +16,79 @@ import pytest
 from conftest import unfold_compiled, unfold_file
 from test_relations import naive_closure
 from rdmacheck.checker import stamp_events
-from rdmacheck.events import SubEvent
-from rdmacheck.libraries.base import coherence, external_rf
+from rdmacheck.events import SubEvent, po_before, subevent_list
+from rdmacheck.libraries.base import Coherence, slice_shape
 from rdmacheck.libraries.rdma_core import LOCAL_ARG, READ_KINDS, WRITE_KINDS, RdmaLib
 from rdmacheck.litmus import parse_litmus
+from rdmacheck.relations import IncrementalOrder, forward_rows
 from rdmacheck.stamps import ppo_before, stamp_order
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+
+
+def internal_rf(w: SubEvent, r: SubEvent) -> bool:
+    """A CPU read of its own thread's po-earlier CPU write, which
+    synchronises nothing."""
+    return (w.stamp.kind == "aCW" and r.stamp.kind == "aCR"
+            and po_before(w.event, r.event))
+
+
+def external_rf(rf: frozenset) -> frozenset:
+    """rf without its `internal_rf` pairs."""
+    return frozenset((w, r) for w, r in rf if not internal_rf(w, r))
+
+
+def coherence(reads, writes, place, read_value, write_value, carrier, init_of,
+              order=None):
+    """`Coherence` over subevents, with mo extended under ``ppo_before``,
+    built and searched in one call."""
+    yield from Coherence(reads, writes, place, write_value, carrier,
+                         internal_rf, ppo_before).search(read_value, init_of, order)
+
+
+def named_polls_from(lib: RdmaLib, plain, stmp):
+    """``lib.polls_from`` of the slice ``plain``, its position pairs
+    named by subevents."""
+    num = slice_shape(plain, stmp, lib.name).numbering
+    at = {(k, a.kind): p for p, k, a in num.own[lib.name]}
+    names = num.names(lib.name, plain.events)()
+    so, ib, parts = lib.polls_from(plain.events, at)
+    name = lambda rel: frozenset((names[a], names[b]) for a, b in rel)
+    return name(so), name(ib), {k: name(v) for k, v in parts.items()}
+
+
+# The (read part, write part) kinds of a put and a get, and a failed CAS's
+# (fence, read): ordered inside their event.
+ISO_KINDS = {("nLR", "nRW"), ("nRR", "nLW"), ("aMF", "aCR")}
+
+
+def whole_position_ib(lib: RdmaLib, plain, sl, stmp) -> IncrementalOrder:
+    """ib's fixed part as the frame once swept it: ``ib_before`` asked of
+    every forward pair of positions of the whole execution ``plain``, and
+    holding only between subevents of the slice ``sl``."""
+    subs = subevent_list(plain.events, stmp)
+    mine = set(sl.events)
+    own = {i for i, s in enumerate(subs) if s.event in mine}
+    _so_pf, ib_pf, _parts = named_polls_from(lib, sl, stmp)
+
+    def ib_before(i: int, j: int) -> bool:
+        if i not in own or j not in own:
+            return False
+        s1, s2 = subs[i], subs[j]
+        a1, a2 = s1.stamp, s2.stamp
+        if s1.event == s2.event:
+            return (a1.kind, a2.kind) in ISO_KINDS
+        if not po_before(s1.event, s2.event):
+            return False
+        return (stamp_order(a1, a2)
+                or a1.kind == "aCW" and a2.kind in ("aCR", "aWT")
+                or (a1.kind in ("nRW", "nLW") and a2.kind == "nF"
+                    and a1.node == a2.node)
+                or (s1, s2) in ib_pf)
+
+    positions = range(len(subs))
+    return IncrementalOrder(positions, forward_rows(positions, ib_before))
 
 
 def per_choice_witnesses(lib: RdmaLib, plain, stmp, cfg):
@@ -33,7 +100,7 @@ def per_choice_witnesses(lib: RdmaLib, plain, stmp, cfg):
             return
     if not lib.extra_valid(plain, cfg):
         return
-    polls = lib.polls_from(plain, stmp)
+    polls = named_polls_from(lib, plain, stmp)
     if polls is None:
         return
     so_pf, ib_pf, pf_parts = polls
