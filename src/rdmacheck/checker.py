@@ -10,20 +10,24 @@ Libraries are asked before hb is built: each library's witnesses are
 drawn once and lazily per plain execution, and hb is built only when
 every library has a witness.  Most executions are rejected there.
 
+Within one ``outcomes`` call each event is stamped once
+(`stamp_events`): an event that recurs across executions keeps its
+stamps, its library and its part of the shape key, and each library's
+slice is the stamping's list of its events, already in program order.
 Plain executions that differ only in what their reads return share a
-shape: the same events, stamps and program order.  Within one
-``outcomes`` call a shape is set up once, in integer positions, and never
-rebound (`Shape`): the checker builds its one `Numbering`, the positions
-of its subevent list (`events.subevent_list`) with each position's event
-index and stamp and each library's own positions, and every library's
-frame reads it.  ppo's direct rows come from per-thread stamp masks
-(`stamps.ppo_rows`) and are closed at most once per shape, when the
-first library asks for ppo to prune its search or else for hb; each
-library keeps its own per-shape part of the witness search there
-(`Library.witnesses`' ``shape``), and hb grows from ppo's rows by
-position.  No execution builds a subevent unless something reads one: a
-witness's relations and values and a combination's so and hb are named
-by its subevents on first read.
+shape: the same events, stamps and program order.  A shape, too, is set
+up once per call, in integer positions, and never rebound (`Shape`):
+the checker builds its one `Numbering`, the positions of its subevent
+list (`events.subevent_list`) with each position's event index and stamp
+and each library's own positions, and every library's frame reads it.
+ppo's direct rows come from per-thread stamp masks (`stamps.ppo_rows`)
+and are closed at most once per shape, when the first library asks for
+ppo to prune its search or else for hb; each library keeps its own
+per-shape part of the witness search there (`Library.witnesses`'
+``shape``), and hb grows from ppo's rows by position.  No execution
+builds a subevent unless something reads one: a witness's relations and
+values and a combination's so and hb are named by its subevents on first
+read.
 """
 
 from __future__ import annotations
@@ -115,20 +119,33 @@ class Stamped(tuple):
         return self
 
 
-def stamp_events(plain: PlainExecution, libs: Sequence[Library], cfg: NodeConfig) -> Stamped:
-    """Each event's stamps and each library's events, in one walk over the
-    events that also builds the shape key."""
-    mm = method_map(libs)
+def stamp_events(plain: PlainExecution, libs: Sequence[Library], cfg: NodeConfig,
+                 memo: dict | None = None) -> Stamped:
+    """Each event's stamps and each library's events, in program order, in
+    one walk over the events that also builds the shape key.  ``memo`` is
+    one outcome computation's (`enumerate_consistent`): it keeps, per
+    event, its library's name, its stamps and its key element, so an event
+    met again costs one lookup and shares its stamp set, whose hash is then
+    computed once; it keeps the method map under `method_map`."""
+    memo = {} if memo is None else memo
     stmp = {}
     per_lib: dict[str, list[Event]] = {lib.name: [] for lib in libs}
     key = []
     for e in plain.events:
-        lib = mm.get(e.method)
-        if lib is None:
-            raise InvalidInput(f"event {e!r} uses unknown method")
-        stamps = stmp[e] = lib.stamping(e, cfg)
-        per_lib[lib.name].append(e)
-        key.append((e.tid, e.eid, e.method, e.args, stamps, lib.shape_output(e)))
+        got = memo.get(e)
+        if got is None:
+            mm = memo.get(method_map)
+            if mm is None:
+                mm = memo[method_map] = method_map(libs)
+            lib = mm.get(e.method)
+            if lib is None:
+                raise InvalidInput(f"event {e!r} uses unknown method")
+            stamps = lib.stamping(e, cfg)
+            got = memo[e] = (lib.name, stamps, (e.tid, e.eid, e.method, e.args, stamps,
+                                                lib.shape_output(e)))
+        name, stmp[e], elem = got
+        per_lib[name].append(e)
+        key.append(elem)
     return Stamped(stmp, per_lib, tuple(key))
 
 
@@ -156,13 +173,16 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
     """All accepted (witness-per-library, so, hb) combinations.
 
     Stamping first (deterministic), which also gives the execution's
-    shape.  ``memo`` maps shapes to the `Shape` set-ups of one outcome
-    computation; a new shape is numbered once (`Numbering`), and without
-    a memo the execution's shape is set up afresh.  Each library's witness
-    search then runs at most once, and its first witness is drawn in
-    ``libs`` order: a library with none rejects the execution.  ppo is
-    needed at most once, by the first library that asks for it
-    (`Library.witnesses` prunes against it) or else only when every
+    shape.  ``memo`` is one outcome computation's: it keeps each event's
+    stamping (`stamp_events`), so an event is stamped once per
+    computation, and maps shapes to their `Shape` set-ups; a new shape is
+    numbered once (`Numbering`), and without a memo the execution is
+    stamped and its shape set up afresh.  Each library is asked about its
+    slice, the stamping's list of its events in program order.  Each
+    library's witness search then runs at most once, and its first
+    witness is drawn in ``libs`` order: a library with none rejects the
+    execution.  ppo is needed at most once, by the first library that asks
+    for it (`Library.witnesses` prunes against it) or else only when every
     library has a witness, and is closed only for the first execution of
     its shape that needs it.  Then combinations are backtracked, in the
     libraries' order and each library's witness order, with incremental
@@ -175,7 +195,7 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
     subevents, only when read; the libraries' ``post_check`` reads the
     grown order itself.
     """
-    stamped = stamp_events(plain, libs, cfg)
+    stamped = stamp_events(plain, libs, cfg, memo)
     stmp, per_lib = stamped
     shape = None if memo is None else memo.get(stamped.key)
     if shape is None:
@@ -190,8 +210,9 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
 
     drawn = []
     for lib in libs:
-        ws = _peeked(lib.witnesses(plain.restrict(per_lib[lib.name]),
-                                   stmp, cfg, ppo, shape))
+        evs = per_lib[lib.name]
+        sl = plain if len(evs) == len(plain.events) else PlainExecution(tuple(evs))
+        ws = _peeked(lib.witnesses(sl, stmp, cfg, ppo, shape))
         if ws is None:
             return
         # A tee that is never advanced holds every witness drawn so far;
@@ -277,7 +298,8 @@ def outcomes(progs, libs: Sequence[Library], cfg: NodeConfig, bounds: Bounds,
     set is the same.  A full enumeration, whose outcomes carry final
     memory, checks every plain execution.
 
-    The shape frames the search builds live until this call returns.
+    The events' stampings and the shape frames the search builds live
+    until this call returns.
     """
     interp = interpret_conc(progs, pools(libs, cfg), bounds.max_events)
     found = set()

@@ -282,8 +282,9 @@ class Coherence:
     initial value.  A choice that contradicts a pin or closes an rf cycle
     is pruned at once; a pin whose source still waits on an undecided read
     is passed on to that read in ``need``.  With ``order``, a closed order
-    that must stay acyclic with every pair below (the checker's ppo, grown
-    by the so pairs every witness holds), a choice is pruned as soon as it
+    over ``range(n)``, the positions the reads and writes are, that must
+    stay acyclic with every pair below (the checker's ppo, grown by the so
+    pairs every witness holds), a choice is pruned as soon as it
     closes a cycle: reading w adds (w, r) unless ``internal(w, r)``,
     reading the initial value (r, w') for every other write w' of r's
     place, and each modification order its mo and rb pairs, each on a copy
@@ -346,11 +347,12 @@ class Coherence:
             edge already."""
             if o is None:
                 return o
-            index, rows = o.index, o.rows
-            if all(rows[index[a]] >> index[b] & 1 for a, b in edges):
-                return o
-            o = o.copy()
-            return o.add_edges(edges) and o
+            rows = o.rows
+            for a, b in edges:
+                if not rows[a] >> b & 1:
+                    o = o.copy()
+                    return o.add_edges(edges) and o
+            return o
 
         def step(i: int, o):
             if i == len(reads):

@@ -206,7 +206,10 @@ def _strip(line: str) -> str:
 
 
 def _tokens(line: str) -> list[str]:
-    # keep parenthesised tuples as single tokens
+    # keep parenthesised tuples as single tokens; with no parenthesis,
+    # whitespace splits (str.split and str.isspace agree on what it is)
+    if "(" not in line and ")" not in line:
+        return line.split()
     out, buf, depth = [], "", 0
     for ch in line:
         if ch.isspace() and depth == 0:

@@ -10,7 +10,9 @@ path the items are positions: ``range(n)`` over the subevent list of an
 execution shape (`libraries.base.Numbering`), whose direct rows ppo and
 ib's fixed part read off stamp tables by position (`stamps.ppo_rows`).
 Every order grown from them (the libraries' pruning orders, ib per
-choice, hb) shares that numbering, so hb absorbs ib's rows as they are.
+choice, hb) shares that numbering, so hb absorbs ib's rows as they are,
+and a position indexes its row directly: edges and membership look
+nothing up.
 A caller with a pair predicate builds the direct rows with
 `forward_rows`.  An order becomes a pair set only when something reads
 its pairs, named by the subevents of the execution that reads them: ib,
@@ -39,7 +41,9 @@ class IncrementalOrder:
     an earlier row taken in already holds adds nothing and is skipped.
     Edges and membership name the items themselves, and `pairs` names them
     by the items or by given names: ppo is closed over ``range(n)``, the
-    positions of an execution's subevents.
+    positions of an execution's subevents.  Over ``range(n)`` an item is
+    its own row's index, so edges and membership index the rows directly;
+    only an order over other items looks them up in ``index``.
 
     Any addition that would close a cycle fails fast: `add_edges` and
     `absorb` return False (and roll back nothing: copy before speculative
@@ -52,8 +56,11 @@ class IncrementalOrder:
     __slots__ = ("index", "items", "rows")
 
     def __init__(self, items: Sequence, direct: Sequence[int]):
-        items = self.items = items if isinstance(items, range) else list(items)
-        self.index = {x: i for i, x in enumerate(items)}
+        if isinstance(items, range):
+            self.items, self.index = items, None
+        else:
+            items = self.items = list(items)
+            self.index = {x: i for i, x in enumerate(items)}
         rows = self.rows = [0] * len(items)
         for i in range(len(items) - 2, -1, -1):
             todo, r = direct[i], 0
@@ -69,13 +76,17 @@ class IncrementalOrder:
         return c
 
     def __contains__(self, pair: Pair) -> bool:
+        if self.index is None:
+            i, j = pair
+            return self.rows[i] >> j & 1 == 1
         i, j = self.index.get(pair[0]), self.index.get(pair[1])
         return i is not None and j is not None and self.rows[i] >> j & 1 == 1
 
     def add_edges(self, edges: Iterable[Pair]) -> bool:
         index, rows = self.index, self.rows
-        for a, b in edges:
-            i, j = index[a], index[b]
+        if index is not None:
+            edges = ((index[a], index[b]) for a, b in edges)
+        for i, j in edges:
             if i == j or rows[j] >> i & 1:
                 return False
             if rows[i] >> j & 1:

@@ -12,6 +12,7 @@ frame outlives the ``outcomes`` call that built it."""
 
 from __future__ import annotations
 
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,6 +24,7 @@ from test_tower_verdicts import ITEMS, item_id
 from rdmacheck import checker, compilers
 from rdmacheck.checker import enumerate_consistent, stamp_events
 from rdmacheck.events import SubEvent
+from rdmacheck.lang import interpret_conc
 from rdmacheck.libraries.base import Coherence, Numbering, Shape
 from rdmacheck.libraries.rdma_core import RdmaLib
 from rdmacheck.relations import IncrementalOrder
@@ -222,3 +224,40 @@ def test_no_frame_outlives_its_outcome_computation(monkeypatch):
     (n_sweeps, n_shapes, n_execs), again = counts
     assert again == counts[0]
     assert n_sweeps == n_shapes < n_execs
+
+
+@pytest.mark.parametrize("stem, impl", [("fig3_sb_get_wait", "w"),
+                                        ("fig6c_bcast_cycle", "sv")])
+def test_each_event_is_stamped_once_per_outcome_computation(monkeypatch, stem, impl):
+    """A full enumeration stamps every event of every plain execution, and
+    an event that recurs across executions and shapes is stamped once per
+    ``outcomes`` call; a second call stamps it again."""
+    progs, cfg, libs = compiled(CORPUS / f"{stem}.litmus", [impl])
+    bounds = checker.Bounds(max_events=32)
+    res = interpret_conc(progs, checker.pools(libs, cfg), bounds.max_events)
+    events = {e for _vals, plain in res.results for e in plain.events}
+    stamped = Counter()
+    for lib in libs:
+        stamping = lib.stamping
+        monkeypatch.setattr(lib, "stamping", lambda e, cfg, stamping=stamping:
+                            stamped.update([e]) or stamping(e, cfg))
+    for calls in (1, 2):
+        assert checker.outcomes(progs, libs, cfg, bounds).outcomes
+        assert stamped == Counter({e: calls for e in events})
+    assert len(events) < sum(len(plain.events) for _vals, plain in res.results)
+
+
+@pytest.mark.parametrize("path", FILES, ids=[p.stem for p in FILES])
+def test_a_warm_stamping_is_the_fresh_one(path):
+    """With a memo warmed by every earlier execution of the file, and by
+    the same execution once more, `stamp_events` gives the stamping, the
+    per-library lists and the key of a fresh call."""
+    built, libs, res = unfold_file(path)
+    cfg = built.cfg
+    memo = {}
+    for _vals, plain in res.results:
+        fresh = stamp_events(plain, libs, cfg)
+        for _ in range(2):
+            warm = stamp_events(plain, libs, cfg, memo)
+            assert tuple(warm) == tuple(fresh) and warm.key == fresh.key
+    assert res.results

@@ -13,7 +13,7 @@ from conftest import unfold_file
 from rdmacheck import runner
 from rdmacheck.checker import Outcome, OutcomeResult
 from rdmacheck.cli import main
-from rdmacheck.litmus import LitmusError, parse_litmus, print_litmus
+from rdmacheck.litmus import LitmusError, _strip, _tokens, parse_litmus, print_litmus
 from rdmacheck.runner import FAIL, PASS, run_litmus
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,6 +25,36 @@ LITMUS = sorted(CORPUS.glob("*.litmus")) + [ROOT / "perfbench/inputs/msw_put_try
 def test_print_then_parse_is_identity(path):
     t = parse_litmus(path.read_text(), name=path.stem)
     assert parse_litmus(print_litmus(t), name=path.stem) == t
+
+
+def depth_scan_tokens(line: str) -> list[str]:
+    """The tokeniser as a per-character depth scan on every line: a
+    parenthesised tuple, nested or not, stays one token."""
+    out, buf, depth = [], "", 0
+    for ch in line:
+        if ch.isspace() and depth == 0:
+            if buf:
+                out.append(buf)
+                buf = ""
+        else:
+            buf += ch
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+    if buf:
+        out.append(buf)
+    return out
+
+
+def test_tokens_are_the_depth_scan_on_every_line():
+    lines = [line for path in LITMUS for line in path.read_text().splitlines()]
+    lines += ["r = cas((x, y), (1, (2, 3)), 4)", "x = ((1,2), ( 3 , 4 ))\t# tuple",
+              " \t a b\x0bc   ", "a) b (c", "x) y", "", "   "]
+    lines += [_strip(line) for line in lines]
+    assert any("(" in line for line in lines)
+    for line in lines:
+        assert _tokens(line) == depth_scan_tokens(line), line
 
 
 def test_the_printer_writes_only_the_event_cap():

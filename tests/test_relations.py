@@ -84,6 +84,9 @@ def test_matches_naive_oracle_on_random_relations():
 
 
 def test_incremental_order_detects_cycles():
+    # Each edge list also grows the same order over positions, which
+    # indexes its rows directly: it gives the rows, vetoes and membership
+    # of the order over named items.
     rng = random.Random(7)
     # Cyclic relations, loops and two-cycles included, go through
     # add_edges, which vetoes exactly when the closure is reflexive.
@@ -93,7 +96,10 @@ def test_incremental_order_detects_cycles():
         edges = [(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randint(1, 10))]
         inc = order(rng.sample(range(n), n), ())
+        pos = IncrementalOrder(range(n), [0] * n)
         ok = inc.add_edges(edges)
+        assert pos.add_edges((inc.index[a], inc.index[b]) for a, b in edges) == ok
+        assert pos.rows == inc.rows
         want = naive_closure(edges)
         assert ok == all(a != b for a, b in want)
         cyclic += not ok
@@ -107,18 +113,24 @@ def test_incremental_order_detects_cycles():
         edges = [(rng.randrange(n), rng.randrange(n))
                  for _ in range(rng.randint(1, 6))]
         inc = order(items, base)
+        pos = IncrementalOrder(range(n), forward_rows(
+            range(n), lambda i, j: (items[i], items[j]) in base))
+        assert pos.rows == inc.rows
         closed = frozenset(naive_closure(base))
         assert inc.pairs() == closed
-        c = inc.copy()
+        c, cp = inc.copy(), pos.copy()
         ok = c.add_edges(edges)
+        assert cp.add_edges([(items.index(a), items.index(b)) for a, b in edges]) == ok
+        assert cp.rows == c.rows
         want = naive_closure(base | set(edges))
         assert ok == all(a != b for a, b in want)
         if ok:
             assert c.pairs() == frozenset(want)
             assert all((a, b) in c for a, b in want)
         assert inc.pairs() == closed
-        assert all(((a, b) in inc) == ((a, b) in closed)
-                   for a in items for b in items)
+        assert all(((a, b) in inc) == ((a, b) in closed) == ((i, j) in pos)
+                   and ((a, b) in c) == ((i, j) in cp)
+                   for i, a in enumerate(items) for j, b in enumerate(items))
 
 
 def test_absorb_matches_add_edges_of_the_pairs():
