@@ -38,10 +38,9 @@ from itertools import islice, tee
 from typing import Iterator, Mapping, Sequence
 
 from .config import NodeConfig
-from .events import (Event, Execution, InvalidInput, PlainExecution,
-                     subevent_list, subevents)
+from .events import Event, Execution, InvalidInput, PlainExecution, subevent_list
 from .lang import MAX_EVENTS, Pools, interpret_conc
-from .libraries.base import Library, Numbering, Shape, Witness, check_consistent
+from .libraries.base import Library, Numbering, Shape, Witness
 from .relations import IncrementalOrder, OnRead, forward_rows
 from .stamps import ppo_before
 
@@ -152,7 +151,7 @@ def stamp_events(plain: PlainExecution, libs: Sequence[Library], cfg: NodeConfig
 def ppo_order(num: Numbering) -> IncrementalOrder:
     """Preserved program order, closed over the positions of ``num``
     from its direct rows."""
-    return IncrementalOrder(range(num.size), num.direct_ppo)
+    return IncrementalOrder(num.direct_ppo)
 
 
 def _peeked(it: Iterator) -> Iterator | None:
@@ -245,19 +244,23 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
 
     This is the paper's whole-execution check; ``enumerate_consistent``
     searches for what it validates, and the tests hold the two together.
-    It closes ppo over the subevents themselves, asking ``ppo_before`` of
-    each forward pair.
+    It numbers the execution once, by its subevent list, and closes ppo
+    over those positions asking ``ppo_before`` of each forward pair, not
+    the stamp masks the search reads.  Each library's witnesses name the
+    same positions, and its ``post_check`` reads that order.
     """
-    stmp, per_lib = stamp_events(exec_.plain, libs, cfg)
+    plain = exec_.plain
+    stmp, per_lib = stamp_events(plain, libs, cfg)
     if dict(exec_.stmp) != stmp:
         return False, {}
     # so relates the execution's subevents and closes with ppo to hb
     # without a cycle.
-    sub = subevents(exec_.plain.events, stmp)
-    subs = subevent_list(exec_.plain.events, stmp)
-    order = IncrementalOrder(subs, forward_rows(subs, ppo_before))
-    if (not all(a in sub and b in sub for a, b in exec_.so)
-            or not order.add_edges(exec_.so) or exec_.hb != order.pairs()):
+    subs = subevent_list(plain.events, stmp)
+    pos = {s: i for i, s in enumerate(subs)}
+    order = IncrementalOrder(forward_rows(subs, ppo_before))
+    if (not all(a in pos and b in pos for a, b in exec_.so)
+            or not order.add_edges((pos[a], pos[b]) for a, b in exec_.so)
+            or exec_.hb != order.pairs(None, subs)):
         return False, {}
 
     mm = method_map(libs)
@@ -266,9 +269,13 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
         if la is None or la is not mm.get(b.event.method):
             return False, {}
 
+    shape = Shape(Numbering(plain.events, stmp, per_lib))
     witnesses = {}
     for lib in libs:
-        w = check_consistent(lib, exec_.restrict(per_lib[lib.name]), cfg)
+        share = frozenset((a, b) for a, b in exec_.so if mm[a.event.method] is lib)
+        sl = PlainExecution(tuple(per_lib[lib.name]))
+        w = next((w for w in lib.witnesses(sl, stmp, cfg, None, shape)
+                  if w.so == share and lib.post_check(w, order)), None)
         if w is None:
             return False, {}
         witnesses[lib.name] = w

@@ -118,10 +118,6 @@ class SubEvent:
 Stamping = Mapping[Event, frozenset[Stamp]]
 
 
-def subevents(events: Iterable[Event], stmp: Stamping) -> frozenset[SubEvent]:
-    return frozenset(SubEvent(e, a) for e in events for a in stmp[e])
-
-
 def ordered_stamps(stamps: frozenset[Stamp]) -> Iterable[Stamp]:
     """An event's stamps in the order its subevents are listed: a NIC read
     part before its write part and a failed CAS's fence before its read,
@@ -148,10 +144,3 @@ class Execution:
     stmp: Mapping[Event, frozenset[Stamp]]
     so: frozenset[tuple[SubEvent, SubEvent]]
     hb: frozenset[tuple[SubEvent, SubEvent]]
-
-    def restrict(self, events: Iterable[Event]) -> "Execution":
-        plain = self.plain.restrict(events)
-        stmp = {e: self.stmp[e] for e in plain.events}
-        sub = subevents(plain.events, stmp)
-        keep = lambda r: frozenset((a, b) for a, b in r if a in sub and b in sub)
-        return Execution(plain, stmp, keep(self.so), keep(self.hb))

@@ -27,7 +27,7 @@ finite unfolding.  Its default, ``MAX_EVENTS``, is also `checker.Bounds`'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (AbstractSet, Callable, Hashable, Iterable, Iterator, NamedTuple,
+from typing import (Callable, Collection, Hashable, Iterable, Iterator, NamedTuple,
                     Sequence)
 
 from .events import Event, InvalidInput, PlainExecution
@@ -196,7 +196,9 @@ class Pools:
 
 
 class InterpResult(NamedTuple):
-    results: AbstractSet   # a set view that iterates in a fixed order
+    # interpret_seq: a set view in generation order, since a value domain
+    # may repeat a value; interpret_conc: a tuple of its distinct products.
+    results: Collection
     truncated: bool
 
 
@@ -273,9 +275,11 @@ def interpret_conc(progs: ConcurrentProgram,
 
     The results come in a fixed order: the products of the per-thread
     unfoldings in lexicographic order, thread 1 outermost, each thread's
-    unfoldings in the order the interpreter generates them.  Threads are
-    numbered in order, so a product's events, each thread's concatenated
-    in thread order, are in program order by construction.
+    unfoldings in the order the interpreter generates them.  No product
+    repeats: each thread's unfoldings are distinct, and threads' events
+    are disjoint.  Threads are numbered in order, so a product's events,
+    each thread's concatenated in thread order, are in program order by
+    construction.
     """
     pools = value_domain if isinstance(value_domain, Pools) else None
     runs: list = [None] * len(progs)
@@ -310,5 +314,5 @@ def interpret_conc(progs: ConcurrentProgram,
                 truncated |= len(fit) < len(choices)
             nxt.extend((vals + (v,), evs + g) for v, g in fit)
         combos = nxt
-    results = dict.fromkeys((vals, PlainExecution(evs)) for vals, evs in combos)
-    return InterpResult(results.keys(), truncated)
+    return InterpResult(tuple((vals, PlainExecution(evs)) for vals, evs in combos),
+                        truncated)

@@ -12,7 +12,7 @@ A witness names subevents by position in one list (`Numbering`): the
 subevent list of the execution, whose positions ppo and every execution
 of a shape share.  The checker numbers each shape once, for every
 library (`Shape`), and a library's frame, what the shape decides of its
-search, is built in those positions once per shape (`shared_frame`) and
+search, is built in those positions once per shape (`Library.frame`) and
 never rebound.  A frame is read off the numbering's integer positions
 and the events' shape-decided fields, and builds no subevent; a
 witness's pair sets and value maps name subevents only when read.
@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, partial
-from typing import (Callable, Container, Hashable, Iterable, Iterator, Mapping,
-                    Sequence)
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..config import NodeConfig
 from ..events import (Event, InvalidInput, PlainExecution, Stamping, SubEvent,
                       ordered_stamps)
 from ..lang import Pools
-from ..relations import IncrementalOrder, OnRead, Pair
+from ..relations import IncrementalOrder, OnRead
 from ..stamps import ppo_rows
 from ..values import Value
 
@@ -102,7 +101,7 @@ class Numbering:
 class Shape:
     """What the plain executions of one shape share within one outcome
     computation: its `Numbering`, ppo's closed rows once swept, and each
-    library's frame, by library name (`shared_frame`)."""
+    library's frame, by library name (`Library.frame`)."""
 
     __slots__ = ("numbering", "ppo", "frames")
 
@@ -123,13 +122,13 @@ class Witness:
 
     ``explicit`` is the synchronisation order's explicit pairs; with an
     ``order`` (the RDMA libraries' issued-before), so also holds every
-    pair of that order from an item whose index is in ``inst``.  The
-    checker grows hb by `add_to`, from the explicit pairs and the order's
-    rows.  ``rels`` are the component relations (pair sets or orders) for
-    dumps, property tests and ``post_check``, and ``vR`` / ``vW`` the
-    value read/written per subevent where meaningful.  With ``names``
-    (`Numbering.names`) all of these are given by position, and ``so``,
-    ``rels``, ``vR`` and ``vW`` name them by subevent when first read;
+    pair of that order from a position in ``inst``.  The checker grows hb
+    by `add_to`, from the explicit pairs and the order's rows.  ``rels``
+    are the component relations (pair sets or orders) for dumps, property
+    tests and ``post_check``, and ``vR`` / ``vW`` the value read/written
+    per subevent where meaningful.  All of these are given by position
+    (`Numbering`); with ``names`` (`Numbering.names`), ``so``, ``rels``,
+    ``vR`` and ``vW`` name them by subevent when first read, while
     ``explicit``, ``relations`` and ``values`` keep the positions.
     """
 
@@ -166,20 +165,11 @@ class Witness:
     vW = cached_property(lambda self: self._keyed(self.values[1]))
 
     def add_to(self, hb: IncrementalOrder) -> bool:
-        """Grow ``hb`` by this witness's so; False when a cycle closes.  An
-        order over positions (the checker's hb, numbered as this witness
-        is) takes the explicit pairs and the order's rows as they are; an
-        order over subevents takes the named pairs of ``so``."""
-        if not isinstance(hb.items, range):
-            return hb.add_edges(self.so)
+        """Grow ``hb``, an order over the positions this witness names, by
+        its so: the explicit pairs and the order's rows from ``inst``, as
+        they are.  False when a cycle closes."""
         return hb.add_edges(self.explicit) and (
             self.order is None or hb.absorb(self.order, self.inst))
-
-    def rel_for(self, name: str, hb) -> Iterable[Pair]:
-        """The relation ``name`` as ``hb`` names subevents: by position in
-        an order over positions, else by subevent."""
-        over_positions = isinstance(hb, IncrementalOrder) and isinstance(hb.items, range)
-        return self.relations[name] if over_positions else self.rels[name]
 
 
 class Library:
@@ -226,16 +216,26 @@ class Library:
         of this one's shape (`checker.stamp_events`' key) in one outcome
         computation: its numbering, and where the library may keep its
         frame, which holds only what the shape decides (see
-        `shared_frame`).  Without it the library numbers its slice itself
+        `frame`).  Without it the library numbers its slice itself
         (`slice_shape`)."""
         raise NotImplementedError
 
-    def post_check(self, w: Witness, hb: Container[Pair]) -> bool:
-        """Final veto once the global happens-before is known: the
-        checker passes its grown order and ``lambda_consistent`` a pair
-        set, so ``hb`` is read only with ``in``, of pairs as
-        `Witness.rel_for` gives them."""
+    def post_check(self, w: Witness, hb: IncrementalOrder) -> bool:
+        """Final veto once the global happens-before is known.  hb: an
+        order over the positions the witness names, read with ``in``."""
         return True
+
+    def frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo=None,
+              shape: Shape | None = None):
+        """What the shape of ``plain`` decides of this library's witness
+        search (`_build_frame`): built for the first execution of its
+        shape, in the positions of the shape's numbering, and kept in
+        ``shape`` for every later one, which uses it as it is.  Without
+        ``shape`` the library numbers its slice itself (`slice_shape`)."""
+        shape = shape or slice_shape(plain, stmp, self.name)
+        if self.name not in shape.frames:
+            shape.frames[self.name] = self._build_frame(plain, shape, cfg, ppo)
+        return shape.frames[self.name]
 
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         """(loc, node) -> value of the mo-maximal write, where applicable."""
@@ -244,29 +244,6 @@ class Library:
     def _require(self, e: Event):
         if e.method not in self.methods:
             raise InvalidInput(f"{e.method} is not a method of {self.name}")
-
-
-def shared_frame(shape: Shape, lib: str, build: Callable[[], object]):
-    """The frame of library ``lib``: ``build()`` for the first execution
-    of its shape, kept in ``shape`` for every later one.  A frame names
-    subevents by position (`Numbering`), so it serves every execution of
-    the shape as it is."""
-    if lib not in shape.frames:
-        shape.frames[lib] = build()
-    return shape.frames[lib]
-
-
-def check_consistent(lib: Library, exec_, cfg: NodeConfig) -> Witness | None:
-    """Validate a given execution against the library oracle.
-
-    The execution carries a synchronisation order; a witness must induce
-    exactly that order (the paper-style equality check).  Returns the
-    witness, or None when the execution is inconsistent.
-    """
-    for w in lib.witnesses(exec_.plain, exec_.stmp, cfg):
-        if w.so == exec_.so and lib.post_check(w, exec_.hb):
-            return w
-    return None
 
 
 class Coherence:

@@ -58,7 +58,7 @@ from ..relations import IncrementalOrder
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, TABLE, columns, nF, nLR, nLW,
                       nRR, nRW, ppo_rows)
 from ..values import UNIT
-from .base import Library, Shape, Witness, final_values, shared_frame, slice_shape
+from .base import Library, Shape, Witness, final_values, slice_shape
 
 READ_KINDS = ("aCR", "aCAS", "nLR", "nRR")
 WRITE_KINDS = ("aCW", "aCAS", "nLW", "nRW")
@@ -161,8 +161,7 @@ class RdmaLib(Library):
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)
 
-    def frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo=None,
-              shape: Shape | None = None) -> SimpleNamespace | None:
+    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig, ppo):
         """What the shape of ``plain`` decides of its witness search, in
         the positions of the shape's numbering: the `Coherence` ``search``,
         the ``pinned`` reads (position, index of the event in ``plain``)
@@ -172,12 +171,7 @@ class RdmaLib(Library):
         pairs and the candidate internal fr pairs ``fr_int``; and the
         ``forced`` and ``free`` nfo pairs.  None when the node discipline
         fails or the fixed so pairs close a cycle with ppo, so that no
-        witness exists.  Built once per ``shape`` (`base.shared_frame`)."""
-        shape = shape or slice_shape(plain, stmp, self.name)
-        return shared_frame(shape, self.name,
-                            lambda: self._build_frame(plain, shape, cfg, ppo))
-
-    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig, ppo):
+        witness exists."""
         role_of = self.role_of
         events = plain.events
         for e in events:
@@ -257,7 +251,7 @@ class RdmaLib(Library):
         rows = ppo_rows(num.size, [(p, num.tid[p], k, a) for p, k, a in own], IPPO)
         for r, w in iso | ib_pf:
             rows[r] |= 1 << w
-        fixed = IncrementalOrder(range(num.size), rows)
+        fixed = IncrementalOrder(rows)
         inst = tuple(p for p, _k, a in own if a.kind not in ("aCW", "nLW", "nRW"))
 
         # Every witness's so holds the pairs of ``fixed`` from its

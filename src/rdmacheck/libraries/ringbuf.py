@@ -15,12 +15,12 @@ but refuses witnesses where fb contradicts the global happens-before.
 
 from __future__ import annotations
 
-from typing import Container, Iterator
+from typing import Iterator
 
 from ..config import NodeConfig
 from ..events import Event, PlainExecution, po_before
 from ..lang import Pools
-from ..relations import Pair
+from ..relations import IncrementalOrder
 from ..stamps import ACR, ACW, AWT, nRW
 from ..values import BOT
 from .base import Library, Witness, slice_shape
@@ -64,10 +64,10 @@ class RingBufferLib(Library):
             return (((e.args[0], None), e.args[1]),)
         return ()
 
-    def post_check(self, w: Witness, hb: Container[Pair]) -> bool:
+    def post_check(self, w: Witness, hb: IncrementalOrder) -> bool:
         if self.mode == STRICT:
             return True
-        return not any((b, a) in hb for a, b in w.rel_for("fb", hb))
+        return not any((b, a) in hb for a, b in w.relations["fb"])
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
                   ppo=None, shape=None) -> Iterator[Witness]:

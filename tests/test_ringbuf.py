@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from conftest import C, cfg2, out_set
+from rdmacheck import runner
 from rdmacheck.config import NodeConfig
 from rdmacheck.events import Event, PlainExecution
 from rdmacheck.lang import seq
@@ -11,6 +14,26 @@ from rdmacheck.stamps import ACR, ACW, AWT, nRW
 from rdmacheck.values import BOT
 
 CFG = cfg2(wthd={"x": 1}, rthd={"x": frozenset({2})}, capacity={"x": 4})
+
+# t2 sees f's broadcast, which t1 makes after its submit, and then fails
+# to receive the message: a fails-before pair against hb.  Weak mode
+# exports rf only, so only its post_check can veto that execution.
+POST_CHECK_VETO = """nodes n1 n2
+libs rbl=weak sv
+ring x : writer t1 readers t2 cap 4
+svar f
+thread t1 @ n1 {
+  a = submit x (1)
+  svwrite f 1
+  bcast f d n2
+}
+thread t2 @ n2 {
+  b = svread f
+  c = receive x
+}
+assert forbidden a = true & b = 1 & c = bot
+assert allowed a = true & b = 1 & c = (1)
+"""
 
 
 def witnesses_of(events, po, cfg=CFG, mode="strict"):
@@ -109,3 +132,22 @@ class TestWitnesses:
         weak = witnesses_of([s, f], [], mode="weak")[0]
         assert strict.so > weak.so
         assert weak.so == weak.rels["rf"]
+
+
+@pytest.mark.parametrize("mode", ["weak", "strict"])
+def test_a_failed_receive_after_the_messages_signal_is_forbidden(tmp_path, monkeypatch, mode):
+    vetoes = []
+    post_check = RingBufferLib.post_check
+
+    def counted(self, w, hb):
+        ok = post_check(self, w, hb)
+        vetoes.append(not ok)
+        return ok
+
+    monkeypatch.setattr(RingBufferLib, "post_check", counted)
+    path = tmp_path / "post_check_veto.litmus"
+    path.write_text(POST_CHECK_VETO.replace("rbl=weak", f"rbl={mode}"))
+    assert runner.run_file(path).verdict == runner.PASS
+    # Strict mode's so holds fb, so hb vetoes that execution before
+    # post_check is asked.
+    assert sum(vetoes) == (1 if mode == "weak" else 0)
