@@ -6,9 +6,15 @@ irreflexive and every library accepts its slice.  Outcomes of a concurrent
 program are the output tuples (plus final memory) of its accepted
 executions, enumerated from the bounded plain semantics.
 
-Libraries are asked before hb is built: each library's witnesses are
-drawn once and lazily per plain execution, and hb is built only when
-every library has a witness.  Most executions are rejected there.
+hb grows inside the libraries' witness searches, one library after
+another, and is never built again: the first library prunes its search
+against ppo and each witness it yields hands back ppo grown by its so;
+the next library prunes against that order and hands it back grown by
+its own so, and the last one's order is the combination's hb.  So
+library i's search runs once per combination of the libraries before
+it, each choice is checked against the order built so far, and nothing
+is replayed or added twice.  Most executions are rejected inside a
+search.
 
 Within one ``outcomes`` call each event is stamped once
 (`stamp_events`): an event that recurs across executions keeps its
@@ -21,20 +27,17 @@ the checker builds its one `Numbering`, the positions of its subevent
 list (`events.subevent_list`) with each position's event index and stamp
 and each library's own positions, and every library's frame reads it.
 ppo's direct rows come from per-thread stamp masks (`stamps.ppo_rows`)
-and are closed at most once per shape, when the first library asks for
-ppo to prune its search or else for hb; each library keeps its own
-per-shape part of the witness search there (`Library.witnesses`'
-``shape``), and hb grows from ppo's rows by position.  No execution
-builds a subevent unless something reads one: a witness's relations and
-values and a combination's so and hb are named by its subevents on first
-read.
+and are closed once per shape, before the first library is asked; each
+library keeps its own per-shape part of the witness search there
+(`Library.witnesses`' ``shape``), and hb grows from ppo's rows by
+position.  No execution builds a subevent unless something reads one: a
+witness's relations and values and a combination's so and hb are named
+by its subevents on first read.
 """
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
-from itertools import islice, tee
 from typing import Iterator, Mapping, Sequence
 
 from .config import NodeConfig
@@ -154,19 +157,6 @@ def ppo_order(num: Numbering) -> IncrementalOrder:
     return IncrementalOrder(num.direct_ppo)
 
 
-def _peeked(it: Iterator) -> Iterator | None:
-    """``it`` with its first item put back, or None when it is empty.  The
-    first item is held only until it is drawn again."""
-    held = list(islice(it, 1))
-    if not held:
-        return None
-
-    def replay():
-        yield held.pop()
-        yield from it
-    return replay()
-
-
 def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
                          cfg: NodeConfig, memo: dict | None = None) -> Iterator[Mapping]:
     """All accepted (witness-per-library, so, hb) combinations.
@@ -175,64 +165,45 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
     shape.  ``memo`` is one outcome computation's: it keeps each event's
     stamping (`stamp_events`), so an event is stamped once per
     computation, and maps shapes to their `Shape` set-ups; a new shape is
-    numbered once (`Numbering`), and without a memo the execution is
-    stamped and its shape set up afresh.  Each library is asked about its
-    slice, the stamping's list of its events in program order.  Each
-    library's witness search then runs at most once, and its first
-    witness is drawn in ``libs`` order: a library with none rejects the
-    execution.  ppo is needed at most once, by the first library that asks
-    for it (`Library.witnesses` prunes against it) or else only when every
-    library has a witness, and is closed only for the first execution of
-    its shape that needs it.  Then combinations are backtracked, in the
-    libraries' order and each library's witness order, with incremental
-    cycle detection on (ppo ∪ accumulated so)+: each witness grows a copy
-    of hb by its explicit pairs and the rows of its order, all by position
-    (`Witness.add_to`).  The first library's witnesses are visited once,
-    straight from its search; every later library's are drawn lazily into
-    a buffer that each visit replays.  A combination is a mapping whose
-    ``"so"`` and ``"hb"`` become pair sets, named by this execution's
-    subevents, only when read; the libraries' ``post_check`` reads the
-    grown order itself.
+    numbered once (`Numbering`) and its ppo closed once, and without a
+    memo the execution is stamped and its shape set up afresh.  Each
+    library is asked about its slice, the stamping's list of its events in
+    program order.  hb grows through the libraries' searches
+    (`Library.witnesses`): the first library is given ppo, each witness
+    carries the order it was given grown by its so, and that is what the
+    next library is given, so library i's search runs once per
+    combination of the libraries before it and yields only witnesses that
+    keep hb acyclic.  Combinations come in the libraries' order and each
+    library's witness order; the last witness's order is the
+    combination's hb, which the libraries' ``post_check`` read.  A
+    combination is a mapping whose ``"so"`` and ``"hb"`` become pair
+    sets, named by this execution's subevents, only when read.
     """
     stamped = stamp_events(plain, libs, cfg, memo)
     stmp, per_lib = stamped
     shape = None if memo is None else memo.get(stamped.key)
     if shape is None:
         shape = Shape(Numbering(plain.events, stmp, per_lib))
+        shape.ppo = ppo_order(shape.numbering)
         if memo is not None:
             memo[stamped.key] = shape
+    slices = [plain if len(per_lib[lib.name]) == len(plain.events)
+              else PlainExecution(tuple(per_lib[lib.name])) for lib in libs]
+    yield from _combinations(plain, libs, slices, stmp, cfg, shape, shape.ppo, ())
 
-    def ppo() -> IncrementalOrder:
-        if shape.ppo is None:
-            shape.ppo = ppo_order(shape.numbering)
-        return shape.ppo
 
-    drawn = []
-    for lib in libs:
-        evs = per_lib[lib.name]
-        sl = plain if len(evs) == len(plain.events) else PlainExecution(tuple(evs))
-        ws = _peeked(lib.witnesses(sl, stmp, cfg, ppo, shape))
-        if ws is None:
-            return
-        # A tee that is never advanced holds every witness drawn so far;
-        # each copy of it replays them and draws the rest on demand.
-        drawn.append((lib, tee(ws, 1)[0] if drawn else ws))
-
-    def rec(i: int, order: IncrementalOrder, chosen: list):
-        if i == len(drawn):
-            if all(lib.post_check(w, order) for lib, w in chosen):
-                yield OnRead(
-                    {"witnesses": {lib.name: w for lib, w in chosen}, "stmp": stmp},
-                    so=lambda: frozenset(p for _, w in chosen for p in w.so),
-                    hb=lambda: order.pairs(None, subevent_list(plain.events, stmp)))
-            return
-        lib, ws = drawn[i]
-        for w in copy(ws) if i else ws:
-            o2 = order.copy()
-            if w.add_to(o2):
-                yield from rec(i + 1, o2, chosen + [(lib, w)])
-
-    yield from rec(0, ppo(), [])
+def _combinations(plain: PlainExecution, libs: Sequence[Library], slices: list, stmp,
+                  cfg: NodeConfig, shape: Shape, hb: IncrementalOrder, chosen: tuple):
+    """Each accepted combination that extends ``chosen``, the witnesses of
+    the libraries before the next one, whose last grew ``hb``."""
+    i = len(chosen)
+    if i < len(libs):
+        for w in libs[i].witnesses(slices[i], stmp, cfg, hb, shape):
+            yield from _combinations(plain, libs, slices, stmp, cfg, shape, w.hb, chosen + (w,))
+    elif all(lib.post_check(w, hb) for lib, w in zip(libs, chosen)):
+        yield OnRead({"witnesses": {lib.name: w for lib, w in zip(libs, chosen)}, "stmp": stmp},
+                     so=lambda: frozenset(p for w in chosen for p in w.so),
+                     hb=lambda: hb.pairs(None, subevent_list(plain.events, stmp)))
 
 
 def lambda_consistent(exec_: Execution, libs: Sequence[Library],

@@ -68,15 +68,6 @@ class PlainExecution:
         return frozenset(p for _tid, thread in groupby(self.events, key=lambda e: e.tid)
                          for p in combinations(thread, 2))
 
-    def restrict(self, events: Iterable[Event]) -> "PlainExecution":
-        """The sub-execution on ``events``, a subset of this one's, in this
-        one's order.  On all of them it is this execution, so a single
-        library's slice shares its derived po instead of building it again."""
-        s = frozenset(events)
-        if len(s) == len(self.events):
-            return self
-        return PlainExecution(tuple(e for e in self.events if e in s))
-
     def validate(self) -> None:
         """Check the invariant the order relies on: (tid, eid) keys strictly
         increase along ``events``; raises InvalidInput."""

@@ -8,18 +8,22 @@ same location synchronise entry-to-exit, pairwise and with themselves.
 
 The round number is forced: each participant makes the same number of
 calls per location and rounds increase strictly along program order, so
-the i-th call of a thread is round i.
+the i-th call of a thread is round i.  The one witness is therefore
+decided by the execution's shape: `frame` builds it once per shape in
+one outcome computation, and each later execution of the shape, whose
+barrier calls are the same events, takes it as it is.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Iterator
 
 from ..config import NodeConfig
 from ..events import Event, PlainExecution
 from ..stamps import ACR, GF
 from ..values import UNIT
-from .base import Library, Witness, slice_shape
+from .base import Library, Shape, Witness, slice_shape
 
 BAR = "bar"
 
@@ -46,8 +50,11 @@ class BarrierLib(Library):
     def outputs(self, method, args, tid, prior, pools, cfg):
         return (UNIT,)
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo=None, shape=None) -> Iterator[Witness]:
+    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig):
+        """The shape of ``plain`` decides its one witness: its ``so``, by
+        position, and its ``meta``, with ``base`` for `grown_hb`; None when
+        a caller does not take part or the participants' call counts
+        differ, so that there is none."""
         for e in plain.events:
             self._require(e)
 
@@ -55,7 +62,7 @@ class BarrierLib(Library):
         for e in plain.events:
             x = e.args[0]
             if e.tid not in cfg.barrier.get(x, frozenset()):
-                return  # non-participating caller: no consistent execution
+                return None  # non-participating caller: no consistent execution
             by_loc.setdefault(x, {}).setdefault(e.tid, []).append(e)
 
         rounds: dict[Event, int] = {}
@@ -63,20 +70,19 @@ class BarrierLib(Library):
             participants = cfg.barrier[x]
             counts = {len(v) for v in per_thread.values()}
             if len(counts) != 1:
-                return
+                return None
             (c_x,) = counts
             if set(per_thread) != set(participants):
-                return  # some participant made a different number (zero) of calls
+                return None  # some participant made a different number (zero) of calls
             for evs in per_thread.values():
                 for i, e in enumerate(evs):
                     rounds[e] = i + 1
 
         # Subevents are positions (`base.Numbering`): each call's global
         # fences and its exit.
-        num = (shape or slice_shape(plain, stmp, self.name)).numbering
         fences: dict[Event, list[int]] = {}
         exit_: dict[Event, int] = {}
-        for p, k, a in num.own[self.name]:
+        for p, k, a in shape.numbering.own[self.name]:
             if a.kind == "GF":
                 fences.setdefault(plain.events[k], []).append(p)
             else:
@@ -88,7 +94,17 @@ class BarrierLib(Library):
                 for e2 in calls:
                     if rounds[e1] == rounds[e2]:
                         so.extend((p, exit_[e2]) for p in fences.get(e1, ()))
-        yield Witness(self.name, frozenset(so), names=num.names(self.name, plain.events),
-                      meta={"rounds": rounds,
-                            "c": {x: len(next(iter(pt.values())))
-                                  for x, pt in by_loc.items()}})
+        return SimpleNamespace(so=frozenset(so), base=(None, None), meta={
+            "rounds": rounds, "c": {x: len(next(iter(pt.values()))) for x, pt in by_loc.items()}})
+
+    def _grow_fixed(self, f, order) -> bool:
+        return order.add_edges(f.so)
+
+    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
+                  hb=None, shape=None) -> Iterator[Witness]:
+        shape = shape or slice_shape(plain, stmp, self.name)
+        f = self.frame(plain, stmp, cfg, shape)
+        grown = False if f is None else self.grown_hb(f, hb)
+        if grown is not False:
+            yield Witness(self.name, f.so, names=shape.numbering.names(self.name, plain.events),
+                          meta=f.meta, hb=grown)

@@ -3,10 +3,13 @@
 A library is a method set, a stamping rule, an output space per method,
 the stores each event makes, and a consistency oracle.  Oracles are
 implemented as witness generators: given the library's slice of a plain
-execution they yield every witness (rf, mo, ... choices) together with
-the synchronisation order the witness induces.
-The checker combines per-library synchronisation orders into the global
-happens-before and backtracks across libraries.
+execution and the checker's happens-before so far they yield every
+witness (rf, mo, ... choices) whose synchronisation order keeps that
+order acyclic, each with the order grown by its so (`Witness.hb`).  The
+checker hands that order to the next library, so hb grows through the
+searches, and backtracks across libraries.  What every witness of a
+shape holds is grown onto the order once per order given
+(`Library.grown_hb`).
 
 A witness names subevents by position in one list (`Numbering`): the
 subevent list of the execution, whose positions ppo and every execution
@@ -22,9 +25,11 @@ their reads and writes: a reads-from map, a modification order per place
 and the reads-before relation they induce.  `Coherence` holds what a
 shape decides of that search, with mo extended under ppo's direct rows,
 and its `search` enumerates them for the values one execution's reads
-pin.  A value is never guessed: a read's value is its rf source's, and a
-write's is fixed by its label or carried from the read part of its own
-event (a put, get or broadcast moves the value its read part saw).
+pin, growing the order it is given choice by choice: by rf, and by mo
+and rb as their covering pairs, whose closure is theirs.  A value is
+never guessed: a read's value is its rf source's, and a write's is fixed
+by its label or carried from the read part of its own event (a put, get
+or broadcast moves the value its read part saw).
 ``final_values`` reads the final memory off such a witness.
 """
 
@@ -100,7 +105,7 @@ class Numbering:
 
 class Shape:
     """What the plain executions of one shape share within one outcome
-    computation: its `Numbering`, ppo's closed rows once swept, and each
+    computation: its `Numbering`, ppo closed over its positions, and each
     library's frame, by library name (`Library.frame`)."""
 
     __slots__ = ("numbering", "ppo", "frames")
@@ -122,11 +127,12 @@ class Witness:
 
     ``explicit`` is the synchronisation order's explicit pairs; with an
     ``order`` (the RDMA libraries' issued-before), so also holds every
-    pair of that order from a position in ``inst``.  The checker grows hb
-    by `add_to`, from the explicit pairs and the order's rows.  ``rels``
-    are the component relations (pair sets or orders) for dumps, property
-    tests and ``post_check``, and ``vR`` / ``vW`` the value read/written
-    per subevent where meaningful.  All of these are given by position
+    pair of that order from a position in ``inst``.  ``hb`` is the order
+    the library was given grown by all of so, which the checker hands to
+    the next library and to ``post_check``; None when it was given none.
+    ``rels`` are the component relations (pair sets or orders) for dumps,
+    property tests and ``post_check``, and ``vR`` / ``vW`` the value
+    read/written per subevent where meaningful.  All of these are given by position
     (`Numbering`); with ``names`` (`Numbering.names`), ``so``, ``rels``,
     ``vR`` and ``vW`` name them by subevent when first read, while
     ``explicit``, ``relations`` and ``values`` keep the positions.
@@ -136,11 +142,11 @@ class Witness:
                  names: Callable[[], dict] | None = None, vR: dict | None = None,
                  vW: dict | None = None, rels: Mapping | None = None,
                  meta: dict | None = None, order: IncrementalOrder | None = None,
-                 inst: tuple = ()):
+                 inst: tuple = (), hb: IncrementalOrder | None = None):
         self.lib, self.explicit, self.names = lib, explicit, names
         self.values = (vR or {}, vW or {})
         self.relations, self.meta = rels or {}, meta or {}
-        self.order, self.inst = order, inst
+        self.order, self.inst, self.hb = order, inst, hb
 
     def _named(self, rel) -> frozenset:
         """``rel``, an order or a pair set, as a set of named pairs."""
@@ -163,13 +169,6 @@ class Witness:
         {}, **{k: partial(self._named, v) for k, v in self.relations.items()}))
     vR = cached_property(lambda self: self._keyed(self.values[0]))
     vW = cached_property(lambda self: self._keyed(self.values[1]))
-
-    def add_to(self, hb: IncrementalOrder) -> bool:
-        """Grow ``hb``, an order over the positions this witness names, by
-        its so: the explicit pairs and the order's rows from ``inst``, as
-        they are.  False when a cycle closes."""
-        return hb.add_edges(self.explicit) and (
-            self.order is None or hb.absorb(self.order, self.inst))
 
 
 class Library:
@@ -201,16 +200,18 @@ class Library:
         return None
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo: Callable[[], IncrementalOrder] | None = None,
+                  hb: IncrementalOrder | None = None,
                   shape: Shape | None = None) -> Iterator[Witness]:
-        """Every witness of the slice ``plain``.  ``ppo``, when given,
-        returns the closed ppo of the whole execution, over the positions
-        of its subevent list, which the library must not change; a library
-        may then skip a witness whose so closes a cycle with it, since hb
-        would; ``None`` asks for every witness.  Witnesses name
-        subevents by position in the subevent list of the events ``stmp``
-        stamps, in program order (`Numbering`): with the checker's
-        stamping, that is ppo's list.
+        """Every witness of the slice ``plain`` whose so keeps ``hb``
+        acyclic, in the library's witness order, each carrying ``hb``
+        grown by its so (`Witness.hb`).  ``hb`` is the checker's order so
+        far, over the positions of the whole execution's subevent list,
+        which the library must not change: the shape's closed ppo for the
+        first library, and that grown by an earlier library's witness
+        after it.  ``None`` asks for every witness, unpruned, each with
+        ``hb`` None.  Witnesses name subevents by position in the subevent
+        list of the events ``stmp`` stamps, in program order
+        (`Numbering`): with the checker's stamping, that is hb's list.
 
         ``shape`` is the checker's `Shape`, the same for every execution
         of this one's shape (`checker.stamp_events`' key) in one outcome
@@ -225,7 +226,7 @@ class Library:
         order over the positions the witness names, read with ``in``."""
         return True
 
-    def frame(self, plain: PlainExecution, stmp, cfg: NodeConfig, ppo=None,
+    def frame(self, plain: PlainExecution, stmp, cfg: NodeConfig,
               shape: Shape | None = None):
         """What the shape of ``plain`` decides of this library's witness
         search (`_build_frame`): built for the first execution of its
@@ -234,8 +235,22 @@ class Library:
         ``shape`` the library numbers its slice itself (`slice_shape`)."""
         shape = shape or slice_shape(plain, stmp, self.name)
         if self.name not in shape.frames:
-            shape.frames[self.name] = self._build_frame(plain, shape, cfg, ppo)
+            shape.frames[self.name] = self._build_frame(plain, shape, cfg)
         return shape.frames[self.name]
+
+    def grown_hb(self, f, hb: IncrementalOrder | None):
+        """``hb`` grown, on a copy, by the so pairs that every witness of
+        the frame ``f``'s shape holds (`_grow_fixed`): None without
+        ``hb``, False when they close a cycle, so that no witness keeps it
+        acyclic.  The frame keeps in ``f.base`` the last ``hb`` it was
+        given with what grew from it, so the first library, whose hb is
+        always its shape's ppo, grows it once per shape."""
+        if hb is None:
+            return None
+        if f.base[0] is not hb:
+            o = hb.copy()
+            f.base = (hb, self._grow_fixed(f, o) and o)
+        return f.base[1]
 
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         """(loc, node) -> value of the mo-maximal write, where applicable."""
@@ -260,23 +275,28 @@ class Coherence:
     is pruned at once; a pin whose source still waits on an undecided read
     is passed on to that read in ``need``.  With ``order``, a closed order
     over ``range(n)``, the positions the reads and writes are, that must
-    stay acyclic with every pair below (the checker's ppo, grown by the so
-    pairs every witness holds), a choice is pruned as soon as it
-    closes a cycle: reading w adds (w, r) unless ``internal(w, r)``,
-    reading the initial value (r, w') for every other write w' of r's
-    place, and each modification order its mo and rb pairs, each on a copy
-    unless the order holds them already.  The choices left keep their
-    order.
+    stay acyclic with every pair below (the checker's hb so far, grown by
+    the so pairs every witness of the library holds), a choice is pruned
+    as soon as it closes a cycle: reading w adds (w, r) unless
+    ``internal(w, r)``, reading the initial value (r, w') for every other
+    write w' of r's place, and each modification order its covering pairs:
+    each extension's consecutive pairs and, per read, the rb pair to the
+    mo-successor of its rf source (to the place's mo-first write for the
+    initial value), past the read's own position; their closure is mo's
+    and rb's.  Each grows a copy unless the order holds it already, and
+    the choices left keep their order.
 
-    Yields ``(rf, mo, rb, vR, vW, by_place)``: each complete rf choice with
-    each of its modification orders (per place, in ``repr`` order, its
-    linear extensions under ``before``), the reads-before relation they
-    induce, the values read and written, and each place's writes.  The
-    frames search over positions (`Numbering.coherence`).
+    Yields ``(rf, mo, rb, vR, vW, by_place, order)``: each complete rf
+    choice with each of its modification orders (per place, in ``repr``
+    order, its linear extensions under ``before``), the reads-before
+    relation they induce, the values read and written, each place's
+    writes, and the order grown by all of it (None without one).  Each
+    combination of extensions, with its mo, is built once per `Coherence`.
+    The frames search over positions (`Numbering.coherence`).
     """
 
-    __slots__ = ("reads", "writes", "place", "write_value", "carrier",
-                 "by_place", "choices", "init_edges", "mo_choices")
+    __slots__ = ("reads", "writes", "place", "write_value", "carrier", "by_place",
+                 "choices", "init_edges", "read_group", "combos")
 
     def __init__(self, reads: Sequence, writes: Sequence, place: Mapping,
                  write_value: Mapping, carrier: Mapping,
@@ -292,14 +312,22 @@ class Coherence:
                          for w in self.by_place.get(place[r], ())] for r in self.reads]
         self.init_edges = [[(r, w) for w in self.by_place.get(place[r], ()) if w != r]
                            for r in self.reads]
-        self.mo_choices = _mo_choices(list(self.by_place.values()), before)
+        group = {p: g for g, p in enumerate(self.by_place)}
+        self.read_group = [(r, group[place[r]]) for r in self.reads if place[r] in group]
+        # Each combination of the places' extensions: its mo, its
+        # consecutive pairs and the extensions.
+        self.combos = [(frozenset((o[i], o[j]) for o in combo
+                                  for i in range(len(o)) for j in range(i + 1, len(o))),
+                        [(o[i], o[i + 1]) for o in combo for i in range(len(o) - 1)], combo)
+                       for combo in itertools.product(
+                           *_mo_choices(list(self.by_place.values()), before))]
 
     def search(self, read_value: Mapping, init_of: Callable[[Hashable], Value],
                order: IncrementalOrder | None = None
-               ) -> Iterator[tuple[frozenset, frozenset, frozenset, dict, dict, dict]]:
-        reads, writes, place = self.reads, self.writes, self.place
-        write_value, carrier, by_place = self.write_value, self.carrier, self.by_place
-        choices, init_edges, mo_choices = self.choices, self.init_edges, self.mo_choices
+               ) -> Iterator[tuple[frozenset, frozenset, frozenset, dict, dict, dict,
+                                   IncrementalOrder | None]]:
+        reads, place, write_value, carrier = self.reads, self.place, self.write_value, self.carrier
+        choices, init_edges = self.choices, self.init_edges
         rf: dict = {}
         need = dict(read_value)
 
@@ -318,31 +346,10 @@ class Coherence:
                     return init_of(place[r]), None
             return None, None
 
-        def grow(o, edges):
-            """``o`` grown by ``edges`` on a copy, or False when they close a
-            cycle; ``o`` itself when there is no order or it holds every
-            edge already."""
-            if o is None:
-                return o
-            rows = o.rows
-            for a, b in edges:
-                if not rows[a] >> b & 1:
-                    o = o.copy()
-                    return o.add_edges(edges) and o
-            return o
-
-        def step(i: int, o):
-            if i == len(reads):
-                vW = {w: walk(w)[0] for w in writes}
-                vR = {r: init_of(place[r]) if rf[r] is None else vW[rf[r]] for r in reads}
-                rel = frozenset((w, r) for r, w in rf.items() if w is not None)
-                for combo in itertools.product(*mo_choices):
-                    mo = frozenset(p for pairs in combo for p in pairs)
-                    rb = frozenset((r, w) for r in reads for w in by_place.get(place[r], ())
-                                   if w != r and (rf[r] is None or (rf[r], w) in mo))
-                    if grow(o, [*mo, *rb]) is not False:
-                        yield rel, mo, rb, vR, vW, by_place
-                return
+        def read_choices(i: int, o):
+            """Read i's choices given those before it: each sets ``rf``
+            (and ``need``, when it passes a pin on) and yields ``o`` grown
+            by it, until the next is asked for."""
             r = reads[i]
             want = need.get(r)
             for w, edge in choices[i]:
@@ -356,19 +363,63 @@ class Coherence:
                 if o2 is False:
                     continue                    # a cycle with the order
                 if want is None or want == have:
-                    yield from step(i + 1, o2)
+                    yield o2
                 else:
                     need[u] = want
-                    yield from step(i + 1, o2)
+                    yield o2
                     del need[u]
             rf[r] = None
             if want is None or want == init_of(place[r]):
                 o2 = grow(o, init_edges[i])
                 if o2 is not False:
-                    yield from step(i + 1, o2)
+                    yield o2
             del rf[r]
 
-        yield from step(0, order)
+        # One generator of choices per decided read, the last read's last,
+        # and no recursion: an exhausted read hands back to the one before.
+        levels: list = []
+        o = order
+        while True:
+            if len(levels) < len(reads):
+                levels.append(read_choices(len(levels), o))
+            else:
+                # A complete rf choice, with each modification order whose
+                # covering pairs keep ``o`` acyclic.
+                vW = {w: walk(w)[0] for w in self.writes}
+                vR = {r: init_of(place[r]) if rf[r] is None else vW[rf[r]] for r in reads}
+                rel = frozenset((w, r) for r, w in rf.items() if w is not None)
+                for mo, cover, exts in self.combos:
+                    # Per read, its rb targets: the writes mo-after its rf
+                    # source (every write of its place for the initial
+                    # value) but itself.
+                    later = [(r, [w for w in exts[g][0 if rf[r] is None
+                                                     else exts[g].index(rf[r]) + 1:] if w != r])
+                             for r, g in self.read_group]
+                    o2 = grow(o, [*cover, *((r, ws[0]) for r, ws in later if ws)])
+                    if o2 is not False:
+                        rb = frozenset((r, w) for r, ws in later for w in ws)
+                        yield rel, mo, rb, vR, vW, self.by_place, o2
+            while levels:
+                o = next(levels[-1], False)
+                if o is not False:
+                    break
+                levels.pop()
+            else:
+                return
+
+
+def grow(o: IncrementalOrder | None, edges):
+    """``o`` grown by ``edges`` on a copy, or False when they close a
+    cycle; ``o`` itself when there is no order or it holds every edge
+    already."""
+    if o is None:
+        return o
+    rows = o.rows
+    for a, b in edges:
+        if not rows[a] >> b & 1:
+            o = o.copy()
+            return o.add_edges(edges) and o
+    return o
 
 
 def final_values(w: Witness) -> dict:
@@ -382,20 +433,19 @@ def final_values(w: Witness) -> dict:
     return out
 
 
-def _mo_choices(groups: Sequence[Sequence], before: Callable) -> list[list[list]]:
-    """Per group, the pairs of each of its linear extensions under
-    ``before``, built write by write: the next write is one that no
-    remaining write must precede.  Taking the candidates in group order
-    gives the orders in the lexicographic order of positions."""
-    def extensions(rest: tuple, prefix: tuple) -> Iterator[tuple]:
-        if not rest:
-            yield prefix
-            return
-        for k, w in enumerate(rest):
-            others = rest[:k] + rest[k + 1:]
-            if not any(before(r, w) for r in others):
-                yield from extensions(others, prefix + (w,))
+def _mo_choices(groups: Sequence[Sequence], before: Callable) -> list[list[tuple]]:
+    """Per group, each of its linear extensions under ``before``, as a
+    tuple of its writes in order, built write by write: the next write is
+    one that no remaining write must precede.  Taking the candidates in
+    group order gives the orders in the lexicographic order of positions."""
+    return [list(_extensions(tuple(g), (), before)) for g in groups]
 
-    return [[[(o[i], o[j]) for i in range(len(o)) for j in range(i + 1, len(o))]
-             for o in extensions(tuple(g), ())]
-            for g in groups]
+
+def _extensions(rest: tuple, prefix: tuple, before: Callable) -> Iterator[tuple]:
+    if not rest:
+        yield prefix
+        return
+    for k, w in enumerate(rest):
+        others = rest[:k] + rest[k + 1:]
+        if not any(before(r, w) for r in others):
+            yield from _extensions(others, prefix + (w,), before)

@@ -29,16 +29,19 @@ cycle.  A witness carries its grown order and the positions of its
 instantaneous items, and the checker's hb absorbs those rows as they
 are; ib, ``inst_ib`` and so become pair sets only when read.
 
-Given the checker's ppo, the coherence search is pruned against ppo
-grown by the so pairs every witness holds: the fixed part's rows from
+Given the checker's hb so far, the coherence search is pruned against
+it grown by the so pairs every witness holds: the fixed part's rows from
 instantaneous items, polls-from's so part and the nfo pairs the stamp
 order forces.  hb would veto each choice that closes a cycle there, and
-an execution whose fixed pairs alone close one has no witness.
+an execution whose fixed pairs alone close one has no witness.  A
+witness's ``hb`` is the order the search grew for its coherence choice,
+grown by its nfo pairs and by its ib order's rows from instantaneous
+items; one that closes a cycle there is not yielded.
 
 All of that but the values the reads pin is decided by the execution's
 shape (`checker.stamp_events`' key): polls-from, iso and the carriers,
-places and stored values, ib's fixed rows and instantaneous items, the
-nfo split and the pruning order, or that there is no witness.  `frame`
+places and stored values, ib's fixed rows and instantaneous items and
+the nfo split, or that the node discipline leaves no witness.  `frame`
 builds them in the positions of the shape's `base.Numbering`, from the
 events' shape-decided fields and with no subevent, for the first
 execution of a shape in one outcome computation, and every later one
@@ -161,17 +164,16 @@ class RdmaLib(Library):
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)
 
-    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig, ppo):
+    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig):
         """What the shape of ``plain`` decides of its witness search, in
-        the positions of the shape's numbering: the `Coherence` ``search``,
-        the ``pinned`` reads (position, index of the event in ``plain``)
-        and the pruning ``order``; polls-from's so part ``so_pf`` and its
-        named ``pf_parts``; ``iso``; ib's ``fixed`` part, closed, and the
+        the positions of the shape's numbering: the `Coherence` ``search``
+        and the ``pinned`` reads (position, index of the event in
+        ``plain``); polls-from's so part ``so_pf`` and its named
+        ``pf_parts``; ``iso``; ib's ``fixed`` part, closed, and the
         positions ``inst`` of its instantaneous items; the ``internal`` rf
-        pairs and the candidate internal fr pairs ``fr_int``; and the
-        ``forced`` and ``free`` nfo pairs.  None when the node discipline
-        fails or the fixed so pairs close a cycle with ppo, so that no
-        witness exists."""
+        pairs and the candidate internal fr pairs ``fr_int``; the
+        ``forced`` and ``free`` nfo pairs; and ``base``, for `grown_hb`.
+        None when the node discipline fails, so that no witness exists."""
         role_of = self.role_of
         events = plain.events
         for e in events:
@@ -254,65 +256,72 @@ class RdmaLib(Library):
         fixed = IncrementalOrder(rows)
         inst = tuple(p for p, _k, a in own if a.kind not in ("aCW", "nLW", "nRW"))
 
-        # Every witness's so holds the pairs of ``fixed`` from its
-        # instantaneous items, polls-from's so part and the forced nfo
-        # pairs, so hb holds ppo and those whatever the choice: coherence
-        # is pruned against them.
-        base = None
-        if ppo is not None:
-            base = ppo().copy()
-            if not (base.absorb(fixed, inst) and base.add_edges([*so_pf, *forced_nfo])):
-                return None
-
         search, internal = num.coherence(reads, writes, place, write_value, carrier)
         fr_int = frozenset((r, w) for r in reads for w in writes
                            if kind[r] == "aCR" and kind[w] == "aCW"
                            and num.tid[r] == num.tid[w])
         return SimpleNamespace(
-            search=search, pinned=pinned, order=base,
+            search=search, pinned=pinned,
             so_pf=so_pf, pf_parts=pf_parts, iso=iso, fixed=fixed, inst=inst,
-            internal=internal, fr_int=fr_int, forced=forced_nfo, free=free_nfo)
+            internal=internal, fr_int=fr_int, forced=forced_nfo, free=free_nfo,
+            base=(None, None))
+
+    def _grow_fixed(self, f, order) -> bool:
+        # Every witness's so holds the pairs of ``fixed`` from its
+        # instantaneous items, polls-from's so part and the forced nfo
+        # pairs.
+        return order.absorb(f.fixed, f.inst) and order.add_edges([*f.so_pf, *f.forced])
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo=None, shape=None) -> Iterator[Witness]:
+                  hb=None, shape=None) -> Iterator[Witness]:
         if not self.extra_valid(plain, cfg):
             return
         shape = shape or slice_shape(plain, stmp, self.name)
-        f = self.frame(plain, stmp, cfg, ppo, shape)
+        f = self.frame(plain, stmp, cfg, shape)
         if f is None:
+            return
+        base = self.grown_hb(f, hb)
+        if base is False:
             return
         events = plain.events
         names = shape.numbering.names(self.name, events)
-
-        def oriented(i: int, order: IncrementalOrder, nfo: tuple):
-            """Each acyclic orientation of the free nfo pairs from the
-            i-th on, (s1, s2) before (s2, s1): (ib order, nfo).  A pair
-            that ``order`` already orients keeps that orientation, with no
-            copy; either way round closes no cycle for the others."""
-            if i == len(f.free):
-                yield order, frozenset(nfo)
-                return
-            s1, s2 = f.free[i]
-            for pair in ((s1, s2), (s2, s1)):
-                if pair in order:
-                    yield from oriented(i + 1, order, nfo + (pair,))
-                    return
-            for pair in ((s1, s2), (s2, s1)):
-                o2 = order.copy()
-                o2.add_edges((pair,))
-                yield from oriented(i + 1, o2, nfo + (pair,))
-
-        for rf, mo, rb, vR, vW, by_place in f.search.search(
+        for rf, mo, rb, vR, vW, by_place, so_far in f.search.search(
                 {p: events[k].output for p, k in f.pinned},
-                lambda p: cfg.init_of(*p), f.order):
+                lambda p: cfg.init_of(*p), base):
             grown = f.fixed.copy()
             if not grown.add_edges([*rf, *(p for p in rb if p in f.fr_int), *f.forced]):
                 continue
             explicit = (rf - f.internal) | f.so_pf | rb | mo
-            for order, nfo in oriented(0, grown, tuple(f.forced)):
+            for order, nfo in _oriented(f.free, 0, grown, tuple(f.forced)):
+                # hb already holds the coherence pairs and the forced nfo
+                # pairs; it takes the free ones and ib's rows from inst.
+                w_hb = so_far
+                if so_far is not None:
+                    w_hb = so_far.copy()
+                    if not (w_hb.add_edges(nfo) and w_hb.absorb(order, f.inst)):
+                        continue
                 yield Witness(
                     self.name, explicit | nfo, names=names, vR=vR, vW=vW,
                     rels={"rf": rf, "mo": mo, "rb": rb, "nfo": nfo, "iso": f.iso,
                           **f.pf_parts, "ib": order},
-                    meta={"by_place": by_place}, order=order, inst=f.inst,
+                    meta={"by_place": by_place}, order=order, inst=f.inst, hb=w_hb,
                 )
+
+
+def _oriented(free: list, i: int, order: IncrementalOrder, nfo: tuple):
+    """Each acyclic orientation of the ``free`` nfo pairs from the i-th
+    on, (s1, s2) before (s2, s1): (ib order, nfo).  A pair that ``order``
+    already orients keeps that orientation, with no copy; either way round
+    closes no cycle for the others."""
+    if i == len(free):
+        yield order, frozenset(nfo)
+        return
+    s1, s2 = free[i]
+    for pair in ((s1, s2), (s2, s1)):
+        if pair in order:
+            yield from _oriented(free, i + 1, order, nfo + (pair,))
+            return
+    for pair in ((s1, s2), (s2, s1)):
+        o2 = order.copy()
+        o2.add_edges((pair,))
+        yield from _oriented(free, i + 1, o2, nfo + (pair,))

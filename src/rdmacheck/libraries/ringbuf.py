@@ -23,7 +23,7 @@ from ..lang import Pools
 from ..relations import IncrementalOrder
 from ..stamps import ACR, ACW, AWT, nRW
 from ..values import BOT
-from .base import Library, Witness, slice_shape
+from .base import Library, Witness, grow, slice_shape
 
 SUBMIT, RECEIVE = "submit", "receive"
 
@@ -70,7 +70,7 @@ class RingBufferLib(Library):
         return not any((b, a) in hb for a, b in w.relations["fb"])
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo=None, shape=None) -> Iterator[Witness]:
+                  hb=None, shape=None) -> Iterator[Witness]:
         for e in plain.events:
             self._require(e)
             x = e.args[0]
@@ -100,22 +100,10 @@ class RingBufferLib(Library):
         def place(s: int) -> tuple:
             return (ev[s].args[0], node(ev[s].tid))
 
-        def candidates(r: int):
-            return [w for w in writes.get(place(r), ())
-                    if ev[w].args[1] == ev[r].output]
-
-        def rec(i: int, rf: dict) -> Iterator[dict]:
-            if i == len(reads):
-                yield rf
-                return
-            r = reads[i]
-            taken = {(ev[w], ev[rr].tid) for rr, w in rf.items()}
-            for w in candidates(r):
-                if (ev[w], ev[r].tid) in taken:
-                    continue  # a thread reads each message at most once
-                yield from rec(i + 1, {**rf, r: w})
-
-        for rfmap in rec(0, {}):
+        # Each receive's candidates: the same place's writes of its payload.
+        candidates = [[w for w in writes.get(place(r), ()) if ev[w].args[1] == ev[r].output]
+                      for r in reads]
+        for rfmap in _rf_maps(reads, candidates, ev, 0, {}):
             # No jumping: a read of message m implies an earlier (po) read,
             # by the same thread, of every same-place message po-before m.
             ok = True
@@ -143,8 +131,26 @@ class RingBufferLib(Library):
                         fb.append((f, w))
             fb = frozenset(fb)
             so = rf | fb if self.mode == STRICT else rf
+            grown = grow(hb, so)
+            if grown is False:
+                continue
             yield Witness(self.name, so, names=num.names(self.name, plain.events),
                           vR={r: ev[r].output for r in reads},
                           vW={w: ev[w].args[1] for ws in writes.values() for w in ws},
                           rels={"rf": rf, "fb": fb},
-                          meta={"mode": self.mode})
+                          meta={"mode": self.mode}, hb=grown)
+
+
+def _rf_maps(reads: list, candidates: list, ev: dict, i: int, rf: dict) -> Iterator[dict]:
+    """Each rf map of the successful receives ``reads`` from the i-th on,
+    extending ``rf``: read i takes one of its ``candidates``, a message
+    its thread has not read yet."""
+    if i == len(reads):
+        yield rf
+        return
+    r = reads[i]
+    taken = {(ev[w], ev[rr].tid) for rr, w in rf.items()}
+    for w in candidates[i]:
+        if (ev[w], ev[r].tid) in taken:
+            continue  # a thread reads each message at most once
+        yield from _rf_maps(reads, candidates, ev, i + 1, {**rf, r: w})

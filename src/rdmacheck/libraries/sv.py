@@ -8,12 +8,14 @@ broadcasts tagged d; the global fence orders everything via its stamps.
 A witness is a ``base.Coherence`` choice over (location, node) replicas,
 a broadcast's write part carrying what its read part saw, in which no CPU
 read reads past a po-later CPU write.  Polls-from (pf), the broadcast's
-intra-event order (iso), the coherence search but the values reads
-return, and its pruning order, ppo grown by pf and iso, are decided by
-the execution's shape: `frame` builds them once per shape in one outcome
-computation, in the positions of the shape's `base.Numbering` and with
-no subevent, and every later execution of the shape uses them as they
-are, reading only its pinned reads' outputs off its events.
+intra-event order (iso) and the coherence search but the values reads
+return are decided by the execution's shape: `frame` builds them once
+per shape in one outcome computation, in the positions of the shape's
+`base.Numbering` and with no subevent, and every later execution of the
+shape uses them as they are, reading only its pinned reads' outputs off
+its events.  The search is pruned against the checker's hb grown by pf
+and iso, which every witness holds, and a witness's ``hb`` is the order
+the search grew for it.
 """
 
 from __future__ import annotations
@@ -67,13 +69,12 @@ class SharedVarLib(Library):
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)
 
-    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig, ppo):
+    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig):
         """What the shape of ``plain`` decides of its witness search, in
         the positions of the shape's numbering: the `Coherence` ``search``,
         the ``pinned`` reads (position, index of the event in ``plain``),
-        the pruning ``order``, ``pf``, ``iso``, the ``internal`` rf pairs
-        and the CPU (read, later write) pairs ``past``; or None when pf
-        and iso close a cycle with ppo, so that no witness exists."""
+        ``pf``, ``iso``, the ``internal`` rf pairs and the CPU (read, later
+        write) pairs ``past``; and ``base``, for `grown_hb`."""
         events = plain.events
         for e in events:
             self._require(e)
@@ -106,29 +107,26 @@ class SharedVarLib(Library):
                        for k2, t, d in waits
                        if t == num.tid[p] and k1 < k2 and ev[p].args[1] == d)
         iso = frozenset((r, w) for w, r in carrier.items())
-
-        # Every witness's so holds pf and iso: coherence is pruned against
-        # ppo and them.
-        order = None
-        if ppo is not None:
-            order = ppo().copy()
-            if not order.add_edges(pf | iso):
-                return None
         search, internal = num.coherence(reads, writes, place, write_value, carrier)
-        return SimpleNamespace(search=search, pinned=pinned, order=order, pf=pf,
-                               iso=iso, internal=internal, past=past)
+        return SimpleNamespace(search=search, pinned=pinned, pf=pf, iso=iso,
+                               internal=internal, past=past, base=(None, None))
+
+    def _grow_fixed(self, f, order) -> bool:
+        # Every witness's so holds pf and iso.
+        return order.add_edges(f.pf | f.iso)
 
     def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  ppo=None, shape=None) -> Iterator[Witness]:
+                  hb=None, shape=None) -> Iterator[Witness]:
         shape = shape or slice_shape(plain, stmp, self.name)
-        f = self.frame(plain, stmp, cfg, ppo, shape)
-        if f is None:
+        f = self.frame(plain, stmp, cfg, shape)
+        base = self.grown_hb(f, hb)
+        if base is False:
             return
         events = plain.events
         names = shape.numbering.names(self.name, events)
-        for rf, mo, rb, vR, vW, by_place in f.search.search(
+        for rf, mo, rb, vR, vW, by_place, grown in f.search.search(
                 {p: events[k].output for p, k in f.pinned},
-                lambda p: cfg.init_of(*p), f.order):
+                lambda p: cfg.init_of(*p), base):
             # CPU reads may not read past a program-order-later CPU write.
             if not f.past.isdisjoint(rb):
                 continue
@@ -136,5 +134,5 @@ class SharedVarLib(Library):
             yield Witness(
                 self.name, so, names=names, vR=vR, vW=vW,
                 rels={"rf": rf, "mo": mo, "rb": rb, "pf": f.pf, "iso": f.iso},
-                meta={"by_place": by_place},
+                meta={"by_place": by_place}, hb=grown,
             )

@@ -1,16 +1,19 @@
 """The search ``enumerate_consistent``: every accepted combination passes
 the whole-execution check ``lambda_consistent``, and an execution that
 differs from one in stamping, so or hb does not.  It yields the same
-combinations, in the same order, as a search that builds hb first and
-restarts each library's search for every combination before it; and it
-runs each library's search once, building ppo at most once, when a
-library asks for it or every library has a witness.  A witness search
-pruned by ppo drops only witnesses that hb would veto.  Its one-sweep ppo
-is the closure of ``derive_ppo``, and it builds no relation as a pair set
-unless something reads it."""
+combinations, in the same order, as a search that takes each library's
+unpruned witnesses, grows a copy of ppo by each one's so and then asks
+``post_check``; it closes ppo once per shape, before the first library,
+and runs library i's search once per combination of the libraries before
+it, given the order that combination grew.  A witness search pruned by
+an order drops only witnesses whose so closes a cycle with it, and hands
+each one it keeps back with that order grown by its so.  Its one-sweep
+ppo is the closure of ``derive_ppo``, and it builds no relation as a pair
+set unless something reads it."""
 
 from __future__ import annotations
 
+import gc
 import weakref
 from pathlib import Path
 
@@ -20,13 +23,16 @@ from conftest import C, cfg2, compiled, unfold_compiled, unfold_file
 from test_rdma_ib import CLIENTS
 from test_relations import naive_closure
 from test_ringbuf import POST_CHECK_VETO
+from test_tower_verdicts import ITEMS, item_id
 from rdmacheck import checker, runner
 from rdmacheck.checker import (Bounds, enumerate_consistent, lambda_consistent,
                                outcomes, pools, stamp_events)
-from rdmacheck.events import Execution, subevent_list
+from rdmacheck.events import Execution, PlainExecution, subevent_list
 from rdmacheck.lang import interpret_conc
 from rdmacheck.libraries.base import Library, Numbering, Witness
+from rdmacheck.litmus import build_test, parse_litmus
 from rdmacheck.relations import IncrementalOrder, forward_rows
+from rdmacheck.runner import _mk_libs
 from rdmacheck.stamps import ACR, AMF, derive_ppo, ppo_before
 from rdmacheck.values import UNIT
 
@@ -92,11 +98,13 @@ def test_rejects_a_missing_so_or_hb_edge():
 
 
 def eager_combinations(plain, libs, cfg):
-    """The search with ppo and hb built first and each library's search
-    restarted for every combination of the libraries before it:
+    """The reference search: each library's unpruned witnesses, in
+    ``libs`` order, each growing a copy of ppo (swept from
+    ``ppo_before``) by its so, restarted for every combination of the
+    libraries before it, and ``post_check`` on the order so grown:
     (so per library, hb) of each accepted combination."""
     stmp, per_lib = stamp_events(plain, libs, cfg)
-    slices = [(lib, plain.restrict(per_lib[lib.name])) for lib in libs]
+    slices = [(lib, PlainExecution(tuple(per_lib[lib.name]))) for lib in libs]
     subevents = subevent_list(plain.events, stmp)
     pos = {s: i for i, s in enumerate(subevents)}
 
@@ -107,6 +115,7 @@ def eager_combinations(plain, libs, cfg):
             return
         lib, sl = slices[i]
         for w in lib.witnesses(sl, stmp, cfg):
+            assert w.hb is None
             o2 = order.copy()
             if o2.add_edges((pos[a], pos[b]) for a, b in w.so):
                 yield from rec(i + 1, o2, chosen + [(lib, w)])
@@ -137,10 +146,13 @@ def unfold_searched(path, tower):
 # decides, written out by the test.
 COMBINED = SEARCHED + [(f"clients/{n}", n, None) for n in sorted(CLIENTS)]
 VETOED = [("clients/post_check_veto", "post_check_veto", None)]
+# The compiled sides of the pinned tower verdicts.
+TOWERS = [(f"towers/{item_id(it)}", ROOT / f"{it[1]}.litmus", (it[0], it[2]))
+          for it in ITEMS]
 
 
-@pytest.mark.parametrize("path, tower", [(p, t) for _, p, t in COMBINED + VETOED],
-                         ids=[n for n, _, _ in COMBINED + VETOED])
+@pytest.mark.parametrize("path, tower", [(p, t) for _, p, t in COMBINED + VETOED + TOWERS],
+                         ids=[n for n, _, _ in COMBINED + VETOED + TOWERS])
 def test_same_combinations_in_the_same_order_as_the_eager_search(tmp_path, path, tower):
     cfg, libs, res = unfold_searched(written(tmp_path, path), tower)
     n = 0
@@ -166,7 +178,7 @@ def test_the_swept_ppo_is_the_closure_of_derive_ppo(path, tower):
 
 
 def witness_key(w):
-    return w.so, w.rels["rf"], w.rels["mo"], w.vR, w.vW
+    return w.so, dict(w.rels), w.vR, w.vW
 
 
 # A CPU read of its own thread's write, then store buffering.  hb holds
@@ -195,6 +207,11 @@ PRUNED = COMBINED + [("clients/own_write_sb", "own_write_sb", None),
 
 @pytest.mark.parametrize("name, path, tower", PRUNED, ids=[n for n, _, _ in PRUNED])
 def test_pruning_by_ppo_drops_only_witnesses_that_hb_vetoes(tmp_path, name, path, tower):
+    """Each library, given ppo or, past the first, the order an earlier
+    library's first witness handed back, yields an in-order subsequence
+    of its unpruned witnesses: each one it leaves out closes a cycle with
+    that order, and each one it keeps carries that order grown by its so.
+    The order given is not changed."""
     if isinstance(path, str):
         path = tmp_path / f"{path}.litmus"
         path.write_text({**CLIENTS, "own_write_sb": OWN_WRITE_SB}[path.stem])
@@ -202,24 +219,29 @@ def test_pruning_by_ppo_drops_only_witnesses_that_hb_vetoes(tmp_path, name, path
     dropped = 0
     for _vals, plain in res.results:
         stmp, per_lib = stamp_events(plain, libs, cfg)
-        ppo = checker.ppo_order(Numbering(plain.events, stmp, per_lib))
-        rows = list(ppo.rows)
+        pos = {s: i for i, s in enumerate(subevent_list(plain.events, stmp))}
+        hb = checker.ppo_order(Numbering(plain.events, stmp, per_lib))
         for lib in libs:
-            if lib.name not in ("sv", "rl", "tso", "msw"):
-                continue
-            sl = plain.restrict(per_lib[lib.name])
-            pruned = lib.witnesses(sl, stmp, cfg, lambda: ppo)
-            # The pruned witnesses are an in-order subsequence of all of
-            # them, and each one left out closes a cycle with ppo.
-            nxt = next(pruned, None)
+            rows = list(hb.rows)
+            sl = PlainExecution(tuple(per_lib[lib.name]))
+            pruned = lib.witnesses(sl, stmp, cfg, hb)
+            first = nxt = next(pruned, None)
             for w in lib.witnesses(sl, stmp, cfg):
+                assert w.hb is None
+                grown = hb.copy()
+                if not grown.add_edges((pos[a], pos[b]) for a, b in w.so):
+                    grown = None
                 if nxt is not None and witness_key(nxt) == witness_key(w):
+                    assert grown is not None and nxt.hb.rows == grown.rows
                     nxt = next(pruned, None)
                 else:
-                    assert not w.add_to(ppo.copy())
+                    assert grown is None
                     dropped += 1
             assert nxt is None
-        assert ppo.rows == rows
+            assert hb.rows == rows
+            if first is None:
+                break
+            hb = first.hb
     assert res.results
     if name == "rbl/appf_rbl_bal":
         assert dropped > 0
@@ -227,17 +249,16 @@ def test_pruning_by_ppo_drops_only_witnesses_that_hb_vetoes(tmp_path, name, path
 
 class Counted(Library):
     """A one-method library with ``n`` witnesses of empty so on every
-    slice; counts the calls of ``witnesses`` and the witnesses drawn,
-    keeps a weak reference to each witness and, with ``asks_ppo``, the
-    ppo order it got."""
+    slice, each handing back the order it was given; counts the calls of
+    ``witnesses`` and the witnesses drawn, and keeps a weak reference to
+    each witness and the order each call was given."""
 
-    def __init__(self, method: str, n: int, asks_ppo: bool = False):
+    def __init__(self, method: str, n: int):
         self.name = method
         self.methods = frozenset({method})
         self.n = n
-        self.asks_ppo = asks_ppo
         self.calls = self.drawn = 0
-        self.refs, self.ppos = [], []
+        self.refs, self.given = [], []
 
     def stamping(self, e, cfg):
         return frozenset({ACR})
@@ -245,13 +266,12 @@ class Counted(Library):
     def outputs(self, method, args, tid, state, profile, cfg):
         return ((UNIT, state),)
 
-    def witnesses(self, plain, stmp, cfg, ppo=None, shape=None):
+    def witnesses(self, plain, stmp, cfg, hb=None, shape=None):
         self.calls += 1
-        if self.asks_ppo:
-            self.ppos.append(ppo())
+        self.given.append(hb)
         for _ in range(self.n):
             self.drawn += 1
-            w = Witness(self.name, frozenset())
+            w = Witness(self.name, frozenset(), hb=hb)
             self.refs.append(weakref.ref(w))
             yield w
 
@@ -279,51 +299,49 @@ def ppo_calls(monkeypatch):
 
 @pytest.mark.parametrize("na, nb", [(3, 2), (0, 2), (3, 0), (0, 0)])
 def test_each_search_runs_once_and_ppo_waits_for_every_library(ppo_calls, na, nb):
+    """The first library's search runs once and the second's once per
+    witness of the first, each drawn to its end; ppo is closed once for
+    the shape, before the first library, whether or not any has a
+    witness."""
     a, b = Counted("a", na), Counted("b", nb)
     cfg = cfg2()
     _progs, plain = _one_plain([a, b], cfg)
     assert len(list(enumerate_consistent(plain, [a, b], cfg))) == na * nb
-    # Past the first witness, a's are drawn only when b has one too; b's
-    # search is replayed for each of them but runs once, and is not
-    # started when a has no witness.
-    assert (a.calls, a.drawn) == (1, na if nb else min(na, 1))
-    assert (b.calls, b.drawn) == ((1, nb) if na else (0, 0))
-    assert len(ppo_calls) == (1 if na and nb else 0)
+    assert (a.calls, a.drawn) == (1, na)
+    assert (b.calls, b.drawn) == (na, na * nb)
+    assert len(ppo_calls) == 1
 
 
-def test_a_library_that_asks_for_ppo_gets_the_order_hb_grows_from(ppo_calls, monkeypatch):
-    copied = []
-    copy_order = IncrementalOrder.copy
-
-    def counted(self):
-        copied.append(self)
-        return copy_order(self)
-
-    monkeypatch.setattr(IncrementalOrder, "copy", counted)
-    a, b = Counted("a", 2, asks_ppo=True), Counted("b", 2, asks_ppo=True)
+def test_a_library_that_asks_for_ppo_gets_the_order_hb_grows_from(ppo_calls):
+    """The first library is given the shape's ppo, the closure of
+    ``derive_ppo``; the second is given the order each of the first's
+    witnesses handed back, here that same order, and nothing changed
+    it."""
+    a, b = Counted("a", 2), Counted("b", 2)
     cfg = cfg2()
     _progs, plain = _one_plain([a, b], cfg)
     assert len(list(enumerate_consistent(plain, [a, b], cfg))) == 4
-    (ppo,) = {id(o): o for o in a.ppos + b.ppos}.values()
+    (ppo,) = a.given
     assert len(ppo_calls) == 1
-    # hb starts from a copy of that very order, which nothing changed.
-    assert copied[0] is ppo
+    assert b.given == [ppo, ppo] and all(o is ppo for o in b.given)
     stmp, _per_lib = stamp_events(plain, [a, b], cfg)
     assert ppo.pairs() == frozenset(naive_closure(derive_ppo(plain, stmp)))
+    assert ppo.rows == checker.ppo_order(ppo_calls[0]).rows
 
 
 def test_the_first_library_holds_no_witness_it_has_moved_past():
+    """Neither library holds a witness it has moved past: at each
+    combination only its own witnesses are live."""
     a, b = Counted("a", 3), Counted("b", 2)
     cfg = cfg2()
     _progs, plain = _one_plain([a, b], cfg)
     live = []
     for acc in enumerate_consistent(plain, [a, b], cfg):
-        live.append([r() is not None for r in a.refs])
+        live.append(([r() is not None for r in a.refs], [r() is not None for r in b.refs]))
         del acc
-    # a's witness of each combination is live, and none before it; b's
-    # are replayed for each of a's.
-    assert live == [[True], [True]] + [[False, True]] * 2 + [[False, False, True]] * 2
-    assert all(r() is not None for r in b.refs)
+    assert [la for la, _lb in live] == ([[True], [True]] + [[False, True]] * 2
+                                        + [[False, False, True]] * 2)
+    assert [lb for _la, lb in live] == [[False] * k + [True] for k in range(6)]
 
 
 def test_outputs_only_draws_only_an_accepted_first_witness():
@@ -376,3 +394,54 @@ def test_so_hb_and_ib_are_built_when_read(pairs_calls):
     assert w.so >= w.rels["iso"] and w.rels["ib"] >= w.rels["iso"]
     # A second read builds nothing.
     assert (acc["so"], acc["hb"], w.so, w.rels["ib"]) and len(pairs_calls) == 3
+
+
+def test_coherence_grows_the_order_by_covering_pairs(tmp_path, monkeypatch):
+    """One thread writes x a hundred times and then reads it.  Each of
+    the read's rf choices grows the order by mo's consecutive pairs and
+    one rb pair, not by every mo and rb pair: the pairs handed to
+    ``add_edges`` stay far below the 4,950 of one whole mo per choice."""
+    path = tmp_path / "writes.litmus"
+    body = "\n".join(["  write x 1"] * 100 + ["  a = read x"])
+    path.write_text(f"nodes n1\nlibs rl\nloc x @ n1\nthread t1 @ n1 {{\n{body}\n}}\n"
+                    "bounds events=200\n")
+    pairs = []
+    add_edges = IncrementalOrder.add_edges
+
+    def counted(self, edges):
+        edges = list(edges)
+        pairs.append(len(edges))
+        return add_edges(self, edges)
+
+    monkeypatch.setattr(IncrementalOrder, "add_edges", counted)
+    assert runner.run_file(path).verdict == runner.PASS
+    assert 0 < sum(pairs) < 25_000
+
+
+def _outcome_case(stem, impl, events):
+    """(programs, libraries, node config, bounds): a corpus file at its
+    own bounds, or its compiled side under ``impl`` at the cap ``events``."""
+    if impl is None:
+        test = parse_litmus((CORPUS / f"{stem}.litmus").read_text(), name=stem)
+        built = build_test(test)
+        return built.programs, _mk_libs(built.libs), built.cfg, test.bounds
+    progs, cfg, libs = compiled(CORPUS / f"{stem}.litmus", [impl])
+    return progs, libs, cfg, Bounds(max_events=events)
+
+
+@pytest.mark.parametrize("stem, impl, events", [
+    ("fig6c_bcast_cycle", None, None), ("fig6b_bcast_3node", None, None),
+    ("bug1_barrier", "bal_buggy", 26), ("fig4_gf_sb", "sv", 32),
+    ("appf_rbl_bal", None, None)])
+def test_an_outcome_computation_leaves_no_cyclic_garbage(stem, impl, events):
+    """No search function refers to itself, so a full outcome computation,
+    once warm, leaves nothing for the cyclic collector."""
+    progs, libs, cfg, bounds = _outcome_case(stem, impl, events)
+    assert outcomes(progs, libs, cfg, bounds).outcomes
+    gc.collect()
+    gc.disable()
+    try:
+        assert outcomes(progs, libs, cfg, bounds).outcomes
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -23,7 +23,7 @@ from test_rdma_ib import CLIENTS
 from test_tower_verdicts import ITEMS, item_id
 from rdmacheck import checker, compilers
 from rdmacheck.checker import enumerate_consistent, stamp_events
-from rdmacheck.events import SubEvent
+from rdmacheck.events import PlainExecution, SubEvent
 from rdmacheck.lang import interpret_conc
 from rdmacheck.libraries.base import Coherence, Numbering, Shape
 from rdmacheck.libraries.rdma_core import RdmaLib
@@ -52,10 +52,15 @@ def unfold_case(tmp_path, path, item):
     return unfold_compiled(path, [impl], events)
 
 
+# What a search keeps in a frame as it runs: the last hb it grew from.
+RUN_FIELDS = {"base"}
+
+
 def comparable(x):
     """``x`` with each order as its rows, each numbering as its
-    positions, and each coherence search as its fields, so that frames
-    built for two executions of a shape compare equal field by field."""
+    positions, each coherence search as its fields and each frame as its
+    fields but `RUN_FIELDS`, so that frames built for two executions of a
+    shape compare equal field by field."""
     if isinstance(x, IncrementalOrder):
         return x.rows
     if isinstance(x, Numbering):
@@ -65,15 +70,8 @@ def comparable(x):
     if isinstance(x, dict):
         return {k: comparable(v) for k, v in x.items()}
     if isinstance(x, SimpleNamespace):
-        return comparable(vars(x))
+        return comparable({k: v for k, v in vars(x).items() if k not in RUN_FIELDS})
     return x
-
-
-def shared_ppo(shape):
-    """The shape's ppo, closed when it is first asked for."""
-    if shape.ppo is None:
-        shape.ppo = checker.ppo_order(shape.numbering)
-    return shape.ppo
 
 
 @pytest.mark.parametrize("path, item", [(p, it) for _, p, it in CASES],
@@ -81,7 +79,7 @@ def shared_ppo(shape):
 def test_a_rebound_frame_is_the_frame_built_afresh(tmp_path, path, item):
     """The frame a later execution of a shape takes from the memo, as it
     is, equals the frame built afresh for it, and so do the shape's
-    numbering and ppo."""
+    numbering and ppo, and the order each frame grows from that ppo."""
     cfg, libs, res = unfold_case(tmp_path, path, item)
     memo = {}
     later = 0
@@ -90,18 +88,23 @@ def test_a_rebound_frame_is_the_frame_built_afresh(tmp_path, path, item):
         stmp, per_lib = stamped
         later += stamped.key in memo
         num = Numbering(plain.events, stmp, per_lib)
-        shape = memo.setdefault(stamped.key, Shape(num))
+        if stamped.key not in memo:
+            memo[stamped.key] = Shape(num)
+            memo[stamped.key].ppo = checker.ppo_order(num)
+        shape = memo[stamped.key]
         assert comparable(shape.numbering) == comparable(num)
-        ppo = shared_ppo(shape)
         fresh = checker.ppo_order(num)
-        assert ppo.rows == fresh.rows
+        assert shape.ppo.rows == fresh.rows
         for lib in libs:
             if not hasattr(lib, "_build_frame"):
                 continue
-            sl = plain.restrict(per_lib[lib.name])
-            got = lib.frame(sl, stmp, cfg, lambda: ppo, shape)
-            want = lib.frame(sl, stmp, cfg, lambda: fresh)
+            sl = PlainExecution(tuple(per_lib[lib.name]))
+            got = lib.frame(sl, stmp, cfg, shape)
+            want = lib.frame(sl, stmp, cfg)
             assert comparable(got) == comparable(want)
+            if want is not None:
+                assert (comparable(lib.grown_hb(got, shape.ppo))
+                        == comparable(lib.grown_hb(want, fresh)))
     assert res.results
     if path == CORPUS / "fig3_sb_get_wait.litmus":
         assert later == 3
@@ -116,12 +119,11 @@ def test_each_event_lists_its_read_part_first(tmp_path, path, item):
     cfg, libs, res = unfold_case(tmp_path, path, item)
     for _vals, plain in res.results:
         stmp, per_lib = stamp_events(plain, libs, cfg)
-        ppo = checker.ppo_order(Numbering(plain.events, stmp, per_lib))
         for lib in libs:
             if not isinstance(lib, RdmaLib):
                 continue
-            sl = plain.restrict(per_lib[lib.name])
-            f = lib.frame(sl, stmp, cfg, lambda: ppo)
+            sl = PlainExecution(tuple(per_lib[lib.name]))
+            f = lib.frame(sl, stmp, cfg)
             if f is None:
                 continue
             moves = sum(lib.role_of.get(e.method) in ("put", "get") for e in sl.events)

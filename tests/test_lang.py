@@ -6,10 +6,12 @@ import itertools
 
 import pytest
 
-from rdmacheck.checker import Bounds
+from rdmacheck.checker import Bounds, stamp_events
+from rdmacheck.config import NodeConfig
 from rdmacheck.events import Event, InvalidInput, PlainExecution
 from rdmacheck.lang import (MAX_EVENTS, Call, LetF, Stop, Val, interpret_conc,
                             interpret_seq, let, seq)
+from rdmacheck.libraries import BarrierLib, SharedVarLib
 
 
 def ev(tid, eid, m="m", args=(), out=0):
@@ -33,14 +35,22 @@ class TestPlainExecution:
         with pytest.raises(InvalidInput):
             g.validate()
 
-    def test_restrict_keeps_program_order(self):
-        evs = [ev(1, 0), ev(1, 1), ev(1, 2), ev(2, 0), ev(2, 1)]
+    def test_a_library_slice_keeps_program_order(self):
+        """A library's slice, the stamping's list of its events, is in the
+        execution's order, so its program order is the execution's on its
+        events."""
+        evs = [ev(1, 0, "sv_write", ("x", 1)), ev(1, 1, "bar", ("b",)),
+               ev(1, 2, "sv_read", ("x",)), ev(2, 0, "bar", ("b",)),
+               ev(2, 1, "sv_write", ("x", 2))]
         g = plain(evs, [(a, b) for a, b in itertools.combinations(evs, 2)
                         if a.tid == b.tid])
-        sub = g.restrict([evs[4], evs[2], evs[0]])
-        assert sub.events == (evs[0], evs[2], evs[4])
-        assert sub.po == {(evs[0], evs[2])}
-        assert g.restrict(reversed(evs)) is g
+        cfg = NodeConfig(nodes=frozenset({1, 2}), thread_node={1: 1, 2: 2})
+        _stmp, per_lib = stamp_events(g, [SharedVarLib(), BarrierLib()], cfg)
+        for name, mine in (("sv", [evs[0], evs[2], evs[4]]), ("bal", [evs[1], evs[3]])):
+            sub = PlainExecution(tuple(per_lib[name]))
+            assert sub.events == tuple(mine)
+            assert sub.po == {(a, b) for a, b in g.po if a in mine and b in mine}
+        assert PlainExecution(tuple(per_lib["sv"])).po == {(evs[0], evs[2])}
 
 
 DOM = frozenset({0, 1, 7})

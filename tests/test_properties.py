@@ -12,14 +12,15 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_rdma_ib import coherence, whole_position_ib
+from test_rdma_ib import coherence, internal_rf, whole_position_ib
 from test_relations import naive_closure
 from rdmacheck.checker import ppo_order
 from rdmacheck.config import NodeConfig
 from rdmacheck.events import Event, PlainExecution, SubEvent, subevent_list
 from rdmacheck.lang import Call, LetF, Val, interpret_conc, interpret_seq
 from rdmacheck.libraries import RdmaWaitLib
-from rdmacheck.libraries.base import Numbering, _mo_choices
+from rdmacheck.libraries.base import Coherence, Numbering, _mo_choices
+from rdmacheck.relations import IncrementalOrder, forward_rows
 from rdmacheck.stamps import (ACAS, ACR, ACW, AMF, AWT, GF, KINDS, derive_ppo, nF,
                               nLR, nLW, nRR, nRW, ppo_before)
 from rdmacheck.values import UNIT
@@ -30,7 +31,8 @@ def enumerate_mo(groups, before):
     product of each group's linear extensions under ``before`` (a, b: a
     must precede b), in order."""
     for combo in itertools.product(*_mo_choices(groups, before)):
-        yield frozenset(p for pairs in combo for p in pairs)
+        yield frozenset((o[i], o[j]) for o in combo
+                        for i in range(len(o)) for j in range(i + 1, len(o)))
 
 
 def permutation_filter_mo(groups, forbidden):
@@ -236,8 +238,46 @@ def coherence_problems(draw):
 @settings(max_examples=300)
 @given(coherence_problems())
 def test_coherence_is_the_union_find_search_in_order(problem):
-    got = [(rf, mo, rb, vR, vW) for rf, mo, rb, vR, vW, _ in coherence(*problem)]
+    got = []
+    for rf, mo, rb, vR, vW, _by_place, order in coherence(*problem):
+        assert order is None
+        got.append((rf, mo, rb, vR, vW))
     assert got == list(union_find_coherence(*problem))
+
+
+@settings(max_examples=300)
+@given(coherence_problems(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                                      max_size=3))
+def test_a_pruned_coherence_search_keeps_what_its_order_allows_in_order(problem, extra):
+    """Over positions, with an order (ppo and a few drawn pairs), the
+    search yields exactly the unpruned choices whose external rf, mo and
+    rb keep that order acyclic, in their order, each with the order
+    grown by all of them: covering pairs close to the same order."""
+    reads, writes, place, read_value, write_value, carrier, init_of = problem
+    subs = sorted({*reads, *writes}, key=lambda s: (s.tid, s.event.eid, repr(s.stamp)))
+    at = {s: i for i, s in enumerate(subs)}
+    search = Coherence([at[r] for r in reads], [at[w] for w in writes],
+                       {at[s]: p for s, p in place.items()},
+                       {at[w]: v for w, v in write_value.items()},
+                       {at[w]: at[r] for w, r in carrier.items()},
+                       lambda w, r: internal_rf(subs[w], subs[r]),
+                       lambda a, b: ppo_before(subs[a], subs[b]))
+    order = IncrementalOrder(forward_rows(subs, ppo_before))
+    if not order.add_edges((a, b) for a, b in extra if a < len(subs) and b < len(subs)):
+        return
+    rows = list(order.rows)
+    pins = {at[r]: v for r, v in read_value.items()}
+    want = []
+    for rf, mo, rb, vR, vW, _by_place, none in search.search(pins, init_of):
+        assert none is None
+        grown = order.copy()
+        external = [(w, r) for w, r in rf if not internal_rf(subs[w], subs[r])]
+        if grown.add_edges([*external, *mo, *rb]):
+            want.append((rf, mo, rb, vR, vW, grown.rows))
+    got = [(rf, mo, rb, vR, vW, o.rows)
+           for rf, mo, rb, vR, vW, _by_place, o in search.search(pins, init_of, order)]
+    assert got == want
+    assert order.rows == rows
 
 
 # --- derived po against the stored cross-product po ------------------------

@@ -16,7 +16,7 @@ import pytest
 from conftest import unfold_compiled, unfold_file
 from test_relations import naive_closure
 from rdmacheck.checker import stamp_events
-from rdmacheck.events import SubEvent, po_before, subevent_list
+from rdmacheck.events import PlainExecution, SubEvent, po_before, subevent_list
 from rdmacheck.libraries.base import Coherence, slice_shape
 from rdmacheck.libraries.rdma_core import LOCAL_ARG, READ_KINDS, WRITE_KINDS, RdmaLib
 from rdmacheck.litmus import parse_litmus
@@ -151,7 +151,7 @@ def per_choice_witnesses(lib: RdmaLib, plain, stmp, cfg):
         yield from nfo_choices(i + 1, acc + [(s1, s2)])
         yield from nfo_choices(i + 1, acc + [(s2, s1)])
 
-    for rf, mo, rb, vR, vW, _by_place in coherence(
+    for rf, mo, rb, vR, vW, _by_place, _order in coherence(
             reads, writes, place, read_value, write_value, carrier,
             lambda p: cfg.init_of(*p)):
         fr_int = {(r, w) for r, w in rb if r.stamp.kind == "aCR"
@@ -231,7 +231,7 @@ def assert_same_witnesses(cfg, libs, res) -> tuple[int, int]:
     for _vals, plain in res.results:
         stmp, per_lib = stamp_events(plain, libs, cfg)
         for lib in rdma:
-            sl = plain.restrict(per_lib[lib.name])
+            sl = PlainExecution(tuple(per_lib[lib.name]))
             got = [(w.so, w.rels, w.vR, w.vW) for w in lib.witnesses(sl, stmp, cfg)]
             assert got == list(per_choice_witnesses(lib, sl, stmp, cfg))
             n += len(got)
