@@ -21,18 +21,19 @@ Within one ``outcomes`` call each event is stamped once
 stamps, its library and its part of the shape key, and each library's
 slice is the stamping's list of its events, already in program order.
 Plain executions that differ only in what their reads return share a
-shape: the same events, stamps and program order.  A shape, too, is set
-up once per call, in integer positions, and never rebound (`Shape`):
-the checker builds its one `Numbering`, the positions of its subevent
-list (`events.subevent_list`) with each position's event index and stamp
-and each library's own positions, and every library's frame reads it.
-ppo's direct rows come from per-thread stamp masks (`stamps.ppo_rows`)
-and are closed once per shape, before the first library is asked; each
-library keeps its own per-shape part of the witness search there
-(`Library.witnesses`' ``shape``), and hb grows from ppo's rows by
-position.  No execution builds a subevent unless something reads one: a
-witness's relations and values and a combination's so and hb are named
-by its subevents on first read.
+shape, and are checked together, as the rows of one group: each
+library's search runs once for the group, with what each row's reads
+return as row masks, and each witness holds for a mask of rows.  A
+shape is set up once per call, in integer positions (`Shape`): its one
+`Numbering`, the positions of its subevent list (`events.subevent_list`)
+with each one's event index and stamp and each library's own positions,
+which every library's frame reads.  ppo's direct rows come from
+per-thread stamp masks (`stamps.ppo_rows`) and are closed once per
+shape, before the first library is asked; each library keeps its own
+per-shape part of the search there (`Library.witnesses`' ``shape``),
+and hb grows from ppo's rows by position.  Subevents are built only
+when read: a witness's relations and values, and a combination's so
+and hb, are named by its lowest row's subevents on first read.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Iterator, Mapping, Sequence
 from .config import NodeConfig
 from .events import Event, Execution, InvalidInput, PlainExecution, subevent_list
 from .lang import MAX_EVENTS, Pools, interpret_conc
-from .libraries.base import Library, Numbering, Shape, Witness
+from .libraries.base import Library, Numbering, Shape, Witness, lowest, rows_of
 from .relations import IncrementalOrder, OnRead, forward_rows
 from .stamps import ppo_before
 
@@ -157,29 +158,36 @@ def ppo_order(num: Numbering) -> IncrementalOrder:
     return IncrementalOrder(num.direct_ppo)
 
 
-def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
-                         cfg: NodeConfig, memo: dict | None = None) -> Iterator[Mapping]:
-    """All accepted (witness-per-library, so, hb) combinations.
+def enumerate_consistent(group: Sequence[PlainExecution], libs: Sequence[Library],
+                         cfg: NodeConfig, memo: dict | None = None,
+                         wanted: Sequence[int] = (-1,),
+                         stamped: Stamped | None = None) -> Iterator[Mapping]:
+    """All accepted (witness-per-library, so, hb) combinations of a group:
+    plain executions of one shape, as rows 0, 1, ... (one execution is a
+    group of one).
 
-    Stamping first (deterministic), which also gives the execution's
-    shape.  ``memo`` is one outcome computation's: it keeps each event's
-    stamping (`stamp_events`), so an event is stamped once per
-    computation, and maps shapes to their `Shape` set-ups; a new shape is
-    numbered once (`Numbering`) and its ppo closed once, and without a
-    memo the execution is stamped and its shape set up afresh.  Each
-    library is asked about its slice, the stamping's list of its events in
-    program order.  hb grows through the libraries' searches
+    The first row is stamped first, unless the caller gives its
+    `stamp_events` as ``stamped``, which also gives the shape.  ``memo`` is
+    one outcome computation's: it keeps each event's stamping, so an event
+    is stamped once per computation, and maps shapes to their `Shape`
+    set-ups; a new shape is numbered once (`Numbering`) and its ppo closed
+    once, and without a memo the shape is set up afresh.  Each library is
+    asked once about the group, as each row's slice, its events of the
+    library in program order.  hb grows through the libraries' searches
     (`Library.witnesses`): the first library is given ppo, each witness
     carries the order it was given grown by its so, and that is what the
-    next library is given, so library i's search runs once per
-    combination of the libraries before it and yields only witnesses that
-    keep hb acyclic.  Combinations come in the libraries' order and each
-    library's witness order; the last witness's order is the
-    combination's hb, which the libraries' ``post_check`` read.  A
-    combination is a mapping whose ``"so"`` and ``"hb"`` become pair
-    sets, named by this execution's subevents, only when read.
+    next library is given, with the rows the witness holds for, so library
+    i's search runs once per combination of the libraries before it and
+    yields only witnesses that keep hb acyclic.  ``wanted[0]``, the rows
+    the caller still wants, is read by every search as it goes (`Library`).
+    Combinations come in the libraries' order and each library's witness
+    order, each with ``"rows"``, the rows all its witnesses hold for; the
+    last witness's order is the combination's hb, which the libraries'
+    ``post_check`` read.  A combination is a mapping whose ``"stmp"``,
+    ``"so"`` and ``"hb"`` name its lowest row's subevents when first read.
     """
-    stamped = stamp_events(plain, libs, cfg, memo)
+    plain = group[0]
+    stamped = stamped or stamp_events(plain, libs, cfg, memo)
     stmp, per_lib = stamped
     shape = None if memo is None else memo.get(stamped.key)
     if shape is None:
@@ -187,23 +195,46 @@ def enumerate_consistent(plain: PlainExecution, libs: Sequence[Library],
         shape.ppo = ppo_order(shape.numbering)
         if memo is not None:
             memo[stamped.key] = shape
-    slices = [plain if len(per_lib[lib.name]) == len(plain.events)
-              else PlainExecution(tuple(per_lib[lib.name])) for lib in libs]
-    yield from _combinations(plain, libs, slices, stmp, cfg, shape, shape.ppo, ())
+    slices = []
+    for lib in libs:
+        mine = per_lib[lib.name]
+        if len(mine) == len(plain.events):
+            slices.append(group)
+            continue
+        # The rows' events line up with the first row's, position by position.
+        mine = set(mine)
+        at = [i for i, e in enumerate(plain.events) if e in mine]
+        slices.append([PlainExecution(tuple(p.events[i] for i in at)) for p in group])
+    yield from _combinations(group, libs, slices, stmp, cfg, shape, shape.ppo, (),
+                             (1 << len(group)) - 1, wanted)
 
 
-def _combinations(plain: PlainExecution, libs: Sequence[Library], slices: list, stmp,
-                  cfg: NodeConfig, shape: Shape, hb: IncrementalOrder, chosen: tuple):
+def _combinations(group: Sequence[PlainExecution], libs: Sequence[Library], slices: list,
+                  stmp, cfg: NodeConfig, shape: Shape, hb: IncrementalOrder,
+                  chosen: tuple, alive: int, wanted: Sequence[int]):
     """Each accepted combination that extends ``chosen``, the witnesses of
-    the libraries before the next one, whose last grew ``hb``."""
+    the libraries before the next one, whose last grew ``hb``, for the
+    rows ``alive`` that each of them holds for."""
     i = len(chosen)
     if i < len(libs):
-        for w in libs[i].witnesses(slices[i], stmp, cfg, hb, shape):
-            yield from _combinations(plain, libs, slices, stmp, cfg, shape, w.hb, chosen + (w,))
+        for w in libs[i].witnesses(slices[i], stmp, cfg, hb, shape, alive, wanted):
+            rows = alive & w.rows & wanted[0]
+            if rows:
+                yield from _combinations(group, libs, slices, stmp, cfg, shape, w.hb,
+                                         chosen + (w,), rows, wanted)
     elif all(lib.post_check(w, hb) for lib, w in zip(libs, chosen)):
-        yield OnRead({"witnesses": {lib.name: w for lib, w in zip(libs, chosen)}, "stmp": stmp},
+        low = lowest(alive)
+        yield OnRead({"witnesses": {lib.name: w for lib, w in zip(libs, chosen)},
+                      "rows": alive},
+                     stmp=lambda: _row_stamping(group, stmp, low),
                      so=lambda: frozenset(p for w in chosen for p in w.so),
-                     hb=lambda: hb.pairs(None, subevent_list(plain.events, stmp)))
+                     hb=lambda: hb.pairs(None, subevent_list(
+                         group[low].events, _row_stamping(group, stmp, low))))
+
+
+def _row_stamping(group: Sequence[PlainExecution], stmp, j: int):
+    """Row j's stamping, read off the first row's, ``stmp``."""
+    return stmp if j == 0 else {e: stmp[e0] for e, e0 in zip(group[j].events, group[0].events)}
 
 
 def lambda_consistent(exec_: Execution, libs: Sequence[Library],
@@ -245,7 +276,7 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
     for lib in libs:
         share = frozenset((a, b) for a, b in exec_.so if mm[a.event.method] is lib)
         sl = PlainExecution(tuple(per_lib[lib.name]))
-        w = next((w for w in lib.witnesses(sl, stmp, cfg, None, shape)
+        w = next((w for w in lib.witnesses([sl], stmp, cfg, None, shape)
                   if w.so == share and lib.post_check(w, order)), None)
         if w is None:
             return False, {}
@@ -267,27 +298,43 @@ def outcomes(progs, libs: Sequence[Library], cfg: NodeConfig, bounds: Bounds,
              outputs_only: bool = False) -> OutcomeResult:
     """Outcome set of a concurrent program under the installed libraries.
 
-    With ``outputs_only`` the search stops at the first witness per plain
-    execution (final memory, which varies with the modification order, is
-    then not meaningful and left empty), and a plain execution whose output
-    tuple is already in the set is skipped unchecked: an outcome is then
-    the output tuple alone, so accepting that execution could add nothing.
-    Every tuple not yet found still has all its executions checked, so the
-    set is the same.  A full enumeration, whose outcomes carry final
-    memory, checks every plain execution.
+    The plain executions are grouped by shape (`stamp_events`' key), in
+    the order each shape first appears, and each group is checked by one
+    `enumerate_consistent` call; an accepted combination gives the outcome
+    of each row it holds for.
 
-    The events' stampings and the shape frames the search builds live
-    until this call returns.
+    With ``outputs_only`` an outcome is the output tuple alone (final
+    memory, which varies with the modification order, is then not
+    meaningful and left empty), and the group's still-wanted mask holds
+    only the rows whose tuple is not in the set yet: a found tuple drops
+    every row of it at once, so no row is searched past its first witness,
+    and a group with no row wanted is not checked.  Every tuple not yet
+    found still has all its rows checked, so the set is the same.  A full
+    enumeration, whose outcomes carry final memory, checks every row.  The
+    stampings and shape frames live until this call returns.
     """
     interp = interpret_conc(progs, pools(libs, cfg), bounds.max_events)
-    found = set()
     memo: dict = {}
+    groups: dict = {}   # shape -> (its first row's stamping, its rows)
     for vals, plain in interp.results:
-        if outputs_only and Outcome(vals) in found:
+        stamped = stamp_events(plain, libs, cfg, memo)
+        groups.setdefault(stamped.key, (stamped, []))[1].append((vals, plain))
+    found = set()
+    for stamped, rows in groups.values():
+        by_vals: dict = {}
+        for j, (vals, _plain) in enumerate(rows):
+            by_vals[vals] = by_vals.get(vals, 0) | 1 << j
+        wanted = [sum(m for vals, m in by_vals.items()
+                      if not (outputs_only and Outcome(vals) in found))]
+        if not wanted[0]:
             continue
-        for acc in enumerate_consistent(plain, libs, cfg, memo):
-            if outputs_only:
-                found.add(Outcome(vals))
+        group = [plain for _vals, plain in rows]
+        for acc in enumerate_consistent(group, libs, cfg, memo, wanted, stamped):
+            mem = frozenset() if outputs_only else final_memory(acc["witnesses"], libs, cfg)
+            for j in rows_of(acc["rows"]):
+                found.add(Outcome(rows[j][0], mem))
+                if outputs_only:
+                    wanted[0] &= ~by_vals[rows[j][0]]
+            if not wanted[0]:
                 break
-            found.add(Outcome(vals, final_memory(acc["witnesses"], libs, cfg)))
     return OutcomeResult(frozenset(found), interp.truncated)

@@ -101,6 +101,16 @@ def _extended(cfg: NodeConfig, profile: ClientProfile, *,
 # Builtin implementations
 
 
+def _read_all(method: str, locs: Sequence[str], then: Callable[[tuple], Program],
+              acc: tuple = ()) -> Program:
+    """Read each of ``locs`` in turn with ``method``, then ``then`` the
+    values read.  A module function, so no closure refers to itself."""
+    if len(acc) == len(locs):
+        return then(acc)
+    return let(Call(method, (locs[len(acc)],)),
+               lambda v: _read_all(method, locs, then, acc + (v,)))
+
+
 def _sv_repl(x: str, n: int) -> str:
     return f"__sv_{x}_{n}"
 
@@ -301,14 +311,9 @@ def _rbl_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
             steps.append(Val(True))
             return seq(*steps)
 
-        def read_heads(H, i, acc) -> Program:
-            if i == len(readers):
-                return with_heads(H, acc)
-            return let(Call("sv_read", (_rbl_headr(x, readers[i]),)),
-                       lambda h: read_heads(H, i + 1, acc + [h]))
-
+        reader_heads = [_rbl_headr(x, r) for r in readers]
         return let(Call("sv_read", (_rbl_headw(x),)),
-                   lambda H: read_heads(H, 0, []))
+                   lambda H: _read_all("sv_read", reader_heads, lambda hs: with_heads(H, hs)))
 
     if m == "receive":
         if t not in cfg.rthd.get(x, frozenset()):
@@ -324,11 +329,9 @@ def _rbl_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
             steps.append(Val(tuple(vs)))
             return seq(*steps)
 
-        def read_cells(H, V, i, acc) -> Program:
-            if i > V:
-                return with_msg(H, V, acc)
-            return let(Call("sv_read", (_rbl_cell(x, (H + i) % S),)),
-                       lambda v: read_cells(H, V, i + 1, acc + [v]))
+        def read_cells(H, V) -> Program:
+            cells = [_rbl_cell(x, (H + i) % S) for i in range(1, V + 1)]
+            return _read_all("sv_read", cells, lambda vs: with_msg(H, V, vs))
 
         def with_heads(H, H2) -> Program:
             if H >= H2:
@@ -336,7 +339,7 @@ def _rbl_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
             # A length outside 0..S-1 cannot be a committed header; no
             # consistent execution reads one, so the branch is dead.
             return let(Call("sv_read", (_rbl_cell(x, H % S),)),
-                       lambda V: read_cells(H, V, 1, [])
+                       lambda V: read_cells(H, V)
                        if isinstance(V, int) and 0 <= V < S else DEAD)
 
         return let(Call("sv_read", (_rbl_headr(x, t),)),
@@ -379,15 +382,8 @@ def _msw_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
     if m == "msw_tryread":
         if k is None or cfg.node_of_loc(x) != me:
             return DEAD
-
-        def read_slots(i, acc) -> Program:
-            if i > k:
-                vs = tuple(acc[1:])
-                return Val(vs if acc[0] == hash_tuple(vs) else BOT)
-            return let(Call("read", (_msw_slot(x, i),)),
-                       lambda v: read_slots(i + 1, acc + [v]))
-
-        return read_slots(0, [])
+        return _read_all("read", [_msw_slot(x, i) for i in range(k + 1)],
+                         lambda acc: Val(acc[1:] if acc[0] == hash_tuple(acc[1:]) else BOT))
     if m in ("msw_put", "msw_get"):
         x, y, d = args
         ky = cfg.size.get(y)
@@ -443,18 +439,18 @@ def _w_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
     if m == "wait":
         (d,) = args
         wids = sorted(profile.wids.get(t, frozenset()), key=repr)
-
-        def drain(n: int) -> Program:
-            def body(v) -> Program:
-                return seq(*[Call("set_remove", (_set_loc(t, dk, n), v))
-                             for dk in wids], drain(n))
-
-            return let(Call("set_isempty", (_set_loc(t, d, n),)),
-                       lambda b: Val(UNIT) if b is True
-                       else let(Call("poll", (n,)), body))
-
-        return seq(*[drain(n) for n in sorted(cfg.nodes)], Val(UNIT))
+        return seq(*[_drain(t, d, n, wids) for n in sorted(cfg.nodes)], Val(UNIT))
     raise InvalidInput(m)
+
+
+def _drain(t: int, d, n: int, wids: list) -> Program:
+    """Thread t polls node n until its set for ``d`` and n is empty, and
+    removes each polled identifier from each of its sets for n."""
+    return let(Call("set_isempty", (_set_loc(t, d, n),)),
+               lambda b: Val(UNIT) if b is True else let(
+                   Call("poll", (n,)),
+                   lambda v: seq(*[Call("set_remove", (_set_loc(t, dk, n), v)) for dk in wids],
+                                 _drain(t, d, n, wids))))
 
 
 def _w_extend(cfg: NodeConfig, profile: ClientProfile):

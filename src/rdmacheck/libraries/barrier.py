@@ -10,8 +10,8 @@ The round number is forced: each participant makes the same number of
 calls per location and rounds increase strictly along program order, so
 the i-th call of a thread is round i.  The one witness is therefore
 decided by the execution's shape: `frame` builds it once per shape in
-one outcome computation, and each later execution of the shape, whose
-barrier calls are the same events, takes it as it is.
+one outcome computation, and it holds for every row of a group of the
+shape's executions, whose barrier calls are the same events.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ..config import NodeConfig
 from ..events import Event, PlainExecution
 from ..stamps import ACR, GF
 from ..values import UNIT
-from .base import Library, Shape, Witness, slice_shape
+from .base import Library, Shape, Witness, lowest, slice_shape
 
 BAR = "bar"
 
@@ -100,11 +100,12 @@ class BarrierLib(Library):
     def _grow_fixed(self, f, order) -> bool:
         return order.add_edges(f.so)
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  hb=None, shape=None) -> Iterator[Witness]:
-        shape = shape or slice_shape(plain, stmp, self.name)
-        f = self.frame(plain, stmp, cfg, shape)
+    def witnesses(self, group, stmp, cfg: NodeConfig, hb=None, shape=None,
+                  alive=1, wanted=(-1,)) -> Iterator[Witness]:
+        """The one witness, which holds for every row of ``alive``."""
+        shape = shape or slice_shape(group[0], stmp, self.name)
+        f = self.frame(group[0], stmp, cfg, shape)
         grown = False if f is None else self.grown_hb(f, hb)
-        if grown is not False:
-            yield Witness(self.name, f.so, names=shape.numbering.names(self.name, plain.events),
-                          meta=f.meta, hb=grown)
+        if grown is not False and alive:
+            names = shape.numbering.names(self.name, group[lowest(alive)].events)
+            yield Witness(self.name, f.so, names=names, meta=f.meta, hb=grown, rows=alive)

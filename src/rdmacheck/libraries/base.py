@@ -20,17 +20,24 @@ never rebound.  A frame is read off the numbering's integer positions
 and the events' shape-decided fields, and builds no subevent; a
 witness's pair sets and value maps name subevents only when read.
 
+A library is asked about a group: the plain executions of one shape,
+as rows 0, 1, ..., each given as its slice; a set of rows is a bitmask.
+A witness holds for the rows of its ``rows`` mask, which agree on every
+read the library pins, and names subevents by the lowest of them.
+``wanted[0]`` is the mask of the rows still searched, which the checker
+clears a row from once its output is found; the default, -1, holds all.
+
 The shared-variable and RDMA libraries search the same existentials over
 their reads and writes: a reads-from map, a modification order per place
 and the reads-before relation they induce.  `Coherence` holds what a
 shape decides of that search, with mo extended under ppo's direct rows,
-and its `search` enumerates them for the values one execution's reads
-pin, growing the order it is given choice by choice: by rf, and by mo
-and rb as their covering pairs, whose closure is theirs.  A value is
-never guessed: a read's value is its rf source's, and a write's is fixed
-by its label or carried from the read part of its own event (a put, get
-or broadcast moves the value its read part saw).
-``final_values`` reads the final memory off such a witness.
+and its `search` enumerates them once for a whole group, with the values
+each row's reads pin as row masks, growing the order it is given choice
+by choice: by rf, and by mo and rb as their covering pairs, whose
+closure is theirs.  A value is never guessed: a read's value is its rf
+source's, and a write's is fixed by its label or carried from the read
+part of its own event (a put, get or broadcast moves the value its read
+part saw).  ``final_values`` reads the final memory off such a witness.
 """
 
 from __future__ import annotations
@@ -125,6 +132,7 @@ def slice_shape(plain: PlainExecution, stmp: Stamping, lib: str) -> Shape:
 class Witness:
     """One satisfying assignment of a library's existentials.
 
+    ``rows`` is the mask of the group's rows it holds for.
     ``explicit`` is the synchronisation order's explicit pairs; with an
     ``order`` (the RDMA libraries' issued-before), so also holds every
     pair of that order from a position in ``inst``.  ``hb`` is the order
@@ -142,8 +150,8 @@ class Witness:
                  names: Callable[[], dict] | None = None, vR: dict | None = None,
                  vW: dict | None = None, rels: Mapping | None = None,
                  meta: dict | None = None, order: IncrementalOrder | None = None,
-                 inst: tuple = (), hb: IncrementalOrder | None = None):
-        self.lib, self.explicit, self.names = lib, explicit, names
+                 inst: tuple = (), hb: IncrementalOrder | None = None, rows: int = 1):
+        self.lib, self.explicit, self.names, self.rows = lib, explicit, names, rows
         self.values = (vR or {}, vW or {})
         self.relations, self.meta = rels or {}, meta or {}
         self.order, self.inst, self.hb = order, inst, hb
@@ -199,26 +207,42 @@ class Library:
         that differ only in what their reads return share one frame."""
         return None
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  hb: IncrementalOrder | None = None,
-                  shape: Shape | None = None) -> Iterator[Witness]:
-        """Every witness of the slice ``plain`` whose so keeps ``hb``
-        acyclic, in the library's witness order, each carrying ``hb``
-        grown by its so (`Witness.hb`).  ``hb`` is the checker's order so
-        far, over the positions of the whole execution's subevent list,
-        which the library must not change: the shape's closed ppo for the
-        first library, and that grown by an earlier library's witness
-        after it.  ``None`` asks for every witness, unpruned, each with
-        ``hb`` None.  Witnesses name subevents by position in the subevent
-        list of the events ``stmp`` stamps, in program order
-        (`Numbering`): with the checker's stamping, that is hb's list.
+    def witnesses(self, group: Sequence[PlainExecution], stmp, cfg: NodeConfig,
+                  hb: IncrementalOrder | None = None, shape: Shape | None = None,
+                  alive: int = 1, wanted: Sequence[int] = (-1,)) -> Iterator[Witness]:
+        """Every witness of the slices ``group`` (see the module
+        docstring) for the rows ``alive`` (the first, all of a group of
+        one, by default) that ``wanted`` holds, whose so keeps ``hb`` acyclic, in the library's
+        witness order, each carrying ``hb`` grown by its so
+        (`Witness.hb`); expanded per row, each row's witnesses asked
+        alone, in order.  ``hb`` is the checker's order so far,
+        over the positions of the whole execution's subevent list, which
+        the library must not change: the shape's closed ppo for the first
+        library, and that grown by an earlier library's witness after it.
+        ``None`` asks for every witness, unpruned, each with ``hb`` None.
+        Witnesses name subevents by position in the subevent list of the
+        events ``stmp`` stamps, in program order (`Numbering`): with the
+        checker's stamping of the group's first row, that is hb's list.
 
         ``shape`` is the checker's `Shape`, the same for every execution
         of this one's shape (`checker.stamp_events`' key) in one outcome
         computation: its numbering, and where the library may keep its
         frame, which holds only what the shape decides (see
         `frame`).  Without it the library numbers its slice itself
-        (`slice_shape`)."""
+        (`slice_shape`).  This default searches each row alone
+        (`_row_witnesses`) until ``wanted`` drops it."""
+        shape = shape or slice_shape(group[0], stmp, self.name)
+        for j in rows_of(alive):
+            if wanted[0] >> j & 1:
+                for w in self._row_witnesses(group[j], cfg, hb, shape):
+                    w.rows = 1 << j
+                    yield w
+                    if not wanted[0] >> j & 1:
+                        break
+
+    def _row_witnesses(self, plain: PlainExecution, cfg: NodeConfig,
+                       hb: IncrementalOrder | None, shape: Shape) -> Iterator[Witness]:
+        """The witnesses of one row's slice ``plain``."""
         raise NotImplementedError
 
     def post_check(self, w: Witness, hb: IncrementalOrder) -> bool:
@@ -264,16 +288,20 @@ class Library:
 class Coherence:
     """Every coherent choice of reads-from and modification order: what a
     shape decides of the search, built once, and `search`, which runs it
-    for the values one execution's reads pin.
+    once for a group of executions of the shape, the rows ``live``.
 
     A read takes its value from one write of its ``place`` or from the
-    place's initial value; a CPU read or CAS must get what ``read_value``
-    pins.  A write stores its ``write_value``, or else what its own event's
-    read part (``carrier``) saw, so values are found by following rf.
-    Reads decide in order, each trying its place's writes and then the
-    initial value.  A choice that contradicts a pin or closes an rf cycle
-    is pruned at once; a pin whose source still waits on an undecided read
-    is passed on to that read in ``need``.  With ``order``, a closed order
+    place's initial value; a CPU read or CAS must get what its row pins:
+    ``pins`` maps it to each value and the mask of the rows that pin it.
+    A write stores its ``write_value``, or else what its own event's read
+    part (``carrier``) saw, so values are found by following rf.  Reads
+    decide in order, each trying its place's writes and then the initial
+    value, and a choice keeps the live rows whose pins it meets.  A
+    choice that keeps no row or closes an rf cycle is pruned at once; a
+    value that waits on an undecided read is passed on to that read in
+    ``need``: what the choosing read needs, or, for a pinned one, each
+    value its live rows pin in turn.  Rows that ``wanted`` drops are
+    dropped at each level.  With ``order``, a closed order
     over ``range(n)``, the positions the reads and writes are, that must
     stay acyclic with every pair below (the checker's hb so far, grown by
     the so pairs every witness of the library holds), a choice is pruned
@@ -284,15 +312,16 @@ class Coherence:
     mo-successor of its rf source (to the place's mo-first write for the
     initial value), past the read's own position; their closure is mo's
     and rb's.  Each grows a copy unless the order holds it already, and
-    the choices left keep their order.
+    the choices left keep their order; expanded per row, they are the
+    row's searched alone.
 
-    Yields ``(rf, mo, rb, vR, vW, by_place, order)``: each complete rf
-    choice with each of its modification orders (per place, in ``repr``
+    Yields ``(rf, mo, rb, vR, vW, by_place, order, rows)``: each complete
+    rf choice with each of its modification orders (per place, in ``repr``
     order, its linear extensions under ``before``), the reads-before
     relation they induce, the values read and written, each place's
-    writes, and the order grown by all of it (None without one).  Each
-    combination of extensions, with its mo, is built once per `Coherence`.
-    The frames search over positions (`Numbering.coherence`).
+    writes, the order grown by all of it (None without one) and its rows.
+    Each combination of extensions, with its mo, is built once per
+    `Coherence`.  The frames search over positions (`Numbering.coherence`).
     """
 
     __slots__ = ("reads", "writes", "place", "write_value", "carrier", "by_place",
@@ -322,14 +351,16 @@ class Coherence:
                        for combo in itertools.product(
                            *_mo_choices(list(self.by_place.values()), before))]
 
-    def search(self, read_value: Mapping, init_of: Callable[[Hashable], Value],
-               order: IncrementalOrder | None = None
+    def search(self, pins: Mapping[Hashable, Mapping[Value, int]],
+               init_of: Callable[[Hashable], Value],
+               order: IncrementalOrder | None = None, live: int = 1,
+               wanted: Sequence[int] = (-1,)
                ) -> Iterator[tuple[frozenset, frozenset, frozenset, dict, dict, dict,
-                                   IncrementalOrder | None]]:
+                                   IncrementalOrder | None, int]]:
         reads, place, write_value, carrier = self.reads, self.place, self.write_value, self.carrier
         choices, init_edges = self.choices, self.init_edges
         rf: dict = {}
-        need = dict(read_value)
+        need: dict = {}
 
         def walk(w):
             """(value, None) once write w's value is known, (what its class
@@ -346,12 +377,16 @@ class Coherence:
                     return init_of(place[r]), None
             return None, None
 
-        def read_choices(i: int, o):
+        def read_choices(i: int, o, live: int):
             """Read i's choices given those before it: each sets ``rf``
-            (and ``need``, when it passes a pin on) and yields ``o`` grown
-            by it, until the next is asked for."""
+            (and ``need``, when it passes a value on) and yields ``o`` grown
+            by it with the rows of ``live`` it keeps, until the next is
+            asked for."""
             r = reads[i]
             want = need.get(r)
+            # A read that an earlier one passed a value on to kept only
+            # the rows that pin that value then.
+            pinned = pins.get(r) if want is None else None
             for w, edge in choices[i]:
                 rf[r] = w
                 have, u = walk(w)
@@ -359,29 +394,42 @@ class Coherence:
                     continue                    # an rf cycle
                 if want is not None and have is not None and want != have:
                     continue
+                known = have is not None or want is None and pinned is None
+                if known:
+                    m = live if pinned is None else live & pinned.get(have, 0)
+                    if not m:
+                        continue
                 o2 = o if edge is None else grow(o, edge)
                 if o2 is False:
                     continue                    # a cycle with the order
-                if want is None or want == have:
-                    yield o2
-                else:
-                    need[u] = want
-                    yield o2
-                    del need[u]
+                if known:
+                    yield o2, m
+                    continue
+                # The value waits on the undecided read u.
+                waits = pins.get(u)
+                for v, m in ((want, live),) if want is not None else pinned.items():
+                    m &= live if waits is None else live & waits.get(v, 0)
+                    if m:
+                        need[u] = v
+                        yield o2, m
+                        del need[u]
             rf[r] = None
-            if want is None or want == init_of(place[r]):
+            have = init_of(place[r])
+            m = live if pinned is None else live & pinned.get(have, 0)
+            if m and (want is None or want == have):
                 o2 = grow(o, init_edges[i])
                 if o2 is not False:
-                    yield o2
+                    yield o2, m
             del rf[r]
 
         # One generator of choices per decided read, the last read's last,
         # and no recursion: an exhausted read hands back to the one before.
         levels: list = []
         o = order
-        while True:
+        live &= wanted[0]
+        while live:
             if len(levels) < len(reads):
-                levels.append(read_choices(len(levels), o))
+                levels.append(read_choices(len(levels), o, live))
             else:
                 # A complete rf choice, with each modification order whose
                 # covering pairs keep ``o`` acyclic.
@@ -389,6 +437,9 @@ class Coherence:
                 vR = {r: init_of(place[r]) if rf[r] is None else vW[rf[r]] for r in reads}
                 rel = frozenset((w, r) for r, w in rf.items() if w is not None)
                 for mo, cover, exts in self.combos:
+                    live &= wanted[0]
+                    if not live:
+                        break
                     # Per read, its rb targets: the writes mo-after its rf
                     # source (every write of its place for the initial
                     # value) but itself.
@@ -398,14 +449,38 @@ class Coherence:
                     o2 = grow(o, [*cover, *((r, ws[0]) for r, ws in later if ws)])
                     if o2 is not False:
                         rb = frozenset((r, w) for r, ws in later for w in ws)
-                        yield rel, mo, rb, vR, vW, self.by_place, o2
-            while levels:
-                o = next(levels[-1], False)
-                if o is not False:
-                    break
-                levels.pop()
-            else:
-                return
+                        yield rel, mo, rb, vR, vW, self.by_place, o2, live
+            live = 0
+            while levels and not live:
+                # A choice keeps some rows; an exhausted read yields none.
+                o, live = next(levels[-1], (None, 0))
+                if not live:
+                    levels.pop()
+                else:
+                    live &= wanted[0]
+
+
+def rows_of(mask: int) -> list[int]:
+    """The rows of ``mask``, lowest first, in one pass over its digits."""
+    return [j for j, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
+
+
+def lowest(mask: int) -> int:
+    """The lowest row of a non-empty ``mask``."""
+    return (mask & -mask).bit_length() - 1
+
+
+def pins_of(group: Sequence[PlainExecution], pinned: Sequence[tuple[int, int]],
+            alive: int) -> dict:
+    """`Coherence.search`'s pins: for each (position, k) of ``pinned``,
+    each value event k returns in the rows ``alive``, and those rows."""
+    pins: dict = {p: {} for p, _k in pinned}
+    for j in rows_of(alive):
+        events, bit = group[j].events, 1 << j
+        for p, k in pinned:
+            at, v = pins[p], events[k].output
+            at[v] = at.get(v, 0) | bit
+    return pins
 
 
 def grow(o: IncrementalOrder | None, edges):

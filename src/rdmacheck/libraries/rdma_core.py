@@ -43,10 +43,10 @@ shape (`checker.stamp_events`' key): polls-from, iso and the carriers,
 places and stored values, ib's fixed rows and instantaneous items and
 the nfo split, or that the node discipline leaves no witness.  `frame`
 builds them in the positions of the shape's `base.Numbering`, from the
-events' shape-decided fields and with no subevent, for the first
-execution of a shape in one outcome computation, and every later one
-uses them as they are; only ``extra_valid``, the pinned reads' outputs
-and the witness search itself are per execution.
+events' shape-decided fields and with no subevent, once per shape in
+one outcome computation; one search covers a group of the shape's
+executions, each row's pinned reads' outputs as row masks, and only
+``extra_valid`` is asked of each row.
 """
 
 from __future__ import annotations
@@ -61,7 +61,8 @@ from ..relations import IncrementalOrder
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, TABLE, columns, nF, nLR, nLW,
                       nRR, nRW, ppo_rows)
 from ..values import UNIT
-from .base import Library, Shape, Witness, final_values, slice_shape
+from .base import (Library, Shape, Witness, final_values, lowest,
+                   pins_of, rows_of, slice_shape)
 
 READ_KINDS = ("aCR", "aCAS", "nLR", "nRR")
 WRITE_KINDS = ("aCW", "aCAS", "nLW", "nRW")
@@ -272,26 +273,24 @@ class RdmaLib(Library):
         # pairs.
         return order.absorb(f.fixed, f.inst) and order.add_edges([*f.so_pf, *f.forced])
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  hb=None, shape=None) -> Iterator[Witness]:
-        if not self.extra_valid(plain, cfg):
-            return
-        shape = shape or slice_shape(plain, stmp, self.name)
-        f = self.frame(plain, stmp, cfg, shape)
-        if f is None:
+    def witnesses(self, group, stmp, cfg: NodeConfig, hb=None, shape=None,
+                  alive=1, wanted=(-1,)) -> Iterator[Witness]:
+        alive = sum(1 << j for j in rows_of(alive) if self.extra_valid(group[j], cfg))
+        shape = shape or slice_shape(group[0], stmp, self.name)
+        f = self.frame(group[0], stmp, cfg, shape)
+        if f is None or not alive:
             return
         base = self.grown_hb(f, hb)
         if base is False:
             return
-        events = plain.events
-        names = shape.numbering.names(self.name, events)
-        for rf, mo, rb, vR, vW, by_place, so_far in f.search.search(
-                {p: events[k].output for p, k in f.pinned},
-                lambda p: cfg.init_of(*p), base):
+        for rf, mo, rb, vR, vW, by_place, so_far, rows in f.search.search(
+                pins_of(group, f.pinned, alive), lambda p: cfg.init_of(*p), base,
+                alive, wanted):
             grown = f.fixed.copy()
             if not grown.add_edges([*rf, *(p for p in rb if p in f.fr_int), *f.forced]):
                 continue
             explicit = (rf - f.internal) | f.so_pf | rb | mo
+            names = shape.numbering.names(self.name, group[lowest(rows)].events)
             for order, nfo in _oriented(f.free, 0, grown, tuple(f.forced)):
                 # hb already holds the coherence pairs and the forced nfo
                 # pairs; it takes the free ones and ib's rows from inst.
@@ -305,6 +304,7 @@ class RdmaLib(Library):
                     rels={"rf": rf, "mo": mo, "rb": rb, "nfo": nfo, "iso": f.iso,
                           **f.pf_parts, "ib": order},
                     meta={"by_place": by_place}, order=order, inst=f.inst, hb=w_hb,
+                    rows=rows,
                 )
 
 

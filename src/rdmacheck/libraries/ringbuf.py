@@ -23,7 +23,7 @@ from ..lang import Pools
 from ..relations import IncrementalOrder
 from ..stamps import ACR, ACW, AWT, nRW
 from ..values import BOT
-from .base import Library, Witness, grow, slice_shape
+from .base import Library, Witness, grow
 
 SUBMIT, RECEIVE = "submit", "receive"
 
@@ -69,8 +69,9 @@ class RingBufferLib(Library):
             return True
         return not any((b, a) in hb for a, b in w.relations["fb"])
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  hb=None, shape=None) -> Iterator[Witness]:
+    def _row_witnesses(self, plain: PlainExecution, cfg: NodeConfig,
+                       hb, shape) -> Iterator[Witness]:
+        # The search reads the receives' payloads: each row alone.
         for e in plain.events:
             self._require(e)
             x = e.args[0]
@@ -81,7 +82,7 @@ class RingBufferLib(Library):
 
         node = cfg.node_of_thread
         # Subevents are positions (`base.Numbering`); ``ev`` is each one's event.
-        num = (shape or slice_shape(plain, stmp, self.name)).numbering
+        num = shape.numbering
         own = num.own[self.name]
         ev = {p: plain.events[k] for p, k, _a in own}
 

@@ -11,11 +11,11 @@ read reads past a po-later CPU write.  Polls-from (pf), the broadcast's
 intra-event order (iso) and the coherence search but the values reads
 return are decided by the execution's shape: `frame` builds them once
 per shape in one outcome computation, in the positions of the shape's
-`base.Numbering` and with no subevent, and every later execution of the
-shape uses them as they are, reading only its pinned reads' outputs off
-its events.  The search is pruned against the checker's hb grown by pf
-and iso, which every witness holds, and a witness's ``hb`` is the order
-the search grew for it.
+`base.Numbering` and with no subevent, and one search covers a group of
+the shape's executions, reading each row's pinned reads' outputs off its
+events as row masks.  The search is pruned against the checker's hb
+grown by pf and iso, which every witness holds, and a witness's ``hb``
+is the order the search grew for it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from ..events import Event, PlainExecution
 from ..lang import Carried, Pools
 from ..stamps import ACR, ACW, AWT, GF, nLR, nRW
 from ..values import UNIT
-from .base import Library, Shape, Witness, final_values, slice_shape
+from .base import (Library, Shape, Witness, final_values, lowest,
+                   pins_of, slice_shape)
 
 WRITE, READ, BCAST, WAIT, GFENCE = "sv_write", "sv_read", "sv_bcast", "sv_wait", "sv_gf"
 
@@ -115,24 +116,23 @@ class SharedVarLib(Library):
         # Every witness's so holds pf and iso.
         return order.add_edges(f.pf | f.iso)
 
-    def witnesses(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-                  hb=None, shape=None) -> Iterator[Witness]:
-        shape = shape or slice_shape(plain, stmp, self.name)
-        f = self.frame(plain, stmp, cfg, shape)
+    def witnesses(self, group, stmp, cfg: NodeConfig, hb=None, shape=None,
+                  alive=1, wanted=(-1,)) -> Iterator[Witness]:
+        shape = shape or slice_shape(group[0], stmp, self.name)
+        f = self.frame(group[0], stmp, cfg, shape)
         base = self.grown_hb(f, hb)
         if base is False:
             return
-        events = plain.events
-        names = shape.numbering.names(self.name, events)
-        for rf, mo, rb, vR, vW, by_place, grown in f.search.search(
-                {p: events[k].output for p, k in f.pinned},
-                lambda p: cfg.init_of(*p), base):
+        for rf, mo, rb, vR, vW, by_place, grown, rows in f.search.search(
+                pins_of(group, f.pinned, alive), lambda p: cfg.init_of(*p), base,
+                alive, wanted):
             # CPU reads may not read past a program-order-later CPU write.
             if not f.past.isdisjoint(rb):
                 continue
             so = f.iso | (rf - f.internal) | f.pf | rb | mo
             yield Witness(
-                self.name, so, names=names, vR=vR, vW=vW,
+                self.name, so, vR=vR, vW=vW,
                 rels={"rf": rf, "mo": mo, "rb": rb, "pf": f.pf, "iso": f.iso},
-                meta={"by_place": by_place}, hb=grown,
+                meta={"by_place": by_place}, hb=grown, rows=rows,
+                names=shape.numbering.names(self.name, group[lowest(rows)].events),
             )

@@ -170,7 +170,7 @@ def _dump_first_witness(built: BuiltTest, libs, bounds: Bounds) -> str:
     interp = interpret_conc(built.programs, pools(libs, built.cfg),
                             bounds.max_events)
     for vals, plain in interp.results:
-        for acc in enumerate_consistent(plain, libs, built.cfg):
+        for acc in enumerate_consistent([plain], libs, built.cfg):
             return dump_execution(plain, acc["stmp"], acc["so"], acc["hb"],
                                   acc["witnesses"], outputs=vals)
     return "(no consistent execution)"

@@ -17,7 +17,7 @@ def witnesses_of(events, po, cfg, variant="weak"):
     plain = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert plain.po == frozenset(po)
     stmp = {e: lib.stamping(e, cfg) for e in events}
-    return list(lib.witnesses(plain, stmp, cfg))
+    return list(lib.witnesses([plain], stmp, cfg))
 
 
 def bar(tid, eid, x="z"):

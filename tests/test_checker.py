@@ -58,7 +58,7 @@ def accepted(path: Path):
     """(execution, libs, cfg) of every combination the search accepts."""
     built, libs, res = unfold_file(path)
     for _vals, plain in res.results:
-        for acc in enumerate_consistent(plain, libs, built.cfg):
+        for acc in enumerate_consistent([plain], libs, built.cfg):
             yield (Execution(plain, acc["stmp"], acc["so"], acc["hb"]),
                    libs, built.cfg)
 
@@ -114,7 +114,7 @@ def eager_combinations(plain, libs, cfg):
                 yield [(lib.name, w.so) for lib, w in chosen], order.pairs(None, subevents)
             return
         lib, sl = slices[i]
-        for w in lib.witnesses(sl, stmp, cfg):
+        for w in lib.witnesses([sl], stmp, cfg):
             assert w.hb is None
             o2 = order.copy()
             if o2.add_edges((pos[a], pos[b]) for a, b in w.so):
@@ -158,7 +158,7 @@ def test_same_combinations_in_the_same_order_as_the_eager_search(tmp_path, path,
     n = 0
     for _vals, plain in res.results:
         got = [([(name, w.so) for name, w in acc["witnesses"].items()], acc["hb"])
-               for acc in enumerate_consistent(plain, libs, cfg)]
+               for acc in enumerate_consistent([plain], libs, cfg)]
         assert got == list(eager_combinations(plain, libs, cfg))
         n += len(got)
     assert n > 0
@@ -224,9 +224,9 @@ def test_pruning_by_ppo_drops_only_witnesses_that_hb_vetoes(tmp_path, name, path
         for lib in libs:
             rows = list(hb.rows)
             sl = PlainExecution(tuple(per_lib[lib.name]))
-            pruned = lib.witnesses(sl, stmp, cfg, hb)
+            pruned = lib.witnesses([sl], stmp, cfg, hb)
             first = nxt = next(pruned, None)
-            for w in lib.witnesses(sl, stmp, cfg):
+            for w in lib.witnesses([sl], stmp, cfg):
                 assert w.hb is None
                 grown = hb.copy()
                 if not grown.add_edges((pos[a], pos[b]) for a, b in w.so):
@@ -266,7 +266,7 @@ class Counted(Library):
     def outputs(self, method, args, tid, state, profile, cfg):
         return ((UNIT, state),)
 
-    def witnesses(self, plain, stmp, cfg, hb=None, shape=None):
+    def witnesses(self, group, stmp, cfg, hb=None, shape=None, alive=1, wanted=(-1,)):
         self.calls += 1
         self.given.append(hb)
         for _ in range(self.n):
@@ -306,7 +306,7 @@ def test_each_search_runs_once_and_ppo_waits_for_every_library(ppo_calls, na, nb
     a, b = Counted("a", na), Counted("b", nb)
     cfg = cfg2()
     _progs, plain = _one_plain([a, b], cfg)
-    assert len(list(enumerate_consistent(plain, [a, b], cfg))) == na * nb
+    assert len(list(enumerate_consistent([plain], [a, b], cfg))) == na * nb
     assert (a.calls, a.drawn) == (1, na)
     assert (b.calls, b.drawn) == (na, na * nb)
     assert len(ppo_calls) == 1
@@ -320,7 +320,7 @@ def test_a_library_that_asks_for_ppo_gets_the_order_hb_grows_from(ppo_calls):
     a, b = Counted("a", 2), Counted("b", 2)
     cfg = cfg2()
     _progs, plain = _one_plain([a, b], cfg)
-    assert len(list(enumerate_consistent(plain, [a, b], cfg))) == 4
+    assert len(list(enumerate_consistent([plain], [a, b], cfg))) == 4
     (ppo,) = a.given
     assert len(ppo_calls) == 1
     assert b.given == [ppo, ppo] and all(o is ppo for o in b.given)
@@ -336,7 +336,7 @@ def test_the_first_library_holds_no_witness_it_has_moved_past():
     cfg = cfg2()
     _progs, plain = _one_plain([a, b], cfg)
     live = []
-    for acc in enumerate_consistent(plain, [a, b], cfg):
+    for acc in enumerate_consistent([plain], [a, b], cfg):
         live.append(([r() is not None for r in a.refs], [r() is not None for r in b.refs]))
         del acc
     assert [la for la, _lb in live] == ([[True], [True]] + [[False, True]] * 2
@@ -383,7 +383,7 @@ def test_the_checker_builds_no_pair_set(pairs_calls):
 def test_so_hb_and_ib_are_built_when_read(pairs_calls):
     built, libs, res = unfold_file(CORPUS / "fig3_sb_get_wait.litmus")
     acc = next(acc for _vals, plain in res.results
-               for acc in enumerate_consistent(plain, libs, built.cfg))
+               for acc in enumerate_consistent([plain], libs, built.cfg))
     w = acc["witnesses"]["rl"]
     assert not pairs_calls
     assert acc["hb"] and len(pairs_calls) == 1
@@ -432,10 +432,12 @@ def _outcome_case(stem, impl, events):
 @pytest.mark.parametrize("stem, impl, events", [
     ("fig6c_bcast_cycle", None, None), ("fig6b_bcast_3node", None, None),
     ("bug1_barrier", "bal_buggy", 26), ("fig4_gf_sb", "sv", 32),
-    ("appf_rbl_bal", None, None)])
+    ("appf_rbl_bal", None, None), ("fig3_sb_get_wait", "w", 32),
+    ("appf_rbl_bal", "rbl", 30)])
 def test_an_outcome_computation_leaves_no_cyclic_garbage(stem, impl, events):
-    """No search function refers to itself, so a full outcome computation,
-    once warm, leaves nothing for the cyclic collector."""
+    """No search function, and no compiled body the unfolding calls,
+    refers to itself, so a full outcome computation, once warm, leaves
+    nothing for the cyclic collector."""
     progs, libs, cfg, bounds = _outcome_case(stem, impl, events)
     assert outcomes(progs, libs, cfg, bounds).outcomes
     gc.collect()

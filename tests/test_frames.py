@@ -4,11 +4,12 @@ part of the witness search, within one outcome computation.  Frames name
 subevents by position, so the frame a later execution of a shape takes
 from a memo shared by every execution of an item equals one built afresh
 for it, and frames are read off positions: no execution builds a
-subevent unless something reads one, and each shape is numbered once for
-all its libraries.  The search gives the same combinations, in the same
-order, with a shared memo as with a fresh one.  Each event lists its read
-part first, so ib's fixed part runs forward along ppo's positions.  No
-frame outlives the ``outcomes`` call that built it."""
+subevent unless something reads one, and each shape of an outcome
+computation is numbered once for all its libraries and searched once for
+all its plain executions.  The search gives the same combinations, in
+the same order, with a shared memo as with a fresh one.  Each event
+lists its read part first, so ib's fixed part runs forward along ppo's
+positions.  No frame outlives the ``outcomes`` call that built it."""
 
 from __future__ import annotations
 
@@ -135,24 +136,26 @@ def test_each_event_lists_its_read_part_first(tmp_path, path, item):
 def test_later_executions_of_a_shape_build_no_subevent(monkeypatch):
     """With ``outputs_only`` nothing reads a witness's relations, and
     frames and ppo are read off positions, so no execution builds a
-    subevent, the first of each shape included.  Each shape is numbered
-    once, by the checker, for all its libraries."""
-    built = []
+    subevent.  Each shape of an outcome computation is numbered once, by
+    the checker, for all its libraries, and searched once, for all its
+    plain executions: there are as many searches as shapes, and fewer
+    than plain executions."""
+    built = []      # per search: [shape, rows, subevents, numberings]
     init, number = SubEvent.__post_init__, Numbering.__init__
 
     def counted(self):
-        built[-1][1] += 1
+        built[-1][2] += 1
         init(self)
 
     def numbered(self, *args):
-        built[-1][2] += 1
+        built[-1][3] += 1
         number(self, *args)
 
     enumerate_ = checker.enumerate_consistent
 
-    def counted_enumerate(plain, libs, cfg, memo=None):
-        built.append([stamp_events(plain, libs, cfg).key, 0, 0])
-        yield from enumerate_(plain, libs, cfg, memo)
+    def counted_enumerate(group, libs, cfg, *args):
+        built.append([stamp_events(group[0], libs, cfg).key, len(group), 0, 0])
+        yield from enumerate_(group, libs, cfg, *args)
 
     monkeypatch.setattr(SubEvent, "__post_init__", counted)
     monkeypatch.setattr(Numbering, "__init__", numbered)
@@ -162,16 +165,15 @@ def test_later_executions_of_a_shape_build_no_subevent(monkeypatch):
                                        ("appf_rbl_bal", "rbl", 30, 2)]:
         progs, cfg, libs = compiled(CORPUS / f"{stem}.litmus", [impl])
         assert len(libs) == n_libs
+        res = interpret_conc(progs, checker.pools(libs, cfg), events)
+        shapes = {stamp_events(plain, libs, cfg).key for _vals, plain in res.results}
         del built[:]
         assert checker.outcomes(progs, libs, cfg, checker.Bounds(max_events=events),
                                 outputs_only=True).outcomes
-        seen, firsts, later = set(), [], []
-        for key, n, numberings in built:
-            (later if key in seen else firsts).append((n, numberings))
-            seen.add(key)
-        assert later and not any(n or k for n, k in later)
-        assert not any(n for n, _k in firsts)
-        assert [k for _n, k in firsts] == [1] * len(seen)
+        assert sorted(key for key, *_ in built) == sorted(shapes)
+        assert len(shapes) < len(res.results)
+        assert sum(rows for _key, rows, _n, _k in built) == len(res.results)
+        assert [(n, k) for _key, _rows, n, k in built] == [(0, 1)] * len(shapes)
 
 
 @pytest.mark.parametrize("path, item", [(p, it) for _, p, it in CASES],
@@ -181,7 +183,7 @@ def test_same_combinations_with_a_shared_memo_as_with_a_fresh_one(tmp_path, path
 
     def combinations(plain, memo=None):
         return [([(name, w.so, w.vR, w.vW) for name, w in acc["witnesses"].items()],
-                 acc["hb"]) for acc in enumerate_consistent(plain, libs, cfg, memo)]
+                 acc["hb"]) for acc in enumerate_consistent([plain], libs, cfg, memo)]
 
     memo = {}
     n = 0
@@ -194,9 +196,9 @@ def test_same_combinations_with_a_shared_memo_as_with_a_fresh_one(tmp_path, path
 
 def test_no_frame_outlives_its_outcome_computation(monkeypatch):
     """Each ``outcomes`` call of a soundness check sweeps ppo once per
-    shape of the executions it checks, and a second check does it all
-    again."""
-    sweeps, shapes = [], []
+    shape of the executions it checks and searches each shape once, for
+    all its executions, and a second check does it all again."""
+    sweeps, searches = [], []
     calls = 0
     ppo_order, enumerate_ = checker.ppo_order, checker.enumerate_consistent
     outcomes = compilers.outcomes
@@ -205,9 +207,9 @@ def test_no_frame_outlives_its_outcome_computation(monkeypatch):
         sweeps.append(num)
         return ppo_order(num)
 
-    def counted_enumerate(plain, libs, cfg, memo=None):
-        shapes.append((calls, stamp_events(plain, libs, cfg).key))
-        return enumerate_(plain, libs, cfg, memo)
+    def counted_enumerate(group, libs, cfg, *args):
+        searches.append((calls, stamp_events(group[0], libs, cfg).key, len(group)))
+        return enumerate_(group, libs, cfg, *args)
 
     def counted_outcomes(*args, **kwargs):
         nonlocal calls
@@ -219,13 +221,15 @@ def test_no_frame_outlives_its_outcome_computation(monkeypatch):
     monkeypatch.setattr(compilers, "outcomes", counted_outcomes)
     counts = []
     for _ in range(2):
-        del sweeps[:], shapes[:]
+        del sweeps[:], searches[:]
         rep = soundness(CORPUS / "fig3_sb_get_wait.litmus", ["w"], 32)
         assert rep.included
-        counts.append((len(sweeps), len(set(shapes)), len(shapes)))
-    (n_sweeps, n_shapes, n_execs), again = counts
+        shapes = {(call, key) for call, key, _rows in searches}
+        counts.append((len(sweeps), len(searches), len(shapes),
+                       sum(rows for _call, _key, rows in searches)))
+    (n_sweeps, n_searches, n_shapes, n_execs), again = counts
     assert again == counts[0]
-    assert n_sweeps == n_shapes < n_execs
+    assert n_sweeps == n_searches == n_shapes < n_execs
 
 
 @pytest.mark.parametrize("stem, impl", [("fig3_sb_get_wait", "w"),

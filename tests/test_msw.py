@@ -18,7 +18,7 @@ def witnesses_of(events, po, cfg=CFG):
     plain = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert plain.po == frozenset(po)
     stmp = {e: msw.stamping(e, cfg) for e in events}
-    return list(msw.witnesses(plain, stmp, cfg))
+    return list(msw.witnesses([plain], stmp, cfg))
 
 
 def test_stamping_success_vs_failure():

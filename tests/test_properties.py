@@ -19,7 +19,7 @@ from rdmacheck.config import NodeConfig
 from rdmacheck.events import Event, PlainExecution, SubEvent, subevent_list
 from rdmacheck.lang import Call, LetF, Val, interpret_conc, interpret_seq
 from rdmacheck.libraries import RdmaWaitLib
-from rdmacheck.libraries.base import Coherence, Numbering, _mo_choices
+from rdmacheck.libraries.base import Coherence, Numbering, _mo_choices, rows_of
 from rdmacheck.relations import IncrementalOrder, forward_rows
 from rdmacheck.stamps import (ACAS, ACR, ACW, AMF, AWT, GF, KINDS, derive_ppo, nF,
                               nLR, nLW, nRR, nRW, ppo_before)
@@ -245,6 +245,20 @@ def test_coherence_is_the_union_find_search_in_order(problem):
     assert got == list(union_find_coherence(*problem))
 
 
+def positional(problem):
+    """(subevents, their positions, `Coherence` over the positions) of a
+    coherence problem, with mo extended under ``ppo_before``."""
+    reads, writes, place, _read_value, write_value, carrier, _init_of = problem
+    subs = sorted({*reads, *writes}, key=lambda s: (s.tid, s.event.eid, repr(s.stamp)))
+    at = {s: i for i, s in enumerate(subs)}
+    return subs, at, Coherence([at[r] for r in reads], [at[w] for w in writes],
+                               {at[s]: p for s, p in place.items()},
+                               {at[w]: v for w, v in write_value.items()},
+                               {at[w]: at[r] for w, r in carrier.items()},
+                               lambda w, r: internal_rf(subs[w], subs[r]),
+                               lambda a, b: ppo_before(subs[a], subs[b]))
+
+
 @settings(max_examples=300)
 @given(coherence_problems(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
                                       max_size=3))
@@ -253,31 +267,65 @@ def test_a_pruned_coherence_search_keeps_what_its_order_allows_in_order(problem,
     search yields exactly the unpruned choices whose external rf, mo and
     rb keep that order acyclic, in their order, each with the order
     grown by all of them: covering pairs close to the same order."""
-    reads, writes, place, read_value, write_value, carrier, init_of = problem
-    subs = sorted({*reads, *writes}, key=lambda s: (s.tid, s.event.eid, repr(s.stamp)))
-    at = {s: i for i, s in enumerate(subs)}
-    search = Coherence([at[r] for r in reads], [at[w] for w in writes],
-                       {at[s]: p for s, p in place.items()},
-                       {at[w]: v for w, v in write_value.items()},
-                       {at[w]: at[r] for w, r in carrier.items()},
-                       lambda w, r: internal_rf(subs[w], subs[r]),
-                       lambda a, b: ppo_before(subs[a], subs[b]))
+    _reads, _writes, _place, read_value, _write_value, _carrier, init_of = problem
+    subs, at, search = positional(problem)
     order = IncrementalOrder(forward_rows(subs, ppo_before))
     if not order.add_edges((a, b) for a, b in extra if a < len(subs) and b < len(subs)):
         return
     rows = list(order.rows)
-    pins = {at[r]: v for r, v in read_value.items()}
+    pins = {at[r]: {v: 1} for r, v in read_value.items()}
     want = []
-    for rf, mo, rb, vR, vW, _by_place, none in search.search(pins, init_of):
+    for rf, mo, rb, vR, vW, _by_place, none, _rows in search.search(pins, init_of):
         assert none is None
         grown = order.copy()
         external = [(w, r) for w, r in rf if not internal_rf(subs[w], subs[r])]
         if grown.add_edges([*external, *mo, *rb]):
             want.append((rf, mo, rb, vR, vW, grown.rows))
     got = [(rf, mo, rb, vR, vW, o.rows)
-           for rf, mo, rb, vR, vW, _by_place, o in search.search(pins, init_of, order)]
+           for rf, mo, rb, vR, vW, _by_place, o, _rows in search.search(pins, init_of, order)]
     assert got == want
     assert order.rows == rows
+
+
+@st.composite
+def multi_row_problems(draw):
+    """A coherence problem, one to four rows, each pinning its own value
+    on every pinned read and on some NIC read parts, so that a value may
+    be passed on to a pinned read, the live rows and whether ppo prunes."""
+    problem = draw(coherence_problems())
+    nic = sorted(problem[5].values(), key=repr)
+    pinned = [*problem[3], *(draw(st.lists(st.sampled_from(nic), unique=True)) if nic else ())]
+    rows = draw(st.lists(st.fixed_dictionaries({r: VALUES for r in pinned}),
+                         min_size=1, max_size=4))
+    return problem, rows, draw(st.integers(1, 2 ** len(rows) - 1)), draw(st.booleans())
+
+
+@settings(max_examples=300)
+@given(multi_row_problems())
+def test_a_multi_row_coherence_search_is_each_rows_search_in_order(case):
+    """One search for many rows, each read's pins as row masks, yields,
+    expanded per live row, exactly that row's search asked alone, in its
+    order, and every choice holds for rows that agree on its pinned
+    values."""
+    problem, rows, live, ordered = case
+    subs, at, search = positional(problem)
+    init_of = problem[-1]
+    order = IncrementalOrder(forward_rows(subs, ppo_before)) if ordered else None
+    pins: dict = {}
+    for j, row in enumerate(rows):
+        for r, v in row.items():
+            by_value = pins.setdefault(at[r], {})
+            by_value[v] = by_value.get(v, 0) | 1 << j
+    key = lambda rf, mo, rb, vR, vW, _by_place, o, _rows: (rf, mo, rb, vR, vW, o and o.rows)
+    multi = list(search.search(pins, init_of, order, live))
+    for j, row in enumerate(rows):
+        alone = [key(*c) for c in search.search({at[r]: {v: 1} for r, v in row.items()},
+                                                init_of, order)]
+        got = [key(*c) for c in multi if c[-1] >> j & 1]
+        assert got == (alone if live >> j & 1 else [])
+    for c in multi:
+        assert c[-1] and not c[-1] & ~live
+        assert all(c[3][at[r]] == v for j in rows_of(c[-1]) for r, v in rows[j].items())
 
 
 # --- derived po against the stored cross-product po ------------------------

@@ -42,9 +42,13 @@ def external_rf(rf: frozenset) -> frozenset:
 def coherence(reads, writes, place, read_value, write_value, carrier, init_of,
               order=None):
     """`Coherence` over subevents, with mo extended under ``ppo_before``,
-    built and searched in one call."""
-    yield from Coherence(reads, writes, place, write_value, carrier,
-                         internal_rf, ppo_before).search(read_value, init_of, order)
+    built and searched in one call for one row, whose reads ``read_value``
+    pins: each choice without its rows."""
+    pins = {r: {v: 1} for r, v in read_value.items()}
+    for *choice, rows in Coherence(reads, writes, place, write_value, carrier,
+                                   internal_rf, ppo_before).search(pins, init_of, order):
+        assert rows == 1
+        yield tuple(choice)
 
 
 def named_polls_from(lib: RdmaLib, plain, stmp):
@@ -232,7 +236,7 @@ def assert_same_witnesses(cfg, libs, res) -> tuple[int, int]:
         stmp, per_lib = stamp_events(plain, libs, cfg)
         for lib in rdma:
             sl = PlainExecution(tuple(per_lib[lib.name]))
-            got = [(w.so, w.rels, w.vR, w.vW) for w in lib.witnesses(sl, stmp, cfg)]
+            got = [(w.so, w.rels, w.vR, w.vW) for w in lib.witnesses([sl], stmp, cfg)]
             assert got == list(per_choice_witnesses(lib, sl, stmp, cfg))
             n += len(got)
             nfo_choices += len({rels["nfo"] for _so, rels, _r, _w in got}) > 1

@@ -41,7 +41,7 @@ def witnesses_of(events, po, cfg=CFG, mode="strict"):
     plain = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert plain.po == frozenset(po)
     stmp = {e: lib.stamping(e, cfg) for e in events}
-    return list(lib.witnesses(plain, stmp, cfg))
+    return list(lib.witnesses([plain], stmp, cfg))
 
 
 def sub(tid, eid, out=True, x="x", payload=(1,)):

@@ -42,7 +42,7 @@ def witnesses_of(events, po, cfg):
     plain = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert plain.po == frozenset(po)
     stmp = {e: sv.stamping(e, cfg) for e in events}
-    return list(sv.witnesses(plain, stmp, cfg))
+    return list(sv.witnesses([plain], stmp, cfg))
 
 
 class TestWitnessSearch:

@@ -59,7 +59,7 @@ class TestPolling:
         fn = pools([tso], CFG)
         seen = 0
         for vals, plain in interpret_conc([p], fn, 14).results:
-            for acc in enumerate_consistent(plain, [tso], CFG):
+            for acc in enumerate_consistent([plain], [tso], CFG):
                 pf = acc["witnesses"]["tso"].rels["pf"]
                 assert len(pf) == 2
                 for w, pl in pf:
