@@ -61,8 +61,10 @@ class Bounds:
     max_events: int = MAX_EVENTS
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Outcome:
+    """Thread outputs and final memory; never assigned after construction."""
+
     outputs: tuple
     memory: frozenset = frozenset()   # ((loc, node), value) items of written cells
 

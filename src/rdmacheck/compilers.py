@@ -67,20 +67,22 @@ def apply_impl(impl: Implementation, progs: ConcurrentProgram,
         raise InvalidInput(f"client locations collide with the "
                            f"implementation namespace: {sorted(clash)}")
     methods = impl.source_methods()
+    return [_subst(impl, methods, cfg, profile, t + 1, p) for t, p in enumerate(progs)]
 
-    def subst(tid: int, p: Program) -> Program:
-        if isinstance(p, (Val, Stop)):
-            return p
-        if isinstance(p, Call):
-            if p.method in methods:
-                return impl.mapping(cfg, profile, tid, p.method, p.args)
-            return p
-        if isinstance(p, LetF):
-            return LetF(subst(tid, p.prog),
-                        lambda v, f=p.cont: subst(tid, f(v)))
-        raise InvalidInput(f"not a program: {p!r}")
 
-    return [subst(t + 1, p) for t, p in enumerate(progs)]
+def _subst(impl: Implementation, methods: frozenset, cfg: NodeConfig,
+           profile: ClientProfile, tid: int, p: Program) -> Program:
+    """``p`` with ``impl`` substituted on ``tid``; no closure refers to itself."""
+    if isinstance(p, (Val, Stop)):
+        return p
+    if isinstance(p, Call):
+        if p.method in methods:
+            return impl.mapping(cfg, profile, tid, p.method, p.args)
+        return p
+    if isinstance(p, LetF):
+        return LetF(_subst(impl, methods, cfg, profile, tid, p.prog),
+                    lambda v, f=p.cont: _subst(impl, methods, cfg, profile, tid, f(v)))
+    raise InvalidInput(f"not a program: {p!r}")
 
 
 def _extended(cfg: NodeConfig, profile: ClientProfile, *,

@@ -12,7 +12,7 @@ happens-before order over the induced subevents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, groupby
 from typing import Iterable, Mapping
@@ -20,20 +20,22 @@ from typing import Iterable, Mapping
 from .values import Value, fmt_value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
+    """One call of a thread; never assigned after construction."""
+
     tid: int
     eid: int
     method: str
     args: tuple
     output: Value
+    _hash: int = field(init=False, repr=False, compare=False)
 
     # Events and subevents are hashed millions of times as set members and
-    # dict keys, so each computes its hash once; equality is the generated
-    # field-wise one.
+    # dict keys, so each computes its hash once, in a slot; equality is the
+    # generated field-wise one, which compares no hash.
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(
-            (self.tid, self.eid, self.method, self.args, self.output)))
+        self._hash = hash((self.tid, self.eid, self.method, self.args, self.output))
 
     def __hash__(self):
         return self._hash
@@ -52,12 +54,13 @@ def po_before(a: Event, b: Event) -> bool:
     return a.tid == b.tid and a.eid < b.eid
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class PlainExecution:
     """A finite event set, stored as its events in program order: by
     thread, then by event id.  Its program order ``po`` is derived, not
     stored: the interpreter numbers each thread's events in program order,
-    so po is the (tid, eid) order of ``po_before``."""
+    so po is the (tid, eid) order of ``po_before``.  Never assigned after
+    construction; it keeps a ``__dict__`` for the cached ``po``."""
 
     events: tuple[Event, ...]
 
@@ -76,9 +79,10 @@ class PlainExecution:
             raise InvalidInput("events not in strictly increasing (tid, eid) order")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Stamp:
-    """One of the eleven stamp kinds; family kinds carry a node index."""
+    """One of the eleven stamp kinds; family kinds carry a node index.
+    Never assigned after construction."""
 
     kind: str
     node: int | None = None
@@ -87,13 +91,16 @@ class Stamp:
         return self.kind if self.node is None else f"{self.kind}({self.node})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SubEvent:
+    """An event with one of its stamps; never assigned after construction."""
+
     event: Event
     stamp: Stamp
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.event, self.stamp)))
+        self._hash = hash((self.event, self.stamp))
 
     def __hash__(self):
         return self._hash

@@ -38,24 +38,27 @@ from .values import Value
 MAX_EVENTS = 14
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Val:
+    """Finishes with ``value``; never assigned after construction."""
     value: Value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Call:
+    """A method call; never assigned after construction."""
     method: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LetF:
+    """``prog``, then ``cont`` of its value; never assigned after construction."""
     prog: "Program"
     cont: Callable[[Value], "Program"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Stop:
     """A program that never finishes: it has no unfolding, and it is not
     cut by any bound."""
@@ -84,10 +87,10 @@ def seq(*ps: Program) -> Program:
 OutputsFn = Callable[[str, tuple, int, tuple[Event, ...]], Iterable[Value]]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Carried:
-    """What a store writes when its event moves a value: whatever the
-    event's read part saw at ``place`` (a put, a get or a broadcast)."""
+    """What a store writes when its event (a put, a get or a broadcast)
+    moves what its read part saw at ``place``; never assigned after construction."""
 
     place: Hashable
 
@@ -196,8 +199,9 @@ class Pools:
 
 
 class InterpResult(NamedTuple):
-    # interpret_seq: a set view in generation order, since a value domain
-    # may repeat a value; interpret_conc: a tuple of its distinct products.
+    # interpret_seq: a set view in generation order, so that it compares
+    # with a set; interpret_conc: a tuple of its products.  Neither
+    # repeats an entry while each call's candidate outputs are distinct.
     results: Collection
     truncated: bool
 
@@ -233,21 +237,25 @@ def _interp(p: Program, tid: int, prior: tuple[Event, ...], ctx: _Ctx,
         raise InvalidInput(f"not a program: {p!r}")
 
 
+def _outputs_fn(value_domain: Iterable[Value] | OutputsFn) -> OutputsFn:
+    """``value_domain`` as an :data:`OutputsFn`, a collection deduplicated."""
+    if callable(value_domain):
+        return value_domain
+    vals = tuple(dict.fromkeys(value_domain))
+    return lambda method, args, tid, prior: vals
+
+
 def interpret_seq(p: Program, tid: int,
                   value_domain: Iterable[Value] | OutputsFn,
                   max_events: int = MAX_EVENTS) -> InterpResult:
     """All bounded unfoldings of ``p`` on thread ``tid``, in the order the
     interpreter generates them: (value, plain execution) pairs.
 
-    ``value_domain`` is either a finite value collection (every method
-    call's output ranges over it) or an :data:`OutputsFn`.
+    ``value_domain`` is a finite value collection (every call's output
+    ranges over its distinct values) or an :data:`OutputsFn` that gives each
+    call distinct candidates, so two unfoldings differ in an event.
     """
-    if callable(value_domain):
-        outputs = value_domain
-    else:
-        vals = tuple(value_domain)
-        outputs = lambda method, args, tid, prior: vals
-    ctx = _Ctx(outputs, max_events)
+    ctx = _Ctx(_outputs_fn(value_domain), max_events)
     results = dict.fromkeys(
         (v, PlainExecution(g)) for v, g in _interp(p, tid, (), ctx)).keys()
     return InterpResult(results, ctx.truncated)
@@ -274,15 +282,15 @@ def interpret_conc(progs: ConcurrentProgram,
     cap bounds them.
 
     The results come in a fixed order: the products of the per-thread
-    unfoldings in lexicographic order, thread 1 outermost, each thread's
-    unfoldings in the order the interpreter generates them.  No product
-    repeats: each thread's unfoldings are distinct, and threads' events
-    are disjoint.  Threads are numbered in order, so a product's events,
-    each thread's concatenated in thread order, are in program order by
-    construction.
+    unfoldings in `interpret_seq`'s order, as (value, events) pairs.  No
+    product repeats: each thread's unfoldings are distinct (see
+    `interpret_seq`), and threads' events are disjoint.  Threads are
+    numbered in order, so a product's events, each thread's concatenated
+    in thread order, are in program order by construction.
     """
     pools = value_domain if isinstance(value_domain, Pools) else None
-    runs: list = [None] * len(progs)
+    outputs = _outputs_fn(value_domain)
+    runs: list = [None] * len(progs)     # per thread: (_Ctx, unfoldings)
     again = True
     while again:
         again = False
@@ -291,14 +299,15 @@ def interpret_conc(progs: ConcurrentProgram,
                 continue
             if pools:
                 pools.start(i + 1)
-            runs[i] = interpret_seq(p, i + 1, value_domain, max_events)
+            ctx = _Ctx(outputs, max_events)
+            runs[i] = ctx, list(_interp(p, i + 1, (), ctx))
             if pools:
-                for _o, g in runs[i].results:
-                    if g.events:
-                        pools.note(g.events[-1])
+                for _o, g in runs[i][1]:
+                    if g:
+                        pools.note(g[-1])
                 again = True
-    truncated = any(r.truncated for r in runs)
-    per_thread = [[(v, g.events) for v, g in r.results] for r in runs]
+    truncated = any(ctx.truncated for ctx, _u in runs)
+    per_thread = [u for _ctx, u in runs]
 
     # (values, events) of each partial product; a thread's unfoldings are
     # filtered once per remaining event budget.

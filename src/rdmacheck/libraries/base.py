@@ -191,8 +191,9 @@ class Library:
     def outputs(self, method: str, args: tuple, tid: int, prior: tuple[Event, ...],
                 pools: Pools, cfg: NodeConfig) -> Iterable[Value]:
         """Candidate results of a call by thread ``tid``, given the thread's
-        earlier events ``prior``, in ``repr`` order; a read's value
-        candidates are what ``pools.read`` says it can see."""
+        earlier events ``prior``, in ``repr`` order and distinct, since the
+        unfolding does not deduplicate them (`lang.interpret_conc`); a
+        read's value candidates are what ``pools.read`` says it can see."""
         raise NotImplementedError
 
     def stores(self, e: Event, cfg: NodeConfig) -> Iterable[tuple]:

@@ -693,7 +693,7 @@ def build_test(test: LitmusTest, variants: Mapping[str, str] | None = None) -> B
             else:
                 calls.append((ins.dest, method, tuple(args), ins))
 
-        programs.append(_chain(calls, regs))
+        programs.append(_chain(calls, regs, 0, {}))
 
     cfg = NodeConfig(
         nodes=frozenset(node_id.values()),
@@ -724,17 +724,15 @@ def build_test(test: LitmusTest, variants: Mapping[str, str] | None = None) -> B
                      uses_memory=uses_memory)
 
 
-def _chain(calls: Sequence[tuple], out_regs: Sequence[str]) -> Program:
-    """Straight-line calls to a program returning the register tuple."""
-
-    def step(i: int, env: dict) -> Program:
-        if i == len(calls):
-            return Val(tuple(env[r] for r in out_regs))
-        dest, method, args, _ins = calls[i]
-        resolved = tuple(env[a.name] if isinstance(a, RegRef) else a
-                         for a in args)
-        return LetF(Call(method, resolved),
-                    lambda v, i=i, dest=dest: step(
-                        i + 1, {**env, dest: v} if dest else env))
-
-    return step(0, {})
+def _chain(calls: Sequence[tuple], out_regs: Sequence[str], i: int,
+           env: dict) -> Program:
+    """Straight-line calls from the ``i``-th on, with the registers ``env``
+    set, to a program returning the register tuple.  A module function, so
+    no closure refers to itself."""
+    if i == len(calls):
+        return Val(tuple(env[r] for r in out_regs))
+    dest, method, args, _ins = calls[i]
+    resolved = tuple(env[a.name] if isinstance(a, RegRef) else a for a in args)
+    return LetF(Call(method, resolved),
+                lambda v: _chain(calls, out_regs, i + 1,
+                                 {**env, dest: v} if dest else env))

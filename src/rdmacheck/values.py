@@ -43,13 +43,14 @@ class _Bot:
 BOT = _Bot()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class HashVal:
     """Injective digest of a payload tuple.
 
     Two digests are equal iff the payloads are equal; the all-zero payload
     is represented by the scalar 0 instead (see :func:`hash_tuple`), so a
     never-written digest cell reads back as the digest of the zero payload.
+    Never assigned after construction.
     """
 
     payload: tuple

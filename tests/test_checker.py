@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import C, cfg2, compiled, unfold_compiled, unfold_file
+from conftest import C, cfg2, compiled, soundness, unfold_compiled, unfold_file
 from test_rdma_ib import CLIENTS
 from test_relations import naive_closure
 from test_ringbuf import POST_CHECK_VETO
@@ -429,6 +429,19 @@ def _outcome_case(stem, impl, events):
     return progs, libs, cfg, Bounds(max_events=events)
 
 
+def assert_no_cyclic_garbage(run) -> None:
+    """``run()``, which must give a true result, leaves nothing for the
+    cyclic collector once it has run before."""
+    assert run()
+    gc.collect()
+    gc.disable()
+    try:
+        assert run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("stem, impl, events", [
     ("fig6c_bcast_cycle", None, None), ("fig6b_bcast_3node", None, None),
     ("bug1_barrier", "bal_buggy", 26), ("fig4_gf_sb", "sv", 32),
@@ -439,11 +452,15 @@ def test_an_outcome_computation_leaves_no_cyclic_garbage(stem, impl, events):
     refers to itself, so a full outcome computation, once warm, leaves
     nothing for the cyclic collector."""
     progs, libs, cfg, bounds = _outcome_case(stem, impl, events)
-    assert outcomes(progs, libs, cfg, bounds).outcomes
-    gc.collect()
-    gc.disable()
-    try:
-        assert outcomes(progs, libs, cfg, bounds).outcomes
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    assert_no_cyclic_garbage(lambda: outcomes(progs, libs, cfg, bounds).outcomes)
+
+
+@pytest.mark.parametrize("stem, impl, events", [
+    ("fig5_barrier", "bal_weak", 30), ("fig3_sb_get_wait", "w", 32)])
+def test_a_soundness_check_leaves_no_cyclic_garbage(stem, impl, events):
+    """No client program the litmus front end builds, and no substitution
+    that compiles it, refers to itself, so a warm soundness check, from
+    building the client to the verdict, leaves nothing for the cyclic
+    collector."""
+    assert_no_cyclic_garbage(
+        lambda: soundness(CORPUS / f"{stem}.litmus", [impl], events).included)

@@ -179,3 +179,8 @@ class TestInterpretConc:
     def test_products_in_lexicographic_order(self):
         r = interpret_conc([Call("m", ()), Call("m", ())], (0, 1))
         assert [vals for vals, _g in r.results] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_a_literal_domain_that_repeats_a_value_offers_it_once(self):
+        r = interpret_conc([Call("m", ()), Val(5)], (1, 0, 1, 0))
+        assert [vals for vals, _g in r.results] == [(1, 5), (0, 5)]
+        assert len(interpret_seq(Call("m", ()), 1, [3, 3]).results) == 1
