@@ -31,9 +31,9 @@ which every library's frame reads.  ppo's direct rows come from
 per-thread stamp masks (`stamps.ppo_rows`) and are closed once per
 shape, before the first library is asked; each library keeps its own
 per-shape part of the search there (`Library.witnesses`' ``shape``),
-and hb grows from ppo's rows by position.  Subevents are built only
-when read: a witness's relations and values, and a combination's so
-and hb, are named by its lowest row's subevents on first read.
+and hb grows from ppo's rows by position.  Nothing here names a
+position: a witness and a combination are positions only, and only a
+dump names them (`dump.dump_execution`).
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .config import NodeConfig
-from .events import Event, Execution, InvalidInput, PlainExecution, subevent_list
+from .events import Event, InvalidInput, PlainExecution
 from .lang import MAX_EVENTS, Pools, interpret_conc
-from .libraries.base import Library, Numbering, Shape, Witness, lowest, rows_of
-from .relations import IncrementalOrder, OnRead, forward_rows
-from .stamps import ppo_before
+from .libraries.base import Library, Numbering, Shape, Witness, rows_of
+from .relations import IncrementalOrder
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,7 @@ def enumerate_consistent(group: Sequence[PlainExecution], libs: Sequence[Library
                          cfg: NodeConfig, memo: dict | None = None,
                          wanted: Sequence[int] = (-1,),
                          stamped: Stamped | None = None) -> Iterator[Mapping]:
-    """All accepted (witness-per-library, so, hb) combinations of a group:
+    """All accepted (witness-per-library, hb) combinations of a group:
     plain executions of one shape, as rows 0, 1, ... (one execution is a
     group of one).
 
@@ -183,10 +182,10 @@ def enumerate_consistent(group: Sequence[PlainExecution], libs: Sequence[Library
     yields only witnesses that keep hb acyclic.  ``wanted[0]``, the rows
     the caller still wants, is read by every search as it goes (`Library`).
     Combinations come in the libraries' order and each library's witness
-    order, each with ``"rows"``, the rows all its witnesses hold for; the
-    last witness's order is the combination's hb, which the libraries'
-    ``post_check`` read.  A combination is a mapping whose ``"stmp"``,
-    ``"so"`` and ``"hb"`` name its lowest row's subevents when first read.
+    order, as a dict: ``"witnesses"`` by library name, ``"rows"``, the
+    rows all its witnesses hold for, and ``"hb"``, the last witness's
+    order, which the libraries' ``post_check`` read.  All of it is in the
+    positions of the shape's numbering.
     """
     plain = group[0]
     stamped = stamped or stamp_events(plain, libs, cfg, memo)
@@ -207,83 +206,25 @@ def enumerate_consistent(group: Sequence[PlainExecution], libs: Sequence[Library
         mine = set(mine)
         at = [i for i, e in enumerate(plain.events) if e in mine]
         slices.append([PlainExecution(tuple(p.events[i] for i in at)) for p in group])
-    yield from _combinations(group, libs, slices, stmp, cfg, shape, shape.ppo, (),
+    yield from _combinations(libs, slices, cfg, shape, shape.ppo, (),
                              (1 << len(group)) - 1, wanted)
 
 
-def _combinations(group: Sequence[PlainExecution], libs: Sequence[Library], slices: list,
-                  stmp, cfg: NodeConfig, shape: Shape, hb: IncrementalOrder,
-                  chosen: tuple, alive: int, wanted: Sequence[int]):
+def _combinations(libs: Sequence[Library], slices: list, cfg: NodeConfig, shape: Shape,
+                  hb: IncrementalOrder, chosen: tuple, alive: int, wanted: Sequence[int]):
     """Each accepted combination that extends ``chosen``, the witnesses of
     the libraries before the next one, whose last grew ``hb``, for the
     rows ``alive`` that each of them holds for."""
     i = len(chosen)
     if i < len(libs):
-        for w in libs[i].witnesses(slices[i], stmp, cfg, hb, shape, alive, wanted):
+        for w in libs[i].witnesses(slices[i], shape, cfg, hb, alive, wanted):
             rows = alive & w.rows & wanted[0]
             if rows:
-                yield from _combinations(group, libs, slices, stmp, cfg, shape, w.hb,
-                                         chosen + (w,), rows, wanted)
+                yield from _combinations(libs, slices, cfg, shape, w.hb, chosen + (w,),
+                                         rows, wanted)
     elif all(lib.post_check(w, hb) for lib, w in zip(libs, chosen)):
-        low = lowest(alive)
-        yield OnRead({"witnesses": {lib.name: w for lib, w in zip(libs, chosen)},
-                      "rows": alive},
-                     stmp=lambda: _row_stamping(group, stmp, low),
-                     so=lambda: frozenset(p for w in chosen for p in w.so),
-                     hb=lambda: hb.pairs(None, subevent_list(
-                         group[low].events, _row_stamping(group, stmp, low))))
-
-
-def _row_stamping(group: Sequence[PlainExecution], stmp, j: int):
-    """Row j's stamping, read off the first row's, ``stmp``."""
-    return stmp if j == 0 else {e: stmp[e0] for e, e0 in zip(group[j].events, group[0].events)}
-
-
-def lambda_consistent(exec_: Execution, libs: Sequence[Library],
-                      cfg: NodeConfig) -> tuple[bool, dict]:
-    """Validate a full execution: its stamping must be the libraries',
-    so must decompose per library, hb must be the irreflexive closure of
-    ppo ∪ so, and every library slice must pass its oracle with exactly
-    its share of so.
-
-    This is the paper's whole-execution check; ``enumerate_consistent``
-    searches for what it validates, and the tests hold the two together.
-    It numbers the execution once, by its subevent list, and closes ppo
-    over those positions asking ``ppo_before`` of each forward pair, not
-    the stamp masks the search reads.  Each library's witnesses name the
-    same positions, and its ``post_check`` reads that order.
-    """
-    plain = exec_.plain
-    stmp, per_lib = stamp_events(plain, libs, cfg)
-    if dict(exec_.stmp) != stmp:
-        return False, {}
-    # so relates the execution's subevents and closes with ppo to hb
-    # without a cycle.
-    subs = subevent_list(plain.events, stmp)
-    pos = {s: i for i, s in enumerate(subs)}
-    order = IncrementalOrder(forward_rows(subs, ppo_before))
-    if (not all(a in pos and b in pos for a, b in exec_.so)
-            or not order.add_edges((pos[a], pos[b]) for a, b in exec_.so)
-            or exec_.hb != order.pairs(None, subs)):
-        return False, {}
-
-    mm = method_map(libs)
-    for a, b in exec_.so:
-        la = mm.get(a.event.method)
-        if la is None or la is not mm.get(b.event.method):
-            return False, {}
-
-    shape = Shape(Numbering(plain.events, stmp, per_lib))
-    witnesses = {}
-    for lib in libs:
-        share = frozenset((a, b) for a, b in exec_.so if mm[a.event.method] is lib)
-        sl = PlainExecution(tuple(per_lib[lib.name]))
-        w = next((w for w in lib.witnesses([sl], stmp, cfg, None, shape)
-                  if w.so == share and lib.post_check(w, order)), None)
-        if w is None:
-            return False, {}
-        witnesses[lib.name] = w
-    return True, witnesses
+        yield {"witnesses": {lib.name: w for lib, w in zip(libs, chosen)},
+               "rows": alive, "hb": hb}
 
 
 def final_memory(witnesses: Mapping[str, Witness], libs: Sequence[Library],

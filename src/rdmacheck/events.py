@@ -1,13 +1,13 @@
-"""Events, plain executions, and full executions.
+"""Events, plain executions and subevents.
 
 An event is a (thread, id, label) triple where the label is the method
 name, the input values, and the output value.  A plain execution is a
 finite event set with a per-thread total program order.  The interpreter
 numbers each thread's events in program order, so program order is
 (thread, event id) order: ``po_before`` is its one definition, and a plain
-execution is its events listed in that order.  A full execution adds a
-stamping (event -> non-empty stamp set), a synchronisation order and a
-happens-before order over the induced subevents.
+execution is its events listed in that order.  A stamping (event ->
+non-empty stamp set) induces its subevents, which `subevent_list`
+numbers.
 """
 
 from __future__ import annotations
@@ -129,16 +129,7 @@ def subevent_list(events: Iterable[Event], stmp: Stamping) -> list[SubEvent]:
     """The subevents of ``events`` as a list: events in order, each one's
     stamps in `ordered_stamps` order.  Its positions are the one numbering
     of an execution's subevents: ppo is swept along it, issued-before's
-    fixed part runs forward along it, and per-shape frames and witnesses
-    name subevents by position in it (`libraries.base.Numbering`)."""
+    fixed part runs forward along it, per-shape frames and witnesses are
+    given in its positions (`libraries.base.Numbering`), and a dump names
+    them by it (`dump.dump_execution`)."""
     return [SubEvent(e, a) for e in events for a in ordered_stamps(stmp[e])]
-
-
-@dataclass(frozen=True)
-class Execution:
-    """Plain execution + stamping + synchronisation and happens-before order."""
-
-    plain: PlainExecution
-    stmp: Mapping[Event, frozenset[Stamp]]
-    so: frozenset[tuple[SubEvent, SubEvent]]
-    hb: frozenset[tuple[SubEvent, SubEvent]]

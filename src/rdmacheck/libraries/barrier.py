@@ -23,7 +23,7 @@ from ..config import NodeConfig
 from ..events import Event, PlainExecution
 from ..stamps import ACR, GF
 from ..values import UNIT
-from .base import Library, Shape, Witness, lowest, slice_shape
+from .base import Library, Shape, Witness
 
 BAR = "bar"
 
@@ -94,18 +94,15 @@ class BarrierLib(Library):
                 for e2 in calls:
                     if rounds[e1] == rounds[e2]:
                         so.extend((p, exit_[e2]) for p in fences.get(e1, ()))
-        return SimpleNamespace(so=frozenset(so), base=(None, None), meta={
-            "rounds": rounds, "c": {x: len(next(iter(pt.values()))) for x, pt in by_loc.items()}})
+        return SimpleNamespace(so=frozenset(so), meta={"rounds": rounds}, base=(None, None))
 
     def _grow_fixed(self, f, order) -> bool:
         return order.add_edges(f.so)
 
-    def witnesses(self, group, stmp, cfg: NodeConfig, hb=None, shape=None,
+    def witnesses(self, group, shape, cfg: NodeConfig, hb=None,
                   alive=1, wanted=(-1,)) -> Iterator[Witness]:
         """The one witness, which holds for every row of ``alive``."""
-        shape = shape or slice_shape(group[0], stmp, self.name)
-        f = self.frame(group[0], stmp, cfg, shape)
+        f = self.frame(group[0], shape, cfg)
         grown = False if f is None else self.grown_hb(f, hb)
         if grown is not False and alive:
-            names = shape.numbering.names(self.name, group[lowest(alive)].events)
-            yield Witness(self.name, f.so, names=names, meta=f.meta, hb=grown, rows=alive)
+            yield Witness(self.name, f.so, meta=f.meta, hb=grown, rows=alive)

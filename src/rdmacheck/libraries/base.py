@@ -11,21 +11,22 @@ searches, and backtracks across libraries.  What every witness of a
 shape holds is grown onto the order once per order given
 (`Library.grown_hb`).
 
-A witness names subevents by position in one list (`Numbering`): the
-subevent list of the execution, whose positions ppo and every execution
-of a shape share.  The checker numbers each shape once, for every
-library (`Shape`), and a library's frame, what the shape decides of its
-search, is built in those positions once per shape (`Library.frame`) and
-never rebound.  A frame is read off the numbering's integer positions
-and the events' shape-decided fields, and builds no subevent; a
-witness's pair sets and value maps name subevents only when read.
+A witness is given in positions only, those of one list (`Numbering`):
+the subevent list of the execution, whose positions ppo and every
+execution of a shape share.  The checker numbers each shape once, for
+every library (`Shape`), and a library's frame, what the shape decides
+of its search, is built in those positions once per shape
+(`Library.frame`) and never rebound.  A frame is read off the
+numbering's integer positions and the events' shape-decided fields, and
+nothing here builds a subevent: only a dump names positions
+(`dump.dump_execution`).
 
 A library is asked about a group: the plain executions of one shape,
 as rows 0, 1, ..., each given as its slice; a set of rows is a bitmask.
 A witness holds for the rows of its ``rows`` mask, which agree on every
-read the library pins, and names subevents by the lowest of them.
-``wanted[0]`` is the mask of the rows still searched, which the checker
-clears a row from once its output is found; the default, -1, holds all.
+read the library pins.  ``wanted[0]`` is the mask of the rows still
+searched, which the checker clears a row from once its output is found;
+the default, -1, holds all.
 
 The shared-variable and RDMA libraries search the same existentials over
 their reads and writes: a reads-from map, a modification order per place
@@ -43,14 +44,13 @@ part saw).  ``final_values`` reads the final memory off such a witness.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from ..config import NodeConfig
-from ..events import (Event, InvalidInput, PlainExecution, Stamping, SubEvent,
-                      ordered_stamps)
+from ..events import Event, InvalidInput, PlainExecution, Stamping, ordered_stamps
 from ..lang import Pools
-from ..relations import IncrementalOrder, OnRead
+from ..relations import IncrementalOrder
 from ..stamps import ppo_rows
 from ..values import Value
 
@@ -85,17 +85,6 @@ class Numbering:
     def direct_ppo(self) -> list[int]:
         return ppo_rows(self.size, zip(range(self.size), self.tid, self.event, self.stamp))
 
-    def names(self, lib: str, events: Sequence[Event]) -> Callable[[], dict]:
-        """One execution's subevents of library ``lib`` by position, as a
-        dict built on the first call; ``events`` are its slice's."""
-        named = {}
-
-        def name() -> dict:
-            if not named:
-                named.update((p, SubEvent(events[k], a)) for p, k, a in self.own[lib])
-            return named
-        return name
-
     def coherence(self, reads: list, writes: list, place: dict, write_value: dict,
                   carrier: dict) -> tuple["Coherence", frozenset]:
         """`Coherence` over these positions, with mo extended under ppo's
@@ -121,16 +110,9 @@ class Shape:
         self.numbering, self.ppo, self.frames = numbering, None, {}
 
 
-def slice_shape(plain: PlainExecution, stmp: Stamping, lib: str) -> Shape:
-    """A fresh shape for a library asked without the checker's: the
-    events ``stmp`` stamps numbered in program order, with the slice
-    ``plain``'s events as library ``lib``'s."""
-    events = sorted(stmp, key=lambda e: (e.tid, e.eid))
-    return Shape(Numbering(events, stmp, {lib: plain.events}))
-
-
 class Witness:
-    """One satisfying assignment of a library's existentials.
+    """One satisfying assignment of a library's existentials, in the
+    positions of its shape's `Numbering`.
 
     ``rows`` is the mask of the group's rows it holds for.
     ``explicit`` is the synchronisation order's explicit pairs; with an
@@ -138,45 +120,26 @@ class Witness:
     pair of that order from a position in ``inst``.  ``hb`` is the order
     the library was given grown by all of so, which the checker hands to
     the next library and to ``post_check``; None when it was given none.
-    ``rels`` are the component relations (pair sets or orders) for dumps,
-    property tests and ``post_check``, and ``vR`` / ``vW`` the value
-    read/written per subevent where meaningful.  All of these are given by position
-    (`Numbering`); with ``names`` (`Numbering.names`), ``so``, ``rels``,
-    ``vR`` and ``vW`` name them by subevent when first read, while
-    ``explicit``, ``relations`` and ``values`` keep the positions.
+    ``relations`` are the component relations (pair sets or orders) for
+    dumps, property tests and ``post_check``, and ``values`` the values
+    read and written per position where meaningful.  Nothing here names
+    a subevent; a dump does (`dump.dump_execution`).
     """
 
     def __init__(self, lib: str, explicit: frozenset = frozenset(), *,
-                 names: Callable[[], dict] | None = None, vR: dict | None = None,
-                 vW: dict | None = None, rels: Mapping | None = None,
-                 meta: dict | None = None, order: IncrementalOrder | None = None,
-                 inst: tuple = (), hb: IncrementalOrder | None = None, rows: int = 1):
-        self.lib, self.explicit, self.names, self.rows = lib, explicit, names, rows
+                 vR: dict | None = None, vW: dict | None = None,
+                 rels: Mapping | None = None, meta: dict | None = None,
+                 order: IncrementalOrder | None = None, inst: tuple = (),
+                 hb: IncrementalOrder | None = None, rows: int = 1):
+        self.lib, self.explicit, self.rows = lib, explicit, rows
         self.values = (vR or {}, vW or {})
         self.relations, self.meta = rels or {}, meta or {}
         self.order, self.inst, self.hb = order, inst, hb
 
-    def _named(self, rel) -> frozenset:
-        """``rel``, an order or a pair set, as a set of named pairs."""
-        n = self.names and self.names()
-        if isinstance(rel, IncrementalOrder):
-            return rel.pairs(None, n)
-        return rel if n is None else frozenset((n[a], n[b]) for a, b in rel)
-
-    def _keyed(self, at: dict) -> dict:
-        n = self.names and self.names()
-        return at if n is None else {n[p]: v for p, v in at.items()}
-
-    @cached_property
+    @property
     def so(self) -> frozenset:
-        so = self._named(self.explicit)
-        return so if self.order is None else so | self.order.pairs(
-            self.inst, self.names and self.names())
-
-    rels = cached_property(lambda self: OnRead(
-        {}, **{k: partial(self._named, v) for k, v in self.relations.items()}))
-    vR = cached_property(lambda self: self._keyed(self.values[0]))
-    vW = cached_property(lambda self: self._keyed(self.values[1]))
+        """The synchronisation order, as a set of position pairs."""
+        return self.explicit if self.order is None else self.explicit | self.order.pairs(self.inst)
 
 
 class Library:
@@ -208,31 +171,27 @@ class Library:
         that differ only in what their reads return share one frame."""
         return None
 
-    def witnesses(self, group: Sequence[PlainExecution], stmp, cfg: NodeConfig,
-                  hb: IncrementalOrder | None = None, shape: Shape | None = None,
-                  alive: int = 1, wanted: Sequence[int] = (-1,)) -> Iterator[Witness]:
+    def witnesses(self, group: Sequence[PlainExecution], shape: Shape, cfg: NodeConfig,
+                  hb: IncrementalOrder | None = None, alive: int = 1,
+                  wanted: Sequence[int] = (-1,)) -> Iterator[Witness]:
         """Every witness of the slices ``group`` (see the module
         docstring) for the rows ``alive`` (the first, all of a group of
-        one, by default) that ``wanted`` holds, whose so keeps ``hb`` acyclic, in the library's
-        witness order, each carrying ``hb`` grown by its so
-        (`Witness.hb`); expanded per row, each row's witnesses asked
-        alone, in order.  ``hb`` is the checker's order so far,
-        over the positions of the whole execution's subevent list, which
-        the library must not change: the shape's closed ppo for the first
-        library, and that grown by an earlier library's witness after it.
-        ``None`` asks for every witness, unpruned, each with ``hb`` None.
-        Witnesses name subevents by position in the subevent list of the
-        events ``stmp`` stamps, in program order (`Numbering`): with the
-        checker's stamping of the group's first row, that is hb's list.
+        one, by default) that ``wanted`` holds, whose so keeps ``hb``
+        acyclic, in the library's witness order, each carrying ``hb``
+        grown by its so (`Witness.hb`); expanded per row, each row's
+        witnesses asked alone, in order.  ``hb`` is the checker's order so
+        far, over the positions of the whole execution's subevent list,
+        which the library must not change: the shape's closed ppo for the
+        first library, and that grown by an earlier library's witness
+        after it.  ``None`` asks for every witness, unpruned, each with
+        ``hb`` None.
 
         ``shape`` is the checker's `Shape`, the same for every execution
         of this one's shape (`checker.stamp_events`' key) in one outcome
-        computation: its numbering, and where the library may keep its
-        frame, which holds only what the shape decides (see
-        `frame`).  Without it the library numbers its slice itself
-        (`slice_shape`).  This default searches each row alone
-        (`_row_witnesses`) until ``wanted`` drops it."""
-        shape = shape or slice_shape(group[0], stmp, self.name)
+        computation: its numbering, whose positions every witness is given
+        in, and where the library may keep its frame, which holds only
+        what the shape decides (see `frame`).  This default searches each
+        row alone (`_row_witnesses`) until ``wanted`` drops it."""
         for j in rows_of(alive):
             if wanted[0] >> j & 1:
                 for w in self._row_witnesses(group[j], cfg, hb, shape):
@@ -248,17 +207,14 @@ class Library:
 
     def post_check(self, w: Witness, hb: IncrementalOrder) -> bool:
         """Final veto once the global happens-before is known.  hb: an
-        order over the positions the witness names, read with ``in``."""
+        order over the witness's positions, read with ``in``."""
         return True
 
-    def frame(self, plain: PlainExecution, stmp, cfg: NodeConfig,
-              shape: Shape | None = None):
+    def frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig):
         """What the shape of ``plain`` decides of this library's witness
         search (`_build_frame`): built for the first execution of its
         shape, in the positions of the shape's numbering, and kept in
-        ``shape`` for every later one, which uses it as it is.  Without
-        ``shape`` the library numbers its slice itself (`slice_shape`)."""
-        shape = shape or slice_shape(plain, stmp, self.name)
+        ``shape`` for every later one, which uses it as it is."""
         if self.name not in shape.frames:
             shape.frames[self.name] = self._build_frame(plain, shape, cfg)
         return shape.frames[self.name]
@@ -462,13 +418,8 @@ class Coherence:
 
 
 def rows_of(mask: int) -> list[int]:
-    """The rows of ``mask``, lowest first, in one pass over its digits."""
+    """The rows of ``mask`` in increasing order, in one pass over its digits."""
     return [j for j, b in enumerate(bin(mask)[:1:-1]) if b == "1"]
-
-
-def lowest(mask: int) -> int:
-    """The lowest row of a non-empty ``mask``."""
-    return (mask & -mask).bit_length() - 1
 
 
 def pins_of(group: Sequence[PlainExecution], pinned: Sequence[tuple[int, int]],

@@ -27,7 +27,7 @@ then each orientation of a free nfo pair that the grown order does not
 already decide, extends a copy that is dropped as soon as it closes a
 cycle.  A witness carries its grown order and the positions of its
 instantaneous items, and the checker's hb absorbs those rows as they
-are; ib, ``inst_ib`` and so become pair sets only when read.
+are; ib, ``inst_ib`` and so stay orders and position pairs.
 
 Given the checker's hb so far, the coherence search is pruned against
 it grown by the so pairs every witness holds: the fixed part's rows from
@@ -61,8 +61,7 @@ from ..relations import IncrementalOrder
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, TABLE, columns, nF, nLR, nLW,
                       nRR, nRW, ppo_rows)
 from ..values import UNIT
-from .base import (Library, Shape, Witness, final_values, lowest,
-                   pins_of, rows_of, slice_shape)
+from .base import Library, Shape, Witness, final_values, pins_of, rows_of
 
 READ_KINDS = ("aCR", "aCAS", "nLR", "nRR")
 WRITE_KINDS = ("aCW", "aCAS", "nLW", "nRW")
@@ -273,11 +272,10 @@ class RdmaLib(Library):
         # pairs.
         return order.absorb(f.fixed, f.inst) and order.add_edges([*f.so_pf, *f.forced])
 
-    def witnesses(self, group, stmp, cfg: NodeConfig, hb=None, shape=None,
+    def witnesses(self, group, shape, cfg: NodeConfig, hb=None,
                   alive=1, wanted=(-1,)) -> Iterator[Witness]:
         alive = sum(1 << j for j in rows_of(alive) if self.extra_valid(group[j], cfg))
-        shape = shape or slice_shape(group[0], stmp, self.name)
-        f = self.frame(group[0], stmp, cfg, shape)
+        f = self.frame(group[0], shape, cfg)
         if f is None or not alive:
             return
         base = self.grown_hb(f, hb)
@@ -290,7 +288,6 @@ class RdmaLib(Library):
             if not grown.add_edges([*rf, *(p for p in rb if p in f.fr_int), *f.forced]):
                 continue
             explicit = (rf - f.internal) | f.so_pf | rb | mo
-            names = shape.numbering.names(self.name, group[lowest(rows)].events)
             for order, nfo in _oriented(f.free, 0, grown, tuple(f.forced)):
                 # hb already holds the coherence pairs and the forced nfo
                 # pairs; it takes the free ones and ib's rows from inst.
@@ -300,7 +297,7 @@ class RdmaLib(Library):
                     if not (w_hb.add_edges(nfo) and w_hb.absorb(order, f.inst)):
                         continue
                 yield Witness(
-                    self.name, explicit | nfo, names=names, vR=vR, vW=vW,
+                    self.name, explicit | nfo, vR=vR, vW=vW,
                     rels={"rf": rf, "mo": mo, "rb": rb, "nfo": nfo, "iso": f.iso,
                           **f.pf_parts, "ib": order},
                     meta={"by_place": by_place}, order=order, inst=f.inst, hb=w_hb,

@@ -82,8 +82,7 @@ class RingBufferLib(Library):
 
         node = cfg.node_of_thread
         # Subevents are positions (`base.Numbering`); ``ev`` is each one's event.
-        num = shape.numbering
-        own = num.own[self.name]
+        own = shape.numbering.own[self.name]
         ev = {p: plain.events[k] for p, k, _a in own}
 
         # Write subevents of message m on node n: exactly one per (m, n).
@@ -135,11 +134,9 @@ class RingBufferLib(Library):
             grown = grow(hb, so)
             if grown is False:
                 continue
-            yield Witness(self.name, so, names=num.names(self.name, plain.events),
-                          vR={r: ev[r].output for r in reads},
+            yield Witness(self.name, so, vR={r: ev[r].output for r in reads},
                           vW={w: ev[w].args[1] for ws in writes.values() for w in ws},
-                          rels={"rf": rf, "fb": fb},
-                          meta={"mode": self.mode}, hb=grown)
+                          rels={"rf": rf, "fb": fb}, hb=grown)
 
 
 def _rf_maps(reads: list, candidates: list, ev: dict, i: int, rf: dict) -> Iterator[dict]:

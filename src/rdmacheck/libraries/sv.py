@@ -28,8 +28,7 @@ from ..events import Event, PlainExecution
 from ..lang import Carried, Pools
 from ..stamps import ACR, ACW, AWT, GF, nLR, nRW
 from ..values import UNIT
-from .base import (Library, Shape, Witness, final_values, lowest,
-                   pins_of, slice_shape)
+from .base import Library, Shape, Witness, final_values, pins_of
 
 WRITE, READ, BCAST, WAIT, GFENCE = "sv_write", "sv_read", "sv_bcast", "sv_wait", "sv_gf"
 
@@ -116,10 +115,9 @@ class SharedVarLib(Library):
         # Every witness's so holds pf and iso.
         return order.add_edges(f.pf | f.iso)
 
-    def witnesses(self, group, stmp, cfg: NodeConfig, hb=None, shape=None,
+    def witnesses(self, group, shape, cfg: NodeConfig, hb=None,
                   alive=1, wanted=(-1,)) -> Iterator[Witness]:
-        shape = shape or slice_shape(group[0], stmp, self.name)
-        f = self.frame(group[0], stmp, cfg, shape)
+        f = self.frame(group[0], shape, cfg)
         base = self.grown_hb(f, hb)
         if base is False:
             return
@@ -133,6 +131,4 @@ class SharedVarLib(Library):
             yield Witness(
                 self.name, so, vR=vR, vW=vW,
                 rels={"rf": rf, "mo": mo, "rb": rb, "pf": f.pf, "iso": f.iso},
-                meta={"by_place": by_place}, hb=grown, rows=rows,
-                names=shape.numbering.names(self.name, group[lowest(rows)].events),
-            )
+                meta={"by_place": by_place}, hb=grown, rows=rows)

@@ -5,23 +5,20 @@ items appear in them, and set operations and comprehensions are the
 algebra.  ``IncrementalOrder`` is the only closure, and it is over
 positions: ``range(n)``, the subevent list of an execution shape
 (`libraries.base.Numbering`), whose direct rows ppo and ib's fixed part
-read off stamp tables (`stamps.ppo_rows`), or that a caller with a pair
-predicate builds with `forward_rows`.  It closes a relation that runs
+read off stamp tables (`stamps.ppo_rows`).  It closes a relation that runs
 forward along the positions, given as each one's row of direct
 successors, in one backward sweep, and then grows it edge by edge, or by
 the rows of another order, with a cycle veto.  Every order grown from
 one shape (the libraries' pruning orders, ib per choice, hb) shares its
 numbering, so hb absorbs ib's rows as they are, and a position indexes
 its row directly: edges and membership look nothing up.
-An order becomes a pair set only when something reads its pairs, named
-by the subevents of the execution that reads them: ib, ``inst_ib``, so
-and hb are built for a dump or a test, never on the checker's path.
+An order becomes a pair set only when something reads its pairs (a
+dump or a test), never on the checker's path.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class IncrementalOrder:
@@ -109,7 +106,7 @@ class IncrementalOrder:
         return True
 
     def pairs(self, sources: Iterable[int] | None = None,
-              names: Sequence | Mapping | None = None) -> frozenset:
+              names: Sequence | None = None) -> frozenset:
         """The pairs, or only those from the positions ``sources``, each
         position called by its ``names`` entry when names are given."""
         rows = self.rows
@@ -122,33 +119,3 @@ class IncrementalOrder:
                 pairs.append((names[i], names[low.bit_length() - 1]))
                 r ^= low
         return frozenset(pairs)
-
-
-def forward_rows(items: Sequence, before: Callable[[Hashable, Hashable], bool]) -> list[int]:
-    """Each item's row of direct successors under ``before``, which may
-    hold only when its first item is listed before its second: bit j of
-    row i is set when ``before(items[i], items[j])``.  Only forward pairs
-    are asked."""
-    return [sum(1 << j for j in range(i + 1, len(items)) if before(a, items[j]))
-            for i, a in enumerate(items)]
-
-
-class OnRead(Mapping):
-    """A mapping whose ``thunks`` are called, once, when their key is first
-    read; ``values`` holds the rest."""
-
-    __slots__ = ("_values", "_thunks")
-
-    def __init__(self, values: dict, **thunks: Callable[[], object]):
-        self._values, self._thunks = values, thunks
-
-    def __getitem__(self, key):
-        if key in self._thunks:
-            self._values[key] = self._thunks.pop(key)()
-        return self._values[key]
-
-    def __iter__(self):
-        return iter([*self._values, *self._thunks])
-
-    def __len__(self) -> int:
-        return len(self._values) + len(self._thunks)

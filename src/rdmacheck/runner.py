@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .checker import Bounds, Outcome, enumerate_consistent, outcomes, pools
+from .checker import Bounds, Outcome, enumerate_consistent, outcomes, pools, stamp_events
 from .config import NodeConfig
 from .dump import dump_execution
 from .lang import interpret_conc
@@ -44,10 +44,14 @@ class TestReport:
     witness_dump: str | None = None
 
     def to_json(self) -> dict:
-        return {"name": self.name, "verdict": self.verdict,
-                "outcomes": self.outcomes, "failures": self.failures,
-                "bound_limited": self.truncated,
-                "seconds": round(self.seconds, 3), "notes": self.notes}
+        """The report as JSON; ``witness_dump`` only when a dump was made."""
+        out = {"name": self.name, "verdict": self.verdict,
+               "outcomes": self.outcomes, "failures": self.failures,
+               "bound_limited": self.truncated,
+               "seconds": round(self.seconds, 3), "notes": self.notes}
+        if self.witness_dump is not None:
+            out["witness_dump"] = self.witness_dump
+        return out
 
 
 def _mk_libs(pairs) -> list:
@@ -170,9 +174,10 @@ def _dump_first_witness(built: BuiltTest, libs, bounds: Bounds) -> str:
     interp = interpret_conc(built.programs, pools(libs, built.cfg),
                             bounds.max_events)
     for vals, plain in interp.results:
-        for acc in enumerate_consistent([plain], libs, built.cfg):
-            return dump_execution(plain, acc["stmp"], acc["so"], acc["hb"],
-                                  acc["witnesses"], outputs=vals)
+        stamped = stamp_events(plain, libs, built.cfg)
+        for acc in enumerate_consistent([plain], libs, built.cfg, stamped=stamped):
+            return dump_execution(plain, stamped[0], acc["witnesses"], acc["hb"],
+                                  outputs=vals)
     return "(no consistent execution)"
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from conftest import C, cfg2, out_set
+from reference import named, slice_witnesses
 from rdmacheck.config import NodeConfig
 from rdmacheck.events import Event, PlainExecution, SubEvent
 from rdmacheck.lang import seq
@@ -17,7 +18,7 @@ def witnesses_of(events, po, cfg, variant="weak"):
     plain = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert plain.po == frozenset(po)
     stmp = {e: lib.stamping(e, cfg) for e in events}
-    return list(lib.witnesses([plain], stmp, cfg))
+    return [named(w, stmp) for w in slice_witnesses(lib, plain, stmp, cfg)]
 
 
 def bar(tid, eid, x="z"):

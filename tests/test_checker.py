@@ -8,8 +8,8 @@ and runs library i's search once per combination of the libraries before
 it, given the order that combination grew.  A witness search pruned by
 an order drops only witnesses whose so closes a cycle with it, and hands
 each one it keeps back with that order grown by its so.  Its one-sweep
-ppo is the closure of ``derive_ppo``, and it builds no relation as a pair
-set unless something reads it."""
+ppo is the closure of ``derive_ppo``, and the checker's path builds no
+relation as a pair set and no subevent: only a dump names positions."""
 
 from __future__ import annotations
 
@@ -20,18 +20,19 @@ from pathlib import Path
 import pytest
 
 from conftest import C, cfg2, compiled, soundness, unfold_compiled, unfold_file
+from reference import Execution, forward_rows, lambda_consistent, named, slice_witnesses
 from test_rdma_ib import CLIENTS
 from test_relations import naive_closure
 from test_ringbuf import POST_CHECK_VETO
 from test_tower_verdicts import ITEMS, item_id
 from rdmacheck import checker, runner
-from rdmacheck.checker import (Bounds, enumerate_consistent, lambda_consistent,
-                               outcomes, pools, stamp_events)
-from rdmacheck.events import Execution, PlainExecution, subevent_list
+from rdmacheck.checker import Bounds, enumerate_consistent, outcomes, pools, stamp_events
+from rdmacheck.dump import dump_execution
+from rdmacheck.events import PlainExecution, SubEvent, subevent_list
 from rdmacheck.lang import interpret_conc
 from rdmacheck.libraries.base import Library, Numbering, Witness
 from rdmacheck.litmus import build_test, parse_litmus
-from rdmacheck.relations import IncrementalOrder, forward_rows
+from rdmacheck.relations import IncrementalOrder
 from rdmacheck.runner import _mk_libs
 from rdmacheck.stamps import ACR, AMF, derive_ppo, ppo_before
 from rdmacheck.values import UNIT
@@ -58,9 +59,10 @@ def accepted(path: Path):
     """(execution, libs, cfg) of every combination the search accepts."""
     built, libs, res = unfold_file(path)
     for _vals, plain in res.results:
+        stmp = stamp_events(plain, libs, built.cfg)[0]
         for acc in enumerate_consistent([plain], libs, built.cfg):
-            yield (Execution(plain, acc["stmp"], acc["so"], acc["hb"]),
-                   libs, built.cfg)
+            n = named(acc, stmp)
+            yield Execution(plain, stmp, n.so, n.hb), libs, built.cfg
 
 
 @pytest.mark.parametrize("path", FILES + ["post_check_veto"],
@@ -106,18 +108,18 @@ def eager_combinations(plain, libs, cfg):
     stmp, per_lib = stamp_events(plain, libs, cfg)
     slices = [(lib, PlainExecution(tuple(per_lib[lib.name]))) for lib in libs]
     subevents = subevent_list(plain.events, stmp)
-    pos = {s: i for i, s in enumerate(subevents)}
 
     def rec(i, order, chosen):
         if i == len(slices):
             if all(lib.post_check(w, order) for lib, w in chosen):
-                yield [(lib.name, w.so) for lib, w in chosen], order.pairs(None, subevents)
+                yield ([(lib.name, named(w, stmp).so) for lib, w in chosen],
+                       order.pairs(None, subevents))
             return
         lib, sl = slices[i]
-        for w in lib.witnesses([sl], stmp, cfg):
+        for w in slice_witnesses(lib, sl, stmp, cfg):
             assert w.hb is None
             o2 = order.copy()
-            if o2.add_edges((pos[a], pos[b]) for a, b in w.so):
+            if o2.add_edges(w.so):
                 yield from rec(i + 1, o2, chosen + [(lib, w)])
 
     yield from rec(0, IncrementalOrder(forward_rows(subevents, ppo_before)), [])
@@ -157,8 +159,9 @@ def test_same_combinations_in_the_same_order_as_the_eager_search(tmp_path, path,
     cfg, libs, res = unfold_searched(written(tmp_path, path), tower)
     n = 0
     for _vals, plain in res.results:
-        got = [([(name, w.so) for name, w in acc["witnesses"].items()], acc["hb"])
-               for acc in enumerate_consistent([plain], libs, cfg)]
+        stmp = stamp_events(plain, libs, cfg)[0]
+        got = [([(name, w.so) for name, w in c.witnesses.items()], c.hb)
+               for c in (named(acc, stmp) for acc in enumerate_consistent([plain], libs, cfg))]
         assert got == list(eager_combinations(plain, libs, cfg))
         n += len(got)
     assert n > 0
@@ -177,8 +180,9 @@ def test_the_swept_ppo_is_the_closure_of_derive_ppo(path, tower):
     assert res.results
 
 
-def witness_key(w):
-    return w.so, dict(w.rels), w.vR, w.vW
+def witness_key(w, stmp):
+    n = named(w, stmp)
+    return n.so, n.rels, n.vR, n.vW
 
 
 # A CPU read of its own thread's write, then store buffering.  hb holds
@@ -219,19 +223,18 @@ def test_pruning_by_ppo_drops_only_witnesses_that_hb_vetoes(tmp_path, name, path
     dropped = 0
     for _vals, plain in res.results:
         stmp, per_lib = stamp_events(plain, libs, cfg)
-        pos = {s: i for i, s in enumerate(subevent_list(plain.events, stmp))}
         hb = checker.ppo_order(Numbering(plain.events, stmp, per_lib))
         for lib in libs:
             rows = list(hb.rows)
             sl = PlainExecution(tuple(per_lib[lib.name]))
-            pruned = lib.witnesses([sl], stmp, cfg, hb)
+            pruned = slice_witnesses(lib, sl, stmp, cfg, hb)
             first = nxt = next(pruned, None)
-            for w in lib.witnesses([sl], stmp, cfg):
+            for w in slice_witnesses(lib, sl, stmp, cfg):
                 assert w.hb is None
                 grown = hb.copy()
-                if not grown.add_edges((pos[a], pos[b]) for a, b in w.so):
+                if not grown.add_edges(w.so):
                     grown = None
-                if nxt is not None and witness_key(nxt) == witness_key(w):
+                if nxt is not None and witness_key(nxt, stmp) == witness_key(w, stmp):
                     assert grown is not None and nxt.hb.rows == grown.rows
                     nxt = next(pruned, None)
                 else:
@@ -266,7 +269,7 @@ class Counted(Library):
     def outputs(self, method, args, tid, state, profile, cfg):
         return ((UNIT, state),)
 
-    def witnesses(self, group, stmp, cfg, hb=None, shape=None, alive=1, wanted=(-1,)):
+    def witnesses(self, group, shape, cfg, hb=None, alive=1, wanted=(-1,)):
         self.calls += 1
         self.given.append(hb)
         for _ in range(self.n):
@@ -380,20 +383,67 @@ def test_the_checker_builds_no_pair_set(pairs_calls):
     assert any(o.memory for o in r.outcomes) and not pairs_calls
 
 
-def test_so_hb_and_ib_are_built_when_read(pairs_calls):
-    built, libs, res = unfold_file(CORPUS / "fig3_sb_get_wait.litmus")
-    acc = next(acc for _vals, plain in res.results
-               for acc in enumerate_consistent([plain], libs, built.cfg))
-    w = acc["witnesses"]["rl"]
-    assert not pairs_calls
-    assert acc["hb"] and len(pairs_calls) == 1
-    # The combination's so is the witness's, which takes inst_ib from
-    # the rows of its ib order.
-    assert acc["so"] == w.so and len(pairs_calls) == 2
-    assert w.rels["ib"] and len(pairs_calls) == 3
-    assert w.so >= w.rels["iso"] and w.rels["ib"] >= w.rels["iso"]
-    # A second read builds nothing.
-    assert (acc["so"], acc["hb"], w.so, w.rels["ib"]) and len(pairs_calls) == 3
+@pytest.fixture
+def subevents_built(monkeypatch):
+    """How many subevents are constructed, in a one-item list."""
+    built = [0]
+    init = SubEvent.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        init(self)
+
+    monkeypatch.setattr(SubEvent, "__post_init__", counted)
+    return built
+
+
+def dumped_pairs(text: str) -> dict:
+    """Each section of a dump (its header line, stripped) with the pair
+    lines under it."""
+    sections, header = {}, None
+    for line in text.splitlines():
+        if " -> " in line:
+            sections[header].add(line.strip())
+        else:
+            header = line.strip()
+            sections.setdefault(header, set())
+    return sections
+
+
+def pair_lines(rel) -> set:
+    name = lambda s: f"e{s.event.tid}.{s.event.eid}/{s.stamp!r}"
+    return {f"{name(a)} -> {name(b)}" for a, b in rel}
+
+
+@pytest.mark.parametrize("stem, impl, events", [("fig3_sb_get_wait", "w", 32),
+                                                ("appf_rbl_bal", "rbl", 30)])
+def test_the_checker_names_nothing_and_a_dump_names_the_same_pairs(
+        pairs_calls, subevents_built, stem, impl, events):
+    """Neither a full outcome computation nor a soundness check builds an
+    order's pair set or a subevent.  A dump of an accepted combination
+    names its so, its hb and each witness's relations as the tests'
+    naming does, and an RDMA witness's so, which takes inst_ib from the
+    rows of its ib order, holds iso, as ib does."""
+    path = CORPUS / f"{stem}.litmus"
+    progs, cfg, libs = compiled(path, [impl])
+    assert outcomes(progs, libs, cfg, Bounds(max_events=events)).outcomes
+    assert soundness(path, [impl], events).included
+    assert not pairs_calls and subevents_built == [0]
+    res = interpret_conc(progs, pools(libs, cfg), events)
+    plain, acc = next((plain, acc) for _vals, plain in res.results
+                      for acc in enumerate_consistent([plain], libs, cfg))
+    stmp = stamp_events(plain, libs, cfg)[0]
+    n = named(acc, stmp)
+    want = {"so": pair_lines(n.so), "hb": pair_lines(n.hb)}
+    want.update((f"{lib}.{k}", pair_lines(r))
+                for lib, w in n.witnesses.items() for k, r in w.rels.items())
+    got = dumped_pairs(dump_execution(plain, stmp, acc["witnesses"], acc["hb"]))
+    assert {k: got[k] for k in want} == want
+    assert want["so"] and want["hb"]
+    rdma = [w for w in n.witnesses.values() if "ib" in w.rels]
+    assert bool(rdma) == (impl == "w")
+    for w in rdma:
+        assert w.so >= w.rels["iso"] and w.rels["ib"] >= w.rels["iso"]
 
 
 def test_coherence_grows_the_order_by_covering_pairs(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import compiled, soundness, unfold_compiled, unfold_file
+from reference import named, slice_shape
 from test_rdma_ib import CLIENTS
 from test_tower_verdicts import ITEMS, item_id
 from rdmacheck import checker, compilers
@@ -100,8 +101,8 @@ def test_a_rebound_frame_is_the_frame_built_afresh(tmp_path, path, item):
             if not hasattr(lib, "_build_frame"):
                 continue
             sl = PlainExecution(tuple(per_lib[lib.name]))
-            got = lib.frame(sl, stmp, cfg, shape)
-            want = lib.frame(sl, stmp, cfg)
+            got = lib.frame(sl, shape, cfg)
+            want = lib.frame(sl, slice_shape(sl, stmp, lib.name), cfg)
             assert comparable(got) == comparable(want)
             if want is not None:
                 assert (comparable(lib.grown_hb(got, shape.ppo))
@@ -124,7 +125,7 @@ def test_each_event_lists_its_read_part_first(tmp_path, path, item):
             if not isinstance(lib, RdmaLib):
                 continue
             sl = PlainExecution(tuple(per_lib[lib.name]))
-            f = lib.frame(sl, stmp, cfg)
+            f = lib.frame(sl, slice_shape(sl, stmp, lib.name), cfg)
             if f is None:
                 continue
             moves = sum(lib.role_of.get(e.method) in ("put", "get") for e in sl.events)
@@ -182,8 +183,10 @@ def test_same_combinations_with_a_shared_memo_as_with_a_fresh_one(tmp_path, path
     cfg, libs, res = unfold_case(tmp_path, path, item)
 
     def combinations(plain, memo=None):
-        return [([(name, w.so, w.vR, w.vW) for name, w in acc["witnesses"].items()],
-                 acc["hb"]) for acc in enumerate_consistent([plain], libs, cfg, memo)]
+        stmp = stamp_events(plain, libs, cfg)[0]
+        return [([(name, w.so, w.vR, w.vW) for name, w in c.witnesses.items()], c.hb)
+                for c in (named(acc, stmp)
+                          for acc in enumerate_consistent([plain], libs, cfg, memo))]
 
     memo = {}
     n = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -350,3 +351,17 @@ def test_exit_2_before_running_when_the_json_path_is_a_directory(tmp_path, capsy
     assert exit_code([cmd, target, "--json", tmp_path]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "--json" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--dump-witness"]], ids=["plain", "dump_witness"])
+def test_the_json_report_holds_the_witness_dump_only_when_asked(tmp_path, capsys, flags):
+    path = tmp_path / "r.json"
+    assert exit_code(["check", CORPUS / "fig2a_wait.litmus", "--json", path, *flags]) == 0
+    out, _err = capsys.readouterr()
+    report = json.loads(path.read_text())
+    if flags:
+        assert report["witness_dump"].startswith("outputs ") and report["witness_dump"] in out
+    else:
+        assert "witness_dump" not in report
+    assert exit_code(["corpus", CORPUS, "--filter", "fig2a_wait", "--json", path]) == 0
+    assert all("witness_dump" not in t for t in json.loads(path.read_text())["tests"])

@@ -5,8 +5,8 @@ replaced, kept here: every plain execution checked alone, as a group of
 one.  The two give the same outcome sets, final memory included, on
 every corpus file and on the compiled sides of the pinned tower
 verdicts.  A group's combinations, expanded per row, are each row's
-combinations checked alone, in order, and a combination names the
-subevents of the lowest row it holds for.  A witness holds for several
+combinations checked alone, in order, by position and named by the
+row's subevents (`reference.named`).  A witness holds for several
 rows only when they differ in an output that no library reads, such as
 ``set_isempty``'s; ``SHARED`` is a client where they do."""
 
@@ -17,11 +17,11 @@ from pathlib import Path
 import pytest
 
 from conftest import compiled
+from reference import named
 from test_tower_verdicts import ITEMS, item_id
 from rdmacheck.checker import (Bounds, Outcome, OutcomeResult, enumerate_consistent,
                                final_memory, outcomes, pools, stamp_events)
 from rdmacheck.lang import interpret_conc
-from rdmacheck.libraries.base import lowest
 from rdmacheck.litmus import build_test, parse_litmus
 from rdmacheck.runner import _mk_libs
 
@@ -107,13 +107,6 @@ def positional(acc) -> list:
             for name, w in acc["witnesses"].items()]
 
 
-def named(acc) -> tuple:
-    """A combination by name: its stamping, so and hb, and per library its
-    witness's so, relations and values."""
-    return (acc["stmp"], acc["so"], acc["hb"],
-            {name: (w.so, dict(w.rels), w.vR, w.vW) for name, w in acc["witnesses"].items()})
-
-
 @pytest.mark.parametrize("path, tower", [(p, t) for _, p, t in CASES],
                          ids=[n for n, _, _ in CASES])
 def test_a_group_is_its_rows_checked_alone(tmp_path, path, tower):
@@ -129,10 +122,10 @@ def test_a_group_is_its_rows_checked_alone(tmp_path, path, tower):
             alone = list(enumerate_consistent([plain], libs, cfg))
             mine = [acc for acc in combos if acc["rows"] >> j & 1]
             assert [positional(acc) for acc in mine] == [positional(acc) for acc in alone]
+            stmp = stamp_events(plain, libs, cfg)[0]
             for acc, own in zip(mine, alone):
                 assert own["rows"] == 1
-                if lowest(acc["rows"]) == j:
-                    assert named(acc) == named(own)
-                else:
-                    shared += 1
+                assert named(acc, stmp) == named(own, stmp)
+                # A row above the lowest one the combination holds for.
+                shared += acc["rows"] & (1 << j) - 1 != 0
     assert (shared > 0) == (path == "shared")

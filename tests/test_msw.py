@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from conftest import C, cfg2, out_set
+from reference import named, slice_witnesses
 from rdmacheck.config import NodeConfig
 from rdmacheck.events import Event, PlainExecution
 from rdmacheck.lang import seq
@@ -18,7 +19,7 @@ def witnesses_of(events, po, cfg=CFG):
     plain = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert plain.po == frozenset(po)
     stmp = {e: msw.stamping(e, cfg) for e in events}
-    return list(msw.witnesses([plain], stmp, cfg))
+    return [named(w, stmp) for w in slice_witnesses(msw, plain, stmp, cfg)]
 
 
 def test_stamping_success_vs_failure():

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_rdma_ib import coherence, internal_rf, whole_position_ib
+from reference import forward_rows, slice_shape
 from test_relations import naive_closure
 from rdmacheck.checker import ppo_order
 from rdmacheck.config import NodeConfig
@@ -20,7 +21,7 @@ from rdmacheck.events import Event, PlainExecution, SubEvent, subevent_list
 from rdmacheck.lang import Call, LetF, Val, interpret_conc, interpret_seq
 from rdmacheck.libraries import RdmaWaitLib
 from rdmacheck.libraries.base import Coherence, Numbering, _mo_choices, rows_of
-from rdmacheck.relations import IncrementalOrder, forward_rows
+from rdmacheck.relations import IncrementalOrder
 from rdmacheck.stamps import (ACAS, ACR, ACW, AMF, AWT, GF, KINDS, derive_ppo, nF,
                               nLR, nLW, nRR, nRW, ppo_before)
 from rdmacheck.values import UNIT
@@ -512,6 +513,6 @@ def rdma_executions(draw):
 def test_the_mask_swept_ib_fixed_part_is_the_whole_position_sweep(ex):
     cfg, plain, stmp, sl = ex
     rl = RdmaWaitLib()
-    f = rl.frame(sl, stmp, cfg)
+    f = rl.frame(sl, slice_shape(sl, stmp, rl.name), cfg)
     want = whole_position_ib(rl, plain, sl, stmp)
     assert f.fixed.rows == want.rows

@@ -14,13 +14,15 @@ from pathlib import Path
 import pytest
 
 from conftest import unfold_compiled, unfold_file
+from reference import forward_rows, named, slice_shape, slice_witnesses
 from test_relations import naive_closure
+from rdmacheck import runner
 from rdmacheck.checker import stamp_events
 from rdmacheck.events import PlainExecution, SubEvent, po_before, subevent_list
-from rdmacheck.libraries.base import Coherence, slice_shape
+from rdmacheck.libraries.base import Coherence
 from rdmacheck.libraries.rdma_core import LOCAL_ARG, READ_KINDS, WRITE_KINDS, RdmaLib
 from rdmacheck.litmus import parse_litmus
-from rdmacheck.relations import IncrementalOrder, forward_rows
+from rdmacheck.relations import IncrementalOrder
 from rdmacheck.stamps import ppo_before, stamp_order
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,9 +58,9 @@ def named_polls_from(lib: RdmaLib, plain, stmp):
     named by subevents."""
     num = slice_shape(plain, stmp, lib.name).numbering
     at = {(k, a.kind): p for p, k, a in num.own[lib.name]}
-    names = num.names(lib.name, plain.events)()
+    subs = subevent_list(sorted(stmp, key=lambda e: (e.tid, e.eid)), stmp)
     so, ib, parts = lib.polls_from(plain.events, at)
-    name = lambda rel: frozenset((names[a], names[b]) for a, b in rel)
+    name = lambda rel: frozenset((subs[a], subs[b]) for a, b in rel)
     return name(so), name(ib), {k: name(v) for k, v in parts.items()}
 
 
@@ -225,6 +227,40 @@ thread t1 @ n1 {
   a = read x
 }
 """,
+    # hb takes ib's rows from the instantaneous items.  Orienting the free
+    # nfo pair (get.nRR, put.nRW) puts the get's remote read before the
+    # wait for the put (the put's polls-from, which ib holds and hb does
+    # not), so before t1's write of s, which t2's put overwrites (mo), and
+    # t2 then gets s, waits and writes z = 1, which the get reads.  With
+    # z written again and u last by t2, the other orientation closes an hb
+    # cycle through rb and mo, so that outcome has no witness.
+    "inst_ib": """nodes n1 n2
+libs rl
+loc c @ n1
+loc s @ n1
+loc z @ n2
+loc u @ n2
+loc k @ n2
+loc k2 @ n2
+thread t1 @ n1 {
+  get c z d
+  put u c f
+  wait f
+  write s 1
+}
+thread t2 @ n2 {
+  put s k e
+  get k2 s e2
+  wait e2
+  write z 1
+  write z 2
+  write u 3
+}
+assert forbidden [c] = 1 & [u] = 0 & [s] = 0
+assert allowed [c] = 2 & [u] = 0 & [s] = 0
+assert allowed [c] = 1 & [u] = 0 & [s] = 1
+assert allowed [c] = 1 & [u] = 3 & [s] = 0
+""",
 }
 
 
@@ -236,7 +272,8 @@ def assert_same_witnesses(cfg, libs, res) -> tuple[int, int]:
         stmp, per_lib = stamp_events(plain, libs, cfg)
         for lib in rdma:
             sl = PlainExecution(tuple(per_lib[lib.name]))
-            got = [(w.so, w.rels, w.vR, w.vW) for w in lib.witnesses([sl], stmp, cfg)]
+            got = [(n.so, n.rels, n.vR, n.vW) for n in (named(w, stmp) for w in
+                                                         slice_witnesses(lib, sl, stmp, cfg))]
             assert got == list(per_choice_witnesses(lib, sl, stmp, cfg))
             n += len(got)
             nfo_choices += len({rels["nfo"] for _so, rels, _r, _w in got}) > 1
@@ -264,3 +301,10 @@ def test_same_witnesses_where_nfo_and_internal_fr_decide(tmp_path, name):
     n, nfo_choices = assert_same_witnesses(built.cfg, libs, res)
     assert n > 0
     assert (nfo_choices > 0) == (name != "read_own_write")
+
+
+def test_hb_takes_ib_from_instantaneous_items(tmp_path):
+    path = tmp_path / "inst_ib.litmus"
+    path.write_text(CLIENTS["inst_ib"])
+    r = runner.run_file(path)
+    assert r.verdict == runner.PASS, r.failures

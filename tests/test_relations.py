@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import random
 
-from rdmacheck.relations import IncrementalOrder, forward_rows
+from reference import forward_rows
+from rdmacheck.relations import IncrementalOrder
 
 
 def naive_closure(pairs):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import C, cfg2, out_set
+from reference import named, slice_witnesses
 from rdmacheck import runner
 from rdmacheck.config import NodeConfig
 from rdmacheck.events import Event, PlainExecution
@@ -41,7 +42,7 @@ def witnesses_of(events, po, cfg=CFG, mode="strict"):
     plain = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert plain.po == frozenset(po)
     stmp = {e: lib.stamping(e, cfg) for e in events}
-    return list(lib.witnesses([plain], stmp, cfg))
+    return [named(w, stmp) for w in slice_witnesses(lib, plain, stmp, cfg)]
 
 
 def sub(tid, eid, out=True, x="x", payload=(1,)):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import C, cfg2, out_set
+from reference import named, slice_witnesses
 from rdmacheck.config import NodeConfig
 from rdmacheck.events import Event, InvalidInput, PlainExecution
 from rdmacheck.libraries import SharedVarLib
@@ -42,7 +43,7 @@ def witnesses_of(events, po, cfg):
     plain = PlainExecution(tuple(sorted(events, key=lambda e: (e.tid, e.eid))))
     assert plain.po == frozenset(po)
     stmp = {e: sv.stamping(e, cfg) for e in events}
-    return list(sv.witnesses([plain], stmp, cfg))
+    return [named(w, stmp) for w in slice_witnesses(sv, plain, stmp, cfg)]
 
 
 class TestWitnessSearch:

@@ -52,15 +52,17 @@ class TestPolling:
         assert out_set([C("poll", 2)], [tso], CFG) == set()
 
     def test_pf_clauses_on_witnesses(self):
-        from rdmacheck.checker import enumerate_consistent
+        from rdmacheck.checker import enumerate_consistent, stamp_events
+        from reference import named
         from rdmacheck.lang import interpret_conc
         p = seq(C("tso_put", "z", "x"), C("tso_put", "z", "x"),
                 C("poll", 2), C("poll", 2))
         fn = pools([tso], CFG)
         seen = 0
         for vals, plain in interpret_conc([p], fn, 14).results:
+            stmp = stamp_events(plain, [tso], CFG)[0]
             for acc in enumerate_consistent([plain], [tso], CFG):
-                pf = acc["witnesses"]["tso"].rels["pf"]
+                pf = named(acc, stmp).witnesses["tso"].rels["pf"]
                 assert len(pf) == 2
                 for w, pl in pf:
                     # within program order and identifier-matched
