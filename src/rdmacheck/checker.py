@@ -34,10 +34,17 @@ per-shape part of the search there (`Library.witnesses`' ``shape``),
 and hb grows from ppo's rows by position.  Nothing here names a
 position: a witness and a combination are positions only, and only a
 dump names them (`dump.dump_execution`).
+
+An ``outcomes`` call runs with the cyclic garbage collector paused.
+Nothing on its path refers to itself, which the tests check on every
+pinned input, so reference counting frees everything it drops, and a
+collection inside it would find nothing, only walk the live unfolding,
+which grows with the cap.
 """
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -255,29 +262,41 @@ def outcomes(progs, libs: Sequence[Library], cfg: NodeConfig, bounds: Bounds,
     found still has all its rows checked, so the set is the same.  A full
     enumeration, whose outcomes carry final memory, checks every row.  The
     stampings and shape frames live until this call returns.
+
+    The call runs with automatic cyclic collection paused, and leaves the
+    collector as it found it, whether it returns or raises.  Nothing it
+    builds refers to itself (the tests check that a computation leaves no
+    cyclic garbage), so reference counting frees all it drops, and a
+    collection here would only walk the unfolding's live, growing heap.
     """
-    interp = interpret_conc(progs, pools(libs, cfg), bounds.max_events)
-    memo: dict = {}
-    groups: dict = {}   # shape -> (its first row's stamping, its rows)
-    for vals, plain in interp.results:
-        stamped = stamp_events(plain, libs, cfg, memo)
-        groups.setdefault(stamped.key, (stamped, []))[1].append((vals, plain))
-    found = set()
-    for stamped, rows in groups.values():
-        by_vals: dict = {}
-        for j, (vals, _plain) in enumerate(rows):
-            by_vals[vals] = by_vals.get(vals, 0) | 1 << j
-        wanted = [sum(m for vals, m in by_vals.items()
-                      if not (outputs_only and Outcome(vals) in found))]
-        if not wanted[0]:
-            continue
-        group = [plain for _vals, plain in rows]
-        for acc in enumerate_consistent(group, libs, cfg, memo, wanted, stamped):
-            mem = frozenset() if outputs_only else final_memory(acc["witnesses"], libs, cfg)
-            for j in rows_of(acc["rows"]):
-                found.add(Outcome(rows[j][0], mem))
-                if outputs_only:
-                    wanted[0] &= ~by_vals[rows[j][0]]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        interp = interpret_conc(progs, pools(libs, cfg), bounds.max_events)
+        memo: dict = {}
+        groups: dict = {}   # shape -> (its first row's stamping, its rows)
+        for vals, plain in interp.results:
+            stamped = stamp_events(plain, libs, cfg, memo)
+            groups.setdefault(stamped.key, (stamped, []))[1].append((vals, plain))
+        found = set()
+        for stamped, rows in groups.values():
+            by_vals: dict = {}
+            for j, (vals, _plain) in enumerate(rows):
+                by_vals[vals] = by_vals.get(vals, 0) | 1 << j
+            wanted = [sum(m for vals, m in by_vals.items()
+                          if not (outputs_only and Outcome(vals) in found))]
             if not wanted[0]:
-                break
-    return OutcomeResult(frozenset(found), interp.truncated)
+                continue
+            group = [plain for _vals, plain in rows]
+            for acc in enumerate_consistent(group, libs, cfg, memo, wanted, stamped):
+                mem = frozenset() if outputs_only else final_memory(acc["witnesses"], libs, cfg)
+                for j in rows_of(acc["rows"]):
+                    found.add(Outcome(rows[j][0], mem))
+                    if outputs_only:
+                        wanted[0] &= ~by_vals[rows[j][0]]
+                if not wanted[0]:
+                    break
+        return OutcomeResult(frozenset(found), interp.truncated)
+    finally:
+        if enabled:
+            gc.enable()

@@ -404,7 +404,7 @@ def _parse_instr(raw: str, ln: int) -> Instr:
         if kind == "nodeset":
             if not rest:
                 raise LitmusError(f"{op}: empty node set", ln)
-            args.append(tuple(rest))
+            args.append(_distinct(rest, "node", ln))
             rest = []
             break
         if kind == "owid":

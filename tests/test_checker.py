@@ -9,11 +9,15 @@ it, given the order that combination grew.  A witness search pruned by
 an order drops only witnesses whose so closes a cycle with it, and hands
 each one it keeps back with that order grown by its so.  Its one-sweep
 ppo is the closure of ``derive_ppo``, and the checker's path builds no
-relation as a pair set and no subevent: only a dump names positions."""
+relation as a pair set and no subevent: only a dump names positions.
+``outcomes`` starts no collection of the cyclic collector and leaves it
+as it found it, and no corpus file or pinned tower verdict leaves
+anything for that collector, which is what makes the pause safe."""
 
 from __future__ import annotations
 
 import gc
+import sys
 import weakref
 from pathlib import Path
 
@@ -28,7 +32,7 @@ from test_tower_verdicts import ITEMS, item_id
 from rdmacheck import checker, runner
 from rdmacheck.checker import Bounds, enumerate_consistent, outcomes, pools, stamp_events
 from rdmacheck.dump import dump_execution
-from rdmacheck.events import PlainExecution, SubEvent, subevent_list
+from rdmacheck.events import InvalidInput, PlainExecution, SubEvent, subevent_list
 from rdmacheck.lang import interpret_conc
 from rdmacheck.libraries.base import Library, Numbering, Witness
 from rdmacheck.litmus import build_test, parse_litmus
@@ -481,36 +485,99 @@ def _outcome_case(stem, impl, events):
 
 def assert_no_cyclic_garbage(run) -> None:
     """``run()``, which must give a true result, leaves nothing for the
-    cyclic collector once it has run before."""
+    cyclic collector once it has run before.  This is what lets
+    ``outcomes`` run with the collector paused: all it drops is freed by
+    reference counting.  What exists before the second run is frozen, so
+    the collection that counts looks only at what that run made."""
     assert run()
-    gc.collect()
     gc.disable()
+    gc.freeze()
     try:
         assert run()
         assert gc.collect() == 0
     finally:
+        gc.unfreeze()
         gc.enable()
 
 
 @pytest.mark.parametrize("stem, impl, events", [
-    ("fig6c_bcast_cycle", None, None), ("fig6b_bcast_3node", None, None),
+    *[(p.stem, None, None) for p in FILES],
     ("bug1_barrier", "bal_buggy", 26), ("fig4_gf_sb", "sv", 32),
-    ("appf_rbl_bal", None, None), ("fig3_sb_get_wait", "w", 32),
-    ("appf_rbl_bal", "rbl", 30)])
+    ("fig3_sb_get_wait", "w", 32), ("appf_rbl_bal", "rbl", 30)])
 def test_an_outcome_computation_leaves_no_cyclic_garbage(stem, impl, events):
-    """No search function, and no compiled body the unfolding calls,
-    refers to itself, so a full outcome computation, once warm, leaves
-    nothing for the cyclic collector."""
-    progs, libs, cfg, bounds = _outcome_case(stem, impl, events)
-    assert_no_cyclic_garbage(lambda: outcomes(progs, libs, cfg, bounds).outcomes)
+    """No search function, and no body the unfolding calls, refers to
+    itself, so a warm outcome computation leaves nothing for the cyclic
+    collector: on every corpus file, checked whole through ``run_file``,
+    and on compiled sides."""
+    if impl is None:
+        path = CORPUS / f"{stem}.litmus"
+        assert_no_cyclic_garbage(lambda: runner.run_file(path).verdict == runner.PASS)
+    else:
+        progs, libs, cfg, bounds = _outcome_case(stem, impl, events)
+        assert_no_cyclic_garbage(lambda: outcomes(progs, libs, cfg, bounds).outcomes)
 
 
-@pytest.mark.parametrize("stem, impl, events", [
-    ("fig5_barrier", "bal_weak", 30), ("fig3_sb_get_wait", "w", 32)])
-def test_a_soundness_check_leaves_no_cyclic_garbage(stem, impl, events):
-    """No client program the litmus front end builds, and no substitution
-    that compiles it, refers to itself, so a warm soundness check, from
-    building the client to the verdict, leaves nothing for the cyclic
-    collector."""
+SOUNDNESS_CASES = [*ITEMS, ("bal_weak", "corpus/fig5_barrier", 30)]
+
+
+@pytest.mark.parametrize(
+    "impl, client, events", SOUNDNESS_CASES,
+    ids=[f"{Path(c).name}-{i}-{e}" for i, c, e in SOUNDNESS_CASES])
+def test_a_soundness_check_leaves_no_cyclic_garbage(impl, client, events):
+    """No client program the litmus front end builds, no substitution
+    that compiles it and no compiled body the unfolding calls refers to
+    itself, so a warm soundness check, from building the client to the
+    verdict, leaves nothing for the cyclic collector: on every pinned
+    tower verdict."""
     assert_no_cyclic_garbage(
-        lambda: soundness(CORPUS / f"{stem}.litmus", [impl], events).included)
+        lambda: soundness(ROOT / f"{client}.litmus", [impl], events).impl_outcomes)
+
+
+@pytest.fixture
+def collector_on():
+    """The collector on when the test starts, and on again after it."""
+    gc.enable()
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_outcomes_leaves_the_collector_as_it_found_it(collector_on, enabled):
+    """``outcomes`` pauses the collector and restores it, whether it was on
+    or off, whether the call returns or raises, and through the two
+    nested calls of a soundness check."""
+    progs, libs, cfg, bounds = _outcome_case("fig6c_bcast_cycle", None, None)
+    (gc.enable if enabled else gc.disable)()
+    assert outcomes(progs, libs, cfg, bounds).outcomes
+    assert gc.isenabled() is enabled
+    with pytest.raises(InvalidInput):
+        outcomes([C("no_such_method")], libs, cfg, bounds)
+    assert gc.isenabled() is enabled
+    assert soundness(CORPUS / "fig5_barrier.litmus", ["bal_weak"], 20).included
+    assert gc.isenabled() is enabled
+
+
+def test_no_automatic_collection_starts_inside_an_outcome_computation(collector_on):
+    """With the collector on, a computation that allocates far more than
+    a generation's threshold starts no collection while it runs (one may
+    start once it has returned)."""
+    cases = [_outcome_case(*case) for case in [
+        ("fig6c_bcast_cycle", "sv", 32), ("bug1_barrier", "bal_buggy", 26),
+        ("appf_rbl_bal", "rbl", 30)]]
+    starts = []
+
+    def count(phase, _info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not outcomes.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            starts.append(phase)
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        for progs, libs, cfg, bounds in cases:
+            assert outcomes(progs, libs, cfg, bounds).outcomes
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []

@@ -210,6 +210,17 @@ def test_exit_2_with_the_line_of_a_bad_directive(tmp_path, capsys, bad):
     assert f"parse error: line {line}:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("instr", ["bcast x d n2 n2", "gf n2 n2"])
+def test_exit_2_with_the_line_of_a_repeated_node(tmp_path, capsys, instr):
+    """A node set names each node once, as a barrier's threads and a
+    ring's readers do."""
+    p = tmp_path / "dup.litmus"
+    p.write_text("nodes n1 n2\nlibs rl sv\nsvar x\n"
+                 f"thread t1 @ n1 {{\n  {instr}\n}}\n")
+    assert exit_code(["check", p]) == 2
+    assert "parse error: line 5: node 'n2' given twice" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("text, line", [
     ("nodes n1 n1\nthread t1 @ n1 {\n  mfence\n}\n", 1),
     ("nodes n1\nlibs rl\nthread t1 @ n1 {\n  mfence\n}\n"
