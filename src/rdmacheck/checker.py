@@ -22,16 +22,17 @@ stamps, its library and its part of the shape key, and each library's
 slice is the stamping's list of its events, already in program order.
 Plain executions that differ only in what their reads return share a
 shape, and are checked together, as the rows of one group: each
-library's search runs once for the group, with what each row's reads
-return as row masks, and each witness holds for a mask of rows.  A
-shape is set up once per call, in integer positions (`Shape`): its one
-`Numbering`, the positions of its subevent list (`events.subevent_list`)
-with each one's event index and stamp and each library's own positions,
-which every library's frame reads.  ppo's direct rows come from
-per-thread stamp masks (`stamps.ppo_rows`) and are closed once per
-shape, before the first library is asked; each library keeps its own
-per-shape part of the search there (`Library.witnesses`' ``shape``),
-and hb grows from ppo's rows by position.  Nothing here names a
+library's search runs once for the group, given the rows whole, with
+what each row's reads return as row masks, and each witness holds for a
+mask of rows.  A shape is set up once per call, in integer positions
+(`Shape`): its one `Numbering`, the positions of its subevent list
+(`events.subevent_list`) with each one's event index and stamp and each
+library's own positions and slice of the first row, which every
+library's frame reads.  ppo's direct rows come from per-thread stamp
+masks (`stamps.ppo_rows`) and are closed once per shape, before the
+first library is asked; each library keeps its own per-shape part of
+the search there (`Library.witnesses`' ``shape``), and hb grows from
+ppo's rows by position.  Nothing here names a
 position: a witness and a combination are positions only, and only a
 dump names them (`dump.dump_execution`).
 
@@ -180,14 +181,14 @@ def enumerate_consistent(group: Sequence[PlainExecution], libs: Sequence[Library
     is stamped once per computation, and maps shapes to their `Shape`
     set-ups; a new shape is numbered once (`Numbering`) and its ppo closed
     once, and without a memo the shape is set up afresh.  Each library is
-    asked once about the group, as each row's slice, its events of the
-    library in program order.  hb grows through the libraries' searches
-    (`Library.witnesses`): the first library is given ppo, each witness
-    carries the order it was given grown by its so, and that is what the
-    next library is given, with the rows the witness holds for, so library
-    i's search runs once per combination of the libraries before it and
-    yields only witnesses that keep hb acyclic.  ``wanted[0]``, the rows
-    the caller still wants, is read by every search as it goes (`Library`).
+    asked once about the group, given its rows whole.  hb grows through
+    the libraries' searches (`Library.witnesses`): the first library is
+    given ppo, each witness carries the order it was given grown by its
+    so, and that is what the next library is given, with the rows the
+    witness holds for, so library i's search runs once per combination of
+    the libraries before it and yields only witnesses that keep hb
+    acyclic.  ``wanted[0]``, the rows the caller still wants, is read by
+    every search as it goes (`Library`).
     Combinations come in the libraries' order and each library's witness
     order, as a dict: ``"witnesses"`` by library name, ``"rows"``, the
     rows all its witnesses hold for, and ``"hb"``, the last witness's
@@ -203,31 +204,21 @@ def enumerate_consistent(group: Sequence[PlainExecution], libs: Sequence[Library
         shape.ppo = ppo_order(shape.numbering)
         if memo is not None:
             memo[stamped.key] = shape
-    slices = []
-    for lib in libs:
-        mine = per_lib[lib.name]
-        if len(mine) == len(plain.events):
-            slices.append(group)
-            continue
-        # The rows' events line up with the first row's, position by position.
-        mine = set(mine)
-        at = [i for i, e in enumerate(plain.events) if e in mine]
-        slices.append([PlainExecution(tuple(p.events[i] for i in at)) for p in group])
-    yield from _combinations(libs, slices, cfg, shape, shape.ppo, (),
+    yield from _combinations(libs, group, cfg, shape, shape.ppo, (),
                              (1 << len(group)) - 1, wanted)
 
 
-def _combinations(libs: Sequence[Library], slices: list, cfg: NodeConfig, shape: Shape,
+def _combinations(libs: Sequence[Library], group: Sequence, cfg: NodeConfig, shape: Shape,
                   hb: IncrementalOrder, chosen: tuple, alive: int, wanted: Sequence[int]):
     """Each accepted combination that extends ``chosen``, the witnesses of
     the libraries before the next one, whose last grew ``hb``, for the
     rows ``alive`` that each of them holds for."""
     i = len(chosen)
     if i < len(libs):
-        for w in libs[i].witnesses(slices[i], shape, cfg, hb, alive, wanted):
+        for w in libs[i].witnesses(group, shape, cfg, hb, alive, wanted):
             rows = alive & w.rows & wanted[0]
             if rows:
-                yield from _combinations(libs, slices, cfg, shape, w.hb, chosen + (w,),
+                yield from _combinations(libs, group, cfg, shape, w.hb, chosen + (w,),
                                          rows, wanted)
     elif all(lib.post_check(w, hb) for lib, w in zip(libs, chosen)):
         yield {"witnesses": {lib.name: w for lib, w in zip(libs, chosen)},

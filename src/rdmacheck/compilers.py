@@ -18,8 +18,8 @@ client substitutes calls homomorphically.  Its two functions:
 The builtin stages: shared variables over the wait-based RDMA model, the
 barrier and the ring buffer over shared variables, mixed-size cells over
 the wait-based model, and the wait-based model over the poll-based one.
-Invalid calls (wrong role, wrong size, non-participant) and failed awaits
-have no unfolding (``DEAD``), and hence no outcome.
+Invalid calls (wrong role, size or payload, non-participant) and failed
+awaits have no unfolding (``DEAD``), and hence no outcome.
 ``check_well_defined`` checks a stage's bodies over an argument grid.  The
 soundness harness reports inclusion of a compiled client's outcomes in
 those of its specification.
@@ -289,9 +289,9 @@ def _rbl_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
     readers = sorted(cfg.rthd.get(x, frozenset()))
     me = cfg.node_of_thread(t)
     if m == "submit":
-        if t != cfg.wthd.get(x):
+        vs = args[1]
+        if t != cfg.wthd.get(x) or not isinstance(vs, tuple):
             return DEAD
-        vs = tuple(args[1])
         V = len(vs)
         s_n = frozenset({cfg.node_of_thread(r) for r in readers} - {me})
 
@@ -375,8 +375,8 @@ def _msw_mapping(cfg: NodeConfig, profile: ClientProfile, t: int, m: str,
     x = args[0]
     k = cfg.size.get(x)
     if m == "msw_write":
-        vs = tuple(args[1])
-        if k is None or len(vs) != k or cfg.node_of_loc(x) != me:
+        vs = args[1]
+        if k is None or not isinstance(vs, tuple) or len(vs) != k or cfg.node_of_loc(x) != me:
             return DEAD
         steps = [Call("write", (_msw_slot(x, 0), hash_tuple(vs)))]
         steps += [Call("write", (_msw_slot(x, i + 1), vs[i])) for i in range(k)]

@@ -17,10 +17,10 @@ shape's executions, whose barrier calls are the same events.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution
+from ..events import Event
 from ..stamps import ACR, GF
 from ..values import UNIT
 from .base import Library, Shape, Witness
@@ -50,16 +50,16 @@ class BarrierLib(Library):
     def outputs(self, method, args, tid, prior, pools, cfg):
         return (UNIT,)
 
-    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig):
-        """The shape of ``plain`` decides its one witness: its ``so``, by
-        position, and its ``meta``, with ``base`` for `grown_hb`; None when
-        a caller does not take part or the participants' call counts
-        differ, so that there is none."""
-        for e in plain.events:
+    def _build_frame(self, events: Sequence[Event], shape: Shape, cfg: NodeConfig):
+        """The shape of the slice ``events`` decides its one witness: its
+        ``so``, by position, and its ``meta``, with ``base`` for
+        `grown_hb`; None when a caller does not take part or the
+        participants' call counts differ, so that there is none."""
+        for e in events:
             self._require(e)
 
         by_loc: dict = {}
-        for e in plain.events:
+        for e in events:
             x = e.args[0]
             if e.tid not in cfg.barrier.get(x, frozenset()):
                 return None  # non-participating caller: no consistent execution
@@ -84,9 +84,9 @@ class BarrierLib(Library):
         exit_: dict[Event, int] = {}
         for p, k, a in shape.numbering.own[self.name]:
             if a.kind == "GF":
-                fences.setdefault(plain.events[k], []).append(p)
+                fences.setdefault(events[k], []).append(p)
             else:
-                exit_[plain.events[k]] = p
+                exit_[events[k]] = p
         so = []
         for x, per_thread in by_loc.items():
             calls = [e for evs in per_thread.values() for e in evs]
@@ -96,13 +96,10 @@ class BarrierLib(Library):
                         so.extend((p, exit_[e2]) for p in fences.get(e1, ()))
         return SimpleNamespace(so=frozenset(so), meta={"rounds": rounds}, base=(None, None))
 
-    def _grow_fixed(self, f, order) -> bool:
-        return order.add_edges(f.so)
-
     def witnesses(self, group, shape, cfg: NodeConfig, hb=None,
                   alive=1, wanted=(-1,)) -> Iterator[Witness]:
         """The one witness, which holds for every row of ``alive``."""
-        f = self.frame(group[0], shape, cfg)
+        f = self.frame(shape, cfg)
         grown = False if f is None else self.grown_hb(f, hb)
         if grown is not False and alive:
             yield Witness(self.name, f.so, meta=f.meta, hb=grown, rows=alive)

@@ -22,11 +22,12 @@ nothing here builds a subevent: only a dump names positions
 (`dump.dump_execution`).
 
 A library is asked about a group: the plain executions of one shape,
-as rows 0, 1, ..., each given as its slice; a set of rows is a bitmask.
-A witness holds for the rows of its ``rows`` mask, which agree on every
-read the library pins.  ``wanted[0]`` is the mask of the rows still
-searched, which the checker clears a row from once its output is found;
-the default, -1, holds all.
+as rows 0, 1, ..., each given whole; a set of rows is a bitmask, and a
+search reads what each row's pinned reads return as row masks
+(`pins_of`).  A witness holds for the rows of its ``rows`` mask, which
+agree on every read the library pins.  ``wanted[0]`` is the mask of the
+rows still searched, which the checker clears a row from once its
+output is found; the default, -1, holds all.
 
 The shared-variable and RDMA libraries search the same existentials over
 their reads and writes: a reads-from map, a modification order per place
@@ -60,15 +61,17 @@ class Numbering:
     execution's, in program order) under ``stmp``, read off once: each
     position's ``event`` index, ``tid`` and ``stamp``, and ``own``, each
     library's positions as (position, index of the event in the library's
-    slice, stamp), from ``per_lib``, the library's events in order.  The
-    checker builds one per shape, from `checker.stamp_events`' stamping
-    and slices, and every library's frame reads it; no subevent is built.
+    slice, stamp), from ``per_lib``, the library's events in order, which
+    it keeps as ``slices``.  The checker builds one per shape, from
+    `checker.stamp_events`' stamping and slices of the shape's first row,
+    and every library's frame reads it; no subevent is built.
     ``direct_ppo`` is preserved program order's direct rows over the
     positions, read off stamp masks (`stamps.ppo_rows`)."""
 
     def __init__(self, events: Sequence[Event], stmp: Stamping,
                  per_lib: Mapping[str, Sequence[Event]]):
         owner = {e: (name, k) for name, evs in per_lib.items() for k, e in enumerate(evs)}
+        self.slices = per_lib
         self.own = {name: [] for name in per_lib}
         self.event, self.tid, self.stamp = [], [], []
         for i, e in enumerate(events):
@@ -174,35 +177,21 @@ class Library:
     def witnesses(self, group: Sequence[PlainExecution], shape: Shape, cfg: NodeConfig,
                   hb: IncrementalOrder | None = None, alive: int = 1,
                   wanted: Sequence[int] = (-1,)) -> Iterator[Witness]:
-        """Every witness of the slices ``group`` (see the module
-        docstring) for the rows ``alive`` (the first, all of a group of
-        one, by default) that ``wanted`` holds, whose so keeps ``hb``
-        acyclic, in the library's witness order, each carrying ``hb``
-        grown by its so (`Witness.hb`); expanded per row, each row's
-        witnesses asked alone, in order.  ``hb`` is the checker's order so
-        far, over the positions of the whole execution's subevent list,
-        which the library must not change: the shape's closed ppo for the
-        first library, and that grown by an earlier library's witness
-        after it.  ``None`` asks for every witness, unpruned, each with
-        ``hb`` None.
+        """Every witness of the rows ``group`` (see the module docstring)
+        for the rows ``alive`` (the first, all of a group of one, by
+        default) that ``wanted`` holds, whose so keeps ``hb`` acyclic, in
+        the library's witness order, each carrying ``hb`` grown by its so
+        (`Witness.hb`).  ``hb`` is the checker's order so far, over the
+        positions of the whole execution's subevent list, which the
+        library must not change: the shape's closed ppo for the first
+        library, and that grown by an earlier library's witness after it.
+        ``None`` asks for every witness, unpruned, each with ``hb`` None.
 
         ``shape`` is the checker's `Shape`, the same for every execution
         of this one's shape (`checker.stamp_events`' key) in one outcome
         computation: its numbering, whose positions every witness is given
-        in, and where the library may keep its frame, which holds only
-        what the shape decides (see `frame`).  This default searches each
-        row alone (`_row_witnesses`) until ``wanted`` drops it."""
-        for j in rows_of(alive):
-            if wanted[0] >> j & 1:
-                for w in self._row_witnesses(group[j], cfg, hb, shape):
-                    w.rows = 1 << j
-                    yield w
-                    if not wanted[0] >> j & 1:
-                        break
-
-    def _row_witnesses(self, plain: PlainExecution, cfg: NodeConfig,
-                       hb: IncrementalOrder | None, shape: Shape) -> Iterator[Witness]:
-        """The witnesses of one row's slice ``plain``."""
+        in, and where the library keeps its frame, which holds only what
+        the shape decides (see `frame`)."""
         raise NotImplementedError
 
     def post_check(self, w: Witness, hb: IncrementalOrder) -> bool:
@@ -210,14 +199,19 @@ class Library:
         order over the witness's positions, read with ``in``."""
         return True
 
-    def frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig):
-        """What the shape of ``plain`` decides of this library's witness
-        search (`_build_frame`): built for the first execution of its
-        shape, in the positions of the shape's numbering, and kept in
-        ``shape`` for every later one, which uses it as it is."""
+    def frame(self, shape: Shape, cfg: NodeConfig):
+        """What ``shape`` decides of this library's witness search
+        (`_build_frame`): built once, from the library's slice of its first
+        row (`Numbering.slices`), in the positions of its numbering, and
+        kept in ``shape`` for every later row, which uses it as it is."""
         if self.name not in shape.frames:
-            shape.frames[self.name] = self._build_frame(plain, shape, cfg)
+            shape.frames[self.name] = self._build_frame(
+                shape.numbering.slices[self.name], shape, cfg)
         return shape.frames[self.name]
+
+    def _grow_fixed(self, f, order: IncrementalOrder) -> bool:
+        """Add to ``order`` the so pairs every witness of frame ``f`` holds: by default ``f.so``."""
+        return order.add_edges(f.so)
 
     def grown_hb(self, f, hb: IncrementalOrder | None):
         """``hb`` grown, on a copy, by the so pairs that every witness of
@@ -425,7 +419,8 @@ def rows_of(mask: int) -> list[int]:
 def pins_of(group: Sequence[PlainExecution], pinned: Sequence[tuple[int, int]],
             alive: int) -> dict:
     """`Coherence.search`'s pins: for each (position, k) of ``pinned``,
-    each value event k returns in the rows ``alive``, and those rows."""
+    each value that event k of the whole execution (the position's
+    `Numbering.event`) returns in the rows ``alive``, and those rows."""
     pins: dict = {p: {} for p, _k in pinned}
     for j in rows_of(alive):
         events, bit = group[j].events, 1 << j

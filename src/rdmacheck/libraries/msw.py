@@ -3,16 +3,16 @@
 Methods: msw_write(x, payload), msw_tryread(x) returning a payload or bot,
 msw_get(x,y,d), msw_put(x,y,d), msw_wait(d).  Consistency is the
 wait-based predicate of ``RdmaLib`` over tuple values with two changes:
-events must agree with the declared per-location size, and a failed
-msw_tryread is excluded from reads entirely — it may fail without
-justification, its stamp is a wait stamp.  A successful read therefore
-returns a written payload or the all-zero payload.
+writes, puts and gets must agree with the declared per-location size,
+and a failed msw_tryread is excluded from reads entirely — it may fail
+without justification, its stamp is a wait stamp.  A successful read
+therefore returns a written payload or the all-zero payload.
 """
 
 from __future__ import annotations
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution
+from ..events import Event
 from ..stamps import AWT
 from ..lang import Pools
 from ..values import BOT
@@ -42,13 +42,12 @@ class MixedSizeLib(RdmaLib):
                                   key=repr)
         return super().outputs(method, args, tid, prior, pools, cfg)
 
-    def extra_valid(self, plain: PlainExecution, cfg: NodeConfig) -> bool:
-        for e in plain.events:
+    def extra_valid(self, events, cfg: NodeConfig) -> bool:
+        """Each write stores a tuple of its location's size, and each put
+        or get joins locations of one size."""
+        for e in events:
             if e.method == MSW_WRITE:
-                if len(e.args[1]) != cfg.size[e.args[0]]:
-                    return False
-            elif e.method == MSW_TRYREAD and e.output is not BOT:
-                if len(e.output) != cfg.size[e.args[0]]:
+                if not isinstance(e.args[1], tuple) or len(e.args[1]) != cfg.size[e.args[0]]:
                     return False
             elif e.method in (MSW_GET, MSW_PUT):
                 if cfg.size[e.args[0]] != cfg.size[e.args[1]]:

@@ -41,12 +41,12 @@ items; one that closes a cycle there is not yielded.
 All of that but the values the reads pin is decided by the execution's
 shape (`checker.stamp_events`' key): polls-from, iso and the carriers,
 places and stored values, ib's fixed rows and instantaneous items and
-the nfo split, or that the node discipline leaves no witness.  `frame`
-builds them in the positions of the shape's `base.Numbering`, from the
-events' shape-decided fields and with no subevent, once per shape in
-one outcome computation; one search covers a group of the shape's
-executions, each row's pinned reads' outputs as row masks, and only
-``extra_valid`` is asked of each row.
+the nfo split, or that the node discipline or ``extra_valid`` leaves no
+witness.  `frame` builds them in the positions of the shape's
+`base.Numbering`, from the events' shape-decided fields and with no
+subevent, once per shape in one outcome computation; one search covers
+a group of the shape's executions, each row's pinned reads' outputs as
+row masks.
 """
 
 from __future__ import annotations
@@ -55,13 +55,13 @@ from types import SimpleNamespace
 from typing import Iterator, Mapping, Sequence
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution
+from ..events import Event
 from ..lang import Carried, Pools
 from ..relations import IncrementalOrder
 from ..stamps import (ACAS, ACR, ACW, AMF, AWT, TABLE, columns, nF, nLR, nLW,
                       nRR, nRW, ppo_rows)
 from ..values import UNIT
-from .base import Library, Shape, Witness, final_values, pins_of, rows_of
+from .base import Library, Shape, Witness, final_values, pins_of
 
 READ_KINDS = ("aCR", "aCAS", "nLR", "nRR")
 WRITE_KINDS = ("aCW", "aCAS", "nLW", "nRW")
@@ -158,31 +158,33 @@ class RdmaLib(Library):
         pfg, pfp = frozenset(pfg), frozenset(pfp)
         return pfg, pfg | pfp, {"pfg": pfg, "pfp": pfp}
 
-    def extra_valid(self, plain: PlainExecution, cfg: NodeConfig) -> bool:
+    def extra_valid(self, events: Sequence[Event], cfg: NodeConfig) -> bool:
+        """A shape-decided condition on the library's events (`_build_frame`)."""
         return True
 
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)
 
-    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig):
-        """What the shape of ``plain`` decides of its witness search, in
-        the positions of the shape's numbering: the `Coherence` ``search``
-        and the ``pinned`` reads (position, index of the event in
-        ``plain``); polls-from's so part ``so_pf`` and its named
-        ``pf_parts``; ``iso``; ib's ``fixed`` part, closed, and the
+    def _build_frame(self, events: Sequence[Event], shape: Shape, cfg: NodeConfig):
+        """What the shape of the slice ``events`` decides of its witness
+        search, in the positions of the shape's numbering: the `Coherence`
+        ``search`` and the ``pinned`` reads (position, index of the event
+        in the whole execution); polls-from's so part ``so_pf`` and its
+        named ``pf_parts``; ``iso``; ib's ``fixed`` part, closed, and the
         positions ``inst`` of its instantaneous items; the ``internal`` rf
         pairs and the candidate internal fr pairs ``fr_int``; the
         ``forced`` and ``free`` nfo pairs; and ``base``, for `grown_hb`.
-        None when the node discipline fails, so that no witness exists."""
+        None when the node discipline or ``extra_valid`` fails, so that no
+        witness exists."""
         role_of = self.role_of
-        events = plain.events
         for e in events:
             self._require(e)
-        for e in events:
             k = LOCAL_ARG.get(role_of.get(e.method))
             if k is not None and (cfg.node_of_loc(e.args[k])
                                   != cfg.node_of_thread(e.tid)):
                 return None
+        if not self.extra_valid(events, cfg):
+            return None
         num = shape.numbering
         own = num.own[self.name]
         kind = {p: a.kind for p, _k, a in own}
@@ -203,7 +205,7 @@ class RdmaLib(Library):
 
         # Label-determined values: what CPU reads and CASes return, what
         # CPU writes and successful CASes store.
-        pinned = tuple((p, k) for p, k, a in own if a.kind in READ_KINDS
+        pinned = tuple((p, num.event[p]) for p, k, a in own if a.kind in READ_KINDS
                        and role_of[events[k].method] in ("read", "cas"))
         stored = {"write": 1, "cas": 2}     # the argument a write part stores
         write_value = {p: ev[p].args[stored[role_of[ev[p].method]]]
@@ -274,11 +276,8 @@ class RdmaLib(Library):
 
     def witnesses(self, group, shape, cfg: NodeConfig, hb=None,
                   alive=1, wanted=(-1,)) -> Iterator[Witness]:
-        alive = sum(1 << j for j in rows_of(alive) if self.extra_valid(group[j], cfg))
-        f = self.frame(group[0], shape, cfg)
-        if f is None or not alive:
-            return
-        base = self.grown_hb(f, hb)
+        f = self.frame(shape, cfg)
+        base = False if f is None else self.grown_hb(f, hb)
         if base is False:
             return
         for rf, mo, rb, vR, vW, by_place, so_far, rows in f.search.search(

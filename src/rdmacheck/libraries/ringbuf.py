@@ -1,29 +1,33 @@
 """Ring-buffer library: single-writer multi-reader FIFO broadcast queue.
 
-submit(x, payload) returns true/false; receive(x) returns a payload tuple
-or bot.  A successful submit carries a CPU-write stamp plus one NIC
-remote-write stamp per reader node other than the writer's; failed calls
-(false / bot) carry wait stamps and a succeeding receive a CPU-read stamp.
+submit(x, payload) returns true/false, and has no output when the payload
+is not a tuple; receive(x) returns a payload tuple or bot.  A successful
+submit carries a CPU-write stamp plus one NIC remote-write stamp per
+reader node other than the writer's; failed calls (false / bot) carry
+wait stamps and a succeeding receive a CPU-read stamp.
 
-The witness is a reads-from map pairing each successful receive with one
-write subevent on its node, subject to: same buffer and payload, at most
-one read of a message per thread, and no skipped messages.  A failing
-receive fails-before every same-node message it did not already consume.
-Strict mode exports rf ∪ fb as synchronisation; weak mode exports rf only
-but refuses witnesses where fb contradicts the global happens-before.
+The witness is forced: a thread reads each message at most once and
+skips none, so its i-th successful receive of a buffer reads (rf) the
+buffer's i-th message on its node, and a failing receive fails-before
+(fb) every same-node message its thread has not consumed.  Strict mode
+exports rf ∪ fb as synchronisation; weak mode exports rf only but
+refuses witnesses where fb contradicts the global happens-before.  The
+witness is decided once per shape (`frame`) and holds for the rows whose
+receives return their messages' payloads, which the shape leaves out.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from types import SimpleNamespace
+from typing import Iterator, Sequence
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution, po_before
+from ..events import Event
 from ..lang import Pools
 from ..relations import IncrementalOrder
 from ..stamps import ACR, ACW, AWT, nRW
 from ..values import BOT
-from .base import Library, Witness, grow
+from .base import Library, Shape, Witness, pins_of
 
 SUBMIT, RECEIVE = "submit", "receive"
 
@@ -54,7 +58,7 @@ class RingBufferLib(Library):
 
     def outputs(self, method, args, tid, prior, pools: Pools, cfg):
         if method == SUBMIT:
-            return (True, False)
+            return (True, False) if isinstance(args[1], tuple) else ()
         return [BOT] + sorted(pools.stored((args[0], None), tid, prior), key=repr)
 
     def stores(self, e: Event, cfg: NodeConfig):
@@ -69,86 +73,64 @@ class RingBufferLib(Library):
             return True
         return not any((b, a) in hb for a, b in w.relations["fb"])
 
-    def _row_witnesses(self, plain: PlainExecution, cfg: NodeConfig,
-                       hb, shape) -> Iterator[Witness]:
-        # The search reads the receives' payloads: each row alone.
-        for e in plain.events:
+    def _build_frame(self, events: Sequence[Event], shape: Shape, cfg: NodeConfig):
+        """The shape of the slice ``events`` decides its one witness: its
+        ``so``, ``rf`` and ``fb`` by position, the values ``vR`` and
+        ``vW``, and the ``pinned`` receives (position, index of the event
+        in the whole execution), with ``base`` for `grown_hb`.  None on a
+        role violation or an invalid payload, or when a thread receives
+        more messages than were sent to its node, so that there is none."""
+        for e in events:
             self._require(e)
             x = e.args[0]
-            if e.method == SUBMIT and e.tid != cfg.wthd.get(x):
-                return
+            if e.method == SUBMIT and (e.tid != cfg.wthd.get(x)
+                                       or not isinstance(e.args[1], tuple)):
+                return None
             if e.method == RECEIVE and e.tid not in cfg.rthd.get(x, frozenset()):
-                return
-
-        node = cfg.node_of_thread
-        # Subevents are positions (`base.Numbering`); ``ev`` is each one's event.
-        own = shape.numbering.own[self.name]
-        ev = {p: plain.events[k] for p, k, _a in own}
-
-        # Write subevents of message m on node n: exactly one per (m, n).
-        # A successful submit's stamps are writes, its CPU write first.
-        writes: dict[tuple, list[int]] = {}   # (x, n) -> po-ordered writes
-        for p, _k, a in own:
-            e = ev[p]
-            if e.method == SUBMIT and e.output is True:
-                n = node(e.tid) if a.kind == "aCW" else a.node
-                writes.setdefault((e.args[0], n), []).append(p)
-
-        reads = [p for p, _k, a in own if ev[p].method == RECEIVE and a.kind == "aCR"]
-        fails = [p for p, _k, a in own if ev[p].method == RECEIVE and a.kind == "aWT"]
-
-        def place(s: int) -> tuple:
-            return (ev[s].args[0], node(ev[s].tid))
-
-        # Each receive's candidates: the same place's writes of its payload.
-        candidates = [[w for w in writes.get(place(r), ()) if ev[w].args[1] == ev[r].output]
-                      for r in reads]
-        for rfmap in _rf_maps(reads, candidates, ev, 0, {}):
-            # No jumping: a read of message m implies an earlier (po) read,
-            # by the same thread, of every same-place message po-before m.
-            ok = True
-            for r, w in rfmap.items():
-                for w1 in writes.get(place(r), ()):
-                    if not po_before(ev[w1], ev[w]):
-                        continue
-                    if not any((r1, ww) for r1, ww in rfmap.items()
-                               if ww == w1 and (r1 == r or
-                                                po_before(ev[r1], ev[r]))):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+                return None
+        node, num = cfg.node_of_thread, shape.numbering
+        # Each (buffer, node)'s messages in the writer's program order: a
+        # successful submit's CPU write on its own node, its remote writes
+        # on the others.
+        sent: dict[tuple, list[int]] = {}
+        rf, fb, vR, vW = [], [], {}, {}
+        for p, k, a in num.own[self.name]:
+            if a.kind in ("aCW", "nRW"):
+                e = events[k]
+                at = node(e.tid) if a.node is None else a.node
+                sent.setdefault((e.args[0], at), []).append(p)
+                vW[p] = e.args[1]
+        taken: dict[tuple, int] = {}     # (buffer, thread) -> messages read
+        for p, k, a in num.own[self.name]:
+            e = events[k]
+            if e.method != RECEIVE:
                 continue
-            rf = frozenset((w, r) for r, w in rfmap.items())
-            fb = []
-            for f in fails:
-                consumed = {ev[w] for r, w in rfmap.items()
-                            if ev[r].tid == ev[f].tid
-                            and po_before(ev[r], ev[f])}
-                for w in writes.get(place(f), ()):
-                    if ev[w] not in consumed:
-                        fb.append((f, w))
-            fb = frozenset(fb)
-            so = rf | fb if self.mode == STRICT else rf
-            grown = grow(hb, so)
-            if grown is False:
-                continue
-            yield Witness(self.name, so, vR={r: ev[r].output for r in reads},
-                          vW={w: ev[w].args[1] for ws in writes.values() for w in ws},
-                          rels={"rf": rf, "fb": fb}, hb=grown)
+            msgs = sent.get((e.args[0], node(e.tid)), [])
+            i = taken.get((e.args[0], e.tid), 0)
+            if a.kind == "aWT":
+                fb.extend((p, w) for w in msgs[i:])
+            elif i == len(msgs):
+                return None
+            else:
+                taken[e.args[0], e.tid] = i + 1
+                rf.append((msgs[i], p))
+                vR[p] = vW[msgs[i]]
+        rf, fb = frozenset(rf), frozenset(fb)
+        return SimpleNamespace(so=rf | fb if self.mode == STRICT else rf, rf=rf, fb=fb,
+                               vR=vR, vW=vW, pinned=tuple((p, num.event[p]) for p in vR),
+                               base=(None, None))
 
-
-def _rf_maps(reads: list, candidates: list, ev: dict, i: int, rf: dict) -> Iterator[dict]:
-    """Each rf map of the successful receives ``reads`` from the i-th on,
-    extending ``rf``: read i takes one of its ``candidates``, a message
-    its thread has not read yet."""
-    if i == len(reads):
-        yield rf
-        return
-    r = reads[i]
-    taken = {(ev[w], ev[rr].tid) for rr, w in rf.items()}
-    for w in candidates[i]:
-        if (ev[w], ev[r].tid) in taken:
-            continue  # a thread reads each message at most once
-        yield from _rf_maps(reads, candidates, ev, i + 1, {**rf, r: w})
+    def witnesses(self, group, shape, cfg: NodeConfig, hb=None,
+                  alive=1, wanted=(-1,)) -> Iterator[Witness]:
+        """The one witness, which holds for the rows of ``alive`` whose
+        receives each return their message's payload."""
+        f = self.frame(shape, cfg)
+        if f is None:
+            return
+        pins = pins_of(group, f.pinned, alive)
+        for p, _k in f.pinned:
+            alive &= pins[p].get(f.vR[p], 0)
+        grown = self.grown_hb(f, hb) if alive else False
+        if grown is not False:
+            yield Witness(self.name, f.so, vR=f.vR, vW=f.vW,
+                          rels={"rf": f.rf, "fb": f.fb}, hb=grown, rows=alive)

@@ -21,10 +21,10 @@ is the order the search grew for it.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..config import NodeConfig
-from ..events import Event, PlainExecution
+from ..events import Event
 from ..lang import Carried, Pools
 from ..stamps import ACR, ACW, AWT, GF, nLR, nRW
 from ..values import UNIT
@@ -69,13 +69,13 @@ class SharedVarLib(Library):
     def final_memory(self, w: Witness, cfg: NodeConfig) -> dict:
         return final_values(w)
 
-    def _build_frame(self, plain: PlainExecution, shape: Shape, cfg: NodeConfig):
-        """What the shape of ``plain`` decides of its witness search, in
-        the positions of the shape's numbering: the `Coherence` ``search``,
-        the ``pinned`` reads (position, index of the event in ``plain``),
-        ``pf``, ``iso``, the ``internal`` rf pairs and the CPU (read, later
-        write) pairs ``past``; and ``base``, for `grown_hb`."""
-        events = plain.events
+    def _build_frame(self, events: Sequence[Event], shape: Shape, cfg: NodeConfig):
+        """What the shape of the slice ``events`` decides of its witness
+        search, in the positions of the shape's numbering: the `Coherence`
+        ``search``, the ``pinned`` reads (position, index of the event in
+        the whole execution), ``pf``, ``iso``, the ``internal`` rf pairs
+        and the CPU (read, later write) pairs ``past``; and ``base``, for
+        `grown_hb`."""
         for e in events:
             self._require(e)
         num = shape.numbering
@@ -90,7 +90,7 @@ class SharedVarLib(Library):
         place = {p: (ev[p].args[0], num.stamp[p].node if kind[p] == "nRW"
                      else cfg.node_of_thread(ev[p].tid))
                  for p in reads + writes}
-        pinned = tuple((p, k) for p, k, a in own
+        pinned = tuple((p, num.event[p]) for p, k, a in own
                        if a.kind == "aCR" and events[k].method == READ)
         write_value = {p: ev[p].args[1] for p in writes if ev[p].method == WRITE}
         carrier = {p: at[k, "nLR", a.node] for p, k, a in own if a.kind == "nRW"}
@@ -117,7 +117,7 @@ class SharedVarLib(Library):
 
     def witnesses(self, group, shape, cfg: NodeConfig, hb=None,
                   alive=1, wanted=(-1,)) -> Iterator[Witness]:
-        f = self.frame(group[0], shape, cfg)
+        f = self.frame(shape, cfg)
         base = self.grown_hb(f, hb)
         if base is False:
             return

@@ -533,6 +533,11 @@ def _validate(test: LitmusTest, loc_lines: Mapping[str, int],
                             raise LitmusError(f"undeclared node {nn!r}", ins.line)
                 if isinstance(a, RegRef) and a.name not in seen:
                     raise LitmusError(f"register {a.name!r} unbound", ins.line)
+            # An msw call's locations and literal payload have one size.
+            sizes = {test.msizes[a] if kind == "loc" else len(a) for kind, a in zip(kinds, ins.args)
+                     if lib == "msw" and kind in ("loc", "payload") and not isinstance(a, RegRef)}
+            if len(sizes) > 1:
+                raise LitmusError(f"{ins.op}: sizes {sorted(sizes)} differ", ins.line)
             if ins.dest:
                 if ins.dest in regs:
                     raise LitmusError(f"register {ins.dest!r} reused", ins.line)

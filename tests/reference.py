@@ -7,7 +7,8 @@ full execution (`Execution`) is named: its so and hb relate subevents,
 and ``lambda_consistent``, the paper's whole-execution check, validates
 one.  ``named`` names a witness or an accepted combination by a row's
 subevents, and ``slice_witnesses`` asks a library about one slice alone,
-over a shape of its own (``slice_shape``).
+over a shape of its own (``slice_shape``).  ``ring_witnesses`` is the
+ring buffer's search that its forced witness replaced.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Callable, Hashable, Mapping, Sequence
 
 from rdmacheck.checker import method_map, stamp_events
 from rdmacheck.config import NodeConfig
-from rdmacheck.events import Event, PlainExecution, Stamp, Stamping, SubEvent, subevent_list
+from rdmacheck.events import (Event, PlainExecution, Stamp, Stamping, SubEvent, po_before,
+                              subevent_list)
 from rdmacheck.libraries.base import Library, Numbering, Shape, Witness
 from rdmacheck.relations import IncrementalOrder
 from rdmacheck.stamps import ppo_before
@@ -54,8 +56,10 @@ def slice_shape(plain: PlainExecution, stmp: Stamping, lib: str) -> Shape:
 def slice_witnesses(lib: Library, plain: PlainExecution, stmp: Stamping, cfg: NodeConfig,
                     hb: IncrementalOrder | None = None):
     """``lib``'s witnesses of its slice ``plain`` alone, over a fresh
-    `slice_shape`, pruned by ``hb`` when one is given."""
-    return lib.witnesses([plain], slice_shape(plain, stmp, lib.name), cfg, hb)
+    `slice_shape`, pruned by ``hb`` when one is given: the library is
+    given the execution ``stmp`` stamps, whole, as a group of one."""
+    whole = PlainExecution(tuple(sorted(stmp, key=lambda e: (e.tid, e.eid))))
+    return lib.witnesses([whole], slice_shape(plain, stmp, lib.name), cfg, hb)
 
 
 def named(x, stmp: Stamping) -> SimpleNamespace:
@@ -121,10 +125,71 @@ def lambda_consistent(exec_: Execution, libs: Sequence[Library],
     witnesses = {}
     for lib in libs:
         share = frozenset((a, b) for a, b in exec_.so if mm[a.event.method] is lib)
-        sl = PlainExecution(tuple(per_lib[lib.name]))
-        w = next((w for w in lib.witnesses([sl], shape, cfg)
+        w = next((w for w in lib.witnesses([plain], shape, cfg)
                   if named(w, stmp).so == share and lib.post_check(w, order)), None)
         if w is None:
             return False, {}
         witnesses[lib.name] = w
     return True, witnesses
+
+
+def ring_witnesses(lib: Library, plain: PlainExecution, stmp: Stamping,
+                   cfg: NodeConfig) -> list[tuple]:
+    """The ring buffer ``lib``'s witnesses of its slice ``plain``, by the
+    search its forced witness replaced, as (so, rf, fb, vR, vW) in the
+    positions of a fresh `slice_shape`: each rf map that gives every
+    successful receive a write of its payload on its node, one its thread
+    has not read yet, and that skips no message, with the fails-before
+    pairs of each failed receive to the messages its thread had not
+    consumed."""
+    for e in plain.events:
+        x = e.args[0]
+        if e.method == "submit" and e.tid != cfg.wthd.get(x):
+            return []
+        if e.method == "receive" and e.tid not in cfg.rthd.get(x, frozenset()):
+            return []
+    node = cfg.node_of_thread
+    own = slice_shape(plain, stmp, lib.name).numbering.own[lib.name]
+    ev = {p: plain.events[k] for p, k, _a in own}
+    # Write subevents of message m on node n: exactly one per (m, n).
+    writes: dict[tuple, list[int]] = {}   # (x, n) -> po-ordered writes
+    for p, _k, a in own:
+        e = ev[p]
+        if e.method == "submit" and e.output is True:
+            n = node(e.tid) if a.kind == "aCW" else a.node
+            writes.setdefault((e.args[0], n), []).append(p)
+    reads = [p for p, _k, a in own if ev[p].method == "receive" and a.kind == "aCR"]
+    fails = [p for p, _k, a in own if ev[p].method == "receive" and a.kind == "aWT"]
+
+    def place(s: int) -> tuple:
+        return ev[s].args[0], node(ev[s].tid)
+
+    def rf_maps(i: int, rf: dict):
+        """Each rf map extending ``rf`` from read i on: read i takes a
+        write of its payload, a message its thread has not read yet."""
+        if i == len(reads):
+            yield rf
+            return
+        r = reads[i]
+        taken = {(ev[w], ev[rr].tid) for rr, w in rf.items()}
+        for w in writes.get(place(r), ()):
+            if ev[w].args[1] == ev[r].output and (ev[w], ev[r].tid) not in taken:
+                yield from rf_maps(i + 1, {**rf, r: w})
+
+    out = []
+    for rfmap in rf_maps(0, {}):
+        # No jumping: a read of message m implies an earlier (po) read, by
+        # the same thread, of every same-place message po-before m.
+        if not all(any(ww == w1 and (r1 == r or po_before(ev[r1], ev[r]))
+                       for r1, ww in rfmap.items())
+                   for r, w in rfmap.items() for w1 in writes.get(place(r), ())
+                   if po_before(ev[w1], ev[w])):
+            continue
+        rf = frozenset((w, r) for r, w in rfmap.items())
+        fb = frozenset((f, w) for f in fails for w in writes.get(place(f), ())
+                       if ev[w] not in {ev[w2] for r, w2 in rfmap.items()
+                                        if po_before(ev[r], ev[f])})
+        out.append((rf | fb if lib.mode == "strict" else rf, rf, fb,
+                    {r: ev[r].output for r in reads},
+                    {w: ev[w].args[1] for ws in writes.values() for w in ws}))
+    return out

@@ -101,8 +101,8 @@ def test_a_rebound_frame_is_the_frame_built_afresh(tmp_path, path, item):
             if not hasattr(lib, "_build_frame"):
                 continue
             sl = PlainExecution(tuple(per_lib[lib.name]))
-            got = lib.frame(sl, shape, cfg)
-            want = lib.frame(sl, slice_shape(sl, stmp, lib.name), cfg)
+            got = lib.frame(shape, cfg)
+            want = lib.frame(slice_shape(sl, stmp, lib.name), cfg)
             assert comparable(got) == comparable(want)
             if want is not None:
                 assert (comparable(lib.grown_hb(got, shape.ppo))
@@ -125,7 +125,7 @@ def test_each_event_lists_its_read_part_first(tmp_path, path, item):
             if not isinstance(lib, RdmaLib):
                 continue
             sl = PlainExecution(tuple(per_lib[lib.name]))
-            f = lib.frame(sl, slice_shape(sl, stmp, lib.name), cfg)
+            f = lib.frame(slice_shape(sl, stmp, lib.name), cfg)
             if f is None:
                 continue
             moves = sum(lib.role_of.get(e.method) in ("put", "get") for e in sl.events)

@@ -238,6 +238,13 @@ def test_exit_2_with_the_line_of_a_duplicate_name(tmp_path, capsys, text, line):
     ("name nonodes\nlibs rl\n", 1),
     ("nodes n1\nlibs rl\nthread t1 @ n1 {\n  mfence\n}\n"
      "thread t2 @ n3 {\n  mfence\n}\n", 6),
+    # An msw call that mixes two sizes.
+    ("nodes n1\nlibs msw\nloc x @ n1\nmsize x 2\nthread t1 @ n1 {\n"
+     "  mswwrite x (1,2,3)\n}\n", 6),
+    ("nodes n1 n2\nlibs msw\nloc x @ n1\nloc y @ n2\nmsize x 2\nmsize y 3\n"
+     "thread t1 @ n1 {\n  mswput y x d\n}\n", 8),
+    ("nodes n1 n2\nlibs msw\nloc x @ n1\nloc y @ n2\nmsize x 2\nmsize y 3\n"
+     "thread t1 @ n1 {\n  mswget x y d\n}\n", 8),
 ])
 def test_exit_2_with_the_line_of_a_structural_error(tmp_path, capsys, text, line):
     p = tmp_path / "bad.litmus"

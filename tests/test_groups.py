@@ -8,7 +8,9 @@ verdicts.  A group's combinations, expanded per row, are each row's
 combinations checked alone, in order, by position and named by the
 row's subevents (`reference.named`).  A witness holds for several
 rows only when they differ in an output that no library reads, such as
-``set_isempty``'s; ``SHARED`` is a client where they do."""
+``set_isempty``'s; ``SHARED`` is a client where they do.  In
+``RECEIVE_ONCE`` the rows of a shape differ in what a receive returns,
+which the ring buffer's one witness holds for only one of."""
 
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from rdmacheck.checker import (Bounds, Outcome, OutcomeResult, enumerate_consist
 from rdmacheck.lang import interpret_conc
 from rdmacheck.litmus import build_test, parse_litmus
 from rdmacheck.runner import _mk_libs
+from rdmacheck.values import BOT
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted((ROOT / "corpus").glob("*.litmus"))
@@ -47,19 +50,37 @@ thread t2 @ n2 {
 }
 """
 
+# The writer submits (1) then (2) and the reader receives once: with both
+# messages sent, the rows where the receive returns (1) and (2) share a
+# shape.
+RECEIVE_ONCE = """name receive_once
+nodes n1 n2
+libs rbl
+ring x : writer t1 readers t2 cap 4
+thread t1 @ n1 {
+  a = submit x (1)
+  b = submit x (2)
+}
+thread t2 @ n2 {
+  c = receive x
+}
+"""
+
+CLIENTS = {"shared": SHARED, "receive_once": RECEIVE_ONCE}
+
 # Every corpus file at its own bounds, the compiled side of every pinned
-# tower verdict at its event cap, and the ``SHARED`` client.
+# tower verdict at its event cap, and the ``CLIENTS``.
 CASES = ([(p.stem, p, None) for p in FILES]
          + [(f"towers/{item_id(it)}", ROOT / f"{it[1]}.litmus", (it[0], it[2]))
             for it in ITEMS]
-         + [("clients/shared", "shared", None)])
+         + [(f"clients/{name}", name, None) for name in CLIENTS])
 
 
 def case(tmp_path, path, tower):
     """(programs, libraries, node config, bounds) of a CASES entry."""
     if isinstance(path, str):
-        path = tmp_path / f"{path}.litmus"
-        path.write_text(SHARED)
+        text, path = CLIENTS[path], tmp_path / f"{path}.litmus"
+        path.write_text(text)
     if tower is None:
         test = parse_litmus(path.read_text(), name=path.stem)
         built = build_test(test)
@@ -129,3 +150,15 @@ def test_a_group_is_its_rows_checked_alone(tmp_path, path, tower):
                 # A row above the lowest one the combination holds for.
                 shared += acc["rows"] & (1 << j) - 1 != 0
     assert (shared > 0) == (path == "shared")
+
+
+def test_a_receive_s_rows_share_a_shape_and_not_its_witness(tmp_path):
+    """Both messages sent, the rows where the receive returns (1) and (2)
+    are one group, and only the first message can be read first."""
+    progs, libs, cfg, bounds = case(tmp_path, "receive_once", None)
+    res = interpret_conc(progs, pools(libs, cfg), bounds.max_events)
+    group = [plain for vals, plain in res.results
+             if vals[0] == (True, True) and vals[1] != (BOT,)]
+    assert [plain.events[-1].output for plain in group] == [(1,), (2,)]
+    assert len({stamp_events(plain, libs, cfg).key for plain in group}) == 1
+    assert [acc["rows"] for acc in enumerate_consistent(group, libs, cfg)] == [0b01]

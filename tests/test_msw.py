@@ -48,6 +48,20 @@ def test_zero_tuple_readable_initially():
     assert witnesses_of([r], [])
 
 
+def test_a_read_of_the_wrong_size_has_no_witness():
+    # No write stores a tuple of another size than its location's, and
+    # the initial value is the all-zero tuple of that size.
+    w = Event(1, 0, "msw_write", ("x", (1, 2)), ())
+    for out in [(1, 2, 3), (0, 0, 0), (1,)]:
+        r = Event(1, 1, "msw_tryread", ("x",), out)
+        assert witnesses_of([w, r], [(w, r)]) == []
+
+
+def test_a_payload_that_is_no_tuple_has_no_witness():
+    w = Event(1, 0, "msw_write", ("x", BOT), ())
+    assert witnesses_of([w], []) == []
+
+
 def test_size_discipline():
     w = Event(1, 0, "msw_write", ("x", (1,)), ())
     assert witnesses_of([w], []) == []

@@ -1,9 +1,10 @@
 """Generated-input properties: the mo enumeration against the permutation
 filter it replaced, the coherence search against the union-find rf search
 it replaced, derived program order against the po that the cross-product
-sequential composition used to store, and, on generated stamped
-executions, ppo and ib's fixed part read off stamp masks against the
-pairwise sweeps they replaced."""
+sequential composition used to store, on generated stamped executions,
+ppo and ib's fixed part read off stamp masks against the pairwise sweeps
+they replaced, and, on generated ring-buffer slices, the forced witness
+against the rf-map search it replaced."""
 
 from __future__ import annotations
 
@@ -13,18 +14,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_rdma_ib import coherence, internal_rf, whole_position_ib
-from reference import forward_rows, slice_shape
+from reference import forward_rows, ring_witnesses, slice_shape, slice_witnesses
 from test_relations import naive_closure
 from rdmacheck.checker import ppo_order
 from rdmacheck.config import NodeConfig
 from rdmacheck.events import Event, PlainExecution, SubEvent, subevent_list
 from rdmacheck.lang import Call, LetF, Val, interpret_conc, interpret_seq
-from rdmacheck.libraries import RdmaWaitLib
+from rdmacheck.libraries import RdmaWaitLib, RingBufferLib
 from rdmacheck.libraries.base import Coherence, Numbering, _mo_choices, rows_of
 from rdmacheck.relations import IncrementalOrder
 from rdmacheck.stamps import (ACAS, ACR, ACW, AMF, AWT, GF, KINDS, derive_ppo, nF,
                               nLR, nLW, nRR, nRW, ppo_before)
-from rdmacheck.values import UNIT
+from rdmacheck.values import BOT, UNIT
 
 
 def enumerate_mo(groups, before):
@@ -513,6 +514,47 @@ def rdma_executions(draw):
 def test_the_mask_swept_ib_fixed_part_is_the_whole_position_sweep(ex):
     cfg, plain, stmp, sl = ex
     rl = RdmaWaitLib()
-    f = rl.frame(sl, slice_shape(sl, stmp, rl.name), cfg)
+    f = rl.frame(slice_shape(sl, stmp, rl.name), cfg)
     want = whole_position_ib(rl, plain, sl, stmp)
     assert f.fixed.rows == want.rows
+
+
+@st.composite
+def ring_slices(draw):
+    """(library, node config, slice, stamping): one or two ring buffers,
+    each written by thread 1 or 2 and read by some of threads 1 to 3, on
+    the writer's node or the other (threads 2 and 3 may share one), each
+    thread making up to five calls of the buffers it writes or reads,
+    submits and receives that fail among them and payloads that repeat
+    (all of them, often, so that receives match their messages), in
+    strict or weak mode."""
+    thread_node = {1: 1, 2: draw(st.sampled_from([1, 2])), 3: draw(st.sampled_from([1, 2]))}
+    bufs = ["x", "y"][:draw(st.integers(1, 2))]
+    wthd = {b: draw(st.sampled_from([1, 2])) for b in bufs}
+    rthd = {b: draw(st.frozensets(st.sampled_from([1, 2, 3]), min_size=1)) for b in bufs}
+    cfg = NodeConfig(nodes=frozenset({1, 2}), thread_node=thread_node, wthd=wthd,
+                     rthd=rthd, capacity={b: 4 for b in bufs})
+    lib = RingBufferLib(draw(st.sampled_from(["strict", "weak"])))
+    payloads = st.sampled_from([(1,), (2,)][:draw(st.integers(1, 2))])
+    events = []
+    for t in thread_node:
+        calls = ([("submit", b) for b in bufs if wthd[b] == t]
+                 + [("receive", b) for b in bufs if t in rthd[b]])
+        for eid in range(draw(st.integers(0, 5)) if calls else 0):
+            method, b = draw(st.sampled_from(calls))
+            if method == "submit":
+                events.append(Event(t, eid, method, (b, draw(payloads)), draw(st.booleans())))
+            else:
+                events.append(Event(t, eid, method, (b,),
+                                    draw(st.one_of(st.just(BOT), payloads))))
+    stmp = {e: lib.stamping(e, cfg) for e in events}
+    return lib, cfg, PlainExecution(tuple(events)), stmp
+
+
+@settings(max_examples=1000)
+@given(ring_slices())
+def test_the_forced_ring_witness_is_the_rf_map_search(ex):
+    lib, cfg, plain, stmp = ex
+    got = [(w.so, w.relations["rf"], w.relations["fb"], *w.values)
+           for w in slice_witnesses(lib, plain, stmp, cfg)]
+    assert got == ring_witnesses(lib, plain, stmp, cfg)

@@ -103,7 +103,7 @@ def per_choice_witnesses(lib: RdmaLib, plain, stmp, cfg):
         k = LOCAL_ARG.get(role_of.get(e.method))
         if k is not None and cfg.node_of_loc(e.args[k]) != cfg.node_of_thread(e.tid):
             return
-    if not lib.extra_valid(plain, cfg):
+    if not lib.extra_valid(plain.events, cfg):
         return
     polls = named_polls_from(lib, plain, stmp)
     if polls is None:

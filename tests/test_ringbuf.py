@@ -7,9 +7,10 @@ import pytest
 from conftest import C, cfg2, out_set
 from reference import named, slice_witnesses
 from rdmacheck import runner
+from rdmacheck.checker import pools
 from rdmacheck.config import NodeConfig
 from rdmacheck.events import Event, PlainExecution
-from rdmacheck.lang import seq
+from rdmacheck.lang import interpret_conc, let, seq
 from rdmacheck.libraries import RingBufferLib
 from rdmacheck.stamps import ACR, ACW, AWT, nRW
 from rdmacheck.values import BOT
@@ -87,6 +88,9 @@ class TestWitnesses:
         assert witnesses_of([sub(2, 0)], []) == []
         assert witnesses_of([rcv(1, 0, (1,))], []) == []
 
+    def test_a_payload_that_is_no_tuple_has_no_witness(self):
+        assert witnesses_of([sub(1, 0, payload=BOT)], []) == []
+
     def test_message_read_once_per_thread(self):
         s = sub(1, 0)
         r1, r2 = rcv(2, 0, (1,)), rcv(2, 1, (1,))
@@ -133,6 +137,21 @@ class TestWitnesses:
         weak = witnesses_of([s, f], [], mode="weak")[0]
         assert strict.so > weak.so
         assert weak.so == weak.rels["rf"]
+
+
+def test_a_submit_of_bot_has_no_output():
+    """t2 submits what it received, and so has no unfolding where it
+    received nothing; no unfolding stores bot as a message."""
+    lib = RingBufferLib()
+    cfg = cfg2(wthd={"x": 2, "y": 1}, rthd={"x": frozenset({1}), "y": frozenset({2})},
+               capacity={"x": 4, "y": 4})
+    progs = [seq(C("submit", "y", (1,)), C("receive", "x")),
+             let(C("receive", "y"), lambda b: C("submit", "x", b))]
+    res = interpret_conc(progs, pools([lib], cfg), 14)
+    assert len(set(res.results)) == len(res.results) == 8
+    assert all(isinstance(e.args[1], tuple) for _vals, plain in res.results
+               for e in plain.events if e.method == "submit")
+    assert out_set(progs, [lib], cfg) == {((1,), True), (BOT, True), (BOT, False)}
 
 
 @pytest.mark.parametrize("mode", ["weak", "strict"])

@@ -11,7 +11,7 @@ from rdmacheck import compilers
 from rdmacheck.compilers import builtin_impl, compile_stack
 from rdmacheck.lang import Val, let
 from rdmacheck.litmus import build_test, parse_litmus
-from rdmacheck.values import UNIT
+from rdmacheck.values import BOT, UNIT
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -203,6 +203,51 @@ def test_a_mixed_size_initial_value_reaches_the_compiled_slots(tmp_path):
     rep = soundness_of(path, ["msw"], 32)
     assert rep.included and not rep.inconclusive
     assert rep.impl_outcomes == {(((1, 2),),)}
+
+
+# A payload register that holds bot: writing or submitting it is an
+# invalid call, with no unfolding on either side, so each side's outcomes
+# are those where the register holds a tuple.
+BOT_PAYLOAD = {"msw": """name bot_payload
+nodes n1
+libs msw
+loc x @ n1
+msize x 2
+thread t1 @ n1 {
+  a = tryread x
+  mswwrite x a
+}
+""", "rbl": """name bot_payload
+nodes n1 n2
+libs rbl
+ring x : writer t2 readers t1 cap 4
+ring y : writer t1 readers t2 cap 4
+thread t1 @ n1 {
+  a = submit y (1)
+  d = receive x
+}
+thread t2 @ n2 {
+  b = receive y
+  c = submit x b
+}
+"""}
+
+
+@pytest.mark.parametrize("impl, call, spec", [
+    ("msw", (1, "msw_write", "x"), {(((0, 0),),)}),
+    ("rbl", (2, "submit", "x"), {((True, (1,)), ((1,), True)), ((True, BOT), ((1,), True)),
+                                 ((True, BOT), ((1,), False))}),
+], ids=["msw", "rbl"])
+def test_a_payload_register_that_holds_bot_is_an_invalid_call(tmp_path, impl, call, spec):
+    path = tmp_path / "bot_payload.litmus"
+    path.write_text(BOT_PAYLOAD[impl])
+    built = build_test(parse_litmus(path.read_text()))
+    tid, method, loc = call
+    assert builtin_impl(impl).mapping(built.cfg, built.profile, tid, method,
+                                      (loc, BOT)) is compilers.DEAD
+    rep = soundness_of(path, [impl], 30)
+    assert rep.spec_outcomes == spec
+    assert rep.included and not rep.inconclusive and not rep.impl_truncated
 
 
 TWO_ROUNDS = """name two_rounds
